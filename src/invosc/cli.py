@@ -17,9 +17,8 @@ import argparse
 import copy
 import hashlib
 import json
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -194,27 +193,12 @@ def _build_bath(config) -> osys.BathParams:
         raise ConfigError(f"bath: {exc}") from exc
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("INVOSC_THREADS", "1")
+def _number(value, path: str, kind=float):
+    """A numeric config entry as ``kind``; a bad value is a ConfigError naming it."""
     try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"INVOSC_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 0:
-        raise ConfigError("INVOSC_THREADS must be non-negative")
-    if cap == 0:
-        cap = os.cpu_count() or 1
-    return cap
-
-
-def _map_ordered(fn, items):
-    """Apply fn over items, optionally threading; output order is fixed."""
-    cap = _thread_cap()
-    items = list(items)
-    if cap <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(cap, len(items))) as pool:
-        return list(pool.map(fn, items))
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +214,12 @@ def _fmt(value) -> str:
 
 
 def render_csv(header, rows, cfg_hash: str) -> str:
+    """CSV text; a NaN or infinite cell raises ArithmeticError naming it."""
     lines = [f"# config-sha256: {cfg_hash}", ",".join(header)]
     for row in rows:
+        for name, v in zip(header, row):
+            if not (v is None or isinstance(v, str) or math.isfinite(v)):
+                raise ArithmeticError(f"non-finite {name} at {header[0]}={row[0]:g}")
         lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
 
@@ -268,13 +256,21 @@ def _packet_moments(ev, params, packet):
     return float(norm), float(mean), float(var)
 
 
-def _evolution_rows(states, params, packet):
+def _evolution_rows(stage: str, state_at, times, params, packet):
+    """Rows for state_at(t) at each sample time, and the last state.
+
+    An overflow is re-raised naming the stage and the time.
+    """
     rows = []
-    for ev in states:
+    for t in times:
+        try:
+            ev = state_at(float(t))
+        except OverflowError as exc:
+            raise ArithmeticError(f"{stage} overflowed at t={t:g}: {exc}") from exc
         norm, _, var = _packet_moments(ev, params, packet)
         rows.append([ev.t, ev.xi, ev.xi_dot, ev.gamma_factor.real,
                      ev.gamma_factor.imag, var, norm])
-    return rows
+    return rows, ev
 
 
 # ---------------------------------------------------------------------------
@@ -288,25 +284,27 @@ def cmd_evolve(config, out, wavefunction_path=None) -> int:
     if isinstance(force, DeltaKick):
         raise ConfigError("force.kind: delta_kick is driven by the 'kick' command")
     sec = config["evolve"]
-    t_max, samples = float(sec["t_max"]), int(sec["samples"])
+    t_max = _number(sec["t_max"], "evolve.t_max")
+    samples = _number(sec["samples"], "evolve.samples", int)
     if samples < 1 or t_max < 0:
         raise ConfigError("evolve: t_max must be >= 0 and samples >= 1")
     times = np.linspace(0.0, t_max, samples)
-    states = _map_ordered(lambda t: ce.evolve_gaussian(params, packet, force, float(t)),
-                          times)
-    rows = _evolution_rows(states, params, packet)
+    rows, ev = _evolution_rows(
+        "evolve_gaussian", lambda t: ce.evolve_gaussian(params, packet, force, t),
+        times, params, packet)
     cfg_hash = config_sha256(config)
     header = ["t", "xi", "xi_dot", "re_gamma", "im_gamma", "variance", "norm_check"]
-    _emit(render_csv(header, rows, cfg_hash), out)
+    text = render_csv(header, rows, cfg_hash)  # raises before any file is written
     if wavefunction_path is not None:
         wsec = config["wavefunction"]
-        xs = np.linspace(float(wsec["x_min"]), float(wsec["x_max"]),
-                         int(wsec["points"]))
-        ev = states[-1]
+        xs = np.linspace(_number(wsec["x_min"], "wavefunction.x_min"),
+                         _number(wsec["x_max"], "wavefunction.x_max"),
+                         _number(wsec["points"], "wavefunction.points", int))
         psi = ce.evaluate(ev, params, packet, xs)
         wrows = [[float(x), p.real, p.imag, abs(p) ** 2] for x, p in zip(xs, psi)]
         _emit(render_csv(["x", "re_psi", "im_psi", "density"], wrows, cfg_hash),
               wavefunction_path)
+    _emit(text, out)
     return 0
 
 
@@ -317,20 +315,20 @@ def cmd_kick(config, out) -> int:
         raise ConfigError("force.kind: the kick scenario runs on the "
                           "stationary barrier; set force.kind to 'zero'")
     sec = config["kick"]
-    p, t1 = float(sec["momentum"]), float(sec["time"])
+    p = _number(sec["momentum"], "kick.momentum")
+    t1 = _number(sec["time"], "kick.time")
     if t1 < 0:
         raise ConfigError("kick.time must be non-negative")
     esec = config["evolve"]
-    times = np.linspace(0.0, float(esec["t_max"]), int(esec["samples"]))
+    times = np.linspace(0.0, _number(esec["t_max"], "evolve.t_max"),
+                        _number(esec["samples"], "evolve.samples", int))
 
     def state_at(t):
-        t = float(t)
         if t < t1:
             return ce.evolve_gaussian(params, packet, ZeroForce(), t)
         return ce.delta_kick_at(params, packet, p, t1, t)
 
-    states = _map_ordered(state_at, times)
-    rows = _evolution_rows(states, params, packet)
+    rows, _ = _evolution_rows("kick evolution", state_at, times, params, packet)
     boosted = packet.p0 + p
     for row in rows:
         row.append(boosted)
@@ -345,18 +343,22 @@ def cmd_tunnel(config, out, barrier_mode=False) -> int:
     if barrier_mode:
         params = _build_system(config)
         sec = config["barrier"]
-        xi0 = float(sec["xi0"])
-        xis = np.linspace(float(sec["xi_min"]), float(sec["xi_max"]),
-                          int(sec["points"]))
-        rows = [[float(F), float(xi), bt.barrier_potential(params, xi0, float(F), float(xi))]
-                for F in sec["forces"] for xi in xis]
+        xi0 = _number(sec["xi0"], "barrier.xi0")
+        xis = np.linspace(_number(sec["xi_min"], "barrier.xi_min"),
+                          _number(sec["xi_max"], "barrier.xi_max"),
+                          _number(sec["points"], "barrier.points", int))
+        forces = [_number(F, f"barrier.forces[{i}]")
+                  for i, F in enumerate(sec["forces"])]
+        rows = [[F, float(xi), bt.barrier_potential(params, xi0, F, float(xi))]
+                for F in forces for xi in xis]
         _emit(render_csv(["F", "xi", "V"], rows, cfg_hash), out)
         return 0
 
     sec = config["tunnel"]
-    eps = float(sec["epsilon"])
-    betas = np.linspace(float(sec["beta_min"]), float(sec["beta_max"]),
-                        int(sec["points"]))
+    eps = _number(sec["epsilon"], "tunnel.epsilon")
+    betas = np.linspace(_number(sec["beta_min"], "tunnel.beta_min"),
+                        _number(sec["beta_max"], "tunnel.beta_max"),
+                        _number(sec["points"], "tunnel.points", int))
     warned = False
 
     def row_for(beta):
@@ -371,7 +373,7 @@ def cmd_tunnel(config, out, barrier_mode=False) -> int:
             a_pre = w_a = None
         return [beta, w_j, w_e, w_q, a_pre, w_a]
 
-    rows = _map_ordered(row_for, betas)
+    rows = [row_for(beta) for beta in betas]
     for row in rows:
         if row[4] is None and not warned:
             sys.stderr.write("warning: asymptotic columns left empty outside "
@@ -390,7 +392,9 @@ def _complex_pair(z: complex) -> dict:
 def cmd_open_poles(config, out, boundary=None) -> int:
     cfg_hash = config_sha256(config)
     if boundary is not None:
-        a_min, a_max, n = float(boundary[0]), float(boundary[1]), int(boundary[2])
+        a_min = _number(boundary[0], "--boundary A_MIN")
+        a_max = _number(boundary[1], "--boundary A_MAX")
+        n = _number(boundary[2], "--boundary N", int)
         if not (0 < a_min < a_max) or n < 2:
             raise ConfigError("boundary sweep needs 0 < a_min < a_max and n >= 2")
         rows = [[a, osys.discriminant_boundary(float(a))]
@@ -447,7 +451,8 @@ def cmd_open_evolve(config, out) -> int:
     convention = config["bath"]["noise"]
     dec = osys.solve_poles(params, bath)
     sec = config["open"]
-    times = np.linspace(0.0, float(sec["t_max"]), int(sec["samples"]))
+    times = np.linspace(0.0, _number(sec["t_max"], "open.t_max"),
+                        _number(sec["samples"], "open.samples", int))
     sig2 = packet.sigma**2
     vp = params.hbar**2 / (4.0 * sig2)
 
@@ -462,7 +467,7 @@ def cmd_open_evolve(config, out) -> int:
                                          abs_tol=1e-10 * max(abs(dyn), 1e-30))
         return [t, g, gd, mean_x, dyn, noise, dyn + noise]
 
-    rows = _map_ordered(row_for, times)
+    rows = [row_for(t) for t in times]
     header = ["t", "G", "G_dot", "mean_x", "variance_dynamic", "variance_noise",
               "variance_total"]
     _emit(render_csv(header, rows, config_sha256(config)), out)
@@ -480,56 +485,66 @@ def cmd_verify(config, out) -> int:
 
     def add(name, deviation, tolerance):
         checks.append({"name": name, "deviation": float(deviation),
-                       "tolerance": float(tolerance),
+                       "tolerance": tolerance,
                        "passed": bool(deviation < tolerance)})
 
     # closed form against the split-step grid solver
     gsec = config["grid"]
-    grid = numerics.grid_from_packet(packet, params, float(gsec["x_min"]),
-                                     float(gsec["x_max"]), int(gsec["n"]))
-    dt = float(gsec["dt"])
+    grid = numerics.grid_from_packet(packet, params,
+                                     _number(gsec["x_min"], "grid.x_min"),
+                                     _number(gsec["x_max"], "grid.x_max"),
+                                     _number(gsec["n"], "grid.n", int))
+    dt = _number(gsec["dt"], "grid.dt")
+    grid_tolerance = _number(vsec["grid_tolerance"], "verify.grid_tolerance")
     xs = grid.x()
-    for t in vsec["grid_times"]:
-        t = float(t)
+    for i, t in enumerate(vsec["grid_times"]):
+        t = _number(t, f"verify.grid_times[{i}]")
         grid = numerics.schrodinger_grid_evolve(params, grid, force, t, dt)
         ev = ce.evolve_gaussian(params, packet, force, t)
         ref = ce.evaluate(ev, params, packet, xs)
         dev = float(np.sqrt(np.sum(np.abs(grid.psi - ref) ** 2)
                             / np.sum(np.abs(ref) ** 2)))
-        add(f"grid_closed_form_t{t:g}", dev, float(vsec["grid_tolerance"]))
+        add(f"grid_closed_form_t{t:g}", dev, grid_tolerance)
 
     # residue-sum impulse response against the RK4 memory-kernel integrator
-    horizon = float(vsec["green_horizon_factor"]) / params.omega
+    horizon = (_number(vsec["green_horizon_factor"], "verify.green_horizon_factor")
+               / params.omega)
+    green_dt = _number(vsec["green_dt"], "verify.green_dt")
+    green_tolerance = _number(vsec["green_tolerance"], "verify.green_tolerance")
     for i, case in enumerate(vsec["green_cases"]):
-        bath_case = osys.BathParams(gamma=float(case["gamma"]),
-                                    omega_d=float(case["omega_d"]), kT=0.0)
+        where = f"verify.green_cases[{i}]"
+        bath_case = osys.BathParams(gamma=_number(case["gamma"], f"{where}.gamma"),
+                                    omega_d=_number(case["omega_d"], f"{where}.omega_d"),
+                                    kT=0.0)
         dec = osys.solve_poles(params, bath_case)
-        ts, g_ode = numerics.langevin_ode_oracle(params, bath_case, horizon,
-                                                 float(vsec["green_dt"]))
+        ts, g_ode = numerics.langevin_ode_oracle(params, bath_case, horizon, green_dt)
         g_res = osys.green_function(dec, ts)
         dev = float(np.max(np.abs(g_res - g_ode)) / np.max(np.abs(g_res)))
-        add(f"green_residue_vs_ode_case{i}", dev, float(vsec["green_tolerance"]))
+        add(f"green_residue_vs_ode_case{i}", dev, green_tolerance)
 
     # quasistatic asymptotics against the period-average quadrature
-    for point in vsec["tunnel_points"]:
-        eps, beta = float(point["epsilon"]), float(point["beta"])
+    for i, point in enumerate(vsec["tunnel_points"]):
+        where = f"verify.tunnel_points[{i}]"
+        eps = _number(point["epsilon"], f"{where}.epsilon")
+        beta = _number(point["beta"], f"{where}.beta")
+        tolerance = _number(point["tolerance"], f"{where}.tolerance")
         w_q = bt.averaged_transmission(eps, beta)
         w_a = bt.averaged_transmission_asymptotic(eps, beta)
         add(f"tunnel_asymptotic_eps{eps:g}_beta{beta:g}",
-            abs(w_a - w_q) / w_q, float(point["tolerance"]))
+            abs(w_a - w_q) / w_q, tolerance)
 
     # windowed transform closed form against direct quadrature
     bath = _build_bath(config)
     if bath.gamma > 0:
         dec = osys.solve_poles(params, bath)
-        w_probe = float(vsec["windowed_omega"]) * params.omega
-        t_probe = float(vsec["windowed_t"]) / params.omega
+        w_probe = _number(vsec["windowed_omega"], "verify.windowed_omega") * params.omega
+        t_probe = _number(vsec["windowed_t"], "verify.windowed_t") / params.omega
         closed = osys.windowed_transform(dec, w_probe, t_probe)
         quad = integrate_adaptive(
             lambda t1: osys.green_function(dec, t1) * np.exp(-1j * w_probe * t1),
             0.0, t_probe, abs_tol=1e-13, rel_tol=1e-12).value
         add("windowed_transform_quadrature", abs(closed - quad),
-            float(vsec["windowed_tolerance"]))
+            _number(vsec["windowed_tolerance"], "verify.windowed_tolerance"))
 
     payload = {
         "config_sha256": config_sha256(config),

@@ -160,7 +160,14 @@ def evaluate(ev: EvolvedGaussian, params: SystemParams,
              packet: GaussianPacket, x):
     """Wavefunction psi(x, t) of an evolved Gaussian; x may be an array."""
     gamma, gamma_tilde = _gamma_pair(params, packet.sigma, ev.t)
-    width = 0.5j * params.omega / params.hbar * gamma_tilde / gamma
+    # i Gamma'/(om Gamma) = (-eps + i (1 + eps^2) sinh cosh) / |Gamma|^2, split
+    # by hand: formed as a quotient, its real part is the difference of two
+    # numbers close to one and cancels at long times.
+    eps = params.hbar / (2.0 * params.omega * packet.sigma**2)
+    ch, sh = gamma.real, gamma_tilde.real
+    width = (0.5 * params.omega / params.hbar
+             * complex(-eps, (1.0 + eps * eps) * sh * ch)
+             / (ch * ch + eps * eps * sh * sh))
     y = np.asarray(x) - ev.xi
     out = ev.norm_prefactor * np.exp(
         width * y * y + 1j * (ev.xi_dot * y + ev.phase_action) / params.hbar)

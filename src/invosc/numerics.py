@@ -138,13 +138,21 @@ def integrate_adaptive(f, lo: float, hi: float, abs_tol: float = 1e-12,
 
 
 def integrate_halfline(f, abs_tol: float, first_length: float = 1.0,
+                       rel_tol: float = 1e-13, small_runs: int = 2,
                        max_doublings: int = 60) -> QuadratureResult:
     """Integrate ``f`` on [0, inf) over dyadically doubling intervals.
 
-    Each interval is handled by ``integrate_adaptive``; the sweep stops
-    once two consecutive intervals each contribute less than ``abs_tol``
-    in magnitude (two, to survive oscillatory integrands whose single
-    interval contribution may cancel accidentally).
+    The intervals are [0, L], [L, 3L], [3L, 7L], ... with L =
+    ``first_length``; each is handled by ``integrate_adaptive`` with
+    ``abs_tol / 16`` and the panel ``rel_tol``.  The sweep stops once
+    ``small_runs`` consecutive intervals each contribute
+    |part| < max(abs_tol, 1e-12 |total|), where ``total`` includes the
+    part.  One small interval suffices for a non-negative integrand; an
+    oscillatory one needs two, since a single interval may cancel by
+    accident.
+
+    Raises QuadratureError, carrying the best estimate, if the sweep has
+    not stopped after ``max_doublings`` intervals.
     """
     if abs_tol <= 0:
         raise ValueError("abs_tol must be positive")
@@ -156,13 +164,16 @@ def integrate_halfline(f, abs_tol: float, first_length: float = 1.0,
     hi = first_length
     small_run = 0
     for _ in range(max_doublings):
-        res = integrate_adaptive(f, lo, hi, abs_tol=abs_tol / 16.0, rel_tol=1e-13)
+        res = integrate_adaptive(f, lo, hi, abs_tol=abs_tol / 16.0, rel_tol=rel_tol)
         is_complex = is_complex or isinstance(res.value, complex)
         total += res.value
         err += res.error_estimate
         evals += res.evaluations
-        small_run = small_run + 1 if abs(res.value) < abs_tol else 0
-        if small_run >= 2:
+        if abs(res.value) < max(abs_tol, 1e-12 * abs(total)):
+            small_run += 1
+        else:
+            small_run = 0
+        if small_run >= small_runs:
             out = total if is_complex else total.real
             return QuadratureResult(out, err, evals)
         lo, hi = hi, hi + 2.0 * (hi - lo)
@@ -210,9 +221,22 @@ def solve_cubic(a2: float, a1: float, a0: float) -> tuple[complex, complex, comp
         c = _cbrt(-q)
         ys = [complex(2.0 * c, 0.0), complex(-c, 0.0), complex(-c, 0.0)]
     roots = [y - shift for y in ys]
+    return _polish_cubic_roots(roots, a2, a1, a0,
+                               1e-15 * max(1.0, abs(a2), abs(a1), abs(a0)),
+                               lambda r: 1e-9 * (1.0 + abs(r)))
 
-    scale = max(1.0, abs(a2), abs(a1), abs(a0))
 
+def _polish_cubic_roots(roots, a2: float, a1: float, a0: float,
+                        res_tol: float, snap_tol) -> tuple[complex, complex, complex]:
+    """Refine approximate roots of s^3 + a2 s^2 + a1 s + a0.
+
+    Each root gets up to 12 Newton steps, keeping the iterate with the
+    smallest residual and stopping once that residual is <= ``res_tol``.
+    A root with |Im r| <= ``snap_tol(r)`` is put on the real axis, a
+    remaining complex pair is made exactly conjugate (a lone complex
+    root is snapped too), and the roots are sorted by descending real
+    part, then ascending imaginary part.
+    """
     def _poly(s: complex) -> complex:
         return ((s + a2) * s + a1) * s + a0
 
@@ -228,16 +252,13 @@ def solve_cubic(a2: float, a1: float, a0: float) -> tuple[complex, complex, comp
             res = abs(_poly(nxt))
             if res < best_res:
                 best, best_res = nxt, res
-            if res <= 1e-15 * scale:
-                break
-            if nxt == cur:
+            if res <= res_tol or nxt == cur:
                 break
             cur = nxt
         polished.append(best)
 
-    # Snap near-real roots, then enforce exact conjugacy of a complex pair.
-    snapped = [complex(r.real, 0.0) if abs(r.imag) <= 1e-9 * (1.0 + abs(r))
-               else r for r in polished]
+    snapped = [complex(r.real, 0.0) if abs(r.imag) <= snap_tol(r) else r
+               for r in polished]
     cplx = [r for r in snapped if r.imag != 0.0]
     if len(cplx) == 2:
         w = 0.5 * (cplx[0] + cplx[1].conjugate())
@@ -340,11 +361,11 @@ def _evolve_grid(grid: GridState, potential, t_final: float, dt: float,
     leftover = remaining - n_full * dt
     if leftover > 1e-12 * dt:
         steps.append(leftover)
+    kinetic = {h: np.exp(-0.5j * hbar * k**2 * h) for h in set(steps)}
     for h in steps:
         v = potential(x, t + 0.5 * h)
         half = np.exp(-0.5j * v * h / hbar)
-        kin = np.exp(-0.5j * hbar * k**2 * h)
-        psi = half * np.fft.ifft(kin * np.fft.fft(half * psi))
+        psi = half * np.fft.ifft(kinetic[h] * np.fft.fft(half * psi))
         if mask is not None:
             psi = psi * mask
         else:

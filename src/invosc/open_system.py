@@ -39,7 +39,8 @@ import numpy as np
 
 from .core import (DeltaKick, ForceProfile, GaussianPacket, HarmonicForce,
                    SystemParams, ZeroForce, force_at)
-from .numerics import QuadratureError, integrate_adaptive, solve_cubic
+from .numerics import (_polish_cubic_roots, integrate_adaptive,
+                       integrate_halfline, solve_cubic)
 
 OCCUPATION = "occupation"
 SYMMETRIZED = "symmetrized"
@@ -125,28 +126,29 @@ def bath_spectral_density(bath: BathParams, omega: float) -> float:
     return bath.gamma * omega / (1.0 + (omega / bath.omega_d) ** 2)
 
 
+def _cardano_data(a: float, b: float) -> tuple[float, float, float]:
+    """(q, p, D) of the scaled cubic r^3 + a r^2 + b r - a."""
+    q = a**3 / 27.0 - a * b / 6.0 - a / 2.0
+    p = (3.0 * b - a * a) / 9.0
+    return q, p, q * q + p**3
+
+
 def characteristic_coefficients(params: SystemParams,
                                 bath: BathParams) -> CubicCoefficients:
     a = bath.omega_d / params.omega
     b = bath.gamma * bath.omega_d / params.omega**2 - 1.0
-    q = a**3 / 27.0 - a * b / 6.0 - a / 2.0
-    p = (3.0 * b - a * a) / 9.0
-    return CubicCoefficients(a=a, b=b, q=q, p=p, D=q * q + p**3)
-
-
-def _char_poly(s: complex, params: SystemParams, bath: BathParams) -> complex:
-    om2 = params.omega**2
-    wd = bath.omega_d
-    return ((s + wd) * s + (bath.gamma * wd - om2)) * s - om2 * wd
+    q, p, disc = _cardano_data(a, b)
+    return CubicCoefficients(a=a, b=b, q=q, p=p, D=disc)
 
 
 def solve_poles(params: SystemParams, bath: BathParams) -> PoleDecomposition:
     """Poles and residues of the Laplace-domain transfer function.
 
     Solves the scaled cubic by Cardano's method, refines on the unscaled
-    cubic with Newton steps, enforces conjugate pairing, and computes the
-    simple-pole residues.  Requires gamma > 0; (nearly) repeated poles
-    raise DegeneratePolesError.
+    cubic s^3 + omega_d s^2 + (gamma omega_d - omega^2) s
+    - omega^2 omega_d with Newton steps, enforces conjugate pairing, and
+    computes the simple-pole residues.  Requires gamma > 0; (nearly)
+    repeated poles raise DegeneratePolesError.
     """
     if bath.gamma <= 0.0:
         raise ValueError("solve_poles requires gamma > 0; the undamped system "
@@ -154,38 +156,11 @@ def solve_poles(params: SystemParams, bath: BathParams) -> PoleDecomposition:
     coeffs = characteristic_coefficients(params, bath)
     scaled = solve_cubic(coeffs.a, coeffs.b, -coeffs.a)
     om = params.omega
-    scale = max(om, bath.omega_d) ** 3
     wd = bath.omega_d
     gam = bath.gamma
-
-    polished = []
-    for r in scaled:
-        s = om * r
-        best, best_res = s, abs(_char_poly(s, params, bath))
-        cur = s
-        for _ in range(12):
-            fp = (3.0 * cur + 2.0 * wd) * cur + (gam * wd - om**2)
-            if fp == 0:
-                break
-            nxt = cur - _char_poly(cur, params, bath) / fp
-            res = abs(_char_poly(nxt, params, bath))
-            if res < best_res:
-                best, best_res = nxt, res
-            if res <= 1e-14 * scale or nxt == cur:
-                break
-            cur = nxt
-        polished.append(best)
-
-    snap = 1e-10 * max(om, wd)
-    poles = [complex(s.real, 0.0) if abs(s.imag) <= snap else s for s in polished]
-    cplx = [s for s in poles if s.imag != 0.0]
-    if len(cplx) == 2:
-        w = 0.5 * (cplx[0] + cplx[1].conjugate())
-        poles = [s for s in poles if s.imag == 0.0] + \
-            [complex(w.real, abs(w.imag)), complex(w.real, -abs(w.imag))]
-    elif len(cplx) == 1:
-        poles = [complex(s.real, 0.0) for s in poles]
-    poles = sorted(poles, key=lambda s: (-s.real, s.imag))
+    poles = _polish_cubic_roots([om * r for r in scaled], wd, gam * wd - om**2,
+                                -(om**2 * wd), 1e-14 * max(om, wd) ** 3,
+                                lambda s: 1e-10 * max(om, wd))
 
     min_sep = min(abs(poles[i] - poles[j])
                   for i in range(3) for j in range(i + 1, 3))
@@ -194,12 +169,12 @@ def solve_poles(params: SystemParams, bath: BathParams) -> PoleDecomposition:
             "transfer-function poles are degenerate to working precision; "
             "the residue expansion does not apply — integrate the memory "
             "kernel directly (numerics.langevin_ode_oracle)",
-            poles=tuple(poles), coefficients=coeffs)
+            poles=poles, coefficients=coeffs)
 
     root_class = (RootClass.ONE_REAL_TWO_COMPLEX if coeffs.D > 0.0
                   else RootClass.THREE_REAL)
     residues = tuple(1.0 / (2.0 * s + gam * wd**2 / (s + wd) ** 2) for s in poles)
-    return PoleDecomposition(poles=tuple(poles), residues=residues,
+    return PoleDecomposition(poles=poles, residues=residues,
                              coefficients=coeffs, root_class=root_class)
 
 
@@ -370,16 +345,9 @@ def variance_noise_term(dec: PoleDecomposition, bath: BathParams,
             return 0.0
         return 2.0 * sw * abs(windowed_transform(dec, w, t)) ** 2
 
-    acc = 0.0
-    lo, hi = 0.0, max(params.omega, bath.omega_d)
-    for _ in range(60):
-        part = integrate_adaptive(integrand, lo, hi,
-                                  abs_tol=abs_tol / 16.0, rel_tol=1e-11)
-        acc += float(part.value)
-        if abs(part.value) < max(abs_tol, 1e-12 * acc):
-            return acc
-        lo, hi = hi, hi + 2.0 * (hi - lo)
-    raise QuadratureError("noise spectral integral did not converge")
+    return integrate_halfline(integrand, abs_tol,
+                              first_length=max(params.omega, bath.omega_d),
+                              rel_tol=1e-11, small_runs=1).value
 
 
 @dataclass(frozen=True)
@@ -480,22 +448,9 @@ def symmetrized_correlation(dec: PoleDecomposition, bath: BathParams,
         z = np.exp(1j * w * delta) * wt * np.conjugate(wtp)
         return sw * (z + np.conjugate(z))
 
-    scale = max(abs(val), 1.0)
-    acc = 0.0 + 0.0j
-    lo, hi = 0.0, max(params.omega, bath.omega_d)
-    small_run = 0
-    tol = 1e-10 * scale
-    for _ in range(60):
-        part = integrate_adaptive(integrand, lo, hi, abs_tol=tol / 16.0,
-                                  rel_tol=1e-11)
-        acc += part.value
-        small_run = small_run + 1 if abs(part.value) < max(tol, 1e-12 * abs(acc)) \
-            else 0
-        if small_run >= 2:
-            break
-        lo, hi = hi, hi + 2.0 * (hi - lo)
-    else:
-        raise QuadratureError("correlation spectral integral did not converge")
+    acc = integrate_halfline(integrand, 1e-10 * max(abs(val), 1.0),
+                             first_length=max(params.omega, bath.omega_d),
+                             rel_tol=1e-11, small_runs=2).value
     if abs(acc.imag) > 1e-9 * max(abs(acc.real), 1.0):
         raise ArithmeticError("correlation noise term failed the realness check")
     return val + acc.real
@@ -513,9 +468,7 @@ def discriminant_boundary(a: float) -> float:
         raise ValueError("a must be positive")
 
     def disc(b: float) -> float:
-        q = a**3 / 27.0 - a * b / 6.0 - a / 2.0
-        p = (3.0 * b - a * a) / 9.0
-        return q * q + p**3
+        return _cardano_data(a, b)[2]
 
     hi = a * a / 3.0
     if disc(hi) <= 0.0:

@@ -81,6 +81,17 @@ def test_criterion_02_ehrenfest_and_width_laws():
             assert abs(mean - ev.xi) < 1e-8
             width = packet.sigma**2 * abs(ev.gamma_factor) ** 2
             assert abs(var - width) / width < 1e-8
+        # long horizons, where the spreading factor grows like e^(omega t)
+        params = SystemParams(0.8)
+        packet = GaussianPacket(0.5, -0.3, 1.1)
+        for omega_t in (10.0, 20.0, 100.0):
+            ev = evolve_gaussian(params, packet, ZeroForce(),
+                                 omega_t / params.omega)
+            norm, mean, var = density_moments(ev, params, packet)
+            width = packet.sigma**2 * abs(ev.gamma_factor) ** 2
+            assert abs(norm - 1.0) < 1e-8
+            assert abs(mean - ev.xi) < 1e-8 * math.sqrt(width)
+            assert abs(var - width) / width < 1e-8
 
 
 def _compose_kernel(params, x, t, x1, t1, t_mid, force):

@@ -70,22 +70,13 @@ class TestConfig:
         assert code == 2
         assert "omega" in err
 
-    def test_thread_env_validated(self, capsys, monkeypatch):
-        monkeypatch.setenv("INVOSC_THREADS", "abc")
-        code, _, err = run_cli(["tunnel"], capsys)
+    @pytest.mark.parametrize("command,key", [
+        ("evolve", "evolve.samples"), ("open-evolve", "open.samples"),
+        ("tunnel", "tunnel.points")])
+    def test_numeric_type_error_names_key(self, capsys, command, key):
+        code, _, err = run_cli([command, "--set", f"{key}=abc"], capsys)
         assert code == 2
-        assert "INVOSC_THREADS" in err
-
-    def test_thread_cap_does_not_change_output(self, tmp_path, monkeypatch):
-        serial = tmp_path / "serial.csv"
-        threaded = tmp_path / "threaded.csv"
-        monkeypatch.setenv("INVOSC_THREADS", "1")
-        assert main(["tunnel", "--set", "tunnel.points=7",
-                     "--out", str(serial)]) == 0
-        monkeypatch.setenv("INVOSC_THREADS", "4")
-        assert main(["tunnel", "--set", "tunnel.points=7",
-                     "--out", str(threaded)]) == 0
-        assert serial.read_bytes() == threaded.read_bytes()
+        assert key in err
 
 
 class TestEvolve:
@@ -125,6 +116,21 @@ class TestEvolve:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_non_finite_cell_refused(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        code, _, err = run_cli(["evolve", "--set", "evolve.t_max=400",
+                                "--set", "evolve.samples=2", "--out", str(out)],
+                               capsys)
+        assert code == 3
+        assert "variance" in err and "t=400" in err
+        assert not out.exists()
+
+    def test_overflow_names_stage_and_time(self, capsys):
+        code, _, err = run_cli(["evolve", "--set", "evolve.t_max=800",
+                                "--set", "evolve.samples=2"], capsys)
+        assert code == 3
+        assert "evolve_gaussian" in err and "t=800" in err
 
     def test_wavefunction_dump(self, tmp_path, capsys):
         dump = tmp_path / "wf.csv"
