@@ -27,6 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import SystemParams
 from .numerics import bessel_k_quarter, integrate_adaptive
 
@@ -95,19 +97,21 @@ def averaged_transmission(epsilon: float, beta: float) -> float:
     """Static transmission averaged over one period of the drive.
 
     (1/2pi) int_{-pi}^{pi} dz / (1 + exp(eps (1 - beta cos z)^2)) by
-    adaptive quadrature to 1e-12 absolute.  A vanishing drive makes the
-    integrand constant, so that case returns the static value verbatim.
+    adaptive quadrature to 1e-12 relative, with no absolute floor: deep
+    in the tunneling regime the average falls far below any fixed
+    absolute tolerance.  A vanishing drive makes the integrand constant,
+    so that case returns the static value verbatim.
     """
     _check_eps_beta(epsilon, beta)
     if beta == 0.0:
         return transmission_exact(epsilon, 0.0)
 
-    def integrand(z: float) -> float:
-        e = math.exp(-epsilon * (1.0 - beta * math.cos(z)) ** 2)
+    def integrand(z: np.ndarray) -> np.ndarray:
+        e = np.exp(-epsilon * (1.0 - beta * np.cos(z)) ** 2)
         return e / (1.0 + e)
 
     res = integrate_adaptive(integrand, -math.pi, math.pi,
-                             abs_tol=1e-12, rel_tol=1e-12)
+                             abs_tol=0.0, rel_tol=1e-12)
     return float(res.value) / (2.0 * math.pi)
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import DeltaKick, ForceProfile, SystemParams, ZeroForce, force_at
 from .numerics import integrate_adaptive
 
@@ -50,10 +52,10 @@ def trajectory(params: SystemParams, x0: float, p0: float,
     xi_dot = x0 * om * sh + p0 * ch
     if t > 0.0 and not isinstance(force, ZeroForce):
         conv_s = integrate_adaptive(
-            lambda s: force_at(force, s) * math.sinh(om * (t - s)),
+            lambda s: force_at(force, s) * np.sinh(om * (t - s)),
             0.0, t, abs_tol=1e-15, rel_tol=_TRAJ_RTOL)
         conv_c = integrate_adaptive(
-            lambda s: force_at(force, s) * math.cosh(om * (t - s)),
+            lambda s: force_at(force, s) * np.cosh(om * (t - s)),
             0.0, t, abs_tol=1e-15, rel_tol=_TRAJ_RTOL)
         xi += conv_s.value / om
         xi_dot += conv_c.value
@@ -72,10 +74,11 @@ def lagrangian_action(params: SystemParams, x0: float, p0: float,
         return 0.0
     om2 = params.omega**2
 
-    def integrand(s: float) -> float:
-        point = trajectory(params, x0, p0, force, s)
-        return (0.5 * point.xi_dot**2 + 0.5 * om2 * point.xi**2
-                + point.xi * force_at(force, s))
+    def integrand(s: np.ndarray) -> np.ndarray:
+        points = [trajectory(params, x0, p0, force, float(si)) for si in s]
+        xi = np.array([point.xi for point in points])
+        xi_dot = np.array([point.xi_dot for point in points])
+        return 0.5 * xi_dot**2 + 0.5 * om2 * xi**2 + xi * force_at(force, s)
 
     res = integrate_adaptive(integrand, 0.0, t, abs_tol=1e-14, rel_tol=_ACTION_RTOL)
     return float(res.value)

@@ -193,12 +193,31 @@ def _build_bath(config) -> osys.BathParams:
         raise ConfigError(f"bath: {exc}") from exc
 
 
-def _number(value, path: str, kind=float):
-    """A numeric config entry as ``kind``; a bad value is a ConfigError naming it."""
+def _number(value, path: str) -> float:
+    """A numeric config entry as a float; a bad value is a ConfigError naming it."""
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}") from exc
+        raise ConfigError(f"{path}: expected a number, got {value!r}") from exc
+
+
+def _count(value, path: str, minimum: int = 1) -> int:
+    """An integral config entry >= ``minimum``; else a ConfigError naming it."""
+    number = _number(value, path)
+    if not (number.is_integer() and number >= minimum):
+        raise ConfigError(f"{path}: expected an integer >= {minimum}, "
+                          f"got {value!r}")
+    return int(number)
+
+
+def _sample_times(config, section: str) -> np.ndarray:
+    """``samples`` times from 0 to ``t_max`` of a config section, both checked."""
+    sec = config[section]
+    t_max = _number(sec["t_max"], f"{section}.t_max")
+    if not (math.isfinite(t_max) and t_max >= 0):
+        raise ConfigError(f"{section}.t_max: expected a finite number >= 0, "
+                          f"got {sec['t_max']!r}")
+    return np.linspace(0.0, t_max, _count(sec["samples"], f"{section}.samples"))
 
 
 # ---------------------------------------------------------------------------
@@ -283,12 +302,12 @@ def cmd_evolve(config, out, wavefunction_path=None) -> int:
     force = _build_force(config)
     if isinstance(force, DeltaKick):
         raise ConfigError("force.kind: delta_kick is driven by the 'kick' command")
-    sec = config["evolve"]
-    t_max = _number(sec["t_max"], "evolve.t_max")
-    samples = _number(sec["samples"], "evolve.samples", int)
-    if samples < 1 or t_max < 0:
-        raise ConfigError("evolve: t_max must be >= 0 and samples >= 1")
-    times = np.linspace(0.0, t_max, samples)
+    times = _sample_times(config, "evolve")
+    if wavefunction_path is not None:
+        wsec = config["wavefunction"]
+        xs = np.linspace(_number(wsec["x_min"], "wavefunction.x_min"),
+                         _number(wsec["x_max"], "wavefunction.x_max"),
+                         _count(wsec["points"], "wavefunction.points"))
     rows, ev = _evolution_rows(
         "evolve_gaussian", lambda t: ce.evolve_gaussian(params, packet, force, t),
         times, params, packet)
@@ -296,10 +315,6 @@ def cmd_evolve(config, out, wavefunction_path=None) -> int:
     header = ["t", "xi", "xi_dot", "re_gamma", "im_gamma", "variance", "norm_check"]
     text = render_csv(header, rows, cfg_hash)  # raises before any file is written
     if wavefunction_path is not None:
-        wsec = config["wavefunction"]
-        xs = np.linspace(_number(wsec["x_min"], "wavefunction.x_min"),
-                         _number(wsec["x_max"], "wavefunction.x_max"),
-                         _number(wsec["points"], "wavefunction.points", int))
         psi = ce.evaluate(ev, params, packet, xs)
         wrows = [[float(x), p.real, p.imag, abs(p) ** 2] for x, p in zip(xs, psi)]
         _emit(render_csv(["x", "re_psi", "im_psi", "density"], wrows, cfg_hash),
@@ -319,9 +334,7 @@ def cmd_kick(config, out) -> int:
     t1 = _number(sec["time"], "kick.time")
     if t1 < 0:
         raise ConfigError("kick.time must be non-negative")
-    esec = config["evolve"]
-    times = np.linspace(0.0, _number(esec["t_max"], "evolve.t_max"),
-                        _number(esec["samples"], "evolve.samples", int))
+    times = _sample_times(config, "evolve")
 
     def state_at(t):
         if t < t1:
@@ -346,7 +359,7 @@ def cmd_tunnel(config, out, barrier_mode=False) -> int:
         xi0 = _number(sec["xi0"], "barrier.xi0")
         xis = np.linspace(_number(sec["xi_min"], "barrier.xi_min"),
                           _number(sec["xi_max"], "barrier.xi_max"),
-                          _number(sec["points"], "barrier.points", int))
+                          _count(sec["points"], "barrier.points"))
         forces = [_number(F, f"barrier.forces[{i}]")
                   for i, F in enumerate(sec["forces"])]
         rows = [[F, float(xi), bt.barrier_potential(params, xi0, F, float(xi))]
@@ -358,7 +371,7 @@ def cmd_tunnel(config, out, barrier_mode=False) -> int:
     eps = _number(sec["epsilon"], "tunnel.epsilon")
     betas = np.linspace(_number(sec["beta_min"], "tunnel.beta_min"),
                         _number(sec["beta_max"], "tunnel.beta_max"),
-                        _number(sec["points"], "tunnel.points", int))
+                        _count(sec["points"], "tunnel.points"))
     warned = False
 
     def row_for(beta):
@@ -394,9 +407,9 @@ def cmd_open_poles(config, out, boundary=None) -> int:
     if boundary is not None:
         a_min = _number(boundary[0], "--boundary A_MIN")
         a_max = _number(boundary[1], "--boundary A_MAX")
-        n = _number(boundary[2], "--boundary N", int)
-        if not (0 < a_min < a_max) or n < 2:
-            raise ConfigError("boundary sweep needs 0 < a_min < a_max and n >= 2")
+        n = _count(boundary[2], "--boundary N", minimum=2)
+        if not 0 < a_min < a_max:
+            raise ConfigError("boundary sweep needs 0 < a_min < a_max")
         rows = [[a, osys.discriminant_boundary(float(a))]
                 for a in np.linspace(a_min, a_max, n)]
         _emit(render_csv(["a", "b_critical"], rows, cfg_hash), out)
@@ -449,10 +462,8 @@ def cmd_open_evolve(config, out) -> int:
         raise ConfigError("bath.gamma must be positive (undamped dynamics is "
                           "covered by the 'evolve' command)")
     convention = config["bath"]["noise"]
+    times = _sample_times(config, "open")
     dec = osys.solve_poles(params, bath)
-    sec = config["open"]
-    times = np.linspace(0.0, _number(sec["t_max"], "open.t_max"),
-                        _number(sec["samples"], "open.samples", int))
     sig2 = packet.sigma**2
     vp = params.hbar**2 / (4.0 * sig2)
 
@@ -493,7 +504,7 @@ def cmd_verify(config, out) -> int:
     grid = numerics.grid_from_packet(packet, params,
                                      _number(gsec["x_min"], "grid.x_min"),
                                      _number(gsec["x_max"], "grid.x_max"),
-                                     _number(gsec["n"], "grid.n", int))
+                                     _count(gsec["n"], "grid.n"))
     dt = _number(gsec["dt"], "grid.dt")
     grid_tolerance = _number(vsec["grid_tolerance"], "verify.grid_tolerance")
     xs = grid.x()

@@ -98,20 +98,23 @@ def action_S(params: SystemParams, x, t: float, x1, t1: float,
     sh, ch = math.sinh(om * theta), math.cosh(om * theta)
     bracket = ch * (x * x + x1 * x1) - 2.0 * x * x1
     if not isinstance(force, ZeroForce):
-        i1 = integrate_adaptive(
-            lambda s: force_at(force, s) * math.sinh(om * (s - t1)),
-            t1, t, abs_tol=1e-15, rel_tol=1e-12).value
+        def rising(s):
+            return force_at(force, s) * np.sinh(om * (s - t1))
+
+        i1 = integrate_adaptive(rising, t1, t, abs_tol=1e-15, rel_tol=1e-12).value
         i2 = integrate_adaptive(
-            lambda s: force_at(force, s) * math.sinh(om * (t - s)),
+            lambda s: force_at(force, s) * np.sinh(om * (t - s)),
             t1, t, abs_tol=1e-15, rel_tol=1e-12).value
 
-        def outer(s: float) -> float:
+        def inner(s: float) -> float:
             if s == t1:
                 return 0.0
-            inner = integrate_adaptive(
-                lambda s1: force_at(force, s1) * math.sinh(om * (s1 - t1)),
-                t1, s, abs_tol=1e-16, rel_tol=1e-11).value
-            return force_at(force, s) * math.sinh(om * (t - s)) * inner
+            return integrate_adaptive(rising, t1, s, abs_tol=1e-16,
+                                      rel_tol=1e-11).value
+
+        def outer(s: np.ndarray) -> np.ndarray:
+            inners = np.array([inner(float(si)) for si in s])
+            return force_at(force, s) * np.sinh(om * (t - s)) * inners
 
         i3 = integrate_adaptive(outer, t1, t, abs_tol=1e-15, rel_tol=1e-10).value
         bracket = bracket + (2.0 * x / om) * i1 + (2.0 * x1 / om) * i2 \

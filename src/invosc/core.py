@@ -107,28 +107,29 @@ class TabulatedForce:
 ForceProfile = Union[ZeroForce, ConstantForce, HarmonicForce, DeltaKick, TabulatedForce]
 
 
-def force_at(profile: ForceProfile, t: float) -> float:
-    """Pointwise force value F(t).
+def force_at(profile: ForceProfile, t):
+    """Pointwise force value F(t) at a scalar time or an ndarray of times.
 
     Tabulated profiles interpolate linearly between nodes and vanish
-    outside their support.  A delta kick has no pointwise value and is
-    rejected.
+    outside their support, endpoints included in it.  A delta kick has
+    no pointwise value and is rejected.  A scalar t gives a float.
     """
     if isinstance(profile, DeltaKick):
         raise ValueError("kick has no pointwise value")
-    if not math.isfinite(t):
+    ts = np.asarray(t, dtype=float)
+    if not np.isfinite(ts).all():
         raise ValueError("t must be finite")
     if isinstance(profile, ZeroForce):
-        return 0.0
-    if isinstance(profile, ConstantForce):
-        return profile.amplitude
-    if isinstance(profile, HarmonicForce):
-        return profile.amplitude * math.sin(profile.omega0 * t)
-    if isinstance(profile, TabulatedForce):
-        if t < profile.times[0] or t > profile.times[-1]:
-            return 0.0
-        return float(np.interp(t, profile.times, profile.values))
-    raise TypeError(f"unknown force profile {profile!r}")
+        out = np.zeros_like(ts)
+    elif isinstance(profile, ConstantForce):
+        out = np.full_like(ts, profile.amplitude)
+    elif isinstance(profile, HarmonicForce):
+        out = profile.amplitude * np.sin(profile.omega0 * ts)
+    elif isinstance(profile, TabulatedForce):
+        out = np.interp(ts, profile.times, profile.values, left=0.0, right=0.0)
+    else:
+        raise TypeError(f"unknown force profile {profile!r}")
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,10 @@ Fourier solver for the time-dependent Schrodinger equation on a periodic
 grid, and a fixed-step RK4 integrator for the memory-kernel (generalized
 Langevin) equation of motion.
 
+Integrands are vectorized: the quadratures call ``f`` on a 1-D float
+ndarray holding every node of one or two panels, and ``f`` returns an
+array of the same length, real or complex.
+
 Everything here is deterministic and allocation-per-call; no module
 state is mutated.
 """
@@ -19,10 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianPacket, SystemParams, evaluate_initial, force_at
+from .core import (GaussianPacket, SystemParams, ZeroForce, evaluate_initial,
+                   force_at)
 
-# 15-point Kronrod abscissae on [-1, 1] (positive half, descending) with the
-# embedded 7-point Gauss rule.  Values from the QUADPACK dqk15 tables.
+# 15-point Kronrod abscissae on [0, 1] (descending, ending at the centre)
+# with the Kronrod weights and the embedded 7-point Gauss weights (zero on
+# the Kronrod-only nodes).  Values from the QUADPACK dqk15 tables.
 _XGK = (
     0.991455371120813,
     0.949107912342759,
@@ -44,11 +50,26 @@ _WGK = (
     0.209482141084728,
 )
 _WG = (
+    0.0,
     0.129484966168870,
+    0.0,
     0.279705391489277,
+    0.0,
     0.381830050505119,
+    0.0,
     0.417959183673469,
 )
+
+
+def _full_rule(half, sign: float) -> np.ndarray:
+    """Mirror a half table onto [-1, 1]: sign * half[:-1], then half reversed."""
+    return np.concatenate([sign * np.array(half[:-1]), half[::-1]])
+
+
+# The 15 nodes ascend from -1 to 1; the columns of _RULES are the Kronrod
+# and the Gauss weights at those nodes.
+_NODES = _full_rule(_XGK, -1.0)
+_RULES = np.stack([_full_rule(_WGK, 1.0), _full_rule(_WG, 1.0)], axis=1)
 
 
 class QuadratureError(RuntimeError):
@@ -69,43 +90,43 @@ class QuadratureResult:
     evaluations: int
 
 
-def _gk15_panel(f, lo: float, hi: float):
-    """One Gauss-Kronrod 15(7) panel: returns (value, error, is_complex)."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    fc = f(mid)
-    is_complex = isinstance(fc, complex) or np.iscomplexobj(fc)
-    acc_k = _WGK[7] * complex(fc)
-    acc_g = _WG[3] * complex(fc)
-    for i in range(7):
-        dx = half * _XGK[i]
-        f1 = f(mid - dx)
-        f2 = f(mid + dx)
-        if not is_complex:
-            is_complex = isinstance(f1, complex) or np.iscomplexobj(f1)
-        pair = complex(f1) + complex(f2)
-        acc_k += _WGK[i] * pair
-        if i % 2 == 1:
-            acc_g += _WG[(i - 1) // 2] * pair
-    value = acc_k * half
-    err = abs((acc_k - acc_g) * half)
-    return value, err, is_complex
+def _gk15_panels(f, edges):
+    """Gauss-Kronrod 15(7) on the panels between consecutive ``edges``.
+
+    All nodes go to f in one call.  Returns (values, errors, is_complex):
+    lists of the Kronrod value and the |Kronrod - Gauss| error estimate
+    of each panel, and whether f returned complex values.
+    """
+    mid_half = np.array([(0.5 * (b + a), 0.5 * (b - a))
+                         for a, b in zip(edges, edges[1:])])
+    x = (mid_half[:, :1] + mid_half[:, 1:] * _NODES).ravel()
+    fx = np.asarray(f(x))
+    if fx.shape != x.shape:
+        raise ValueError(f"integrand returned shape {fx.shape} for nodes of "
+                         f"shape {x.shape}")
+    sums = np.dot(fx.reshape(len(mid_half), len(_NODES)), _RULES)
+    half = mid_half[:, 1]
+    return ((sums[:, 0] * half).tolist(),
+            np.abs((sums[:, 0] - sums[:, 1]) * half).tolist(),
+            np.iscomplexobj(fx))
 
 
 def integrate_adaptive(f, lo: float, hi: float, abs_tol: float = 1e-12,
                        rel_tol: float = 1e-10, max_depth: int = 60) -> QuadratureResult:
     """Adaptively integrate ``f`` on [lo, hi] by Gauss-Kronrod bisection.
 
-    The worst panel (largest embedded-rule error estimate) is bisected
-    until the summed estimate satisfies ``max(abs_tol, rel_tol * |I|)``.
-    Real and complex integrands are both accepted.
+    ``f`` is called on a 1-D float ndarray of nodes (15 for the first
+    panel, 30 for the two halves of a bisected one) and must return an
+    array of the same length, real or complex.  The worst panel (largest
+    embedded-rule error estimate) is bisected until the summed estimate
+    satisfies ``max(abs_tol, rel_tol * |I|)``.
 
     Raises QuadratureError, carrying the best estimate, if the recursion
     depth limit is exceeded before the tolerance is met.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
         raise ValueError(f"bad integration interval [{lo}, {hi}]")
-    value, err, is_complex = _gk15_panel(f, lo, hi)
+    (value,), (err,), is_complex = _gk15_panels(f, (lo, hi))
     evals = 15
     # heap entries: (-err, tiebreak, lo, hi, value, err, depth)
     counter = 0
@@ -123,9 +144,8 @@ def integrate_adaptive(f, lo: float, hi: float, abs_tol: float = 1e-12,
             raise QuadratureError(
                 f"quadrature subdivision limit exceeded on [{lo}, {hi}]", best)
         m = 0.5 * (a + b)
-        v1, e1, c1 = _gk15_panel(f, a, m)
-        v2, e2, c2 = _gk15_panel(f, m, b)
-        is_complex = is_complex or c1 or c2
+        (v1, v2), (e1, e2), c = _gk15_panels(f, (a, m, b))
+        is_complex = is_complex or c
         evals += 30
         total_val += v1 + v2 - v
         total_err += e1 + e2 - e
@@ -142,14 +162,15 @@ def integrate_halfline(f, abs_tol: float, first_length: float = 1.0,
                        max_doublings: int = 60) -> QuadratureResult:
     """Integrate ``f`` on [0, inf) over dyadically doubling intervals.
 
-    The intervals are [0, L], [L, 3L], [3L, 7L], ... with L =
-    ``first_length``; each is handled by ``integrate_adaptive`` with
-    ``abs_tol / 16`` and the panel ``rel_tol``.  The sweep stops once
-    ``small_runs`` consecutive intervals each contribute
-    |part| < max(abs_tol, 1e-12 |total|), where ``total`` includes the
-    part.  One small interval suffices for a non-negative integrand; an
-    oscillatory one needs two, since a single interval may cancel by
-    accident.
+    ``f`` follows the ``integrate_adaptive`` contract: an ndarray of
+    nodes in, an array of the same length out.  The intervals are
+    [0, L], [L, 3L], [3L, 7L], ... with L = ``first_length``; each is
+    handled by ``integrate_adaptive`` with ``abs_tol / 16`` and the panel
+    ``rel_tol``.  The sweep stops once ``small_runs`` consecutive
+    intervals each contribute |part| < max(abs_tol, 1e-12 |total|), where
+    ``total`` includes the part.  One small interval suffices for a
+    non-negative integrand; an oscillatory one needs two, since a single
+    interval may cancel by accident.
 
     Raises QuadratureError, carrying the best estimate, if the sweep has
     not stopped after ``max_doublings`` intervals.
@@ -281,11 +302,9 @@ def bessel_k_quarter(z: float) -> float:
         raise ValueError("bessel_k_quarter requires z > 0")
     u_max = math.acosh(max(765.0 / z, 2.0))
 
-    def integrand(u: float) -> float:
-        ex = -z * math.cosh(u)
-        if ex < -745.0:
-            return 0.0
-        return math.exp(ex) * math.cosh(0.25 * u)
+    def integrand(u: np.ndarray) -> np.ndarray:
+        ex = -z * np.cosh(u)
+        return np.where(ex < -745.0, 0.0, np.exp(ex) * np.cosh(0.25 * u))
 
     res = integrate_adaptive(integrand, 0.0, u_max, abs_tol=0.0, rel_tol=1e-11)
     return float(res.value)
@@ -341,9 +360,12 @@ def _absorber_mask(n: int, width: int) -> np.ndarray:
     return mask
 
 
-def _evolve_grid(grid: GridState, potential, t_final: float, dt: float,
-                 absorber_points: int | None, hbar: float) -> GridState:
-    """Strang-split evolution with an arbitrary potential(x_array, t) callable."""
+def _evolve_grid(grid: GridState, v_static: np.ndarray, force, t_final: float,
+                 dt: float, absorber_points: int | None, hbar: float) -> GridState:
+    """Strang-split evolution under the potential v_static(x) - F(t) x.
+
+    The force is sampled at every step midpoint in one ``force_at`` call.
+    """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if not t_final > grid.t:
@@ -362,9 +384,12 @@ def _evolve_grid(grid: GridState, potential, t_final: float, dt: float,
     if leftover > 1e-12 * dt:
         steps.append(leftover)
     kinetic = {h: np.exp(-0.5j * hbar * k**2 * h) for h in set(steps)}
+    midpoints = []
     for h in steps:
-        v = potential(x, t + 0.5 * h)
-        half = np.exp(-0.5j * v * h / hbar)
+        midpoints.append(t + 0.5 * h)
+        t += h
+    for h, f_mid in zip(steps, force_at(force, np.array(midpoints))):
+        half = np.exp(-0.5j * (v_static - f_mid * x) * h / hbar)
         psi = half * np.fft.ifft(kinetic[h] * np.fft.fft(half * psi))
         if mask is not None:
             psi = psi * mask
@@ -374,7 +399,6 @@ def _evolve_grid(grid: GridState, potential, t_final: float, dt: float,
             if edge_prob > 1e-6:
                 raise RuntimeError("domain too small: probability reached the "
                                    "grid boundary (add an absorber or widen the box)")
-        t += h
     return GridState(x_min=grid.x_min, x_max=grid.x_max, n=grid.n,
                      dx=grid.dx, psi=psi, t=t_final)
 
@@ -389,18 +413,15 @@ def schrodinger_grid_evolve(params: SystemParams, grid: GridState, force,
     the periodic grid.  Without an absorbing mask, probability reaching
     within five points of the boundary above 1e-6 raises an error.
     """
-    om2 = params.omega**2
-
-    def potential(x: np.ndarray, t: float) -> np.ndarray:
-        return -0.5 * om2 * x**2 - force_at(force, t) * x
-
-    return _evolve_grid(grid, potential, t_final, dt, absorber_points, params.hbar)
+    v_barrier = -0.5 * params.omega**2 * grid.x() ** 2
+    return _evolve_grid(grid, v_barrier, force, t_final, dt, absorber_points,
+                        params.hbar)
 
 
 def free_grid_evolve(params: SystemParams, grid: GridState, t_final: float,
                      dt: float) -> GridState:
     """Kinetic-only evolution (zero potential); exact for any dt on the grid."""
-    return _evolve_grid(grid, lambda x, t: np.zeros_like(x), t_final, dt, None,
+    return _evolve_grid(grid, np.zeros(grid.n), ZeroForce(), t_final, dt, None,
                         params.hbar)
 
 

@@ -120,8 +120,11 @@ def drude_kernel(bath: BathParams, t: float) -> float:
 
 
 def bath_spectral_density(bath: BathParams, omega: float) -> float:
-    """Lorentzian-cutoff spectral density J(w) = gamma w / (1 + (w/omega_d)^2)."""
-    if omega < 0.0:
+    """Lorentzian-cutoff spectral density J(w) = gamma w / (1 + (w/omega_d)^2).
+
+    ``omega`` is a float or an ndarray.
+    """
+    if np.any(np.asarray(omega) < 0.0):
         raise ValueError("omega must be non-negative")
     return bath.gamma * omega / (1.0 + (omega / bath.omega_d) ** 2)
 
@@ -275,51 +278,52 @@ def harmonic_response(dec: PoleDecomposition, F: float, omega0: float,
     return float(total.real)
 
 
-def _occupation(x: float) -> float:
-    """Bose factor 1/(e^x - 1) for x > 0, overflow-safe."""
-    e = math.exp(-x)
-    return e / (-math.expm1(-x))
+def noise_spectrum(bath: BathParams, params: SystemParams, omega,
+                   convention: str = OCCUPATION):
+    """Spectral density of the bath force, extended evenly to omega < 0.
 
-
-def noise_spectrum(bath: BathParams, params: SystemParams, omega: float,
-                   convention: str = OCCUPATION) -> float:
-    """Spectral density of the bath force, extended evenly to omega < 0."""
+    ``omega`` is a float or an ndarray; a scalar gives a float.
+    """
     if convention not in _CONVENTIONS:
         raise ValueError(f"unknown noise convention {convention!r}")
-    aw = abs(omega)
+    aw = np.abs(np.asarray(omega, dtype=float))
     lorentz = 1.0 + (aw / bath.omega_d) ** 2
-    if convention == CLASSICAL:
-        return bath.gamma * bath.kT / (math.pi * lorentz)
     j = bath.gamma * aw / lorentz
-    if bath.kT == 0.0:
+    if convention == CLASSICAL:
+        out = bath.gamma * bath.kT / (math.pi * lorentz)
+    elif bath.kT == 0.0:
+        out = (params.hbar * j / (2.0 * math.pi) if convention == SYMMETRIZED
+               else np.zeros_like(aw))
+    else:
+        # Bose factor 1/(e^x - 1), overflow-safe; omega = 0 takes the
+        # classical limit hbar J n -> gamma kT, so x = 1 stands in there.
+        zero = aw == 0.0
+        x = np.where(zero, 1.0, params.hbar * aw / bath.kT)
+        occ = np.exp(-x) / (-np.expm1(-x))
         if convention == SYMMETRIZED:
-            return params.hbar * j / (2.0 * math.pi)
-        return 0.0
-    if aw == 0.0:
-        return bath.gamma * bath.kT / math.pi
-    x = params.hbar * aw / bath.kT
-    occ = _occupation(x)
-    if convention == SYMMETRIZED:
-        occ += 0.5
-    return params.hbar * j * occ / math.pi
+            occ = occ + 0.5
+        out = np.where(zero, bath.gamma * bath.kT / math.pi,
+                       params.hbar * j * occ / math.pi)
+    return float(out) if out.ndim == 0 else out
 
 
-def windowed_transform(dec: PoleDecomposition, omega: float, t: float) -> complex:
+def windowed_transform(dec: PoleDecomposition, omega, t: float):
     """Finite-time Fourier transform W(w, t) = int_0^t G(t1) e^(-i w t1) dt1.
 
     Exact closed form sum_j R_j (e^((s_j - i w) t) - 1) / (s_j - i w);
-    terms with s_j ~ i w use the removable limit R_j t.
+    terms with s_j ~ i w use the removable limit R_j t.  ``omega`` is a
+    float or an ndarray; a scalar gives a complex.
     """
     if t < 0.0:
         raise ValueError("t must be non-negative")
-    total = 0.0 + 0.0j
-    for r, s in zip(dec.residues, dec.poles):
-        d = s - 1j * omega
-        if abs(d) < 1e-12:
-            total += r * t
-        else:
-            total += r * (np.exp(d * t) - 1.0) / d
-    return complex(total)
+    w = np.asarray(omega, dtype=float)
+    r = np.array(dec.residues)[:, None]
+    d = np.array(dec.poles)[:, None] - 1j * w.reshape(-1)   # (pole, omega)
+    near = np.abs(d) < 1e-12
+    safe = np.where(near, 1.0, d)
+    terms = np.where(near, r * t, r * (np.exp(safe * t) - 1.0) / safe)
+    total = terms.sum(axis=0).reshape(w.shape)
+    return complex(total) if total.ndim == 0 else total
 
 
 def variance_noise_term(dec: PoleDecomposition, bath: BathParams,
@@ -339,11 +343,9 @@ def variance_noise_term(dec: PoleDecomposition, bath: BathParams,
     if t == 0.0 or (convention == OCCUPATION and bath.kT == 0.0):
         return 0.0
 
-    def integrand(w: float) -> float:
+    def integrand(w: np.ndarray) -> np.ndarray:
         sw = noise_spectrum(bath, params, w, convention)
-        if sw == 0.0:
-            return 0.0
-        return 2.0 * sw * abs(windowed_transform(dec, w, t)) ** 2
+        return 2.0 * sw * np.abs(windowed_transform(dec, w, t)) ** 2
 
     return integrate_halfline(integrand, abs_tol,
                               first_length=max(params.omega, bath.omega_d),
@@ -439,10 +441,8 @@ def symmetrized_correlation(dec: PoleDecomposition, bath: BathParams,
 
     delta = t - tprime
 
-    def integrand(w: float) -> complex:
+    def integrand(w: np.ndarray) -> np.ndarray:
         sw = noise_spectrum(bath, params, w, convention)
-        if sw == 0.0:
-            return 0.0 + 0.0j
         wt = windowed_transform(dec, w, t)
         wtp = windowed_transform(dec, w, tprime)
         z = np.exp(1j * w * delta) * wt * np.conjugate(wtp)

@@ -112,8 +112,9 @@ def _compose_kernel(params, x, t, x1, t1, t_mid, force):
         return (propagator(params, x, t, y, t_mid, force).value
                 * propagator(params, y, t_mid, x1, t1, force).value)
 
-    res = integrate_adaptive(integrand, -u_max, u_max, abs_tol=1e-11,
-                             rel_tol=1e-10)
+    res = integrate_adaptive(
+        lambda us: np.array([integrand(float(u)) for u in us]),
+        -u_max, u_max, abs_tol=1e-11, rel_tol=1e-10)
     return rot * res.value
 
 
@@ -231,7 +232,7 @@ def test_criterion_09_harmonic_response_closed_form():
             for t in (0.7, 1.9, 3.0):
                 quad = integrate_adaptive(
                     lambda t1: green_function(dec, t - t1) * amp
-                    * math.sin(w0 * t1), 0.0, t,
+                    * np.sin(w0 * t1), 0.0, t,
                     abs_tol=1e-13, rel_tol=1e-12).value
                 dev = abs(harmonic_response(dec, amp, w0, t) - quad)
                 assert dev < 1e-8

@@ -117,6 +117,22 @@ class TestAveragedTransmission:
                 transmission_exact(6.0, beta)
 
 
+    @pytest.mark.parametrize("eps", [3.0, 10.0, 30.0, 100.0])
+    @pytest.mark.parametrize("beta", [0.05, 0.3, 0.7])
+    def test_scipy_quad_oracle(self, eps, beta):
+        # reaches deep tunneling, where the average is as small as 1e-40
+        integrate = pytest.importorskip("scipy.integrate")
+
+        def f(z):
+            e = math.exp(-eps * (1.0 - beta * math.cos(z)) ** 2)
+            return e / (1.0 + e)
+
+        ref = integrate.quad(f, 0.0, math.pi, epsabs=0.0, epsrel=1e-13,
+                             limit=200)[0] / math.pi
+        assert averaged_transmission(eps, beta) == pytest.approx(
+            ref, rel=1e-10, abs=0.0)
+
+
 class TestAsymptoticPrefactor:
     def test_pinned_value(self):
         assert asymptotic_prefactor(3.0, 0.5) == pytest.approx(A_3_05,

@@ -78,6 +78,39 @@ class TestConfig:
         assert code == 2
         assert key in err
 
+    @pytest.mark.parametrize("args,key", [
+        (["evolve"], "evolve.samples"),
+        (["kick"], "evolve.samples"),
+        (["evolve", "--wavefunction", "psi.csv"], "wavefunction.points"),
+        (["tunnel"], "tunnel.points"),
+        (["tunnel", "--barrier"], "barrier.points"),
+        (["open-evolve"], "open.samples"),
+        (["verify"], "grid.n")])
+    @pytest.mark.parametrize("value", ["2.7", "-1", "0"])
+    def test_bad_count_names_key(self, tmp_path, monkeypatch, capsys, args,
+                                 key, value):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(args + ["--set", f"{key}={value}"], capsys)
+        assert code == 2
+        assert key in err
+        assert out == ""
+        assert not (tmp_path / "psi.csv").exists()
+
+    def test_bad_boundary_count_is_config_error(self, capsys):
+        for n in ("2.5", "1"):
+            code, _, err = run_cli(["open-poles", "--boundary", "0.5", "20", n],
+                                   capsys)
+            assert code == 2
+            assert "--boundary N" in err
+
+    @pytest.mark.parametrize("command,key", [
+        ("evolve", "evolve.t_max"), ("kick", "evolve.t_max"),
+        ("open-evolve", "open.t_max")])
+    def test_negative_horizon_is_config_error(self, capsys, command, key):
+        code, _, err = run_cli([command, "--set", f"{key}=-1"], capsys)
+        assert code == 2
+        assert key in err
+
 
 class TestEvolve:
     def test_centered_packet_stays_centered(self, capsys):
@@ -319,7 +352,7 @@ class TestOpenEvolve:
             t = float(row[header.index("t")])
             quad = invosc.integrate_adaptive(
                 lambda t1: invosc.green_function(dec, t - t1)
-                * 0.1 * math.sin(0.2 * t1),
+                * 0.1 * np.sin(0.2 * t1),
                 0.0, t, abs_tol=1e-13, rel_tol=1e-12).value
             assert float(row[header.index("mean_x")]) == pytest.approx(
                 quad, abs=1e-8)

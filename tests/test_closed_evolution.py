@@ -86,8 +86,9 @@ def _compose_kernel(params, x, t, x1, t1, t_mid, force):
         kb = propagator(params, y, t_mid, x1, t1, force)
         return ka.value * kb.value
 
-    res = integrate_adaptive(integrand, -u_max, u_max, abs_tol=1e-11,
-                             rel_tol=1e-10)
+    res = integrate_adaptive(
+        lambda us: np.array([integrand(float(u)) for u in us]),
+        -u_max, u_max, abs_tol=1e-11, rel_tol=1e-10)
     return rot * res.value
 
 
@@ -136,8 +137,9 @@ class TestEvolveGaussian:
                 k = propagator(PARAMS, x, t, x1, 0.0, force)
                 return k.value * evaluate_initial(packet, PARAMS, x1)
 
-            direct = integrate_adaptive(integrand, lo, hi, abs_tol=1e-12,
-                                        rel_tol=1e-11).value
+            direct = integrate_adaptive(
+                lambda x1s: np.array([integrand(float(x1)) for x1 in x1s]),
+                lo, hi, abs_tol=1e-12, rel_tol=1e-11).value
             assert evaluate(ev, PARAMS, packet, x) == pytest.approx(
                 direct, abs=1e-9)
 

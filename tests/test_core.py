@@ -79,6 +79,32 @@ class TestForceAt:
         assert force_at(prof, 0.5) == 0.0
         assert force_at(prof, 2.5) == 0.0
 
+    @pytest.mark.parametrize("profile", [
+        ZeroForce(), ConstantForce(-0.3), HarmonicForce(0.5, 2.0),
+        TabulatedForce(times=(1.0, 1.5, 2.0), values=(3.0, -1.0, 4.0))])
+    def test_array_matches_scalar_calls(self, profile):
+        # tabulated endpoints, knots and points outside the support included
+        ts = np.array([-1.0, 0.0, 0.5, 1.0, 1.25, 1.5, 1.75, 2.0, 2.0 + 1e-15,
+                       3.0])
+        got = force_at(profile, ts)
+        assert isinstance(got, np.ndarray) and got.shape == ts.shape
+        assert isinstance(force_at(profile, 1.25), float)
+        np.testing.assert_allclose(got, [force_at(profile, float(t)) for t in ts],
+                                   rtol=1e-15, atol=0.0)
+        assert force_at(profile, ts.reshape(2, 5)).shape == (2, 5)
+
+    def test_tabulated_array_keeps_inclusive_support(self):
+        prof = TabulatedForce(times=(1.0, 2.0), values=(3.0, 4.0))
+        np.testing.assert_array_equal(
+            force_at(prof, np.array([1.0 - 1e-15, 1.0, 2.0, 2.0 + 1e-15])),
+            [0.0, 3.0, 4.0, 0.0])
+
+    def test_array_with_non_finite_time_rejected(self):
+        with pytest.raises(ValueError):
+            force_at(ConstantForce(1.0), np.array([0.0, math.nan]))
+        with pytest.raises(ValueError, match="pointwise"):
+            force_at(DeltaKick(momentum=1.0), np.array([0.5]))
+
 
 class TestInitialPacket:
     def test_normalization_constant_at_center(self):

@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rk4_path
 from invosc import (GaussianPacket, HarmonicForce, QuadratureError,
@@ -18,13 +21,13 @@ class TestAdaptiveQuadrature:
         assert res.evaluations >= 15
 
     def test_sine(self):
-        res = integrate_adaptive(math.sin, 0.0, math.pi, abs_tol=1e-14,
+        res = integrate_adaptive(np.sin, 0.0, math.pi, abs_tol=1e-14,
                                  rel_tol=1e-13)
         assert res.value == pytest.approx(2.0, abs=1e-12)
 
     def test_hyperbolic_kernel(self):
         # the convolution kernel of the driven trajectory
-        res = integrate_adaptive(lambda s: math.sinh(1.0 - s), 0.0, 1.0)
+        res = integrate_adaptive(lambda s: np.sinh(1.0 - s), 0.0, 1.0)
         assert res.value == pytest.approx(math.cosh(1.0) - 1.0, abs=1e-13)
 
     def test_complex_integrand(self):
@@ -35,17 +38,17 @@ class TestAdaptiveQuadrature:
 
     def test_error_estimates_bound_true_error(self):
         cases = [
-            (lambda x: math.exp(x), 0.0, 1.0, math.e - 1.0),
-            (lambda x: math.cos(3 * x), 0.0, 2.0, math.sin(6.0) / 3.0),
+            (lambda x: np.exp(x), 0.0, 1.0, math.e - 1.0),
+            (lambda x: np.cos(3 * x), 0.0, 2.0, math.sin(6.0) / 3.0),
             (lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0, math.pi / 4.0),
-            (lambda x: math.exp(-x * x), -3.0, 3.0,
+            (lambda x: np.exp(-x * x), -3.0, 3.0,
              math.sqrt(math.pi) * math.erf(3.0)),
-            (lambda x: math.log(1.0 + x), 0.0, 1.0, 2 * math.log(2.0) - 1.0),
-            (lambda x: math.sqrt(x + 0.01), 0.0, 1.0,
+            (lambda x: np.log(1.0 + x), 0.0, 1.0, 2 * math.log(2.0) - 1.0),
+            (lambda x: np.sqrt(x + 0.01), 0.0, 1.0,
              (1.01**1.5 - 0.01**1.5) / 1.5),
-            (lambda x: math.sin(10 * x), 0.0, 1.0, (1 - math.cos(10.0)) / 10.0),
+            (lambda x: np.sin(10 * x), 0.0, 1.0, (1 - math.cos(10.0)) / 10.0),
             (lambda x: x**5 - 2 * x, -1.0, 2.0, 63.0 / 6.0 - 3.0),
-            (lambda x: math.cosh(x), -1.0, 1.0, 2 * math.sinh(1.0)),
+            (lambda x: np.cosh(x), -1.0, 1.0, 2 * math.sinh(1.0)),
             (lambda x: 1.0 / (x + 2.0), -1.0, 1.0, math.log(3.0)),
         ]
         for f, lo, hi, true in cases:
@@ -61,7 +64,7 @@ class TestAdaptiveQuadrature:
     def test_depth_limit_carries_best_estimate(self):
         # a needle far narrower than 2^-60 of the interval is unresolvable
         def needle(x):
-            return 1.0 if abs(x - 0.123456789) < 1e-19 else math.exp(-x)
+            return np.where(np.abs(x - 0.123456789) < 1e-19, 1.0, np.exp(-x))
 
         with pytest.raises(QuadratureError) as err:
             integrate_adaptive(needle, 0.0, 1.0, abs_tol=1e-30, rel_tol=1e-16)
@@ -70,9 +73,67 @@ class TestAdaptiveQuadrature:
                                                      rel=1e-6)
 
 
+# polynomial coefficients on a 1e-6 grid in [-1, 1], clear of subnormals
+_COEFF = st.integers(-10**6, 10**6).map(lambda k: k / 10**6)
+
+
+class TestPanelContract:
+    @settings(max_examples=200, deadline=None)
+    @given(coeffs=st.lists(_COEFF, min_size=1, max_size=23),
+           lo=st.floats(-10.0, 10.0), width=st.floats(1e-3, 10.0))
+    def test_first_panel_integrates_degree_22_polynomials(self, coeffs, lo,
+                                                          width):
+        # the 15-point Kronrod rule is exact to degree 22 and its embedded
+        # 7-point Gauss rule to degree 13; a misplaced node or weight breaks
+        # one of the two
+        hi = lo + width
+        a, b = Fraction(lo), Fraction(hi)
+        exact = sum(Fraction(c) * (b ** (k + 1) - a ** (k + 1)) / (k + 1)
+                    for k, c in enumerate(coeffs))
+
+        def abs_antiderivative(x, k):
+            return (1 if x >= 0 else -1) * abs(x) ** (k + 1) / (k + 1)
+
+        scale = float(sum(abs(Fraction(c)) * (abs_antiderivative(b, k)
+                                              - abs_antiderivative(a, k))
+                          for k, c in enumerate(coeffs)))
+        res = integrate_adaptive(
+            lambda x: np.polynomial.polynomial.polyval(x, coeffs), lo, hi,
+            abs_tol=math.inf)
+        assert res.evaluations == 15
+        assert abs(res.value - float(exact)) <= 1e-12 * scale
+        if len(coeffs) <= 14:
+            assert res.error_estimate <= 1e-12 * scale
+
+    def test_one_array_call_per_panel_evaluation(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return np.sqrt(x)
+
+        res = integrate_adaptive(f, 0.0, 1.0, abs_tol=1e-12, rel_tol=1e-12)
+        assert res.evaluations > 15
+        for x in calls:
+            assert isinstance(x, np.ndarray)
+            assert x.ndim == 1 and x.dtype == np.float64
+        assert len(calls[0]) == 15
+        assert all(len(x) == 30 for x in calls[1:])
+        assert len(calls) == 1 + (res.evaluations - 15) // 30
+        first = calls[0]
+        assert np.all(np.diff(first) > 0.0)
+        assert 0.0 < first[0] and first[-1] < 1.0
+        assert first[7] == 0.5
+        np.testing.assert_allclose(first + first[::-1], 1.0, rtol=0, atol=1e-15)
+
+    def test_integrand_must_return_one_value_per_node(self):
+        with pytest.raises(ValueError, match="shape"):
+            integrate_adaptive(lambda x: 1.0, 0.0, 1.0)
+
+
 class TestHalfline:
     def test_exponential(self):
-        res = integrate_halfline(lambda x: math.exp(-x), 1e-13)
+        res = integrate_halfline(lambda x: np.exp(-x), 1e-13)
         assert res.value == pytest.approx(1.0, abs=1e-12)
 
     def test_lorentzian(self):
@@ -85,7 +146,7 @@ class TestHalfline:
         gamma, wd = 0.8, 2.0
 
         def f(w):
-            return math.cos(w * t) / (1.0 + (w / wd) ** 2)
+            return np.cos(w * t) / (1.0 + (w / wd) ** 2)
 
         res = integrate_halfline(f, 5e-9)
         val = 2.0 / math.pi * gamma * res.value
@@ -188,6 +249,13 @@ class TestBesselKQuarter:
             bessel_k_quarter(0.0)
         with pytest.raises(ValueError):
             bessel_k_quarter(-1.0)
+
+
+    def test_scipy_oracle(self):
+        special = pytest.importorskip("scipy.special")
+        for z in np.logspace(-3.0, math.log10(600.0), 40):
+            assert bessel_k_quarter(float(z)) == pytest.approx(
+                special.kv(0.25, z), rel=1e-12, abs=0.0)
 
 
 class TestGridSolver:

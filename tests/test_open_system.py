@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -47,8 +48,9 @@ class TestKernelAndSpectrum:
         bath = BathParams(0.8, 2.0, 0.0)
         t = t_frac / bath.omega_d
         res = integrate_halfline(
-            lambda w: bath_spectral_density(bath, w) / max(w, 1e-300)
-            * math.cos(w * t) if w > 0 else bath.gamma, 5e-9)
+            lambda w: np.where(w > 0, bath_spectral_density(bath, w)
+                               / np.maximum(w, 1e-300) * np.cos(w * t),
+                               bath.gamma), 5e-9)
         assert 2.0 / math.pi * res.value == pytest.approx(
             drude_kernel(bath, t), abs=1e-6)
 
@@ -220,7 +222,7 @@ class TestMeanTrajectory:
         force = HarmonicForce(0.1, 0.2)
         t = 2.0
         quad = integrate_adaptive(
-            lambda t1: green_function(dec, t - t1) * 0.1 * math.sin(0.2 * t1),
+            lambda t1: green_function(dec, t - t1) * 0.1 * np.sin(0.2 * t1),
             0.0, t, abs_tol=1e-13, rel_tol=1e-12).value
         assert mean_trajectory(dec, 0.0, 0.0, force, t) == pytest.approx(
             quad, abs=1e-8)
@@ -249,7 +251,7 @@ class TestHarmonicResponse:
             t = float(rng.uniform(0.5, 3.0))
             quad = integrate_adaptive(
                 lambda t1: green_function(dec, t - t1) * amp
-                * math.sin(w0 * t1), 0.0, t,
+                * np.sin(w0 * t1), 0.0, t,
                 abs_tol=1e-13, rel_tol=1e-12).value
             assert harmonic_response(dec, amp, w0, t) == pytest.approx(
                 quad, abs=1e-8)
@@ -293,6 +295,20 @@ class TestNoiseSpectrum:
         with pytest.raises(ValueError, match="convention"):
             noise_spectrum(BATH, PARAMS, 1.0, "thermal")
 
+    @pytest.mark.parametrize("convention", [OCCUPATION, SYMMETRIZED, CLASSICAL])
+    @pytest.mark.parametrize("kT", [0.0, 0.7])
+    def test_array_matches_scalar_calls(self, convention, kT):
+        bath = BathParams(0.5, 10.0, kT)
+        ws = np.array([-30.0, -2.0, -1e-9, 0.0, 1e-300, 1e-9, 0.4, 2.2, 40.0,
+                       800.0])
+        got = noise_spectrum(bath, PARAMS, ws, convention)
+        assert isinstance(got, np.ndarray) and got.shape == ws.shape
+        assert isinstance(noise_spectrum(bath, PARAMS, 0.0, convention), float)
+        np.testing.assert_allclose(
+            got, [noise_spectrum(bath, PARAMS, float(w), convention) for w in ws],
+            rtol=1e-14, atol=0.0)
+        assert np.all(np.isfinite(got))
+
 
 class TestWindowedTransform:
     def test_zero_window(self):
@@ -306,6 +322,25 @@ class TestWindowedTransform:
             lambda t1: green_function(dec, t1) * np.exp(-1j * w * t1),
             0.0, t, abs_tol=1e-13, rel_tol=1e-12).value
         assert abs(windowed_transform(dec, w, t) - quad) < 1e-10
+
+    def test_array_matches_scalar_calls_with_a_pole_on_the_axis(self):
+        # a pole placed exactly at i w0 takes the removable limit R t
+        dec = solve_poles(PARAMS, BATH)
+        w0, t = 0.7, 1.5
+        on_axis = dataclasses.replace(
+            dec, poles=(dec.poles[0], 1j * w0, dec.poles[2]))
+        ws = np.array([-3.0, -w0, 0.0, w0 - 1e-13, w0, w0 + 1e-9, 2.5])
+        for d in (dec, on_axis):
+            got = windowed_transform(d, ws, t)
+            assert isinstance(got, np.ndarray) and got.shape == ws.shape
+            assert isinstance(windowed_transform(d, w0, t), complex)
+            np.testing.assert_allclose(
+                got, [windowed_transform(d, float(w), t) for w in ws],
+                rtol=1e-14, atol=0.0)
+        rest = sum(r * (np.exp((s - 1j * w0) * t) - 1.0) / (s - 1j * w0)
+                   for r, s in zip(dec.residues[::2], dec.poles[::2]))
+        assert windowed_transform(on_axis, w0, t) == pytest.approx(
+            dec.residues[1] * t + rest, rel=1e-14)
 
     def test_conjugation_symmetry(self):
         dec = solve_poles(PARAMS, BATH)
