@@ -100,7 +100,12 @@ def averaged_transmission(epsilon: float, beta: float) -> float:
     adaptive quadrature to 1e-12 relative, with no absolute floor: deep
     in the tunneling regime the average falls far below any fixed
     absolute tolerance.  A vanishing drive makes the integrand constant,
-    so that case returns the static value verbatim.
+    so that case returns the static value verbatim.  Above suppression
+    (beta > 1) the integrand is 1/2 at cos z = 1/beta and lives in a
+    window of half-width w ~ 1/sqrt(eps (beta^2 - 1)) around it, which no
+    node of a panel over [-pi, pi] need hit.  So the even integrand is
+    integrated over [0, pi] split at the peak and at 8 w on either side,
+    beyond which it has fallen below e^-64 of its peak.
     """
     _check_eps_beta(epsilon, beta)
     if beta == 0.0:
@@ -110,6 +115,14 @@ def averaged_transmission(epsilon: float, beta: float) -> float:
         e = np.exp(-epsilon * (1.0 - beta * np.cos(z)) ** 2)
         return e / (1.0 + e)
 
+    if beta > 1.0:
+        z_star = math.acos(1.0 / beta)
+        w = 8.0 / (math.sqrt(epsilon) * math.sqrt(beta * beta - 1.0))
+        cuts = sorted({0.0, math.pi, *(min(max(z, 0.0), math.pi)
+                                       for z in (z_star - w, z_star, z_star + w))})
+        return sum(integrate_adaptive(integrand, lo, hi, abs_tol=0.0,
+                                      rel_tol=1e-12).value
+                   for lo, hi in zip(cuts, cuts[1:])) / math.pi
     res = integrate_adaptive(integrand, -math.pi, math.pi,
                              abs_tol=0.0, rel_tol=1e-12)
     return float(res.value) / (2.0 * math.pi)

@@ -210,14 +210,20 @@ def _count(value, path: str, minimum: int = 1) -> int:
     return int(number)
 
 
+def _finite(value, path: str, positive: bool = False) -> float:
+    """A finite config entry >= 0, or > 0 if ``positive``; else a ConfigError."""
+    number = _number(value, path)
+    if not (math.isfinite(number) and (number > 0 if positive else number >= 0)):
+        raise ConfigError(f"{path}: expected a finite number "
+                          f"{'>' if positive else '>='} 0, got {value!r}")
+    return number
+
+
 def _sample_times(config, section: str) -> np.ndarray:
     """``samples`` times from 0 to ``t_max`` of a config section, both checked."""
     sec = config[section]
-    t_max = _number(sec["t_max"], f"{section}.t_max")
-    if not (math.isfinite(t_max) and t_max >= 0):
-        raise ConfigError(f"{section}.t_max: expected a finite number >= 0, "
-                          f"got {sec['t_max']!r}")
-    return np.linspace(0.0, t_max, _count(sec["samples"], f"{section}.samples"))
+    return np.linspace(0.0, _finite(sec["t_max"], f"{section}.t_max"),
+                       _count(sec["samples"], f"{section}.samples"))
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +374,9 @@ def cmd_tunnel(config, out, barrier_mode=False) -> int:
         return 0
 
     sec = config["tunnel"]
-    eps = _number(sec["epsilon"], "tunnel.epsilon")
-    betas = np.linspace(_number(sec["beta_min"], "tunnel.beta_min"),
-                        _number(sec["beta_max"], "tunnel.beta_max"),
+    eps = _finite(sec["epsilon"], "tunnel.epsilon", positive=True)
+    betas = np.linspace(_finite(sec["beta_min"], "tunnel.beta_min"),
+                        _finite(sec["beta_max"], "tunnel.beta_max"),
                         _count(sec["points"], "tunnel.points"))
     warned = False
 

@@ -16,9 +16,9 @@ solver.  The probability density has mean xi(t) and variance
 sigma^2 |Gamma(t)|^2, and the norm is conserved identically.
 
 The propagator itself is the usual quadratic-action Gaussian kernel with
-hyperbolic rather than trigonometric coefficients; its phase is the
-classical action assembled from two single force integrals and one
-ordered double integral.
+hyperbolic rather than trigonometric coefficients.  The center, the
+phase and the kernel's action all come from the closed-form sweep of the
+classical path in ``classical_dynamics``; nothing is integrated.
 """
 
 from __future__ import annotations
@@ -28,10 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical_dynamics import lagrangian_action, trajectory
+from .classical_dynamics import _classical_path
 from .core import (DeltaKick, ForceProfile, GaussianPacket, SystemParams,
-                   ZeroForce, force_at)
-from .numerics import integrate_adaptive
+                   ZeroForce)
 
 _MIN_ELAPSED_FACTOR = 1e-9  # propagator degenerates to a delta at theta -> 0
 
@@ -66,6 +65,14 @@ def _gamma_pair(params: SystemParams, sigma: float, t: float) -> tuple[complex, 
     return complex(ch, eps * sh), complex(sh, eps * ch)
 
 
+def _state(params: SystemParams, packet: GaussianPacket, t: float,
+           xi: float, xi_dot: float, phase: float) -> EvolvedGaussian:
+    gamma, _ = _gamma_pair(params, packet.sigma, t)
+    norm = (2.0 * math.pi * packet.sigma**2) ** -0.25 / np.sqrt(gamma)
+    return EvolvedGaussian(t=t, xi=xi, xi_dot=xi_dot, gamma_factor=gamma,
+                           phase_action=phase, norm_prefactor=complex(norm))
+
+
 def _check_elapsed(params: SystemParams, t: float, t1: float) -> float:
     theta = t - t1
     if not (math.isfinite(t) and math.isfinite(t1)):
@@ -82,47 +89,22 @@ def action_S(params: SystemParams, x, t: float, x1, t1: float,
              force: ForceProfile) -> float:
     """Classical action of the propagator between (x1, t1) and (x, t).
 
-    S = om/(2 sinh om theta) [ cosh(om theta)(x^2 + x1^2) - 2 x x1
-        + (2x/om)  int F(s) sinh(om (s - t1)) ds
-        + (2x1/om) int F(s) sinh(om (t - s))  ds
-        - (2/om^2) int_{t1<=s1<=s<=t} F(s) F(s1) sinh(om (t - s))
-                                       sinh(om (s1 - t1)) ds1 ds ].
-
-    Endpoints may be complex (used by contour-based semigroup checks);
-    real endpoints give a real action.
+    The path is the forced one from rest at t1 (xi_F, action S_F) plus a
+    free motion from x1 to y = x - xi_F(t); the cross terms integrate by
+    parts to y xi_F'(t), so with theta = t - t1
+    S = S_F + y xi_F' + om [cosh(om theta)(y^2 + x1^2) - 2 y x1] / (2 sinh(om theta)).
+    Endpoints may be complex (used by contour-based semigroup checks).
     """
     if isinstance(force, DeltaKick):
         raise ValueError("delta kicks are handled by their own closed form")
     theta = _check_elapsed(params, t, t1)
     om = params.omega
     sh, ch = math.sinh(om * theta), math.cosh(om * theta)
-    bracket = ch * (x * x + x1 * x1) - 2.0 * x * x1
-    if not isinstance(force, ZeroForce):
-        def rising(s):
-            return force_at(force, s) * np.sinh(om * (s - t1))
-
-        i1 = integrate_adaptive(rising, t1, t, abs_tol=1e-15, rel_tol=1e-12).value
-        i2 = integrate_adaptive(
-            lambda s: force_at(force, s) * np.sinh(om * (t - s)),
-            t1, t, abs_tol=1e-15, rel_tol=1e-12).value
-
-        def inner(s: float) -> float:
-            if s == t1:
-                return 0.0
-            return integrate_adaptive(rising, t1, s, abs_tol=1e-16,
-                                      rel_tol=1e-11).value
-
-        def outer(s: np.ndarray) -> np.ndarray:
-            inners = np.array([inner(float(si)) for si in s])
-            return force_at(force, s) * np.sinh(om * (t - s)) * inners
-
-        i3 = integrate_adaptive(outer, t1, t, abs_tol=1e-15, rel_tol=1e-10).value
-        bracket = bracket + (2.0 * x / om) * i1 + (2.0 * x1 / om) * i2 \
-            - (2.0 / om**2) * i3
-    out = om / (2.0 * sh) * bracket
-    if isinstance(out, complex) or np.iscomplexobj(out):
-        return out
-    return float(out)
+    xi_f, xi_f_dot, s_f = _classical_path(params, 0.0, 0.0, force, t1, t)
+    y = x - xi_f
+    out = s_f + y * xi_f_dot + om / (2.0 * sh) * (ch * (y * y + x1 * x1)
+                                                   - 2.0 * y * x1)
+    return out if np.iscomplexobj(out) else float(out)
 
 
 def propagator(params: SystemParams, x, t: float, x1, t1: float,
@@ -149,14 +131,9 @@ def evolve_gaussian(params: SystemParams, packet: GaussianPacket,
         raise ValueError("use evolve_delta_kick / delta_kick_at for kicks")
     if not math.isfinite(t) or t < 0.0:
         raise ValueError("t must be finite and non-negative")
-    point = trajectory(params, packet.x0, packet.p0, force, t)
-    gamma, _ = _gamma_pair(params, packet.sigma, t)
-    action = lagrangian_action(params, packet.x0, packet.p0, force, t)
-    norm = (2.0 * math.pi * packet.sigma**2) ** -0.25 / np.sqrt(gamma)
-    return EvolvedGaussian(t=t, xi=point.xi, xi_dot=point.xi_dot,
-                           gamma_factor=gamma,
-                           phase_action=action + packet.p0 * packet.x0,
-                           norm_prefactor=complex(norm))
+    xi, xi_dot, action = _classical_path(params, packet.x0, packet.p0,
+                                         force, 0.0, t)
+    return _state(params, packet, t, xi, xi_dot, action + packet.p0 * packet.x0)
 
 
 def evaluate(ev: EvolvedGaussian, params: SystemParams,
@@ -205,17 +182,8 @@ def delta_kick_at(params: SystemParams, packet: GaussianPacket,
         raise ValueError("need 0 <= t1 <= t")
     if p == 0.0:
         return evolve_gaussian(params, packet, ZeroForce(), t)
-    om = params.omega
-    seg1 = trajectory(params, packet.x0, packet.p0, ZeroForce(), t1)
-    v_after = seg1.xi_dot + p
-    tau = t - t1
-    xi = seg1.xi * math.cosh(om * tau) + v_after / om * math.sinh(om * tau)
-    xi_dot = seg1.xi * om * math.sinh(om * tau) + v_after * math.cosh(om * tau)
-    phase = (lagrangian_action(params, packet.x0, packet.p0, ZeroForce(), t1)
-             + p * seg1.xi
-             + lagrangian_action(params, seg1.xi, v_after, ZeroForce(), tau)
-             + packet.p0 * packet.x0)
-    gamma, _ = _gamma_pair(params, packet.sigma, t)
-    norm = (2.0 * math.pi * packet.sigma**2) ** -0.25 / np.sqrt(gamma)
-    return EvolvedGaussian(t=t, xi=xi, xi_dot=xi_dot, gamma_factor=gamma,
-                           phase_action=phase, norm_prefactor=complex(norm))
+    xi1, v1, s1 = _classical_path(params, packet.x0, packet.p0, ZeroForce(),
+                                  0.0, t1)
+    xi, xi_dot, s2 = _classical_path(params, xi1, v1 + p, ZeroForce(), t1, t)
+    return _state(params, packet, t, xi, xi_dot,
+                  s1 + p * xi1 + s2 + packet.p0 * packet.x0)

@@ -21,22 +21,38 @@ def density_moments(ev, params, packet, window=12.0):
     return float(norm), float(mean), float(var)
 
 
-def rk4_path(f, y0, t_final, dt):
+def rk4_path(f, y0, t_final, dt, breakpoints=()):
     """Fixed-step RK4 for y' = f(t, y) with y a numpy vector.
 
+    Without breakpoints the steps are dt.  The step grid lands on every
+    breakpoint inside (0, t_final), where f may have a kink or a jump:
+    a step across one is only first order.  Between breakpoints the steps
+    are equal and at most dt, and a stage at a breakpoint samples f one
+    ulp inside the step, so a jump is seen from the side being stepped.
     Returns (times, states) sampled at every step.
     """
-    n = int(round(t_final / dt))
-    ts = np.linspace(0.0, n * dt, n + 1)
-    ys = np.empty((n + 1, len(y0)))
+    inner = sorted({b for b in breakpoints if 0.0 < b < t_final})
+    if inner:
+        cuts = [0.0, *inner, t_final]
+        ts = np.concatenate([[0.0]] + [
+            np.linspace(a, b, max(1, int(np.ceil((b - a) / dt))) + 1)[1:]
+            for a, b in zip(cuts, cuts[1:])])
+    else:
+        n = int(round(t_final / dt))
+        ts = np.linspace(0.0, n * dt, n + 1)
+    knots = set(inner)
+    ys = np.empty((len(ts), len(y0)))
     y = np.asarray(y0, dtype=float)
     ys[0] = y
-    for i in range(1, n + 1):
-        t = ts[i - 1]
-        k1 = f(t, y)
-        k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
-        k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
-        k4 = f(t + dt, y + dt * k3)
-        y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    for i in range(1, len(ts)):
+        t, t_next = ts[i - 1], ts[i]
+        h = t_next - t
+        t_lo = np.nextafter(t, t_next) if t in knots else t
+        t_hi = np.nextafter(t_next, t) if t_next in knots else t_next
+        k1 = f(t_lo, y)
+        k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = f(t_hi, y + h * k3)
+        y = y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         ys[i] = y
     return ts, ys

@@ -118,17 +118,19 @@ class TestAveragedTransmission:
 
 
     @pytest.mark.parametrize("eps", [3.0, 10.0, 30.0, 100.0])
-    @pytest.mark.parametrize("beta", [0.05, 0.3, 0.7])
+    @pytest.mark.parametrize("beta", [0.05, 0.3, 0.7, 2.0, 10.0, 60.0, 100.0])
     def test_scipy_quad_oracle(self, eps, beta):
-        # reaches deep tunneling, where the average is as small as 1e-40
+        # reaches deep tunneling, where the average is as small as 1e-40;
+        # above suppression the integrand is a narrow peak at cos z = 1/beta
         integrate = pytest.importorskip("scipy.integrate")
 
         def f(z):
             e = math.exp(-eps * (1.0 - beta * math.cos(z)) ** 2)
             return e / (1.0 + e)
 
+        points = [math.acos(1.0 / beta)] if beta > 1.0 else None
         ref = integrate.quad(f, 0.0, math.pi, epsabs=0.0, epsrel=1e-13,
-                             limit=200)[0] / math.pi
+                             limit=200, points=points)[0] / math.pi
         assert averaged_transmission(eps, beta) == pytest.approx(
             ref, rel=1e-10, abs=0.0)
 

@@ -2,13 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rk4_path
 from invosc import (ConstantForce, DeltaKick, HarmonicForce, SystemParams,
                     TabulatedForce, ZeroForce, force_at, lagrangian_action,
                     trajectory)
+from invosc.classical_dynamics import _classical_path
 
 PARAMS = SystemParams(1.0)
+# jumps at both ends of its support
+JUMP_FORCE = TabulatedForce((0.3, 0.8, 2.5, 3.0), (0.2, -0.4, 1.0, 0.5))
+KINK_FORCE = TabulatedForce((0.0, 0.5, 1.5), (0.0, 0.4, 0.0))
+# a ramp of 1e-7: a particular solution -F/omega^2 would cancel in its slope
+STEEP_FORCE = TabulatedForce((0.3, 0.3 + 1e-7, 2.5), (0.2, -0.4, 1.0))
 
 
 class TestTrajectory:
@@ -116,3 +124,71 @@ class TestLagrangianAction:
     def test_rejects_kick(self):
         with pytest.raises(ValueError):
             lagrangian_action(PARAMS, 0.0, 0.0, DeltaKick(1.0), 1.0)
+
+
+class TestPiecewiseForces:
+    @pytest.mark.parametrize("force", [JUMP_FORCE, KINK_FORCE, STEEP_FORCE],
+                             ids=["jump", "kink", "steep"])
+    def test_matches_knot_aligned_rk4(self, force):
+        params = SystemParams(1.0)
+        x0, p0 = -0.6, 0.9
+        samples = (0.3, 0.55, 1.5, 2.7, 3.0, 4.0)
+
+        def f(t, y):
+            # (xi, xi_dot, action)
+            F = force_at(force, t)
+            return np.array([y[1], params.omega**2 * y[0] + F,
+                             0.5 * y[1]**2 + 0.5 * params.omega**2 * y[0]**2
+                             + y[0] * F])
+
+        ts, ys = rk4_path(f, [x0, p0, 0.0], 4.0, 2.5e-4,
+                          breakpoints=force.times + samples)
+        for t in samples:
+            (idx,) = np.flatnonzero(ts == t)
+            pt = trajectory(params, x0, p0, force, t)
+            got = (pt.xi, pt.xi_dot, lagrangian_action(params, x0, p0, force, t))
+            for value, ref in zip(got, ys[idx]):
+                assert abs(value - ref) <= 1e-10 * max(1.0, abs(ref))
+
+
+# data on a 1e-5 grid: values near the underflow range carry too few digits
+# for a relative check.  Knot times may be as close as the floats allow.
+_SIGNED = st.integers(-10**6, 10**6).map(lambda k: k / 10**5)
+
+
+@st.composite
+def _force(draw, horizon):
+    kind = draw(st.sampled_from(["zero", "constant", "harmonic", "tabulated"]))
+    amp = st.integers(-5 * 10**5, 5 * 10**5).map(lambda k: k / 10**5)
+    if kind == "zero":
+        return ZeroForce(), 0.0
+    if kind == "constant":
+        force = ConstantForce(draw(amp))
+        return force, abs(force.amplitude)
+    if kind == "harmonic":
+        force = HarmonicForce(draw(amp), draw(st.floats(0.05, 20.0)))
+        return force, abs(force.amplitude)
+    times = sorted(draw(st.sets(st.floats(0.0, horizon), min_size=2, max_size=6)))
+    values = draw(st.lists(amp, min_size=len(times), max_size=len(times)))
+    return TabulatedForce(tuple(times), tuple(values)), max(map(abs, values))
+
+
+class TestSweepComposition:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), omega=st.floats(0.05, 20.0), x0=_SIGNED, p0=_SIGNED,
+           u=st.floats(0.0, 1.0), v=st.floats(0.0, 1.0))
+    def test_split_sweep_reproduces_one_sweep(self, data, omega, x0, p0, u, v):
+        params = SystemParams(omega)
+        horizon = 20.0 / omega
+        force, f_max = data.draw(_force(horizon))
+        t = u * horizon
+        t_mid = v * t
+        xi, xi_dot, action = _classical_path(params, x0, p0, force, 0.0, t)
+        xi_m, xi_dot_m, s1 = _classical_path(params, x0, p0, force, 0.0, t_mid)
+        xi_2, xi_dot_2, s2 = _classical_path(params, xi_m, xi_dot_m, force,
+                                             t_mid, t)
+        # natural sizes: a growing mode can cancel to a much smaller xi
+        size = (abs(x0) + abs(p0) / omega + f_max / omega**2) * math.cosh(omega * t)
+        assert abs(xi_2 - xi) <= 1e-12 * size
+        assert abs(xi_dot_2 - xi_dot) <= 1e-12 * omega * size
+        assert abs(s1 + s2 - action) <= 1e-12 * omega * size**2

@@ -111,6 +111,15 @@ class TestConfig:
         assert code == 2
         assert key in err
 
+    @pytest.mark.parametrize("key,value", [("tunnel.beta_min", "-1"),
+                                           ("tunnel.epsilon", "0"),
+                                           ("tunnel.beta_max", "1e400")])
+    def test_tunnel_domain_is_config_error(self, capsys, key, value):
+        code, out, err = run_cli(["tunnel", "--set", f"{key}={value}"], capsys)
+        assert code == 2
+        assert key in err
+        assert out == ""
+
 
 class TestEvolve:
     def test_centered_packet_stays_centered(self, capsys):
@@ -164,6 +173,17 @@ class TestEvolve:
                                 "--set", "evolve.samples=2"], capsys)
         assert code == 3
         assert "evolve_gaussian" in err and "t=800" in err
+
+    def test_force_jumping_at_support_ends(self, capsys):
+        code, out, _ = run_cli([
+            "evolve", "--set", "force.kind=tabulated",
+            "--set", "force.times=[0.3, 0.8, 2.5, 3.0]",
+            "--set", "force.values=[0.2, -0.4, 1.0, 0.5]",
+            "--set", "evolve.t_max=2.7", "--set", "evolve.samples=2"], capsys)
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        norms = [float(r[header.index("norm_check")]) for r in rows]
+        assert max(abs(n - 1.0) for n in norms) <= 1e-8
 
     def test_wavefunction_dump(self, tmp_path, capsys):
         dump = tmp_path / "wf.csv"

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import density_moments
 from invosc import (ConstantForce, GaussianPacket, HarmonicForce, SystemParams,
-                    ZeroForce, action_S, delta_kick_at, evaluate,
+                    TabulatedForce, ZeroForce, action_S, delta_kick_at, evaluate,
                     evaluate_initial, evolve_delta_kick, evolve_gaussian,
                     grid_from_packet, integrate_adaptive, propagator,
                     schrodinger_grid_evolve)
@@ -93,7 +93,10 @@ def _compose_kernel(params, x, t, x1, t1, t_mid, force):
 
 
 class TestSemigroup:
-    @pytest.mark.parametrize("force", [ZeroForce(), ConstantForce(0.4)])
+    @pytest.mark.parametrize("force", [
+        ZeroForce(), ConstantForce(0.4),
+        # knots inside both legs, jumps at the support ends
+        TabulatedForce((0.1, 0.25, 0.4, 0.5), (0.3, -0.2, 0.5, 0.1))])
     def test_chapman_kolmogorov(self, force):
         worst = 0.0
         for x in (-1.0, 0.0, 0.7):
