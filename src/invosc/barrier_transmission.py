@@ -32,6 +32,10 @@ import numpy as np
 from .core import SystemParams
 from .numerics import bessel_k_quarter, integrate_adaptive
 
+# Dirichlet eta(1/2) = (1 - sqrt 2) zeta(1/2); int dy / (1 + e^(y^2)) over
+# the real line is sqrt(pi) eta(1/2)
+_ETA_HALF = 0.6048986434216304
+
 
 @dataclass(frozen=True)
 class TunnelingParams:
@@ -106,10 +110,17 @@ def averaged_transmission(epsilon: float, beta: float) -> float:
     node of a panel over [-pi, pi] need hit.  So the even integrand is
     integrated over [0, pi] split at the peak and at 8 w on either side,
     beyond which it has fallen below e^-64 of its peak.
+
+    For beta >> 1 that window is narrower than the float spacing of z,
+    but with u = beta cos z the average tends to eta(1/2) / (beta
+    sqrt(pi eps)), off by a relative (1 + 0.63 / eps) / (2 beta^2); once
+    that is below rounding, the limit is returned.
     """
     _check_eps_beta(epsilon, beta)
     if beta == 0.0:
         return transmission_exact(epsilon, 0.0)
+    if (1.0 + 1.0 / epsilon) / beta / beta < math.ulp(1.0):
+        return _ETA_HALF / (beta * math.sqrt(math.pi * epsilon))
 
     def integrand(z: np.ndarray) -> np.ndarray:
         e = np.exp(-epsilon * (1.0 - beta * np.cos(z)) ** 2)

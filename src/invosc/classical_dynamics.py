@@ -13,10 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (DeltaKick, ForceProfile, HarmonicForce, SystemParams,
-                   TabulatedForce, force_at)
+                   force_pieces)
 
 
 @dataclass(frozen=True)
@@ -52,11 +50,11 @@ def _phi(m: int, x: float) -> float:
     return out
 
 
-def _response(om: float, force: ForceProfile, a: float, b: float,
-              ch: float, sh: float) -> tuple[float, float, float]:
+def _response(om: float, force: ForceProfile, a: float, b: float, fa: float,
+              fb: float, ch: float, sh: float) -> tuple[float, float, float]:
     """r(b), r'(b) and int_a^b r F ds for r'' - om^2 r = F, r(a) = r'(a) = 0,
-    where F is A sin(omega0 s) or linear on [a, b] and ch, sh are
-    cosh, sinh of om (b - a)."""
+    where F is A sin(omega0 s) or linear from fa to fb on [a, b] and
+    ch, sh are cosh, sinh of om (b - a)."""
     if isinstance(force, HarmonicForce):
         # r = xi_p - g: xi_p = c sin(omega0 s) less the free motion from its data at a
         amp, w = force.amplitude, force.omega0
@@ -66,10 +64,6 @@ def _response(om: float, force: ForceProfile, a: float, b: float,
         g, dg = pa * ch + dpa / om * sh, pa * om * sh + dpa * ch
         q = c * amp * ((b - a) - math.sin(w * (b - a)) * math.cos(w * (a + b)) / w) / 2
         return pb - g, dpb - dg, q - g * dpb + dg * pb
-    if isinstance(force, TabulatedForce) and not (
-            force.times[0] <= 0.5 * (a + b) <= force.times[-1]):
-        return 0.0, 0.0, 0.0  # outside the support, whose ends may be jumps
-    fa, fb = force_at(force, np.array([a, b])).tolist()
     if fa == fb == 0.0:
         return 0.0, 0.0, 0.0
     tau, x, df = b - a, om * (b - a), fb - fa
@@ -85,12 +79,10 @@ def _classical_path(params: SystemParams, x0, v0, force: ForceProfile,
     with L = xi_dot^2/2 + omega^2 xi^2/2 + xi F; complex x0, v0 pass through."""
     om = params.omega
     xi, xi_dot, action = x0, v0, 0.0
-    knots = force.times if isinstance(force, TabulatedForce) else ()
-    cuts = [t0, *(k for k in knots if t0 < k < t), t] if t > t0 else []
-    for a, b in zip(cuts, cuts[1:]):
+    for a, b, fa, fb in force_pieces(force, t0, t):
         ch, sh = math.cosh(om * (b - a)), math.sinh(om * (b - a))
         h, dh = xi * ch + xi_dot / om * sh, xi * om * sh + xi_dot * ch
-        r, dr, q = _response(om, force, a, b, ch, sh)
+        r, dr, q = _response(om, force, a, b, fa, fb, ch, sh)
         xi_b, xi_dot_b = h + r, dh + dr
         # int L = [xi xi_dot]/2 + int xi F / 2, and int h F = h r' - h' r
         action += 0.5 * (xi_b * xi_dot_b - xi * xi_dot + h * dr - dh * r + q)

@@ -132,6 +132,25 @@ def force_at(profile: ForceProfile, t):
     return float(out) if out.ndim == 0 else out
 
 
+def force_pieces(profile: ForceProfile, t0: float,
+                 t: float) -> list[tuple[float, float, float, float]]:
+    """Cut [t0, t] into pieces (a, b, F(a), F(b)) on which F is smooth.
+
+    A tabulated force is cut at its knots inside (t0, t), is linear on
+    each piece, and is zero on a piece whose midpoint lies outside its
+    support, since the support ends may be jumps.  Any other profile is
+    one piece.  An empty interval has no pieces.
+    """
+    if not t > t0:
+        return []
+    knots = profile.times if isinstance(profile, TabulatedForce) else ()
+    cuts = [t0, *(k for k in knots if t0 < k < t), t]
+    ends = force_at(profile, np.array(cuts)).tolist()
+    return [(a, b, fa, fb) if not knots or knots[0] <= 0.5 * (a + b) <= knots[-1]
+            else (a, b, 0.0, 0.0)
+            for a, b, fa, fb in zip(cuts, cuts[1:], ends, ends[1:])]
+
+
 @dataclass(frozen=True)
 class GaussianPacket:
     """Initial minimum-uncertainty state centered at (x0, p0).

@@ -11,6 +11,13 @@ out of the three poles s_j and their residues
 which obey the sum rules sum R = 0, sum R s = 1, sum R s^2 = 0, i.e.
 G(0) = 0, G'(0) = 1, G''(0) = 0 for G(t) = sum R_j exp(s_j t).
 
+Every deterministic quantity is one real pole sum Re sum_j R_j (...)
+behind one realness guard.  A force enters through c_j(t) =
+int_0^t exp(s_j (t - u)) F(u) du: partial fractions for a harmonic
+drive, and exp(s_j (t - b)) h [F_a phi_1(s_j h) + (F_b - F_a) phi_2(s_j h)]
+on each linear piece [a, b], h = b - a, of a constant or tabulated one.
+Only the noise spectrum is integrated numerically.
+
 Noise enters through the spectral density of the bath force.  Three
 conventions are provided:
 
@@ -38,9 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DeltaKick, ForceProfile, GaussianPacket, HarmonicForce,
-                   SystemParams, ZeroForce, force_at)
-from .numerics import (_polish_cubic_roots, integrate_adaptive,
-                       integrate_halfline, solve_cubic)
+                   SystemParams, force_pieces)
+from .numerics import _polish_cubic_roots, integrate_halfline, solve_cubic
 
 OCCUPATION = "occupation"
 SYMMETRIZED = "symmetrized"
@@ -129,19 +135,13 @@ def bath_spectral_density(bath: BathParams, omega: float) -> float:
     return bath.gamma * omega / (1.0 + (omega / bath.omega_d) ** 2)
 
 
-def _cardano_data(a: float, b: float) -> tuple[float, float, float]:
-    """(q, p, D) of the scaled cubic r^3 + a r^2 + b r - a."""
-    q = a**3 / 27.0 - a * b / 6.0 - a / 2.0
-    p = (3.0 * b - a * a) / 9.0
-    return q, p, q * q + p**3
-
-
 def characteristic_coefficients(params: SystemParams,
                                 bath: BathParams) -> CubicCoefficients:
     a = bath.omega_d / params.omega
     b = bath.gamma * bath.omega_d / params.omega**2 - 1.0
-    q, p, disc = _cardano_data(a, b)
-    return CubicCoefficients(a=a, b=b, q=q, p=p, D=disc)
+    q = a**3 / 27.0 - a * b / 6.0 - a / 2.0
+    p = (3.0 * b - a * a) / 9.0
+    return CubicCoefficients(a=a, b=b, q=q, p=p, D=q * q + p**3)
 
 
 def solve_poles(params: SystemParams, bath: BathParams) -> PoleDecomposition:
@@ -181,32 +181,30 @@ def solve_poles(params: SystemParams, bath: BathParams) -> PoleDecomposition:
                              coefficients=coeffs, root_class=root_class)
 
 
-def _real_pole_sum(dec: PoleDecomposition, weights, t):
-    """Re sum_j weights_j exp(s_j t) with a roundoff guard on the imaginary part."""
-    tarr = np.asarray(t, dtype=float)
-    s = np.array(dec.poles)
-    w = np.array(weights)
-    terms = w * np.exp(np.multiply.outer(tarr, s))
+def _real_pole_sum(terms):
+    """Re sum_j terms_j over the last axis, guarding the imaginary part."""
     total = terms.sum(axis=-1)
     scale = np.abs(terms).sum(axis=-1)
-    bad = np.abs(total.imag) > 1e-10 * np.maximum(scale, 1e-30)
-    if np.any(bad):
+    if np.any(np.abs(total.imag) > 1e-10 * np.maximum(scale, 1e-30)):
         raise ArithmeticError("pole sum failed the realness check")
     out = total.real
-    if np.ndim(t) == 0:
-        return float(out)
-    return out
+    return float(out) if out.ndim == 0 else out
+
+
+def _exp_sum(dec: PoleDecomposition, weights, t):
+    """Re sum_j weights_j exp(s_j t) for a scalar t or an ndarray of times."""
+    st = np.multiply.outer(np.asarray(t, dtype=float), np.array(dec.poles))
+    return _real_pole_sum(np.array(weights) * np.exp(st))
 
 
 def green_function(dec: PoleDecomposition, t):
     """Impulse response G(t) = sum_j R_j exp(s_j t); G(0) = 0, G'(0) = 1."""
-    return _real_pole_sum(dec, dec.residues, t)
+    return _exp_sum(dec, dec.residues, t)
 
 
 def green_derivative(dec: PoleDecomposition, t):
     """G'(t) = sum_j R_j s_j exp(s_j t)."""
-    w = tuple(r * s for r, s in zip(dec.residues, dec.poles))
-    return _real_pole_sum(dec, w, t)
+    return _exp_sum(dec, [r * s for r, s in zip(dec.residues, dec.poles)], t)
 
 
 def closed_system_green(params: SystemParams, t):
@@ -218,32 +216,51 @@ def closed_system_green_derivative(params: SystemParams, t):
     return np.cosh(params.omega * np.asarray(t))
 
 
-def _force_convolution(dec: PoleDecomposition, force: ForceProfile,
-                       t: float) -> float:
-    """int_0^t G(t - t1) F(t1) dt1 for pointwise force profiles."""
+# Horner coefficients of phi_2(z) = (e^z - 1 - z) / z^2 = sum_k z^k / (k + 2)!,
+# k = 19, ..., 0, summed for |z| <= 1, where the closed form cancels.
+_PHI2_SERIES = [1.0 / math.factorial(k + 2) for k in range(20)][::-1]
+
+
+def _force_terms(dec: PoleDecomposition, force: ForceProfile,
+                 t: float) -> np.ndarray:
+    """c_j(t) = int_0^t exp(s_j (t - u)) F(u) du for each pole s_j; on a
+    linear piece no term cancels another, however short or steep it is."""
     if isinstance(force, DeltaKick):
         raise ValueError("delta kicks are not convolved; compose states instead")
-    if isinstance(force, ZeroForce) or t == 0.0:
-        return 0.0
+    s = np.array(dec.poles)
     if isinstance(force, HarmonicForce):
-        return harmonic_response(dec, force.amplitude, force.omega0, t)
-    res = integrate_adaptive(
-        lambda t1: green_function(dec, t - t1) * force_at(force, t1),
-        0.0, t, abs_tol=1e-12, rel_tol=1e-10)
-    return float(res.value)
+        amp, w = force.amplitude, force.omega0
+        scale = max(w, max(abs(p) for p in dec.poles))
+        if np.any(np.minimum(abs(s - 1j * w), abs(s + 1j * w)) < 1e-12 * scale):
+            raise ArithmeticError("resonant denominator: a pole sits at +/- i omega0")
+        u = s / w
+        return (amp / w) / (u * u + 1.0) * (
+            np.exp(s * t) - math.cos(w * t) - u * math.sin(w * t))
+    c = np.zeros(3, dtype=complex)
+    for a, b, fa, fb in force_pieces(force, 0.0, t):
+        if fa != 0.0 or fb != 0.0:
+            z = s * (b - a)
+            small = np.abs(z) <= 1.0
+            zs = np.where(small, 2.0, z)
+            p1 = (np.exp(zs) - 1.0) / zs  # phi_1(z) = (e^z - 1) / z = 1 + z phi_2(z)
+            p2 = np.where(small, np.polyval(_PHI2_SERIES, z), (p1 - 1.0) / zs)
+            p1 = np.where(small, 1.0 + z * p2, p1)
+            c += np.exp(s * (t - b)) * (b - a) * (fa * p1 + (fb - fa) * p2)
+    return c
 
 
 def mean_trajectory(dec: PoleDecomposition, x0m: float, p0m: float,
                     force: ForceProfile, t: float) -> float:
     """Mean position <x(t)> = <x(0)> G'(t) + <p(0)> G(t) + (G * F)(t).
 
-    Bath fluctuations average to zero and leave the mean motion
-    untouched; harmonic drives use the closed-form response.
+    The pole sum Re sum_j R_j [(<x(0)> s_j + <p(0)>) exp(s_j t) + c_j(t)],
+    with no quadrature; bath fluctuations average to zero.
     """
     if t < 0.0:
         raise ValueError("t must be non-negative")
-    return (x0m * green_derivative(dec, t) + p0m * green_function(dec, t)
-            + _force_convolution(dec, force, t))
+    s = np.array(dec.poles)
+    return _real_pole_sum(np.array(dec.residues) * (
+        (x0m * s + p0m) * np.exp(s * t) + _force_terms(dec, force, t)))
 
 
 def harmonic_response(dec: PoleDecomposition, F: float, omega0: float,
@@ -260,22 +277,7 @@ def harmonic_response(dec: PoleDecomposition, F: float, omega0: float,
         raise ValueError("omega0 must be positive")
     if t < 0.0:
         raise ValueError("t must be non-negative")
-    scale = max(omega0, max(abs(s) for s in dec.poles))
-    if any(min(abs(s - 1j * omega0), abs(s + 1j * omega0)) < 1e-12 * scale
-           for s in dec.poles):
-        raise ArithmeticError("resonant denominator: a pole sits at +/- i omega0")
-    cos_t, sin_t = math.cos(omega0 * t), math.sin(omega0 * t)
-    total = 0.0 + 0.0j
-    mag = 0.0
-    for r, s in zip(dec.residues, dec.poles):
-        u = s / omega0
-        term = r * (F / omega0) / (u * u + 1.0) * \
-            (np.exp(s * t) - cos_t - u * sin_t)
-        total += term
-        mag += abs(term)
-    if abs(total.imag) > 1e-10 * max(mag, 1e-30):
-        raise ArithmeticError("harmonic response failed the realness check")
-    return float(total.real)
+    return mean_trajectory(dec, 0.0, 0.0, HarmonicForce(F, omega0), t)
 
 
 def noise_spectrum(bath: BathParams, params: SystemParams, omega,
@@ -326,6 +328,31 @@ def windowed_transform(dec: PoleDecomposition, omega, t: float):
     return complex(total) if total.ndim == 0 else total
 
 
+def _noise_term(dec: PoleDecomposition, bath: BathParams, params: SystemParams,
+                t: float, tprime: float, convention: str, abs_tol: float) -> float:
+    """Bath term int S(w) e^(i w (t - t')) W(w, t) conj(W(w, t')) dw, real
+    on the whole line: twice its real part on the half line, which is the
+    non-negative 2 S |W|^2 on the diagonal and oscillates off it."""
+    if convention not in _CONVENTIONS:
+        raise ValueError(f"unknown noise convention {convention!r}")
+    if t == 0.0 or tprime == 0.0 or (convention == OCCUPATION and bath.kT == 0.0):
+        return 0.0
+
+    def integrand(w: np.ndarray) -> np.ndarray:
+        sw = noise_spectrum(bath, params, w, convention)
+        wt = windowed_transform(dec, w, t)
+        if t == tprime:
+            return 2.0 * sw * np.abs(wt) ** 2
+        z = np.exp(1j * w * (t - tprime)) * wt * np.conjugate(
+            windowed_transform(dec, w, tprime))
+        return 2.0 * sw * z.real
+
+    return integrate_halfline(integrand, abs_tol,
+                              first_length=max(params.omega, bath.omega_d),
+                              rel_tol=1e-11,
+                              small_runs=1 if t == tprime else 2).value
+
+
 def variance_noise_term(dec: PoleDecomposition, bath: BathParams,
                         params: SystemParams, t: float,
                         convention: str = OCCUPATION,
@@ -336,20 +363,9 @@ def variance_noise_term(dec: PoleDecomposition, bath: BathParams,
     non-negative, so the sweep stops once an interval contributes below
     max(abs_tol, 1e-12 * accumulated).
     """
-    if convention not in _CONVENTIONS:
-        raise ValueError(f"unknown noise convention {convention!r}")
     if t < 0.0:
         raise ValueError("t must be non-negative")
-    if t == 0.0 or (convention == OCCUPATION and bath.kT == 0.0):
-        return 0.0
-
-    def integrand(w: np.ndarray) -> np.ndarray:
-        sw = noise_spectrum(bath, params, w, convention)
-        return 2.0 * sw * np.abs(windowed_transform(dec, w, t)) ** 2
-
-    return integrate_halfline(integrand, abs_tol,
-                              first_length=max(params.omega, bath.omega_d),
-                              rel_tol=1e-11, small_runs=1).value
+    return _noise_term(dec, bath, params, t, t, convention, abs_tol)
 
 
 @dataclass(frozen=True)
@@ -380,6 +396,15 @@ def _check_uncertainty(moments: InitialMoments, params: SystemParams) -> None:
         raise ValueError("initial moments violate the uncertainty relation")
 
 
+def _centered_covariance(dec: PoleDecomposition, moments: InitialMoments,
+                         t: float, tprime: float) -> float:
+    """var_x G'G' + var_p G G + sym_xp (G'(t) G(t') + G(t) G'(t'))."""
+    gd_t, gd_tp = green_derivative(dec, t), green_derivative(dec, tprime)
+    g_t, g_tp = green_function(dec, t), green_function(dec, tprime)
+    return (moments.var_x * gd_t * gd_tp + moments.var_p * g_t * g_tp
+            + moments.sym_xp * (gd_t * g_tp + gd_tp * g_t))
+
+
 def general_variance(dec: PoleDecomposition, bath: BathParams,
                      params: SystemParams, moments: InitialMoments, t: float,
                      convention: str = OCCUPATION) -> float:
@@ -392,13 +417,9 @@ def general_variance(dec: PoleDecomposition, bath: BathParams,
     if t < 0.0:
         raise ValueError("t must be non-negative")
     _check_uncertainty(moments, params)
-    gd = green_derivative(dec, t)
-    g = green_function(dec, t)
-    dynamic = (moments.var_x * gd * gd + moments.var_p * g * g
-               + 2.0 * moments.sym_xp * gd * g)
-    noise = variance_noise_term(dec, bath, params, t, convention=convention,
-                                abs_tol=1e-10 * max(abs(dynamic), 1e-30))
-    return dynamic + noise
+    dynamic = _centered_covariance(dec, moments, t, t)
+    return dynamic + _noise_term(dec, bath, params, t, t, convention,
+                                 1e-10 * max(abs(dynamic), 1e-30))
 
 
 def displacement_variance(dec: PoleDecomposition, bath: BathParams,
@@ -416,76 +437,31 @@ def symmetrized_correlation(dec: PoleDecomposition, bath: BathParams,
                             convention: str = OCCUPATION) -> float:
     """Two-time symmetrized position correlator phi(t, t').
 
-    Assembled from the dynamic moments, the deterministic force
-    convolutions c_F, and the bath-noise cross spectrum
-    int S(w) e^(i w (t - t')) W(w, t) conj(W(w, t')) dw, whose even
-    extension makes the result real; the residual imaginary part is
-    checked below 1e-9 and discarded.
+    The centered initial moments propagated by G and G', plus m(t) m(t')
+    for the mean trajectory m, plus the bath-noise cross spectrum.
     """
     if t < 0.0 or tprime < 0.0:
         raise ValueError("times must be non-negative")
     _check_uncertainty(moments, params)
-    gd_t, gd_tp = green_derivative(dec, t), green_derivative(dec, tprime)
-    g_t, g_tp = green_function(dec, t), green_function(dec, tprime)
-    c_t = _force_convolution(dec, force, t)
-    c_tp = _force_convolution(dec, force, tprime)
-    raw_xx = moments.var_x + moments.mean_x**2
-    raw_pp = moments.var_p + moments.mean_p**2
-    val = (raw_xx * gd_t * gd_tp + raw_pp * g_t * g_tp
-           + c_t * c_tp
-           + (moments.mean_x * gd_t + moments.mean_p * g_t) * c_tp
-           + (moments.mean_x * gd_tp + moments.mean_p * g_tp) * c_t
-           + moments.sym_xp * (gd_t * g_tp + gd_tp * g_t))
-    if t == 0.0 or tprime == 0.0 or (convention == OCCUPATION and bath.kT == 0.0):
-        return val
-
-    delta = t - tprime
-
-    def integrand(w: np.ndarray) -> np.ndarray:
-        sw = noise_spectrum(bath, params, w, convention)
-        wt = windowed_transform(dec, w, t)
-        wtp = windowed_transform(dec, w, tprime)
-        z = np.exp(1j * w * delta) * wt * np.conjugate(wtp)
-        return sw * (z + np.conjugate(z))
-
-    acc = integrate_halfline(integrand, 1e-10 * max(abs(val), 1.0),
-                             first_length=max(params.omega, bath.omega_d),
-                             rel_tol=1e-11, small_runs=2).value
-    if abs(acc.imag) > 1e-9 * max(abs(acc.real), 1.0):
-        raise ArithmeticError("correlation noise term failed the realness check")
-    return val + acc.real
+    mx, mp = moments.mean_x, moments.mean_p
+    val = (_centered_covariance(dec, moments, t, tprime)
+           + mean_trajectory(dec, mx, mp, force, t)
+           * mean_trajectory(dec, mx, mp, force, tprime))
+    return val + _noise_term(dec, bath, params, t, tprime, convention,
+                             1e-10 * max(abs(val), 1.0))
 
 
 def discriminant_boundary(a: float) -> float:
     """The b value where the cubic discriminant D(a, b) changes sign.
 
     D > 0 above the returned b (one real root and a conjugate pair),
-    D < 0 below (three real roots).  Bisection from b = a^2/3, where the
-    depressed-cubic p coefficient changes sign, refined to machine
-    resolution in b.
+    D < 0 just below it (three real roots).  In b the discriminant is the
+    cubic 27 D = b^3 - (a^2/4) b^2 + (9 a^2/2) b + a^2 (27/4 - a^2).  For
+    b > a^2/3 the depressed-cubic coefficient p is positive, so D > 0
+    there, and the boundary is the largest real root.
     """
     if not (a > 0.0) or not math.isfinite(a):
         raise ValueError("a must be positive")
-
-    def disc(b: float) -> float:
-        return _cardano_data(a, b)[2]
-
-    hi = a * a / 3.0
-    if disc(hi) <= 0.0:
-        raise ArithmeticError("no sign change found in the bracket")
-    step = max(1.0, abs(hi))
-    lo = hi - step
-    while disc(lo) > 0.0:
-        step *= 2.0
-        lo = hi - step
-        if step > 1e12 * max(1.0, abs(hi)):
-            raise ArithmeticError("no sign change found in the bracket")
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if disc(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    a2 = a * a
+    roots = solve_cubic(-a2 / 4.0, 4.5 * a2, a2 * (6.75 - a2))
+    return max(r.real for r in roots if r.imag == 0.0)

@@ -1,8 +1,14 @@
 """Shared oracle helpers for the test suite."""
 
 import numpy as np
+from hypothesis import settings
 
 from invosc import evaluate, integrate_adaptive
+
+# The same examples on every run, and no replay of examples saved by
+# earlier runs; each test keeps its own max_examples.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def density_moments(ev, params, packet, window=12.0):

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from invosc import barrier_transmission
 from invosc import (SystemParams, TunnelingParams, asymptotic_prefactor,
                     averaged_transmission, averaged_transmission_asymptotic,
                     barrier_potential, prefactor_curve, transmission_exact,
@@ -15,6 +17,8 @@ PARAMS = SystemParams(1.0)
 W_AVG_10_03 = 1.4379239455522658e-03
 # pinned from the Bessel-function oracle ahead of the build
 A_3_05 = 0.2841009518483714
+# Dirichlet eta(1/2) = (1 - sqrt 2) zeta(1/2)
+ETA_HALF = 0.6048986434216304
 
 
 class TestBarrierShape:
@@ -133,6 +137,23 @@ class TestAveragedTransmission:
                              limit=200, points=points)[0] / math.pi
         assert averaged_transmission(eps, beta) == pytest.approx(
             ref, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("eps", [1e-3, 3.0, 100.0])
+    @pytest.mark.parametrize("beta", [1e8, 1e12, 1e16, 1e17, 1e200])
+    def test_far_above_suppression_reaches_the_limit(self, eps, beta):
+        # beta >> 1: (1 / pi beta) int du / (1 + exp(eps (1 - u)^2))
+        # = eta(1/2) / (beta sqrt(pi eps)), up to a relative
+        # (1 + 0.63 / eps) / (2 beta^2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = averaged_transmission(eps, beta)
+        assert got == pytest.approx(ETA_HALF / (beta * math.sqrt(math.pi * eps)),
+                                    rel=1e-12, abs=0.0)
+
+    def test_eta_half_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        assert barrier_transmission._ETA_HALF == ETA_HALF == pytest.approx(
+            float(mpmath.altzeta(0.5)), rel=1e-16)
 
 
 class TestAsymptoticPrefactor:

@@ -265,6 +265,18 @@ class TestTunnel:
         assert first[header.index("w_exact")] == \
             first[header.index("w_avg_quadrature")]
 
+    def test_far_above_suppression_is_nonzero(self, capsys):
+        code, out, _ = run_cli(["tunnel", "--set", "tunnel.epsilon=3",
+                                "--set", "tunnel.beta_min=1e17",
+                                "--set", "tunnel.beta_max=1e17",
+                                "--set", "tunnel.points=1"], capsys)
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        w_avg = float(rows[0][header.index("w_avg_quadrature")])
+        # the beta >> 1 limit eta(1/2) / (beta sqrt(pi eps))
+        limit = 0.6048986434216304 / (1e17 * math.sqrt(3.0 * math.pi))
+        assert w_avg == pytest.approx(limit, rel=1e-12, abs=0.0)
+
     def test_barrier_profile_matches_library(self, capsys):
         code, out, _ = run_cli(["tunnel", "--barrier",
                                 "--set", "barrier.points=5"], capsys)

@@ -6,6 +6,7 @@ import pytest
 from invosc import (ConstantForce, DeltaKick, GaussianPacket, HarmonicForce,
                     SystemParams, TabulatedForce, ZeroForce, evaluate_initial,
                     force_at, integrate_adaptive)
+from invosc.core import force_pieces
 
 
 class TestValidation:
@@ -104,6 +105,30 @@ class TestForceAt:
             force_at(ConstantForce(1.0), np.array([0.0, math.nan]))
         with pytest.raises(ValueError, match="pointwise"):
             force_at(DeltaKick(momentum=1.0), np.array([0.5]))
+
+
+class TestForcePieces:
+    def test_cuts_at_knots_and_zeroes_outside_the_support(self):
+        # jumps at both support ends: the outer pieces are zero, the inner
+        # ones carry the values on the inside of each jump
+        force = TabulatedForce((0.3, 0.8, 2.5, 3.0), (0.2, -0.4, 1.0, 0.5))
+        assert force_pieces(force, 0.0, 3.5) == [
+            (0.0, 0.3, 0.0, 0.0), (0.3, 0.8, 0.2, -0.4), (0.8, 2.5, -0.4, 1.0),
+            (2.5, 3.0, 1.0, 0.5), (3.0, 3.5, 0.0, 0.0)]
+        assert force_pieces(force, 1.0, 2.0) == [
+            (1.0, 2.0, force_at(force, 1.0), force_at(force, 2.0))]
+
+    def test_other_profiles_are_one_piece(self):
+        assert force_pieces(ConstantForce(0.7), 0.5, 2.0) == [(0.5, 2.0, 0.7, 0.7)]
+        assert force_pieces(HarmonicForce(0.5, 2.0), 0.0, 1.0) == [
+            (0.0, 1.0, 0.0, 0.5 * math.sin(2.0))]
+
+    def test_empty_interval_and_kick(self):
+        force = TabulatedForce((0.0, 1.0), (1.0, 2.0))
+        assert force_pieces(force, 0.5, 0.5) == []
+        assert force_pieces(force, 0.7, 0.2) == []
+        with pytest.raises(ValueError):
+            force_pieces(DeltaKick(1.0), 0.0, 1.0)
 
 
 class TestInitialPacket:

@@ -3,25 +3,47 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import rk4_path
 from invosc import (CLASSICAL, OCCUPATION, SYMMETRIZED, BathParams,
                     ConstantForce, DegeneratePolesError, GaussianPacket,
                     HarmonicForce, InitialMoments, RootClass, SystemParams,
-                    ZeroForce, bath_spectral_density,
+                    TabulatedForce, ZeroForce, bath_spectral_density,
                     characteristic_coefficients, discriminant_boundary,
-                    displacement_variance, drude_kernel, general_variance,
-                    green_derivative, green_function, harmonic_response,
-                    integrate_adaptive, integrate_halfline,
+                    displacement_variance, drude_kernel, force_at,
+                    general_variance, green_derivative, green_function,
+                    harmonic_response, integrate_adaptive, integrate_halfline,
                     langevin_ode_oracle, mean_trajectory, noise_spectrum,
                     solve_cubic, solve_poles, symmetrized_correlation,
                     windowed_transform)
+from invosc.open_system import _force_terms
 
 PARAMS = SystemParams(1.0)
 BATH = BathParams(gamma=0.5, omega_d=10.0, kT=1.0)
+# one real pole and a complex pair, next to BATH's three real poles
+COMPLEX_BATH = BathParams(gamma=5.0, omega_d=2.0, kT=0.0)
+# tabulated forces from the closed-system tests: a kink, jumps at both
+# support ends, and a ramp 1e-7 long that by-parts terms in 1/s, 1/s^2
+# would cancel in
+PIECEWISE_FORCES = {
+    "constant": ConstantForce(0.6),
+    "kink": TabulatedForce((0.0, 0.5, 1.5), (0.0, 0.4, 0.0)),
+    "jump": TabulatedForce((0.3, 0.8, 2.5, 3.0), (0.2, -0.4, 1.0, 0.5)),
+    "steep": TabulatedForce((0.3, 0.3 + 1e-7, 2.5), (0.2, -0.4, 1.0)),
+}
 
 # frozen from the partial-fraction inversion, validated against the
 # quadrature convolution ahead of the build
 HARMONIC_RESPONSE_FIXTURE = 0.026265104883926603
+
+
+def _force_size(dec, force, t):
+    """sum_j |R_j c_j(t)|: the size the pole sum of the force response has
+    before its terms cancel."""
+    return float(np.sum(np.abs(np.array(dec.residues)
+                               * _force_terms(dec, force, t))))
 
 
 class TestKernelAndSpectrum:
@@ -226,6 +248,90 @@ class TestMeanTrajectory:
             0.0, t, abs_tol=1e-13, rel_tol=1e-12).value
         assert mean_trajectory(dec, 0.0, 0.0, force, t) == pytest.approx(
             quad, abs=1e-8)
+
+    @pytest.mark.parametrize("bath", [BATH, COMPLEX_BATH], ids=["real", "complex"])
+    @pytest.mark.parametrize("name", list(PIECEWISE_FORCES))
+    def test_matches_markov_extension_rk4(self, bath, name):
+        # the exponential memory as one more variable: w = int_0^t K(t-u)
+        # x'(u) du obeys w' = -omega_d w + gamma omega_d x', exactly
+        force = PIECEWISE_FORCES[name]
+        dec = solve_poles(PARAMS, bath)
+        om2, wd, gwd = PARAMS.omega**2, bath.omega_d, bath.gamma * bath.omega_d
+
+        def rhs(t, y):
+            x, v, w = y
+            return np.array([v, om2 * x - w + force_at(force, t), -wd * w + gwd * v])
+
+        ts, ys = rk4_path(rhs, [0.0, 0.0, 0.0], 4.0, 1e-3,
+                          breakpoints=getattr(force, "times", ()))
+        for i in range(0, len(ts), 97):
+            t = float(ts[i])
+            assert abs(mean_trajectory(dec, 0.0, 0.0, force, t) - ys[i, 0]) \
+                <= 1e-10 * _force_size(dec, force, t)
+
+    @pytest.mark.parametrize("bath", [BATH, COMPLEX_BATH], ids=["real", "complex"])
+    def test_steep_ramp_matches_mpmath(self, bath):
+        mp = pytest.importorskip("mpmath")
+        force = PIECEWISE_FORCES["steep"]
+        dec = solve_poles(PARAMS, bath)
+        ramp_start, ramp_end = force.times[0], force.times[1]
+        with mp.workdps(40):
+            ts, fs = [mp.mpf(k) for k in force.times], [mp.mpf(f) for f in force.values]
+            for t in (ramp_start + 3e-8, ramp_end, 0.3 + 2e-7, 2.5, 4.0):
+                # c_j(t) on each linear piece before t
+                ref = mp.mpf(0)
+                for r, s in zip(dec.residues, dec.poles):
+                    c = mp.mpc(0)
+                    for a, b, fa, fb in zip(ts, ts[1:], fs, fs[1:]):
+                        if a < t:
+                            c += mp.quad(lambda u: mp.exp(mp.mpc(s) * (t - u))
+                                         * (fa + (fb - fa) * (u - a) / (b - a)),
+                                         [a, min(b, mp.mpf(t))])
+                    ref += mp.re(mp.mpc(r) * c)
+                got = mean_trajectory(dec, 0.0, 0.0, force, t)
+                assert abs(got - float(ref)) <= 1e-14 * _force_size(dec, force, t)
+
+
+class TestPoleSumProperties:
+    # the box: omega in [0.05, 20], gamma / omega in [1e-3, 100] and
+    # omega_d / omega in [1e-2, 100], times up to 10 / omega
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), omega=st.floats(0.05, 20.0),
+           gamma=st.floats(1e-3, 100.0), omega_d=st.floats(1e-2, 100.0))
+    def test_sum_rules_and_force_response(self, data, omega, gamma, omega_d):
+        params = SystemParams(omega)
+        bath = BathParams(gamma * omega, omega_d * omega)
+        try:
+            dec = solve_poles(params, bath)
+        except DegeneratePolesError:
+            return
+        r, s = np.array(dec.residues), np.array(dec.poles)
+        for k, expected in ((0, 0.0), (1, 1.0), (2, 0.0)):
+            assert abs(np.sum(r * s**k) - expected) <= 1e-10 * np.sum(np.abs(r * s**k))
+        assert abs(green_function(dec, 0.0)) <= 1e-10 * np.sum(np.abs(r))
+        assert abs(green_derivative(dec, 0.0) - 1.0) <= 1e-10 * np.sum(np.abs(r * s))
+
+        horizon = 10.0 / omega
+        times = sorted(data.draw(st.sets(st.floats(0.0, horizon),
+                                         min_size=2, max_size=6)))
+        # t and the values on a grid: near the underflow range too few
+        # digits are left
+        values = data.draw(st.lists(st.integers(-10**5, 10**5).map(lambda k: k / 10**5),
+                                    min_size=len(times), max_size=len(times)))
+        force = TabulatedForce(tuple(times), tuple(values))
+        t = data.draw(st.integers(0, 10**6)) * horizon / 10**6
+        got = mean_trajectory(dec, 0.0, 0.0, force, t)  # realness guard holds
+        # natural size: int_0^t sum_j |R_j exp(s_j (t - u)) F(u)| du at most
+        size = (np.sum(np.abs(r) * np.maximum(1.0, np.abs(np.exp(s * t))))
+                * t * max(map(abs, values)))
+        # the quadrature oracle, cut at the knots; a piece shorter than
+        # 1e-12 t adds less than 1e-12 size and is left out
+        cuts = [0.0, *(k for k in times if 0.0 < k < t), t]
+        ref = sum(integrate_adaptive(
+            lambda u: green_function(dec, t - u) * force_at(force, u), a, b,
+            abs_tol=1e-12 * size / len(cuts), rel_tol=1e-12).value
+            for a, b in zip(cuts, cuts[1:]) if b - a > 1e-12 * t)
+        assert abs(got - ref) <= 1e-9 * size
 
 
 class TestHarmonicResponse:
@@ -444,14 +550,20 @@ class TestGeneralVariance:
 
 class TestSymmetrizedCorrelation:
     def test_diagonal_reproduces_variance(self):
+        # phi(t, t) = variance + mean^2: with nonzero means the mean's
+        # cross term 2 <x0> <p0> G G' must not go missing
         dec = solve_poles(PARAMS, BATH)
         packet = GaussianPacket(0.0, 0.0, 1.0)
-        moments = InitialMoments.from_packet(packet, PARAMS)
         t = 1.2
-        diag = symmetrized_correlation(dec, BATH, PARAMS, moments,
-                                       ZeroForce(), t, t)
-        var = displacement_variance(dec, BATH, PARAMS, packet, t)
-        assert diag == pytest.approx(var, abs=1e-9 * max(1.0, var))
+        for moments, force in (
+                (InitialMoments.from_packet(packet, PARAMS), ZeroForce()),
+                (InitialMoments(0.3, -0.2, 1.0, 0.25, 0.0), ZeroForce()),
+                (InitialMoments(0.3, -0.2, 1.0, 0.25, 0.0), HarmonicForce(0.2, 0.5))):
+            diag = symmetrized_correlation(dec, BATH, PARAMS, moments, force, t, t)
+            var = general_variance(dec, BATH, PARAMS, moments, t)
+            mean = mean_trajectory(dec, moments.mean_x, moments.mean_p, force, t)
+            assert diag == pytest.approx(var + mean**2,
+                                         abs=1e-9 * max(1.0, var + mean**2))
 
     def test_symmetric_in_time_arguments(self):
         dec = solve_poles(PARAMS, BATH)
