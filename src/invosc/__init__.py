@@ -15,7 +15,7 @@ from .core import (ConstantForce, DeltaKick, ForceProfile, GaussianPacket,
                    HarmonicForce, SystemParams, TabulatedForce, ZeroForce,
                    evaluate_initial, force_at)
 from .numerics import (GridState, QuadratureError, QuadratureResult,
-                       bessel_k_quarter, free_grid_evolve, grid_from_packet,
+                       bessel_k_quarter, expm, free_grid_evolve, grid_from_packet,
                        integrate_adaptive, integrate_halfline,
                        langevin_ode_oracle, schrodinger_grid_evolve,
                        solve_cubic)
@@ -23,11 +23,11 @@ from .open_system import (CLASSICAL, OCCUPATION, SYMMETRIZED, BathParams,
                           CubicCoefficients, DegeneratePolesError,
                           InitialMoments, PoleDecomposition, RootClass,
                           bath_spectral_density, characteristic_coefficients,
-                          closed_system_green, closed_system_green_derivative,
                           discriminant_boundary, displacement_variance,
                           drude_kernel, general_variance, green_derivative,
-                          green_function, harmonic_response, mean_trajectory,
-                          noise_spectrum, solve_poles, symmetrized_correlation,
-                          variance_noise_term, windowed_transform)
+                          green_function, green_pair, harmonic_response,
+                          mean_trajectory, noise_spectrum, solve_poles,
+                          symmetrized_correlation, variance_noise_term,
+                          variance_parts, windowed_transform)
 
 __version__ = "0.1.0"

@@ -32,9 +32,10 @@ import numpy as np
 from .core import SystemParams
 from .numerics import bessel_k_quarter, integrate_adaptive
 
-# Dirichlet eta(1/2) = (1 - sqrt 2) zeta(1/2); int dy / (1 + e^(y^2)) over
-# the real line is sqrt(pi) eta(1/2)
+# eta(1/2) = (1 - sqrt 2) zeta(1/2); over the real line int dy / (1 + e^(y^2))
+# is sqrt(pi) eta(1/2), and int y^2 dy / (1 + e^(y^2)) is sqrt(pi) eta(3/2) / 2
 _ETA_HALF = 0.6048986434216304
+_ETA_RATIO = 0.6324588697185094   # eta(3/2) / (2 eta(1/2))
 
 
 @dataclass(frozen=True)
@@ -112,15 +113,18 @@ def averaged_transmission(epsilon: float, beta: float) -> float:
     beyond which it has fallen below e^-64 of its peak.
 
     For beta >> 1 that window is narrower than the float spacing of z,
-    but with u = beta cos z the average tends to eta(1/2) / (beta
-    sqrt(pi eps)), off by a relative (1 + 0.63 / eps) / (2 beta^2); once
-    that is below rounding, the limit is returned.
+    but with u = beta cos z the average is eta(1/2) / (beta sqrt(pi eps))
+    [1 + (1 + c / eps) / (2 beta^2) + O(beta^-4)], c = eta(3/2) / (2
+    eta(1/2)).  The next term is below (3/8) x^2, x = (1 + 2 / eps) /
+    beta^2; once x^2 is below rounding (from beta ~ 1e4 at eps = 3), this
+    corrected limit is returned.
     """
     _check_eps_beta(epsilon, beta)
     if beta == 0.0:
         return transmission_exact(epsilon, 0.0)
-    if (1.0 + 1.0 / epsilon) / beta / beta < math.ulp(1.0):
-        return _ETA_HALF / (beta * math.sqrt(math.pi * epsilon))
+    if (1.0 + 2.0 / epsilon) / beta / beta < math.sqrt(math.ulp(1.0)):
+        return _ETA_HALF / (beta * math.sqrt(math.pi * epsilon)) * (
+            1.0 + (1.0 + _ETA_RATIO / epsilon) / beta / beta / 2.0)
 
     def integrand(z: np.ndarray) -> np.ndarray:
         e = np.exp(-epsilon * (1.0 - beta * np.cos(z)) ** 2)

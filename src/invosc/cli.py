@@ -378,26 +378,20 @@ def cmd_tunnel(config, out, barrier_mode=False) -> int:
     betas = np.linspace(_finite(sec["beta_min"], "tunnel.beta_min"),
                         _finite(sec["beta_max"], "tunnel.beta_max"),
                         _count(sec["points"], "tunnel.points"))
-    warned = False
-
-    def row_for(beta):
+    rows, warned = [], False
+    for beta in betas:
         beta = float(beta)
         w_j = bt.transmission_jwkb(eps, beta)
-        w_e = bt.transmission_exact(eps, beta)
-        w_q = bt.averaged_transmission(eps, beta)
+        row = [beta, w_j, bt.transmission_exact(eps, beta),
+               bt.averaged_transmission(eps, beta), None, None]
         if 0.0 < beta < 1.0:
             a_pre = bt.asymptotic_prefactor(eps, beta)
-            w_a = bt.averaged_transmission_asymptotic(eps, beta)
-        else:
-            a_pre = w_a = None
-        return [beta, w_j, w_e, w_q, a_pre, w_a]
-
-    rows = [row_for(beta) for beta in betas]
-    for row in rows:
-        if row[4] is None and not warned:
+            row[4:] = a_pre, a_pre * w_j
+        elif not warned:
             sys.stderr.write("warning: asymptotic columns left empty outside "
                              "0 < beta < 1\n")
             warned = True
+        rows.append(row)
     header = ["beta", "w_jwkb", "w_exact", "w_avg_quadrature", "A_prefactor",
               "w_avg_asymptotic"]
     _emit(render_csv(header, rows, cfg_hash), out)
@@ -469,22 +463,12 @@ def cmd_open_evolve(config, out) -> int:
                           "covered by the 'evolve' command)")
     convention = config["bath"]["noise"]
     times = _sample_times(config, "open")
-    dec = osys.solve_poles(params, bath)
-    sig2 = packet.sigma**2
-    vp = params.hbar**2 / (4.0 * sig2)
-
-    def row_for(t):
-        t = float(t)
-        g = osys.green_function(dec, t)
-        gd = osys.green_derivative(dec, t)
-        mean_x = osys.mean_trajectory(dec, packet.x0, packet.p0, force, t)
-        dyn = sig2 * gd * gd + vp * g * g
-        noise = osys.variance_noise_term(dec, bath, params, t,
-                                         convention=convention,
-                                         abs_tol=1e-10 * max(abs(dyn), 1e-30))
-        return [t, g, gd, mean_x, dyn, noise, dyn + noise]
-
-    rows = [row_for(t) for t in times]
+    moments = osys.InitialMoments.from_packet(packet, params)
+    rows = []
+    for t, g, gd in zip(times.tolist(), *osys.green_pair(params, bath, times)):
+        mean_x = osys.mean_trajectory(params, bath, packet.x0, packet.p0, force, t)
+        dyn, noise = osys.variance_parts(params, bath, moments, t, convention)
+        rows.append([t, g, gd, mean_x, dyn, noise, dyn + noise])
     header = ["t", "G", "G_dot", "mean_x", "variance_dynamic", "variance_noise",
               "variance_total"]
     _emit(render_csv(header, rows, config_sha256(config)), out)
@@ -523,7 +507,9 @@ def cmd_verify(config, out) -> int:
                             / np.sum(np.abs(ref) ** 2)))
         add(f"grid_closed_form_t{t:g}", dev, grid_tolerance)
 
-    # residue-sum impulse response against the RK4 memory-kernel integrator
+    # impulse response against the RK4 memory-kernel integrator.  G comes
+    # from the matrix exponential; the poles and residues serve only the
+    # open-poles table and the tests, and the check keeps its name.
     horizon = (_number(vsec["green_horizon_factor"], "verify.green_horizon_factor")
                / params.omega)
     green_dt = _number(vsec["green_dt"], "verify.green_dt")
@@ -533,10 +519,9 @@ def cmd_verify(config, out) -> int:
         bath_case = osys.BathParams(gamma=_number(case["gamma"], f"{where}.gamma"),
                                     omega_d=_number(case["omega_d"], f"{where}.omega_d"),
                                     kT=0.0)
-        dec = osys.solve_poles(params, bath_case)
         ts, g_ode = numerics.langevin_ode_oracle(params, bath_case, horizon, green_dt)
-        g_res = osys.green_function(dec, ts)
-        dev = float(np.max(np.abs(g_res - g_ode)) / np.max(np.abs(g_res)))
+        g_exp = osys.green_function(params, bath_case, ts)
+        dev = float(np.max(np.abs(g_exp - g_ode)) / np.max(np.abs(g_exp)))
         add(f"green_residue_vs_ode_case{i}", dev, green_tolerance)
 
     # quasistatic asymptotics against the period-average quadrature
@@ -552,16 +537,14 @@ def cmd_verify(config, out) -> int:
 
     # windowed transform closed form against direct quadrature
     bath = _build_bath(config)
-    if bath.gamma > 0:
-        dec = osys.solve_poles(params, bath)
-        w_probe = _number(vsec["windowed_omega"], "verify.windowed_omega") * params.omega
-        t_probe = _number(vsec["windowed_t"], "verify.windowed_t") / params.omega
-        closed = osys.windowed_transform(dec, w_probe, t_probe)
-        quad = integrate_adaptive(
-            lambda t1: osys.green_function(dec, t1) * np.exp(-1j * w_probe * t1),
-            0.0, t_probe, abs_tol=1e-13, rel_tol=1e-12).value
-        add("windowed_transform_quadrature", abs(closed - quad),
-            _number(vsec["windowed_tolerance"], "verify.windowed_tolerance"))
+    w_probe = _number(vsec["windowed_omega"], "verify.windowed_omega") * params.omega
+    t_probe = _number(vsec["windowed_t"], "verify.windowed_t") / params.omega
+    closed = osys.windowed_transform(params, bath, w_probe, t_probe)
+    quad = integrate_adaptive(
+        lambda t1: osys.green_function(params, bath, t1) * np.exp(-1j * w_probe * t1),
+        0.0, t_probe, abs_tol=1e-13, rel_tol=1e-12).value
+    add("windowed_transform_quadrature", abs(closed - quad),
+        _number(vsec["windowed_tolerance"], "verify.windowed_tolerance"))
 
     payload = {
         "config_sha256": config_sha256(config),

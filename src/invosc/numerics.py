@@ -1,7 +1,8 @@
 """Shared numerical machinery.
 
 Adaptive Gauss-Kronrod quadrature (finite intervals and the half line),
-a Cardano cubic solver with Newton refinement, the modified Bessel
+a Cardano cubic solver with Newton refinement, the matrix exponential
+by scaling and squaring, the modified Bessel
 function K_{1/4} through its cosh-integral representation, a split-step
 Fourier solver for the time-dependent Schrodinger equation on a periodic
 grid, and a fixed-step RK4 integrator for the memory-kernel (generalized
@@ -289,6 +290,38 @@ def _polish_cubic_roots(roots, a2: float, a1: float, a0: float,
     elif len(cplx) == 1:
         snapped = [complex(r.real, 0.0) for r in snapped]
     return tuple(sorted(snapped, key=lambda s: (-s.real, s.imag)))
+
+
+# 1/k!, k < 36, in Paterson-Stockmeyer blocks: row j multiplies X^(6j + i)
+_TAYLOR_BLOCKS = np.array([1.0 / math.factorial(k) for k in range(36)]).reshape(6, 6)
+
+
+def expm(a) -> np.ndarray:
+    """e^A for a square matrix or a stack of them (the last two axes).
+
+    Scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
+    (2005)): each matrix is scaled by its own 2^-s to a 1-norm below 4,
+    where the degree-35 Taylor polynomial is exact to rounding (4^36 / 36!
+    < 1e-20), and squared s times; 256 at a time, to bound the temporaries.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.size > 256 * a.shape[-1] ** 2:
+        flat = a.reshape((-1,) + a.shape[-2:])
+        return np.concatenate([expm(flat[i:i + 256])
+                               for i in range(0, len(flat), 256)]).reshape(a.shape)
+    squarings = np.maximum(np.frexp(np.abs(a).sum(axis=-2).max(axis=-1))[1] - 2, 0)
+    powers = np.empty((7,) + a.shape)   # I, X, X^2, ..., X^6
+    powers[0] = np.eye(a.shape[-1])
+    powers[1] = np.ldexp(a, -squarings[..., None, None])
+    for k in range(2, 7):
+        np.matmul(powers[k - 1], powers[1], out=powers[k])
+    blocks = np.tensordot(_TAYLOR_BLOCKS, powers[:6], axes=1)
+    e = blocks[5]
+    for block in blocks[4::-1]:
+        e = block + powers[6] @ e
+    for k in range(int(squarings.max(initial=0))):
+        e = np.where((squarings > k)[..., None, None], e @ e, e)
+    return e
 
 
 def bessel_k_quarter(z: float) -> float:

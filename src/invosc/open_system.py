@@ -1,22 +1,22 @@
 """Open inverted oscillator coupled to an exponential-memory heat bath.
 
-The velocity-damping kernel gamma omega_d exp(-omega_d t) turns the
-Laplace-domain transfer function into a rational with a cubic
-denominator; everything downstream (impulse response, mean trajectory,
-harmonic response, displacement variance, two-time correlation) is built
-out of the three poles s_j and their residues
+With the velocity-damping kernel gamma omega_d exp(-omega_d t), the
+memory-kernel equation is a linear system of three states, w being the
+memory integral of the velocity:
 
-    R_j = 1 / (2 s_j + gamma omega_d^2 (s_j + omega_d)^-2),
+    x' = v,   v' = omega^2 x - w + F,   w' = -omega_d w + gamma omega_d v.
 
-which obey the sum rules sum R = 0, sum R s = 1, sum R s^2 = 0, i.e.
-G(0) = 0, G'(0) = 1, G''(0) = 0 for G(t) = sum R_j exp(s_j t).
-
-Every deterministic quantity is one real pole sum Re sum_j R_j (...)
-behind one realness guard.  A force enters through c_j(t) =
-int_0^t exp(s_j (t - u)) F(u) du: partial fractions for a harmonic
-drive, and exp(s_j (t - b)) h [F_a phi_1(s_j h) + (F_b - F_a) phi_2(s_j h)]
-on each linear piece [a, b], h = b - a, of a constant or tabulated one.
-Only the noise spectrum is integrated numerically.
+Every deterministic quantity is read off an exponential of this generator
+A (numerics.expm): G and G' are the x and v entries of e^(At) e_v, the
+mean is <x(0)> G' + <p(0)> G plus the response from rest to the force, a
+harmonic drive or each linear piece of a constant or tabulated force is
+one exponential of A augmented by two forcing states (Van Loan, IEEE TAC
+23, 395 (1978)), and the finite-time Fourier transform W of G follows
+from e^(At) and the resolvent of A.  These depend only on the
+coefficients of the characteristic cubic, never on its roots, so they
+hold through repeated poles and at gamma = 0.  The poles and residues of
+``solve_poles`` serve only the ``open-poles`` table and the tests.  Only
+the noise spectrum is integrated numerically.
 
 Noise enters through the spectral density of the bath force.  Three
 conventions are provided:
@@ -29,24 +29,20 @@ conventions are provided:
 
 The even extension in frequency is used throughout, so spectral
 integrals over the whole line reduce to twice the half-line integral.
-
-The undamped limit gamma = 0 is deliberately excluded from the pole
-solver: the third root cancels against the transfer-function numerator
-and the residue formula degenerates.  Use ``closed_system_green`` for
-that case; the gamma -> 0+ limit of the pole route converges to it.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DeltaKick, ForceProfile, GaussianPacket, HarmonicForce,
-                   SystemParams, force_pieces)
-from .numerics import _polish_cubic_roots, integrate_halfline, solve_cubic
+from .core import (ForceProfile, GaussianPacket, HarmonicForce, SystemParams,
+                   force_pieces)
+from .numerics import _polish_cubic_roots, expm, integrate_halfline, solve_cubic
 
 OCCUPATION = "occupation"
 SYMMETRIZED = "symmetrized"
@@ -105,11 +101,7 @@ class PoleDecomposition:
 
 
 class DegeneratePolesError(ValueError):
-    """Raised when transfer-function poles (nearly) coincide.
-
-    The simple-pole residue expansion does not apply; integrate the
-    memory-kernel equation directly (numerics.langevin_ode_oracle).
-    """
+    """Raised by ``solve_poles`` when transfer-function poles (nearly) coincide."""
 
     def __init__(self, message, poles=None, coefficients=None):
         super().__init__(message)
@@ -150,12 +142,13 @@ def solve_poles(params: SystemParams, bath: BathParams) -> PoleDecomposition:
     Solves the scaled cubic by Cardano's method, refines on the unscaled
     cubic s^3 + omega_d s^2 + (gamma omega_d - omega^2) s
     - omega^2 omega_d with Newton steps, enforces conjugate pairing, and
-    computes the simple-pole residues.  Requires gamma > 0; (nearly)
+    computes the simple-pole residues.  Requires gamma > 0, since at
+    gamma = 0 the root -omega_d cancels against the numerator; (nearly)
     repeated poles raise DegeneratePolesError.
     """
     if bath.gamma <= 0.0:
-        raise ValueError("solve_poles requires gamma > 0; the undamped system "
-                         "has the closed form closed_system_green")
+        raise ValueError("solve_poles requires gamma > 0; at gamma = 0 the pole "
+                         "-omega_d cancels and G = sinh(omega t) / omega")
     coeffs = characteristic_coefficients(params, bath)
     scaled = solve_cubic(coeffs.a, coeffs.b, -coeffs.a)
     om = params.omega
@@ -170,8 +163,8 @@ def solve_poles(params: SystemParams, bath: BathParams) -> PoleDecomposition:
     if min_sep < 1e-8 * om:
         raise DegeneratePolesError(
             "transfer-function poles are degenerate to working precision; "
-            "the residue expansion does not apply — integrate the memory "
-            "kernel directly (numerics.langevin_ode_oracle)",
+            "the residue table does not apply (the open-system evaluators "
+            "do not use it)",
             poles=poles, coefficients=coeffs)
 
     root_class = (RootClass.ONE_REAL_TWO_COMPLEX if coeffs.D > 0.0
@@ -181,103 +174,79 @@ def solve_poles(params: SystemParams, bath: BathParams) -> PoleDecomposition:
                              coefficients=coeffs, root_class=root_class)
 
 
-def _real_pole_sum(terms):
-    """Re sum_j terms_j over the last axis, guarding the imaginary part."""
-    total = terms.sum(axis=-1)
-    scale = np.abs(terms).sum(axis=-1)
-    if np.any(np.abs(total.imag) > 1e-10 * np.maximum(scale, 1e-30)):
-        raise ArithmeticError("pole sum failed the realness check")
-    out = total.real
-    return float(out) if out.ndim == 0 else out
+def _generator(params: SystemParams, bath: BathParams, size: int = 3):
+    """A for the state (x, v, w / d), zero-padded to ``size``, and d, a power
+    of two near sqrt(gamma omega_d) that balances the couplings -d and
+    gamma omega_d / d."""
+    d = math.ldexp(1.0, math.frexp(math.sqrt(bath.gamma * bath.omega_d))[1])
+    a = np.zeros((size, size))
+    a[0, 1], a[1, 0], a[1, 2] = 1.0, params.omega**2, -d
+    a[2, 1], a[2, 2] = bath.gamma * bath.omega_d / d, -bath.omega_d
+    return a, d
 
 
-def _exp_sum(dec: PoleDecomposition, weights, t):
-    """Re sum_j weights_j exp(s_j t) for a scalar t or an ndarray of times."""
-    st = np.multiply.outer(np.asarray(t, dtype=float), np.array(dec.poles))
-    return _real_pole_sum(np.array(weights) * np.exp(st))
+def _columns(params: SystemParams, bath: BathParams, t) -> np.ndarray:
+    """e^(At) e_v = (G(t), G'(t), w(t)) on the last axis, for a scalar t or
+    for each entry of an ndarray of times."""
+    a, d = _generator(params, bath)
+    return expm(a * np.asarray(t, dtype=float)[..., None, None])[..., 1] * (1.0, 1.0, d)
 
 
-def green_function(dec: PoleDecomposition, t):
-    """Impulse response G(t) = sum_j R_j exp(s_j t); G(0) = 0, G'(0) = 1."""
-    return _exp_sum(dec, dec.residues, t)
+def green_pair(params: SystemParams, bath: BathParams, t):
+    """G(t) and G'(t) from one exponential, for a scalar t or an ndarray."""
+    return tuple(np.moveaxis(_columns(params, bath, t), -1, 0)[:2])
 
 
-def green_derivative(dec: PoleDecomposition, t):
-    """G'(t) = sum_j R_j s_j exp(s_j t)."""
-    return _exp_sum(dec, [r * s for r, s in zip(dec.residues, dec.poles)], t)
+def green_function(params: SystemParams, bath: BathParams, t):
+    """Impulse response G(t), x from x = 0, v = 1, w = 0; G(0) = 0, G'(0) = 1."""
+    return green_pair(params, bath, t)[0]
 
 
-def closed_system_green(params: SystemParams, t):
-    """Undamped impulse response sinh(omega t) / omega."""
-    return np.sinh(params.omega * np.asarray(t)) / params.omega
+def green_derivative(params: SystemParams, bath: BathParams, t):
+    """G'(t), the velocity of the impulse response."""
+    return green_pair(params, bath, t)[1]
 
 
-def closed_system_green_derivative(params: SystemParams, t):
-    return np.cosh(params.omega * np.asarray(t))
-
-
-# Horner coefficients of phi_2(z) = (e^z - 1 - z) / z^2 = sum_k z^k / (k + 2)!,
-# k = 19, ..., 0, summed for |z| <= 1, where the closed form cancels.
-_PHI2_SERIES = [1.0 / math.factorial(k + 2) for k in range(20)][::-1]
-
-
-def _force_terms(dec: PoleDecomposition, force: ForceProfile,
-                 t: float) -> np.ndarray:
-    """c_j(t) = int_0^t exp(s_j (t - u)) F(u) du for each pole s_j; on a
-    linear piece no term cancels another, however short or steep it is."""
-    if isinstance(force, DeltaKick):
-        raise ValueError("delta kicks are not convolved; compose states instead")
-    s = np.array(dec.poles)
+def _forced_response(params: SystemParams, bath: BathParams,
+                     force: ForceProfile, t: float) -> float:
+    """(G * F)(t), x(t) from rest: one exponential for a harmonic drive, and
+    one per linear piece of a constant or tabulated force."""
+    gen, _ = _generator(params, bath, 5)
+    gen[1, 3] = 1.0   # the fourth state is a force on v
     if isinstance(force, HarmonicForce):
-        amp, w = force.amplitude, force.omega0
-        scale = max(w, max(abs(p) for p in dec.poles))
-        if np.any(np.minimum(abs(s - 1j * w), abs(s + 1j * w)) < 1e-12 * scale):
-            raise ArithmeticError("resonant denominator: a pole sits at +/- i omega0")
-        u = s / w
-        return (amp / w) / (u * u + 1.0) * (
-            np.exp(s * t) - math.cos(w * t) - u * math.sin(w * t))
-    c = np.zeros(3, dtype=complex)
-    for a, b, fa, fb in force_pieces(force, 0.0, t):
-        if fa != 0.0 or fb != 0.0:
-            z = s * (b - a)
-            small = np.abs(z) <= 1.0
-            zs = np.where(small, 2.0, z)
-            p1 = (np.exp(zs) - 1.0) / zs  # phi_1(z) = (e^z - 1) / z = 1 + z phi_2(z)
-            p2 = np.where(small, np.polyval(_PHI2_SERIES, z), (p1 - 1.0) / zs)
-            p1 = np.where(small, 1.0 + z * p2, p1)
-            c += np.exp(s * (t - b)) * (b - a) * (fa * p1 + (fb - fa) * p2)
-    return c
+        # the fourth and fifth states are F sin(omega0 t) and F cos(omega0 t)
+        gen[3, 4], gen[4, 3] = force.omega0, -force.omega0
+        return float(expm(gen * t)[0, 4]) * force.amplitude
+    # on [a, b], in the time (s - a) / (b - a), the force rises from F(a) at
+    # the rate F(b) - F(a); from rest nothing moves before a nonzero piece
+    pieces = list(itertools.dropwhile(lambda piece: piece[2] == piece[3] == 0.0,
+                                      force_pieces(force, 0.0, t)))
+    if not pieces:
+        return 0.0
+    steps = gen * np.array([b - a for a, b, _, _ in pieces]).reshape(-1, 1, 1)
+    steps[:, 3, 4] = 1.0
+    state = np.zeros(5)
+    for step, (_, _, fa, fb) in zip(expm(steps), pieces):
+        state[3:] = fa, fb - fa
+        state = step @ state
+    return float(state[0])
 
 
-def mean_trajectory(dec: PoleDecomposition, x0m: float, p0m: float,
-                    force: ForceProfile, t: float) -> float:
-    """Mean position <x(t)> = <x(0)> G'(t) + <p(0)> G(t) + (G * F)(t).
-
-    The pole sum Re sum_j R_j [(<x(0)> s_j + <p(0)>) exp(s_j t) + c_j(t)],
-    with no quadrature; bath fluctuations average to zero.
-    """
+def mean_trajectory(params: SystemParams, bath: BathParams, x0m: float,
+                    p0m: float, force: ForceProfile, t: float) -> float:
+    """Mean position <x(t)> = <x(0)> G'(t) + <p(0)> G(t) + (G * F)(t); bath
+    fluctuations average to zero."""
     if t < 0.0:
         raise ValueError("t must be non-negative")
-    s = np.array(dec.poles)
-    return _real_pole_sum(np.array(dec.residues) * (
-        (x0m * s + p0m) * np.exp(s * t) + _force_terms(dec, force, t)))
+    g, gd = green_pair(params, bath, t)
+    return float(x0m * gd + p0m * g) + _forced_response(params, bath, force, t)
 
 
-def harmonic_response(dec: PoleDecomposition, F: float, omega0: float,
-                      t: float) -> float:
-    """Response to F sin(omega0 t) from rest at the origin.
-
-    x(t) = sum_j R_j (F/omega0) / ((s_j/omega0)^2 + 1)
-           * [exp(s_j t) - cos(omega0 t) - (s_j/omega0) sin(omega0 t)],
-    the partial-fraction inversion of the Laplace image; it matches the
-    quadrature convolution of G against the drive and has x(0) = 0,
-    x'(0) = 0.
-    """
-    if omega0 <= 0.0:
-        raise ValueError("omega0 must be positive")
-    if t < 0.0:
-        raise ValueError("t must be non-negative")
-    return mean_trajectory(dec, 0.0, 0.0, HarmonicForce(F, omega0), t)
+def harmonic_response(params: SystemParams, bath: BathParams, F: float,
+                      omega0: float, t: float) -> float:
+    """Response to F sin(omega0 t) from rest at the origin; it matches the
+    quadrature convolution of G against the drive."""
+    return mean_trajectory(params, bath, 0.0, 0.0, HarmonicForce(F, omega0), t)
 
 
 def noise_spectrum(bath: BathParams, params: SystemParams, omega,
@@ -309,27 +278,34 @@ def noise_spectrum(bath: BathParams, params: SystemParams, omega,
     return float(out) if out.ndim == 0 else out
 
 
-def windowed_transform(dec: PoleDecomposition, omega, t: float):
+def _window(params: SystemParams, bath: BathParams, col: np.ndarray, omega,
+            t: float):
+    """W(w, t) = e^(-zt) y(z).col - y_v(z), z = i w, for col = e^(At) e_v and
+    y(z) = (A^T - z)^-1 e_x, over the characteristic cubic p(z) = z^3
+    + omega_d z^2 + (gamma omega_d - omega^2) z - omega^2 omega_d; p never
+    vanishes on the axis, as Re p(i w) = -omega_d (w^2 + omega^2) < 0."""
+    z = 1j * np.asarray(omega, dtype=float)
+    wd, gwd, om2 = bath.omega_d, bath.gamma * bath.omega_d, params.omega**2
+    p = ((z + wd) * z + gwd - om2) * z - om2 * wd
+    y_v = -(z + wd) / p
+    return np.exp(-z * t) * ((y_v * z - gwd / p) * col[0] + y_v * col[1]
+                             + col[2] / p) - y_v
+
+
+def windowed_transform(params: SystemParams, bath: BathParams, omega, t: float):
     """Finite-time Fourier transform W(w, t) = int_0^t G(t1) e^(-i w t1) dt1.
 
-    Exact closed form sum_j R_j (e^((s_j - i w) t) - 1) / (s_j - i w);
-    terms with s_j ~ i w use the removable limit R_j t.  ``omega`` is a
-    float or an ndarray; a scalar gives a complex.
+    The x, v entry of (A - z)^-1 (e^((A - z) t) - 1), z = i w; ``omega`` is
+    a float or an ndarray, and a scalar gives a complex.
     """
     if t < 0.0:
         raise ValueError("t must be non-negative")
-    w = np.asarray(omega, dtype=float)
-    r = np.array(dec.residues)[:, None]
-    d = np.array(dec.poles)[:, None] - 1j * w.reshape(-1)   # (pole, omega)
-    near = np.abs(d) < 1e-12
-    safe = np.where(near, 1.0, d)
-    terms = np.where(near, r * t, r * (np.exp(safe * t) - 1.0) / safe)
-    total = terms.sum(axis=0).reshape(w.shape)
-    return complex(total) if total.ndim == 0 else total
+    out = _window(params, bath, _columns(params, bath, t), omega, t)
+    return complex(out) if out.ndim == 0 else out
 
 
-def _noise_term(dec: PoleDecomposition, bath: BathParams, params: SystemParams,
-                t: float, tprime: float, convention: str, abs_tol: float) -> float:
+def _noise_term(params: SystemParams, bath: BathParams, t: float, tprime: float,
+                convention: str, abs_tol: float) -> float:
     """Bath term int S(w) e^(i w (t - t')) W(w, t) conj(W(w, t')) dw, real
     on the whole line: twice its real part on the half line, which is the
     non-negative 2 S |W|^2 on the diagonal and oscillates off it."""
@@ -337,14 +313,15 @@ def _noise_term(dec: PoleDecomposition, bath: BathParams, params: SystemParams,
         raise ValueError(f"unknown noise convention {convention!r}")
     if t == 0.0 or tprime == 0.0 or (convention == OCCUPATION and bath.kT == 0.0):
         return 0.0
+    col, col_prime = _columns(params, bath, np.array([t, tprime]))
 
     def integrand(w: np.ndarray) -> np.ndarray:
         sw = noise_spectrum(bath, params, w, convention)
-        wt = windowed_transform(dec, w, t)
+        wt = _window(params, bath, col, w, t)
         if t == tprime:
             return 2.0 * sw * np.abs(wt) ** 2
         z = np.exp(1j * w * (t - tprime)) * wt * np.conjugate(
-            windowed_transform(dec, w, tprime))
+            _window(params, bath, col_prime, w, tprime))
         return 2.0 * sw * z.real
 
     return integrate_halfline(integrand, abs_tol,
@@ -353,8 +330,7 @@ def _noise_term(dec: PoleDecomposition, bath: BathParams, params: SystemParams,
                               small_runs=1 if t == tprime else 2).value
 
 
-def variance_noise_term(dec: PoleDecomposition, bath: BathParams,
-                        params: SystemParams, t: float,
+def variance_noise_term(params: SystemParams, bath: BathParams, t: float,
                         convention: str = OCCUPATION,
                         abs_tol: float = 1e-14) -> float:
     """Bath contribution 2 int_0^inf S(w) |W(w, t)|^2 dw to the variance.
@@ -365,7 +341,7 @@ def variance_noise_term(dec: PoleDecomposition, bath: BathParams,
     """
     if t < 0.0:
         raise ValueError("t must be non-negative")
-    return _noise_term(dec, bath, params, t, t, convention, abs_tol)
+    return _noise_term(params, bath, t, t, convention, abs_tol)
 
 
 @dataclass(frozen=True)
@@ -396,44 +372,46 @@ def _check_uncertainty(moments: InitialMoments, params: SystemParams) -> None:
         raise ValueError("initial moments violate the uncertainty relation")
 
 
-def _centered_covariance(dec: PoleDecomposition, moments: InitialMoments,
-                         t: float, tprime: float) -> float:
+def _centered_covariance(params: SystemParams, bath: BathParams,
+                         moments: InitialMoments, t: float, tprime: float) -> float:
     """var_x G'G' + var_p G G + sym_xp (G'(t) G(t') + G(t) G'(t'))."""
-    gd_t, gd_tp = green_derivative(dec, t), green_derivative(dec, tprime)
-    g_t, g_tp = green_function(dec, t), green_function(dec, tprime)
-    return (moments.var_x * gd_t * gd_tp + moments.var_p * g_t * g_tp
-            + moments.sym_xp * (gd_t * g_tp + gd_tp * g_t))
+    (g_t, g_tp), (gd_t, gd_tp) = green_pair(params, bath, [t, tprime])
+    return float(moments.var_x * gd_t * gd_tp + moments.var_p * g_t * g_tp
+                 + moments.sym_xp * (gd_t * g_tp + gd_tp * g_t))
 
 
-def general_variance(dec: PoleDecomposition, bath: BathParams,
-                     params: SystemParams, moments: InitialMoments, t: float,
-                     convention: str = OCCUPATION) -> float:
-    """Displacement variance from arbitrary initial moments.
-
-    var_x G'^2 + var_p G^2 + 2 sym_xp G' G plus the bath-noise spectral
-    term; the noise tolerance is slaved to the dynamic part (1e-10
-    relative).
-    """
+def variance_parts(params: SystemParams, bath: BathParams,
+                   moments: InitialMoments, t: float,
+                   convention: str = OCCUPATION) -> tuple[float, float]:
+    """The dynamic part var_x G'^2 + var_p G^2 + 2 sym_xp G' G of the variance
+    and the bath-noise part, its tolerance slaved to the first (1e-10 relative)."""
     if t < 0.0:
         raise ValueError("t must be non-negative")
     _check_uncertainty(moments, params)
-    dynamic = _centered_covariance(dec, moments, t, t)
-    return dynamic + _noise_term(dec, bath, params, t, t, convention,
-                                 1e-10 * max(abs(dynamic), 1e-30))
+    dynamic = _centered_covariance(params, bath, moments, t, t)
+    return dynamic, variance_noise_term(params, bath, t, convention,
+                                        1e-10 * max(abs(dynamic), 1e-30))
 
 
-def displacement_variance(dec: PoleDecomposition, bath: BathParams,
-                          params: SystemParams, packet: GaussianPacket,
-                          t: float, convention: str = OCCUPATION) -> float:
+def general_variance(params: SystemParams, bath: BathParams,
+                     moments: InitialMoments, t: float,
+                     convention: str = OCCUPATION) -> float:
+    """Displacement variance from arbitrary initial moments."""
+    return sum(variance_parts(params, bath, moments, t, convention))
+
+
+def displacement_variance(params: SystemParams, bath: BathParams,
+                          packet: GaussianPacket, t: float,
+                          convention: str = OCCUPATION) -> float:
     """Variance of the packet: sigma^2 G'^2 + (hbar^2/4 sigma^2) G^2 + noise."""
-    return general_variance(dec, bath, params,
+    return general_variance(params, bath,
                             InitialMoments.from_packet(packet, params), t,
                             convention)
 
 
-def symmetrized_correlation(dec: PoleDecomposition, bath: BathParams,
-                            params: SystemParams, moments: InitialMoments,
-                            force: ForceProfile, t: float, tprime: float,
+def symmetrized_correlation(params: SystemParams, bath: BathParams,
+                            moments: InitialMoments, force: ForceProfile,
+                            t: float, tprime: float,
                             convention: str = OCCUPATION) -> float:
     """Two-time symmetrized position correlator phi(t, t').
 
@@ -444,10 +422,10 @@ def symmetrized_correlation(dec: PoleDecomposition, bath: BathParams,
         raise ValueError("times must be non-negative")
     _check_uncertainty(moments, params)
     mx, mp = moments.mean_x, moments.mean_p
-    val = (_centered_covariance(dec, moments, t, tprime)
-           + mean_trajectory(dec, mx, mp, force, t)
-           * mean_trajectory(dec, mx, mp, force, tprime))
-    return val + _noise_term(dec, bath, params, t, tprime, convention,
+    val = (_centered_covariance(params, bath, moments, t, tprime)
+           + mean_trajectory(params, bath, mx, mp, force, t)
+           * mean_trajectory(params, bath, mx, mp, force, tprime))
+    return val + _noise_term(params, bath, t, tprime, convention,
                              1e-10 * max(abs(val), 1.0))
 
 

@@ -206,14 +206,13 @@ def test_criterion_07_pole_machinery_random_scan():
 
 
 def test_criterion_08_green_function_cross_oracle():
-    with criterion(8, "residue-sum impulse response equals the RK4 "
+    with criterion(8, "matrix-exponential impulse response equals the RK4 "
                       "memory-kernel oracle"):
         for gamma, omega_d in ((0.5, 10.0), (5.0, 2.0)):
             bath = BathParams(gamma, omega_d, 0.0)
-            dec = solve_poles(ACC_PARAMS, bath)
             ts, g_ode = langevin_ode_oracle(ACC_PARAMS, bath, 5.0, 5e-4)
-            g_res = green_function(dec, ts)
-            dev = np.max(np.abs(g_res - g_ode)) / np.max(np.abs(g_res))
+            g_exp = green_function(ACC_PARAMS, bath, ts)
+            dev = np.max(np.abs(g_exp - g_ode)) / np.max(np.abs(g_exp))
             assert dev < 1e-6, f"bath ({gamma}, {omega_d}): deviation {dev:.2e}"
 
 
@@ -225,16 +224,15 @@ def test_criterion_09_harmonic_response_closed_form():
             params = SystemParams(float(rng.uniform(0.5, 2.0)))
             bath = BathParams(float(rng.uniform(0.1, 3.0)),
                               float(rng.uniform(2.0, 15.0)), 0.0)
-            dec = solve_poles(params, bath)
             amp = float(rng.uniform(-1.0, 1.0))
             w0 = float(rng.uniform(0.1, 3.0))
-            assert harmonic_response(dec, amp, w0, 0.0) == 0.0
+            assert harmonic_response(params, bath, amp, w0, 0.0) == 0.0
             for t in (0.7, 1.9, 3.0):
                 quad = integrate_adaptive(
-                    lambda t1: green_function(dec, t - t1) * amp
+                    lambda t1: green_function(params, bath, t - t1) * amp
                     * np.sin(w0 * t1), 0.0, t,
                     abs_tol=1e-13, rel_tol=1e-12).value
-                dev = abs(harmonic_response(dec, amp, w0, t) - quad)
+                dev = abs(harmonic_response(params, bath, amp, w0, t) - quad)
                 assert dev < 1e-8
 
 
@@ -245,40 +243,34 @@ def test_criterion_10_variance_limits():
         packet = GaussianPacket(0.0, 0.0, 1.0)
 
         bath = BathParams(0.5, 10.0, 1.0)
-        dec = solve_poles(ACC_PARAMS, bath)
-        assert abs(displacement_variance(dec, bath, ACC_PARAMS, packet, 0.0)
+        assert abs(displacement_variance(ACC_PARAMS, bath, packet, 0.0)
                    - packet.sigma**2) < 1e-12
 
         cold = BathParams(0.5, 10.0, 0.0)
-        dec_cold = solve_poles(ACC_PARAMS, cold)
         t = 1.5
-        g = green_function(dec_cold, t)
-        gd = green_derivative(dec_cold, t)
+        g = green_function(ACC_PARAMS, cold, t)
+        gd = green_derivative(ACC_PARAMS, cold, t)
         dynamic = packet.sigma**2 * gd**2 \
             + ACC_PARAMS.hbar**2 / (4 * packet.sigma**2) * g**2
-        assert displacement_variance(dec_cold, cold, ACC_PARAMS, packet, t) \
+        assert displacement_variance(ACC_PARAMS, cold, packet, t) \
             == pytest.approx(dynamic, rel=1e-14)
 
         weak = BathParams(1e-6, 10.0, 0.0)
-        dec_weak = solve_poles(ACC_PARAMS, weak)
         eps = ACC_PARAMS.hbar / (2 * ACC_PARAMS.omega * packet.sigma**2)
         closed = packet.sigma**2 * (math.cosh(t) ** 2
                                     + eps**2 * math.sinh(t) ** 2)
-        got = displacement_variance(dec_weak, weak, ACC_PARAMS, packet, t)
+        got = displacement_variance(ACC_PARAMS, weak, packet, t)
         assert abs(got - closed) / closed < 1e-3
 
         small_h = SystemParams(1.0, hbar=1e-4)
-        dec_h = solve_poles(small_h, bath)
-        quantum = displacement_variance(dec_h, bath, small_h, packet, t)
-        classical = displacement_variance(dec_h, bath, small_h, packet, t,
-                                          CLASSICAL)
+        quantum = displacement_variance(small_h, bath, packet, t)
+        classical = displacement_variance(small_h, bath, packet, t, CLASSICAL)
         assert abs(quantum - classical) / classical < 1e-3
 
         prev = -math.inf
         for kT in (0.0, 1.0, 2.0):
             bath_kt = BathParams(0.5, 10.0, kT)
-            dec_kt = solve_poles(ACC_PARAMS, bath_kt)
-            val = displacement_variance(dec_kt, bath_kt, ACC_PARAMS, packet, t)
+            val = displacement_variance(ACC_PARAMS, bath_kt, packet, t)
             assert val >= prev
             prev = val
 

@@ -150,6 +150,27 @@ class TestAveragedTransmission:
         assert got == pytest.approx(ETA_HALF / (beta * math.sqrt(math.pi * eps)),
                                     rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("eps, beta", [(3.0, 1e5), (3.0, 1e7), (100.0, 1e7)])
+    def test_large_beta_matches_mpmath(self, eps, beta):
+        # with u = beta cos z the average is (1 / pi beta) int f(u)
+        # (1 - u^2 / beta^2)^(-1/2) du, f(u) = 1 / (1 + exp(eps (1 - u)^2)),
+        # and f < e^-1600 once |u - 1| > 40 / sqrt(eps)
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            e, b = mp.mpf(eps), mp.mpf(beta)
+            half = 40 / mp.sqrt(e)
+            ref = mp.quad(lambda u: 1 / (1 + mp.exp(e * (1 - u) ** 2))
+                          / mp.sqrt(1 - (u / b) ** 2),
+                          [1 - half, 1 - half / 4, 1, 1 + half / 4, 1 + half])
+            ref /= mp.pi * b
+        assert averaged_transmission(eps, beta) == pytest.approx(
+            float(ref), rel=1e-14, abs=0.0)
+
+    def test_limit_correction_constant_matches_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        assert barrier_transmission._ETA_RATIO == pytest.approx(
+            float(mp.altzeta(1.5) / (2 * mp.altzeta(0.5))), rel=1e-16)
+
     def test_eta_half_matches_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
         assert barrier_transmission._ETA_HALF == ETA_HALF == pytest.approx(

@@ -255,6 +255,23 @@ class TestTunnel:
         assert last[header.index("A_prefactor")] == ""
         assert last[header.index("w_avg_asymptotic")] == ""
 
+    def test_asymptotic_columns_match_library(self, capsys):
+        code, out, err = run_cli(["tunnel", "--set", "tunnel.beta_min=0.05",
+                                  "--set", "tunnel.beta_max=1.55",
+                                  "--set", "tunnel.points=7"], capsys)
+        assert code == 0
+        assert err.count("warning") == 1
+        _, header, rows = parse_csv(out)
+        for row in rows:
+            beta = float(row[0])
+            if beta < 1.0:
+                assert float(row[header.index("A_prefactor")]) == \
+                    invosc.asymptotic_prefactor(3.0, beta)
+                assert float(row[header.index("w_avg_asymptotic")]) == \
+                    invosc.averaged_transmission_asymptotic(3.0, beta)
+            else:
+                assert row[header.index("A_prefactor")] == ""
+
     def test_zero_drive_row_consistency(self, capsys):
         code, out, _ = run_cli(["tunnel", "--set", "tunnel.beta_min=0.0",
                                 "--set", "tunnel.beta_max=0.5",
@@ -379,11 +396,11 @@ class TestOpenEvolve:
         assert code == 0
         _, header, rows = parse_csv(out)
         params = invosc.SystemParams(1.0)
-        dec = invosc.solve_poles(params, invosc.BathParams(0.5, 10.0, 0.0))
+        bath = invosc.BathParams(0.5, 10.0, 0.0)
         for row in rows[1:]:
             t = float(row[header.index("t")])
             quad = invosc.integrate_adaptive(
-                lambda t1: invosc.green_function(dec, t - t1)
+                lambda t1: invosc.green_function(params, bath, t - t1)
                 * 0.1 * np.sin(0.2 * t1),
                 0.0, t, abs_tol=1e-13, rel_tol=1e-12).value
             assert float(row[header.index("mean_x")]) == pytest.approx(

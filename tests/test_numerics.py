@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import rk4_path
 from invosc import (GaussianPacket, HarmonicForce, QuadratureError,
-                    SystemParams, ZeroForce, bessel_k_quarter,
+                    SystemParams, ZeroForce, bessel_k_quarter, expm,
                     free_grid_evolve, grid_from_packet, integrate_adaptive,
                     integrate_halfline, langevin_ode_oracle,
                     schrodinger_grid_evolve, solve_cubic)
@@ -217,6 +217,52 @@ def _series_i(nu, z, terms=60):
 def _series_k_quarter(z):
     return math.pi / 2.0 * (_series_i(-0.25, z) - _series_i(0.25, z)) \
         / math.sin(math.pi / 4.0)
+
+
+class TestExpm:
+    def test_zero_is_identity(self):
+        np.testing.assert_array_equal(expm(np.zeros((4, 4))), np.eye(4))
+
+    def test_closed_forms(self):
+        # a rotation generator, a hyperbolic one, and a nilpotent block
+        for t in (1e-9, 0.3, 2.0, 40.0):
+            rot = expm(np.array([[0.0, -t], [t, 0.0]]))
+            np.testing.assert_allclose(rot, [[math.cos(t), -math.sin(t)],
+                                             [math.sin(t), math.cos(t)]],
+                                       rtol=0.0, atol=1e-13 * max(1.0, t))
+            hyp = expm(np.array([[0.0, t], [t, 0.0]]))
+            np.testing.assert_allclose(hyp, [[math.cosh(t), math.sinh(t)],
+                                             [math.sinh(t), math.cosh(t)]],
+                                       rtol=1e-13 * max(1.0, t))
+            nil = expm(np.array([[0.0, t, 0.0], [0.0, 0.0, t], [0.0, 0.0, 0.0]]))
+            np.testing.assert_allclose(nil, [[1.0, t, t * t / 2], [0.0, 1.0, t],
+                                             [0.0, 0.0, 1.0]], rtol=1e-15)
+
+    def test_stack_matches_single_calls(self):
+        rng = np.random.default_rng(5)
+        scales = np.array([1e-3, 1.0, 30.0])[:, None, None]
+        stack = rng.normal(size=(2, 3, 5, 5)) * scales
+        out = expm(stack)
+        assert out.shape == stack.shape
+        for i in np.ndindex(stack.shape[:2]):
+            np.testing.assert_array_equal(out[i], expm(stack[i]))
+        # a stack longer than one batch of 256
+        long = rng.normal(size=(600, 3, 3)) * 5.0
+        np.testing.assert_array_equal(expm(long)[[0, 255, 256, 599]],
+                                      [expm(long[i]) for i in (0, 255, 256, 599)])
+
+    def test_mpmath_oracle(self):
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(9)
+        with mp.workdps(40):
+            for size in (2, 3, 5, 6):
+                for scale in (1e-6, 0.5, 4.0, 30.0):
+                    a = rng.normal(size=(size, size)) * scale
+                    ref = mp.expm(mp.matrix(a.tolist()))
+                    ref = np.array([[float(ref[i, j]) for j in range(size)]
+                                    for i in range(size)])
+                    np.testing.assert_allclose(expm(a), ref, rtol=0.0,
+                                               atol=1e-14 * np.abs(ref).max())
 
 
 class TestBesselKQuarter:

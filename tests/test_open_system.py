@@ -1,9 +1,8 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rk4_path
@@ -14,11 +13,12 @@ from invosc import (CLASSICAL, OCCUPATION, SYMMETRIZED, BathParams,
                     characteristic_coefficients, discriminant_boundary,
                     displacement_variance, drude_kernel, force_at,
                     general_variance, green_derivative, green_function,
-                    harmonic_response, integrate_adaptive, integrate_halfline,
-                    langevin_ode_oracle, mean_trajectory, noise_spectrum,
-                    solve_cubic, solve_poles, symmetrized_correlation,
-                    windowed_transform)
-from invosc.open_system import _force_terms
+                    green_pair, harmonic_response, integrate_adaptive,
+                    integrate_halfline, langevin_ode_oracle, mean_trajectory,
+                    noise_spectrum, solve_cubic, solve_poles,
+                    symmetrized_correlation, variance_noise_term,
+                    variance_parts, windowed_transform)
+from invosc.core import force_pieces
 
 PARAMS = SystemParams(1.0)
 BATH = BathParams(gamma=0.5, omega_d=10.0, kT=1.0)
@@ -39,11 +39,77 @@ PIECEWISE_FORCES = {
 HARMONIC_RESPONSE_FIXTURE = 0.026265104883926603
 
 
+# ---------------------------------------------------------------------------
+# Residue-sum oracle: every quantity as a sum over the poles and residues of
+# solve_poles.  It is exact where the poles are well separated, and is used
+# only there.
+# ---------------------------------------------------------------------------
+
+def residue_green(dec, t, k=0):
+    """Re sum_j R_j s_j^k exp(s_j t): G for k = 0, G' for k = 1."""
+    r, s = np.array(dec.residues), np.array(dec.poles)
+    return np.sum(r * s**k * np.exp(np.multiply.outer(np.asarray(t, float), s)),
+                  axis=-1).real
+
+
+# Horner coefficients of phi_2(z) = (e^z - 1 - z) / z^2 = sum_k z^k / (k + 2)!,
+# summed for |z| <= 1, where the closed form cancels.
+_PHI2_SERIES = [1.0 / math.factorial(k + 2) for k in range(20)][::-1]
+
+
+def residue_force_terms(dec, force, t):
+    """c_j(t) = int_0^t exp(s_j (t - u)) F(u) du for each pole s_j."""
+    s = np.array(dec.poles)
+    if isinstance(force, HarmonicForce):
+        amp, w = force.amplitude, force.omega0
+        u = s / w
+        return (amp / w) / (u * u + 1.0) * (
+            np.exp(s * t) - math.cos(w * t) - u * math.sin(w * t))
+    c = np.zeros(3, dtype=complex)
+    for a, b, fa, fb in force_pieces(force, 0.0, t):
+        z = s * (b - a)
+        small = np.abs(z) <= 1.0
+        zs = np.where(small, 2.0, z)
+        p1 = (np.exp(zs) - 1.0) / zs
+        p2 = np.where(small, np.polyval(_PHI2_SERIES, z), (p1 - 1.0) / zs)
+        p1 = np.where(small, 1.0 + z * p2, p1)
+        c += np.exp(s * (t - b)) * (b - a) * (fa * p1 + (fb - fa) * p2)
+    return c
+
+
+def residue_mean(dec, x0m, p0m, force, t):
+    """Re sum_j R_j [(x0 s_j + p0) exp(s_j t) + c_j(t)] and the sum of the
+    absolute values of its terms, its size before they cancel."""
+    s = np.array(dec.poles)
+    terms = np.array(dec.residues) * (
+        (x0m * s + p0m) * np.exp(s * t) + residue_force_terms(dec, force, t))
+    return float(terms.sum().real), float(np.abs(terms).sum())
+
+
+def residue_window(dec, omega, t):
+    """sum_j R_j (exp((s_j - i w) t) - 1) / (s_j - i w) and its size."""
+    d = np.array(dec.poles)[:, None] - 1j * np.asarray(omega, float)
+    terms = np.array(dec.residues)[:, None] * (np.exp(d * t) - 1.0) / d
+    return terms.sum(axis=0), np.abs(terms).sum(axis=0)
+
+
 def _force_size(dec, force, t):
     """sum_j |R_j c_j(t)|: the size the pole sum of the force response has
     before its terms cancel."""
     return float(np.sum(np.abs(np.array(dec.residues)
-                               * _force_terms(dec, force, t))))
+                               * residue_force_terms(dec, force, t))))
+
+
+def markov_rk4(params, bath, force, y0, t_final, dt):
+    """RK4 on x' = v, v' = omega^2 x - w + F, w' = -omega_d w + gamma omega_d v,
+    stepping onto the knots of a tabulated force."""
+    om2, wd, gwd = params.omega**2, bath.omega_d, bath.gamma * bath.omega_d
+
+    def rhs(t, y):
+        x, v, w = y
+        return np.array([v, om2 * x - w + force_at(force, t), -wd * w + gwd * v])
+
+    return rk4_path(rhs, y0, t_final, dt, breakpoints=getattr(force, "times", ()))
 
 
 class TestKernelAndSpectrum:
@@ -128,7 +194,7 @@ class TestSolvePoles:
             < 1e-12
 
     def test_rejects_undamped_bath(self):
-        with pytest.raises(ValueError, match="closed_system_green"):
+        with pytest.raises(ValueError, match="gamma > 0"):
             solve_poles(PARAMS, BathParams(0.0, 10.0, 0.0))
 
     def test_random_scan_residuals_classes_and_stability(self):
@@ -183,70 +249,233 @@ class TestSolvePoles:
 
 class TestGreenFunction:
     def test_initial_conditions(self):
-        dec = solve_poles(PARAMS, BATH)
-        assert abs(green_function(dec, 0.0)) < 1e-12
-        assert green_derivative(dec, 0.0) == pytest.approx(1.0, abs=1e-12)
+        assert green_function(PARAMS, BATH, 0.0) == 0.0
+        assert green_derivative(PARAMS, BATH, 0.0) == 1.0
 
     def test_weak_damping_limit(self):
-        dec = solve_poles(PARAMS, BathParams(1e-6, 10.0, 0.0))
-        assert green_function(dec, 1.0) == pytest.approx(math.sinh(1.0),
-                                                         abs=1e-4)
-        assert green_derivative(dec, 1.0) == pytest.approx(math.cosh(1.0),
-                                                           abs=1e-4)
+        bath = BathParams(1e-6, 10.0, 0.0)
+        assert green_function(PARAMS, bath, 1.0) == pytest.approx(math.sinh(1.0),
+                                                                  abs=1e-4)
+        assert green_derivative(PARAMS, bath, 1.0) == pytest.approx(
+            math.cosh(1.0), abs=1e-4)
+
+    @pytest.mark.parametrize("omega", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("omega_d", [0.5, 4.0])
+    def test_undamped_is_the_closed_system(self, omega, omega_d):
+        # at gamma = 0 the memory state stays at zero
+        params = SystemParams(omega)
+        bath = BathParams(0.0, omega_d * omega, 0.0)
+        ts = np.linspace(0.05, 4.0, 40) / omega
+        g, gd = green_pair(params, bath, ts)
+        np.testing.assert_allclose(g, np.sinh(omega * ts) / omega, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(gd, np.cosh(omega * ts), rtol=1e-14, atol=0.0)
 
     def test_derivative_matches_finite_difference(self):
-        dec = solve_poles(PARAMS, BATH)
         h = 1e-6
         for t in (0.3, 1.0, 2.5):
-            fd = (green_function(dec, t + h) - green_function(dec, t - h)) \
-                / (2 * h)
-            assert green_derivative(dec, t) == pytest.approx(fd, rel=1e-6)
+            fd = (green_function(PARAMS, BATH, t + h)
+                  - green_function(PARAMS, BATH, t - h)) / (2 * h)
+            assert green_derivative(PARAMS, BATH, t) == pytest.approx(fd, rel=1e-6)
 
     def test_matches_rk4_memory_kernel_oracle(self):
         bath = BathParams(0.5, 10.0, 0.0)
-        dec = solve_poles(PARAMS, bath)
         ts, g_ode = langevin_ode_oracle(PARAMS, bath, 5.0, 5e-4)
-        g_res = green_function(dec, ts)
-        assert np.max(np.abs(g_res - g_ode)) / np.max(np.abs(g_res)) < 1e-6
+        g = green_function(PARAMS, bath, ts)
+        assert np.max(np.abs(g - g_ode)) / np.max(np.abs(g)) < 1e-6
 
     def test_accepts_time_arrays(self):
-        dec = solve_poles(PARAMS, BATH)
         ts = np.linspace(0.0, 2.0, 9)
-        vals = green_function(dec, ts)
+        vals = green_function(PARAMS, BATH, ts)
         assert vals.shape == (9,)
-        assert vals[0] == pytest.approx(0.0, abs=1e-12)
+        assert vals[0] == 0.0
+        assert isinstance(green_function(PARAMS, BATH, 1.0), float)
+        g, gd = green_pair(PARAMS, BATH, ts.reshape(3, 3))
+        assert g.shape == gd.shape == (3, 3)
+        np.testing.assert_array_equal(g.ravel(), vals)
+        np.testing.assert_array_equal(
+            gd.ravel(), [green_derivative(PARAMS, BATH, float(t)) for t in ts])
+
+
+class TestResidueOracle:
+    """Where the poles are well separated, every quantity is also an exact
+    residue sum; the two must agree to 1e-11 of the sum's size."""
+
+    @staticmethod
+    def _separated_cases(seed, count):
+        rng = np.random.default_rng(seed)
+        cases = []
+        while len(cases) < count:
+            params = SystemParams(float(rng.uniform(0.3, 3.0)))
+            bath = BathParams(float(rng.uniform(0.05, 5.0)),
+                              float(rng.uniform(0.5, 20.0)), 0.0)
+            dec = solve_poles(params, bath)
+            sep = min(abs(dec.poles[i] - dec.poles[j])
+                      for i in range(3) for j in range(i + 1, 3))
+            if sep > 0.05 * max(abs(s) for s in dec.poles):
+                t = float(rng.uniform(0.1, 4.0)) / params.omega
+                cases.append((params, bath, dec, t))
+        return cases
+
+    def test_green_function_and_derivative(self):
+        for params, bath, dec, t in self._separated_cases(1, 60):
+            ts = np.linspace(0.0, t, 7)
+            g, gd = green_pair(params, bath, ts)
+            r = np.abs(np.array(dec.residues))
+            s = np.array(dec.poles)
+            for k, got in ((0, g), (1, gd)):
+                size = np.sum(r * np.abs(s) ** k
+                              * np.abs(np.exp(np.multiply.outer(ts, s))), axis=-1)
+                assert np.all(np.abs(got - residue_green(dec, ts, k)) <= 1e-11 * size)
+
+    @pytest.mark.parametrize("force", [
+        ZeroForce(), ConstantForce(0.6), PIECEWISE_FORCES["kink"],
+        PIECEWISE_FORCES["jump"], HarmonicForce(0.7, 1.3)],
+        ids=["zero", "constant", "kink", "jump", "harmonic"])
+    def test_mean(self, force):
+        for params, bath, dec, t in self._separated_cases(2, 40):
+            ref, size = residue_mean(dec, 0.7, -0.4, force, t)
+            got = mean_trajectory(params, bath, 0.7, -0.4, force, t)
+            assert abs(got - ref) <= 1e-11 * size
+
+    def test_windowed_transform(self):
+        ws = np.array([-7.0, -0.9, 0.0, 0.3, 1.1, 25.0])
+        for params, bath, dec, t in self._separated_cases(3, 40):
+            ref, size = residue_window(dec, ws * params.omega, t)
+            got = windowed_transform(params, bath, ws * params.omega, t)
+            assert np.all(np.abs(got - ref) <= 1e-11 * size)
+
+
+class TestDegenerateBoundary:
+    """The evaluators hold through the degenerate-pole boundary b = b_c(a),
+    where a residue sum loses its digits."""
+
+    # the boundary case of the open-poles table: omega = 1, omega_d = 4,
+    # gamma = (b_c(4) + 1) / 4
+    GAMMA_C = 0.7938713443812133
+
+    @settings(max_examples=15, deadline=None)
+    @given(a=st.floats(3.0, 5.0), k=st.integers(0, 14), side=st.sampled_from([-1, 1]),
+           omega=st.floats(0.5, 2.0),
+           knots=st.sets(st.integers(0, 40), min_size=2, max_size=5),
+           values=st.lists(st.integers(-10, 10), min_size=5, max_size=5),
+           amplitude=st.integers(-10, 10), omega0=st.integers(1, 30))
+    # the open-poles boundary case; at k = 16, 1 + 1e-16 rounds to 1 and b = b_c
+    @example(a=4.0, k=16, side=1, omega=1.0, knots={0, 13, 40},
+             values=[3, -5, 10, 0, 0], amplitude=7, omega0=11)
+    @example(a=4.0, k=14, side=-1, omega=1.0, knots={0, 13, 40},
+             values=[3, -5, 10, 0, 0], amplitude=7, omega0=11)
+    @example(a=4.0, k=14, side=1, omega=1.0, knots={0, 13, 40},
+             values=[3, -5, 10, 0, 0], amplitude=7, omega0=11)
+    def test_straddling_box_matches_rk4_and_scipy(self, a, k, side, omega, knots,
+                                                  values, amplitude, omega0):
+        # b = b_c(a) (1 +- 10^-k); b_c > 0 for a >= 3, so gamma > 0.  Up to
+        # a = 5, RK4 at dt = 1e-3 / omega is good to 1e-13 of max |G|.
+        b = discriminant_boundary(a) * (1.0 + side * 10.0 ** -k)
+        params = SystemParams(omega)
+        bath = BathParams((b + 1.0) * omega / a, a * omega, 0.0)
+        om2, wd, gwd = omega**2, bath.omega_d, bath.gamma * bath.omega_d
+        t_end = 4.0 / omega
+        tabulated = TabulatedForce(tuple(n * t_end / 40 for n in sorted(knots)),
+                                   tuple(v / 10 for v in values[:len(knots)]))
+        harmonic = HarmonicForce(amplitude / 10, omega0 / 10 * omega)
+        x0, p0 = 0.3, -0.2
+
+        def rhs(t, y):
+            # G from (0, 1, 0) unforced; each mean from w(0) = gamma omega_d x0
+            f_tab = float(np.interp(t, tabulated.times, tabulated.values,
+                                    left=0.0, right=0.0))
+            f_harm = harmonic.amplitude * math.sin(harmonic.omega0 * t)
+            out = []
+            for i, f in ((0, 0.0), (3, f_tab), (6, f_harm)):
+                x, v, w = y[i:i + 3]
+                out += [v, om2 * x - w + f, -wd * w + gwd * v]
+            return np.array(out)
+
+        times, path = rk4_path(rhs, [0.0, 1.0, 0.0] + 2 * [x0, p0, gwd * x0],
+                               t_end, 1e-3 / omega, breakpoints=tabulated.times)
+        g_size = np.max(np.abs(path[:, 0]))
+        gd_size = np.max(np.abs(path[:, 1]))
+        every = 250
+        ts = times[::every]
+        g, gd = green_pair(params, bath, ts)
+        assert np.max(np.abs(g - path[::every, 0])) <= 1e-12 * g_size
+        assert np.max(np.abs(gd - path[::every, 1])) <= 1e-12 * gd_size
+        for column, force in ((3, tabulated), (6, harmonic)):
+            f_max = max(1.0, np.max(np.abs(force_at(force, times))))
+            size = abs(x0) * gd_size + (abs(p0) + f_max * t_end) * g_size
+            for i in range(0, len(times), every):
+                got = mean_trajectory(params, bath, x0, p0, force, float(times[i]))
+                assert abs(got - path[i, column]) <= 1e-12 * size
+
+        linalg = pytest.importorskip("scipy.linalg")
+        gen = np.array([[0.0, 1.0, 0.0], [om2, 0.0, -1.0], [0.0, gwd, -wd]])
+        ref = np.array([linalg.expm(gen * t)[:, 1] for t in ts])
+        assert np.max(np.abs(g - ref[:, 0])) <= 1e-12 * g_size
+        assert np.max(np.abs(gd - ref[:, 1])) <= 1e-12 * gd_size
+        aug = np.zeros((5, 5))
+        aug[:3, :3] = gen
+        aug[1, 3] = 1.0
+        aug[3, 4], aug[4, 3] = harmonic.omega0, -harmonic.omega0
+        size = max(1.0, abs(harmonic.amplitude)) * t_end * g_size
+        for t in ts:
+            forced = linalg.expm(aug * t)[0, 4] * harmonic.amplitude
+            got = mean_trajectory(params, bath, 0.0, 0.0, harmonic, float(t))
+            assert abs(got - forced) <= 1e-12 * size
+
+    def test_cli_boundary_case_is_exact(self, capsys):
+        from invosc.cli import main
+        assert main(["open-evolve", "--set", f"bath.gamma={self.GAMMA_C!r}",
+                     "--set", "bath.omega_d=4.0", "--set", "bath.kT=0",
+                     "--set", "open.samples=5", "--set", "open.t_max=4"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        header = lines[1].split(",")
+        rows = [line.split(",") for line in lines[2:]]
+        assert rows[0][header.index("G")] == "0.0000000000000000e+00"
+        assert rows[0][header.index("G_dot")] == "1.0000000000000000e+00"
+        bath = BathParams(self.GAMMA_C, 4.0, 0.0)
+        ts, g_ode = langevin_ode_oracle(PARAMS, bath, 4.0, 1e-3)
+        for row in rows[1:]:
+            t = float(row[0])
+            ref = g_ode[int(round(t / 1e-3))]
+            got = float(row[header.index("G")])
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 class TestMeanTrajectory:
     def test_rest_stays_at_rest(self):
-        dec = solve_poles(PARAMS, BATH)
         for t in (0.0, 0.8, 2.0):
-            assert mean_trajectory(dec, 0.0, 0.0, ZeroForce(), t) == 0.0
+            assert mean_trajectory(PARAMS, BATH, 0.0, 0.0, ZeroForce(), t) == 0.0
 
     def test_homogeneous_pole_sum_identity(self):
         dec = solve_poles(PARAMS, BATH)
         x0m, p0m, t = 0.7, -0.4, 1.3
-        direct = mean_trajectory(dec, x0m, p0m, ZeroForce(), t)
+        direct = mean_trajectory(PARAMS, BATH, x0m, p0m, ZeroForce(), t)
         pole_sum = sum((x0m * s + p0m) * r * np.exp(s * t)
                        for r, s in zip(dec.residues, dec.poles))
         assert direct == pytest.approx(float(pole_sum.real), abs=1e-10)
+
+    def test_undriven_mean_is_exactly_x0_gdot_plus_p0_g(self):
+        x0m, p0m = 0.7, -0.4
+        for t in (0.0, 0.5, 1.3, 3.0):
+            g, gd = green_pair(PARAMS, BATH, t)
+            assert mean_trajectory(PARAMS, BATH, x0m, p0m, ZeroForce(), t) \
+                == x0m * gd + p0m * g
 
     def test_constant_force_convolution_closed_form(self):
         dec = solve_poles(PARAMS, BATH)
         f0, t = 0.6, 1.4
         closed = sum(r * f0 * (np.exp(s * t) - 1.0) / s
                      for r, s in zip(dec.residues, dec.poles))
-        got = mean_trajectory(dec, 0.0, 0.0, ConstantForce(f0), t)
+        got = mean_trajectory(PARAMS, BATH, 0.0, 0.0, ConstantForce(f0), t)
         assert got == pytest.approx(float(closed.real), abs=1e-9)
 
     def test_harmonic_route_matches_quadrature(self):
-        dec = solve_poles(PARAMS, BATH)
         force = HarmonicForce(0.1, 0.2)
         t = 2.0
         quad = integrate_adaptive(
-            lambda t1: green_function(dec, t - t1) * 0.1 * np.sin(0.2 * t1),
+            lambda t1: green_function(PARAMS, BATH, t - t1) * 0.1 * np.sin(0.2 * t1),
             0.0, t, abs_tol=1e-13, rel_tol=1e-12).value
-        assert mean_trajectory(dec, 0.0, 0.0, force, t) == pytest.approx(
+        assert mean_trajectory(PARAMS, BATH, 0.0, 0.0, force, t) == pytest.approx(
             quad, abs=1e-8)
 
     @pytest.mark.parametrize("bath", [BATH, COMPLEX_BATH], ids=["real", "complex"])
@@ -256,17 +485,10 @@ class TestMeanTrajectory:
         # x'(u) du obeys w' = -omega_d w + gamma omega_d x', exactly
         force = PIECEWISE_FORCES[name]
         dec = solve_poles(PARAMS, bath)
-        om2, wd, gwd = PARAMS.omega**2, bath.omega_d, bath.gamma * bath.omega_d
-
-        def rhs(t, y):
-            x, v, w = y
-            return np.array([v, om2 * x - w + force_at(force, t), -wd * w + gwd * v])
-
-        ts, ys = rk4_path(rhs, [0.0, 0.0, 0.0], 4.0, 1e-3,
-                          breakpoints=getattr(force, "times", ()))
+        ts, ys = markov_rk4(PARAMS, bath, force, [0.0, 0.0, 0.0], 4.0, 1e-3)
         for i in range(0, len(ts), 97):
             t = float(ts[i])
-            assert abs(mean_trajectory(dec, 0.0, 0.0, force, t) - ys[i, 0]) \
+            assert abs(mean_trajectory(PARAMS, bath, 0.0, 0.0, force, t) - ys[i, 0]) \
                 <= 1e-10 * _force_size(dec, force, t)
 
     @pytest.mark.parametrize("bath", [BATH, COMPLEX_BATH], ids=["real", "complex"])
@@ -278,7 +500,8 @@ class TestMeanTrajectory:
         with mp.workdps(40):
             ts, fs = [mp.mpf(k) for k in force.times], [mp.mpf(f) for f in force.values]
             for t in (ramp_start + 3e-8, ramp_end, 0.3 + 2e-7, 2.5, 4.0):
-                # c_j(t) on each linear piece before t
+                # the mean from rest, int_0^t G(t - u) F(u) du, on each
+                # linear piece before t, with G as the residue sum
                 ref = mp.mpf(0)
                 for r, s in zip(dec.residues, dec.poles):
                     c = mp.mpc(0)
@@ -288,8 +511,13 @@ class TestMeanTrajectory:
                                          * (fa + (fb - fa) * (u - a) / (b - a)),
                                          [a, min(b, mp.mpf(t))])
                     ref += mp.re(mp.mpc(r) * c)
-                got = mean_trajectory(dec, 0.0, 0.0, force, t)
+                got = mean_trajectory(PARAMS, bath, 0.0, 0.0, force, t)
                 assert abs(got - float(ref)) <= 1e-14 * _force_size(dec, force, t)
+
+    def test_delta_kick_rejected(self):
+        from invosc import DeltaKick
+        with pytest.raises(ValueError, match="kick"):
+            mean_trajectory(PARAMS, BATH, 0.0, 0.0, DeltaKick(1.0, 0.5), 1.0)
 
 
 class TestPoleSumProperties:
@@ -308,8 +536,9 @@ class TestPoleSumProperties:
         r, s = np.array(dec.residues), np.array(dec.poles)
         for k, expected in ((0, 0.0), (1, 1.0), (2, 0.0)):
             assert abs(np.sum(r * s**k) - expected) <= 1e-10 * np.sum(np.abs(r * s**k))
-        assert abs(green_function(dec, 0.0)) <= 1e-10 * np.sum(np.abs(r))
-        assert abs(green_derivative(dec, 0.0) - 1.0) <= 1e-10 * np.sum(np.abs(r * s))
+        assert abs(green_function(params, bath, 0.0)) <= 1e-10 * np.sum(np.abs(r))
+        assert abs(green_derivative(params, bath, 0.0) - 1.0) \
+            <= 1e-10 * np.sum(np.abs(r * s))
 
         horizon = 10.0 / omega
         times = sorted(data.draw(st.sets(st.floats(0.0, horizon),
@@ -320,7 +549,7 @@ class TestPoleSumProperties:
                                     min_size=len(times), max_size=len(times)))
         force = TabulatedForce(tuple(times), tuple(values))
         t = data.draw(st.integers(0, 10**6)) * horizon / 10**6
-        got = mean_trajectory(dec, 0.0, 0.0, force, t)  # realness guard holds
+        got = mean_trajectory(params, bath, 0.0, 0.0, force, t)
         # natural size: int_0^t sum_j |R_j exp(s_j (t - u)) F(u)| du at most
         size = (np.sum(np.abs(r) * np.maximum(1.0, np.abs(np.exp(s * t))))
                 * t * max(map(abs, values)))
@@ -328,7 +557,7 @@ class TestPoleSumProperties:
         # 1e-12 t adds less than 1e-12 size and is left out
         cuts = [0.0, *(k for k in times if 0.0 < k < t), t]
         ref = sum(integrate_adaptive(
-            lambda u: green_function(dec, t - u) * force_at(force, u), a, b,
+            lambda u: green_function(params, bath, t - u) * force_at(force, u), a, b,
             abs_tol=1e-12 * size / len(cuts), rel_tol=1e-12).value
             for a, b in zip(cuts, cuts[1:]) if b - a > 1e-12 * t)
         assert abs(got - ref) <= 1e-9 * size
@@ -336,13 +565,11 @@ class TestPoleSumProperties:
 
 class TestHarmonicResponse:
     def test_zero_at_start_and_without_drive(self):
-        dec = solve_poles(PARAMS, BATH)
-        assert harmonic_response(dec, 0.1, 0.2, 0.0) == 0.0
-        assert harmonic_response(dec, 0.0, 0.2, 2.0) == 0.0
+        assert harmonic_response(PARAMS, BATH, 0.1, 0.2, 0.0) == 0.0
+        assert harmonic_response(PARAMS, BATH, 0.0, 0.2, 2.0) == 0.0
 
     def test_pinned_fixture(self):
-        dec = solve_poles(PARAMS, BATH)
-        assert harmonic_response(dec, 0.1, 0.2, 2.0) == pytest.approx(
+        assert harmonic_response(PARAMS, BATH, 0.1, 0.2, 2.0) == pytest.approx(
             HARMONIC_RESPONSE_FIXTURE, abs=1e-12)
 
     def test_matches_convolution_quadrature(self):
@@ -351,15 +578,14 @@ class TestHarmonicResponse:
             params = SystemParams(float(rng.uniform(0.5, 2.0)))
             bath = BathParams(float(rng.uniform(0.1, 3.0)),
                               float(rng.uniform(2.0, 15.0)), 0.0)
-            dec = solve_poles(params, bath)
             amp = float(rng.uniform(-1.0, 1.0))
             w0 = float(rng.uniform(0.1, 3.0))
             t = float(rng.uniform(0.5, 3.0))
             quad = integrate_adaptive(
-                lambda t1: green_function(dec, t - t1) * amp
+                lambda t1: green_function(params, bath, t - t1) * amp
                 * np.sin(w0 * t1), 0.0, t,
                 abs_tol=1e-13, rel_tol=1e-12).value
-            assert harmonic_response(dec, amp, w0, t) == pytest.approx(
+            assert harmonic_response(params, bath, amp, w0, t) == pytest.approx(
                 quad, abs=1e-8)
 
 
@@ -418,70 +644,58 @@ class TestNoiseSpectrum:
 
 class TestWindowedTransform:
     def test_zero_window(self):
-        dec = solve_poles(PARAMS, BATH)
-        assert windowed_transform(dec, 0.7, 0.0) == 0.0
+        assert windowed_transform(PARAMS, BATH, 0.7, 0.0) == 0.0
 
     def test_matches_quadrature(self):
-        dec = solve_poles(PARAMS, BATH)
         w, t = 0.7, 2.0
         quad = integrate_adaptive(
-            lambda t1: green_function(dec, t1) * np.exp(-1j * w * t1),
+            lambda t1: green_function(PARAMS, BATH, t1) * np.exp(-1j * w * t1),
             0.0, t, abs_tol=1e-13, rel_tol=1e-12).value
-        assert abs(windowed_transform(dec, w, t) - quad) < 1e-10
+        assert abs(windowed_transform(PARAMS, BATH, w, t) - quad) < 1e-10
 
     def test_array_matches_scalar_calls_with_a_pole_on_the_axis(self):
-        # a pole placed exactly at i w0 takes the removable limit R t
-        dec = solve_poles(PARAMS, BATH)
+        # the resolvent has no pole on the real frequency axis, so the
+        # frequencies next to the old removable-limit branch are plain
         w0, t = 0.7, 1.5
-        on_axis = dataclasses.replace(
-            dec, poles=(dec.poles[0], 1j * w0, dec.poles[2]))
         ws = np.array([-3.0, -w0, 0.0, w0 - 1e-13, w0, w0 + 1e-9, 2.5])
-        for d in (dec, on_axis):
-            got = windowed_transform(d, ws, t)
+        for bath in (BATH, COMPLEX_BATH):
+            got = windowed_transform(PARAMS, bath, ws, t)
             assert isinstance(got, np.ndarray) and got.shape == ws.shape
-            assert isinstance(windowed_transform(d, w0, t), complex)
+            assert isinstance(windowed_transform(PARAMS, bath, w0, t), complex)
             np.testing.assert_allclose(
-                got, [windowed_transform(d, float(w), t) for w in ws],
+                got, [windowed_transform(PARAMS, bath, float(w), t) for w in ws],
                 rtol=1e-14, atol=0.0)
-        rest = sum(r * (np.exp((s - 1j * w0) * t) - 1.0) / (s - 1j * w0)
-                   for r, s in zip(dec.residues[::2], dec.poles[::2]))
-        assert windowed_transform(on_axis, w0, t) == pytest.approx(
-            dec.residues[1] * t + rest, rel=1e-14)
 
     def test_conjugation_symmetry(self):
-        dec = solve_poles(PARAMS, BATH)
         for w in (0.3, 1.7):
-            assert windowed_transform(dec, -w, 1.5) == pytest.approx(
-                windowed_transform(dec, w, 1.5).conjugate(), abs=1e-14)
+            assert windowed_transform(PARAMS, BATH, -w, 1.5) == pytest.approx(
+                windowed_transform(PARAMS, BATH, w, 1.5).conjugate(), abs=1e-14)
 
 
 class TestDisplacementVariance:
     def test_initial_value_exact(self):
-        dec = solve_poles(PARAMS, BATH)
         packet = GaussianPacket(0.0, 0.0, 1.3)
-        assert displacement_variance(dec, BATH, PARAMS, packet, 0.0) == \
+        assert displacement_variance(PARAMS, BATH, packet, 0.0) == \
             pytest.approx(packet.sigma**2, abs=1e-12)
 
     def test_zero_temperature_is_purely_dynamic(self):
         bath = BathParams(0.5, 10.0, 0.0)
-        dec = solve_poles(PARAMS, bath)
         packet = GaussianPacket(0.0, 0.0, 1.0)
         t = 1.5
-        g, gd = green_function(dec, t), green_derivative(dec, t)
+        g, gd = green_function(PARAMS, bath, t), green_derivative(PARAMS, bath, t)
         expected = packet.sigma**2 * gd**2 \
             + PARAMS.hbar**2 / (4 * packet.sigma**2) * g**2
-        assert displacement_variance(dec, bath, PARAMS, packet, t) == \
+        assert displacement_variance(PARAMS, bath, packet, t) == \
             pytest.approx(expected, rel=1e-14)
 
     def test_weak_damping_recovers_closed_width_law(self):
         bath = BathParams(1e-6, 10.0, 0.0)
-        dec = solve_poles(PARAMS, bath)
         packet = GaussianPacket(0.0, 0.0, 1.0)
         t = 1.2
         eps = PARAMS.hbar / (2 * PARAMS.omega * packet.sigma**2)
         closed = packet.sigma**2 * (math.cosh(t) ** 2
                                     + eps**2 * math.sinh(t) ** 2)
-        got = displacement_variance(dec, bath, PARAMS, packet, t)
+        got = displacement_variance(PARAMS, bath, packet, t)
         assert got == pytest.approx(closed, rel=1e-3)
 
     def test_monotone_in_temperature(self):
@@ -490,34 +704,47 @@ class TestDisplacementVariance:
         prev = -math.inf
         for kT in (0.0, 0.5, 1.0, 2.0):
             bath = BathParams(0.5, 10.0, kT)
-            dec = solve_poles(PARAMS, bath)
-            val = displacement_variance(dec, bath, PARAMS, packet, t)
+            val = displacement_variance(PARAMS, bath, packet, t)
             assert val >= prev
             prev = val
 
     def test_quantum_to_classical_limit(self):
         params = SystemParams(1.0, hbar=1e-4)
-        dec = solve_poles(params, BATH)
         packet = GaussianPacket(0.0, 0.0, 1.0)
         t = 1.5
-        q = displacement_variance(dec, BATH, params, packet, t, OCCUPATION)
-        c = displacement_variance(dec, BATH, params, packet, t, CLASSICAL)
+        q = displacement_variance(params, BATH, packet, t, OCCUPATION)
+        c = displacement_variance(params, BATH, packet, t, CLASSICAL)
         assert q == pytest.approx(c, rel=1e-3)
+
+    def test_noise_term_of_the_residue_window(self):
+        # the noise integral over the residue-sum window, on the same sweep
+        dec = solve_poles(PARAMS, BATH)
+        t = 1.5
+        ref = integrate_halfline(
+            lambda w: 2.0 * noise_spectrum(BATH, PARAMS, w)
+            * np.abs(residue_window(dec, w, t)[0]) ** 2,
+            1e-14, first_length=BATH.omega_d, rel_tol=1e-11, small_runs=1).value
+        assert variance_noise_term(PARAMS, BATH, t) == pytest.approx(ref, rel=1e-10)
 
 
 class TestGeneralVariance:
     def test_packet_moments_reduce_to_displacement_variance(self):
-        dec = solve_poles(PARAMS, BATH)
         packet = GaussianPacket(0.4, -0.6, 1.1)
         moments = InitialMoments.from_packet(packet, PARAMS)
         t = 1.0
-        assert general_variance(dec, BATH, PARAMS, moments, t) == \
-            displacement_variance(dec, BATH, PARAMS, packet, t)
+        assert general_variance(PARAMS, BATH, moments, t) == \
+            displacement_variance(PARAMS, BATH, packet, t)
+
+    def test_parts_sum_to_the_variance(self):
+        moments = InitialMoments(0.0, 0.0, 1.0, 0.25, 0.1)
+        dynamic, noise = variance_parts(PARAMS, BATH, moments, 1.2)
+        assert general_variance(PARAMS, BATH, moments, 1.2) == dynamic + noise
+        assert noise == variance_noise_term(PARAMS, BATH, 1.2,
+                                            abs_tol=1e-10 * abs(dynamic))
 
     def test_initial_value(self):
-        dec = solve_poles(PARAMS, BATH)
         moments = InitialMoments(0.0, 0.0, 1.0, 0.25, 0.0)
-        assert general_variance(dec, BATH, PARAMS, moments, 0.0) == \
+        assert general_variance(PARAMS, BATH, moments, 0.0) == \
             pytest.approx(1.0, abs=1e-12)
 
     def test_positive_over_random_scan(self):
@@ -527,7 +754,6 @@ class TestGeneralVariance:
             bath = BathParams(float(rng.uniform(0.1, 2.0)),
                               float(rng.uniform(2.0, 15.0)),
                               float(rng.uniform(0.0, 2.0)))
-            dec = solve_poles(params, bath)
             var_x = float(rng.uniform(0.3, 2.0))
             var_p = (params.hbar / 2.0) ** 2 / var_x \
                 * float(rng.uniform(1.0, 3.0))
@@ -535,13 +761,12 @@ class TestGeneralVariance:
             sym = float(rng.uniform(-0.9, 0.9)) * bound
             moments = InitialMoments(0.0, 0.0, var_x, var_p, sym)
             t = float(rng.uniform(0.0, 2.0))
-            assert general_variance(dec, bath, params, moments, t) > 0.0
+            assert general_variance(params, bath, moments, t) > 0.0
 
     def test_uncertainty_violation_rejected(self):
-        dec = solve_poles(PARAMS, BATH)
         moments = InitialMoments(0.0, 0.0, 0.01, 0.01, 0.0)
         with pytest.raises(ValueError, match="uncertainty"):
-            general_variance(dec, BATH, PARAMS, moments, 1.0)
+            general_variance(PARAMS, BATH, moments, 1.0)
 
     def test_moment_positivity_enforced(self):
         with pytest.raises(ValueError):
@@ -552,36 +777,33 @@ class TestSymmetrizedCorrelation:
     def test_diagonal_reproduces_variance(self):
         # phi(t, t) = variance + mean^2: with nonzero means the mean's
         # cross term 2 <x0> <p0> G G' must not go missing
-        dec = solve_poles(PARAMS, BATH)
         packet = GaussianPacket(0.0, 0.0, 1.0)
         t = 1.2
         for moments, force in (
                 (InitialMoments.from_packet(packet, PARAMS), ZeroForce()),
                 (InitialMoments(0.3, -0.2, 1.0, 0.25, 0.0), ZeroForce()),
                 (InitialMoments(0.3, -0.2, 1.0, 0.25, 0.0), HarmonicForce(0.2, 0.5))):
-            diag = symmetrized_correlation(dec, BATH, PARAMS, moments, force, t, t)
-            var = general_variance(dec, BATH, PARAMS, moments, t)
-            mean = mean_trajectory(dec, moments.mean_x, moments.mean_p, force, t)
+            diag = symmetrized_correlation(PARAMS, BATH, moments, force, t, t)
+            var = general_variance(PARAMS, BATH, moments, t)
+            mean = mean_trajectory(PARAMS, BATH, moments.mean_x, moments.mean_p,
+                                   force, t)
             assert diag == pytest.approx(var + mean**2,
                                          abs=1e-9 * max(1.0, var + mean**2))
 
     def test_symmetric_in_time_arguments(self):
-        dec = solve_poles(PARAMS, BATH)
         moments = InitialMoments(0.3, -0.2, 1.0, 0.25, 0.0)
         force = HarmonicForce(0.2, 0.5)
-        a = symmetrized_correlation(dec, BATH, PARAMS, moments, force, 1.0, 2.0)
-        b = symmetrized_correlation(dec, BATH, PARAMS, moments, force, 2.0, 1.0)
+        a = symmetrized_correlation(PARAMS, BATH, moments, force, 1.0, 2.0)
+        b = symmetrized_correlation(PARAMS, BATH, moments, force, 2.0, 1.0)
         assert a == pytest.approx(b, rel=1e-10)
 
     def test_zero_temperature_dynamic_terms(self):
         bath = BathParams(0.5, 10.0, 0.0)
-        dec = solve_poles(PARAMS, bath)
         moments = InitialMoments(0.0, 0.0, 1.0, 0.25, 0.0)
         t, tp = 1.0, 2.0
-        got = symmetrized_correlation(dec, bath, PARAMS, moments,
-                                      ZeroForce(), t, tp)
-        expected = (green_derivative(dec, t) * green_derivative(dec, tp)
-                    + 0.25 * green_function(dec, t) * green_function(dec, tp))
+        got = symmetrized_correlation(PARAMS, bath, moments, ZeroForce(), t, tp)
+        (g_t, g_tp), (gd_t, gd_tp) = green_pair(PARAMS, bath, [t, tp])
+        expected = gd_t * gd_tp + 0.25 * g_t * g_tp
         assert got == pytest.approx(expected, rel=1e-12)
 
 
