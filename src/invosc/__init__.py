@@ -11,9 +11,9 @@ from .classical_dynamics import TrajectoryPoint, lagrangian_action, trajectory
 from .closed_evolution import (EvolvedGaussian, PropagatorValue, action_S,
                                delta_kick_at, evaluate, evolve_delta_kick,
                                evolve_gaussian, propagator)
-from .core import (ConstantForce, DeltaKick, ForceProfile, GaussianPacket,
-                   HarmonicForce, SystemParams, TabulatedForce, ZeroForce,
-                   evaluate_initial, force_at)
+from .core import (ConstantForce, ForceProfile, GaussianPacket, HarmonicForce,
+                   SystemParams, TabulatedForce, ZeroForce, evaluate_initial,
+                   force_at)
 from .numerics import (GridState, QuadratureError, QuadratureResult,
                        bessel_k_quarter, expm, free_grid_evolve, grid_from_packet,
                        integrate_adaptive, integrate_halfline,

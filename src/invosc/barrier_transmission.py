@@ -158,9 +158,13 @@ def asymptotic_prefactor(epsilon: float, beta: float) -> float:
         raise ValueError("prefactor undefined for a vanishing drive")
     zeta = epsilon * (1.0 - beta) ** 2 / 2.0
     if zeta > 600.0:
-        # two-term large-argument expansion of e^z K_{1/4}(z)
-        ekz = math.sqrt(math.pi / (2.0 * zeta)) * (
-            1.0 - 0.75 / (8.0 * zeta) + 3.28125 / (64.0 * zeta**2))
+        # large-argument series e^z K_{1/4}(z) = sqrt(pi / 2z) sum_k a_k z^-k,
+        # a_k = a_(k-1) (1/4 - (2k - 1)^2) / (8k); seven terms reach rounding
+        term = series = 1.0
+        for k in range(1, 7):
+            term *= (0.25 - (2 * k - 1) ** 2) / (8.0 * k * zeta)
+            series += term
+        ekz = math.sqrt(math.pi / (2.0 * zeta)) * series
     else:
         ekz = math.exp(zeta) * bessel_k_quarter(zeta)
     return math.sqrt((1.0 - beta) / beta) / (2.0 * math.pi) * ekz

@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import (DeltaKick, ForceProfile, HarmonicForce, SystemParams,
-                   force_pieces)
+from .core import ForceProfile, HarmonicForce, SystemParams, force_pieces
 
 
 @dataclass(frozen=True)
@@ -24,9 +23,7 @@ class TrajectoryPoint:
     xi_dot: float
 
 
-def _check_args(force: ForceProfile, t: float) -> None:
-    if isinstance(force, DeltaKick):
-        raise ValueError("delta kicks are handled by the closed evolution module")
+def _check_time(t: float) -> None:
     if not math.isfinite(t):
         raise ValueError("t must be finite")
     if t < 0.0:
@@ -94,7 +91,7 @@ def trajectory(params: SystemParams, x0: float, p0: float,
                force: ForceProfile, t: float) -> TrajectoryPoint:
     """Position and velocity at time t for initial data (x0, p0) at 0;
     without a force, xi(t) = x0 cosh(om t) + (p0/om) sinh(om t)."""
-    _check_args(force, t)
+    _check_time(t)
     xi, xi_dot, _ = _classical_path(params, x0, p0, force, 0.0, t)
     return TrajectoryPoint(t=t, xi=xi, xi_dot=xi_dot)
 
@@ -103,5 +100,5 @@ def lagrangian_action(params: SystemParams, x0: float, p0: float,
                       force: ForceProfile, t: float) -> float:
     """Action integral int_0^t [xi_dot^2/2 + omega^2 xi^2/2 + xi F(s)] ds
     along the classical path from (x0, p0)."""
-    _check_args(force, t)
+    _check_time(t)
     return _classical_path(params, x0, p0, force, 0.0, t)[2]

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical_dynamics import _classical_path
-from .core import (DeltaKick, ForceProfile, GaussianPacket, SystemParams,
-                   ZeroForce)
+from .core import ForceProfile, GaussianPacket, SystemParams, ZeroForce
 
 _MIN_ELAPSED_FACTOR = 1e-9  # propagator degenerates to a delta at theta -> 0
 
@@ -95,8 +94,6 @@ def action_S(params: SystemParams, x, t: float, x1, t1: float,
     S = S_F + y xi_F' + om [cosh(om theta)(y^2 + x1^2) - 2 y x1] / (2 sinh(om theta)).
     Endpoints may be complex (used by contour-based semigroup checks).
     """
-    if isinstance(force, DeltaKick):
-        raise ValueError("delta kicks are handled by their own closed form")
     theta = _check_elapsed(params, t, t1)
     om = params.omega
     sh, ch = math.sinh(om * theta), math.cosh(om * theta)
@@ -127,8 +124,6 @@ def propagator(params: SystemParams, x, t: float, x1, t1: float,
 def evolve_gaussian(params: SystemParams, packet: GaussianPacket,
                     force: ForceProfile, t: float) -> EvolvedGaussian:
     """Evolve the initial packet to time t under a pointwise force profile."""
-    if isinstance(force, DeltaKick):
-        raise ValueError("use evolve_delta_kick / delta_kick_at for kicks")
     if not math.isfinite(t) or t < 0.0:
         raise ValueError("t must be finite and non-negative")
     xi, xi_dot, action = _classical_path(params, packet.x0, packet.p0,
@@ -165,8 +160,7 @@ def evolve_delta_kick(params: SystemParams, packet: GaussianPacket,
     static barrier alone, with center
     xi(t) = x0 cosh(om t) + (P / om) sinh(om t).
     """
-    boosted = GaussianPacket(x0=packet.x0, p0=packet.p0 + p, sigma=packet.sigma)
-    return evolve_gaussian(params, boosted, ZeroForce(), t)
+    return delta_kick_at(params, packet, p, 0.0, t)
 
 
 def delta_kick_at(params: SystemParams, packet: GaussianPacket,
@@ -180,6 +174,8 @@ def delta_kick_at(params: SystemParams, packet: GaussianPacket,
     """
     if not (0.0 <= t1 <= t) or not math.isfinite(t):
         raise ValueError("need 0 <= t1 <= t")
+    if not math.isfinite(p):
+        raise ValueError("kick momentum must be finite")
     if p == 0.0:
         return evolve_gaussian(params, packet, ZeroForce(), t)
     xi1, v1, s1 = _classical_path(params, packet.x0, packet.p0, ZeroForce(),

@@ -2,7 +2,8 @@
 
 Units are natural: the particle mass is fixed to 1, the barrier curvature
 ``omega`` carries inverse time, and ``hbar`` is kept as a free parameter
-(default 1) so the classical limit can be probed numerically.
+(default 1) so the classical limit can be probed numerically.  A momentum
+kick is no force profile: ``closed_evolution.delta_kick_at`` composes it.
 """
 
 from __future__ import annotations
@@ -63,24 +64,6 @@ class HarmonicForce:
 
 
 @dataclass(frozen=True)
-class DeltaKick:
-    """Instantaneous momentum transfer at a single instant.
-
-    Has no pointwise force value; evolution handles it through a
-    dedicated closed form, never through quadrature.
-    """
-
-    momentum: float
-    kick_time: float = 0.0
-
-    def __post_init__(self):
-        _require_finite("momentum", self.momentum)
-        _require_finite("kick_time", self.kick_time)
-        if self.kick_time < 0.0:
-            raise ValueError("kick_time must be non-negative")
-
-
-@dataclass(frozen=True)
 class TabulatedForce:
     """Piecewise-linear force; zero outside the tabulated support."""
 
@@ -104,18 +87,15 @@ class TabulatedForce:
         object.__setattr__(self, "values", values)
 
 
-ForceProfile = Union[ZeroForce, ConstantForce, HarmonicForce, DeltaKick, TabulatedForce]
+ForceProfile = Union[ZeroForce, ConstantForce, HarmonicForce, TabulatedForce]
 
 
 def force_at(profile: ForceProfile, t):
     """Pointwise force value F(t) at a scalar time or an ndarray of times.
 
     Tabulated profiles interpolate linearly between nodes and vanish
-    outside their support, endpoints included in it.  A delta kick has
-    no pointwise value and is rejected.  A scalar t gives a float.
+    outside their support, endpoints included; a scalar t gives a float.
     """
-    if isinstance(profile, DeltaKick):
-        raise ValueError("kick has no pointwise value")
     ts = np.asarray(t, dtype=float)
     if not np.isfinite(ts).all():
         raise ValueError("t must be finite")

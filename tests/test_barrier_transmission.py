@@ -197,6 +197,18 @@ class TestAsymptoticPrefactor:
         assert asymptotic_prefactor(eps, beta) / limit == pytest.approx(
             1.0, abs=1e-2)
 
+    @pytest.mark.parametrize("zeta", [600.5, 700.0, 1e3, 1e4, 1e6])
+    def test_large_argument_series_matches_mpmath(self, zeta):
+        mp = pytest.importorskip("mpmath")
+        beta = 0.5
+        eps = 2.0 * zeta / (1.0 - beta) ** 2
+        with mp.workdps(40):
+            z = mp.mpf(eps) * (1 - mp.mpf(beta)) ** 2 / 2
+            ref = (mp.sqrt((1 - mp.mpf(beta)) / beta) / (2 * mp.pi)
+                   * mp.exp(z) * mp.besselk(0.25, z))
+        assert asymptotic_prefactor(eps, beta) == pytest.approx(
+            float(ref), rel=1e-14, abs=0.0)
+
     def test_rejects_suppression_and_zero_drive(self):
         with pytest.raises(ValueError, match="suppression"):
             asymptotic_prefactor(3.0, 1.0)

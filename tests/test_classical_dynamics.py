@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rk4_path
-from invosc import (ConstantForce, DeltaKick, HarmonicForce, SystemParams,
-                    TabulatedForce, ZeroForce, force_at, lagrangian_action,
-                    trajectory)
+from invosc import (ConstantForce, HarmonicForce, SystemParams, TabulatedForce,
+                    ZeroForce, force_at, lagrangian_action, trajectory)
 from invosc.classical_dynamics import _classical_path
 
 PARAMS = SystemParams(1.0)
@@ -37,9 +36,7 @@ class TestTrajectory:
         assert pt.xi == pytest.approx(math.cosh(1.0) - 1.0, rel=1e-11)
         assert pt.xi_dot == pytest.approx(math.sinh(1.0), rel=1e-11)
 
-    def test_rejects_kick_and_bad_times(self):
-        with pytest.raises(ValueError):
-            trajectory(PARAMS, 0.0, 0.0, DeltaKick(1.0), 1.0)
+    def test_rejects_bad_times(self):
         with pytest.raises(ValueError):
             trajectory(PARAMS, 0.0, 0.0, ZeroForce(), -0.5)
         with pytest.raises(ValueError):
@@ -120,10 +117,6 @@ class TestLagrangianAction:
                           + pt.xi * force_at(force, s))
         val = lagrangian_action(params, x0, p0, force, t)
         assert val == pytest.approx(total, abs=2e-7)  # midpoint rule is O(h^2)
-
-    def test_rejects_kick(self):
-        with pytest.raises(ValueError):
-            lagrangian_action(PARAMS, 0.0, 0.0, DeltaKick(1.0), 1.0)
 
 
 class TestPiecewiseForces:

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import invosc
 from invosc import cli
@@ -25,7 +27,51 @@ def parse_csv(text):
     return lines[0], header, rows
 
 
+class _ReadRecorder(dict):
+    """A config section that records the path of every key read from it."""
+
+    def __init__(self, section, path, seen):
+        super().__init__({key: _ReadRecorder(value, f"{path}{key}.", seen)
+                          if isinstance(value, dict) else value
+                          for key, value in section.items()})
+        self.path, self.seen = path, seen
+
+    def __getitem__(self, key):
+        self.seen.add(self.path + key)
+        return super().__getitem__(key)
+
+
+def _leaves(section, path=""):
+    for key, value in section.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{path}{key}.")
+        else:
+            yield path + key
+
+
 class TestConfig:
+    def test_every_config_key_is_read(self, tmp_path):
+        seen = set()
+        out = str(tmp_path / "out")
+
+        def run(command, *args, sets=()):
+            config = _ReadRecorder(cli.load_config(None, sets), "", seen)
+            assert command(config, out, *args) == 0
+
+        psi = str(tmp_path / "psi")
+        for kind in ("zero", "constant", "harmonic"):
+            run(cli.cmd_evolve, psi, sets=[f"force.kind={kind}"])
+        run(cli.cmd_evolve, psi, sets=["force.kind=tabulated",
+                                       "force.times=[0, 1]", "force.values=[0, 1]"])
+        run(cli.cmd_kick)
+        run(cli.cmd_tunnel)
+        run(cli.cmd_tunnel, True)
+        run(cli.cmd_open_poles)
+        run(cli.cmd_open_poles, ("0.5", "20", "3"))
+        run(cli.cmd_open_evolve, sets=["open.samples=2"])
+        run(cli.cmd_verify)
+        assert set(_leaves(cli.DEFAULT_CONFIG)) - seen == set()
+
     def test_print_config_is_complete_json(self, capsys):
         code, out, _ = run_cli(["evolve", "--print-config"], capsys)
         assert code == 0
@@ -144,6 +190,20 @@ class TestEvolve:
             gamma2 = float(row[ir]) ** 2 + float(row[ii]) ** 2
             assert float(row[iv]) == pytest.approx(1.2**2 * gamma2, rel=1e-8)
 
+    def test_small_mean_at_long_times(self, capsys):
+        # at t = 10 the mean, 0.11, is 7e-6 of the width
+        code, out, _ = run_cli(["evolve", "--set", "packet.x0=1e-5",
+                                "--set", "evolve.t_max=10",
+                                "--set", "evolve.samples=2"], capsys)
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        gamma2 = (float(rows[-1][header.index("re_gamma")]) ** 2
+                  + float(rows[-1][header.index("im_gamma")]) ** 2)
+        assert float(rows[-1][header.index("variance")]) == pytest.approx(
+            gamma2, rel=1e-12)
+        assert float(rows[-1][header.index("norm_check")]) == pytest.approx(
+            1.0, abs=1e-12)
+
     def test_rejects_kick_force(self, capsys):
         code, _, err = run_cli(["evolve", "--set", "force.kind=delta_kick"],
                                capsys)
@@ -199,6 +259,28 @@ class TestEvolve:
             assert dens == pytest.approx(re * re + im * im, rel=1e-12)
 
 
+_LOG_UNIT = st.floats(-1.0, 1.0).map(lambda e: 10.0**e)
+
+
+class TestPacketMoments:
+    @settings(max_examples=60, deadline=None)
+    @given(omega=_LOG_UNIT, hbar=_LOG_UNIT, sigma=_LOG_UNIT,
+           omega_t=st.floats(0.0, 300.0), x0=st.floats(-1.0, 1.0),
+           p0=st.floats(-1.0, 1.0), amplitude=st.floats(-1.0, 1.0),
+           omega0=_LOG_UNIT, driven=st.booleans())
+    def test_norm_and_width_law(self, omega, hbar, sigma, omega_t, x0, p0,
+                                amplitude, omega0, driven):
+        params = invosc.SystemParams(omega, hbar)
+        packet = invosc.GaussianPacket(x0, p0, sigma)
+        force = (invosc.HarmonicForce(amplitude, omega0) if driven
+                 else invosc.ZeroForce())
+        ev = invosc.evolve_gaussian(params, packet, force, omega_t / omega)
+        norm, _, var = cli._packet_moments(ev, params, packet)
+        assert abs(norm - 1.0) <= 1e-12
+        assert var == pytest.approx(sigma**2 * abs(ev.gamma_factor) ** 2,
+                                    rel=1e-12, abs=0.0)
+
+
 class TestKick:
     def test_shared_columns_byte_identical_at_zero_momentum(self, tmp_path):
         ev, kk = tmp_path / "ev.csv", tmp_path / "kk.csv"
@@ -237,6 +319,14 @@ class TestKick:
                                capsys)
         assert code == 2
         assert "stationary" in err
+
+    @pytest.mark.parametrize("key", ["kick.momentum", "kick.time"])
+    @pytest.mark.parametrize("value", ["1e999", "NaN"])
+    def test_non_finite_kick_is_config_error(self, capsys, key, value):
+        code, out, err = run_cli(["kick", "--set", f"{key}={value}"], capsys)
+        assert code == 2
+        assert key in err
+        assert out == ""
 
 
 class TestTunnel:
@@ -406,11 +496,33 @@ class TestOpenEvolve:
             assert float(row[header.index("mean_x")]) == pytest.approx(
                 quad, abs=1e-8)
 
-    def test_undamped_bath_rejected(self, capsys):
-        code, _, err = run_cli(["open-evolve", "--set", "bath.gamma=0.0"],
-                               capsys)
-        assert code == 2
-        assert "gamma" in err
+    @pytest.mark.parametrize("force", [
+        ["--set", "force.kind=zero"],
+        ["--set", "force.kind=harmonic", "--set", "force.amplitude=0.4",
+         "--set", "force.omega0=1.7"],
+        ["--set", "force.kind=tabulated", "--set", "force.times=[0, 0.5, 1.5]",
+         "--set", "force.values=[0, 0.4, 0]"]])
+    def test_undamped_bath_is_the_closed_system(self, capsys, force):
+        packet = ["--set", "packet.x0=0.3", "--set", "packet.p0=-0.2",
+                  "--set", "packet.sigma=0.8", "--set", "system.omega=1.3",
+                  "--set", "system.hbar=0.7"]
+        code, out, _ = run_cli(["open-evolve", "--set", "bath.gamma=0",
+                                "--set", "open.samples=5",
+                                "--set", "open.t_max=4"] + packet + force, capsys)
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        code, out, _ = run_cli(["evolve", "--set", "evolve.samples=5",
+                                "--set", "evolve.t_max=4"] + packet + force, capsys)
+        assert code == 0
+        _, closed_header, closed_rows = parse_csv(out)
+        for row, closed in zip(rows, closed_rows):
+            assert row[0] == closed[0]
+            for name, closed_name in (("mean_x", "xi"),
+                                      ("variance_total", "variance")):
+                assert float(row[header.index(name)]) == pytest.approx(
+                    float(closed[closed_header.index(closed_name)]),
+                    rel=1e-13, abs=0.0)
+            assert float(row[header.index("variance_noise")]) == 0.0
 
 
 class TestVerify:

@@ -232,3 +232,11 @@ class TestDelayedKick:
         packet = GaussianPacket(0.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             delta_kick_at(PARAMS, packet, 1.0, 2.0, 1.0)
+
+    @pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan])
+    def test_non_finite_momentum_rejected(self, p):
+        packet = GaussianPacket(0.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="momentum"):
+            delta_kick_at(PARAMS, packet, p, 0.5, 1.0)
+        with pytest.raises(ValueError, match="momentum"):
+            evolve_delta_kick(PARAMS, packet, p, 1.0)

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from invosc import (ConstantForce, DeltaKick, GaussianPacket, HarmonicForce,
-                    SystemParams, TabulatedForce, ZeroForce, evaluate_initial,
-                    force_at, integrate_adaptive)
+from invosc import (ConstantForce, GaussianPacket, HarmonicForce, SystemParams,
+                    TabulatedForce, ZeroForce, evaluate_initial, force_at,
+                    integrate_adaptive)
 from invosc.core import force_pieces
 
 
@@ -58,10 +58,6 @@ class TestForceAt:
     def test_constant(self):
         assert force_at(ConstantForce(-0.3), 17.0) == -0.3
 
-    def test_kick_has_no_pointwise_value(self):
-        with pytest.raises(ValueError, match="pointwise"):
-            force_at(DeltaKick(momentum=1.0), 0.5)
-
     def test_non_finite_time_rejected(self):
         with pytest.raises(ValueError):
             force_at(ZeroForce(), math.inf)
@@ -103,8 +99,6 @@ class TestForceAt:
     def test_array_with_non_finite_time_rejected(self):
         with pytest.raises(ValueError):
             force_at(ConstantForce(1.0), np.array([0.0, math.nan]))
-        with pytest.raises(ValueError, match="pointwise"):
-            force_at(DeltaKick(momentum=1.0), np.array([0.5]))
 
 
 class TestForcePieces:
@@ -123,12 +117,10 @@ class TestForcePieces:
         assert force_pieces(HarmonicForce(0.5, 2.0), 0.0, 1.0) == [
             (0.0, 1.0, 0.0, 0.5 * math.sin(2.0))]
 
-    def test_empty_interval_and_kick(self):
+    def test_empty_interval(self):
         force = TabulatedForce((0.0, 1.0), (1.0, 2.0))
         assert force_pieces(force, 0.5, 0.5) == []
         assert force_pieces(force, 0.7, 0.2) == []
-        with pytest.raises(ValueError):
-            force_pieces(DeltaKick(1.0), 0.0, 1.0)
 
 
 class TestInitialPacket:

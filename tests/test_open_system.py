@@ -514,11 +514,6 @@ class TestMeanTrajectory:
                 got = mean_trajectory(PARAMS, bath, 0.0, 0.0, force, t)
                 assert abs(got - float(ref)) <= 1e-14 * _force_size(dec, force, t)
 
-    def test_delta_kick_rejected(self):
-        from invosc import DeltaKick
-        with pytest.raises(ValueError, match="kick"):
-            mean_trajectory(PARAMS, BATH, 0.0, 0.0, DeltaKick(1.0, 0.5), 1.0)
-
 
 class TestPoleSumProperties:
     # the box: omega in [0.05, 20], gamma / omega in [1e-3, 100] and
