@@ -15,10 +15,10 @@ from .core import (ConstantForce, ForceProfile, GaussianPacket, HarmonicForce,
                    SystemParams, TabulatedForce, ZeroForce, evaluate_initial,
                    force_at)
 from .numerics import (GridState, QuadratureError, QuadratureResult,
-                       bessel_k_quarter, expm, free_grid_evolve, grid_from_packet,
+                       bessel_k_quarter, expm, grid_from_packet,
                        integrate_adaptive, integrate_halfline,
-                       langevin_ode_oracle, schrodinger_grid_evolve,
-                       solve_cubic)
+                       langevin_ode_oracle, scaled_bessel_k_quarter,
+                       schrodinger_grid_evolve, solve_cubic)
 from .open_system import (CLASSICAL, OCCUPATION, SYMMETRIZED, BathParams,
                           CubicCoefficients, DegeneratePolesError,
                           InitialMoments, PoleDecomposition, RootClass,

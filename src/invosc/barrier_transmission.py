@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SystemParams
-from .numerics import bessel_k_quarter, integrate_adaptive
+from .numerics import integrate_adaptive, scaled_bessel_k_quarter
 
 # eta(1/2) = (1 - sqrt 2) zeta(1/2); over the real line int dy / (1 + e^(y^2))
 # is sqrt(pi) eta(1/2), and int y^2 dy / (1 + e^(y^2)) is sqrt(pi) eta(3/2) / 2
@@ -101,16 +101,16 @@ def transmission_exact(epsilon: float, beta: float) -> float:
 def averaged_transmission(epsilon: float, beta: float) -> float:
     """Static transmission averaged over one period of the drive.
 
-    (1/2pi) int_{-pi}^{pi} dz / (1 + exp(eps (1 - beta cos z)^2)) by
-    adaptive quadrature to 1e-12 relative, with no absolute floor: deep
-    in the tunneling regime the average falls far below any fixed
-    absolute tolerance.  A vanishing drive makes the integrand constant,
-    so that case returns the static value verbatim.  Above suppression
-    (beta > 1) the integrand is 1/2 at cos z = 1/beta and lives in a
-    window of half-width w ~ 1/sqrt(eps (beta^2 - 1)) around it, which no
-    node of a panel over [-pi, pi] need hit.  So the even integrand is
-    integrated over [0, pi] split at the peak and at 8 w on either side,
-    beyond which it has fallen below e^-64 of its peak.
+    (1/pi) int_0^pi dz / (1 + exp(eps (1 - beta cos z)^2)), the integrand
+    being even, by adaptive quadrature to 1e-12 relative, with no absolute
+    floor: deep in the tunneling regime the average falls far below any
+    fixed absolute tolerance.  A vanishing drive makes the integrand
+    constant, so that case returns the static value verbatim.  Above
+    suppression (beta > 1) the integrand is 1/2 at cos z = 1/beta and
+    lives in a window of half-width w ~ 1/sqrt(eps (beta^2 - 1)) around
+    it, which no node of a panel over [0, pi] need hit.  So [0, pi] is
+    split at the peak and at 8 w on either side, beyond which the
+    integrand has fallen below e^-64 of its peak.
 
     For beta >> 1 that window is narrower than the float spacing of z,
     but with u = beta cos z the average is eta(1/2) / (beta sqrt(pi eps))
@@ -130,17 +130,15 @@ def averaged_transmission(epsilon: float, beta: float) -> float:
         e = np.exp(-epsilon * (1.0 - beta * np.cos(z)) ** 2)
         return e / (1.0 + e)
 
+    cuts = [0.0, math.pi]
     if beta > 1.0:
         z_star = math.acos(1.0 / beta)
         w = 8.0 / (math.sqrt(epsilon) * math.sqrt(beta * beta - 1.0))
-        cuts = sorted({0.0, math.pi, *(min(max(z, 0.0), math.pi)
-                                       for z in (z_star - w, z_star, z_star + w))})
-        return sum(integrate_adaptive(integrand, lo, hi, abs_tol=0.0,
-                                      rel_tol=1e-12).value
-                   for lo, hi in zip(cuts, cuts[1:])) / math.pi
-    res = integrate_adaptive(integrand, -math.pi, math.pi,
-                             abs_tol=0.0, rel_tol=1e-12)
-    return float(res.value) / (2.0 * math.pi)
+        cuts = sorted({*cuts, *(min(max(z, 0.0), math.pi)
+                                for z in (z_star - w, z_star, z_star + w))})
+    return sum(integrate_adaptive(integrand, lo, hi, abs_tol=0.0,
+                                  rel_tol=1e-12).value
+               for lo, hi in zip(cuts, cuts[1:])) / math.pi
 
 
 def asymptotic_prefactor(epsilon: float, beta: float) -> float:
@@ -149,7 +147,7 @@ def asymptotic_prefactor(epsilon: float, beta: float) -> float:
     A = (1 / 2 pi) sqrt((1 - beta)/beta) e^zeta K_{1/4}(zeta) with
     zeta = eps (1 - beta)^2 / 2; valid for 0 < beta < 1 (the Bessel
     argument collapses as the barrier suppression point beta = 1 is
-    approached).
+    approached); e^zeta K_{1/4}(zeta) is one quadrature for every zeta.
     """
     _check_eps_beta(epsilon, beta)
     if beta >= 1.0:
@@ -157,17 +155,8 @@ def asymptotic_prefactor(epsilon: float, beta: float) -> float:
     if beta == 0.0:
         raise ValueError("prefactor undefined for a vanishing drive")
     zeta = epsilon * (1.0 - beta) ** 2 / 2.0
-    if zeta > 600.0:
-        # large-argument series e^z K_{1/4}(z) = sqrt(pi / 2z) sum_k a_k z^-k,
-        # a_k = a_(k-1) (1/4 - (2k - 1)^2) / (8k); seven terms reach rounding
-        term = series = 1.0
-        for k in range(1, 7):
-            term *= (0.25 - (2 * k - 1) ** 2) / (8.0 * k * zeta)
-            series += term
-        ekz = math.sqrt(math.pi / (2.0 * zeta)) * series
-    else:
-        ekz = math.exp(zeta) * bessel_k_quarter(zeta)
-    return math.sqrt((1.0 - beta) / beta) / (2.0 * math.pi) * ekz
+    return (math.sqrt((1.0 - beta) / beta) / (2.0 * math.pi)
+            * scaled_bessel_k_quarter(zeta))
 
 
 def averaged_transmission_asymptotic(epsilon: float, beta: float) -> float:

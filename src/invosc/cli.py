@@ -466,7 +466,47 @@ def cmd_verify(config, out) -> int:
     params = _build_system(config)
     packet = _build_packet(config)
     force = _build_force(config)
-    vsec = config["verify"]
+    bath = _build_bath(config)
+    gsec, vsec = config["grid"], config["verify"]
+
+    def positive(key):
+        return _finite(vsec[key], f"verify.{key}", positive=True)
+
+    # every entry is read and checked before the first oracle runs
+    x_min, x_max = (_number(gsec[key], f"grid.{key}") for key in ("x_min", "x_max"))
+    if not -math.inf < x_min < x_max < math.inf:
+        raise ConfigError(f"grid.x_min: expected finite grid.x_min < grid.x_max, "
+                          f"got {x_min!r} and {x_max!r}")
+    n = _count(gsec["n"], "grid.n")
+    if n & (n - 1):
+        raise ConfigError(f"grid.n: expected a power of two, got {n}")
+    dt = _finite(gsec["dt"], "grid.dt", positive=True)
+    grid_times = [_finite(t, f"verify.grid_times[{i}]", positive=True)
+                  for i, t in enumerate(vsec["grid_times"])]
+    if any(not b > a for a, b in zip(grid_times, grid_times[1:])):
+        raise ConfigError(f"verify.grid_times: expected strictly increasing "
+                          f"times, got {grid_times}")
+    grid_tolerance = positive("grid_tolerance")
+    horizon = positive("green_horizon_factor") / params.omega
+    green_dt = positive("green_dt")
+    green_tolerance = positive("green_tolerance")
+    green_baths = []
+    for i, case in enumerate(vsec["green_cases"]):
+        try:
+            green_baths.append(osys.BathParams(gamma=float(case["gamma"]),
+                                               omega_d=float(case["omega_d"])))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"verify.green_cases[{i}]: {exc}") from exc
+    tunnel_points = []
+    for i, point in enumerate(vsec["tunnel_points"]):
+        where = f"verify.tunnel_points[{i}]"
+        eps = _finite(point["epsilon"], f"{where}.epsilon", positive=True)
+        beta = _finite(point["beta"], f"{where}.beta", positive=True)
+        tunnel_points.append((eps, beta, _finite(
+            point["tolerance"], f"{where}.tolerance", positive=True)))
+    w_probe = _finite(vsec["windowed_omega"], "verify.windowed_omega") * params.omega
+    t_probe = positive("windowed_t") / params.omega
+    windowed_tolerance = positive("windowed_tolerance")
     checks = []
 
     def add(name, deviation, tolerance):
@@ -475,16 +515,9 @@ def cmd_verify(config, out) -> int:
                        "passed": bool(deviation < tolerance)})
 
     # closed form against the split-step grid solver
-    gsec = config["grid"]
-    grid = numerics.grid_from_packet(packet, params,
-                                     _number(gsec["x_min"], "grid.x_min"),
-                                     _number(gsec["x_max"], "grid.x_max"),
-                                     _count(gsec["n"], "grid.n"))
-    dt = _number(gsec["dt"], "grid.dt")
-    grid_tolerance = _number(vsec["grid_tolerance"], "verify.grid_tolerance")
+    grid = numerics.grid_from_packet(packet, params, x_min, x_max, n)
     xs = grid.x()
-    for i, t in enumerate(vsec["grid_times"]):
-        t = _number(t, f"verify.grid_times[{i}]")
+    for t in grid_times:
         grid = numerics.schrodinger_grid_evolve(params, grid, force, t, dt)
         ev = ce.evolve_gaussian(params, packet, force, t)
         ref = ce.evaluate(ev, params, packet, xs)
@@ -492,44 +525,27 @@ def cmd_verify(config, out) -> int:
                             / np.sum(np.abs(ref) ** 2)))
         add(f"grid_closed_form_t{t:g}", dev, grid_tolerance)
 
-    # impulse response against the RK4 memory-kernel integrator.  G comes
-    # from the matrix exponential; the poles and residues serve only the
-    # open-poles table and the tests, and the check keeps its name.
-    horizon = (_number(vsec["green_horizon_factor"], "verify.green_horizon_factor")
-               / params.omega)
-    green_dt = _number(vsec["green_dt"], "verify.green_dt")
-    green_tolerance = _number(vsec["green_tolerance"], "verify.green_tolerance")
-    for i, case in enumerate(vsec["green_cases"]):
-        where = f"verify.green_cases[{i}]"
-        bath_case = osys.BathParams(gamma=_number(case["gamma"], f"{where}.gamma"),
-                                    omega_d=_number(case["omega_d"], f"{where}.omega_d"),
-                                    kT=0.0)
+    # impulse response from the matrix exponential against the RK4
+    # memory-kernel integrator
+    for i, bath_case in enumerate(green_baths):
         ts, g_ode = numerics.langevin_ode_oracle(params, bath_case, horizon, green_dt)
         g_exp = osys.green_function(params, bath_case, ts)
         dev = float(np.max(np.abs(g_exp - g_ode)) / np.max(np.abs(g_exp)))
-        add(f"green_residue_vs_ode_case{i}", dev, green_tolerance)
+        add(f"green_expm_vs_ode_case{i}", dev, green_tolerance)
 
     # quasistatic asymptotics against the period-average quadrature
-    for i, point in enumerate(vsec["tunnel_points"]):
-        where = f"verify.tunnel_points[{i}]"
-        eps = _number(point["epsilon"], f"{where}.epsilon")
-        beta = _number(point["beta"], f"{where}.beta")
-        tolerance = _number(point["tolerance"], f"{where}.tolerance")
+    for eps, beta, tolerance in tunnel_points:
         w_q = bt.averaged_transmission(eps, beta)
         w_a = bt.averaged_transmission_asymptotic(eps, beta)
         add(f"tunnel_asymptotic_eps{eps:g}_beta{beta:g}",
             abs(w_a - w_q) / w_q, tolerance)
 
     # windowed transform closed form against direct quadrature
-    bath = _build_bath(config)
-    w_probe = _number(vsec["windowed_omega"], "verify.windowed_omega") * params.omega
-    t_probe = _number(vsec["windowed_t"], "verify.windowed_t") / params.omega
     closed = osys.windowed_transform(params, bath, w_probe, t_probe)
     quad = integrate_adaptive(
         lambda t1: osys.green_function(params, bath, t1) * np.exp(-1j * w_probe * t1),
         0.0, t_probe, abs_tol=1e-13, rel_tol=1e-12).value
-    add("windowed_transform_quadrature", abs(closed - quad),
-        _number(vsec["windowed_tolerance"], "verify.windowed_tolerance"))
+    add("windowed_transform_quadrature", abs(closed - quad), windowed_tolerance)
 
     payload = {
         "config_sha256": config_sha256(config),

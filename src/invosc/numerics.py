@@ -2,11 +2,11 @@
 
 Adaptive Gauss-Kronrod quadrature (finite intervals and the half line),
 a Cardano cubic solver with Newton refinement, the matrix exponential
-by scaling and squaring, the modified Bessel
-function K_{1/4} through its cosh-integral representation, a split-step
-Fourier solver for the time-dependent Schrodinger equation on a periodic
-grid, and a fixed-step RK4 integrator for the memory-kernel (generalized
-Langevin) equation of motion.
+by scaling and squaring, e^z K_{1/4}(z) by one quadrature for every
+z > 0, a split-step Fourier solver for the time-dependent Schrodinger
+equation on a periodic grid without an absorbing boundary, and a
+fixed-step RK4 integrator for the memory-kernel (generalized Langevin)
+equation of motion.
 
 Integrands are vectorized: the quadratures call ``f`` on a 1-D float
 ndarray holding every node of one or two panels, and ``f`` returns an
@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (GaussianPacket, SystemParams, ZeroForce, evaluate_initial,
-                   force_at)
+from .core import GaussianPacket, SystemParams, evaluate_initial, force_at
 
 # 15-point Kronrod abscissae on [0, 1] (descending, ending at the centre)
 # with the Kronrod weights and the embedded 7-point Gauss weights (zero on
@@ -72,6 +71,9 @@ def _full_rule(half, sign: float) -> np.ndarray:
 _NODES = _full_rule(_XGK, -1.0)
 _RULES = np.stack([_full_rule(_WGK, 1.0), _full_rule(_WG, 1.0)], axis=1)
 
+_MAX_DEPTH = 60
+_MAX_DOUBLINGS = 60
+
 
 class QuadratureError(RuntimeError):
     """Raised when adaptive refinement cannot reach the requested tolerance.
@@ -113,7 +115,7 @@ def _gk15_panels(f, edges):
 
 
 def integrate_adaptive(f, lo: float, hi: float, abs_tol: float = 1e-12,
-                       rel_tol: float = 1e-10, max_depth: int = 60) -> QuadratureResult:
+                       rel_tol: float = 1e-10) -> QuadratureResult:
     """Adaptively integrate ``f`` on [lo, hi] by Gauss-Kronrod bisection.
 
     ``f`` is called on a 1-D float ndarray of nodes (15 for the first
@@ -122,8 +124,8 @@ def integrate_adaptive(f, lo: float, hi: float, abs_tol: float = 1e-12,
     embedded-rule error estimate) is bisected until the summed estimate
     satisfies ``max(abs_tol, rel_tol * |I|)``.
 
-    Raises QuadratureError, carrying the best estimate, if the recursion
-    depth limit is exceeded before the tolerance is met.
+    Raises QuadratureError, carrying the best estimate, if a panel would
+    be bisected more than ``_MAX_DEPTH`` times before the tolerance is met.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
         raise ValueError(f"bad integration interval [{lo}, {hi}]")
@@ -139,7 +141,7 @@ def integrate_adaptive(f, lo: float, hi: float, abs_tol: float = 1e-12,
         if e == 0.0:
             heapq.heappush(heap, (neg_err, counter, a, b, v, e, depth))
             break
-        if depth >= max_depth or len(heap) > 100_000:
+        if depth >= _MAX_DEPTH or len(heap) > 100_000:
             best = QuadratureResult(total_val if is_complex else total_val.real,
                                     total_err, evals)
             raise QuadratureError(
@@ -159,8 +161,7 @@ def integrate_adaptive(f, lo: float, hi: float, abs_tol: float = 1e-12,
 
 
 def integrate_halfline(f, abs_tol: float, first_length: float = 1.0,
-                       rel_tol: float = 1e-13, small_runs: int = 2,
-                       max_doublings: int = 60) -> QuadratureResult:
+                       rel_tol: float = 1e-13, small_runs: int = 2) -> QuadratureResult:
     """Integrate ``f`` on [0, inf) over dyadically doubling intervals.
 
     ``f`` follows the ``integrate_adaptive`` contract: an ndarray of
@@ -174,7 +175,7 @@ def integrate_halfline(f, abs_tol: float, first_length: float = 1.0,
     interval may cancel by accident.
 
     Raises QuadratureError, carrying the best estimate, if the sweep has
-    not stopped after ``max_doublings`` intervals.
+    not stopped after ``_MAX_DOUBLINGS`` intervals.
     """
     if abs_tol <= 0:
         raise ValueError("abs_tol must be positive")
@@ -185,7 +186,7 @@ def integrate_halfline(f, abs_tol: float, first_length: float = 1.0,
     lo = 0.0
     hi = first_length
     small_run = 0
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         res = integrate_adaptive(f, lo, hi, abs_tol=abs_tol / 16.0, rel_tol=rel_tol)
         is_complex = is_complex or isinstance(res.value, complex)
         total += res.value
@@ -324,23 +325,29 @@ def expm(a) -> np.ndarray:
     return e
 
 
-def bessel_k_quarter(z: float) -> float:
-    """Modified Bessel function of the second kind of order 1/4.
+def scaled_bessel_k_quarter(z: float) -> float:
+    """e^z K_{1/4}(z), the modified Bessel function of order 1/4 scaled.
 
-    Uses the representation K_nu(z) = \\int_0^inf exp(-z cosh u) cosh(nu u) du,
-    truncated where the exponent argument has decayed past 750, and
-    evaluated by adaptive quadrature to a 1e-11 relative tolerance.
+    K_nu(z) = int_0^inf exp(-z cosh u) cosh(nu u) du, so the integrand is
+    exp(-(sqrt(2 z) sinh(u/2))^2) cosh(u/4), cut where the exponent reaches
+    -745 (so no step overflows for any z), by adaptive quadrature to a
+    1e-11 relative tolerance.
     """
     if not (z > 0.0) or not math.isfinite(z):
-        raise ValueError("bessel_k_quarter requires z > 0")
-    u_max = math.acosh(max(765.0 / z, 2.0))
+        raise ValueError("K_{1/4}(z) requires a finite z > 0")
+    root = math.sqrt(2.0) * math.sqrt(z)
+    u_max = 2.0 * math.asinh(math.sqrt(745.0) / root)
 
     def integrand(u: np.ndarray) -> np.ndarray:
-        ex = -z * np.cosh(u)
-        return np.where(ex < -745.0, 0.0, np.exp(ex) * np.cosh(0.25 * u))
+        return np.exp(-(root * np.sinh(0.5 * u)) ** 2) * np.cosh(0.25 * u)
 
     res = integrate_adaptive(integrand, 0.0, u_max, abs_tol=0.0, rel_tol=1e-11)
     return float(res.value)
+
+
+def bessel_k_quarter(z: float) -> float:
+    """Modified Bessel function of the second kind of order 1/4."""
+    return scaled_bessel_k_quarter(z) * math.exp(-z)
 
 
 # ---------------------------------------------------------------------------
@@ -385,77 +392,39 @@ def grid_from_packet(packet: GaussianPacket, params: SystemParams,
     return GridState(x_min=x_min, x_max=x_max, n=n, dx=dx, psi=psi, t=0.0)
 
 
-def _absorber_mask(n: int, width: int) -> np.ndarray:
-    mask = np.ones(n)
-    ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(width) / width))
-    mask[:width] = ramp
-    mask[n - width:] = ramp[::-1]
-    return mask
+def schrodinger_grid_evolve(params: SystemParams, grid: GridState, force,
+                            t_final: float, dt: float) -> GridState:
+    """Split-step Fourier evolution under the inverted-oscillator potential.
 
-
-def _evolve_grid(grid: GridState, v_static: np.ndarray, force, t_final: float,
-                 dt: float, absorber_points: int | None, hbar: float) -> GridState:
-    """Strang-split evolution under the potential v_static(x) - F(t) x.
-
-    The force is sampled at every step midpoint in one ``force_at`` call.
+    The potential is -omega^2 x^2 / 2 - F(t) x.  The span to ``t_final``
+    is cut into the fewest equal Strang steps no longer than ``dt``, with
+    the force at their midpoints; kinetic steps are exact spectral phases.
+    Probability within five points of the boundary above 1e-6 raises an
+    error.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
     if not t_final > grid.t:
         raise ValueError("t_final must exceed the current grid time")
     x = grid.x()
+    v_barrier = -0.5 * params.omega**2 * x**2
+    span = t_final - grid.t
+    n_steps = max(math.ceil(span / dt - 1e-12), 1)
+    h = span / n_steps
     k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
+    kinetic = np.exp(-0.5j * params.hbar * k**2 * h)
+    midpoints = grid.t + h * (np.arange(n_steps) + 0.5)
     psi = grid.psi.copy()
-    mask = _absorber_mask(grid.n, absorber_points) if absorber_points else None
-    edge = 5
-
-    t = grid.t
-    remaining = t_final - t
-    n_full = int(math.floor(remaining / dt + 1e-12))
-    steps = [dt] * n_full
-    leftover = remaining - n_full * dt
-    if leftover > 1e-12 * dt:
-        steps.append(leftover)
-    kinetic = {h: np.exp(-0.5j * hbar * k**2 * h) for h in set(steps)}
-    midpoints = []
-    for h in steps:
-        midpoints.append(t + 0.5 * h)
-        t += h
-    for h, f_mid in zip(steps, force_at(force, np.array(midpoints))):
-        half = np.exp(-0.5j * (v_static - f_mid * x) * h / hbar)
-        psi = half * np.fft.ifft(kinetic[h] * np.fft.fft(half * psi))
-        if mask is not None:
-            psi = psi * mask
-        else:
-            edge_prob = float((np.sum(np.abs(psi[:edge]) ** 2)
-                               + np.sum(np.abs(psi[-edge:]) ** 2)) * grid.dx)
-            if edge_prob > 1e-6:
-                raise RuntimeError("domain too small: probability reached the "
-                                   "grid boundary (add an absorber or widen the box)")
+    for f_mid in force_at(force, midpoints):
+        half = np.exp(-0.5j * (v_barrier - f_mid * x) * h / params.hbar)
+        psi = half * np.fft.ifft(kinetic * np.fft.fft(half * psi))
+        edge_prob = float((np.sum(np.abs(psi[:5]) ** 2)
+                           + np.sum(np.abs(psi[-5:]) ** 2)) * grid.dx)
+        if edge_prob > 1e-6:
+            raise RuntimeError("domain too small: probability reached the "
+                               "grid boundary (widen the box)")
     return GridState(x_min=grid.x_min, x_max=grid.x_max, n=grid.n,
                      dx=grid.dx, psi=psi, t=t_final)
-
-
-def schrodinger_grid_evolve(params: SystemParams, grid: GridState, force,
-                            t_final: float, dt: float,
-                            absorber_points: int | None = None) -> GridState:
-    """Split-step Fourier evolution under the inverted-oscillator potential.
-
-    The potential is -omega^2 x^2 / 2 - F(t) x with the force sampled at
-    step midpoints; kinetic steps are exact unitary spectral phases on
-    the periodic grid.  Without an absorbing mask, probability reaching
-    within five points of the boundary above 1e-6 raises an error.
-    """
-    v_barrier = -0.5 * params.omega**2 * grid.x() ** 2
-    return _evolve_grid(grid, v_barrier, force, t_final, dt, absorber_points,
-                        params.hbar)
-
-
-def free_grid_evolve(params: SystemParams, grid: GridState, t_final: float,
-                     dt: float) -> GridState:
-    """Kinetic-only evolution (zero potential); exact for any dt on the grid."""
-    return _evolve_grid(grid, np.zeros(grid.n), ZeroForce(), t_final, dt, None,
-                        params.hbar)
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,24 @@ class TestAveragedTransmission:
         assert averaged_transmission(eps, beta) == pytest.approx(
             ref, rel=1e-10, abs=0.0)
 
+    @pytest.mark.parametrize("eps", [1e-3, 0.1, 3.0, 30.0, 100.0])
+    @pytest.mark.parametrize("beta", [0.05, 0.3, 0.8, 0.95, 1.0])
+    def test_half_period_matches_mpmath(self, eps, beta):
+        # the integrand scaled by its crest value exp(eps (1 - beta)^2), so
+        # that mpmath's absolute tolerance holds down to averages of 1e-41
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            e, b = mp.mpf(eps), mp.mpf(beta)
+            crest = e * (1 - b) ** 2
+
+            def f(z):
+                x = e * (1 - b * mp.cos(z)) ** 2
+                return mp.exp(crest - x) / (1 + mp.exp(-x))
+
+            ref = mp.quad(f, mp.linspace(0, mp.pi, 5)) * mp.exp(-crest) / mp.pi
+        assert averaged_transmission(eps, beta) == pytest.approx(
+            float(ref), rel=1e-13, abs=0.0)
+
     @pytest.mark.parametrize("eps", [1e-3, 3.0, 100.0])
     @pytest.mark.parametrize("beta", [1e8, 1e12, 1e16, 1e17, 1e200])
     def test_far_above_suppression_reaches_the_limit(self, eps, beta):
@@ -208,6 +226,16 @@ class TestAsymptoticPrefactor:
                    * mp.exp(z) * mp.besselk(0.25, z))
         assert asymptotic_prefactor(eps, beta) == pytest.approx(
             float(ref), rel=1e-14, abs=0.0)
+
+    def test_matches_mpmath_over_every_zeta(self):
+        # zeta = eps (1 - beta)^2 / 2 = eps / 8 at beta = 1/2, exactly
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for zeta in [*np.logspace(-300.0, 15.0, 64), 600.0]:
+                z = mp.mpf(zeta)
+                ref = mp.exp(z) * mp.besselk(0.25, z) / (2 * mp.pi)
+                assert asymptotic_prefactor(8.0 * zeta, 0.5) == pytest.approx(
+                    float(ref), rel=1e-14, abs=0.0)
 
     def test_rejects_suppression_and_zero_drive(self):
         with pytest.raises(ValueError, match="suppression"):

@@ -532,11 +532,31 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["all_pass"] is True
         assert {c["name"] for c in payload["checks"]} >= {
-            "grid_closed_form_t0.5", "green_residue_vs_ode_case0",
+            "grid_closed_form_t0.5", "green_expm_vs_ode_case0",
             "tunnel_asymptotic_eps10_beta0.3", "windowed_transform_quadrature"}
         for check in payload["checks"]:
             assert set(check) == {"name", "deviation", "tolerance", "passed"}
             assert check["passed"] is True
+
+    @pytest.mark.parametrize("assignment,key", [
+        ("grid.dt=0", "grid.dt"), ("grid.dt=NaN", "grid.dt"),
+        ("grid.dt=1e999", "grid.dt"), ("grid.n=1000", "grid.n"),
+        ("grid.x_min=50", "grid.x_min"),
+        ("verify.grid_times=[-1]", "verify.grid_times"),
+        ("verify.grid_times=[1.0, 0.5]", "verify.grid_times"),
+        ("verify.grid_tolerance=NaN", "verify.grid_tolerance"),
+        ("verify.green_dt=0", "verify.green_dt"),
+        ("verify.green_horizon_factor=-1", "verify.green_horizon_factor"),
+        ("verify.windowed_t=-1", "verify.windowed_t"),
+        ('verify.green_cases=[{"omega_d": 10.0, "gamma": -1}]',
+         "verify.green_cases[0]"),
+        ('verify.tunnel_points=[{"epsilon": -1, "beta": 0.3, "tolerance": 0.15}]',
+         "verify.tunnel_points[0].epsilon")])
+    def test_config_mistake_is_config_error(self, capsys, assignment, key):
+        code, out, err = run_cli(["verify", "--set", assignment], capsys)
+        assert code == 2
+        assert key in err
+        assert out == ""
 
     def test_coarse_grid_negative_control(self, capsys):
         code, out, _ = run_cli(["verify", "--set", "grid.dt=0.2"], capsys)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from conftest import rk4_path
 from invosc import (GaussianPacket, HarmonicForce, QuadratureError,
                     SystemParams, ZeroForce, bessel_k_quarter, expm,
-                    free_grid_evolve, grid_from_packet, integrate_adaptive,
-                    integrate_halfline, langevin_ode_oracle,
+                    grid_from_packet, integrate_adaptive, integrate_halfline,
+                    langevin_ode_oracle, scaled_bessel_k_quarter,
                     schrodinger_grid_evolve, solve_cubic)
 
 
@@ -303,6 +303,14 @@ class TestBesselKQuarter:
             assert bessel_k_quarter(float(z)) == pytest.approx(
                 special.kv(0.25, z), rel=1e-12, abs=0.0)
 
+    def test_scaled_matches_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for z in [*np.logspace(-300.0, 15.0, 64), 600.0]:
+                ref = mp.exp(mp.mpf(z)) * mp.besselk(0.25, mp.mpf(z))
+                assert scaled_bessel_k_quarter(float(z)) == pytest.approx(
+                    float(ref), rel=1e-14, abs=0.0)
+
 
 class TestGridSolver:
     def test_initial_norm(self):
@@ -316,11 +324,12 @@ class TestGridSolver:
                              -20.0, 20.0, 1000)
 
     def test_free_particle_exact(self):
-        # kinetic-only steps reproduce analytic free spreading to roundoff
-        params = SystemParams(1.0, hbar=1.0)
+        # at omega = 1e-9, |V| < 1e-15 on the box: the steps are kinetic
+        # only and reproduce analytic free spreading to roundoff
+        params = SystemParams(1e-9, hbar=1.0)
         packet = GaussianPacket(0.0, 0.5, 1.0)
         grid = grid_from_packet(packet, params, -40.0, 40.0, 1024)
-        out = free_grid_evolve(params, grid, 1.0, 0.25)
+        out = schrodinger_grid_evolve(params, grid, ZeroForce(), 1.0, 0.25)
         x = out.x()
         t = 1.0
         gam = 1.0 + 0.5j * params.hbar * t / packet.sigma**2
@@ -357,20 +366,30 @@ class TestGridSolver:
         ratio = deviation(4e-3) / deviation(2e-3)
         assert 3.0 < ratio < 5.0
 
+    def test_equal_steps_no_longer_than_dt(self):
+        # dt = 0.3 cuts [0, 1] into four equal steps, as dt = 0.25 does
+        params = SystemParams(1.0)
+        grid = grid_from_packet(GaussianPacket(0.0, 0.5, 1.0), params,
+                                -40.0, 40.0, 1024)
+        force = HarmonicForce(0.5, 2.0)
+        coarse = schrodinger_grid_evolve(params, grid, force, 1.0, 0.3)
+        exact = schrodinger_grid_evolve(params, grid, force, 1.0, 0.25)
+        np.testing.assert_array_equal(coarse.psi, exact.psi)
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
+    def test_rejects_bad_step(self, dt):
+        params = SystemParams(1.0)
+        grid = grid_from_packet(GaussianPacket(0.0, 0.0, 1.0), params,
+                                -20.0, 20.0, 256)
+        with pytest.raises(ValueError, match="dt"):
+            schrodinger_grid_evolve(params, grid, ZeroForce(), 1.0, dt)
+
     def test_boundary_guard_raises(self):
         params = SystemParams(1.0)
         grid = grid_from_packet(GaussianPacket(0.0, 3.0, 1.0), params,
                                 -6.0, 6.0, 256)
         with pytest.raises(RuntimeError, match="domain too small"):
             schrodinger_grid_evolve(params, grid, ZeroForce(), 2.0, 1e-3)
-
-    def test_absorber_suppresses_boundary_guard(self):
-        params = SystemParams(1.0)
-        grid = grid_from_packet(GaussianPacket(0.0, 3.0, 1.0), params,
-                                -6.0, 6.0, 256)
-        out = schrodinger_grid_evolve(params, grid, ZeroForce(), 2.0, 1e-3,
-                                      absorber_points=32)
-        assert out.norm() < 1.0  # absorbed probability left the box
 
 
 class TestLangevinOracle:
