@@ -15,7 +15,7 @@ from .core import (ConstantForce, ForceProfile, GaussianPacket, HarmonicForce,
                    SystemParams, TabulatedForce, ZeroForce, evaluate_initial,
                    force_at)
 from .numerics import (GridState, QuadratureError, QuadratureResult,
-                       bessel_k_quarter, expm, grid_from_packet,
+                       bessel_k_quarter, expm, expm_gramian, grid_from_packet,
                        integrate_adaptive, integrate_halfline,
                        langevin_ode_oracle, scaled_bessel_k_quarter,
                        schrodinger_grid_evolve, solve_cubic)
@@ -27,7 +27,8 @@ from .open_system import (CLASSICAL, OCCUPATION, SYMMETRIZED, BathParams,
                           drude_kernel, general_variance, green_derivative,
                           green_function, green_pair, harmonic_response,
                           mean_trajectory, noise_spectrum, solve_poles,
-                          symmetrized_correlation, variance_noise_term,
-                          variance_parts, windowed_transform)
+                          spectral_noise_term, symmetrized_correlation,
+                          variance_noise_term, variance_parts,
+                          windowed_transform)
 
 __version__ = "0.1.0"

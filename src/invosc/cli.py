@@ -67,6 +67,7 @@ DEFAULT_CONFIG = {
         "windowed_omega": 0.7,
         "windowed_t": 2.0,
         "windowed_tolerance": 1e-10,
+        "noise_tolerance": 1e-8,
     },
 }
 
@@ -78,27 +79,34 @@ DEFAULT_CONFIG = {
 def _merge(defaults, override, path=""):
     if not isinstance(override, dict):
         raise ConfigError(f"config section '{path or '<root>'}' must be an object")
-    merged = {}
-    for key, default_value in defaults.items():
-        here = f"{path}.{key}" if path else key
-        if key not in override:
-            merged[key] = copy.deepcopy(default_value)
-        elif isinstance(default_value, dict):
-            merged[key] = _merge(default_value, override[key], here)
-        elif (isinstance(default_value, list) and default_value
-              and isinstance(default_value[0], dict)):
-            merged[key] = [_merge(default_value[0], item, f"{here}[{i}]")
-                           for i, item in enumerate(override[key])]
-        else:
-            merged[key] = copy.deepcopy(override[key])
     for key in override:
         if key not in defaults:
             here = f"{path}.{key}" if path else key
             raise ConfigError(f"unknown config key '{here}'")
-    return merged
+    return {key: (_merge_value(default_value, override[key],
+                               f"{path}.{key}" if path else key)
+                  if key in override else copy.deepcopy(default_value))
+            for key, default_value in defaults.items()}
+
+
+def _merge_value(default, value, path: str):
+    """``value`` for the config key ``path`` whose default is ``default``: an
+    object is merged key by key, a list must be a list, and each entry of a
+    list of objects is merged with the first default entry."""
+    if isinstance(default, dict):
+        return _merge(default, value, path)
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"config key '{path}' must be a list, got {value!r}")
+        if default and isinstance(default[0], dict):
+            return [_merge(default[0], item, f"{path}[{i}]")
+                    for i, item in enumerate(value)]
+    return copy.deepcopy(value)
 
 
 def _apply_override(config, assignment: str):
+    """Set one ``path=value`` entry; the value (JSON, else a string) is merged
+    as a config file's value for that key would be."""
     if "=" not in assignment:
         raise ConfigError(f"override '{assignment}' is not of the form path=value")
     dotted, raw = assignment.split("=", 1)
@@ -106,16 +114,15 @@ def _apply_override(config, assignment: str):
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    node = config
-    keys = dotted.split(".")
-    for key in keys[:-1]:
-        if not isinstance(node, dict) or key not in node:
+    node, default = config, DEFAULT_CONFIG
+    *parents, last = dotted.split(".")
+    for key in parents:
+        if not isinstance(default.get(key), dict):
             raise ConfigError(f"unknown config key '{dotted}'")
-        node = node[key]
-    last = keys[-1]
-    if not isinstance(node, dict) or last not in node:
+        node, default = node[key], default[key]
+    if last not in default:
         raise ConfigError(f"unknown config key '{dotted}'")
-    node[last] = value
+    node[last] = _merge_value(default[last], value, dotted)
 
 
 def load_config(config_path: str | None, overrides) -> dict:
@@ -502,11 +509,15 @@ def cmd_verify(config, out) -> int:
         where = f"verify.tunnel_points[{i}]"
         eps = _finite(point["epsilon"], f"{where}.epsilon", positive=True)
         beta = _finite(point["beta"], f"{where}.beta", positive=True)
+        if not beta < 1.0:
+            raise ConfigError(f"{where}.beta: the asymptotic form needs "
+                              f"beta < 1, got {beta!r}")
         tunnel_points.append((eps, beta, _finite(
             point["tolerance"], f"{where}.tolerance", positive=True)))
     w_probe = _finite(vsec["windowed_omega"], "verify.windowed_omega") * params.omega
     t_probe = positive("windowed_t") / params.omega
     windowed_tolerance = positive("windowed_tolerance")
+    noise_tolerance = positive("noise_tolerance")
     checks = []
 
     def add(name, deviation, tolerance):
@@ -546,6 +557,22 @@ def cmd_verify(config, out) -> int:
         lambda t1: osys.green_function(params, bath, t1) * np.exp(-1j * w_probe * t1),
         0.0, t_probe, abs_tol=1e-13, rel_tol=1e-12).value
     add("windowed_transform_quadrature", abs(closed - quad), windowed_tolerance)
+
+    # symmetrized noise term, its zero-point part without a frequency
+    # quadrature, against the frequency quadrature run to half the tolerance;
+    # the term is computed again if its absolute tolerance was not below a
+    # twentieth of that
+    closed_tol = 1e-14
+    closed = osys.variance_noise_term(params, bath, t_probe, osys.SYMMETRIZED,
+                                      closed_tol)
+    abs_tol = max(0.5 * noise_tolerance * closed, 1e-300)
+    if closed_tol > 0.05 * abs_tol:
+        closed = osys.variance_noise_term(params, bath, t_probe, osys.SYMMETRIZED,
+                                          0.05 * abs_tol)
+    quad = osys.spectral_noise_term(params, bath, t_probe, t_probe, osys.SYMMETRIZED,
+                                    abs_tol)
+    add("noise_closed_form_vs_quadrature",
+        abs(closed - quad) / max(quad, 1e-300), noise_tolerance)
 
     payload = {
         "config_sha256": config_sha256(config),

@@ -2,7 +2,8 @@
 
 Adaptive Gauss-Kronrod quadrature (finite intervals and the half line),
 a Cardano cubic solver with Newton refinement, the matrix exponential
-by scaling and squaring, e^z K_{1/4}(z) by one quadrature for every
+by scaling and squaring and, with it, the Gramian of a linear system
+driven by white noise, e^z K_{1/4}(z) by one quadrature for every
 z > 0, a split-step Fourier solver for the time-dependent Schrodinger
 equation on a periodic grid without an absorbing boundary, and a
 fixed-step RK4 integrator for the memory-kernel (generalized Langevin)
@@ -295,6 +296,23 @@ def _polish_cubic_roots(roots, a2: float, a1: float, a0: float,
 
 # 1/k!, k < 36, in Paterson-Stockmeyer blocks: row j multiplies X^(6j + i)
 _TAYLOR_BLOCKS = np.array([1.0 / math.factorial(k) for k in range(36)]).reshape(6, 6)
+# the same without the k = 0 term, for e^X - 1
+_TAYLOR_BLOCKS_M1 = np.concatenate([[0.0], _TAYLOR_BLOCKS.ravel()[1:]]).reshape(6, 6)
+
+
+def _taylor(x: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """The degree-35 Taylor polynomial of the exponential of each matrix in
+    the stack x, exact to rounding for a 1-norm below 4 (4^36 / 36! < 1e-20)."""
+    powers = np.empty((7,) + x.shape)   # I, X, X^2, ..., X^6
+    powers[0] = np.eye(x.shape[-1])
+    powers[1] = x
+    for k in range(2, 7):
+        np.matmul(powers[k - 1], powers[1], out=powers[k])
+    blocks = np.tensordot(coefficients, powers[:6], axes=1)
+    e = blocks[5]
+    for block in blocks[4::-1]:
+        e = block + powers[6] @ e
+    return e
 
 
 def expm(a) -> np.ndarray:
@@ -302,8 +320,8 @@ def expm(a) -> np.ndarray:
 
     Scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
     (2005)): each matrix is scaled by its own 2^-s to a 1-norm below 4,
-    where the degree-35 Taylor polynomial is exact to rounding (4^36 / 36!
-    < 1e-20), and squared s times; 256 at a time, to bound the temporaries.
+    where the degree-35 Taylor polynomial is exact to rounding, and squared
+    s times; 256 at a time, to bound the temporaries.
     """
     a = np.asarray(a, dtype=float)
     if a.size > 256 * a.shape[-1] ** 2:
@@ -311,18 +329,45 @@ def expm(a) -> np.ndarray:
         return np.concatenate([expm(flat[i:i + 256])
                                for i in range(0, len(flat), 256)]).reshape(a.shape)
     squarings = np.maximum(np.frexp(np.abs(a).sum(axis=-2).max(axis=-1))[1] - 2, 0)
-    powers = np.empty((7,) + a.shape)   # I, X, X^2, ..., X^6
-    powers[0] = np.eye(a.shape[-1])
-    powers[1] = np.ldexp(a, -squarings[..., None, None])
-    for k in range(2, 7):
-        np.matmul(powers[k - 1], powers[1], out=powers[k])
-    blocks = np.tensordot(_TAYLOR_BLOCKS, powers[:6], axes=1)
-    e = blocks[5]
-    for block in blocks[4::-1]:
-        e = block + powers[6] @ e
+    e = _taylor(np.ldexp(a, -squarings[..., None, None]), _TAYLOR_BLOCKS)
     for k in range(int(squarings.max(initial=0))):
         e = np.where((squarings > k)[..., None, None], e @ e, e)
     return e
+
+
+def expm_gramian(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """e^A and the Gramian P = int_0^1 e^(A s) B e^(A^T s) ds, for square A
+    and B or stacks of them (the last two axes); with A = M t and B = Q t
+    they are e^(Mt) and int_0^t e^(Ms) Q e^(M^T s) ds.
+
+    P is read off the Van Loan block exp([[-A, B], [0, A^T]] h) (Van Loan,
+    IEEE TAC 23, 395 (1978)) only at a step h = 2^-s with ||A||_1 h and
+    ||B||_1 h <= 1/2, where its -A block has not grown.  s doublings
+    P <- P + E P E^T, E <- E^2 with E = e^(Ah) then reach h = 1.  E is
+    carried as D = E - I, doubled as D <- 2 D + D^2, so that the entries of
+    a stiff A keep their relative accuracy instead of losing a bit to the
+    rounding of I + D at every doubling.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n = a.shape[-1]
+    norm = np.maximum(np.abs(a).sum(axis=-2).max(axis=-1),
+                      np.abs(b).sum(axis=-2).max(axis=-1))
+    squarings = np.maximum(np.frexp(norm)[1] + 1, 0)   # norm 2^-s <= 1/2
+    scale = np.ldexp(1.0, -squarings)[..., None, None]
+    block = np.zeros(norm.shape + (2 * n, 2 * n))
+    block[..., :n, :n] = -a * scale
+    block[..., :n, n:] = b * scale
+    block[..., n:, n:] = np.swapaxes(a, -1, -2) * scale
+    step = _taylor(block, _TAYLOR_BLOCKS_M1)   # exp(block h) - 1
+    d = np.swapaxes(step[..., n:, n:], -1, -2)
+    p = step[..., :n, n:] + d @ step[..., :n, n:]
+    for k in range(int(squarings.max(initial=0))):
+        doubling = (squarings > k)[..., None, None]
+        ep = p + d @ p
+        p = np.where(doubling, p + ep + ep @ np.swapaxes(d, -1, -2), p)
+        d = np.where(doubling, 2.0 * d + d @ d, d)
+    return d + np.eye(n), p
 
 
 def scaled_bessel_k_quarter(z: float) -> float:

@@ -15,8 +15,14 @@ one exponential of A augmented by two forcing states (Van Loan, IEEE TAC
 from e^(At) and the resolvent of A.  These depend only on the
 coefficients of the characteristic cubic, never on its roots, so they
 hold through repeated poles and at gamma = 0.  The poles and residues of
-``solve_poles`` serve only the ``open-poles`` table and the tests.  Only
-the noise spectrum is integrated numerically.
+``solve_poles`` serve only the ``open-poles`` table and the tests.
+
+The bath noise is a force of Lorentzian spectrum, or a superposition of
+them: a force with correlation e^(-a |tau|) is an Ornstein-Uhlenbeck state
+of rate a, and the response to it is the Gramian of A augmented by that
+state (numerics.expm_gramian).  The classical term is one such Gramian, the
+zero-point term a smooth integral of them over the rate, and only the Bose
+part of the spectrum is integrated over the frequency.
 
 Noise enters through the spectral density of the bath force.  Three
 conventions are provided:
@@ -42,7 +48,8 @@ import numpy as np
 
 from .core import (ForceProfile, GaussianPacket, HarmonicForce, SystemParams,
                    force_pieces)
-from .numerics import _polish_cubic_roots, expm, integrate_halfline, solve_cubic
+from .numerics import (_polish_cubic_roots, expm, expm_gramian, integrate_adaptive,
+                       integrate_halfline, solve_cubic)
 
 OCCUPATION = "occupation"
 SYMMETRIZED = "symmetrized"
@@ -304,11 +311,73 @@ def windowed_transform(params: SystemParams, bath: BathParams, omega, t: float):
     return complex(out) if out.ndim == 0 else out
 
 
-def _noise_term(params: SystemParams, bath: BathParams, t: float, tprime: float,
-                convention: str, abs_tol: float) -> float:
-    """Bath term int S(w) e^(i w (t - t')) W(w, t) conj(W(w, t')) dw, real
-    on the whole line: twice its real part on the half line, which is the
-    non-negative 2 S |W|^2 on the diagonal and oscillates off it."""
+def _ou_covariance(params: SystemParams, bath: BathParams, rates, t: float,
+                   tprime: float) -> np.ndarray:
+    """V_a(t, t') = int int_0^(t, t') G(t - s) G(t' - s') e^(-a |s - s'|), the
+    covariance of x(t) and x(t') under a unit-variance Ornstein-Uhlenbeck
+    force of each rate a, for an ndarray of rates.
+
+    The force is a fourth state f' = -a f + sqrt(2a) xi on v that starts
+    stationary, so (x, v, w / d, f) is Markov with the generator M: its
+    covariance is Sigma(t) = e^(Mt) e_f e_f^T e^(M^T t) + P(t), P the
+    Gramian of Q = 2a e_f e_f^T, and Cov(y(t), y(t')) = e^(M(t - t')) Sigma(t')
+    for t >= t'.
+    """
+    rates = np.asarray(rates, dtype=float)
+    gen = np.broadcast_to(_generator(params, bath, 4)[0],
+                          rates.shape + (4, 4)).copy()
+    gen[..., 1, 3] = 1.0
+    gen[..., 3, 3] = -rates
+    noise = np.zeros_like(gen)
+    noise[..., 3, 3] = 2.0 * rates
+    early, late = sorted((t, tprime))
+    e, p = expm_gramian(gen * early, noise * early)
+    sigma_x = p[..., :, 0] + e[..., :, 3] * e[..., 0, 3, None]   # Sigma e_x
+    if late == early:
+        return sigma_x[..., 0]
+    return np.sum(expm(gen * (late - early))[..., 0, :] * sigma_x, axis=-1)
+
+
+def _zero_point_term(params: SystemParams, bath: BathParams, t: float,
+                     tprime: float, abs_tol: float) -> float:
+    """Zero-point term of the spectrum hbar J(|w|) / 2 pi as a rate integral.
+
+    omega_d^2 |w| / (w^2 + omega_d^2) is a superposition of Lorentzians of
+    rate nu, int_0^inf dnu omega_d^2 / (omega_d^2 - nu^2)
+    [omega_d^2 / (w^2 + omega_d^2) - nu^2 / (w^2 + nu^2)] (2 / pi), so the
+    term is (hbar gamma / pi) int_0^inf dnu omega_d^2 / (omega_d^2 - nu^2)
+    [omega_d V_omega_d - nu V_nu].  With nu = omega_d u / (1 - u) it is
+    (hbar gamma omega_d / pi) int_0^1 [omega_d V_omega_d - nu V_nu] / (1 - 2u)
+    du, smooth, finite at both ends and integrated on each side of the
+    removable point u = 1/2, one stacked ``_ou_covariance`` per panel.
+    """
+    wd = bath.omega_d
+    scale = params.hbar * bath.gamma * wd / math.pi
+    at_cutoff = wd * _ou_covariance(params, bath, wd, t, tprime)
+
+    def integrand(u: np.ndarray) -> np.ndarray:
+        nu = wd * u / (1.0 - u)
+        return (at_cutoff - nu * _ou_covariance(params, bath, nu, t, tprime)) / (
+            1.0 - 2.0 * u)
+
+    return scale * sum(integrate_adaptive(integrand, lo, hi,
+                                          abs_tol=0.5 * abs_tol / scale,
+                                          rel_tol=1e-11).value
+                       for lo, hi in ((0.0, 0.5), (0.5, 1.0)))
+
+
+def spectral_noise_term(params: SystemParams, bath: BathParams, t: float,
+                        tprime: float, convention: str = OCCUPATION,
+                        abs_tol: float = 1e-14) -> float:
+    """Bath term int S(w) e^(i w (t - t')) W(w, t) conj(W(w, t')) dw by
+    quadrature over the frequency, real on the whole line: twice its real
+    part on the half line, which is the non-negative 2 S |W|^2 on the
+    diagonal and oscillates off it.
+
+    ``variance_noise_term`` and ``symmetrized_correlation`` take only the
+    Bose part hbar J n / pi of the spectrum this way; for the other parts
+    it serves as their oracle.
+    """
     if convention not in _CONVENTIONS:
         raise ValueError(f"unknown noise convention {convention!r}")
     if t == 0.0 or tprime == 0.0 or (convention == OCCUPATION and bath.kT == 0.0):
@@ -330,14 +399,39 @@ def _noise_term(params: SystemParams, bath: BathParams, t: float, tprime: float,
                               small_runs=1 if t == tprime else 2).value
 
 
+def _noise_term(params: SystemParams, bath: BathParams, t: float, tprime: float,
+                convention: str, abs_tol: float) -> float:
+    """Bath term int S(w) e^(i w (t - t')) W(w, t) conj(W(w, t')) dw.
+
+    The classical spectrum is the Lorentzian of the force correlation
+    gamma kT omega_d e^(-omega_d |tau|), so its term is
+    gamma kT omega_d V_omega_d(t, t').  The symmetrized spectrum is the Bose
+    part hbar J n / pi, the occupation convention, integrated over the
+    frequency, plus the zero-point part ``_zero_point_term``.
+    """
+    if convention not in _CONVENTIONS:
+        raise ValueError(f"unknown noise convention {convention!r}")
+    if t == 0.0 or tprime == 0.0 or bath.gamma == 0.0:
+        return 0.0
+    if convention == CLASSICAL:
+        return bath.gamma * bath.kT * bath.omega_d * float(
+            _ou_covariance(params, bath, bath.omega_d, t, tprime))
+    total = spectral_noise_term(params, bath, t, tprime, OCCUPATION, abs_tol)
+    if convention == SYMMETRIZED:
+        total += _zero_point_term(params, bath, t, tprime, abs_tol)
+    return total
+
+
 def variance_noise_term(params: SystemParams, bath: BathParams, t: float,
                         convention: str = OCCUPATION,
                         abs_tol: float = 1e-14) -> float:
     """Bath contribution 2 int_0^inf S(w) |W(w, t)|^2 dw to the variance.
 
-    Integrated on dyadically doubling intervals; the integrand is
-    non-negative, so the sweep stops once an interval contributes below
-    max(abs_tol, 1e-12 * accumulated).
+    The classical term is closed form.  The zero-point term is an integral
+    over a rate, to ``abs_tol`` or 1e-11 relative.  The Bose part, the
+    occupation convention, is integrated over the frequency on dyadically
+    doubling intervals until one contributes below max(abs_tol, 1e-12 of
+    the sum).
     """
     if t < 0.0:
         raise ValueError("t must be non-negative")

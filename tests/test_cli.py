@@ -94,6 +94,46 @@ class TestConfig:
         assert code == 2
         assert "tunnel.beta_maxx" in err
 
+    def test_list_of_objects_override_merges_each_entry(self, tmp_path, capsys):
+        cases = [{"gamma": 1.0}, {"omega_d": 3.0}]
+        code, out, _ = run_cli(["verify", "--print-config", "--set",
+                                f"verify.green_cases={json.dumps(cases)}"], capsys)
+        assert code == 0
+        merged = json.loads(out)
+        assert merged["verify"]["green_cases"] == [
+            {"omega_d": 10.0, "gamma": 1.0}, {"omega_d": 3.0, "gamma": 0.5}]
+        cfg = tmp_path / "cases.json"
+        cfg.write_text(json.dumps({"verify": {"green_cases": cases}}))
+        code, out, _ = run_cli(["verify", "--print-config", "--config", str(cfg)],
+                               capsys)
+        assert code == 0
+        assert json.loads(out) == merged
+
+    @pytest.mark.parametrize("path,value,key", [
+        ("verify.grid_times", 5, "verify.grid_times"),
+        ("verify.green_cases", {"gamma": 1}, "verify.green_cases"),
+        ("verify.tunnel_points", 3, "verify.tunnel_points"),
+        ("force.times", 0.5, "force.times"),
+        ("barrier.forces", "abc", "barrier.forces"),
+        ("verify.green_cases", [1], "verify.green_cases[0]"),
+        ("verify.green_cases", [{"gamma": 1, "kT": 2}], "verify.green_cases[0].kT")])
+    def test_mistyped_list_is_config_error(self, tmp_path, capsys, path, value, key):
+        section, entry = path.split(".")
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({section: {entry: value}}))
+        for source in (["--set", f"{path}={json.dumps(value)}"],
+                       ["--config", str(cfg)]):
+            code, out, err = run_cli(["verify", "--print-config", *source], capsys)
+            assert (code, out) == (2, "")
+            assert key in err
+
+    @pytest.mark.parametrize("assignment", ["system=2", "system.omega.x=1"])
+    def test_override_must_fit_the_config_shape(self, capsys, assignment):
+        code, out, err = run_cli(["evolve", "--print-config", "--set", assignment],
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert assignment.split("=")[0] in err
+
     def test_unknown_override_path_rejected(self, capsys):
         code, _, err = run_cli(["evolve", "--set", "nope.key=1"], capsys)
         assert code == 2
@@ -533,7 +573,8 @@ class TestVerify:
         assert payload["all_pass"] is True
         assert {c["name"] for c in payload["checks"]} >= {
             "grid_closed_form_t0.5", "green_expm_vs_ode_case0",
-            "tunnel_asymptotic_eps10_beta0.3", "windowed_transform_quadrature"}
+            "tunnel_asymptotic_eps10_beta0.3", "windowed_transform_quadrature",
+            "noise_closed_form_vs_quadrature"}
         for check in payload["checks"]:
             assert set(check) == {"name", "deviation", "tolerance", "passed"}
             assert check["passed"] is True
@@ -551,12 +592,41 @@ class TestVerify:
         ('verify.green_cases=[{"omega_d": 10.0, "gamma": -1}]',
          "verify.green_cases[0]"),
         ('verify.tunnel_points=[{"epsilon": -1, "beta": 0.3, "tolerance": 0.15}]',
-         "verify.tunnel_points[0].epsilon")])
-    def test_config_mistake_is_config_error(self, capsys, assignment, key):
+         "verify.tunnel_points[0].epsilon"),
+        ('verify.tunnel_points=[{"epsilon": 10, "beta": 1.2, "tolerance": 0.1}]',
+         "verify.tunnel_points[0].beta"),
+        ('verify.tunnel_points=[{"epsilon": 10, "beta": 0.3}, {"beta": 1}]',
+         "verify.tunnel_points[1].beta"),
+        ("verify.noise_tolerance=0", "verify.noise_tolerance"),
+        ('verify.green_cases=[{"gamma": 1}, {"omega_d": 0}]',
+         "verify.green_cases[1]"),
+        ("verify.grid_times=5", "verify.grid_times")])
+    def test_config_mistake_is_config_error(self, capsys, monkeypatch, assignment,
+                                            key):
+        def first_oracle(*args):
+            raise AssertionError("an oracle ran before the config was checked")
+
+        monkeypatch.setattr(cli.numerics, "grid_from_packet", first_oracle)
         code, out, err = run_cli(["verify", "--set", assignment], capsys)
         assert code == 2
         assert key in err
         assert out == ""
+
+    @pytest.mark.parametrize("bath", [("0.6", "1.0", "0.0"), ("40.0", "0.05", "1.0"),
+                                      ("0.0", "10.0", "1.0")])
+    def test_noise_check_at_a_tiny_term(self, capsys, bath):
+        # at omega t = 1e-3 the term is below 1e-12, under the default
+        # absolute tolerance of variance_noise_term
+        sets = [f"{key}={value}" for key, value in zip(
+            ("bath.gamma", "bath.omega_d", "bath.kT"), bath)]
+        sets += ["verify.windowed_t=0.001", "verify.grid_times=[0.1]",
+                 "verify.green_cases=[]", "verify.tunnel_points=[]"]
+        code, out, _ = run_cli(["verify"] + [arg for item in sets
+                                             for arg in ("--set", item)], capsys)
+        assert code == 0
+        check = json.loads(out)["checks"][-1]
+        assert check["name"] == "noise_closed_form_vs_quadrature"
+        assert check["deviation"] < 1e-8
 
     def test_coarse_grid_negative_control(self, capsys):
         code, out, _ = run_cli(["verify", "--set", "grid.dt=0.2"], capsys)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import rk4_path
 from invosc import (GaussianPacket, HarmonicForce, QuadratureError,
                     SystemParams, ZeroForce, bessel_k_quarter, expm,
-                    grid_from_packet, integrate_adaptive, integrate_halfline,
+                    expm_gramian, grid_from_packet, integrate_adaptive, integrate_halfline,
                     langevin_ode_oracle, scaled_bessel_k_quarter,
                     schrodinger_grid_evolve, solve_cubic)
 
@@ -263,6 +263,76 @@ class TestExpm:
                                     for i in range(size)])
                     np.testing.assert_allclose(expm(a), ref, rtol=0.0,
                                                atol=1e-14 * np.abs(ref).max())
+
+
+class TestExpmGramian:
+    def test_zero_generator(self):
+        b = np.array([[2.0, 0.5], [0.5, 3.0]])
+        e, p = expm_gramian(np.zeros((2, 2)), b)
+        np.testing.assert_array_equal(e, np.eye(2))
+        np.testing.assert_array_equal(p, b)
+
+    @pytest.mark.parametrize("nu", [1e-9, 1.7, 1e3, 1e9, 1e15])
+    def test_stiff_closed_forms(self, nu):
+        # x' = -mu x + f, f' = -nu f + sqrt(2 nu) xi: e^A has e^-mu, e^-nu on
+        # the diagonal and (e^-mu - e^-nu) / (nu - mu) above it, P_ff is
+        # 1 - e^(-2 nu), and P_xx is written for nu >= 1, where its terms do
+        # not cancel.  Squaring e^(Ah) itself would lose about one bit of
+        # the x entries per doubling, 2^-s of them for s doublings.
+        mu = 0.3
+        e, p = expm_gramian(np.array([[-mu, 1.0], [0.0, -nu]]),
+                            np.array([[0.0, 0.0], [0.0, 2.0 * nu]]))
+        assert e[0, 0] == pytest.approx(math.exp(-mu), rel=1e-14)
+        assert e[0, 1] == pytest.approx((math.exp(-mu) - math.exp(-nu)) / (nu - mu),
+                                        rel=1e-14)
+        assert e[1, 1] == pytest.approx(math.exp(-nu), rel=1e-14)
+        assert p[1, 1] == pytest.approx(-math.expm1(-2.0 * nu), rel=1e-14)
+        if nu >= 1.0:
+            p_xx = 2.0 * nu / (nu - mu) ** 2 * (
+                -math.expm1(-2.0 * mu) / (2.0 * mu)
+                + 2.0 * math.expm1(-(mu + nu)) / (mu + nu)
+                - math.expm1(-2.0 * nu) / (2.0 * nu))
+            assert p[0, 0] == pytest.approx(p_xx, rel=1e-13)
+
+    def test_stack_matches_single_calls(self):
+        rng = np.random.default_rng(7)
+        scales = np.array([1e-3, 1.0, 30.0])[:, None, None]
+        a = rng.normal(size=(3, 4, 4)) * scales
+        c = rng.normal(size=(3, 4, 4))
+        b = c @ np.swapaxes(c, -1, -2)
+        e, p = expm_gramian(a, b)
+        for i in range(3):
+            e_i, p_i = expm_gramian(a[i], b[i])
+            np.testing.assert_array_equal(e[i], e_i)
+            np.testing.assert_array_equal(p[i], p_i)
+
+    def test_mpmath_van_loan(self):
+        # the Van Loan block at t = 1 in enough digits that its -A block,
+        # which grows like e^||A||, cancels exactly
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(11)
+        for size in (2, 4):
+            for scale in (1e-3, 0.7, 6.0):
+                a = rng.normal(size=(size, size)) * scale
+                c = rng.normal(size=(size, size))
+                b = c @ c.T
+                with mp.workdps(60 + int(np.abs(a).sum(axis=0).max())):
+                    block = mp.zeros(2 * size, 2 * size)
+                    for i in range(size):
+                        for j in range(size):
+                            block[i, j] = -a[i, j]
+                            block[i, j + size] = b[i, j]
+                            block[i + size, j + size] = a[j, i]
+                    full = mp.expm(block)
+                    f3 = full[size:, size:]
+                    ref_p = f3.T * full[:size, size:]
+                    ref_e = np.array(f3.T.tolist(), dtype=float)
+                    ref_p = np.array(ref_p.tolist(), dtype=float)
+                e, p = expm_gramian(a, b)
+                np.testing.assert_allclose(e, ref_e, rtol=0.0,
+                                           atol=1e-14 * np.abs(ref_e).max())
+                np.testing.assert_allclose(p, ref_p, rtol=0.0,
+                                           atol=1e-14 * np.abs(ref_p).max())
 
 
 class TestBesselKQuarter:

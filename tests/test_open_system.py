@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ from invosc import (CLASSICAL, OCCUPATION, SYMMETRIZED, BathParams,
                     green_pair, harmonic_response, integrate_adaptive,
                     integrate_halfline, langevin_ode_oracle, mean_trajectory,
                     noise_spectrum, solve_cubic, solve_poles,
-                    symmetrized_correlation, variance_noise_term,
-                    variance_parts, windowed_transform)
+                    spectral_noise_term, symmetrized_correlation,
+                    variance_noise_term, variance_parts, windowed_transform)
+from invosc import open_system as osys
 from invosc.core import force_pieces
 
 PARAMS = SystemParams(1.0)
@@ -720,6 +722,145 @@ class TestDisplacementVariance:
             * np.abs(residue_window(dec, w, t)[0]) ** 2,
             1e-14, first_length=BATH.omega_d, rel_tol=1e-11, small_runs=1).value
         assert variance_noise_term(PARAMS, BATH, t) == pytest.approx(ref, rel=1e-10)
+
+
+# baths from strong damping with a slow memory to weak damping with a fast
+# one, and the degenerate-pole boundary case of TestDegenerateBoundary
+NOISE_BATHS = [(40.0, 0.05), (5.0, 2.0), (0.6, 1.0), (0.5, 10.0),
+               (0.7938713443812133, 4.0)]
+
+
+def mp_ou_covariance(params, bath, rate, t):
+    """V_a(t) from the Van Loan block exponential of the system driven by an
+    Ornstein-Uhlenbeck force of rate a, in enough digits that its -M block,
+    which grows like e^(||M|| t), cancels exactly."""
+    mp = pytest.importorskip("mpmath")
+    gen = [[0, 1, 0, 0], [params.omega**2, 0, -1, 1],
+           [0, bath.gamma * bath.omega_d, -bath.omega_d, 0], [0, 0, 0, -rate]]
+    norm = max(sum(abs(row[j]) for row in gen) for j in range(4))
+    with mp.workdps(max(100, 30 + int(norm * t / math.log(10)))):
+        block = mp.zeros(8, 8)
+        for i in range(4):
+            for j in range(4):
+                block[i, j] = -mp.mpf(gen[i][j])
+                block[i + 4, j + 4] = mp.mpf(gen[j][i])
+        block[3, 7] = 2 * mp.mpf(rate)
+        e = mp.expm(block * mp.mpf(t))
+        gramian = e[4:8, 4:8].T * e[0:4, 4:8]
+        # from x = v = w = 0 and a stationary force of unit variance
+        return float(gramian[0, 0] + e[7, 4] ** 2)
+
+
+class TestNoiseWithoutFrequencyQuadrature:
+    """The classical term in closed form and the zero-point term as a rate
+    integral, against the frequency quadrature ``spectral_noise_term``."""
+
+    @pytest.mark.parametrize("gamma,omega_d", NOISE_BATHS)
+    @pytest.mark.parametrize("omega_t", [1e-3, 1.0, 8.0, 20.0])
+    def test_classical_matches_mpmath_van_loan(self, gamma, omega_d, omega_t):
+        params = SystemParams(1.3)
+        bath = BathParams(gamma, omega_d, 0.7)
+        t = omega_t / params.omega
+        ref = gamma * bath.kT * omega_d * mp_ou_covariance(params, bath, omega_d, t)
+        got = variance_noise_term(params, bath, t, CLASSICAL)
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("gamma,omega_d", NOISE_BATHS)
+    @pytest.mark.parametrize("kT", [0.0, 0.8])
+    def test_symmetrized_matches_frequency_quadrature(self, gamma, omega_d, kT):
+        bath = BathParams(gamma, omega_d, kT)
+        for t in (0.4, 2.5):
+            got = variance_noise_term(PARAMS, bath, t, SYMMETRIZED)
+            ref = spectral_noise_term(PARAMS, bath, t, t, SYMMETRIZED, 1e-13 * got)
+            assert got == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("convention", [CLASSICAL, SYMMETRIZED])
+    @pytest.mark.parametrize("bath", [BATH, BathParams(5.0, 2.0, 0.4)])
+    def test_two_time_term_matches_frequency_quadrature(self, convention, bath):
+        for t, tprime in ((1.0, 2.0), (2.5, 0.3)):
+            got = osys._noise_term(PARAMS, bath, t, tprime, convention, 1e-14)
+            ref = spectral_noise_term(PARAMS, bath, t, tprime, convention,
+                                      1e-12 * abs(got))
+            assert got == pytest.approx(ref, rel=1e-10, abs=0.0)
+            assert osys._noise_term(PARAMS, bath, tprime, t, convention,
+                                    1e-14) == pytest.approx(got, rel=1e-13)
+
+    @pytest.mark.parametrize("convention", [OCCUPATION, SYMMETRIZED, CLASSICAL])
+    def test_undamped_bath_gives_exactly_zero(self, convention):
+        bath = BathParams(0.0, 3.0, 1.5)
+        moments = InitialMoments(0.0, 0.0, 1.0, 0.25, 0.0)
+        assert variance_noise_term(PARAMS, bath, 1.7, convention) == 0.0
+        assert osys._noise_term(PARAMS, bath, 1.7, 0.4, convention, 1e-14) == 0.0
+        (g, gp), (gd, gdp) = green_pair(PARAMS, bath, [1.7, 0.4])
+        assert symmetrized_correlation(PARAMS, bath, moments, ZeroForce(), 1.7,
+                                       0.4, convention) == gd * gdp + 0.25 * g * gp
+
+    @pytest.mark.parametrize("gamma,omega_d", NOISE_BATHS)
+    def test_white_noise_limit_of_a_fast_force(self, gamma, omega_d):
+        # nu V_nu = 2 int_0^t G^2 - G(t)^2 / nu + O(1 / nu^2): the doubling
+        # keeps the relative accuracy up to the largest rate of the map
+        # nu = omega_d u / (1 - u), one ulp below u = 1
+        bath = BathParams(gamma, omega_d, 0.0)
+        t = 3.0
+        white = 2.0 * integrate_adaptive(
+            lambda s: green_function(PARAMS, bath, s) ** 2, 0.0, t,
+            abs_tol=0.0, rel_tol=1e-13).value
+        rates = omega_d * np.array([1e8, 1e11, 1e14, 2.0**53])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rates * osys._ou_covariance(PARAMS, bath, rates, t, t)
+        expected = white - green_function(PARAMS, bath, t) ** 2 / rates
+        assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("gamma,omega_d", [(40.0, 0.05), (0.6, 1.0)])
+    def test_short_time_converges_without_warnings(self, gamma, omega_d):
+        # at omega t = 1e-3 the frequency quadrature of these baths raises
+        # QuadratureError; the rate integral converges.  For omega_d t << 1
+        # the force barely decorrelates and G(s) = s, so the classical term
+        # is gamma kT omega_d t^4 / 4 to first order in t.
+        bath = BathParams(gamma, omega_d, 0.5)
+        t = 1e-3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            zero_point = variance_noise_term(PARAMS, BathParams(gamma, omega_d),
+                                             t, SYMMETRIZED)
+            symmetrized = variance_noise_term(PARAMS, bath, t, SYMMETRIZED)
+            classical = variance_noise_term(PARAMS, bath, t, CLASSICAL)
+        assert 0.0 < zero_point < symmetrized
+        assert classical == pytest.approx(gamma * 0.5 * omega_d * t**4 / 4.0,
+                                          rel=2.0 * (omega_d + gamma) * t)
+
+    def test_no_frequency_quadrature_outside_the_bose_part(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("frequency quadrature called")
+
+        monkeypatch.setattr(osys, "integrate_halfline", forbidden)
+        monkeypatch.setattr(osys, "_window", forbidden)
+        moments = InitialMoments(0.0, 0.0, 1.0, 0.25, 0.0)
+        for bath, convention in ((BATH, CLASSICAL),
+                                 (BathParams(0.5, 10.0, 0.0), SYMMETRIZED)):
+            assert variance_noise_term(PARAMS, bath, 1.5, convention) > 0.0
+            symmetrized_correlation(PARAMS, bath, moments, ZeroForce(), 1.5, 0.7,
+                                    convention)
+        with pytest.raises(AssertionError, match="frequency quadrature"):
+            variance_noise_term(PARAMS, BATH, 1.5, SYMMETRIZED)
+
+    @settings(max_examples=8, deadline=None)
+    @given(gamma=st.floats(0.05, 20.0), omega_d=st.floats(0.05, 20.0),
+           kT=st.sampled_from([0.0, 0.3, 2.0]), omega=st.floats(0.5, 2.0),
+           omega_t=st.floats(0.05, 5.0))
+    def test_random_baths_match_frequency_quadrature(self, gamma, omega_d, kT,
+                                                     omega, omega_t):
+        params = SystemParams(omega)
+        bath = BathParams(gamma, omega_d, kT)
+        t = omega_t / omega
+        for convention in (CLASSICAL, SYMMETRIZED):
+            got = variance_noise_term(params, bath, t, convention)
+            if got == 0.0:
+                assert convention == CLASSICAL and kT == 0.0
+                continue
+            ref = spectral_noise_term(params, bath, t, t, convention, 1e-12 * got)
+            assert got == pytest.approx(ref, rel=1e-9, abs=0.0)
 
 
 class TestGeneralVariance:
