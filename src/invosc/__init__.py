@@ -17,7 +17,8 @@ from .core import (ConstantForce, ForceProfile, GaussianPacket, HarmonicForce,
 from .numerics import (GridState, QuadratureError, QuadratureResult,
                        bessel_k_quarter, expm, expm_gramian, grid_from_packet,
                        integrate_adaptive, integrate_halfline,
-                       langevin_ode_oracle, scaled_bessel_k_quarter,
+                       integrate_trapezoid, langevin_ode_oracle,
+                       scaled_bessel_k_quarter,
                        schrodinger_grid_evolve, solve_cubic)
 from .open_system import (CLASSICAL, OCCUPATION, SYMMETRIZED, BathParams,
                           CubicCoefficients, DegeneratePolesError,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SystemParams
-from .numerics import integrate_adaptive, scaled_bessel_k_quarter
+from .numerics import integrate_adaptive, integrate_trapezoid, scaled_bessel_k_quarter
 
 # eta(1/2) = (1 - sqrt 2) zeta(1/2); over the real line int dy / (1 + e^(y^2))
 # is sqrt(pi) eta(1/2), and int y^2 dy / (1 + e^(y^2)) is sqrt(pi) eta(3/2) / 2
@@ -74,11 +74,23 @@ def barrier_potential(params: SystemParams, xi0: float, F: float, xi) -> float:
     return (xi0**2 - xi**2) * params.omega**2 / 2.0 + F * (xi0 - xi)
 
 
-def _check_eps_beta(epsilon: float, beta: float) -> None:
+def _check_eps_beta(epsilon: float, beta) -> None:
+    """Reject a non-positive epsilon, or a negative beta (one value or an
+    array); either must also be finite."""
     if not (epsilon > 0.0) or not math.isfinite(epsilon):
         raise ValueError("epsilon must be positive")
-    if beta < 0.0 or not math.isfinite(beta):
+    if isinstance(beta, (int, float)):
+        valid = beta >= 0.0 and math.isfinite(beta)
+    else:
+        valid = np.all((np.asarray(beta) >= 0.0) & np.isfinite(beta))
+    if not valid:
         raise ValueError("beta must be non-negative")
+
+
+def _as_output(values: np.ndarray, like):
+    """A float for a scalar input, else the array in the input's shape."""
+    values = np.reshape(values, np.shape(like))
+    return float(values) if values.ndim == 0 else values
 
 
 def transmission_jwkb(epsilon: float, beta: float) -> float:
@@ -98,19 +110,31 @@ def transmission_exact(epsilon: float, beta: float) -> float:
     return e / (1.0 + e)
 
 
-def averaged_transmission(epsilon: float, beta: float) -> float:
-    """Static transmission averaged over one period of the drive.
+def averaged_transmission(epsilon: float, beta):
+    """Static transmission averaged over one period of the drive, for a
+    scalar or an array of beta; a float in gives a float out.
 
     (1/pi) int_0^pi dz / (1 + exp(eps (1 - beta cos z)^2)), the integrand
-    being even, by adaptive quadrature to 1e-12 relative, with no absolute
-    floor: deep in the tunneling regime the average falls far below any
-    fixed absolute tolerance.  A vanishing drive makes the integrand
-    constant, so that case returns the static value verbatim.  Above
-    suppression (beta > 1) the integrand is 1/2 at cos z = 1/beta and
-    lives in a window of half-width w ~ 1/sqrt(eps (beta^2 - 1)) around
-    it, which no node of a panel over [0, pi] need hit.  So [0, pi] is
-    split at the peak and at 8 w on either side, beyond which the
-    integrand has fallen below e^-64 of its peak.
+    being even.  A vanishing drive makes the integrand constant, so that
+    case returns the static value verbatim.  For 0 < beta <= 1 the
+    integrand is analytic and periodic, so the trapezoid rule on [0, pi]
+    (half weights at the ends) converges geometrically; every such beta is
+    one row of one ``integrate_trapezoid`` call, which stops once two
+    successive sums agree to max(1e-14, 8 ulp (eps (1 - beta)^2 +
+    sqrt(eps))).  That is the floor the rounding of the exponent X puts
+    on their agreement: X is off by about ulp X, plus 2 ulp sqrt(eps X)
+    from the cancellation in 1 - beta cos z near z = 0 and beta = 1,
+    where the nodes that carry the average have X of order 1.  With the
+    second term the rule converges up to eps = 1e12 at beta = 1 (32,769
+    nodes; the node cap is reached beyond).
+
+    Above suppression (beta > 1) the integrand is 1/2 at cos z = 1/beta
+    and lives in a window of half-width w ~ 1/sqrt(eps (beta^2 - 1))
+    around it, which the trapezoid nodes may all miss while successive
+    sums agree.  So each such beta is integrated by adaptive quadrature to
+    1e-12 relative, with no absolute floor, over [0, pi] split at the peak
+    and at 8 w on either side, beyond which the integrand has fallen below
+    e^-64 of its peak.
 
     For beta >> 1 that window is narrower than the float spacing of z,
     but with u = beta cos z the average is eta(1/2) / (beta sqrt(pi eps))
@@ -120,6 +144,26 @@ def averaged_transmission(epsilon: float, beta: float) -> float:
     corrected limit is returned.
     """
     _check_eps_beta(epsilon, beta)
+    betas = np.asarray(beta, dtype=float).ravel()
+    out = np.empty_like(betas)
+    periodic = (betas > 0.0) & (betas <= 1.0)
+    b = betas[periodic]
+
+    def integrand(z: np.ndarray, beta: np.ndarray) -> np.ndarray:
+        e = np.exp(-epsilon * (1.0 - beta * np.cos(z)) ** 2)
+        return e / (1.0 + e)
+
+    rel_tol = np.maximum(1e-14, 8.0 * math.ulp(1.0) * (
+        epsilon * (1.0 - b) ** 2 + math.sqrt(epsilon)))
+    out[periodic] = integrate_trapezoid(integrand, 0.0, math.pi, rel_tol,
+                                        b).value / math.pi
+    for i in np.flatnonzero(~periodic):
+        out[i] = _average_off_trapezoid(epsilon, float(betas[i]))
+    return _as_output(out, beta)
+
+
+def _average_off_trapezoid(epsilon: float, beta: float) -> float:
+    """The period average at beta = 0 and beta > 1 (see averaged_transmission)."""
     if beta == 0.0:
         return transmission_exact(epsilon, 0.0)
     if (1.0 + 2.0 / epsilon) / beta / beta < math.sqrt(math.ulp(1.0)):
@@ -130,41 +174,44 @@ def averaged_transmission(epsilon: float, beta: float) -> float:
         e = np.exp(-epsilon * (1.0 - beta * np.cos(z)) ** 2)
         return e / (1.0 + e)
 
-    cuts = [0.0, math.pi]
-    if beta > 1.0:
-        z_star = math.acos(1.0 / beta)
-        w = 8.0 / (math.sqrt(epsilon) * math.sqrt(beta * beta - 1.0))
-        cuts = sorted({*cuts, *(min(max(z, 0.0), math.pi)
-                                for z in (z_star - w, z_star, z_star + w))})
+    z_star = math.acos(1.0 / beta)
+    w = 8.0 / (math.sqrt(epsilon) * math.sqrt(beta * beta - 1.0))
+    cuts = sorted({0.0, math.pi, *(min(max(z, 0.0), math.pi)
+                                   for z in (z_star - w, z_star, z_star + w))})
     return sum(integrate_adaptive(integrand, lo, hi, abs_tol=0.0,
                                   rel_tol=1e-12).value
                for lo, hi in zip(cuts, cuts[1:])) / math.pi
 
 
-def asymptotic_prefactor(epsilon: float, beta: float) -> float:
-    """Sub-unity correction A multiplying the static deep-tunneling rate.
+def asymptotic_prefactor(epsilon: float, beta):
+    """Sub-unity correction A multiplying the static deep-tunneling rate,
+    for a scalar or an array of beta; a float in gives a float out.
 
     A = (1 / 2 pi) sqrt((1 - beta)/beta) e^zeta K_{1/4}(zeta) with
     zeta = eps (1 - beta)^2 / 2; valid for 0 < beta < 1 (the Bessel
     argument collapses as the barrier suppression point beta = 1 is
-    approached); e^zeta K_{1/4}(zeta) is one quadrature for every zeta.
+    approached); e^zeta K_{1/4}(zeta) is one trapezoid call for all beta.
     """
     _check_eps_beta(epsilon, beta)
-    if beta >= 1.0:
+    b = np.asarray(beta, dtype=float)
+    if np.any(b >= 1.0):
         raise ValueError("asymptotic form invalid at barrier suppression")
-    if beta == 0.0:
+    if np.any(b == 0.0):
         raise ValueError("prefactor undefined for a vanishing drive")
-    zeta = epsilon * (1.0 - beta) ** 2 / 2.0
-    return (math.sqrt((1.0 - beta) / beta) / (2.0 * math.pi)
-            * scaled_bessel_k_quarter(zeta))
+    zeta = epsilon * (1.0 - b) ** 2 / 2.0
+    return _as_output(np.sqrt((1.0 - b) / b) / (2.0 * math.pi)
+                      * scaled_bessel_k_quarter(zeta), beta)
 
 
-def averaged_transmission_asymptotic(epsilon: float, beta: float) -> float:
-    """Deep-tunneling estimate A exp(-eps (1 - beta)^2) of the period average."""
-    return asymptotic_prefactor(epsilon, beta) * math.exp(
-        -epsilon * (1.0 - beta) ** 2)
+def averaged_transmission_asymptotic(epsilon: float, beta):
+    """Deep-tunneling estimate A exp(-eps (1 - beta)^2) of the period
+    average, for a scalar or an array of beta."""
+    b = np.asarray(beta, dtype=float)
+    return _as_output(asymptotic_prefactor(epsilon, b)
+                      * np.exp(-epsilon * (1.0 - b) ** 2), beta)
 
 
 def prefactor_curve(epsilon: float, betas) -> list[tuple[float, float]]:
     """Prefactor A sampled over a sequence of force parameters."""
-    return [(float(b), asymptotic_prefactor(epsilon, float(b))) for b in betas]
+    b = np.asarray(betas, dtype=float).ravel()
+    return list(zip(b.tolist(), asymptotic_prefactor(epsilon, b).tolist()))

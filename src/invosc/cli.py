@@ -378,19 +378,21 @@ def cmd_tunnel(config, out, barrier_mode=False) -> int:
     betas = np.linspace(_finite(sec["beta_min"], "tunnel.beta_min"),
                         _finite(sec["beta_max"], "tunnel.beta_max"),
                         _count(sec["points"], "tunnel.points"))
-    rows, warned = [], False
-    for beta in betas:
-        beta = float(beta)
+    # the quadrature columns take the whole sweep in one call each
+    w_avg = bt.averaged_transmission(eps, betas)
+    below = (betas > 0.0) & (betas < 1.0)
+    a_pre = np.zeros_like(betas)
+    a_pre[below] = bt.asymptotic_prefactor(eps, betas[below])
+    if not below.all():
+        sys.stderr.write("warning: asymptotic columns left empty outside "
+                         "0 < beta < 1\n")
+    rows = []
+    for beta, w_q, a, asymptotic in zip(betas.tolist(), w_avg.tolist(),
+                                        a_pre.tolist(), below.tolist()):
         w_j = bt.transmission_jwkb(eps, beta)
-        row = [beta, w_j, bt.transmission_exact(eps, beta),
-               bt.averaged_transmission(eps, beta), None, None]
-        if 0.0 < beta < 1.0:
-            a_pre = bt.asymptotic_prefactor(eps, beta)
-            row[4:] = a_pre, a_pre * w_j
-        elif not warned:
-            sys.stderr.write("warning: asymptotic columns left empty outside "
-                             "0 < beta < 1\n")
-            warned = True
+        row = [beta, w_j, bt.transmission_exact(eps, beta), w_q, None, None]
+        if asymptotic:
+            row[4:] = a, a * w_j
         rows.append(row)
     header = ["beta", "w_jwkb", "w_exact", "w_avg_quadrature", "A_prefactor",
               "w_avg_asymptotic"]

@@ -1,17 +1,18 @@
 """Shared numerical machinery.
 
 Adaptive Gauss-Kronrod quadrature (finite intervals and the half line),
-a Cardano cubic solver with Newton refinement, the matrix exponential
-by scaling and squaring and, with it, the Gramian of a linear system
-driven by white noise, e^z K_{1/4}(z) by one quadrature for every
-z > 0, a split-step Fourier solver for the time-dependent Schrodinger
-equation on a periodic grid without an absorbing boundary, and a
-fixed-step RK4 integrator for the memory-kernel (generalized Langevin)
-equation of motion.
+a row-vectorized trapezoid rule for analytic integrands, a Cardano cubic
+solver with Newton refinement, the matrix exponential by scaling and
+squaring and, with it, the Gramian of a linear system driven by white
+noise, e^z K_{1/4}(z) by the trapezoid rule for every z > 0, a split-step
+Fourier solver for the time-dependent Schrodinger equation on a periodic
+grid without an absorbing boundary, and a fixed-step RK4 integrator for
+the memory-kernel (generalized Langevin) equation of motion.
 
-Integrands are vectorized: the quadratures call ``f`` on a 1-D float
-ndarray holding every node of one or two panels, and ``f`` returns an
-array of the same length, real or complex.
+Integrands are vectorized: the adaptive quadratures call ``f`` on a 1-D
+float ndarray holding every node of one or two panels, the trapezoid rule
+on a 2-D array with one row of nodes per open interval, and ``f`` returns
+an array of the same shape, real or complex.
 
 Everything here is deterministic and allocation-per-call; no module
 state is mutated.
@@ -74,6 +75,15 @@ _RULES = np.stack([_full_rule(_WGK, 1.0), _full_rule(_WG, 1.0)], axis=1)
 
 _MAX_DEPTH = 60
 _MAX_DOUBLINGS = 60
+# Bisections in a row that integrate_adaptive allows without a new low of
+# its summed error estimate.  The longest such run in a call that converged,
+# over the test suite and the benchmark workloads, was 1,434 (the far tail
+# of an oscillatory half-line integral).
+_MAX_STALL = 1600
+# The trapezoid rule starts from 1 interval and doubles; a row may stop from
+# _TRAPEZOID_MIN intervals on and must have stopped by _TRAPEZOID_MAX.
+_TRAPEZOID_MIN = 16
+_TRAPEZOID_MAX = 2**15
 
 
 class QuadratureError(RuntimeError):
@@ -89,8 +99,11 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    value: complex | float
-    error_estimate: float
+    """A value with its error estimate and integrand evaluations; arrays of
+    one entry per row from ``integrate_trapezoid``."""
+
+    value: complex | float | np.ndarray
+    error_estimate: float | np.ndarray
     evaluations: int
 
 
@@ -126,7 +139,11 @@ def integrate_adaptive(f, lo: float, hi: float, abs_tol: float = 1e-12,
     satisfies ``max(abs_tol, rel_tol * |I|)``.
 
     Raises QuadratureError, carrying the best estimate, if a panel would
-    be bisected more than ``_MAX_DEPTH`` times before the tolerance is met.
+    be bisected more than ``_MAX_DEPTH`` times, if there are more than
+    100,000 panels, or if ``_MAX_STALL`` bisections in a row have not
+    lowered the summed estimate below its lowest value so far (an integrand
+    whose error floors above the tolerance, such as one with noise in it),
+    before the tolerance is met.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
         raise ValueError(f"bad integration interval [{lo}, {hi}]")
@@ -136,17 +153,19 @@ def integrate_adaptive(f, lo: float, hi: float, abs_tol: float = 1e-12,
     counter = 0
     heap = [(-err, counter, lo, hi, value, err, 0)]
     total_val = value
-    total_err = err
+    total_err = lowest_err = err
+    stalled = 0
     while total_err > max(abs_tol, rel_tol * abs(total_val)):
         neg_err, _, a, b, v, e, depth = heapq.heappop(heap)
         if e == 0.0:
             heapq.heappush(heap, (neg_err, counter, a, b, v, e, depth))
             break
-        if depth >= _MAX_DEPTH or len(heap) > 100_000:
+        if depth >= _MAX_DEPTH or len(heap) > 100_000 or stalled > _MAX_STALL:
             best = QuadratureResult(total_val if is_complex else total_val.real,
                                     total_err, evals)
-            raise QuadratureError(
-                f"quadrature subdivision limit exceeded on [{lo}, {hi}]", best)
+            reason = ("error estimate stopped falling" if stalled > _MAX_STALL
+                      else "subdivision limit exceeded")
+            raise QuadratureError(f"quadrature {reason} on [{lo}, {hi}]", best)
         m = 0.5 * (a + b)
         (v1, v2), (e1, e2), c = _gk15_panels(f, (a, m, b))
         is_complex = is_complex or c
@@ -157,8 +176,59 @@ def integrate_adaptive(f, lo: float, hi: float, abs_tol: float = 1e-12,
         heapq.heappush(heap, (-e1, counter, a, m, v1, e1, depth + 1))
         counter += 1
         heapq.heappush(heap, (-e2, counter, m, b, v2, e2, depth + 1))
+        if total_err < lowest_err:
+            lowest_err, stalled = total_err, 0
+        else:
+            stalled += 1
     out = total_val if is_complex else total_val.real
     return QuadratureResult(out, total_err, evals)
+
+
+def integrate_trapezoid(f, lo, hi, rel_tol, *params) -> QuadratureResult:
+    """The trapezoid rule on one interval [lo[i], hi[i]] per row i, by doubling.
+
+    ``lo``, ``hi``, ``rel_tol`` and each of ``params`` broadcast to one
+    value per row.  ``f(x, *columns)`` gets a 2-D float ndarray ``x`` with
+    one row of nodes for each row still open, and the matching entries of
+    ``params`` as column vectors, and returns an array of the shape of
+    ``x``.  The rule converges geometrically on an analytic periodic
+    integrand over a period, and on one that is analytic, even about
+    ``lo`` and negligible at ``hi`` (Trefethen & Weideman, SIAM Rev. 56,
+    385 (2014)).  Each doubling keeps the nodes and adds the midpoints; a
+    row is closed, its value frozen, once two successive sums agree to its
+    ``rel_tol``, from ``_TRAPEZOID_MIN`` intervals on.  A row's value does
+    not depend on the other rows.
+
+    Returns the values, the last change of each, and the number of
+    integrand evaluations, in a QuadratureResult.  Raises QuadratureError,
+    carrying that result, if a row is still open at ``_TRAPEZOID_MAX``
+    intervals.
+    """
+    lo, hi, rel_tol, *params = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (lo, hi, rel_tol, *params)))
+    width = hi - lo
+    ends = f(np.stack([lo, hi], axis=1), *(p[:, None] for p in params))
+    total = 0.5 * (ends[:, 0] + ends[:, 1])   # the sum with half weights at the ends
+    value = width * total
+    change = np.full(value.shape, np.inf)
+    open_rows = np.arange(value.size)
+    evals = ends.size
+    n = 1
+    while n < _TRAPEZOID_MAX:
+        rows = open_rows[:, None]
+        midpoints = lo[rows] + width[rows] * ((np.arange(n) + 0.5) / n)
+        total[open_rows] += f(midpoints, *(p[rows] for p in params)).sum(axis=1)
+        evals += midpoints.size
+        n *= 2
+        new = width[open_rows] * total[open_rows] / n
+        change[open_rows] = np.abs(new - value[open_rows])
+        value[open_rows] = new
+        if n >= _TRAPEZOID_MIN:
+            open_rows = open_rows[~(change[open_rows] <= rel_tol[open_rows] * np.abs(new))]
+        if open_rows.size == 0:
+            return QuadratureResult(value, change, evals)
+    raise QuadratureError(f"trapezoid rule did not converge in {n} intervals",
+                          QuadratureResult(value, change, evals))
 
 
 def integrate_halfline(f, abs_tol: float, first_length: float = 1.0,
@@ -294,21 +364,21 @@ def _polish_cubic_roots(roots, a2: float, a1: float, a0: float,
     return tuple(sorted(snapped, key=lambda s: (-s.real, s.imag)))
 
 
-# 1/k!, k < 36, in Paterson-Stockmeyer blocks: row j multiplies X^(6j + i)
-_TAYLOR_BLOCKS = np.array([1.0 / math.factorial(k) for k in range(36)]).reshape(6, 6)
-# the same without the k = 0 term, for e^X - 1
-_TAYLOR_BLOCKS_M1 = np.concatenate([[0.0], _TAYLOR_BLOCKS.ravel()[1:]]).reshape(6, 6)
+# 1/k!, 0 < k < 36 (and 0 for k = 0), in Paterson-Stockmeyer blocks: row j
+# multiplies X^(6j + i)
+_TAYLOR_BLOCKS = np.array([0.0] + [1.0 / math.factorial(k)
+                                   for k in range(1, 36)]).reshape(6, 6)
 
 
-def _taylor(x: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-    """The degree-35 Taylor polynomial of the exponential of each matrix in
-    the stack x, exact to rounding for a 1-norm below 4 (4^36 / 36! < 1e-20)."""
+def _taylor(x: np.ndarray) -> np.ndarray:
+    """e^X - I by the degree-35 Taylor polynomial, for each matrix in the
+    stack x, exact to rounding for a 1-norm below 4 (4^36 / 36! < 1e-20)."""
     powers = np.empty((7,) + x.shape)   # I, X, X^2, ..., X^6
     powers[0] = np.eye(x.shape[-1])
     powers[1] = x
     for k in range(2, 7):
         np.matmul(powers[k - 1], powers[1], out=powers[k])
-    blocks = np.tensordot(coefficients, powers[:6], axes=1)
+    blocks = np.tensordot(_TAYLOR_BLOCKS, powers[:6], axes=1)
     e = blocks[5]
     for block in blocks[4::-1]:
         e = block + powers[6] @ e
@@ -321,7 +391,10 @@ def expm(a) -> np.ndarray:
     Scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
     (2005)): each matrix is scaled by its own 2^-s to a 1-norm below 4,
     where the degree-35 Taylor polynomial is exact to rounding, and squared
-    s times; 256 at a time, to bound the temporaries.
+    s times; 256 at a time, to bound the temporaries.  As in
+    ``expm_gramian``, E = e^(A 2^-s) is carried as D = E - I and squared as
+    D <- D (D + 2 I) = 2 D + D^2, so that small entries do not lose a bit
+    to the rounding of I + D at every squaring.
     """
     a = np.asarray(a, dtype=float)
     if a.size > 256 * a.shape[-1] ** 2:
@@ -329,10 +402,14 @@ def expm(a) -> np.ndarray:
         return np.concatenate([expm(flat[i:i + 256])
                                for i in range(0, len(flat), 256)]).reshape(a.shape)
     squarings = np.maximum(np.frexp(np.abs(a).sum(axis=-2).max(axis=-1))[1] - 2, 0)
-    e = _taylor(np.ldexp(a, -squarings[..., None, None]), _TAYLOR_BLOCKS)
+    d = _taylor(np.ldexp(a, -squarings[..., None, None]))
+    eye = np.eye(a.shape[-1])
+    two = eye + eye
     for k in range(int(squarings.max(initial=0))):
-        e = np.where((squarings > k)[..., None, None], e @ e, e)
-    return e
+        doubled = d @ (d + two)
+        d = doubled if squarings.ndim == 0 else np.where(
+            (squarings > k)[..., None, None], doubled, d)
+    return d + eye
 
 
 def expm_gramian(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -359,7 +436,7 @@ def expm_gramian(a, b) -> tuple[np.ndarray, np.ndarray]:
     block[..., :n, :n] = -a * scale
     block[..., :n, n:] = b * scale
     block[..., n:, n:] = np.swapaxes(a, -1, -2) * scale
-    step = _taylor(block, _TAYLOR_BLOCKS_M1)   # exp(block h) - 1
+    step = _taylor(block)   # exp(block h) - 1
     d = np.swapaxes(step[..., n:, n:], -1, -2)
     p = step[..., :n, n:] + d @ step[..., :n, n:]
     for k in range(int(squarings.max(initial=0))):
@@ -370,29 +447,34 @@ def expm_gramian(a, b) -> tuple[np.ndarray, np.ndarray]:
     return d + np.eye(n), p
 
 
-def scaled_bessel_k_quarter(z: float) -> float:
-    """e^z K_{1/4}(z), the modified Bessel function of order 1/4 scaled.
+def scaled_bessel_k_quarter(z):
+    """e^z K_{1/4}(z), the modified Bessel function of order 1/4 scaled, for
+    a scalar or an array of z; a float in gives a float out.
 
     K_nu(z) = int_0^inf exp(-z cosh u) cosh(nu u) du, so the integrand is
-    exp(-(sqrt(2 z) sinh(u/2))^2) cosh(u/4), cut where the exponent reaches
-    -745 (so no step overflows for any z), by adaptive quadrature to a
-    1e-11 relative tolerance.
+    exp(-(sqrt(2 z) sinh(u/2))^2) cosh(u/4): even in u and analytic, so the
+    trapezoid rule converges geometrically on it.  It is cut where the
+    exponent reaches -745 (so no step overflows for any z), and every z is
+    one row of one ``integrate_trapezoid`` call to 1e-14 relative.
     """
-    if not (z > 0.0) or not math.isfinite(z):
+    zs = np.asarray(z, dtype=float)
+    if not np.all((zs > 0.0) & np.isfinite(zs)):
         raise ValueError("K_{1/4}(z) requires a finite z > 0")
-    root = math.sqrt(2.0) * math.sqrt(z)
-    u_max = 2.0 * math.asinh(math.sqrt(745.0) / root)
+    root = np.sqrt(2.0) * np.sqrt(zs.ravel())
+    u_max = 2.0 * np.arcsinh(np.sqrt(745.0) / root)
 
-    def integrand(u: np.ndarray) -> np.ndarray:
+    def integrand(u: np.ndarray, root: np.ndarray) -> np.ndarray:
         return np.exp(-(root * np.sinh(0.5 * u)) ** 2) * np.cosh(0.25 * u)
 
-    res = integrate_adaptive(integrand, 0.0, u_max, abs_tol=0.0, rel_tol=1e-11)
-    return float(res.value)
+    value = integrate_trapezoid(integrand, 0.0, u_max, 1e-14,
+                                root).value.reshape(zs.shape)
+    return float(value) if value.ndim == 0 else value
 
 
-def bessel_k_quarter(z: float) -> float:
+def bessel_k_quarter(z):
     """Modified Bessel function of the second kind of order 1/4."""
-    return scaled_bessel_k_quarter(z) * math.exp(-z)
+    value = scaled_bessel_k_quarter(z) * np.exp(-np.asarray(z, dtype=float))
+    return float(value) if np.ndim(value) == 0 else value
 
 
 # ---------------------------------------------------------------------------

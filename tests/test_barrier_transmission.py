@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from invosc import barrier_transmission
+from invosc import barrier_transmission, numerics
 from invosc import (SystemParams, TunnelingParams, asymptotic_prefactor,
                     averaged_transmission, averaged_transmission_asymptotic,
                     barrier_potential, prefactor_curve, transmission_exact,
@@ -138,11 +138,11 @@ class TestAveragedTransmission:
         assert averaged_transmission(eps, beta) == pytest.approx(
             ref, rel=1e-10, abs=0.0)
 
-    @pytest.mark.parametrize("eps", [1e-3, 0.1, 3.0, 30.0, 100.0])
+    @pytest.mark.parametrize("eps", [1e-3, 0.1, 3.0, 30.0, 100.0, 1e3])
     @pytest.mark.parametrize("beta", [0.05, 0.3, 0.8, 0.95, 1.0])
     def test_half_period_matches_mpmath(self, eps, beta):
         # the integrand scaled by its crest value exp(eps (1 - beta)^2), so
-        # that mpmath's absolute tolerance holds down to averages of 1e-41
+        # that mpmath's absolute tolerance holds down to averages of 1e-215
         mp = pytest.importorskip("mpmath")
         with mp.workdps(40):
             e, b = mp.mpf(eps), mp.mpf(beta)
@@ -153,8 +153,11 @@ class TestAveragedTransmission:
                 return mp.exp(crest - x) / (1 + mp.exp(-x))
 
             ref = mp.quad(f, mp.linspace(0, mp.pi, 5)) * mp.exp(-crest) / mp.pi
-        assert averaged_transmission(eps, beta) == pytest.approx(
-            float(ref), rel=1e-13, abs=0.0)
+        if ref > 1e-300:
+            assert averaged_transmission(eps, beta) == pytest.approx(
+                float(ref), rel=1e-13, abs=0.0)
+        else:   # (1e3, 0.05): 4.6e-394, below the float range
+            assert averaged_transmission(eps, beta) < 1e-300
 
     @pytest.mark.parametrize("eps", [1e-3, 3.0, 100.0])
     @pytest.mark.parametrize("beta", [1e8, 1e12, 1e16, 1e17, 1e200])
@@ -184,6 +187,22 @@ class TestAveragedTransmission:
         assert averaged_transmission(eps, beta) == pytest.approx(
             float(ref), rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize("eps, beta", [(1e8, 0.9999), (1e10, 1.0),
+                                           (1e12, 0.999999), (1e12, 1.0)])
+    def test_deep_tunneling_at_suppression_matches_mpmath(self, eps, beta):
+        # a peak of width ~eps^(-1/4) at z = 0; the rounding of 1 - beta cos z
+        # there limits the agreement of successive trapezoid sums to about
+        # ulp sqrt(eps)
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            e, b = mp.mpf(eps), mp.mpf(beta)
+            w = e ** -0.25
+            points = [0] + [w * 2**k for k in range(-2, 8)] + [mp.pi]
+            ref = mp.quad(lambda z: 1 / (1 + mp.exp(e * (1 - b * mp.cos(z)) ** 2)),
+                          points) / mp.pi
+        assert averaged_transmission(eps, beta) == pytest.approx(
+            float(ref), rel=1e-10, abs=0.0)
+
     def test_limit_correction_constant_matches_mpmath(self):
         mp = pytest.importorskip("mpmath")
         assert barrier_transmission._ETA_RATIO == pytest.approx(
@@ -193,6 +212,55 @@ class TestAveragedTransmission:
         mpmath = pytest.importorskip("mpmath")
         assert barrier_transmission._ETA_HALF == ETA_HALF == pytest.approx(
             float(mpmath.altzeta(0.5)), rel=1e-16)
+
+
+class TestSweepArrays:
+    """Every beta of an array is one row of the same trapezoid call, so an
+    array gives what one call per beta gives, to the bit."""
+
+    @pytest.mark.parametrize("eps", [1e-3, 3.0, 100.0])
+    def test_average_matches_scalar_calls_across_suppression(self, eps):
+        betas = np.concatenate([np.linspace(0.0, 3.0, 31), [1e5, 1e17]])
+        got = averaged_transmission(eps, betas)
+        np.testing.assert_array_equal(
+            got, [averaged_transmission(eps, float(b)) for b in betas])
+        assert averaged_transmission(eps, betas.reshape(3, 11)).shape == (3, 11)
+        assert type(averaged_transmission(eps, 0.5)) is float
+
+    @pytest.mark.parametrize("eps", [1e-3, 3.0, 100.0, 1e5])
+    def test_asymptotics_match_scalar_calls(self, eps):
+        betas = np.linspace(0.01, 0.99, 25)
+        np.testing.assert_array_equal(
+            asymptotic_prefactor(eps, betas),
+            [asymptotic_prefactor(eps, float(b)) for b in betas])
+        np.testing.assert_array_equal(
+            averaged_transmission_asymptotic(eps, betas),
+            [averaged_transmission_asymptotic(eps, float(b)) for b in betas])
+        assert type(asymptotic_prefactor(eps, 0.5)) is float
+        assert type(averaged_transmission_asymptotic(eps, 0.5)) is float
+
+    def test_no_adaptive_quadrature_up_to_suppression(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("integrate_adaptive called")
+
+        monkeypatch.setattr(barrier_transmission, "integrate_adaptive", forbidden)
+        monkeypatch.setattr(numerics, "integrate_adaptive", forbidden)
+        betas = np.linspace(0.0, 1.0, 41)
+        for eps in (1e-3, 3.0, 1e3):
+            assert np.all(averaged_transmission(eps, betas) >= 0.0)
+            assert np.all(averaged_transmission_asymptotic(eps, betas[1:-1]) >= 0.0)
+        with pytest.raises(AssertionError, match="integrate_adaptive"):
+            averaged_transmission(3.0, np.array([0.5, 1.5]))
+
+    def test_any_bad_beta_rejects_the_array(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            averaged_transmission(3.0, np.array([0.5, -0.1]))
+        with pytest.raises(ValueError, match="non-negative"):
+            averaged_transmission(3.0, np.array([0.5, np.nan]))
+        with pytest.raises(ValueError, match="suppression"):
+            asymptotic_prefactor(3.0, np.array([0.5, 1.0]))
+        with pytest.raises(ValueError, match="vanishing"):
+            asymptotic_prefactor(3.0, np.array([0.0, 0.5]))
 
 
 class TestAsymptoticPrefactor:

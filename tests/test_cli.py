@@ -402,6 +402,28 @@ class TestTunnel:
             else:
                 assert row[header.index("A_prefactor")] == ""
 
+    def test_one_library_call_per_quadrature_column(self, capsys, monkeypatch):
+        calls = {}
+
+        def counted(fn):
+            def wrapper(*args):
+                calls[fn.__name__] = calls.get(fn.__name__, 0) + 1
+                return fn(*args)
+            return wrapper
+
+        for name in ("averaged_transmission", "asymptotic_prefactor"):
+            monkeypatch.setattr(cli.bt, name, counted(getattr(cli.bt, name)))
+        code, out, _ = run_cli(["tunnel", "--set", "tunnel.beta_min=0.0",
+                                "--set", "tunnel.beta_max=1.5",
+                                "--set", "tunnel.points=16"], capsys)
+        assert code == 0
+        assert calls == {"averaged_transmission": 1, "asymptotic_prefactor": 1}
+        _, header, rows = parse_csv(out)
+        monkeypatch.undo()
+        for row in rows:
+            assert float(row[header.index("w_avg_quadrature")]) == \
+                invosc.averaged_transmission(3.0, float(row[0]))
+
     def test_zero_drive_row_consistency(self, capsys):
         code, out, _ = run_cli(["tunnel", "--set", "tunnel.beta_min=0.0",
                                 "--set", "tunnel.beta_max=0.5",

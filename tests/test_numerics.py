@@ -10,8 +10,9 @@ from conftest import rk4_path
 from invosc import (GaussianPacket, HarmonicForce, QuadratureError,
                     SystemParams, ZeroForce, bessel_k_quarter, expm,
                     expm_gramian, grid_from_packet, integrate_adaptive, integrate_halfline,
-                    langevin_ode_oracle, scaled_bessel_k_quarter,
+                    integrate_trapezoid, langevin_ode_oracle, scaled_bessel_k_quarter,
                     schrodinger_grid_evolve, solve_cubic)
+from invosc import numerics
 
 
 class TestAdaptiveQuadrature:
@@ -71,6 +72,59 @@ class TestAdaptiveQuadrature:
         assert err.value.best is not None
         assert err.value.best.value == pytest.approx(1.0 - math.exp(-1.0),
                                                      rel=1e-6)
+
+    def test_stalled_error_estimate_fails_fast(self):
+        # pseudo-random noise of 1e-9 floors the error estimate far above
+        # 1e-13 of the value; the 100,000-panel limit is 3,000,045 evaluations
+        def noisy(x):
+            return 1.0 + 1e-9 * np.modf(np.sin(12989.8 * x) * 43758.5453)[0]
+
+        with pytest.raises(QuadratureError, match="stopped falling") as err:
+            integrate_adaptive(noisy, 0.0, 1.0, abs_tol=0.0, rel_tol=1e-13)
+        assert err.value.best.evaluations < 50_000
+        assert err.value.best.value == pytest.approx(1.0, rel=1e-8)
+
+
+class TestTrapezoid:
+    def test_periodic_rows_to_rounding(self):
+        # int_0^pi e^(a cos z) dz = pi I_0(a), one row per a
+        mp = pytest.importorskip("mpmath")
+        a = np.array([0.1, 1.0, 5.0, 20.0, 80.0])
+        res = integrate_trapezoid(lambda z, a: np.exp(a * np.cos(z)),
+                                  0.0, math.pi, 1e-14, a)
+        with mp.workdps(40):
+            ref = [float(mp.pi * mp.besseli(0, mp.mpf(x))) for x in a]
+        np.testing.assert_allclose(res.value, ref, rtol=2e-15, atol=0.0)
+        assert np.all(res.error_estimate <= 1e-14 * res.value)
+
+    def test_each_row_matches_a_one_row_call(self):
+        # exp(-rate sin^2 x) over a period of pi from various starts
+        rates = np.array([0.5, 3.0, 40.0, 600.0])
+        lo = np.array([0.0, -1.0, 0.25, 2.0])
+        hi = lo + math.pi
+        tols = np.array([1e-14, 1e-10, 1e-14, 1e-12])
+        def f(x, rate):
+            return np.exp(-rate * np.sin(x) ** 2)
+
+        res = integrate_trapezoid(f, lo, hi, tols, rates)
+        for i in range(len(rates)):
+            one = integrate_trapezoid(f, lo[i], hi[i], tols[i], rates[i])
+            assert one.value[0] == res.value[i]
+            assert one.error_estimate[0] == res.error_estimate[i]
+
+    def test_no_row_stops_below_the_minimum(self):
+        # successive sums of a constant agree from the first doubling on
+        res = integrate_trapezoid(lambda x: np.ones_like(x), 0.0, 2.0, 1e-14)
+        assert res.value[0] == 2.0
+        assert res.evaluations == numerics._TRAPEZOID_MIN + 1
+
+    def test_node_cap_carries_best_estimate(self):
+        # sqrt(x) is not analytic at 0: the error falls only like n^-1.5
+        with pytest.raises(QuadratureError) as err:
+            integrate_trapezoid(np.sqrt, [0.0, 0.0], [1.0, 4.0], 1e-15)
+        best = err.value.best
+        assert best.evaluations == 2 * (numerics._TRAPEZOID_MAX + 1)
+        np.testing.assert_allclose(best.value, [2.0 / 3.0, 16.0 / 3.0], rtol=1e-6)
 
 
 # polynomial coefficients on a 1e-6 grid in [-1, 1], clear of subnormals
@@ -375,11 +429,31 @@ class TestBesselKQuarter:
 
     def test_scaled_matches_mpmath(self):
         mp = pytest.importorskip("mpmath")
+        zs = np.array([*np.logspace(-300.0, 15.0, 127), 600.0])
         with mp.workdps(40):
-            for z in [*np.logspace(-300.0, 15.0, 64), 600.0]:
-                ref = mp.exp(mp.mpf(z)) * mp.besselk(0.25, mp.mpf(z))
-                assert scaled_bessel_k_quarter(float(z)) == pytest.approx(
-                    float(ref), rel=1e-14, abs=0.0)
+            ref = [float(mp.exp(mp.mpf(z)) * mp.besselk(0.25, mp.mpf(z))) for z in zs]
+        np.testing.assert_allclose(scaled_bessel_k_quarter(zs), ref, rtol=3e-15,
+                                   atol=0.0)
+
+    def test_array_matches_scalar_calls(self):
+        zs = np.logspace(-300.0, 15.0, 40).reshape(5, 8)
+        scaled = scaled_bessel_k_quarter(zs)
+        plain = bessel_k_quarter(zs)
+        assert scaled.shape == plain.shape == (5, 8)
+        for i in np.ndindex(zs.shape):
+            assert scaled[i] == scaled_bessel_k_quarter(float(zs[i]))
+            assert plain[i] == bessel_k_quarter(float(zs[i]))
+        assert type(scaled_bessel_k_quarter(2.0)) is float
+        assert type(bessel_k_quarter(2.0)) is float
+        with pytest.raises(ValueError):
+            scaled_bessel_k_quarter(np.array([1.0, 0.0]))
+
+    def test_no_adaptive_quadrature(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("integrate_adaptive called")
+
+        monkeypatch.setattr(numerics, "integrate_adaptive", forbidden)
+        assert np.all(scaled_bessel_k_quarter(np.logspace(-300.0, 15.0, 9)) > 0.0)
 
 
 class TestGridSolver:

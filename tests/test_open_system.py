@@ -254,6 +254,21 @@ class TestGreenFunction:
         assert green_function(PARAMS, BATH, 0.0) == 0.0
         assert green_derivative(PARAMS, BATH, 0.0) == 1.0
 
+    @pytest.mark.parametrize("omega_d", [1e3, 1e6, 1e9])
+    def test_fast_bath_matches_mpmath(self, omega_d):
+        # the generator's -omega_d t diagonal takes ~log2(omega_d t) squarings;
+        # squaring e^(A h) itself, rather than e^(A h) - I, loses 3e-8 of G at 1e9
+        mp = pytest.importorskip("mpmath")
+        bath = BathParams(0.5, omega_d)
+        with mp.workdps(60):
+            w, t = mp.mpf(omega_d), mp.mpf(3)
+            a = mp.matrix([[0, 1, 0], [1, 0, -1], [0, w / 2, -w]])
+            ref = float(mp.expm(a * t)[0, 1])
+        assert green_function(PARAMS, bath, 3.0) == pytest.approx(ref, rel=1e-14,
+                                                                  abs=0.0)
+        assert green_function(PARAMS, bath, 0.0) == 0.0
+        assert green_derivative(PARAMS, bath, 0.0) == 1.0
+
     def test_weak_damping_limit(self):
         bath = BathParams(1e-6, 10.0, 0.0)
         assert green_function(PARAMS, bath, 1.0) == pytest.approx(math.sinh(1.0),
