@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SystemParams
-from .numerics import integrate_adaptive, integrate_trapezoid, scaled_bessel_k_quarter
+from .numerics import integrate_trapezoid, scaled_bessel_k_quarter
 
 # eta(1/2) = (1 - sqrt 2) zeta(1/2); over the real line int dy / (1 + e^(y^2))
 # is sqrt(pi) eta(1/2), and int y^2 dy / (1 + e^(y^2)) is sqrt(pi) eta(3/2) / 2
@@ -114,73 +114,69 @@ def averaged_transmission(epsilon: float, beta):
     """Static transmission averaged over one period of the drive, for a
     scalar or an array of beta; a float in gives a float out.
 
-    (1/pi) int_0^pi dz / (1 + exp(eps (1 - beta cos z)^2)), the integrand
-    being even.  A vanishing drive makes the integrand constant, so that
-    case returns the static value verbatim.  For 0 < beta <= 1 the
-    integrand is analytic and periodic, so the trapezoid rule on [0, pi]
-    (half weights at the ends) converges geometrically; every such beta is
-    one row of one ``integrate_trapezoid`` call, which stops once two
-    successive sums agree to max(1e-14, 8 ulp (eps (1 - beta)^2 +
-    sqrt(eps))).  That is the floor the rounding of the exponent X puts
-    on their agreement: X is off by about ulp X, plus 2 ulp sqrt(eps X)
-    from the cancellation in 1 - beta cos z near z = 0 and beta = 1,
-    where the nodes that carry the average have X of order 1.  With the
-    second term the rule converges up to eps = 1e12 at beta = 1 (32,769
-    nodes; the node cap is reached beyond).
+    (1/pi) int_0^pi dz / (1 + exp(eps y^2)), y = 1 - beta cos z, written once
+    in the offset delta from the peak: y = (1 - c) + 2 c sin^2(delta / 2) +
+    S sin delta, c = min(beta, 1), S = sqrt(beta - 1) sqrt(beta + 1) (0 for
+    beta <= 1); beta = 0 gives the static value.  For 0 < beta <= 1 the peak
+    is at z = delta = 0 and the integrand is analytic and periodic: each
+    such beta is one row of one trapezoid call on [0, pi], which stops once
+    two successive sums agree to max(1e-14, 8 ulp (eps (1 - beta)^2 +
+    sqrt(eps))), the floor the rounding of the exponent puts on their
+    agreement (at beta = 1 the node cap is reached beyond eps = 1e12).
 
-    Above suppression (beta > 1) the integrand is 1/2 at cos z = 1/beta
-    and lives in a window of half-width w ~ 1/sqrt(eps (beta^2 - 1))
-    around it, which the trapezoid nodes may all miss while successive
-    sums agree.  So each such beta is integrated by adaptive quadrature to
-    1e-12 relative, with no absolute floor, over [0, pi] split at the peak
-    and at 8 w on either side, beyond which the integrand has fallen below
-    e^-64 of its peak.
+    Above suppression the peak is at z0 = atan(S), cos z0 = 1/beta, in a
+    window of half-width ~ 1/(S sqrt(eps)) that uniform nodes in z may miss
+    and that is narrower than the float spacing of z for beta >> 1: each
+    such beta is two rows of one ``_double_exponential`` call, delta from 0
+    to -z0 and to pi - z0, whose nodes crowd towards the peak.
 
-    For beta >> 1 that window is narrower than the float spacing of z,
-    but with u = beta cos z the average is eta(1/2) / (beta sqrt(pi eps))
-    [1 + (1 + c / eps) / (2 beta^2) + O(beta^-4)], c = eta(3/2) / (2
-    eta(1/2)).  The next term is below (3/8) x^2, x = (1 + 2 / eps) /
-    beta^2; once x^2 is below rounding (from beta ~ 1e4 at eps = 3), this
-    corrected limit is returned.
+    For beta >> 1, with u = beta cos z the average is eta(1/2) / (beta
+    sqrt(pi eps)) [1 + (1 + c' / eps) / (2 beta^2) + O(beta^-4)],
+    c' = eta(3/2) / (2 eta(1/2)).  The next term is below (3/8) x^2,
+    x = (1 + 2 / eps) / beta^2; once x^2 is below rounding (from beta ~ 1e4
+    at eps = 3), this corrected limit is returned.
     """
     _check_eps_beta(epsilon, beta)
     betas = np.asarray(beta, dtype=float).ravel()
-    out = np.empty_like(betas)
-    periodic = (betas > 0.0) & (betas <= 1.0)
-    b = betas[periodic]
+    out = np.full_like(betas, transmission_exact(epsilon, 0.0))   # kept at beta = 0
 
-    def integrand(z: np.ndarray, beta: np.ndarray) -> np.ndarray:
-        e = np.exp(-epsilon * (1.0 - beta * np.cos(z)) ** 2)
+    def transmission(delta: np.ndarray, c, s) -> np.ndarray:
+        h = np.sin(0.5 * delta)   # sin delta = 2 h sqrt(1 - h^2), |delta| <= pi
+        y = (1.0 - c) + 2.0 * h * (c * h + s * np.sqrt(1.0 - h * h))
+        e = np.exp(-epsilon * y * y)
         return e / (1.0 + e)
 
+    periodic = (betas > 0.0) & (betas <= 1.0)
+    b = betas[periodic]
     rel_tol = np.maximum(1e-14, 8.0 * math.ulp(1.0) * (
         epsilon * (1.0 - b) ** 2 + math.sqrt(epsilon)))
-    out[periodic] = integrate_trapezoid(integrand, 0.0, math.pi, rel_tol,
-                                        b).value / math.pi
-    for i in np.flatnonzero(~periodic):
-        out[i] = _average_off_trapezoid(epsilon, float(betas[i]))
+    out[periodic] = integrate_trapezoid(transmission, 0.0, math.pi, rel_tol,
+                                        b, 0.0).value / math.pi
+
+    above = np.flatnonzero(betas > 1.0)
+    b = betas[above]
+    limit = (1.0 + 2.0 / epsilon) / b / b < math.sqrt(math.ulp(1.0))
+    out[above[limit]] = _ETA_HALF / (b[limit] * math.sqrt(math.pi * epsilon)) * (
+        1.0 + (1.0 + _ETA_RATIO / epsilon) / b[limit] / b[limit] / 2.0)
+    b = b[~limit]
+    s = np.sqrt(b - 1.0) * np.sqrt(b + 1.0)
+    z0 = np.arctan(s)
+    sides = _double_exponential(transmission, np.concatenate([-z0, math.pi - z0]),
+                                1.0, np.tile(s, 2))
+    out[above[~limit]] = (sides[:b.size] + sides[b.size:]) / math.pi
     return _as_output(out, beta)
 
 
-def _average_off_trapezoid(epsilon: float, beta: float) -> float:
-    """The period average at beta = 0 and beta > 1 (see averaged_transmission)."""
-    if beta == 0.0:
-        return transmission_exact(epsilon, 0.0)
-    if (1.0 + 2.0 / epsilon) / beta / beta < math.sqrt(math.ulp(1.0)):
-        return _ETA_HALF / (beta * math.sqrt(math.pi * epsilon)) * (
-            1.0 + (1.0 + _ETA_RATIO / epsilon) / beta / beta / 2.0)
+def _double_exponential(f, length, *params) -> np.ndarray:
+    """Row-wise integral of f(delta, *params) for delta from 0 to L, to 1e-14:
+    the trapezoid rule in t on [-4, 4] (e^(-85) |L| left out at each end),
+    delta = L / (1 + e^(-pi sinh t)) (Takahasi & Mori, Publ. RIMS 9, 721 (1974))."""
+    def mapped(t, length, *params):
+        g = np.exp(-math.pi * np.sinh(t))
+        return f(length / (1.0 + g), *params) * (
+            np.abs(length) * math.pi * np.cosh(t) * g / (1.0 + g) ** 2)
 
-    def integrand(z: np.ndarray) -> np.ndarray:
-        e = np.exp(-epsilon * (1.0 - beta * np.cos(z)) ** 2)
-        return e / (1.0 + e)
-
-    z_star = math.acos(1.0 / beta)
-    w = 8.0 / (math.sqrt(epsilon) * math.sqrt(beta * beta - 1.0))
-    cuts = sorted({0.0, math.pi, *(min(max(z, 0.0), math.pi)
-                                   for z in (z_star - w, z_star, z_star + w))})
-    return sum(integrate_adaptive(integrand, lo, hi, abs_tol=0.0,
-                                  rel_tol=1e-12).value
-               for lo, hi in zip(cuts, cuts[1:])) / math.pi
+    return integrate_trapezoid(mapped, -4.0, 4.0, 1e-14, length, *params).value
 
 
 def asymptotic_prefactor(epsilon: float, beta):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import hashlib
 import json
 import math
@@ -28,7 +29,7 @@ from . import numerics
 from . import open_system as osys
 from .core import (ConstantForce, GaussianPacket, HarmonicForce, SystemParams,
                    TabulatedForce, ZeroForce)
-from .numerics import integrate_adaptive
+from .numerics import integrate_adaptive, integrate_trapezoid
 
 
 class ConfigError(ValueError):
@@ -236,11 +237,14 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, str):
         return value
-    return f"{float(value):.16e}"
+    value = float(value)
+    if abs(value) < 2.2250738585072014e-308:   # subnormal: fewer than 17 digits
+        value = math.copysign(0.0, value)
+    return f"{value:.16e}"
 
 
 def render_csv(header, rows, cfg_hash: str) -> str:
-    """CSV text; a NaN or infinite cell raises ArithmeticError naming it."""
+    """CSV text; a non-finite cell raises ArithmeticError naming it, a subnormal is 0."""
     lines = [f"# config-sha256: {cfg_hash}", ",".join(header)]
     for row in rows:
         for name, v in zip(header, row):
@@ -266,38 +270,38 @@ def _emit(text: str, out_path: str | None) -> None:
 # Shared measurement helpers
 # ---------------------------------------------------------------------------
 
-def _packet_moments(ev, params, packet):
-    """Quadrature norm, mean, and central variance of the evolved density."""
-    width = packet.sigma * abs(ev.gamma_factor)
-    lo, hi = ev.xi - 12.0 * width, ev.xi + 12.0 * width
+def _packet_moments(states, params, packet):
+    """Quadrature norm, mean and central variance of the density at each of
+    ``states``: per moment one trapezoid call, a row per state on [lo, hi] =
+    [xi -+ 12 sigma |Gamma|]; the mean is lo + int (x - lo) rho / norm."""
+    xi = np.array([ev.xi for ev in states])
+    width = packet.sigma * np.abs([ev.gamma_factor for ev in states])
+    lo, hi = xi - 12.0 * width, xi + 12.0 * width
 
-    def density(x):
-        return abs(ce.evaluate(ev, params, packet, x)) ** 2
+    def moment(power, centre):   # int (x - centre)^power |psi|^2 dx, a row per state
+        def f(x, row, c):
+            rho = [abs(ce.evaluate(states[int(i)], params, packet, xs)) ** 2
+                   for i, xs in zip(row[:, 0], x)]
+            return (x - c) ** power * np.stack(rho)
+        return integrate_trapezoid(f, lo, hi, 1e-13, np.arange(len(states)), centre).value
 
-    norm = integrate_adaptive(density, lo, hi, abs_tol=1e-13, rel_tol=1e-11).value
-    # near a mean of 0, x |psi|^2 cancels only to rounding of the width
-    mean = integrate_adaptive(lambda x: x * density(x), lo, hi,
-                              abs_tol=1e-13 * width, rel_tol=1e-11).value / norm
-    var = integrate_adaptive(lambda x: (x - mean) ** 2 * density(x), lo, hi,
-                             abs_tol=1e-13, rel_tol=1e-11).value / norm
-    return float(norm), float(mean), float(var)
+    norm = moment(0, 0.0)
+    mean = lo + moment(1, lo) / norm
+    return norm, mean, moment(2, mean) / norm
 
 
 def _evolution_rows(stage: str, state_at, times, params, packet):
-    """Rows for state_at(t) at each sample time, and the last state.
-
-    An overflow is re-raised naming the stage and the time.
-    """
-    rows = []
-    for t in times:
+    """Rows for state_at(t) at each sample time, and the last state; an
+    overflow is re-raised naming the stage and the time."""
+    states = []
+    for t in times.tolist():
         try:
-            ev = state_at(float(t))
+            states.append(state_at(t))
         except OverflowError as exc:
             raise ArithmeticError(f"{stage} overflowed at t={t:g}: {exc}") from exc
-        norm, _, var = _packet_moments(ev, params, packet)
-        rows.append([ev.t, ev.xi, ev.xi_dot, ev.gamma_factor.real,
-                     ev.gamma_factor.imag, var, norm])
-    return rows, ev
+    norm, _, var = _packet_moments(states, params, packet)
+    return [[ev.t, ev.xi, ev.xi_dot, ev.gamma_factor.real, ev.gamma_factor.imag, v, n]
+            for ev, v, n in zip(states, var.tolist(), norm.tolist())], states[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +351,8 @@ def cmd_kick(config, out) -> int:
             return ce.evolve_gaussian(params, packet, ZeroForce(), t)
         return ce.delta_kick_at(params, packet, p, t1, t)
 
-    rows, _ = _evolution_rows("kick evolution", state_at, times, params, packet)
-    boosted = packet.p0 + p
-    for row in rows:
-        row.append(boosted)
+    rows = [row + [packet.p0 + p] for row in _evolution_rows(
+        "kick evolution", state_at, times, params, packet)[0]]
     header = ["t", "xi", "xi_dot", "re_gamma", "im_gamma", "variance",
               "norm_check", "P"]
     _emit(render_csv(header, rows, config_sha256(config)), out)
@@ -589,6 +591,7 @@ def cmd_verify(config, out) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache   # built on the first call, not at import, and reused
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="invosc",

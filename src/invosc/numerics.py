@@ -1,13 +1,14 @@
 """Shared numerical machinery.
 
-Adaptive Gauss-Kronrod quadrature (finite intervals and the half line),
-a row-vectorized trapezoid rule for analytic integrands, a Cardano cubic
-solver with Newton refinement, the matrix exponential by scaling and
-squaring and, with it, the Gramian of a linear system driven by white
-noise, e^z K_{1/4}(z) by the trapezoid rule for every z > 0, a split-step
-Fourier solver for the time-dependent Schrodinger equation on a periodic
-grid without an absorbing boundary, and a fixed-step RK4 integrator for
-the memory-kernel (generalized Langevin) equation of motion.
+A row-vectorized trapezoid rule for analytic integrands; adaptive
+Gauss-Kronrod quadrature, which serves only ``integrate_halfline``, the
+zero-point noise term, ``verify``'s windowed check and the tests; a
+Cardano cubic solver with Newton refinement; the matrix exponential by
+scaling and squaring and, with it, the Gramian of a linear system driven
+by white noise; e^z K_{1/4}(z) by the trapezoid rule for every z > 0; a
+split-step Fourier solver for the time-dependent Schrodinger equation on
+a periodic grid without an absorbing boundary; and a fixed-step RK4
+integrator for the memory-kernel (generalized Langevin) equation of motion.
 
 Integrands are vectorized: the adaptive quadratures call ``f`` on a 1-D
 float ndarray holding every node of one or two panels, the trapezoid rule
@@ -87,7 +88,7 @@ _TRAPEZOID_MAX = 2**15
 
 
 class QuadratureError(RuntimeError):
-    """Raised when adaptive refinement cannot reach the requested tolerance.
+    """Raised when a quadrature cannot reach the requested tolerance.
 
     Carries the best available estimate in the ``best`` attribute.
     """
@@ -191,13 +192,13 @@ def integrate_trapezoid(f, lo, hi, rel_tol, *params) -> QuadratureResult:
     value per row.  ``f(x, *columns)`` gets a 2-D float ndarray ``x`` with
     one row of nodes for each row still open, and the matching entries of
     ``params`` as column vectors, and returns an array of the shape of
-    ``x``.  The rule converges geometrically on an analytic periodic
-    integrand over a period, and on one that is analytic, even about
-    ``lo`` and negligible at ``hi`` (Trefethen & Weideman, SIAM Rev. 56,
-    385 (2014)).  Each doubling keeps the nodes and adds the midpoints; a
-    row is closed, its value frozen, once two successive sums agree to its
-    ``rel_tol``, from ``_TRAPEZOID_MIN`` intervals on.  A row's value does
-    not depend on the other rows.
+    ``x``.  The rule converges geometrically on an analytic integrand over
+    a period, or negligible at both ends, or even about ``lo`` and
+    negligible at ``hi`` (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)).
+    Each doubling keeps the nodes and adds the midpoints; a row stays open,
+    from ``_TRAPEZOID_MIN`` intervals on, only while its last change exceeds
+    ``rel_tol`` times its value, so a row whose sum is not finite (no
+    doubling mends it) closes.  No row's value depends on another.
 
     Returns the values, the last change of each, and the number of
     integrand evaluations, in a QuadratureResult.  Raises QuadratureError,
@@ -214,7 +215,10 @@ def integrate_trapezoid(f, lo, hi, rel_tol, *params) -> QuadratureResult:
     open_rows = np.arange(value.size)
     evals = ends.size
     n = 1
-    while n < _TRAPEZOID_MAX:
+    while open_rows.size:
+        if n == _TRAPEZOID_MAX:
+            raise QuadratureError(f"trapezoid rule did not converge in {n} intervals",
+                                  QuadratureResult(value, change, evals))
         rows = open_rows[:, None]
         midpoints = lo[rows] + width[rows] * ((np.arange(n) + 0.5) / n)
         total[open_rows] += f(midpoints, *(p[rows] for p in params)).sum(axis=1)
@@ -224,11 +228,8 @@ def integrate_trapezoid(f, lo, hi, rel_tol, *params) -> QuadratureResult:
         change[open_rows] = np.abs(new - value[open_rows])
         value[open_rows] = new
         if n >= _TRAPEZOID_MIN:
-            open_rows = open_rows[~(change[open_rows] <= rel_tol[open_rows] * np.abs(new))]
-        if open_rows.size == 0:
-            return QuadratureResult(value, change, evals)
-    raise QuadratureError(f"trapezoid rule did not converge in {n} intervals",
-                          QuadratureResult(value, change, evals))
+            open_rows = open_rows[change[open_rows] > rel_tol[open_rows] * np.abs(new)]
+    return QuadratureResult(value, change, evals)
 
 
 def integrate_halfline(f, abs_tol: float, first_length: float = 1.0,

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -159,6 +160,28 @@ class TestAveragedTransmission:
         else:   # (1e3, 0.05): 4.6e-394, below the float range
             assert averaged_transmission(eps, beta) < 1e-300
 
+    @pytest.mark.parametrize("eps, beta", [
+        *itertools.product([1e-3, 3.0, 1e3, 1e8, 1e12, 1e16],
+                           [1 + 1e-9, 1 + 1e-6, 1.01, 2.0, 100.0, 1e4]),
+        (1e-3, 3e5), (0.1, 3e4), (1e6, 1 + 1e-9), (1e16, 1.5)])
+    def test_above_suppression_matches_mpmath(self, eps, beta):
+        # the peak at z0 = arccos(1/beta) of half-width ~ w, and the one at
+        # z = 0 of width ~ eps^(-1/4) just above suppression, are split off
+        # by breakpoints at geometrically growing distances
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            e, b = mp.mpf(eps), mp.mpf(beta)
+            z0 = mp.acos(1 / b)
+            w = 1 / (mp.sqrt(e) * mp.sqrt(b * b - 1))
+            points = {mp.mpf(0), z0, mp.pi}
+            for k in range(-4, 12):
+                points.update(p for p in (z0 - w * 2**k, z0 + w * 2**k,
+                                          e ** -0.25 * 2**k) if 0 < p < mp.pi)
+            ref = mp.quad(lambda z: 1 / (1 + mp.exp(e * (1 - b * mp.cos(z)) ** 2)),
+                          sorted(points)) / mp.pi
+        assert averaged_transmission(eps, beta) == pytest.approx(
+            float(ref), rel=1e-14, abs=0.0)
+
     @pytest.mark.parametrize("eps", [1e-3, 3.0, 100.0])
     @pytest.mark.parametrize("beta", [1e8, 1e12, 1e16, 1e17, 1e200])
     def test_far_above_suppression_reaches_the_limit(self, eps, beta):
@@ -240,17 +263,18 @@ class TestSweepArrays:
         assert type(averaged_transmission_asymptotic(eps, 0.5)) is float
 
     def test_no_adaptive_quadrature_up_to_suppression(self, monkeypatch):
+        # nor above it: every beta runs on a trapezoid rule or a closed form
         def forbidden(*args, **kwargs):
             raise AssertionError("integrate_adaptive called")
 
-        monkeypatch.setattr(barrier_transmission, "integrate_adaptive", forbidden)
+        assert not hasattr(barrier_transmission, "integrate_adaptive")
         monkeypatch.setattr(numerics, "integrate_adaptive", forbidden)
         betas = np.linspace(0.0, 1.0, 41)
         for eps in (1e-3, 3.0, 1e3):
             assert np.all(averaged_transmission(eps, betas) >= 0.0)
             assert np.all(averaged_transmission_asymptotic(eps, betas[1:-1]) >= 0.0)
-        with pytest.raises(AssertionError, match="integrate_adaptive"):
-            averaged_transmission(3.0, np.array([0.5, 1.5]))
+        assert np.all(averaged_transmission(
+            3.0, np.array([0.5, 1.5, 100.0, 1e17])) > 0.0)
 
     def test_any_bad_beta_rejects_the_array(self):
         with pytest.raises(ValueError, match="non-negative"):

@@ -139,6 +139,17 @@ class TestConfig:
         assert code == 2
         assert "nope.key" in err
 
+    def test_successive_calls_share_no_overrides(self, capsys):
+        # the parser is built once and reused by every call
+        code, out, _ = run_cli(["evolve", "--set", "packet.x0=2",
+                                "--print-config"], capsys)
+        assert code == 0 and json.loads(out)["packet"]["x0"] == 2
+        code, out, _ = run_cli(["evolve", "--set", "packet.p0=3",
+                                "--print-config"], capsys)
+        assert code == 0
+        assert json.loads(out)["packet"] == {"x0": 0.0, "p0": 3, "sigma": 1.0}
+        assert cli._build_parser() is cli._build_parser()
+
     def test_invalid_json_file(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json")
@@ -303,6 +314,26 @@ _LOG_UNIT = st.floats(-1.0, 1.0).map(lambda e: 10.0**e)
 
 
 class TestPacketMoments:
+    @pytest.mark.parametrize("args", [
+        ["evolve", "--set", "force.kind=harmonic", "--set", "force.amplitude=0.5"],
+        ["evolve", "--set", "force.kind=tabulated",
+         "--set", "force.times=[0.0, 0.5, 1.5]",
+         "--set", "force.values=[0.0, 0.4, 0.0]"],
+        ["kick", "--set", "kick.time=0.5"]])
+    def test_no_adaptive_quadrature(self, capsys, monkeypatch, args):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("integrate_adaptive called")
+
+        monkeypatch.setattr(cli, "integrate_adaptive", forbidden)
+        monkeypatch.setattr(invosc.numerics, "integrate_adaptive", forbidden)
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        assert len(rows) == 16
+        assert all(abs(float(r[header.index("norm_check")]) - 1.0) <= 1e-12
+                   for r in rows)
+
+
     @settings(max_examples=60, deadline=None)
     @given(omega=_LOG_UNIT, hbar=_LOG_UNIT, sigma=_LOG_UNIT,
            omega_t=st.floats(0.0, 300.0), x0=st.floats(-1.0, 1.0),
@@ -314,11 +345,15 @@ class TestPacketMoments:
         packet = invosc.GaussianPacket(x0, p0, sigma)
         force = (invosc.HarmonicForce(amplitude, omega0) if driven
                  else invosc.ZeroForce())
-        ev = invosc.evolve_gaussian(params, packet, force, omega_t / omega)
-        norm, _, var = cli._packet_moments(ev, params, packet)
-        assert abs(norm - 1.0) <= 1e-12
-        assert var == pytest.approx(sigma**2 * abs(ev.gamma_factor) ** 2,
-                                    rel=1e-12, abs=0.0)
+        # a time series, one row per state of one call
+        states = [invosc.evolve_gaussian(params, packet, force, k * omega_t / omega)
+                  for k in (0.0, 0.25, 0.5, 1.0)]
+        norm, mean, var = cli._packet_moments(states, params, packet)
+        for ev, n, m, v in zip(states, norm, mean, var):
+            width = sigma * abs(ev.gamma_factor)
+            assert abs(n - 1.0) <= 1e-12
+            assert abs(m - ev.xi) <= 1e-12 * width
+            assert v == pytest.approx(width**2, rel=1e-12, abs=0.0)
 
 
 class TestKick:
@@ -445,6 +480,28 @@ class TestTunnel:
         # the beta >> 1 limit eta(1/2) / (beta sqrt(pi eps))
         limit = 0.6048986434216304 / (1e17 * math.sqrt(3.0 * math.pi))
         assert w_avg == pytest.approx(limit, rel=1e-12, abs=0.0)
+
+    def test_peak_above_suppression_in_deep_tunneling(self, capsys):
+        code, out, _ = run_cli(["tunnel", "--set", "tunnel.epsilon=1e12",
+                                "--set", "tunnel.beta_min=2",
+                                "--set", "tunnel.beta_max=2",
+                                "--set", "tunnel.points=1"], capsys)
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        w_avg = float(rows[0][header.index("w_avg_quadrature")])
+        assert math.isfinite(w_avg) and w_avg > 0.0
+
+    def test_subnormal_cells_written_as_zero(self, capsys):
+        # eps (1 - beta)^2 = 722.5: every transmission is below the normal range
+        code, out, _ = run_cli(["tunnel", "--set", "tunnel.epsilon=1e3",
+                                "--set", "tunnel.beta_min=0.15",
+                                "--set", "tunnel.beta_max=0.15",
+                                "--set", "tunnel.points=1"], capsys)
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        for name in ("w_jwkb", "w_exact", "w_avg_quadrature", "w_avg_asymptotic"):
+            assert rows[0][header.index(name)] == "0.0000000000000000e+00"
+        assert float(rows[0][header.index("A_prefactor")]) > 0.0
 
     def test_barrier_profile_matches_library(self, capsys):
         code, out, _ = run_cli(["tunnel", "--barrier",

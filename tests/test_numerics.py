@@ -118,6 +118,16 @@ class TestTrapezoid:
         assert res.value[0] == 2.0
         assert res.evaluations == numerics._TRAPEZOID_MIN + 1
 
+    def test_non_finite_row_closes(self):
+        # a NaN sum stays NaN: that row is returned as it is, not run to the cap
+        def f(x, bad):
+            return np.where(bad, np.nan, np.cos(x) ** 2)
+
+        res = integrate_trapezoid(f, 0.0, math.pi, 1e-14, [0.0, 1.0])
+        assert res.value[0] == pytest.approx(0.5 * math.pi, rel=1e-14)
+        assert math.isnan(res.value[1])
+        assert res.evaluations < 100
+
     def test_node_cap_carries_best_estimate(self):
         # sqrt(x) is not analytic at 0: the error falls only like n^-1.5
         with pytest.raises(QuadratureError) as err:
