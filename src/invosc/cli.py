@@ -47,7 +47,7 @@ DEFAULT_CONFIG = {
         "values": [],
     },
     "bath": {"gamma": 0.5, "omega_d": 10.0, "kT": 1.0, "noise": "occupation"},
-    "grid": {"x_min": -40.0, "x_max": 40.0, "n": 4096, "dt": 0.001},
+    "grid": {"x_min": -40.0, "x_max": 40.0, "n": 4096, "dt": 0.01},
     "evolve": {"t_max": 1.5, "samples": 16},
     "wavefunction": {"x_min": -10.0, "x_max": 10.0, "points": 401},
     "kick": {"momentum": 1.0, "time": 0.0},
@@ -232,25 +232,45 @@ def _sample_times(config, section: str) -> np.ndarray:
 # Output formatting
 # ---------------------------------------------------------------------------
 
+_TINY = 2.2250738585072014e-308   # the smallest normal float
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
     if isinstance(value, str):
         return value
     value = float(value)
-    if abs(value) < 2.2250738585072014e-308:   # subnormal: fewer than 17 digits
+    if abs(value) < _TINY:   # subnormal: fewer than 17 digits
         value = math.copysign(0.0, value)
     return f"{value:.16e}"
 
 
+def _column(cells):
+    """The text of each cell of one CSV column, and whether each is finite.
+    A column of numbers is formatted in one expression; one holding None or
+    str cells goes cell by cell through ``_fmt``."""
+    if str in set(map(type, cells)) or None in cells:
+        return [_fmt(v) for v in cells], [
+            v is None or isinstance(v, str) or math.isfinite(v) for v in cells]
+    values = list(map(float, cells))
+    if min(map(abs, values)) < _TINY:
+        values = [math.copysign(0.0, v) if abs(v) < _TINY else v for v in values]
+    return (("%.16e," * len(values) % tuple(values)).split(",")[:-1],
+            list(map(math.isfinite, values)))
+
+
 def render_csv(header, rows, cfg_hash: str) -> str:
-    """CSV text; a non-finite cell raises ArithmeticError naming it, a subnormal is 0."""
-    lines = [f"# config-sha256: {cfg_hash}", ",".join(header)]
-    for row in rows:
-        for name, v in zip(header, row):
-            if not (v is None or isinstance(v, str) or math.isfinite(v)):
-                raise ArithmeticError(f"non-finite {name} at {header[0]}={row[0]:g}")
-        lines.append(",".join(_fmt(v) for v in row))
+    """CSV text, a column at a time; the first non-finite cell (row by row)
+    raises ArithmeticError naming it, a subnormal is 0."""
+    columns = [_column(cells) for cells in zip(*rows)]
+    bad = [(finite.index(False), j) for j, (_, finite) in enumerate(columns)
+           if False in finite]
+    if bad:
+        i, j = min(bad)
+        raise ArithmeticError(f"non-finite {header[j]} at {header[0]}={rows[i][0]:g}")
+    lines = [f"# config-sha256: {cfg_hash}", ",".join(header),
+             *map(",".join, zip(*(text for text, _ in columns)))]
     return "\n".join(lines) + "\n"
 
 

@@ -6,9 +6,10 @@ zero-point noise term, ``verify``'s windowed check and the tests; a
 Cardano cubic solver with Newton refinement; the matrix exponential by
 scaling and squaring and, with it, the Gramian of a linear system driven
 by white noise; e^z K_{1/4}(z) by the trapezoid rule for every z > 0; a
-split-step Fourier solver for the time-dependent Schrodinger equation on
-a periodic grid without an absorbing boundary; and a fixed-step RK4
-integrator for the memory-kernel (generalized Langevin) equation of motion.
+fourth-order (Yoshida) split-step Fourier solver for the time-dependent
+Schrodinger equation on a periodic grid without an absorbing boundary;
+and a fixed-step RK4 integrator for the memory-kernel (generalized
+Langevin) equation of motion, stepped as powers of its step matrix.
 
 Integrands are vectorized: the adaptive quadratures call ``f`` on a 1-D
 float ndarray holding every node of one or two panels, the trapezoid rule
@@ -27,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianPacket, SystemParams, evaluate_initial, force_at
+from .core import (GaussianPacket, SystemParams, TabulatedForce, evaluate_initial,
+                   force_at, force_pieces)
 
 # 15-point Kronrod abscissae on [0, 1] (descending, ending at the centre)
 # with the Kronrod weights and the embedded 7-point Gauss weights (zero on
@@ -520,15 +522,35 @@ def grid_from_packet(packet: GaussianPacket, params: SystemParams,
     return GridState(x_min=x_min, x_max=x_max, n=n, dx=dx, psi=psi, t=0.0)
 
 
+# Yoshida's fourth-order composition S(w1 h) S(w0 h) S(w1 h) of Strang steps
+# (Phys. Lett. A 150, 262 (1990)).  Per step of length h, as fractions of h:
+# the three drifts, and the times and lengths of the four kicks.  The last
+# kick of a step and the first of the next fall at the same time and are
+# applied as one.
+_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+_W0 = 1.0 - 2.0 * _W1
+_DRIFTS = (_W1, _W0, _W1)
+_KICK_TIMES = np.array([0.0, _W1, _W1 + _W0, 1.0])
+_KICK_LENGTHS = 0.5 * np.array([_W1, _W1 + _W0, _W1 + _W0, _W1])
+
+
 def schrodinger_grid_evolve(params: SystemParams, grid: GridState, force,
                             t_final: float, dt: float) -> GridState:
-    """Split-step Fourier evolution under the inverted-oscillator potential.
+    """Fourth-order split-step Fourier evolution under the inverted-oscillator
+    potential -omega^2 x^2 / 2 - F(t) x.
 
-    The potential is -omega^2 x^2 / 2 - F(t) x.  The span to ``t_final``
-    is cut into the fewest equal Strang steps no longer than ``dt``, with
-    the force at their midpoints; kinetic steps are exact spectral phases.
-    Probability within five points of the boundary above 1e-6 raises an
-    error.
+    Each step is Yoshida's composition of three Strang steps, kick - drift -
+    kick, with weights w1 = 1/(2 - 2^(1/3)), w0 = 1 - 2 w1, w1: three exact
+    spectral drifts (three FFT pairs) and three kicks, the kick that ends a
+    step merged with the one that starts the next.  Time is advanced by the
+    drifts, so each kick samples the force at its own time; since w0 < 0,
+    those times leave [t, t + h].  The span to ``t_final`` is cut at the
+    knots of a tabulated force (``force_pieces``) and each piece into the
+    fewest equal steps no longer than ``dt``; inside a piece a tabulated
+    force is the piece's own line, extended past its ends, so its kinks do
+    not cost the order.  A kick under zero force reuses the barrier phase.
+    Probability within five points of the boundary above 1e-6 after any
+    step raises an error.
     """
     if not 0.0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
@@ -536,16 +558,36 @@ def schrodinger_grid_evolve(params: SystemParams, grid: GridState, force,
         raise ValueError("t_final must exceed the current grid time")
     x = grid.x()
     v_barrier = -0.5 * params.omega**2 * x**2
-    span = t_final - grid.t
-    n_steps = max(math.ceil(span / dt - 1e-12), 1)
-    h = span / n_steps
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
-    kinetic = np.exp(-0.5j * params.hbar * k**2 * h)
-    midpoints = grid.t + h * (np.arange(n_steps) + 0.5)
-    psi = grid.psi.copy()
-    for f_mid in force_at(force, midpoints):
-        half = np.exp(-0.5j * (v_barrier - f_mid * x) * h / params.hbar)
-        psi = half * np.fft.ifft(kinetic * np.fft.fft(half * psi))
+    k2 = (2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)) ** 2
+    steps, lengths, impulses = [], [], []   # per step: drifts; kick lengths, F * length
+    for a, b, fa, fb in force_pieces(force, grid.t, t_final):
+        n_steps = max(math.ceil((b - a) / dt - 1e-12), 1)
+        h = (b - a) / n_steps
+        times = a + h * (np.arange(n_steps)[:, None] + _KICK_TIMES)
+        f = (fa + (fb - fa) / (b - a) * (times - a)
+             if isinstance(force, TabulatedForce) else force_at(force, times))
+        steps += [[np.exp(-0.5j * params.hbar * w * h * k2) for w in _DRIFTS]] * n_steps
+        lengths.append(np.tile(h * _KICK_LENGTHS, (n_steps, 1)))
+        impulses.append(f * (h * _KICK_LENGTHS))
+    lengths, impulses = np.concatenate(lengths), np.concatenate(impulses)
+    for kicks in (lengths, impulses):   # merge each step's last kick into the next's first
+        kicks[1:, 0] += kicks[:-1, 3]
+    lengths = np.append(lengths[:, :3], lengths[-1, 3]).tolist()
+    impulses = np.append(impulses[:, :3], impulses[-1, 3]).tolist()
+    barrier = {}
+
+    def kick(i):
+        c, j = lengths[i], impulses[i]
+        if c not in barrier:
+            barrier[c] = np.exp(-1j / params.hbar * c * v_barrier)
+        return barrier[c] if j == 0.0 else np.exp(
+            -1j / params.hbar * (c * v_barrier - j * x))
+
+    psi = grid.psi * kick(0)
+    for step, drifts in enumerate(steps):
+        for stage, drift in enumerate(drifts):
+            psi = np.fft.ifft(drift * np.fft.fft(psi))
+            psi *= kick(3 * step + stage + 1)
         edge_prob = float((np.sum(np.abs(psi[:5]) ** 2)
                            + np.sum(np.abs(psi[-5:]) ** 2)) * grid.dx)
         if edge_prob > 1e-6:
@@ -565,33 +607,35 @@ def langevin_ode_oracle(params: SystemParams, bath, t_final: float,
 
     Integrates the extended system x' = v, v' = omega^2 x - w,
     w' = -omega_d w + gamma omega_d v, which reproduces the exponential
-    memory integral exactly when w(0) = 0, from x(0) = 0, v(0) = 1.
-    Returns (times, x samples) including t = 0.
+    memory integral exactly when w(0) = 0, from x(0) = 0, v(0) = 1.  The
+    system y' = A y is linear and autonomous, so one RK4 step of length dt
+    is the fixed matrix R = sum_{k<=4} (A dt)^k / k!: still RK4, not the
+    matrix exponential.  With B = isqrt(n) + 1, the state after mB + k
+    steps is R^k S_m, 0 <= k < B, at the block starts S_m = R^B S_(m-1).
+    The powers and the starts are each formed by sequential products, no
+    repeated squaring, with R^k carried as R^k - I so that its small
+    entries keep their relative accuracy, and every state is read off in
+    one einsum.  Returns (times, x samples) including t = 0.
     """
     if dt <= 0.0 or t_final <= 0.0:
         raise ValueError("t_final and dt must be positive")
-    om2 = params.omega**2
-    gd = bath.gamma * bath.omega_d
-    wd = bath.omega_d
-
-    def deriv(x, v, w):
-        return v, om2 * x - w, -wd * w + gd * v
-
+    a = dt * np.array([[0.0, 1.0, 0.0],
+                       [params.omega**2, 0.0, -1.0],
+                       [0.0, bath.gamma * bath.omega_d, -bath.omega_d]])
+    eye = np.eye(3)
+    step = a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)   # R - I
     n = int(round(t_final / dt))
-    ts = np.empty(n + 1)
-    xs = np.empty(n + 1)
-    x, v, w = 0.0, 1.0, 0.0
-    ts[0], xs[0] = 0.0, 0.0
-    for i in range(1, n + 1):
-        k1 = deriv(x, v, w)
-        k2 = deriv(x + 0.5 * dt * k1[0], v + 0.5 * dt * k1[1], w + 0.5 * dt * k1[2])
-        k3 = deriv(x + 0.5 * dt * k2[0], v + 0.5 * dt * k2[1], w + 0.5 * dt * k2[2])
-        k4 = deriv(x + dt * k3[0], v + dt * k3[1], w + dt * k3[2])
-        x += dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        v += dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        w += dt / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        if abs(x) > 1e200:
-            raise RuntimeError("RK4 trajectory overflow; use a smaller dt")
-        ts[i] = i * dt
-        xs[i] = x
-    return ts, xs
+    block = math.isqrt(n) + 1
+    powers = np.zeros((block + 1, 3, 3))   # R^k - I, 0 <= k <= block
+    starts = np.empty((-(-(n + 1) // block), 3))
+    starts[0] = (0.0, 1.0, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, block + 1):
+            powers[k] = step + powers[k - 1] + step @ powers[k - 1]
+        for m in range(1, len(starts)):
+            starts[m] = starts[m - 1] + powers[-1] @ starts[m - 1]
+        xs = (starts[:, :1] + np.einsum("kj,mj->mk", powers[:-1, 0], starts)
+              ).ravel()[:n + 1]
+    if not np.all(np.abs(xs) <= 1e200):
+        raise RuntimeError("RK4 trajectory overflow; use a smaller dt")
+    return np.arange(n + 1) * dt, xs

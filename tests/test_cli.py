@@ -218,6 +218,32 @@ class TestConfig:
         assert out == ""
 
 
+class TestRenderCsv:
+    EDGES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+             -2.225073858507201e-308, 1.7976931348623157e308, -1.0, 3,
+             np.float64(0.1), 1.0 / 3.0]
+
+    def test_columns_match_the_cell_by_cell_format(self):
+        rows = [[i, v, v if i % 3 else None, "label" if i % 4 else v]
+                for i, v in enumerate(self.EDGES)]
+        header = ["t", "value", "maybe", "mixed"]
+        text = cli.render_csv(header, rows, "abc")
+        expected = ["# config-sha256: abc", "t,value,maybe,mixed"]
+        expected += [",".join(cli._fmt(v) for v in row) for row in rows]
+        assert text == "\n".join(expected) + "\n"
+        assert text.splitlines()[2] == ("0.0000000000000000e+00,-0.0000000000000000e+00,"
+                                       ",-0.0000000000000000e+00")
+
+    def test_no_rows(self):
+        assert cli.render_csv(["a", "b"], [], "abc") == "# config-sha256: abc\na,b\n"
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_first_non_finite_cell_is_named(self, bad):
+        rows = [[0.5, 1.0, None], [1.5, 2.0, bad], [2.5, bad, 1.0]]
+        with pytest.raises(ArithmeticError, match=r"non-finite c at t=1\.5"):
+            cli.render_csv(["t", "b", "c"], rows, "abc")
+
+
 class TestEvolve:
     def test_centered_packet_stays_centered(self, capsys):
         code, out, _ = run_cli(["evolve", "--set", "evolve.samples=5"], capsys)
@@ -708,7 +734,8 @@ class TestVerify:
         assert check["deviation"] < 1e-8
 
     def test_coarse_grid_negative_control(self, capsys):
-        code, out, _ = run_cli(["verify", "--set", "grid.dt=0.2"], capsys)
+        # the fourth-order stepper still passes at dt = 0.2 (about 1e-4)
+        code, out, _ = run_cli(["verify", "--set", "grid.dt=0.5"], capsys)
         assert code == 4
         payload = json.loads(out)
         assert payload["all_pass"] is False
@@ -716,6 +743,29 @@ class TestVerify:
                   if not c["passed"] and c["name"].startswith("grid")]
         assert failed
         assert failed[0]["deviation"] > failed[0]["tolerance"]
+
+    def test_fft_budget(self, capsys, monkeypatch):
+        # 150 steps of 1e-2 to t = 1.5, three FFT pairs each
+        calls = []
+        fft = np.fft.fft
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return fft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", counted)
+        code, _, _ = run_cli(["verify"], capsys)
+        assert code == 0
+        assert 0 < len(calls) <= 450
+
+    def test_tabulated_force_passes(self, capsys):
+        code, out, _ = run_cli(["verify", "--set", "force.kind=tabulated",
+                                "--set", "force.times=[0.2, 0.7, 1.2]",
+                                "--set", "force.values=[0.3, -0.4, 0.5]"], capsys)
+        assert code == 0
+        grid = [c for c in json.loads(out)["checks"] if c["name"].startswith("grid")]
+        assert len(grid) == 3
+        assert max(c["deviation"] for c in grid) < 5e-9
 
     def test_subprocess_entry_point(self, tmp_path):
         out = tmp_path / "report.json"

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rk4_path
-from invosc import (GaussianPacket, HarmonicForce, QuadratureError,
-                    SystemParams, ZeroForce, bessel_k_quarter, expm,
+from invosc import (BathParams, GaussianPacket, HarmonicForce, QuadratureError,
+                    SystemParams, TabulatedForce, ZeroForce, bessel_k_quarter, expm,
                     expm_gramian, grid_from_packet, integrate_adaptive, integrate_halfline,
                     integrate_trapezoid, langevin_ode_oracle, scaled_bessel_k_quarter,
                     schrodinger_grid_evolve, solve_cubic)
@@ -503,11 +504,15 @@ class TestGridSolver:
         out = schrodinger_grid_evolve(params, grid, ZeroForce(), 1.0, 1e-3)
         assert out.norm() == pytest.approx(1.0, abs=1e-8)
 
-    def test_second_order_in_dt(self):
+    @pytest.mark.parametrize("force", [
+        HarmonicForce(0.5, 2.0),
+        # kinks at t = 0.5 and at the support start t = 0: a global force
+        # sample at kick times outside a step would cut the ratio to ~4
+        TabulatedForce((0.0, 0.5, 1.5), (0.0, 0.4, 0.0))], ids=["harmonic", "tabulated"])
+    def test_fourth_order_in_dt(self, force):
         from invosc import evaluate, evolve_gaussian
         params = SystemParams(1.0)
         packet = GaussianPacket(0.0, 0.5, 1.0)
-        force = HarmonicForce(0.5, 2.0)
         ev = evolve_gaussian(params, packet, force, 1.0)
 
         def deviation(dt):
@@ -517,8 +522,8 @@ class TestGridSolver:
             return np.sqrt(np.sum(np.abs(out.psi - ref) ** 2)
                            / np.sum(np.abs(ref) ** 2))
 
-        ratio = deviation(4e-3) / deviation(2e-3)
-        assert 3.0 < ratio < 5.0
+        ratio = deviation(0.05) / deviation(0.025)
+        assert 12.0 < ratio < 20.0
 
     def test_equal_steps_no_longer_than_dt(self):
         # dt = 0.3 cuts [0, 1] into four equal steps, as dt = 0.25 does
@@ -579,3 +584,59 @@ class TestLangevinOracle:
 
         with pytest.raises(RuntimeError, match="dt"):
             langevin_ode_oracle(params, _Bath(), 200.0, 0.01)
+
+    @pytest.mark.parametrize("bath,t_final,dt", [
+        (BathParams(gamma=0.5, omega_d=10.0), 5.0, 5e-4),
+        (BathParams(gamma=5.0, omega_d=2.0), 5.0, 5e-4),
+        # n + 1 = 1001 is no multiple of the block size 32
+        (BathParams(gamma=0.5, omega_d=10.0), 1.0, 1e-3)])
+    def test_block_powers_match_the_step_loop(self, bath, t_final, dt):
+        params = SystemParams(1.0)
+        ts, xs = langevin_ode_oracle(params, bath, t_final, dt)
+        _, ref_xs = _rk4_loop(params, bath, t_final, dt)
+        assert ts.tolist() == [i * dt for i in range(len(ref_xs))]
+        assert np.max(np.abs(xs - ref_xs)) <= 1e-12 * np.max(np.abs(ref_xs))
+
+    def test_no_python_call_per_step(self):
+        # the verify default: 10,000 steps of 5e-4 to omega t = 5
+        calls = []
+
+        def profile(frame, event, arg):
+            if event in ("call", "c_call"):
+                calls.append(event)
+
+        sys.setprofile(profile)
+        try:
+            ts, _ = langevin_ode_oracle(SystemParams(1.0),
+                                        BathParams(gamma=0.5, omega_d=10.0), 5.0, 5e-4)
+        finally:
+            sys.setprofile(None)
+        assert len(ts) == 10_001
+        assert len(calls) < 1_000
+
+
+def _rk4_loop(params, bath, t_final, dt):
+    """The RK4 oracle as one scalar Python step per dt."""
+    om2 = params.omega**2
+    gd = bath.gamma * bath.omega_d
+    wd = bath.omega_d
+
+    def deriv(x, v, w):
+        return v, om2 * x - w, -wd * w + gd * v
+
+    n = int(round(t_final / dt))
+    ts = np.empty(n + 1)
+    xs = np.empty(n + 1)
+    x, v, w = 0.0, 1.0, 0.0
+    ts[0], xs[0] = 0.0, 0.0
+    for i in range(1, n + 1):
+        k1 = deriv(x, v, w)
+        k2 = deriv(x + 0.5 * dt * k1[0], v + 0.5 * dt * k1[1], w + 0.5 * dt * k1[2])
+        k3 = deriv(x + 0.5 * dt * k2[0], v + 0.5 * dt * k2[1], w + 0.5 * dt * k2[2])
+        k4 = deriv(x + dt * k3[0], v + dt * k3[1], w + dt * k3[2])
+        x += dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        v += dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        w += dt / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        ts[i] = i * dt
+        xs[i] = x
+    return ts, xs
