@@ -122,7 +122,11 @@ def averaged_transmission(epsilon: float, beta):
     such beta is one row of one trapezoid call on [0, pi], which stops once
     two successive sums agree to max(1e-14, 8 ulp (eps (1 - beta)^2 +
     sqrt(eps))), the floor the rounding of the exponent puts on their
-    agreement (at beta = 1 the node cap is reached beyond eps = 1e12).
+    agreement.  At the half-width w = (2 / peak)^(1/2), peak = beta
+    (hypot(g, sqrt(eps)) + g), g = eps (1 - beta), eps y^2 exceeds its crest
+    by 1; a row with w < 1e-2, which needs more nodes than that rule allows
+    from eps ~ 1e12 at beta = 1, goes to ``_double_exponential`` with delta
+    from 0 to 64 w, beyond which the integrand is below e^-1600 of its crest.
 
     Above suppression the peak is at z0 = atan(S), cos z0 = 1/beta, in a
     window of half-width ~ 1/(S sqrt(eps)) that uniform nodes in z may miss
@@ -146,8 +150,14 @@ def averaged_transmission(epsilon: float, beta):
         e = np.exp(-epsilon * y * y)
         return e / (1.0 + e)
 
-    periodic = (betas > 0.0) & (betas <= 1.0)
+    periodic = np.flatnonzero((betas > 0.0) & (betas <= 1.0))
     b = betas[periodic]
+    g = epsilon * (1.0 - b)
+    peak = b * (np.hypot(g, math.sqrt(epsilon)) + g)
+    narrow = peak > 2e4   # w < 1e-2
+    out[periodic[narrow]] = _double_exponential(
+        transmission, 64.0 * np.sqrt(2.0 / peak[narrow]), b[narrow], 0.0) / math.pi
+    periodic, b = periodic[~narrow], b[~narrow]
     rel_tol = np.maximum(1e-14, 8.0 * math.ulp(1.0) * (
         epsilon * (1.0 - b) ** 2 + math.sqrt(epsilon)))
     out[periodic] = integrate_trapezoid(transmission, 0.0, math.pi, rel_tol,

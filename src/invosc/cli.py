@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import functools
 import hashlib
 import json
@@ -292,22 +293,26 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _packet_moments(states, params, packet):
     """Quadrature norm, mean and central variance of the density at each of
-    ``states``: per moment one trapezoid call, a row per state on [lo, hi] =
-    [xi -+ 12 sigma |Gamma|]; the mean is lo + int (x - lo) rho / norm."""
-    xi = np.array([ev.xi for ev in states])
-    width = packet.sigma * np.abs([ev.gamma_factor for ev in states])
-    lo, hi = xi - 12.0 * width, xi + 12.0 * width
+    ``states``, in one trapezoid call with three rows per state on [lo, hi] =
+    [xi -+ 12 sigma |Gamma|]: int rho, int (x - lo) rho (about lo, since a
+    value near 0 never meets a relative tolerance) and int (x - xi)^2 rho."""
+    fields = [np.array(column) for column in zip(*map(dataclasses.astuple, states))]
+    stack = ce.EvolvedGaussian(*fields)
+    width = packet.sigma * np.abs(stack.gamma_factor)
+    xi, lo, hi = stack.xi, stack.xi - 12.0 * width, stack.xi + 12.0 * width
 
-    def moment(power, centre):   # int (x - centre)^power |psi|^2 dx, a row per state
-        def f(x, row, c):
-            rho = [abs(ce.evaluate(states[int(i)], params, packet, xs)) ** 2
-                   for i, xs in zip(row[:, 0], x)]
-            return (x - c) ** power * np.stack(rho)
-        return integrate_trapezoid(f, lo, hi, 1e-13, np.arange(len(states)), centre).value
+    def f(x, state, power, centre):
+        rows = ce.EvolvedGaussian(*(field[state.astype(int)] for field in fields))
+        rho = np.abs(ce.evaluate(rows, params, packet, x)) ** 2
+        with np.errstate(over="ignore"):   # only once sigma |Gamma| > 1e153
+            return (x - centre) ** power * rho
 
-    norm = moment(0, 0.0)
-    mean = lo + moment(1, lo) / norm
-    return norm, mean, moment(2, mean) / norm
+    n = len(states)
+    norm, first, second = integrate_trapezoid(
+        f, np.tile(lo, 3), np.tile(hi, 3), 1e-13, np.tile(np.arange(n), 3),
+        np.repeat([0.0, 1.0, 2.0], n), np.concatenate([lo, lo, xi])).value.reshape(3, n)
+    mean = lo + first / norm
+    return norm, mean, second / norm - (mean - xi) ** 2
 
 
 def _evolution_rows(stage: str, state_at, times, params, packet):
@@ -446,32 +451,21 @@ def cmd_open_poles(config, out, boundary=None) -> int:
     try:
         dec = osys.solve_poles(params, bath)
     except osys.DegeneratePolesError as exc:
-        payload = {
-            "config_sha256": cfg_hash,
-            "a": exc.coefficients.a, "b": exc.coefficients.b,
-            "q": exc.coefficients.q, "p": exc.coefficients.p,
-            "D": exc.coefficients.D,
-            "root_class": exc.root_class.value,
-            "poles": [_complex_pair(s) for s in (exc.poles or ())],
-            "error": str(exc),
-        }
-        _emit(render_json(payload), out)
-        return 3
-    sum_r = sum(dec.residues)
-    sum_rs = sum(r * s for r, s in zip(dec.residues, dec.poles))
-    sum_rs2 = sum(r * s * s for r, s in zip(dec.residues, dec.poles))
-    payload = {
-        "config_sha256": cfg_hash,
-        "a": dec.coefficients.a, "b": dec.coefficients.b,
-        "q": dec.coefficients.q, "p": dec.coefficients.p, "D": dec.coefficients.D,
-        "root_class": dec.root_class.value,
-        "poles": [_complex_pair(s) for s in dec.poles],
-        "residues": [_complex_pair(r) for r in dec.residues],
-        "sum_rules": {"sumR": abs(sum_r), "sumRs": sum_rs.real,
-                      "sumRs2": abs(sum_rs2)},
-    }
+        dec = exc
+    c = dec.coefficients
+    payload = {"config_sha256": cfg_hash, "a": c.a, "b": c.b, "q": c.q, "p": c.p,
+               "D": c.D, "root_class": dec.root_class.value,
+               "poles": [_complex_pair(pole) for pole in (dec.poles or ())]}
+    if isinstance(dec, osys.DegeneratePolesError):
+        payload["error"] = str(dec)
+    else:
+        pairs = list(zip(dec.residues, dec.poles))
+        payload["residues"] = [_complex_pair(r) for r in dec.residues]
+        payload["sum_rules"] = {"sumR": abs(sum(dec.residues)),
+                                "sumRs": sum(r * s for r, s in pairs).real,
+                                "sumRs2": abs(sum(r * s * s for r, s in pairs))}
     _emit(render_json(payload), out)
-    return 0
+    return 3 if "error" in payload else 0
 
 
 def cmd_open_evolve(config, out) -> int:

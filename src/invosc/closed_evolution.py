@@ -57,16 +57,10 @@ class EvolvedGaussian:
     norm_prefactor: complex
 
 
-def _gamma_pair(params: SystemParams, sigma: float, t: float) -> tuple[complex, complex]:
-    """Gamma(t) and its derivative divided by omega."""
-    eps = params.hbar / (2.0 * params.omega * sigma**2)
-    ch, sh = math.cosh(params.omega * t), math.sinh(params.omega * t)
-    return complex(ch, eps * sh), complex(sh, eps * ch)
-
-
 def _state(params: SystemParams, packet: GaussianPacket, t: float,
            xi: float, xi_dot: float, phase: float) -> EvolvedGaussian:
-    gamma, _ = _gamma_pair(params, packet.sigma, t)
+    eps = params.hbar / (2.0 * params.omega * packet.sigma**2)
+    gamma = complex(math.cosh(params.omega * t), eps * math.sinh(params.omega * t))
     norm = (2.0 * math.pi * packet.sigma**2) ** -0.25 / np.sqrt(gamma)
     return EvolvedGaussian(t=t, xi=xi, xi_dot=xi_dot, gamma_factor=gamma,
                            phase_action=phase, norm_prefactor=complex(norm))
@@ -133,22 +127,24 @@ def evolve_gaussian(params: SystemParams, packet: GaussianPacket,
 
 def evaluate(ev: EvolvedGaussian, params: SystemParams,
              packet: GaussianPacket, x):
-    """Wavefunction psi(x, t) of an evolved Gaussian; x may be an array."""
-    gamma, gamma_tilde = _gamma_pair(params, packet.sigma, ev.t)
-    # i Gamma'/(om Gamma) = (-eps + i (1 + eps^2) sinh cosh) / |Gamma|^2, split
-    # by hand: formed as a quotient, its real part is the difference of two
-    # numbers close to one and cancels at long times.
-    eps = params.hbar / (2.0 * params.omega * packet.sigma**2)
-    ch, sh = gamma.real, gamma_tilde.real
-    width = (0.5 * params.omega / params.hbar
-             * complex(-eps, (1.0 + eps * eps) * sh * ch)
-             / (ch * ch + eps * eps * sh * sh))
-    y = np.asarray(x) - ev.xi
-    out = ev.norm_prefactor * np.exp(
-        width * y * y + 1j * (ev.xi_dot * y + ev.phase_action) / params.hbar)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return complex(out)
-    return out
+    """Wavefunction psi(x, t) of an evolved Gaussian, or of a stack of them
+    whose fields are column arrays, one row per state, against which x
+    broadcasts: one row of positions per state.  A single state and a
+    scalar x give a complex.  Past the float range (|Gamma|^2 overflows
+    near om t = 355 at sigma^2 = hbar / 2 om) it is NaN, without a warning."""
+    om = params.omega
+    eps = params.hbar / (2.0 * om * packet.sigma**2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ch, sh = np.cosh(om * ev.t), np.sinh(om * ev.t)
+        # i Gamma'/(om Gamma) = (-eps + i (1 + eps^2) sinh cosh) / |Gamma|^2, split
+        # by hand: formed as a quotient, its real part is the difference of two
+        # numbers close to one and cancels at long times.
+        width = 0.5 * om / params.hbar / (ch * ch + eps * eps * sh * sh) * (
+            -eps + 1j * (1.0 + eps * eps) * sh * ch)
+        y = np.atleast_1d(x) - ev.xi   # a scalar x rounds as an array x does
+        out = ev.norm_prefactor * np.exp(
+            width * y * y + 1j * ((ev.xi_dot * y + ev.phase_action) / params.hbar))
+    return complex(out[0]) if np.ndim(x) == 0 and np.ndim(ev.t) == 0 else out
 
 
 def evolve_delta_kick(params: SystemParams, packet: GaussianPacket,

@@ -210,12 +210,12 @@ class TestAveragedTransmission:
         assert averaged_transmission(eps, beta) == pytest.approx(
             float(ref), rel=1e-14, abs=0.0)
 
-    @pytest.mark.parametrize("eps, beta", [(1e8, 0.9999), (1e10, 1.0),
-                                           (1e12, 0.999999), (1e12, 1.0)])
+    @pytest.mark.parametrize("eps, beta", [
+        (1e8, 0.9999), (1e10, 1.0), (1e12, 0.999999), (1e12, 1.0),
+        (1e14, 1.0), (1e16, 1.0), (1e14, 1 - 1e-8), (1e13, 1 - 1e-7)])
     def test_deep_tunneling_at_suppression_matches_mpmath(self, eps, beta):
-        # a peak of width ~eps^(-1/4) at z = 0; the rounding of 1 - beta cos z
-        # there limits the agreement of successive trapezoid sums to about
-        # ulp sqrt(eps)
+        # a peak of width ~eps^(-1/4) at z = 0, narrower than the periodic
+        # rule's node spacing at its cap from eps ~ 1e12 on
         mp = pytest.importorskip("mpmath")
         with mp.workdps(40):
             e, b = mp.mpf(eps), mp.mpf(beta)
@@ -224,7 +224,34 @@ class TestAveragedTransmission:
             ref = mp.quad(lambda z: 1 / (1 + mp.exp(e * (1 - b * mp.cos(z)) ** 2)),
                           points) / mp.pi
         assert averaged_transmission(eps, beta) == pytest.approx(
-            float(ref), rel=1e-10, abs=0.0)
+            float(ref), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("eps", [1e50, 1e150, 1e300])
+    def test_deep_tunneling_at_suppression_scales_as_eps_quarter(self, eps):
+        # at beta = 1, y = 2 sin^2(z / 2) = z^2 / 2 (1 + O(z^2)), so the average
+        # is (sqrt 2 / pi) eps^(-1/4) int_0^inf du / (1 + e^(u^4)) up to a
+        # relative O(eps^(-1/2)); the peak is far narrower than e^-85 pi
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            scale = float(mp.sqrt(2) / mp.pi * mp.quad(
+                lambda u: 1 / (1 + mp.exp(u**4)), [0, 1, 2, 4, 8, mp.inf]))
+        assert averaged_transmission(eps, 1.0) == pytest.approx(
+            scale * eps**-0.25, rel=1e-13, abs=0.0)
+
+    def test_periodic_rule_below_a_narrow_peak(self, monkeypatch):
+        # the peak's w^2 = 2 / peak with peak <= eps / 2 + sqrt(eps): up to
+        # eps ~ 4e4 every 0 < beta <= 1 keeps the periodic rule (w >= 1e-2)
+        rows = []
+
+        def recorded(f, length, *params):
+            rows.append(np.size(length))
+            return double_exponential(f, length, *params)
+
+        double_exponential = barrier_transmission._double_exponential
+        monkeypatch.setattr(barrier_transmission, "_double_exponential", recorded)
+        for eps in (1e-3, 3.0, 31.0, 1e3, 3e4):
+            averaged_transmission(eps, np.linspace(1e-3, 1.0, 200))
+        assert rows and not any(rows)
 
     def test_limit_correction_constant_matches_mpmath(self):
         mp = pytest.importorskip("mpmath")

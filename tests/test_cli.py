@@ -359,6 +359,32 @@ class TestPacketMoments:
         assert all(abs(float(r[header.index("norm_check")]) - 1.0) <= 1e-12
                    for r in rows)
 
+    def test_one_quadrature_call_and_one_density_call_per_doubling(self, monkeypatch):
+        params = invosc.SystemParams(1.0, 1.0)
+        packet = invosc.GaussianPacket(-3.0, 1.0, 1.0)
+        force = invosc.HarmonicForce(0.5, 2.0)
+        states = [invosc.evolve_gaussian(params, packet, force, t)
+                  for t in np.linspace(0.0, 1.5, 16)]
+        calls = {"integrate_trapezoid": 0, "integrand": 0, "evaluate": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        def trapezoid(f, *args):
+            calls["integrate_trapezoid"] += 1
+            return invosc.numerics.integrate_trapezoid(counted("integrand", f), *args)
+
+        monkeypatch.setattr(cli, "integrate_trapezoid", trapezoid)
+        monkeypatch.setattr(cli.ce, "evaluate", counted("evaluate", cli.ce.evaluate))
+        norm, _, var = cli._packet_moments(states, params, packet)
+        assert calls["integrate_trapezoid"] == 1
+        # the ends, then one call per doubling up to the 2^15-interval cap
+        assert 1 <= calls["evaluate"] <= calls["integrand"] <= 16
+        assert np.all(np.abs(norm - 1.0) <= 1e-12)
+        assert len(var) == len(states)
 
     @settings(max_examples=60, deadline=None)
     @given(omega=_LOG_UNIT, hbar=_LOG_UNIT, sigma=_LOG_UNIT,
@@ -484,6 +510,18 @@ class TestTunnel:
         for row in rows:
             assert float(row[header.index("w_avg_quadrature")]) == \
                 invosc.averaged_transmission(3.0, float(row[0]))
+
+    def test_deep_tunneling_at_suppression_exits_zero(self, capsys):
+        # a peak ~eps^(-1/4) wide at z = 0, narrower than the periodic rule
+        # resolves within its node cap
+        code, out, _ = run_cli(["tunnel", "--set", "tunnel.epsilon=1e14",
+                                "--set", "tunnel.beta_min=1.0",
+                                "--set", "tunnel.beta_max=1.0",
+                                "--set", "tunnel.points=1"], capsys)
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        assert float(rows[0][header.index("w_avg_quadrature")]) == \
+            invosc.averaged_transmission(1e14, 1.0) > 0.0
 
     def test_zero_drive_row_consistency(self, capsys):
         code, out, _ = run_cli(["tunnel", "--set", "tunnel.beta_min=0.0",

@@ -1,13 +1,14 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from conftest import density_moments
-from invosc import (ConstantForce, GaussianPacket, HarmonicForce, SystemParams,
-                    TabulatedForce, ZeroForce, action_S, delta_kick_at, evaluate,
-                    evaluate_initial, evolve_delta_kick, evolve_gaussian,
+from invosc import (ConstantForce, EvolvedGaussian, GaussianPacket, HarmonicForce,
+                    SystemParams, TabulatedForce, ZeroForce, action_S, delta_kick_at,
+                    evaluate, evaluate_initial, evolve_delta_kick, evolve_gaussian,
                     grid_from_packet, integrate_adaptive, propagator,
                     schrodinger_grid_evolve)
 
@@ -240,3 +241,57 @@ class TestDelayedKick:
             delta_kick_at(PARAMS, packet, p, 0.5, 1.0)
         with pytest.raises(ValueError, match="momentum"):
             evolve_delta_kick(PARAMS, packet, p, 1.0)
+
+
+def _stack(states):
+    """The states as one EvolvedGaussian of column arrays, a row per state."""
+    return EvolvedGaussian(*(np.array(column)[:, None] for column in
+                             zip(*map(dataclasses.astuple, states))))
+
+
+class TestStackedEvaluate:
+    PACKET = GaussianPacket(-0.8, 0.6, 0.9)
+
+    @pytest.mark.parametrize("state_at", [
+        lambda p, t: evolve_gaussian(PARAMS, p, HarmonicForce(0.5, 2.0), t),
+        lambda p, t: evolve_gaussian(PARAMS, p, TabulatedForce(
+            (0.0, 0.5, 1.5), (0.0, 0.4, 0.0)), t),
+        lambda p, t: delta_kick_at(PARAMS, p, 1.1, min(t, 0.5), t)],
+        ids=["harmonic", "tabulated", "kick"])
+    def test_stack_equals_per_state_calls(self, state_at):
+        states = [state_at(self.PACKET, t) for t in np.linspace(0.0, 1.5, 7)]
+        u = np.linspace(-12.0, 12.0, 33)
+        xs = np.array([ev.xi + self.PACKET.sigma * abs(ev.gamma_factor) * u
+                       for ev in states])
+        got = evaluate(_stack(states), PARAMS, self.PACKET, xs)
+        assert got.shape == xs.shape
+        for ev, x, row in zip(states, xs, got):
+            ref = evaluate(ev, PARAMS, self.PACKET, x)
+            assert np.max(np.abs(row - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_single_state_keeps_its_types_and_values(self):
+        # psi from the closed form of the module docstring, in Python complex
+        # arithmetic: Gamma'/om = sinh + i eps cosh
+        ev = evolve_gaussian(PARAMS, self.PACKET, HarmonicForce(0.5, 2.0), 1.2)
+        eps = PARAMS.hbar / (2.0 * PARAMS.omega * self.PACKET.sigma**2)
+        gamma = ev.gamma_factor
+        gamma_dot = complex(math.sinh(1.2), eps * math.cosh(1.2))
+        xs = np.linspace(ev.xi - 4.0, ev.xi + 4.0, 9)
+        got = evaluate(ev, PARAMS, self.PACKET, xs)
+        assert isinstance(got, np.ndarray) and got.shape == xs.shape
+        for x, value in zip(xs.tolist(), got):
+            y = x - ev.xi
+            ref = ((2.0 * math.pi * self.PACKET.sigma**2) ** -0.25 / cmath.sqrt(gamma)
+                   * cmath.exp(0.5j * gamma_dot / gamma * y * y
+                               + 1j * (ev.xi_dot * y + ev.phase_action)))
+            scalar = evaluate(ev, PARAMS, self.PACKET, x)
+            assert type(scalar) is complex
+            assert scalar == pytest.approx(ref, rel=1e-13)
+            assert value == pytest.approx(scalar, rel=1e-14)
+
+    def test_overflowed_width_is_nan_without_warning(self):
+        # om t = 400: |Gamma|^2 overflows; the caller reports the NaN
+        ev = evolve_gaussian(PARAMS, self.PACKET, ZeroForce(), 400.0)
+        assert np.isnan(evaluate(ev, PARAMS, self.PACKET, ev.xi))
+        assert np.isnan(evaluate(_stack([ev, ev]), PARAMS, self.PACKET,
+                                 np.zeros((2, 3)))).all()
