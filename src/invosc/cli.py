@@ -439,8 +439,9 @@ def cmd_open_poles(config, out, boundary=None) -> int:
         n = _count(boundary[2], "--boundary N", minimum=2)
         if not 0 < a_min < a_max:
             raise ConfigError("boundary sweep needs 0 < a_min < a_max")
-        rows = [[a, osys.discriminant_boundary(float(a))]
-                for a in np.linspace(a_min, a_max, n)]
+        a = np.linspace(a_min, a_max, n)
+        with np.errstate(over="ignore", invalid="ignore"):   # render_csv names inf, NaN
+            rows = np.column_stack([a, osys.discriminant_boundary(a)]).tolist()
         _emit(render_csv(["a", "b_critical"], rows, cfg_hash), out)
         return 0
 
@@ -476,11 +477,11 @@ def cmd_open_evolve(config, out) -> int:
     convention = config["bath"]["noise"]
     times = _sample_times(config, "open")
     moments = osys.InitialMoments.from_packet(packet, params)
-    rows = []
-    for t, g, gd in zip(times.tolist(), *osys.green_pair(params, bath, times)):
-        mean_x = osys.mean_trajectory(params, bath, packet.x0, packet.p0, force, t)
-        dyn, noise = osys.variance_parts(params, bath, moments, t, convention)
-        rows.append([t, g, gd, mean_x, dyn, noise, dyn + noise])
+    with np.errstate(over="ignore", invalid="ignore"):   # render_csv names inf, NaN
+        g, gd = osys.green_pair(params, bath, times)
+        mean_x = osys.mean_trajectory(params, bath, packet.x0, packet.p0, force, times)
+        dyn, noise = osys.variance_parts(params, bath, moments, times, convention)
+        rows = np.column_stack([times, g, gd, mean_x, dyn, noise, dyn + noise]).tolist()
     header = ["t", "G", "G_dot", "mean_x", "variance_dynamic", "variance_noise",
               "variance_total"]
     _emit(render_csv(header, rows, config_sha256(config)), out)

@@ -6,23 +6,23 @@ memory integral of the velocity:
 
     x' = v,   v' = omega^2 x - w + F,   w' = -omega_d w + gamma omega_d v.
 
-Every deterministic quantity is read off an exponential of this generator
-A (numerics.expm): G and G' are the x and v entries of e^(At) e_v, the
-mean is <x(0)> G' + <p(0)> G plus the response from rest to the force, a
-harmonic drive or each linear piece of a constant or tabulated force is
-one exponential of A augmented by two forcing states (Van Loan, IEEE TAC
-23, 395 (1978)), and the finite-time Fourier transform W of G follows
-from e^(At) and the resolvent of A.  These depend only on the
-coefficients of the characteristic cubic, never on its roots, so they
-hold through repeated poles and at gamma = 0.  The poles and residues of
-``solve_poles`` serve only the ``open-poles`` table and the tests.
+Every deterministic quantity is read off exponentials of this generator
+A (numerics.expm), one stack for all the times asked: G and G' are the x
+and v entries of e^(At) e_v, the mean is <x(0)> G' + <p(0)> G plus the
+response from rest to the force, a harmonic drive or each linear piece of
+a force between successive times is one exponential of A augmented by two
+forcing states (Van Loan, IEEE TAC 23, 395 (1978)), and the finite-time
+Fourier transform W of G follows from e^(At) and the resolvent of A.
+These depend only on the coefficients of the characteristic cubic, never
+on its roots, so they hold through repeated poles and at gamma = 0.  The
+poles and residues of ``solve_poles`` serve only ``open-poles`` and tests.
 
 The bath noise is a force of Lorentzian spectrum, or a superposition of
 them: a force with correlation e^(-a |tau|) is an Ornstein-Uhlenbeck state
 of rate a, and the response to it is the Gramian of A augmented by that
 state (numerics.expm_gramian).  The classical term is one such Gramian, the
-zero-point term a smooth integral of them over the rate, and only the Bose
-part of the spectrum is integrated over the frequency.
+zero-point term an integral over the rate of their excess over the white
+noise limit, and only the Bose part is integrated over the frequency.
 
 Noise enters through the spectral density of the bath force.  Three
 conventions are provided:
@@ -40,7 +40,6 @@ integrals over the whole line reduce to twice the half-line integral.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -119,9 +118,7 @@ class DegeneratePolesError(ValueError):
 
 def drude_kernel(bath: BathParams, t: float) -> float:
     """Velocity-damping memory kernel gamma omega_d exp(-omega_d t)."""
-    if t < 0.0:
-        raise ValueError("t must be non-negative")
-    return bath.gamma * bath.omega_d * math.exp(-bath.omega_d * t)
+    return bath.gamma * bath.omega_d * math.exp(-bath.omega_d * _times(t))
 
 
 def bath_spectral_density(bath: BathParams, omega: float) -> float:
@@ -192,6 +189,14 @@ def _generator(params: SystemParams, bath: BathParams, size: int = 3):
     return a, d
 
 
+def _times(t) -> np.ndarray:
+    """A float or an array of times as an ndarray; a negative one is refused."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0.0):
+        raise ValueError("t must be non-negative")
+    return t
+
+
 def _columns(params: SystemParams, bath: BathParams, t) -> np.ndarray:
     """e^(At) e_v = (G(t), G'(t), w(t)) on the last axis, for a scalar t or
     for each entry of an ndarray of times."""
@@ -215,38 +220,41 @@ def green_derivative(params: SystemParams, bath: BathParams, t):
 
 
 def _forced_response(params: SystemParams, bath: BathParams,
-                     force: ForceProfile, t: float) -> float:
-    """(G * F)(t), x(t) from rest: one exponential for a harmonic drive, and
-    one per linear piece of a constant or tabulated force."""
+                     force: ForceProfile, t) -> np.ndarray:
+    """(G * F)(t), x(t) from rest, at each entry of an ndarray of times: one
+    exponential per time for a harmonic drive, else one sweep over the sorted
+    times that chains one exponential per linear piece of ``force_pieces``."""
     gen, _ = _generator(params, bath, 5)
     gen[1, 3] = 1.0   # the fourth state is a force on v
     if isinstance(force, HarmonicForce):
         # the fourth and fifth states are F sin(omega0 t) and F cos(omega0 t)
         gen[3, 4], gen[4, 3] = force.omega0, -force.omega0
-        return float(expm(gen * t)[0, 4]) * force.amplitude
+        return expm(gen * t[..., None, None])[..., 0, 4] * force.amplitude
+    stops, where = np.unique(t, return_inverse=True)
+    runs = [force_pieces(force, a, b)
+            for a, b in zip([0.0, *stops.tolist()], stops.tolist())]
+    pieces = [piece for run in runs for piece in run]
     # on [a, b], in the time (s - a) / (b - a), the force rises from F(a) at
-    # the rate F(b) - F(a); from rest nothing moves before a nonzero piece
-    pieces = list(itertools.dropwhile(lambda piece: piece[2] == piece[3] == 0.0,
-                                      force_pieces(force, 0.0, t)))
-    if not pieces:
-        return 0.0
+    # the rate F(b) - F(a)
     steps = gen * np.array([b - a for a, b, _, _ in pieces]).reshape(-1, 1, 1)
     steps[:, 3, 4] = 1.0
-    state = np.zeros(5)
+    x, state = [0.0], np.zeros(5)   # x(0) and x at the end of each piece
     for step, (_, _, fa, fb) in zip(expm(steps), pieces):
         state[3:] = fa, fb - fa
         state = step @ state
-    return float(state[0])
+        x.append(state[0])
+    ends = np.cumsum([len(run) for run in runs], dtype=int)
+    return np.array(x)[ends][where].reshape(t.shape)
 
 
 def mean_trajectory(params: SystemParams, bath: BathParams, x0m: float,
-                    p0m: float, force: ForceProfile, t: float) -> float:
-    """Mean position <x(t)> = <x(0)> G'(t) + <p(0)> G(t) + (G * F)(t); bath
-    fluctuations average to zero."""
-    if t < 0.0:
-        raise ValueError("t must be non-negative")
+                    p0m: float, force: ForceProfile, t):
+    """Mean position <x(t)> = <x(0)> G'(t) + <p(0)> G(t) + (G * F)(t), bath
+    fluctuations averaging to zero, at a float or an ndarray of times."""
+    t = _times(t)
     g, gd = green_pair(params, bath, t)
-    return float(x0m * gd + p0m * g) + _forced_response(params, bath, force, t)
+    out = x0m * gd + p0m * g + _forced_response(params, bath, force, t)
+    return float(out) if out.ndim == 0 else out
 
 
 def harmonic_response(params: SystemParams, bath: BathParams, F: float,
@@ -305,37 +313,45 @@ def windowed_transform(params: SystemParams, bath: BathParams, omega, t: float):
     The x, v entry of (A - z)^-1 (e^((A - z) t) - 1), z = i w; ``omega`` is
     a float or an ndarray, and a scalar gives a complex.
     """
-    if t < 0.0:
-        raise ValueError("t must be non-negative")
+    t = _times(t)
     out = _window(params, bath, _columns(params, bath, t), omega, t)
     return complex(out) if out.ndim == 0 else out
 
 
-def _ou_covariance(params: SystemParams, bath: BathParams, rates, t: float,
-                   tprime: float) -> np.ndarray:
-    """V_a(t, t') = int int_0^(t, t') G(t - s) G(t' - s') e^(-a |s - s'|), the
-    covariance of x(t) and x(t') under a unit-variance Ornstein-Uhlenbeck
-    force of each rate a, for an ndarray of rates.
+def _ou_covariance(params: SystemParams, bath: BathParams, rates, t, tprime):
+    """(a V_a(t, t'), K_a(t, t')) for rates a and times t, t' that broadcast.
 
-    The force is a fourth state f' = -a f + sqrt(2a) xi on v that starts
-    stationary, so (x, v, w / d, f) is Markov with the generator M: its
-    covariance is Sigma(t) = e^(Mt) e_f e_f^T e^(M^T t) + P(t), P the
-    Gramian of Q = 2a e_f e_f^T, and Cov(y(t), y(t')) = e^(M(t - t')) Sigma(t')
+    V_a = int int_0^(t, t') G(t - s) G(t' - s') e^(-a |s - s'|) is the
+    covariance of x(t) and x(t') under a unit-variance Ornstein-Uhlenbeck
+    force of rate a, and K_a = a V_a - W its excess over the white-noise
+    limit W = 2 int_0^min(t, t') G(t - s) G(t' - s) ds of a V_a.
+
+    The force is a phi, phi' = -a phi + sqrt(2) xi, stationary from the
+    start (variance 1/a).  The difference x2 = x - x_w from the response x_w
+    to its white limit sqrt(2) xi obeys x2' = u2 - phi, u2' = omega^2 x2 - w2,
+    with u2 = v - v_w + phi, and w2 = w - w_w sees u2 - phi: no white noise
+    enters it, so K_a = 2 Cov(x, x2) - Cov(x2, x2) (symmetrized for t != t')
+    never forms W, and K_b - K_a keeps its relative accuracy however large
+    both rates are.  y = (x, v, w / d, x2, u2, w2 / d, phi) is Markov with the
+    generator M: Sigma(t) = e^(Mt) Sigma(0) e^(M^T t) + P(t), P the Gramian
+    of Q = 2 e_phi e_phi^T, and Cov(y(t), y(t')) = e^(M(t - t')) Sigma(t')
     for t >= t'.
     """
-    rates = np.asarray(rates, dtype=float)
-    gen = np.broadcast_to(_generator(params, bath, 4)[0],
-                          rates.shape + (4, 4)).copy()
-    gen[..., 1, 3] = 1.0
-    gen[..., 3, 3] = -rates
+    rates, t, tprime = np.broadcast_arrays(rates, t, tprime)
+    a, _ = _generator(params, bath)
+    gen = np.zeros(rates.shape + (7, 7))
+    gen[..., :3, :3] = gen[..., 3:6, 3:6] = a
+    gen[..., 1, 6] = rates
+    gen[..., 3, 6], gen[..., 5, 6] = -1.0, -a[2, 1]
+    gen[..., 6, 6] = -rates
     noise = np.zeros_like(gen)
-    noise[..., 3, 3] = 2.0 * rates
-    early, late = sorted((t, tprime))
+    noise[..., 6, 6] = 2.0
+    early = np.minimum(t, tprime)[..., None, None]
     e, p = expm_gramian(gen * early, noise * early)
-    sigma_x = p[..., :, 0] + e[..., :, 3] * e[..., 0, 3, None]   # Sigma e_x
-    if late == early:
-        return sigma_x[..., 0]
-    return np.sum(expm(gen * (late - early))[..., 0, :] * sigma_x, axis=-1)
+    start = e[..., :, 4] + e[..., :, 6]   # from u2 = phi = phi(0), all else 0
+    sigma = p + start[..., :, None] * start[..., None, :] / rates[..., None, None]
+    cov = expm(gen * np.abs(t - tprime)[..., None, None]) @ sigma
+    return cov[..., 0, 0], cov[..., 0, 3] + cov[..., 3, 0] - cov[..., 3, 3]
 
 
 def _zero_point_term(params: SystemParams, bath: BathParams, t: float,
@@ -346,24 +362,26 @@ def _zero_point_term(params: SystemParams, bath: BathParams, t: float,
     rate nu, int_0^inf dnu omega_d^2 / (omega_d^2 - nu^2)
     [omega_d^2 / (w^2 + omega_d^2) - nu^2 / (w^2 + nu^2)] (2 / pi), so the
     term is (hbar gamma / pi) int_0^inf dnu omega_d^2 / (omega_d^2 - nu^2)
-    [omega_d V_omega_d - nu V_nu].  With nu = omega_d u / (1 - u) it is
-    (hbar gamma omega_d / pi) int_0^1 [omega_d V_omega_d - nu V_nu] / (1 - 2u)
-    du, smooth, finite at both ends and integrated on each side of the
-    removable point u = 1/2, one stacked ``_ou_covariance`` per panel.
+    [omega_d V_omega_d - nu V_nu], and the bracket is K_omega_d - K_nu.
+    With nu = omega_d u / (1 - u) it is (hbar gamma omega_d / pi)
+    int_0^1 [K_omega_d - K_nu] / (1 - 2u) du, and folding u onto 1 - u,
+    where nu becomes omega_d^2 / nu, gives
+    (hbar gamma omega_d / pi) int_0^(1/2) [K_(omega_d^2 / nu) - K_nu] / (1 - 2u) du:
+    smooth, finite at both ends, with the removable point u = 1/2 at an end,
+    and one stacked ``_ou_covariance`` of both rates per panel.  A difference
+    of a V_a in place of K_a would lose the digits of their common white-noise
+    limit, and the division by 1 - 2u would magnify that loss without bound.
     """
     wd = bath.omega_d
     scale = params.hbar * bath.gamma * wd / math.pi
-    at_cutoff = wd * _ou_covariance(params, bath, wd, t, tprime)
 
     def integrand(u: np.ndarray) -> np.ndarray:
-        nu = wd * u / (1.0 - u)
-        return (at_cutoff - nu * _ou_covariance(params, bath, nu, t, tprime)) / (
-            1.0 - 2.0 * u)
+        rates = wd * np.append(u, 1.0 - u) / np.append(1.0 - u, u)
+        low, high = _ou_covariance(params, bath, rates, t, tprime)[1].reshape(2, -1)
+        return (high - low) / (1.0 - 2.0 * u)
 
-    return scale * sum(integrate_adaptive(integrand, lo, hi,
-                                          abs_tol=0.5 * abs_tol / scale,
-                                          rel_tol=1e-11).value
-                       for lo, hi in ((0.0, 0.5), (0.5, 1.0)))
+    return scale * integrate_adaptive(integrand, 0.0, 0.5, abs_tol=abs_tol / scale,
+                                      rel_tol=1e-11).value
 
 
 def spectral_noise_term(params: SystemParams, bath: BathParams, t: float,
@@ -399,42 +417,40 @@ def spectral_noise_term(params: SystemParams, bath: BathParams, t: float,
                               small_runs=1 if t == tprime else 2).value
 
 
-def _noise_term(params: SystemParams, bath: BathParams, t: float, tprime: float,
-                convention: str, abs_tol: float) -> float:
-    """Bath term int S(w) e^(i w (t - t')) W(w, t) conj(W(w, t')) dw.
-
-    The classical spectrum is the Lorentzian of the force correlation
-    gamma kT omega_d e^(-omega_d |tau|), so its term is
-    gamma kT omega_d V_omega_d(t, t').  The symmetrized spectrum is the Bose
-    part hbar J n / pi, the occupation convention, integrated over the
-    frequency, plus the zero-point part ``_zero_point_term``.
-    """
+def _noise_term(params: SystemParams, bath: BathParams, t, tprime,
+                convention: str, abs_tol):
+    """Bath term int S(w) e^(i w (t - t')) W(w, t) conj(W(w, t')) dw at times
+    and tolerances that broadcast.  The classical spectrum is the Lorentzian
+    of the force correlation gamma kT omega_d e^(-omega_d |tau|): the term is
+    gamma kT omega_d V_omega_d(t, t'), one stack over all times.  The Bose
+    part hbar J n / pi, the occupation convention, is integrated over the
+    frequency; the symmetrized one adds ``_zero_point_term``."""
     if convention not in _CONVENTIONS:
         raise ValueError(f"unknown noise convention {convention!r}")
-    if t == 0.0 or tprime == 0.0 or bath.gamma == 0.0:
-        return 0.0
-    if convention == CLASSICAL:
-        return bath.gamma * bath.kT * bath.omega_d * float(
-            _ou_covariance(params, bath, bath.omega_d, t, tprime))
-    total = spectral_noise_term(params, bath, t, tprime, OCCUPATION, abs_tol)
-    if convention == SYMMETRIZED:
-        total += _zero_point_term(params, bath, t, tprime, abs_tol)
-    return total
+    t, tprime, abs_tol = np.broadcast_arrays(t, tprime, abs_tol)
+    out = np.zeros(t.shape)
+    if bath.gamma > 0.0 and convention == CLASSICAL:
+        out = bath.gamma * bath.kT * _ou_covariance(params, bath, bath.omega_d,
+                                                    t, tprime)[0]
+    elif bath.gamma > 0.0:
+        for i in np.ndindex(t.shape):
+            if min(t[i], tprime[i]) > 0.0:
+                out[i] = spectral_noise_term(params, bath, t[i], tprime[i],
+                                             OCCUPATION, abs_tol[i]) + (
+                    _zero_point_term(params, bath, t[i], tprime[i], abs_tol[i])
+                    if convention == SYMMETRIZED else 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
-def variance_noise_term(params: SystemParams, bath: BathParams, t: float,
-                        convention: str = OCCUPATION,
-                        abs_tol: float = 1e-14) -> float:
-    """Bath contribution 2 int_0^inf S(w) |W(w, t)|^2 dw to the variance.
-
-    The classical term is closed form.  The zero-point term is an integral
-    over a rate, to ``abs_tol`` or 1e-11 relative.  The Bose part, the
-    occupation convention, is integrated over the frequency on dyadically
-    doubling intervals until one contributes below max(abs_tol, 1e-12 of
-    the sum).
-    """
-    if t < 0.0:
-        raise ValueError("t must be non-negative")
+def variance_noise_term(params: SystemParams, bath: BathParams, t,
+                        convention: str = OCCUPATION, abs_tol=1e-14):
+    """Bath contribution 2 int_0^inf S(w) |W(w, t)|^2 dw to the variance at a
+    float or an ndarray of times (and of tolerances): the classical term in
+    closed form, the zero-point term as an integral over a rate to
+    ``abs_tol`` or 1e-11 relative, and the Bose part, the occupation
+    convention, over the frequency on dyadically doubling intervals until
+    one contributes below max(abs_tol, 1e-12 of the sum)."""
+    t = _times(t)
     return _noise_term(params, bath, t, t, convention, abs_tol)
 
 
@@ -460,31 +476,29 @@ class InitialMoments:
                    var_p=params.hbar**2 / (4.0 * sig2), sym_xp=0.0)
 
 
-def _check_uncertainty(moments: InitialMoments, params: SystemParams) -> None:
-    bound = (params.hbar / 2.0) ** 2
-    if moments.var_x * moments.var_p < bound * (1.0 - 1e-9):
-        raise ValueError("initial moments violate the uncertainty relation")
-
-
 def _centered_covariance(params: SystemParams, bath: BathParams,
-                         moments: InitialMoments, t: float, tprime: float) -> float:
-    """var_x G'G' + var_p G G + sym_xp (G'(t) G(t') + G(t) G'(t'))."""
-    (g_t, g_tp), (gd_t, gd_tp) = green_pair(params, bath, [t, tprime])
-    return float(moments.var_x * gd_t * gd_tp + moments.var_p * g_t * g_tp
-                 + moments.sym_xp * (gd_t * g_tp + gd_tp * g_t))
+                         moments: InitialMoments, t, tprime) -> np.ndarray:
+    """var_x G'G' + var_p G G + sym_xp (G'(t) G(t') + G(t) G'(t')), for times
+    t, t' that broadcast; the moments must obey the uncertainty relation."""
+    if moments.var_x * moments.var_p < (params.hbar / 2.0) ** 2 * (1.0 - 1e-9):
+        raise ValueError("initial moments violate the uncertainty relation")
+    (g_t, g_tp), (gd_t, gd_tp) = green_pair(params, bath, np.broadcast_arrays(t, tprime))
+    return (moments.var_x * gd_t * gd_tp + moments.var_p * g_t * g_tp
+            + moments.sym_xp * (gd_t * g_tp + gd_tp * g_t))
 
 
 def variance_parts(params: SystemParams, bath: BathParams,
-                   moments: InitialMoments, t: float,
-                   convention: str = OCCUPATION) -> tuple[float, float]:
+                   moments: InitialMoments, t, convention: str = OCCUPATION):
     """The dynamic part var_x G'^2 + var_p G^2 + 2 sym_xp G' G of the variance
-    and the bath-noise part, its tolerance slaved to the first (1e-10 relative)."""
-    if t < 0.0:
-        raise ValueError("t must be non-negative")
-    _check_uncertainty(moments, params)
+    and the bath-noise part, its tolerance slaved to the first (1e-10
+    relative), at a float or an ndarray of times; the noise part is NaN,
+    and not computed, where the dynamic part is not finite."""
+    t = _times(t)
     dynamic = _centered_covariance(params, bath, moments, t, t)
-    return dynamic, variance_noise_term(params, bath, t, convention,
-                                        1e-10 * max(abs(dynamic), 1e-30))
+    noise, finite = np.full(t.shape, np.nan), np.isfinite(dynamic)
+    noise[finite] = variance_noise_term(params, bath, t[finite], convention, 1e-10
+                                        * np.maximum(np.abs(dynamic[finite]), 1e-30))
+    return (float(dynamic), float(noise)) if t.ndim == 0 else (dynamic, noise)
 
 
 def general_variance(params: SystemParams, bath: BathParams,
@@ -512,28 +526,24 @@ def symmetrized_correlation(params: SystemParams, bath: BathParams,
     The centered initial moments propagated by G and G', plus m(t) m(t')
     for the mean trajectory m, plus the bath-noise cross spectrum.
     """
-    if t < 0.0 or tprime < 0.0:
-        raise ValueError("times must be non-negative")
-    _check_uncertainty(moments, params)
-    mx, mp = moments.mean_x, moments.mean_p
-    val = (_centered_covariance(params, bath, moments, t, tprime)
-           + mean_trajectory(params, bath, mx, mp, force, t)
-           * mean_trajectory(params, bath, mx, mp, force, tprime))
+    m_t, m_tp = mean_trajectory(params, bath, moments.mean_x, moments.mean_p,
+                                force, [t, tprime])
+    val = float(_centered_covariance(params, bath, moments, t, tprime) + m_t * m_tp)
     return val + _noise_term(params, bath, t, tprime, convention,
                              1e-10 * max(abs(val), 1.0))
 
 
-def discriminant_boundary(a: float) -> float:
-    """The b value where the cubic discriminant D(a, b) changes sign.
-
-    D > 0 above the returned b (one real root and a conjugate pair),
-    D < 0 just below it (three real roots).  In b the discriminant is the
-    cubic 27 D = b^3 - (a^2/4) b^2 + (9 a^2/2) b + a^2 (27/4 - a^2).  For
-    b > a^2/3 the depressed-cubic coefficient p is positive, so D > 0
-    there, and the boundary is the largest real root.
-    """
-    if not (a > 0.0) or not math.isfinite(a):
+def discriminant_boundary(a):
+    """The b value where the cubic discriminant D(a, b) changes sign, at a
+    float or an ndarray of a: D > 0 above it (one real root and a conjugate
+    pair), D < 0 just below it (three real roots).  There r^3 + a r^2 + b r
+    - a = (r + s)^2 (r - a / s^2), so a = 2 s^3 / (1 + s^2) and b = s^2 (s^2
+    - 3) / (1 + s^2): s is the one positive root of s^3 - (a/2) s^2 - a/2,
+    by Cardano's formula."""
+    a = np.asarray(a, dtype=float)
+    if not np.all((a > 0.0) & np.isfinite(a)):
         raise ValueError("a must be positive")
-    a2 = a * a
-    roots = solve_cubic(-a2 / 4.0, 4.5 * a2, a2 * (6.75 - a2))
-    return max(r.real for r in roots if r.imag == 0.0)
+    u = np.cbrt(a**3 / 216.0 + a / 4.0 + a / 4.0 * np.sqrt(a * a / 27.0 + 1.0))
+    s2 = (a / 6.0 + u + a * a / (36.0 * u)) ** 2
+    b = s2 * (s2 - 3.0) / (1.0 + s2)
+    return float(b) if b.ndim == 0 else b

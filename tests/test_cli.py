@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -642,6 +643,13 @@ class TestOpenPoles:
             assert abs(q * q + p**3) < 1e-10
 
 
+    def test_boundary_past_the_float_range_names_the_cell(self, capsys):
+        code, out, err = run_cli(["open-poles", "--boundary", "1e100", "1e101", "3"],
+                                 capsys)
+        assert (code, out) == (3, "")
+        assert err == "error: non-finite b_critical at a=1e+100\n"
+
+
 class TestOpenEvolve:
     def test_initial_row_and_zero_temperature(self, capsys):
         code, out, _ = run_cli(["open-evolve", "--set", "bath.kT=0.0",
@@ -706,6 +714,46 @@ class TestOpenEvolve:
                     float(closed[closed_header.index(closed_name)]),
                     rel=1e-13, abs=0.0)
             assert float(row[header.index("variance_noise")]) == 0.0
+
+
+    def test_exponentials_do_not_grow_with_the_samples(self, capsys, monkeypatch):
+        calls = []
+        for name in ("expm", "expm_gramian"):
+            original = getattr(cli.osys, name)
+            monkeypatch.setattr(cli.osys, name,
+                                lambda *args, f=original: calls.append(f) or f(*args))
+        counts = []
+        for samples in (4, 31):
+            calls.clear()
+            code, _, _ = run_cli([
+                "open-evolve", "--set", "bath.noise=classical",
+                "--set", "force.kind=tabulated", "--set", "force.times=[0, 0.5, 1.5]",
+                "--set", "force.values=[0, 0.4, 0]",
+                "--set", f"open.samples={samples}"], capsys)
+            assert code == 0
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+    def test_past_the_float_range_names_the_first_bad_cell(self, capsys):
+        # G(800) is still finite, its square is not; the noise quadrature is
+        # not run there, and nothing but the error reaches stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["open-evolve", "--set", "open.t_max=800",
+                                      "--set", "open.samples=3"], capsys)
+        assert (code, out) == (3, "")
+        assert err == "error: non-finite variance_dynamic at t=800\n"
+
+    def test_zero_point_noise_of_a_fast_bath(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli([
+                "open-evolve", "--set", "bath.noise=symmetrized", "--set", "bath.kT=0",
+                "--set", "bath.omega_d=1e6", "--set", "open.samples=3"], capsys)
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        noise = [float(row[header.index("variance_noise")]) for row in rows]
+        assert noise[0] == 0.0 and min(noise[1:]) > 0.0
 
 
 class TestVerify:

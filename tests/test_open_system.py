@@ -601,6 +601,52 @@ class TestHarmonicResponse:
                 quad, abs=1e-8)
 
 
+# the "kink" knots lie on these times, the "jump" and "steep" knots between them
+SAMPLE_TIMES = np.linspace(0.0, 3.0, 7)
+
+
+class TestArrayOfTimes:
+    """An ndarray of times gives what a loop of scalar calls gives."""
+
+    @pytest.mark.parametrize("force", [ZeroForce(), HarmonicForce(0.5, 2.0),
+                                       *PIECEWISE_FORCES.values()],
+                             ids=["zero", "harmonic", *PIECEWISE_FORCES])
+    def test_mean_trajectory(self, force):
+        got = mean_trajectory(PARAMS, BATH, 0.3, -0.2, force, SAMPLE_TIMES)
+        loop = np.array([mean_trajectory(PARAMS, BATH, 0.3, -0.2, force, t)
+                         for t in SAMPLE_TIMES.tolist()])
+        scale = np.max(np.abs(loop))
+        assert np.allclose(got, loop, rtol=0.0, atol=1e-14 * scale)
+        # the sweep sorts the times: unsorted, repeated and on a 2-D grid
+        pick = [[5, 0, 3], [3, 6, 1]]
+        assert np.allclose(mean_trajectory(PARAMS, BATH, 0.3, -0.2, force,
+                                           SAMPLE_TIMES[pick]),
+                           loop[pick], rtol=0.0, atol=1e-14 * scale)
+
+    @pytest.mark.parametrize("convention", [OCCUPATION, SYMMETRIZED, CLASSICAL])
+    @pytest.mark.parametrize("bath", [BATH, BathParams(5.0, 2.0, 0.4)])
+    def test_variance_parts(self, convention, bath):
+        moments = InitialMoments(0.3, -0.2, 1.0, 0.3, 0.1)
+        dynamic, noise = variance_parts(PARAMS, bath, moments, SAMPLE_TIMES,
+                                        convention)
+        loop = np.array([variance_parts(PARAMS, bath, moments, t, convention)
+                         for t in SAMPLE_TIMES.tolist()])
+        assert np.array_equal(dynamic, loop[:, 0])
+        assert np.array_equal(noise, loop[:, 1])
+        assert np.array_equal(
+            variance_noise_term(PARAMS, bath, SAMPLE_TIMES, convention),
+            [variance_noise_term(PARAMS, bath, t, convention)
+             for t in SAMPLE_TIMES.tolist()])
+
+    def test_noise_is_skipped_past_the_float_range(self):
+        moments = InitialMoments(0.0, 0.0, 1.0, 0.25, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dynamic, noise = variance_parts(PARAMS, BATH, moments,
+                                            np.array([400.0, 800.0]))
+        assert np.isfinite(dynamic[0]) and np.isfinite(noise[0])
+        assert not np.isfinite(dynamic[1]) and np.isnan(noise[1])
+
+
 class TestNoiseSpectrum:
     def test_zero_temperature_occupation(self):
         bath = BathParams(0.5, 10.0, 0.0)
@@ -766,6 +812,34 @@ def mp_ou_covariance(params, bath, rate, t):
         return float(gramian[0, 0] + e[7, 4] ** 2)
 
 
+def mp_zero_point_term(params, bath, t):
+    """The rate integral of ``_zero_point_term``, (hbar gamma / pi) int_0^inf
+    dnu omega_d^2 / (omega_d^2 - nu^2) [omega_d V_omega_d - nu V_nu], in
+    mpmath.  V_nu(t) is summed in closed form over the poles s_j and the
+    residues R_j of G(t) = sum_j R_j e^(s_j t), since ``mp_ou_covariance``
+    would need omega_d t / ln 10 digits at a fast bath."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        om2, wd, gam = mp.mpf(params.omega) ** 2, mp.mpf(bath.omega_d), mp.mpf(bath.gamma)
+        poles = mp.polyroots([1, wd, gam * wd - om2, -om2 * wd], extraprec=200)
+        res = [(s + wd) / (3 * s * s + 2 * wd * s + gam * wd - om2) for s in poles]
+
+        def grow(c):   # int_0^t e^(c s) ds
+            return mp.expm1(c * t) / c
+
+        both = [[grow(s + p) for p in poles] for s in poles]
+
+        def rate_v(nu):   # 2 nu Re sum_jk R_j R_k [E(s_j + s_k) - E(s_j - nu)] / (s_k + nu)
+            w = [r / (p + nu) for r, p in zip(res, poles)]
+            return 2 * nu * mp.re(sum(r * (mp.fdot(w, row) - grow(s - nu) * sum(w))
+                                      for r, s, row in zip(res, poles, both)))
+
+        at_cutoff = rate_v(wd)
+        total = mp.quad(lambda nu: wd**2 / (wd**2 - nu**2) * (at_cutoff - rate_v(nu)),
+                        [0, *(wd * mp.mpf(10) ** k for k in range(-8, 9, 4)), mp.inf])
+        return float(params.hbar * gam / mp.pi * total)
+
+
 class TestNoiseWithoutFrequencyQuadrature:
     """The classical term in closed form and the zero-point term as a rate
     integral, against the frequency quadrature ``spectral_noise_term``."""
@@ -812,20 +886,39 @@ class TestNoiseWithoutFrequencyQuadrature:
 
     @pytest.mark.parametrize("gamma,omega_d", NOISE_BATHS)
     def test_white_noise_limit_of_a_fast_force(self, gamma, omega_d):
-        # nu V_nu = 2 int_0^t G^2 - G(t)^2 / nu + O(1 / nu^2): the doubling
-        # keeps the relative accuracy up to the largest rate of the map
-        # nu = omega_d u / (1 - u), one ulp below u = 1
+        # nu V_nu = 2 int_0^t G^2 - G^2 / nu + 2 (G G' - int_0^t G'^2) / nu^2
+        # + O(1 / nu^3): the doubling keeps the relative accuracy up to the
+        # largest rate of the map nu = omega_d u / (1 - u), one ulp below
+        # u = 1, and the excess K_nu over the white limit keeps its own
         bath = BathParams(gamma, omega_d, 0.0)
         t = 3.0
-        white = 2.0 * integrate_adaptive(
-            lambda s: green_function(PARAMS, bath, s) ** 2, 0.0, t,
-            abs_tol=0.0, rel_tol=1e-13).value
+
+        def integral(f):
+            return integrate_adaptive(f, 0.0, t, abs_tol=0.0, rel_tol=1e-13).value
+
+        white = 2.0 * integral(lambda s: green_function(PARAMS, bath, s) ** 2)
+        slope = integral(lambda s: green_derivative(PARAMS, bath, s) ** 2)
+        g, gd = green_pair(PARAMS, bath, t)
         rates = omega_d * np.array([1e8, 1e11, 1e14, 2.0**53])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = rates * osys._ou_covariance(PARAMS, bath, rates, t, t)
-        expected = white - green_function(PARAMS, bath, t) ** 2 / rates
-        assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
+            covariance, excess = osys._ou_covariance(PARAMS, bath, rates, t, t)
+        expected = -g * g / rates + 2.0 * (g * gd - slope) / rates**2
+        assert np.allclose(covariance, white + expected, rtol=1e-12, atol=0.0)
+        assert np.allclose(excess, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("omega_d", [1e5, 1e6])
+    @pytest.mark.parametrize("t", [1.5, 3.0])
+    def test_zero_point_term_of_a_fast_bath_matches_mpmath(self, omega_d, t):
+        # nu V_nu and omega_d V_omega_d share their white-noise limit, so
+        # their difference over 1 - 2u near u = 1/2 was rounding noise, and
+        # a node rounded onto u = 1/2 gave NaN from omega_d = 2e4 at t = 3
+        bath = BathParams(0.5, omega_d, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = variance_noise_term(PARAMS, bath, t, SYMMETRIZED)
+        assert got == pytest.approx(mp_zero_point_term(PARAMS, bath, t),
+                                    rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("gamma,omega_d", [(40.0, 0.05), (0.6, 1.0)])
     def test_short_time_converges_without_warnings(self, gamma, omega_d):
@@ -982,3 +1075,32 @@ class TestDiscriminantBoundary:
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
             discriminant_boundary(0.0)
+
+
+class TestDiscriminantBoundaryClosedForm:
+    def test_array_matches_scalar_calls(self):
+        a = np.geomspace(1e-3, 1e4, 60)
+        assert np.array_equal(discriminant_boundary(a),
+                              [discriminant_boundary(x) for x in a.tolist()])
+
+    def test_largest_real_root_in_b(self):
+        # in b, 27 D is the cubic b^3 - (a^2/4) b^2 + (9 a^2/2) b
+        # + a^2 (27/4 - a^2), and D > 0 for b > a^2/3
+        a = np.geomspace(1e-3, 1e4, 2000)
+        roots = [max(r.real for r in solve_cubic(-x * x / 4.0, 4.5 * x * x,
+                                                 x * x * (6.75 - x * x))
+                     if r.imag == 0.0) for x in a.tolist()]
+        assert np.allclose(discriminant_boundary(a), roots, rtol=1e-12, atol=1e-15)
+        assert discriminant_boundary(1.0) == -1.0
+        assert abs(discriminant_boundary(1.5 * math.sqrt(3.0))) < 1e-15
+
+    def test_discriminant_vanishes_to_rounding(self):
+        a = np.linspace(0.45, 21.0, 400)
+        b = discriminant_boundary(a)
+        q = a**3 / 27.0 - a * b / 6.0 - a / 2.0
+        p = (3.0 * b - a * a) / 9.0
+        assert np.all(np.abs(q * q + p**3) <= 1e-14 * (q * q + np.abs(p) ** 3))
+
+    def test_rejects_a_non_positive_entry(self):
+        with pytest.raises(ValueError):
+            discriminant_boundary(np.array([1.0, 0.0]))
