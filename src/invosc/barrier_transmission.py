@@ -69,9 +69,16 @@ class TunnelingParams:
         return -self.kappa / params.omega
 
 
-def barrier_potential(params: SystemParams, xi0: float, F: float, xi) -> float:
-    """Barrier profile V(xi) = (xi0^2 - xi^2) omega^2 / 2 + F (xi0 - xi)."""
-    return (xi0**2 - xi**2) * params.omega**2 / 2.0 + F * (xi0 - xi)
+def barrier_potential(params: SystemParams, xi0: float, F, xi):
+    """Barrier profile V(xi) = (xi0^2 - xi^2) omega^2 / 2 + F (xi0 - xi), for
+    scalars or arrays F, xi; a V past the float range is an ArithmeticError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = (np.square(xi0) - np.square(xi)) * params.omega**2 / 2.0 + F * (xi0 - xi)
+    if not np.isfinite(v).all():
+        raise ArithmeticError(
+            f"barrier potential V out of the float range at xi0={xi0:g}, "
+            f"|xi| <= {np.max(np.abs(xi)):g}, |F| <= {np.max(np.abs(F)):g}")
+    return v
 
 
 def _check_eps_beta(epsilon: float, beta) -> None:
@@ -79,11 +86,7 @@ def _check_eps_beta(epsilon: float, beta) -> None:
     array); either must also be finite."""
     if not (epsilon > 0.0) or not math.isfinite(epsilon):
         raise ValueError("epsilon must be positive")
-    if isinstance(beta, (int, float)):
-        valid = beta >= 0.0 and math.isfinite(beta)
-    else:
-        valid = np.all((np.asarray(beta) >= 0.0) & np.isfinite(beta))
-    if not valid:
+    if not np.all((np.asarray(beta) >= 0.0) & np.isfinite(beta)):
         raise ValueError("beta must be non-negative")
 
 
@@ -93,20 +96,20 @@ def _as_output(values: np.ndarray, like):
     return float(values) if values.ndim == 0 else values
 
 
-def transmission_jwkb(epsilon: float, beta: float) -> float:
-    """Semiclassical transmission exp(-eps (1 - beta)^2)."""
+def transmission_jwkb(epsilon: float, beta):
+    """Semiclassical transmission exp(-eps (1 - beta)^2), for a scalar or an
+    array of beta; past the float range of (1 - beta)^2 it is 0."""
     _check_eps_beta(epsilon, beta)
-    return math.exp(-epsilon * (1.0 - beta) ** 2)
+    with np.errstate(over="ignore"):   # exp(-inf) = 0
+        b = np.asarray(beta, dtype=float)
+        return _as_output(np.exp(-epsilon * (1.0 - b) ** 2), beta)
 
 
-def transmission_exact(epsilon: float, beta: float) -> float:
-    """Reflection-aware static transmission 1 / (1 + exp(eps (1 - beta)^2)).
-
-    Evaluated as e^-E / (1 + e^-E), which never overflows since the
-    exponent is non-negative.
-    """
-    _check_eps_beta(epsilon, beta)
-    e = math.exp(-epsilon * (1.0 - beta) ** 2)
+def transmission_exact(epsilon: float, beta):
+    """Reflection-aware static transmission 1 / (1 + exp(eps (1 - beta)^2)),
+    for a scalar or an array of beta, evaluated as e^-E / (1 + e^-E), which
+    never overflows since the exponent is non-negative."""
+    e = transmission_jwkb(epsilon, beta)
     return e / (1.0 + e)
 
 
@@ -153,7 +156,8 @@ def averaged_transmission(epsilon: float, beta):
     periodic = np.flatnonzero((betas > 0.0) & (betas <= 1.0))
     b = betas[periodic]
     g = epsilon * (1.0 - b)
-    peak = b * (np.hypot(g, math.sqrt(epsilon)) + g)
+    with np.errstate(over="ignore"):   # an infinite peak is a narrow row
+        peak = b * (np.hypot(g, math.sqrt(epsilon)) + g)
     narrow = peak > 2e4   # w < 1e-2
     out[periodic[narrow]] = _double_exponential(
         transmission, 64.0 * np.sqrt(2.0 / peak[narrow]), b[narrow], 0.0) / math.pi

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import dataclasses
 import functools
 import hashlib
 import json
@@ -197,11 +196,14 @@ def _build_bath(config) -> osys.BathParams:
 
 
 def _number(value, path: str) -> float:
-    """A numeric config entry as a float; a bad value is a ConfigError naming it."""
+    """A finite numeric config entry as a float; else a ConfigError naming it."""
     try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{path}: expected a number, got {value!r}") from exc
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return number
 
 
 def _count(value, path: str, minimum: int = 1) -> int:
@@ -216,7 +218,7 @@ def _count(value, path: str, minimum: int = 1) -> int:
 def _finite(value, path: str, positive: bool = False) -> float:
     """A finite config entry >= 0, or > 0 if ``positive``; else a ConfigError."""
     number = _number(value, path)
-    if not (math.isfinite(number) and (number > 0 if positive else number >= 0)):
+    if not (number > 0 if positive else number >= 0):
         raise ConfigError(f"{path}: expected a finite number "
                           f"{'>' if positive else '>='} 0, got {value!r}")
     return number
@@ -255,23 +257,22 @@ def _column(cells):
         return [_fmt(v) for v in cells], [
             v is None or isinstance(v, str) or math.isfinite(v) for v in cells]
     values = list(map(float, cells))
-    if min(map(abs, values)) < _TINY:
+    if min(map(abs, values), default=0.0) < _TINY:
         values = [math.copysign(0.0, v) if abs(v) < _TINY else v for v in values]
     return (("%.16e," * len(values) % tuple(values)).split(",")[:-1],
             list(map(math.isfinite, values)))
 
 
-def render_csv(header, rows, cfg_hash: str) -> str:
-    """CSV text, a column at a time; the first non-finite cell (row by row)
-    raises ArithmeticError naming it, a subnormal is 0."""
-    columns = [_column(cells) for cells in zip(*rows)]
-    bad = [(finite.index(False), j) for j, (_, finite) in enumerate(columns)
-           if False in finite]
+def render_csv(header, columns, cfg_hash: str) -> str:
+    """CSV text from one sequence of cells per entry of ``header``; the first
+    non-finite cell (row by row) raises ArithmeticError naming it, a None
+    cell is left empty and a subnormal is 0."""
+    texts, finite = zip(*map(_column, columns))
+    bad = [(f.index(False), j) for j, f in enumerate(finite) if False in f]
     if bad:
         i, j = min(bad)
-        raise ArithmeticError(f"non-finite {header[j]} at {header[0]}={rows[i][0]:g}")
-    lines = [f"# config-sha256: {cfg_hash}", ",".join(header),
-             *map(",".join, zip(*(text for text, _ in columns)))]
+        raise ArithmeticError(f"non-finite {header[j]} at {header[0]}={columns[0][i]:g}")
+    lines = [f"# config-sha256: {cfg_hash}", ",".join(header), *map(",".join, zip(*texts))]
     return "\n".join(lines) + "\n"
 
 
@@ -291,42 +292,43 @@ def _emit(text: str, out_path: str | None) -> None:
 # Shared measurement helpers
 # ---------------------------------------------------------------------------
 
-def _packet_moments(states, params, packet):
-    """Quadrature norm, mean and central variance of the density at each of
-    ``states``, in one trapezoid call with three rows per state on [lo, hi] =
-    [xi -+ 12 sigma |Gamma|]: int rho, int (x - lo) rho (about lo, since a
-    value near 0 never meets a relative tolerance) and int (x - xi)^2 rho."""
-    fields = [np.array(column) for column in zip(*map(dataclasses.astuple, states))]
-    stack = ce.EvolvedGaussian(*fields)
+def _take(stack, index):
+    """The states of a stack of states at ``index``; an int gives one state."""
+    return ce.EvolvedGaussian(*(field[index] for field in vars(stack).values()))
+
+
+def _packet_moments(stack, params, packet):
+    """Quadrature norm, mean and central variance of the density at each state
+    of ``stack``, a stack of states with 1-d fields, in one trapezoid call with
+    three rows per state on [lo, hi] = [xi -+ 12 sigma |Gamma|]: int rho,
+    int (x - lo) rho (about lo, since a value near 0 never meets a relative
+    tolerance) and int (x - xi)^2 rho."""
     width = packet.sigma * np.abs(stack.gamma_factor)
     xi, lo, hi = stack.xi, stack.xi - 12.0 * width, stack.xi + 12.0 * width
 
     def f(x, state, power, centre):
-        rows = ce.EvolvedGaussian(*(field[state.astype(int)] for field in fields))
-        rho = np.abs(ce.evaluate(rows, params, packet, x)) ** 2
-        with np.errstate(over="ignore"):   # only once sigma |Gamma| > 1e153
-            return (x - centre) ** power * rho
+        rho = np.abs(ce.evaluate(_take(stack, state.astype(int)), params, packet, x)) ** 2
+        return (x - centre) ** power * rho
 
-    n = len(states)
-    norm, first, second = integrate_trapezoid(
-        f, np.tile(lo, 3), np.tile(hi, 3), 1e-13, np.tile(np.arange(n), 3),
-        np.repeat([0.0, 1.0, 2.0], n), np.concatenate([lo, lo, xi])).value.reshape(3, n)
-    mean = lo + first / norm
-    return norm, mean, second / norm - (mean - xi) ** 2
+    n = len(xi)
+    # render_csv names an inf or NaN; with a finite xi, a moment overflows only
+    # once sigma |Gamma| > 1e153
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm, first, second = integrate_trapezoid(
+            f, np.tile(lo, 3), np.tile(hi, 3), 1e-13, np.tile(np.arange(n), 3),
+            np.repeat([0.0, 1.0, 2.0], n), np.concatenate([lo, lo, xi])).value.reshape(3, n)
+        mean = lo + first / norm
+        return norm, mean, second / norm - (mean - xi) ** 2
 
 
-def _evolution_rows(stage: str, state_at, times, params, packet):
-    """Rows for state_at(t) at each sample time, and the last state; an
-    overflow is re-raised naming the stage and the time."""
-    states = []
-    for t in times.tolist():
-        try:
-            states.append(state_at(t))
-        except OverflowError as exc:
-            raise ArithmeticError(f"{stage} overflowed at t={t:g}: {exc}") from exc
-    norm, _, var = _packet_moments(states, params, packet)
-    return [[ev.t, ev.xi, ev.xi_dot, ev.gamma_factor.real, ev.gamma_factor.imag, v, n]
-            for ev, v, n in zip(states, var.tolist(), norm.tolist())], states[-1]
+def _closed_columns(stack, params, packet):
+    """The columns of ``_CLOSED_HEADER`` for a stack of states."""
+    norm, _, var = _packet_moments(stack, params, packet)
+    return [stack.t, stack.xi, stack.xi_dot, stack.gamma_factor.real,
+            stack.gamma_factor.imag, var, norm]
+
+
+_CLOSED_HEADER = ["t", "xi", "xi_dot", "re_gamma", "im_gamma", "variance", "norm_check"]
 
 
 # ---------------------------------------------------------------------------
@@ -343,16 +345,14 @@ def cmd_evolve(config, out, wavefunction_path=None) -> int:
         xs = np.linspace(_number(wsec["x_min"], "wavefunction.x_min"),
                          _number(wsec["x_max"], "wavefunction.x_max"),
                          _count(wsec["points"], "wavefunction.points"))
-    rows, ev = _evolution_rows(
-        "evolve_gaussian", lambda t: ce.evolve_gaussian(params, packet, force, t),
-        times, params, packet)
+    stack = ce.evolve_gaussian(params, packet, force, times)
     cfg_hash = config_sha256(config)
-    header = ["t", "xi", "xi_dot", "re_gamma", "im_gamma", "variance", "norm_check"]
-    text = render_csv(header, rows, cfg_hash)  # raises before any file is written
+    # raises before any file is written
+    text = render_csv(_CLOSED_HEADER, _closed_columns(stack, params, packet), cfg_hash)
     if wavefunction_path is not None:
-        psi = ce.evaluate(ev, params, packet, xs)
-        wrows = [[float(x), p.real, p.imag, abs(p) ** 2] for x, p in zip(xs, psi)]
-        _emit(render_csv(["x", "re_psi", "im_psi", "density"], wrows, cfg_hash),
+        psi = ce.evaluate(_take(stack, -1), params, packet, xs)
+        columns = [xs, psi.real, psi.imag, np.hypot(psi.real, psi.imag) ** 2]
+        _emit(render_csv(["x", "re_psi", "im_psi", "density"], columns, cfg_hash),
               wavefunction_path)
     _emit(text, out)
     return 0
@@ -366,21 +366,14 @@ def cmd_kick(config, out) -> int:
                           "stationary barrier; set force.kind to 'zero'")
     sec = config["kick"]
     p = _number(sec["momentum"], "kick.momentum")
-    if not math.isfinite(p):
-        raise ConfigError(f"kick.momentum: expected a finite number, got {p}")
     t1 = _finite(sec["time"], "kick.time")
     times = _sample_times(config, "evolve")
-
-    def state_at(t):
-        if t < t1:
-            return ce.evolve_gaussian(params, packet, ZeroForce(), t)
-        return ce.delta_kick_at(params, packet, p, t1, t)
-
-    rows = [row + [packet.p0 + p] for row in _evolution_rows(
-        "kick evolution", state_at, times, params, packet)[0]]
-    header = ["t", "xi", "xi_dot", "re_gamma", "im_gamma", "variance",
-              "norm_check", "P"]
-    _emit(render_csv(header, rows, config_sha256(config)), out)
+    stacks = (ce.evolve_gaussian(params, packet, ZeroForce(), times[times < t1]),
+              ce.delta_kick_at(params, packet, p, t1, times[times >= t1]))
+    stack = ce.EvolvedGaussian(*map(np.concatenate, zip(*(vars(s).values()
+                                                           for s in stacks))))
+    columns = _closed_columns(stack, params, packet) + [np.full(times.shape, packet.p0 + p)]
+    _emit(render_csv(_CLOSED_HEADER + ["P"], columns, config_sha256(config)), out)
     return 0
 
 
@@ -393,11 +386,11 @@ def cmd_tunnel(config, out, barrier_mode=False) -> int:
         xis = np.linspace(_number(sec["xi_min"], "barrier.xi_min"),
                           _number(sec["xi_max"], "barrier.xi_max"),
                           _count(sec["points"], "barrier.points"))
-        forces = [_number(F, f"barrier.forces[{i}]")
-                  for i, F in enumerate(sec["forces"])]
-        rows = [[F, float(xi), bt.barrier_potential(params, xi0, F, float(xi))]
-                for F in forces for xi in xis]
-        _emit(render_csv(["F", "xi", "V"], rows, cfg_hash), out)
+        forces = np.array([_number(F, f"barrier.forces[{i}]")
+                           for i, F in enumerate(sec["forces"])])
+        F, xi = np.repeat(forces, len(xis)), np.tile(xis, len(forces))
+        _emit(render_csv(["F", "xi", "V"],
+                         [F, xi, bt.barrier_potential(params, xi0, F, xi)], cfg_hash), out)
         return 0
 
     sec = config["tunnel"]
@@ -405,25 +398,19 @@ def cmd_tunnel(config, out, barrier_mode=False) -> int:
     betas = np.linspace(_finite(sec["beta_min"], "tunnel.beta_min"),
                         _finite(sec["beta_max"], "tunnel.beta_max"),
                         _count(sec["points"], "tunnel.points"))
-    # the quadrature columns take the whole sweep in one call each
-    w_avg = bt.averaged_transmission(eps, betas)
     below = (betas > 0.0) & (betas < 1.0)
     a_pre = np.zeros_like(betas)
     a_pre[below] = bt.asymptotic_prefactor(eps, betas[below])
     if not below.all():
         sys.stderr.write("warning: asymptotic columns left empty outside "
                          "0 < beta < 1\n")
-    rows = []
-    for beta, w_q, a, asymptotic in zip(betas.tolist(), w_avg.tolist(),
-                                        a_pre.tolist(), below.tolist()):
-        w_j = bt.transmission_jwkb(eps, beta)
-        row = [beta, w_j, bt.transmission_exact(eps, beta), w_q, None, None]
-        if asymptotic:
-            row[4:] = a, a * w_j
-        rows.append(row)
+    w_j = bt.transmission_jwkb(eps, betas)
+    columns = [betas, w_j, bt.transmission_exact(eps, betas),
+               bt.averaged_transmission(eps, betas), np.where(below, a_pre, None),
+               np.where(below, a_pre * w_j, None)]
     header = ["beta", "w_jwkb", "w_exact", "w_avg_quadrature", "A_prefactor",
               "w_avg_asymptotic"]
-    _emit(render_csv(header, rows, cfg_hash), out)
+    _emit(render_csv(header, columns, cfg_hash), out)
     return 0
 
 
@@ -441,8 +428,8 @@ def cmd_open_poles(config, out, boundary=None) -> int:
             raise ConfigError("boundary sweep needs 0 < a_min < a_max")
         a = np.linspace(a_min, a_max, n)
         with np.errstate(over="ignore", invalid="ignore"):   # render_csv names inf, NaN
-            rows = np.column_stack([a, osys.discriminant_boundary(a)]).tolist()
-        _emit(render_csv(["a", "b_critical"], rows, cfg_hash), out)
+            columns = [a, osys.discriminant_boundary(a)]
+        _emit(render_csv(["a", "b_critical"], columns, cfg_hash), out)
         return 0
 
     params = _build_system(config)
@@ -481,10 +468,10 @@ def cmd_open_evolve(config, out) -> int:
         g, gd = osys.green_pair(params, bath, times)
         mean_x = osys.mean_trajectory(params, bath, packet.x0, packet.p0, force, times)
         dyn, noise = osys.variance_parts(params, bath, moments, times, convention)
-        rows = np.column_stack([times, g, gd, mean_x, dyn, noise, dyn + noise]).tolist()
+        columns = [times, g, gd, mean_x, dyn, noise, dyn + noise]
     header = ["t", "G", "G_dot", "mean_x", "variance_dynamic", "variance_noise",
               "variance_total"]
-    _emit(render_csv(header, rows, config_sha256(config)), out)
+    _emit(render_csv(header, columns, config_sha256(config)), out)
     return 0
 
 
@@ -500,8 +487,8 @@ def cmd_verify(config, out) -> int:
 
     # every entry is read and checked before the first oracle runs
     x_min, x_max = (_number(gsec[key], f"grid.{key}") for key in ("x_min", "x_max"))
-    if not -math.inf < x_min < x_max < math.inf:
-        raise ConfigError(f"grid.x_min: expected finite grid.x_min < grid.x_max, "
+    if not x_min < x_max:
+        raise ConfigError(f"grid.x_min: expected grid.x_min < grid.x_max, "
                           f"got {x_min!r} and {x_max!r}")
     n = _count(gsec["n"], "grid.n")
     if n & (n - 1):

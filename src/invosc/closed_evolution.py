@@ -57,13 +57,31 @@ class EvolvedGaussian:
     norm_prefactor: complex
 
 
-def _state(params: SystemParams, packet: GaussianPacket, t: float,
-           xi: float, xi_dot: float, phase: float) -> EvolvedGaussian:
-    eps = params.hbar / (2.0 * params.omega * packet.sigma**2)
-    gamma = complex(math.cosh(params.omega * t), eps * math.sinh(params.omega * t))
-    norm = (2.0 * math.pi * packet.sigma**2) ** -0.25 / np.sqrt(gamma)
-    return EvolvedGaussian(t=t, xi=xi, xi_dot=xi_dot, gamma_factor=gamma,
-                           phase_action=phase, norm_prefactor=complex(norm))
+def _states(params: SystemParams, packet: GaussianPacket, t, name: str,
+            path) -> EvolvedGaussian:
+    """The state at t, a float or an ndarray of times, whose center and action
+    at each time s are path(s) = (xi, xi_dot, S).  Each time has its own sweep
+    and its own cosh and sinh, so a stack equals its states one time at a
+    time bit for bit; an overflow names its time."""
+    ts = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(ts) & (ts >= 0.0)):
+        raise ValueError("t must be finite and non-negative")
+    om, sig2 = params.omega, packet.sigma**2
+    if sig2 == 0.0:
+        raise ArithmeticError(f"{name}: sigma^2 underflows to 0 at sigma={packet.sigma:g}")
+    eps, rows = params.hbar / (2.0 * om * sig2), []
+    for s in ts.ravel().tolist():
+        try:
+            xi, xi_dot, action = path(s)
+            rows.append((s, xi, xi_dot, complex(math.cosh(om * s), eps * math.sinh(om * s)),
+                         action + packet.p0 * packet.x0))
+        except OverflowError as exc:
+            raise OverflowError(f"{name} overflowed at t={s:g}: {exc}") from exc
+    times, xi, xi_dot, gamma, phase = np.moveaxis(
+        np.array(rows, dtype=complex).reshape(*ts.shape, 5), -1, 0)
+    norm = (2.0 * math.pi * sig2) ** -0.25 / np.sqrt(gamma)
+    fields = times.real, xi.real, xi_dot.real, gamma, phase.real, norm
+    return EvolvedGaussian(*(f.item() if ts.ndim == 0 else f for f in fields))
 
 
 def _check_elapsed(params: SystemParams, t: float, t1: float) -> float:
@@ -116,13 +134,11 @@ def propagator(params: SystemParams, x, t: float, x1, t1: float,
 
 
 def evolve_gaussian(params: SystemParams, packet: GaussianPacket,
-                    force: ForceProfile, t: float) -> EvolvedGaussian:
-    """Evolve the initial packet to time t under a pointwise force profile."""
-    if not math.isfinite(t) or t < 0.0:
-        raise ValueError("t must be finite and non-negative")
-    xi, xi_dot, action = _classical_path(params, packet.x0, packet.p0,
-                                         force, 0.0, t)
-    return _state(params, packet, t, xi, xi_dot, action + packet.p0 * packet.x0)
+                    force: ForceProfile, t) -> EvolvedGaussian:
+    """Evolve the initial packet under a pointwise force profile to t, a float
+    or an ndarray of times: the states' fields are then arrays of its shape."""
+    return _states(params, packet, t, "evolve_gaussian", lambda s: _classical_path(
+        params, packet.x0, packet.p0, force, 0.0, s))
 
 
 def evaluate(ev: EvolvedGaussian, params: SystemParams,
@@ -160,22 +176,26 @@ def evolve_delta_kick(params: SystemParams, packet: GaussianPacket,
 
 
 def delta_kick_at(params: SystemParams, packet: GaussianPacket,
-                  p: float, t1: float, t: float) -> EvolvedGaussian:
-    """Coast to t1, apply a momentum boost p, coast on to t.
+                  p: float, t1: float, t) -> EvolvedGaussian:
+    """Coast to t1, apply a momentum boost p, coast on to t, a float or an
+    ndarray of times, each at least t1.
 
     Gaussians compose exactly: the spreading factor depends only on the
     total time, the center follows the piecewise classical trajectory
     with a velocity jump at t1, and the boost adds p * xi(t1) to the
     accumulated phase.
     """
-    if not (0.0 <= t1 <= t) or not math.isfinite(t):
+    if not (0.0 <= t1 and np.all(np.asarray(t) >= t1)) or not np.all(np.isfinite(t)):
         raise ValueError("need 0 <= t1 <= t")
     if not math.isfinite(p):
         raise ValueError("kick momentum must be finite")
     if p == 0.0:
         return evolve_gaussian(params, packet, ZeroForce(), t)
-    xi1, v1, s1 = _classical_path(params, packet.x0, packet.p0, ZeroForce(),
-                                  0.0, t1)
-    xi, xi_dot, s2 = _classical_path(params, xi1, v1 + p, ZeroForce(), t1, t)
-    return _state(params, packet, t, xi, xi_dot,
-                  s1 + p * xi1 + s2 + packet.p0 * packet.x0)
+
+    def path(s):
+        xi1, v1, s1 = _classical_path(params, packet.x0, packet.p0, ZeroForce(),
+                                      0.0, t1)
+        xi, xi_dot, s2 = _classical_path(params, xi1, v1 + p, ZeroForce(), t1, s)
+        return xi, xi_dot, s1 + p * xi1 + s2
+
+    return _states(params, packet, t, "delta_kick_at", path)

@@ -135,9 +135,14 @@ def characteristic_coefficients(params: SystemParams,
                                 bath: BathParams) -> CubicCoefficients:
     a = bath.omega_d / params.omega
     b = bath.gamma * bath.omega_d / params.omega**2 - 1.0
-    q = a**3 / 27.0 - a * b / 6.0 - a / 2.0
-    p = (3.0 * b - a * a) / 9.0
-    return CubicCoefficients(a=a, b=b, q=q, p=p, D=q * q + p**3)
+    try:
+        q = a**3 / 27.0 - a * b / 6.0 - a / 2.0
+        p = (3.0 * b - a * a) / 9.0
+        return CubicCoefficients(a=a, b=b, q=q, p=p, D=q * q + p**3)
+    except OverflowError as exc:
+        raise OverflowError(f"the characteristic cubic's coefficients q, p, D overflow "
+                            f"at omega_d / omega = {a:g}, gamma omega_d / omega^2 - 1 "
+                            f"= {b:g}") from exc
 
 
 def solve_poles(params: SystemParams, bath: BathParams) -> PoleDecomposition:
@@ -173,7 +178,9 @@ def solve_poles(params: SystemParams, bath: BathParams) -> PoleDecomposition:
 
     root_class = (RootClass.ONE_REAL_TWO_COMPLEX if coeffs.D > 0.0
                   else RootClass.THREE_REAL)
-    residues = tuple(1.0 / (2.0 * s + gam * wd**2 / (s + wd) ** 2) for s in poles)
+    # 1 / (2s + gamma omega_d^2 / (s + omega_d)^2), finite at a pole cancelling -omega_d
+    residues = tuple((s + wd) ** 2 / (2.0 * s * (s + wd) ** 2 + gam * wd**2)
+                     for s in poles)
     return PoleDecomposition(poles=poles, residues=residues,
                              coefficients=coeffs, root_class=root_class)
 
@@ -472,6 +479,9 @@ class InitialMoments:
     def from_packet(cls, packet: GaussianPacket,
                     params: SystemParams) -> "InitialMoments":
         sig2 = packet.sigma**2
+        if sig2 == 0.0:
+            raise ArithmeticError(f"initial moments: sigma^2 underflows to 0 at "
+                                  f"sigma={packet.sigma:g}")
         return cls(mean_x=packet.x0, mean_p=packet.p0, var_x=sig2,
                    var_p=params.hbar**2 / (4.0 * sig2), sym_xp=0.0)
 

@@ -218,6 +218,39 @@ class TestConfig:
         assert key in err
         assert out == ""
 
+    @pytest.mark.parametrize("args,key", [
+        (["evolve", "--wavefunction", "psi.csv"], "wavefunction.x_min"),
+        (["evolve", "--wavefunction", "psi.csv"], "wavefunction.x_max"),
+        (["tunnel", "--barrier"], "barrier.xi0"),
+        (["tunnel", "--barrier"], "barrier.xi_min"),
+        (["tunnel", "--barrier"], "barrier.xi_max"),
+        (["tunnel", "--barrier"], "barrier.forces[1]"),
+        (["kick"], "kick.momentum"),
+        (["verify"], "grid.x_min"),
+        (["verify"], "grid.x_max"),
+        (["open-poles", "--boundary"], "--boundary A_MIN"),
+        (["open-poles", "--boundary"], "--boundary A_MAX")])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_value_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                              args, key, value):
+        monkeypatch.chdir(tmp_path)
+        if key.startswith("--boundary"):
+            bounds = ["0.5", "20"]
+            bounds[key.endswith("MAX")] = value
+            args = args + [*bounds, "3"]
+        elif key == "barrier.forces[1]":
+            args = args + ["--set", f"barrier.forces=[0.1, {value}]"]
+        else:
+            args = args + ["--set", f"{key}={value}"]
+        try:
+            code, out, err = run_cli(args, capsys)
+        except SystemExit as exc:   # argparse takes "-Infinity" for an option
+            code, (out, err), key = exc.code, capsys.readouterr(), "--boundary"
+        assert (code, out) == (2, "")
+        assert key in err
+        assert "Warning" not in err
+        assert not (tmp_path / "psi.csv").exists()
+
 
 class TestRenderCsv:
     EDGES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -228,7 +261,7 @@ class TestRenderCsv:
         rows = [[i, v, v if i % 3 else None, "label" if i % 4 else v]
                 for i, v in enumerate(self.EDGES)]
         header = ["t", "value", "maybe", "mixed"]
-        text = cli.render_csv(header, rows, "abc")
+        text = cli.render_csv(header, list(zip(*rows)), "abc")
         expected = ["# config-sha256: abc", "t,value,maybe,mixed"]
         expected += [",".join(cli._fmt(v) for v in row) for row in rows]
         assert text == "\n".join(expected) + "\n"
@@ -236,13 +269,13 @@ class TestRenderCsv:
                                        ",-0.0000000000000000e+00")
 
     def test_no_rows(self):
-        assert cli.render_csv(["a", "b"], [], "abc") == "# config-sha256: abc\na,b\n"
+        assert cli.render_csv(["a", "b"], [[], []], "abc") == "# config-sha256: abc\na,b\n"
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_first_non_finite_cell_is_named(self, bad):
         rows = [[0.5, 1.0, None], [1.5, 2.0, bad], [2.5, bad, 1.0]]
         with pytest.raises(ArithmeticError, match=r"non-finite c at t=1\.5"):
-            cli.render_csv(["t", "b", "c"], rows, "abc")
+            cli.render_csv(["t", "b", "c"], list(zip(*rows)), "abc")
 
 
 class TestEvolve:
@@ -337,6 +370,64 @@ class TestEvolve:
             assert dens == pytest.approx(re * re + im * im, rel=1e-12)
 
 
+# Configs at the edge of the float range: each exits with its code, and the
+# in-process run fails if numpy warns (pytest turns a RuntimeWarning into an
+# error)
+_EXTREME_CONFIGS = [
+    (["tunnel", "--set", "tunnel.epsilon=1e308"], 0),
+    (["tunnel", "--set", "tunnel.beta_max=1e300", "--set", "tunnel.points=3"], 0),
+    (["evolve", "--set", "packet.x0=1e300"], 3),
+    (["kick", "--set", "kick.momentum=1e308"], 3)]
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize("args,expected", _EXTREME_CONFIGS)
+    def test_no_runtime_warning(self, capsys, args, expected):
+        code, _, err = run_cli(args, capsys)
+        assert code == expected
+        assert "Warning" not in err
+
+    def test_transmission_at_the_largest_epsilon(self, capsys):
+        code, out, _ = run_cli(_EXTREME_CONFIGS[0][0], capsys)
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        for name in ("w_jwkb", "w_exact", "w_avg_quadrature", "w_avg_asymptotic"):
+            assert {float(row[header.index(name)]) for row in rows} == {0.0}
+
+    def test_transmission_past_the_float_range_of_beta(self, capsys):
+        # (1 - beta)^2 overflows: both static transmissions are exactly 0
+        code, out, _ = run_cli(_EXTREME_CONFIGS[1][0], capsys)
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        for row in rows[1:]:
+            assert float(row[header.index("w_jwkb")]) == 0.0
+            assert float(row[header.index("w_exact")]) == 0.0
+            assert float(row[header.index("w_avg_quadrature")]) > 0.0
+
+    @pytest.mark.parametrize("args,names", [
+        (["open-poles", "--set", "bath.omega_d=1e300"], ["characteristic cubic", "omega_d"]),
+        (["tunnel", "--barrier", "--set", "barrier.xi0=1e200"],
+         ["barrier potential", "xi0=1e+200"]),
+        (["evolve", "--set", "packet.sigma=1e-200"], ["sigma^2", "sigma=1e-200"]),
+        (["open-evolve", "--set", "packet.sigma=1e-200"], ["sigma^2", "sigma=1e-200"])],
+        ids=["cubic-coefficients", "barrier-potential", "evolve-sigma", "open-sigma"])
+    def test_exit_3_names_quantity_and_parameter(self, capsys, args, names):
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (3, "")
+        assert all(name in err for name in names), err
+        assert "division by zero" not in err and "out of range" not in err
+
+    def test_pole_table_at_a_vanishing_coupling(self, capsys):
+        # the pole near -omega_d all but cancels: its residue is 0, not 1/0
+        code, out, _ = run_cli(["open-poles", "--set", "bath.gamma=1e-300"], capsys)
+        assert code == 0
+        table = json.loads(out)
+        cancelled = [r for r, s in zip(table["residues"], table["poles"])
+                     if abs(s["re"] + 10.0) < 1e-9]
+        assert cancelled == [{"re": 0.0, "im": 0.0}]
+        assert all(math.isfinite(v) for v in table["sum_rules"].values())
+
+
 _LOG_UNIT = st.floats(-1.0, 1.0).map(lambda e: 10.0**e)
 
 
@@ -364,8 +455,7 @@ class TestPacketMoments:
         params = invosc.SystemParams(1.0, 1.0)
         packet = invosc.GaussianPacket(-3.0, 1.0, 1.0)
         force = invosc.HarmonicForce(0.5, 2.0)
-        states = [invosc.evolve_gaussian(params, packet, force, t)
-                  for t in np.linspace(0.0, 1.5, 16)]
+        states = invosc.evolve_gaussian(params, packet, force, np.linspace(0.0, 1.5, 16))
         calls = {"integrate_trapezoid": 0, "integrand": 0, "evaluate": 0}
 
         def counted(name, fn):
@@ -385,7 +475,7 @@ class TestPacketMoments:
         # the ends, then one call per doubling up to the 2^15-interval cap
         assert 1 <= calls["evaluate"] <= calls["integrand"] <= 16
         assert np.all(np.abs(norm - 1.0) <= 1e-12)
-        assert len(var) == len(states)
+        assert len(var) == len(states.t)
 
     @settings(max_examples=60, deadline=None)
     @given(omega=_LOG_UNIT, hbar=_LOG_UNIT, sigma=_LOG_UNIT,
@@ -399,13 +489,13 @@ class TestPacketMoments:
         force = (invosc.HarmonicForce(amplitude, omega0) if driven
                  else invosc.ZeroForce())
         # a time series, one row per state of one call
-        states = [invosc.evolve_gaussian(params, packet, force, k * omega_t / omega)
-                  for k in (0.0, 0.25, 0.5, 1.0)]
+        states = invosc.evolve_gaussian(params, packet, force,
+                                        np.array([0.0, 0.25, 0.5, 1.0]) * omega_t / omega)
         norm, mean, var = cli._packet_moments(states, params, packet)
-        for ev, n, m, v in zip(states, norm, mean, var):
-            width = sigma * abs(ev.gamma_factor)
+        for gamma, xi, n, m, v in zip(states.gamma_factor, states.xi, norm, mean, var):
+            width = sigma * abs(gamma)
             assert abs(n - 1.0) <= 1e-12
-            assert abs(m - ev.xi) <= 1e-12 * width
+            assert abs(m - xi) <= 1e-12 * width
             assert v == pytest.approx(width**2, rel=1e-12, abs=0.0)
 
 
@@ -860,3 +950,30 @@ class TestVerify:
              "--out", str(out)], capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(out.read_text())["all_pass"] is True
+
+    @pytest.mark.parametrize("args", [
+        ["evolve"], ["kick"], ["tunnel"], ["open-poles"], ["open-evolve"], ["verify"],
+        ["evolve", "--wavefunction", "{dir}/psi"], ["tunnel", "--barrier"],
+        ["open-poles", "--boundary", "0.5", "20", "40"]],
+        ids=lambda args: "-".join(a.lstrip("-") for a in args if "{" not in a))
+    def test_entry_point_matches_in_process_run(self, tmp_path, args):
+        runs = {}
+        for how in ("module", "main"):
+            (tmp_path / how).mkdir()
+            argv = [a.format(dir=tmp_path / how) for a in args]
+            argv += ["--out", str(tmp_path / how / "out")]
+            if how == "main":
+                assert main(argv) == 0
+            else:
+                proc = subprocess.run([sys.executable, "-m", "invosc.cli", *argv],
+                                      capture_output=True, text=True)
+                assert (proc.returncode, proc.stderr) == (0, "")
+            runs[how] = {p.name: p.read_bytes() for p in (tmp_path / how).iterdir()}
+        assert runs["module"] == runs["main"]
+
+    @pytest.mark.parametrize("args,expected", _EXTREME_CONFIGS)
+    def test_entry_point_prints_no_warning(self, args, expected):
+        proc = subprocess.run([sys.executable, "-m", "invosc.cli", *args],
+                              capture_output=True, text=True)
+        assert proc.returncode == expected
+        assert "Warning" not in proc.stderr

@@ -243,6 +243,47 @@ class TestDelayedKick:
             evolve_delta_kick(PARAMS, packet, p, 1.0)
 
 
+class TestArrayOfTimes:
+    PACKET = GaussianPacket(-0.8, 0.6, 0.9)
+    TIMES = np.linspace(0.0, 2.5, 11)
+
+    @staticmethod
+    def assert_stack_equals_calls(stack, times, state_at):
+        """Each row of ``stack`` is the per-time call, bit for bit and with
+        the scalar call's types."""
+        fields = [f.name for f in dataclasses.fields(EvolvedGaussian)]
+        assert all(getattr(stack, name).shape == times.shape for name in fields)
+        for i, t in enumerate(times.tolist()):
+            state = state_at(t)
+            assert [type(v) for v in dataclasses.astuple(state)] == [
+                float, float, float, complex, float, complex]
+            assert [getattr(stack, name)[i] for name in fields] == list(
+                dataclasses.astuple(state))
+
+    @pytest.mark.parametrize("force", [
+        HarmonicForce(0.5, 2.0), ConstantForce(-0.3),
+        # knots between the sample times, and jumps at the support ends
+        TabulatedForce((0.1, 0.37, 1.3, 2.05), (0.2, -0.4, 1.0, 0.5))],
+        ids=["harmonic", "constant", "tabulated"])
+    def test_evolve_gaussian(self, force):
+        stack = evolve_gaussian(PARAMS, self.PACKET, force, self.TIMES)
+        self.assert_stack_equals_calls(stack, self.TIMES, lambda t: evolve_gaussian(
+            PARAMS, self.PACKET, force, t))
+
+    def test_delta_kick_between_samples(self):
+        t1 = 0.6   # between the samples 0.5 and 0.75
+        times = self.TIMES[self.TIMES >= t1]
+        stack = delta_kick_at(PARAMS, self.PACKET, 1.1, t1, times)
+        self.assert_stack_equals_calls(stack, times, lambda t: delta_kick_at(
+            PARAMS, self.PACKET, 1.1, t1, t))
+        with pytest.raises(ValueError):
+            delta_kick_at(PARAMS, self.PACKET, 1.1, t1, self.TIMES)
+
+    def test_overflow_names_the_time(self):
+        with pytest.raises(OverflowError, match="evolve_gaussian overflowed at t=800"):
+            evolve_gaussian(PARAMS, self.PACKET, ZeroForce(), np.array([1.0, 800.0]))
+
+
 def _stack(states):
     """The states as one EvolvedGaussian of column arrays, a row per state."""
     return EvolvedGaussian(*(np.array(column)[:, None] for column in
