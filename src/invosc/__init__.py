@@ -5,12 +5,12 @@ each cross-checked against independent numerical oracles."""
 from .barrier_transmission import (TunnelingParams, asymptotic_prefactor,
                                    averaged_transmission,
                                    averaged_transmission_asymptotic,
-                                   barrier_potential, prefactor_curve,
-                                   transmission_exact, transmission_jwkb)
+                                   barrier_potential, transmission_exact,
+                                   transmission_jwkb)
 from .classical_dynamics import TrajectoryPoint, lagrangian_action, trajectory
 from .closed_evolution import (EvolvedGaussian, PropagatorValue, action_S,
-                               delta_kick_at, evaluate, evolve_delta_kick,
-                               evolve_gaussian, propagator)
+                               delta_kick_at, evaluate, evolve_gaussian,
+                               propagator)
 from .core import (ConstantForce, ForceProfile, GaussianPacket, HarmonicForce,
                    SystemParams, TabulatedForce, ZeroForce, evaluate_initial,
                    force_at)
@@ -24,9 +24,7 @@ from .open_system import (CLASSICAL, OCCUPATION, SYMMETRIZED, BathParams,
                           CubicCoefficients, DegeneratePolesError,
                           InitialMoments, PoleDecomposition, RootClass,
                           bath_spectral_density, characteristic_coefficients,
-                          discriminant_boundary, displacement_variance,
-                          drude_kernel, general_variance, green_derivative,
-                          green_function, green_pair, harmonic_response,
+                          discriminant_boundary, drude_kernel, green_pair,
                           mean_trajectory, noise_spectrum, solve_poles,
                           spectral_noise_term, symmetrized_correlation,
                           variance_noise_term, variance_parts,

@@ -220,8 +220,3 @@ def averaged_transmission_asymptotic(epsilon: float, beta):
     return _as_output(asymptotic_prefactor(epsilon, b)
                       * np.exp(-epsilon * (1.0 - b) ** 2), beta)
 
-
-def prefactor_curve(epsilon: float, betas) -> list[tuple[float, float]]:
-    """Prefactor A sampled over a sequence of force parameters."""
-    b = np.asarray(betas, dtype=float).ravel()
-    return list(zip(b.tolist(), asymptotic_prefactor(epsilon, b).tolist()))

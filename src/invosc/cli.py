@@ -93,15 +93,19 @@ def _merge(defaults, override, path=""):
 def _merge_value(default, value, path: str):
     """``value`` for the config key ``path`` whose default is ``default``: an
     object is merged key by key, a list must be a list, and each entry of a
-    list of objects is merged with the first default entry."""
+    list is merged with the first default entry, if any.  No key takes true,
+    false, NaN or an infinity, which JSON (and so --print-config) cannot
+    carry."""
     if isinstance(default, dict):
         return _merge(default, value, path)
     if isinstance(default, list):
         if not isinstance(value, list):
             raise ConfigError(f"config key '{path}' must be a list, got {value!r}")
-        if default and isinstance(default[0], dict):
-            return [_merge(default[0], item, f"{path}[{i}]")
-                    for i, item in enumerate(value)]
+        return [_merge_value(default[0] if default else None, item, f"{path}[{i}]")
+                for i, item in enumerate(value)]
+    if isinstance(value, bool) or (isinstance(value, float) and not math.isfinite(value)):
+        raise ConfigError(f"config key '{path}' cannot be true, false, NaN or "
+                          f"infinite, got {json.dumps(value)}")
     return copy.deepcopy(value)
 
 
@@ -546,7 +550,7 @@ def cmd_verify(config, out) -> int:
     # memory-kernel integrator
     for i, bath_case in enumerate(green_baths):
         ts, g_ode = numerics.langevin_ode_oracle(params, bath_case, horizon, green_dt)
-        g_exp = osys.green_function(params, bath_case, ts)
+        g_exp = osys.green_pair(params, bath_case, ts)[0]
         dev = float(np.max(np.abs(g_exp - g_ode)) / np.max(np.abs(g_exp)))
         add(f"green_expm_vs_ode_case{i}", dev, green_tolerance)
 
@@ -560,7 +564,7 @@ def cmd_verify(config, out) -> int:
     # windowed transform closed form against direct quadrature
     closed = osys.windowed_transform(params, bath, w_probe, t_probe)
     quad = integrate_adaptive(
-        lambda t1: osys.green_function(params, bath, t1) * np.exp(-1j * w_probe * t1),
+        lambda t1: osys.green_pair(params, bath, t1)[0] * np.exp(-1j * w_probe * t1),
         0.0, t_probe, abs_tol=1e-13, rel_tol=1e-12).value
     add("windowed_transform_quadrature", abs(closed - quad), windowed_tolerance)
 

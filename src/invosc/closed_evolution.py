@@ -67,8 +67,6 @@ def _states(params: SystemParams, packet: GaussianPacket, t, name: str,
     if not np.all(np.isfinite(ts) & (ts >= 0.0)):
         raise ValueError("t must be finite and non-negative")
     om, sig2 = params.omega, packet.sigma**2
-    if sig2 == 0.0:
-        raise ArithmeticError(f"{name}: sigma^2 underflows to 0 at sigma={packet.sigma:g}")
     eps, rows = params.hbar / (2.0 * om * sig2), []
     for s in ts.ravel().tolist():
         try:
@@ -163,18 +161,6 @@ def evaluate(ev: EvolvedGaussian, params: SystemParams,
     return complex(out[0]) if np.ndim(x) == 0 and np.ndim(ev.t) == 0 else out
 
 
-def evolve_delta_kick(params: SystemParams, packet: GaussianPacket,
-                      p: float, t: float) -> EvolvedGaussian:
-    """Kick the fresh packet at t = 0 with momentum p, then coast to t.
-
-    The kick multiplies the state by exp(i p x / hbar), boosting the
-    momentum to P = p0 + p; the subsequent motion is governed by the
-    static barrier alone, with center
-    xi(t) = x0 cosh(om t) + (P / om) sinh(om t).
-    """
-    return delta_kick_at(params, packet, p, 0.0, t)
-
-
 def delta_kick_at(params: SystemParams, packet: GaussianPacket,
                   p: float, t1: float, t) -> EvolvedGaussian:
     """Coast to t1, apply a momentum boost p, coast on to t, a float or an
@@ -183,7 +169,8 @@ def delta_kick_at(params: SystemParams, packet: GaussianPacket,
     Gaussians compose exactly: the spreading factor depends only on the
     total time, the center follows the piecewise classical trajectory
     with a velocity jump at t1, and the boost adds p * xi(t1) to the
-    accumulated phase.
+    accumulated phase.  At t1 = 0 the kick multiplies the packet by
+    exp(i p x / hbar): it is the packet of momentum p0 + p, evolved freely.
     """
     if not (0.0 <= t1 and np.all(np.asarray(t) >= t1)) or not np.all(np.isfinite(t)):
         raise ValueError("need 0 <= t1 <= t")

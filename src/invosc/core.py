@@ -136,7 +136,8 @@ class GaussianPacket:
     """Initial minimum-uncertainty state centered at (x0, p0).
 
     ``sigma`` squared is the coordinate variance of the probability
-    density.
+    density; a sigma^2 that underflows to 0 or overflows is an
+    ArithmeticError.
     """
 
     x0: float
@@ -149,6 +150,9 @@ class GaussianPacket:
         _require_finite("sigma", self.sigma)
         if self.sigma <= 0.0:
             raise ValueError("sigma must be positive")
+        if self.sigma * self.sigma in (0.0, math.inf):
+            raise ArithmeticError(f"packet: sigma^2 is outside the float range at "
+                                  f"sigma={self.sigma:g}")
 
 
 def evaluate_initial(packet: GaussianPacket, params: SystemParams, x):

@@ -504,9 +504,6 @@ class GridState:
     def x(self) -> np.ndarray:
         return self.x_min + self.dx * np.arange(self.n)
 
-    def norm(self) -> float:
-        return float(np.sum(np.abs(self.psi) ** 2) * self.dx)
-
 
 def grid_from_packet(packet: GaussianPacket, params: SystemParams,
                      x_min: float, x_max: float, n: int) -> GridState:

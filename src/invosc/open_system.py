@@ -47,8 +47,8 @@ import numpy as np
 
 from .core import (ForceProfile, GaussianPacket, HarmonicForce, SystemParams,
                    force_pieces)
-from .numerics import (_polish_cubic_roots, expm, expm_gramian, integrate_adaptive,
-                       integrate_halfline, solve_cubic)
+from .numerics import (QuadratureError, _polish_cubic_roots, expm, expm_gramian,
+                       integrate_adaptive, integrate_halfline, solve_cubic)
 
 OCCUPATION = "occupation"
 SYMMETRIZED = "symmetrized"
@@ -212,18 +212,10 @@ def _columns(params: SystemParams, bath: BathParams, t) -> np.ndarray:
 
 
 def green_pair(params: SystemParams, bath: BathParams, t):
-    """G(t) and G'(t) from one exponential, for a scalar t or an ndarray."""
+    """The impulse response G(t), x from x = 0, v = 1, w = 0, and its velocity
+    G'(t) (G(0) = 0, G'(0) = 1) from one exponential, for a scalar t or an
+    ndarray."""
     return tuple(np.moveaxis(_columns(params, bath, t), -1, 0)[:2])
-
-
-def green_function(params: SystemParams, bath: BathParams, t):
-    """Impulse response G(t), x from x = 0, v = 1, w = 0; G(0) = 0, G'(0) = 1."""
-    return green_pair(params, bath, t)[0]
-
-
-def green_derivative(params: SystemParams, bath: BathParams, t):
-    """G'(t), the velocity of the impulse response."""
-    return green_pair(params, bath, t)[1]
 
 
 def _forced_response(params: SystemParams, bath: BathParams,
@@ -262,13 +254,6 @@ def mean_trajectory(params: SystemParams, bath: BathParams, x0m: float,
     g, gd = green_pair(params, bath, t)
     out = x0m * gd + p0m * g + _forced_response(params, bath, force, t)
     return float(out) if out.ndim == 0 else out
-
-
-def harmonic_response(params: SystemParams, bath: BathParams, F: float,
-                      omega0: float, t: float) -> float:
-    """Response to F sin(omega0 t) from rest at the origin; it matches the
-    quadrature convolution of G against the drive."""
-    return mean_trajectory(params, bath, 0.0, 0.0, HarmonicForce(F, omega0), t)
 
 
 def noise_spectrum(bath: BathParams, params: SystemParams, omega,
@@ -431,7 +416,9 @@ def _noise_term(params: SystemParams, bath: BathParams, t, tprime,
     of the force correlation gamma kT omega_d e^(-omega_d |tau|): the term is
     gamma kT omega_d V_omega_d(t, t'), one stack over all times.  The Bose
     part hbar J n / pi, the occupation convention, is integrated over the
-    frequency; the symmetrized one adds ``_zero_point_term``."""
+    frequency; the symmetrized one adds ``_zero_point_term``.  A quadrature
+    that fails is re-raised with its best estimate, naming the time, the
+    convention and the bath."""
     if convention not in _CONVENTIONS:
         raise ValueError(f"unknown noise convention {convention!r}")
     t, tprime, abs_tol = np.broadcast_arrays(t, tprime, abs_tol)
@@ -441,11 +428,19 @@ def _noise_term(params: SystemParams, bath: BathParams, t, tprime,
                                                     t, tprime)[0]
     elif bath.gamma > 0.0:
         for i in np.ndindex(t.shape):
-            if min(t[i], tprime[i]) > 0.0:
+            if not min(t[i], tprime[i]) > 0.0:
+                continue
+            try:
                 out[i] = spectral_noise_term(params, bath, t[i], tprime[i],
                                              OCCUPATION, abs_tol[i]) + (
                     _zero_point_term(params, bath, t[i], tprime[i], abs_tol[i])
                     if convention == SYMMETRIZED else 0.0)
+            except QuadratureError as exc:
+                at = f"t={t[i]:g}" + (f", t'={tprime[i]:g}" if t[i] != tprime[i] else "")
+                raise QuadratureError(
+                    f"variance_noise at {at} ({convention} convention, gamma="
+                    f"{bath.gamma:g}, omega_d={bath.omega_d:g}, kT={bath.kT:g}): {exc}",
+                    exc.best) from exc
     return float(out) if out.ndim == 0 else out
 
 
@@ -479,9 +474,6 @@ class InitialMoments:
     def from_packet(cls, packet: GaussianPacket,
                     params: SystemParams) -> "InitialMoments":
         sig2 = packet.sigma**2
-        if sig2 == 0.0:
-            raise ArithmeticError(f"initial moments: sigma^2 underflows to 0 at "
-                                  f"sigma={packet.sigma:g}")
         return cls(mean_x=packet.x0, mean_p=packet.p0, var_x=sig2,
                    var_p=params.hbar**2 / (4.0 * sig2), sym_xp=0.0)
 
@@ -509,22 +501,6 @@ def variance_parts(params: SystemParams, bath: BathParams,
     noise[finite] = variance_noise_term(params, bath, t[finite], convention, 1e-10
                                         * np.maximum(np.abs(dynamic[finite]), 1e-30))
     return (float(dynamic), float(noise)) if t.ndim == 0 else (dynamic, noise)
-
-
-def general_variance(params: SystemParams, bath: BathParams,
-                     moments: InitialMoments, t: float,
-                     convention: str = OCCUPATION) -> float:
-    """Displacement variance from arbitrary initial moments."""
-    return sum(variance_parts(params, bath, moments, t, convention))
-
-
-def displacement_variance(params: SystemParams, bath: BathParams,
-                          packet: GaussianPacket, t: float,
-                          convention: str = OCCUPATION) -> float:
-    """Variance of the packet: sigma^2 G'^2 + (hbar^2/4 sigma^2) G^2 + noise."""
-    return general_variance(params, bath,
-                            InitialMoments.from_packet(packet, params), t,
-                            convention)
 
 
 def symmetrized_correlation(params: SystemParams, bath: BathParams,

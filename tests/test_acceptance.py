@@ -14,15 +14,14 @@ import pytest
 
 import invosc
 from invosc import (BathParams, CLASSICAL, ConstantForce, GaussianPacket,
-                    HarmonicForce, RootClass, SystemParams, TabulatedForce,
-                    ZeroForce, averaged_transmission,
-                    averaged_transmission_asymptotic, displacement_variance,
-                    evaluate, evolve_delta_kick, evolve_gaussian,
-                    green_derivative, green_function, grid_from_packet,
-                    harmonic_response, integrate_adaptive,
-                    langevin_ode_oracle, prefactor_curve, propagator,
-                    schrodinger_grid_evolve, solve_poles, transmission_exact,
-                    transmission_jwkb)
+                    HarmonicForce, InitialMoments, RootClass, SystemParams,
+                    TabulatedForce, ZeroForce, asymptotic_prefactor,
+                    averaged_transmission, averaged_transmission_asymptotic,
+                    delta_kick_at, evaluate, evolve_gaussian, green_pair,
+                    grid_from_packet, integrate_adaptive, langevin_ode_oracle,
+                    mean_trajectory, propagator, schrodinger_grid_evolve,
+                    solve_poles, transmission_exact, transmission_jwkb,
+                    variance_parts)
 from invosc.cli import main
 
 from conftest import density_moments
@@ -135,7 +134,7 @@ def test_criterion_04_delta_kick():
         packet = GaussianPacket(0.2, -0.3, 0.9)
         p, t = 1.4, 1.0
         om = ACC_PARAMS.omega
-        ev = evolve_delta_kick(ACC_PARAMS, packet, p, t)
+        ev = delta_kick_at(ACC_PARAMS, packet, p, 0.0, t)
         expected = packet.x0 * math.cosh(om * t) \
             + (packet.p0 + p) / om * math.sinh(om * t)
         assert abs(ev.xi - expected) <= 1e-15 * max(1.0, abs(expected))
@@ -166,7 +165,7 @@ def test_criterion_06_quasistatic_asymptotics(tmp_path):
             w_a = averaged_transmission_asymptotic(eps, beta)
             assert abs(w_a - w_q) / w_q < tol
         betas = np.linspace(0.05, 0.95, 19)
-        for b, a in prefactor_curve(3.0, betas):
+        for a in asymptotic_prefactor(3.0, betas):
             assert math.isfinite(a) and a > 0.0
         out = tmp_path / "tunnel.csv"
         assert main(["tunnel", "--set", "tunnel.epsilon=3.0",
@@ -211,7 +210,7 @@ def test_criterion_08_green_function_cross_oracle():
         for gamma, omega_d in ((0.5, 10.0), (5.0, 2.0)):
             bath = BathParams(gamma, omega_d, 0.0)
             ts, g_ode = langevin_ode_oracle(ACC_PARAMS, bath, 5.0, 5e-4)
-            g_exp = green_function(ACC_PARAMS, bath, ts)
+            g_exp = green_pair(ACC_PARAMS, bath, ts)[0]
             dev = np.max(np.abs(g_exp - g_ode)) / np.max(np.abs(g_exp))
             assert dev < 1e-6, f"bath ({gamma}, {omega_d}): deviation {dev:.2e}"
 
@@ -226,13 +225,14 @@ def test_criterion_09_harmonic_response_closed_form():
                               float(rng.uniform(2.0, 15.0)), 0.0)
             amp = float(rng.uniform(-1.0, 1.0))
             w0 = float(rng.uniform(0.1, 3.0))
-            assert harmonic_response(params, bath, amp, w0, 0.0) == 0.0
+            drive = HarmonicForce(amp, w0)
+            assert mean_trajectory(params, bath, 0.0, 0.0, drive, 0.0) == 0.0
             for t in (0.7, 1.9, 3.0):
                 quad = integrate_adaptive(
-                    lambda t1: green_function(params, bath, t - t1) * amp
+                    lambda t1: green_pair(params, bath, t - t1)[0] * amp
                     * np.sin(w0 * t1), 0.0, t,
                     abs_tol=1e-13, rel_tol=1e-12).value
-                dev = abs(harmonic_response(params, bath, amp, w0, t) - quad)
+                dev = abs(mean_trajectory(params, bath, 0.0, 0.0, drive, t) - quad)
                 assert dev < 1e-8
 
 
@@ -241,36 +241,37 @@ def test_criterion_10_variance_limits():
                        "weak damping, classical spectrum, temperature "
                        "monotonicity"):
         packet = GaussianPacket(0.0, 0.0, 1.0)
+        moments = InitialMoments.from_packet(packet, ACC_PARAMS)
 
         bath = BathParams(0.5, 10.0, 1.0)
-        assert abs(displacement_variance(ACC_PARAMS, bath, packet, 0.0)
+        assert abs(sum(variance_parts(ACC_PARAMS, bath, moments, 0.0))
                    - packet.sigma**2) < 1e-12
 
         cold = BathParams(0.5, 10.0, 0.0)
         t = 1.5
-        g = green_function(ACC_PARAMS, cold, t)
-        gd = green_derivative(ACC_PARAMS, cold, t)
+        g, gd = green_pair(ACC_PARAMS, cold, t)
         dynamic = packet.sigma**2 * gd**2 \
             + ACC_PARAMS.hbar**2 / (4 * packet.sigma**2) * g**2
-        assert displacement_variance(ACC_PARAMS, cold, packet, t) \
+        assert sum(variance_parts(ACC_PARAMS, cold, moments, t)) \
             == pytest.approx(dynamic, rel=1e-14)
 
         weak = BathParams(1e-6, 10.0, 0.0)
         eps = ACC_PARAMS.hbar / (2 * ACC_PARAMS.omega * packet.sigma**2)
         closed = packet.sigma**2 * (math.cosh(t) ** 2
                                     + eps**2 * math.sinh(t) ** 2)
-        got = displacement_variance(ACC_PARAMS, weak, packet, t)
+        got = sum(variance_parts(ACC_PARAMS, weak, moments, t))
         assert abs(got - closed) / closed < 1e-3
 
         small_h = SystemParams(1.0, hbar=1e-4)
-        quantum = displacement_variance(small_h, bath, packet, t)
-        classical = displacement_variance(small_h, bath, packet, t, CLASSICAL)
+        small_h_moments = InitialMoments.from_packet(packet, small_h)
+        quantum = sum(variance_parts(small_h, bath, small_h_moments, t))
+        classical = sum(variance_parts(small_h, bath, small_h_moments, t, CLASSICAL))
         assert abs(quantum - classical) / classical < 1e-3
 
         prev = -math.inf
         for kT in (0.0, 1.0, 2.0):
             bath_kt = BathParams(0.5, 10.0, kT)
-            val = displacement_variance(ACC_PARAMS, bath_kt, packet, t)
+            val = sum(variance_parts(ACC_PARAMS, bath_kt, moments, t))
             assert val >= prev
             prev = val
 

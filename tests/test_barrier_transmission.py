@@ -8,8 +8,7 @@ import pytest
 from invosc import barrier_transmission, numerics
 from invosc import (SystemParams, TunnelingParams, asymptotic_prefactor,
                     averaged_transmission, averaged_transmission_asymptotic,
-                    barrier_potential, prefactor_curve, transmission_exact,
-                    transmission_jwkb)
+                    barrier_potential, transmission_exact, transmission_jwkb)
 
 PARAMS = SystemParams(1.0)
 
@@ -390,16 +389,7 @@ class TestAsymptoticConsistency:
 
 
 class TestPrefactorCurve:
-    def test_single_point_matches_scalar(self):
-        [(beta, a)] = prefactor_curve(3.0, [0.5])
-        assert beta == 0.5
-        assert a == asymptotic_prefactor(3.0, 0.5)
-
-    def test_length_matches_input(self):
-        betas = np.linspace(0.1, 0.9, 17)
-        assert len(prefactor_curve(3.0, betas)) == 17
-
     def test_finite_positive_over_figure_range(self):
-        curve = prefactor_curve(3.0, np.linspace(0.05, 0.95, 19))
-        for _, a in curve:
+        curve = asymptotic_prefactor(3.0, np.linspace(0.05, 0.95, 19))
+        for a in curve:
             assert math.isfinite(a) and a > 0.0

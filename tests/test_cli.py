@@ -128,6 +128,26 @@ class TestConfig:
             assert (code, out) == (2, "")
             assert key in err
 
+    @pytest.mark.parametrize("path,value,key", [
+        ("system.omega", math.nan, "system.omega"),
+        ("system.omega", math.inf, "system.omega"),
+        ("system.omega", True, "system.omega"),
+        ("evolve.samples", True, "evolve.samples"),
+        ("bath.noise", False, "bath.noise"),
+        ("force.times", [0.0, -math.inf], "force.times[1]"),
+        ("verify.green_cases", [{"gamma": math.nan}], "verify.green_cases[0].gamma")])
+    def test_boolean_or_non_finite_value_is_config_error(self, tmp_path, capsys, path,
+                                                         value, key):
+        # JSON has no NaN or infinity, so --print-config could not print them
+        section, entry = path.split(".")
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({section: {entry: value}}))
+        for source in (["--set", f"{path}={json.dumps(value)}"],
+                       ["--config", str(cfg)]):
+            code, out, err = run_cli(["evolve", "--print-config", *source], capsys)
+            assert (code, out) == (2, "")
+            assert f"'{key}'" in err
+
     @pytest.mark.parametrize("assignment", ["system=2", "system.omega.x=1"])
     def test_override_must_fit_the_config_shape(self, capsys, assignment):
         code, out, err = run_cli(["evolve", "--print-config", "--set", assignment],
@@ -409,8 +429,14 @@ class TestFloatRange:
         (["tunnel", "--barrier", "--set", "barrier.xi0=1e200"],
          ["barrier potential", "xi0=1e+200"]),
         (["evolve", "--set", "packet.sigma=1e-200"], ["sigma^2", "sigma=1e-200"]),
-        (["open-evolve", "--set", "packet.sigma=1e-200"], ["sigma^2", "sigma=1e-200"])],
-        ids=["cubic-coefficients", "barrier-potential", "evolve-sigma", "open-sigma"])
+        (["open-evolve", "--set", "packet.sigma=1e-200"], ["sigma^2", "sigma=1e-200"]),
+        (["evolve", "--set", "packet.sigma=1e200"], ["sigma^2", "sigma=1e+200"]),
+        (["kick", "--set", "packet.sigma=1e200"], ["sigma^2", "sigma=1e+200"]),
+        (["open-evolve", "--set", "packet.sigma=1e200"], ["sigma^2", "sigma=1e+200"]),
+        (["verify", "--set", "packet.sigma=1e-200"], ["sigma^2", "sigma=1e-200"])],
+        ids=["cubic-coefficients", "barrier-potential", "evolve-sigma", "open-sigma",
+             "evolve-sigma-overflow", "kick-sigma-overflow", "open-sigma-overflow",
+             "verify-sigma-underflow"])
     def test_exit_3_names_quantity_and_parameter(self, capsys, args, names):
         code, out, err = run_cli(args, capsys)
         assert (code, out) == (3, "")
@@ -771,7 +797,7 @@ class TestOpenEvolve:
         for row in rows[1:]:
             t = float(row[header.index("t")])
             quad = invosc.integrate_adaptive(
-                lambda t1: invosc.green_function(params, bath, t - t1)
+                lambda t1: invosc.green_pair(params, bath, t - t1)[0]
                 * 0.1 * np.sin(0.2 * t1),
                 0.0, t, abs_tol=1e-13, rel_tol=1e-12).value
             assert float(row[header.index("mean_x")]) == pytest.approx(
@@ -833,6 +859,26 @@ class TestOpenEvolve:
                                       "--set", "open.samples=3"], capsys)
         assert (code, out) == (3, "")
         assert err == "error: non-finite variance_dynamic at t=800\n"
+
+    @pytest.mark.parametrize("convention", ["occupation", "symmetrized"])
+    def test_noise_quadrature_failure_names_stage_and_bath(self, capsys, monkeypatch,
+                                                           convention):
+        best = invosc.QuadratureResult(0.25, 1e-3, 150)
+
+        def failing(*args, **kwargs):
+            raise invosc.QuadratureError("stub quadrature failed", best)
+
+        monkeypatch.setattr(invosc.open_system, "integrate_halfline", failing)
+        code, out, err = run_cli(["open-evolve", "--set", f"bath.noise={convention}"],
+                                 capsys)
+        assert (code, out) == (3, "")
+        for name in ("variance_noise", "t=0.1", f"{convention} convention", "gamma=0.5",
+                     "omega_d=10", "kT=1", "stub quadrature failed"):
+            assert name in err, err
+        params, bath = invosc.SystemParams(1.0), invosc.BathParams(0.5, 10.0, 1.0)
+        with pytest.raises(invosc.QuadratureError) as exc:
+            invosc.variance_noise_term(params, bath, 0.1, convention)
+        assert exc.value.best is best
 
     def test_zero_point_noise_of_a_fast_bath(self, capsys):
         with warnings.catch_warnings():

@@ -8,9 +8,8 @@ import pytest
 from conftest import density_moments
 from invosc import (ConstantForce, EvolvedGaussian, GaussianPacket, HarmonicForce,
                     SystemParams, TabulatedForce, ZeroForce, action_S, delta_kick_at,
-                    evaluate, evaluate_initial, evolve_delta_kick, evolve_gaussian,
-                    grid_from_packet, integrate_adaptive, propagator,
-                    schrodinger_grid_evolve)
+                    evaluate, evaluate_initial, evolve_gaussian, grid_from_packet,
+                    integrate_adaptive, propagator, schrodinger_grid_evolve)
 
 PARAMS = SystemParams(1.0, hbar=1.0)
 
@@ -170,18 +169,18 @@ class TestEvolveGaussian:
 class TestDeltaKick:
     def test_no_kick_reduces_to_free_evolution(self):
         packet = GaussianPacket(0.3, 0.8, 1.1)
-        kicked = evolve_delta_kick(PARAMS, packet, 0.0, 1.2)
+        kicked = delta_kick_at(PARAMS, packet, 0.0, 0.0, 1.2)
         free = evolve_gaussian(PARAMS, packet, ZeroForce(), 1.2)
         assert kicked == free
 
     def test_boosted_center(self):
         packet = GaussianPacket(0.0, 0.0, 1.0)
-        ev = evolve_delta_kick(PARAMS, packet, 1.0, 1.0)
+        ev = delta_kick_at(PARAMS, packet, 1.0, 0.0, 1.0)
         assert ev.xi == pytest.approx(math.sinh(1.0), rel=1e-15)
 
     def test_ehrenfest_after_kick(self):
         packet = GaussianPacket(0.2, -0.4, 0.8)
-        ev = evolve_delta_kick(PARAMS, packet, 1.5, 1.0)
+        ev = delta_kick_at(PARAMS, packet, 1.5, 0.0, 1.0)
         _, mean, _ = density_moments(ev, PARAMS, packet)
         assert mean == pytest.approx(ev.xi, abs=1e-8)
 
@@ -191,7 +190,7 @@ class TestDeltaKick:
         boosted = GaussianPacket(0.0, p, 1.0)
         grid = grid_from_packet(boosted, PARAMS, -40.0, 40.0, 2048)
         out = schrodinger_grid_evolve(PARAMS, grid, ZeroForce(), 1.0, 2e-3)
-        ev = evolve_delta_kick(PARAMS, packet, p, 1.0)
+        ev = delta_kick_at(PARAMS, packet, p, 0.0, 1.0)
         ref = evaluate(ev, PARAMS, packet, out.x())
         rel_l2 = np.sqrt(np.sum(np.abs(out.psi - ref) ** 2)
                          / np.sum(np.abs(ref) ** 2))
@@ -201,8 +200,11 @@ class TestDeltaKick:
 class TestDelayedKick:
     def test_reduces_to_immediate_kick(self):
         packet = GaussianPacket(0.4, -0.2, 1.3)
+        # a kick at t = 0 multiplies the packet by e^(i p x / hbar): it is the
+        # packet boosted to p0 + p, evolved freely
         a = delta_kick_at(PARAMS, packet, 0.9, 0.0, 1.4)
-        b = evolve_delta_kick(PARAMS, packet, 0.9, 1.4)
+        boosted = GaussianPacket(packet.x0, packet.p0 + 0.9, packet.sigma)
+        b = evolve_gaussian(PARAMS, boosted, ZeroForce(), 1.4)
         assert a.xi == pytest.approx(b.xi, rel=1e-14)
         assert a.xi_dot == pytest.approx(b.xi_dot, rel=1e-14)
         assert a.phase_action == pytest.approx(b.phase_action, rel=1e-12)
@@ -240,7 +242,7 @@ class TestDelayedKick:
         with pytest.raises(ValueError, match="momentum"):
             delta_kick_at(PARAMS, packet, p, 0.5, 1.0)
         with pytest.raises(ValueError, match="momentum"):
-            evolve_delta_kick(PARAMS, packet, p, 1.0)
+            delta_kick_at(PARAMS, packet, p, 0.0, 1.0)
 
 
 class TestArrayOfTimes:

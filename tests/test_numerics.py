@@ -471,7 +471,8 @@ class TestGridSolver:
     def test_initial_norm(self):
         grid = grid_from_packet(GaussianPacket(0.0, 0.0, 1.0), SystemParams(1.0),
                                 -20.0, 20.0, 512)
-        assert grid.norm() == pytest.approx(1.0, abs=1e-12)
+        norm = np.sum(np.abs(grid.psi) ** 2) * grid.dx
+        assert norm == pytest.approx(1.0, abs=1e-12)
 
     def test_power_of_two_enforced(self):
         with pytest.raises(ValueError):
@@ -502,7 +503,8 @@ class TestGridSolver:
         grid = grid_from_packet(GaussianPacket(0.0, 0.0, 1.0), params,
                                 -40.0, 40.0, 2048)
         out = schrodinger_grid_evolve(params, grid, ZeroForce(), 1.0, 1e-3)
-        assert out.norm() == pytest.approx(1.0, abs=1e-8)
+        norm = np.sum(np.abs(out.psi) ** 2) * out.dx
+        assert norm == pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize("force", [
         HarmonicForce(0.5, 2.0),

@@ -12,9 +12,7 @@ from invosc import (CLASSICAL, OCCUPATION, SYMMETRIZED, BathParams,
                     HarmonicForce, InitialMoments, RootClass, SystemParams,
                     TabulatedForce, ZeroForce, bath_spectral_density,
                     characteristic_coefficients, discriminant_boundary,
-                    displacement_variance, drude_kernel, force_at,
-                    general_variance, green_derivative, green_function,
-                    green_pair, harmonic_response, integrate_adaptive,
+                    drude_kernel, force_at, green_pair, integrate_adaptive,
                     integrate_halfline, langevin_ode_oracle, mean_trajectory,
                     noise_spectrum, solve_cubic, solve_poles,
                     spectral_noise_term, symmetrized_correlation,
@@ -251,8 +249,9 @@ class TestSolvePoles:
 
 class TestGreenFunction:
     def test_initial_conditions(self):
-        assert green_function(PARAMS, BATH, 0.0) == 0.0
-        assert green_derivative(PARAMS, BATH, 0.0) == 1.0
+        g, gd = green_pair(PARAMS, BATH, 0.0)
+        assert g == 0.0
+        assert gd == 1.0
 
     @pytest.mark.parametrize("omega_d", [1e3, 1e6, 1e9])
     def test_fast_bath_matches_mpmath(self, omega_d):
@@ -264,17 +263,17 @@ class TestGreenFunction:
             w, t = mp.mpf(omega_d), mp.mpf(3)
             a = mp.matrix([[0, 1, 0], [1, 0, -1], [0, w / 2, -w]])
             ref = float(mp.expm(a * t)[0, 1])
-        assert green_function(PARAMS, bath, 3.0) == pytest.approx(ref, rel=1e-14,
-                                                                  abs=0.0)
-        assert green_function(PARAMS, bath, 0.0) == 0.0
-        assert green_derivative(PARAMS, bath, 0.0) == 1.0
+        assert green_pair(PARAMS, bath, 3.0)[0] == pytest.approx(ref, rel=1e-14,
+                                                                 abs=0.0)
+        g, gd = green_pair(PARAMS, bath, 0.0)
+        assert g == 0.0
+        assert gd == 1.0
 
     def test_weak_damping_limit(self):
         bath = BathParams(1e-6, 10.0, 0.0)
-        assert green_function(PARAMS, bath, 1.0) == pytest.approx(math.sinh(1.0),
-                                                                  abs=1e-4)
-        assert green_derivative(PARAMS, bath, 1.0) == pytest.approx(
-            math.cosh(1.0), abs=1e-4)
+        g, gd = green_pair(PARAMS, bath, 1.0)
+        assert g == pytest.approx(math.sinh(1.0), abs=1e-4)
+        assert gd == pytest.approx(math.cosh(1.0), abs=1e-4)
 
     @pytest.mark.parametrize("omega", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("omega_d", [0.5, 4.0])
@@ -290,27 +289,27 @@ class TestGreenFunction:
     def test_derivative_matches_finite_difference(self):
         h = 1e-6
         for t in (0.3, 1.0, 2.5):
-            fd = (green_function(PARAMS, BATH, t + h)
-                  - green_function(PARAMS, BATH, t - h)) / (2 * h)
-            assert green_derivative(PARAMS, BATH, t) == pytest.approx(fd, rel=1e-6)
+            fd = (green_pair(PARAMS, BATH, t + h)[0]
+                  - green_pair(PARAMS, BATH, t - h)[0]) / (2 * h)
+            assert green_pair(PARAMS, BATH, t)[1] == pytest.approx(fd, rel=1e-6)
 
     def test_matches_rk4_memory_kernel_oracle(self):
         bath = BathParams(0.5, 10.0, 0.0)
         ts, g_ode = langevin_ode_oracle(PARAMS, bath, 5.0, 5e-4)
-        g = green_function(PARAMS, bath, ts)
+        g = green_pair(PARAMS, bath, ts)[0]
         assert np.max(np.abs(g - g_ode)) / np.max(np.abs(g)) < 1e-6
 
     def test_accepts_time_arrays(self):
         ts = np.linspace(0.0, 2.0, 9)
-        vals = green_function(PARAMS, BATH, ts)
+        vals = green_pair(PARAMS, BATH, ts)[0]
         assert vals.shape == (9,)
         assert vals[0] == 0.0
-        assert isinstance(green_function(PARAMS, BATH, 1.0), float)
+        assert isinstance(green_pair(PARAMS, BATH, 1.0)[0], float)
         g, gd = green_pair(PARAMS, BATH, ts.reshape(3, 3))
         assert g.shape == gd.shape == (3, 3)
         np.testing.assert_array_equal(g.ravel(), vals)
         np.testing.assert_array_equal(
-            gd.ravel(), [green_derivative(PARAMS, BATH, float(t)) for t in ts])
+            gd.ravel(), [green_pair(PARAMS, BATH, float(t))[1] for t in ts])
 
 
 class TestResidueOracle:
@@ -490,7 +489,7 @@ class TestMeanTrajectory:
         force = HarmonicForce(0.1, 0.2)
         t = 2.0
         quad = integrate_adaptive(
-            lambda t1: green_function(PARAMS, BATH, t - t1) * 0.1 * np.sin(0.2 * t1),
+            lambda t1: green_pair(PARAMS, BATH, t - t1)[0] * 0.1 * np.sin(0.2 * t1),
             0.0, t, abs_tol=1e-13, rel_tol=1e-12).value
         assert mean_trajectory(PARAMS, BATH, 0.0, 0.0, force, t) == pytest.approx(
             quad, abs=1e-8)
@@ -548,9 +547,9 @@ class TestPoleSumProperties:
         r, s = np.array(dec.residues), np.array(dec.poles)
         for k, expected in ((0, 0.0), (1, 1.0), (2, 0.0)):
             assert abs(np.sum(r * s**k) - expected) <= 1e-10 * np.sum(np.abs(r * s**k))
-        assert abs(green_function(params, bath, 0.0)) <= 1e-10 * np.sum(np.abs(r))
-        assert abs(green_derivative(params, bath, 0.0) - 1.0) \
-            <= 1e-10 * np.sum(np.abs(r * s))
+        g, gd = green_pair(params, bath, 0.0)
+        assert abs(g) <= 1e-10 * np.sum(np.abs(r))
+        assert abs(gd - 1.0) <= 1e-10 * np.sum(np.abs(r * s))
 
         horizon = 10.0 / omega
         times = sorted(data.draw(st.sets(st.floats(0.0, horizon),
@@ -569,7 +568,7 @@ class TestPoleSumProperties:
         # 1e-12 t adds less than 1e-12 size and is left out
         cuts = [0.0, *(k for k in times if 0.0 < k < t), t]
         ref = sum(integrate_adaptive(
-            lambda u: green_function(params, bath, t - u) * force_at(force, u), a, b,
+            lambda u: green_pair(params, bath, t - u)[0] * force_at(force, u), a, b,
             abs_tol=1e-12 * size / len(cuts), rel_tol=1e-12).value
             for a, b in zip(cuts, cuts[1:]) if b - a > 1e-12 * t)
         assert abs(got - ref) <= 1e-9 * size
@@ -577,12 +576,14 @@ class TestPoleSumProperties:
 
 class TestHarmonicResponse:
     def test_zero_at_start_and_without_drive(self):
-        assert harmonic_response(PARAMS, BATH, 0.1, 0.2, 0.0) == 0.0
-        assert harmonic_response(PARAMS, BATH, 0.0, 0.2, 2.0) == 0.0
+        assert mean_trajectory(PARAMS, BATH, 0.0, 0.0, HarmonicForce(0.1, 0.2),
+                               0.0) == 0.0
+        assert mean_trajectory(PARAMS, BATH, 0.0, 0.0, HarmonicForce(0.0, 0.2),
+                               2.0) == 0.0
 
     def test_pinned_fixture(self):
-        assert harmonic_response(PARAMS, BATH, 0.1, 0.2, 2.0) == pytest.approx(
-            HARMONIC_RESPONSE_FIXTURE, abs=1e-12)
+        assert mean_trajectory(PARAMS, BATH, 0.0, 0.0, HarmonicForce(0.1, 0.2),
+                               2.0) == pytest.approx(HARMONIC_RESPONSE_FIXTURE, abs=1e-12)
 
     def test_matches_convolution_quadrature(self):
         rng = np.random.default_rng(11)
@@ -594,11 +595,11 @@ class TestHarmonicResponse:
             w0 = float(rng.uniform(0.1, 3.0))
             t = float(rng.uniform(0.5, 3.0))
             quad = integrate_adaptive(
-                lambda t1: green_function(params, bath, t - t1) * amp
+                lambda t1: green_pair(params, bath, t - t1)[0] * amp
                 * np.sin(w0 * t1), 0.0, t,
                 abs_tol=1e-13, rel_tol=1e-12).value
-            assert harmonic_response(params, bath, amp, w0, t) == pytest.approx(
-                quad, abs=1e-8)
+            assert mean_trajectory(params, bath, 0.0, 0.0, HarmonicForce(amp, w0),
+                                   t) == pytest.approx(quad, abs=1e-8)
 
 
 # the "kink" knots lie on these times, the "jump" and "steep" knots between them
@@ -707,7 +708,7 @@ class TestWindowedTransform:
     def test_matches_quadrature(self):
         w, t = 0.7, 2.0
         quad = integrate_adaptive(
-            lambda t1: green_function(PARAMS, BATH, t1) * np.exp(-1j * w * t1),
+            lambda t1: green_pair(PARAMS, BATH, t1)[0] * np.exp(-1j * w * t1),
             0.0, t, abs_tol=1e-13, rel_tol=1e-12).value
         assert abs(windowed_transform(PARAMS, BATH, w, t) - quad) < 1e-10
 
@@ -733,17 +734,19 @@ class TestWindowedTransform:
 class TestDisplacementVariance:
     def test_initial_value_exact(self):
         packet = GaussianPacket(0.0, 0.0, 1.3)
-        assert displacement_variance(PARAMS, BATH, packet, 0.0) == \
+        moments = InitialMoments.from_packet(packet, PARAMS)
+        assert sum(variance_parts(PARAMS, BATH, moments, 0.0)) == \
             pytest.approx(packet.sigma**2, abs=1e-12)
 
     def test_zero_temperature_is_purely_dynamic(self):
         bath = BathParams(0.5, 10.0, 0.0)
         packet = GaussianPacket(0.0, 0.0, 1.0)
         t = 1.5
-        g, gd = green_function(PARAMS, bath, t), green_derivative(PARAMS, bath, t)
+        g, gd = green_pair(PARAMS, bath, t)
         expected = packet.sigma**2 * gd**2 \
             + PARAMS.hbar**2 / (4 * packet.sigma**2) * g**2
-        assert displacement_variance(PARAMS, bath, packet, t) == \
+        moments = InitialMoments.from_packet(packet, PARAMS)
+        assert sum(variance_parts(PARAMS, bath, moments, t)) == \
             pytest.approx(expected, rel=1e-14)
 
     def test_weak_damping_recovers_closed_width_law(self):
@@ -753,25 +756,26 @@ class TestDisplacementVariance:
         eps = PARAMS.hbar / (2 * PARAMS.omega * packet.sigma**2)
         closed = packet.sigma**2 * (math.cosh(t) ** 2
                                     + eps**2 * math.sinh(t) ** 2)
-        got = displacement_variance(PARAMS, bath, packet, t)
+        moments = InitialMoments.from_packet(packet, PARAMS)
+        got = sum(variance_parts(PARAMS, bath, moments, t))
         assert got == pytest.approx(closed, rel=1e-3)
 
     def test_monotone_in_temperature(self):
-        packet = GaussianPacket(0.0, 0.0, 1.0)
+        moments = InitialMoments.from_packet(GaussianPacket(0.0, 0.0, 1.0), PARAMS)
         t = 1.5
         prev = -math.inf
         for kT in (0.0, 0.5, 1.0, 2.0):
             bath = BathParams(0.5, 10.0, kT)
-            val = displacement_variance(PARAMS, bath, packet, t)
+            val = sum(variance_parts(PARAMS, bath, moments, t))
             assert val >= prev
             prev = val
 
     def test_quantum_to_classical_limit(self):
         params = SystemParams(1.0, hbar=1e-4)
-        packet = GaussianPacket(0.0, 0.0, 1.0)
+        moments = InitialMoments.from_packet(GaussianPacket(0.0, 0.0, 1.0), params)
         t = 1.5
-        q = displacement_variance(params, BATH, packet, t, OCCUPATION)
-        c = displacement_variance(params, BATH, packet, t, CLASSICAL)
+        q = sum(variance_parts(params, BATH, moments, t, OCCUPATION))
+        c = sum(variance_parts(params, BATH, moments, t, CLASSICAL))
         assert q == pytest.approx(c, rel=1e-3)
 
     def test_noise_term_of_the_residue_window(self):
@@ -896,8 +900,8 @@ class TestNoiseWithoutFrequencyQuadrature:
         def integral(f):
             return integrate_adaptive(f, 0.0, t, abs_tol=0.0, rel_tol=1e-13).value
 
-        white = 2.0 * integral(lambda s: green_function(PARAMS, bath, s) ** 2)
-        slope = integral(lambda s: green_derivative(PARAMS, bath, s) ** 2)
+        white = 2.0 * integral(lambda s: green_pair(PARAMS, bath, s)[0] ** 2)
+        slope = integral(lambda s: green_pair(PARAMS, bath, s)[1] ** 2)
         g, gd = green_pair(PARAMS, bath, t)
         rates = omega_d * np.array([1e8, 1e11, 1e14, 2.0**53])
         with warnings.catch_warnings():
@@ -972,23 +976,15 @@ class TestNoiseWithoutFrequencyQuadrature:
 
 
 class TestGeneralVariance:
-    def test_packet_moments_reduce_to_displacement_variance(self):
-        packet = GaussianPacket(0.4, -0.6, 1.1)
-        moments = InitialMoments.from_packet(packet, PARAMS)
-        t = 1.0
-        assert general_variance(PARAMS, BATH, moments, t) == \
-            displacement_variance(PARAMS, BATH, packet, t)
-
     def test_parts_sum_to_the_variance(self):
         moments = InitialMoments(0.0, 0.0, 1.0, 0.25, 0.1)
         dynamic, noise = variance_parts(PARAMS, BATH, moments, 1.2)
-        assert general_variance(PARAMS, BATH, moments, 1.2) == dynamic + noise
         assert noise == variance_noise_term(PARAMS, BATH, 1.2,
                                             abs_tol=1e-10 * abs(dynamic))
 
     def test_initial_value(self):
         moments = InitialMoments(0.0, 0.0, 1.0, 0.25, 0.0)
-        assert general_variance(PARAMS, BATH, moments, 0.0) == \
+        assert sum(variance_parts(PARAMS, BATH, moments, 0.0)) == \
             pytest.approx(1.0, abs=1e-12)
 
     def test_positive_over_random_scan(self):
@@ -1005,12 +1001,12 @@ class TestGeneralVariance:
             sym = float(rng.uniform(-0.9, 0.9)) * bound
             moments = InitialMoments(0.0, 0.0, var_x, var_p, sym)
             t = float(rng.uniform(0.0, 2.0))
-            assert general_variance(params, bath, moments, t) > 0.0
+            assert sum(variance_parts(params, bath, moments, t)) > 0.0
 
     def test_uncertainty_violation_rejected(self):
         moments = InitialMoments(0.0, 0.0, 0.01, 0.01, 0.0)
         with pytest.raises(ValueError, match="uncertainty"):
-            general_variance(PARAMS, BATH, moments, 1.0)
+            variance_parts(PARAMS, BATH, moments, 1.0)
 
     def test_moment_positivity_enforced(self):
         with pytest.raises(ValueError):
@@ -1028,7 +1024,7 @@ class TestSymmetrizedCorrelation:
                 (InitialMoments(0.3, -0.2, 1.0, 0.25, 0.0), ZeroForce()),
                 (InitialMoments(0.3, -0.2, 1.0, 0.25, 0.0), HarmonicForce(0.2, 0.5))):
             diag = symmetrized_correlation(PARAMS, BATH, moments, force, t, t)
-            var = general_variance(PARAMS, BATH, moments, t)
+            var = sum(variance_parts(PARAMS, BATH, moments, t))
             mean = mean_trajectory(PARAMS, BATH, moments.mean_x, moments.mean_p,
                                    force, t)
             assert diag == pytest.approx(var + mean**2,
