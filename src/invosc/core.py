@@ -9,6 +9,7 @@ kick is no force profile: ``closed_evolution.delta_kick_at`` composes it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -136,8 +137,8 @@ class GaussianPacket:
     """Initial minimum-uncertainty state centered at (x0, p0).
 
     ``sigma`` squared is the coordinate variance of the probability
-    density; a sigma^2 that underflows to 0 or overflows is an
-    ArithmeticError.
+    density; a sigma^2 below the normal float range (subnormal or 0) or
+    that overflows is an ArithmeticError.
     """
 
     x0: float
@@ -150,9 +151,9 @@ class GaussianPacket:
         _require_finite("sigma", self.sigma)
         if self.sigma <= 0.0:
             raise ValueError("sigma must be positive")
-        if self.sigma * self.sigma in (0.0, math.inf):
-            raise ArithmeticError(f"packet: sigma^2 is outside the float range at "
-                                  f"sigma={self.sigma:g}")
+        if not sys.float_info.min <= self.sigma * self.sigma < math.inf:
+            raise ArithmeticError(f"packet: sigma^2 is outside the normal float "
+                                  f"range at sigma={self.sigma:g}")
 
 
 def evaluate_initial(packet: GaussianPacket, params: SystemParams, x):
@@ -161,8 +162,11 @@ def evaluate_initial(packet: GaussianPacket, params: SystemParams, x):
     Accepts a scalar or an ndarray of positions.
     """
     norm = (2.0 * math.pi * packet.sigma**2) ** -0.25
-    arg = (-((np.asarray(x) - packet.x0) ** 2) / (4.0 * packet.sigma**2)
-           + 1j * packet.p0 * np.asarray(x) / params.hbar)
+    # a Gaussian exponent past the float range is -inf: its exponential is 0,
+    # the correctly rounded value
+    with np.errstate(over="ignore"):
+        arg = (-((np.asarray(x) - packet.x0) ** 2) / (4.0 * packet.sigma**2)
+               + 1j * packet.p0 * np.asarray(x) / params.hbar)
     out = norm * np.exp(arg)
     if np.isscalar(x) or np.ndim(x) == 0:
         return complex(out)

@@ -515,7 +515,11 @@ def grid_from_packet(packet: GaussianPacket, params: SystemParams,
     dx = (x_max - x_min) / n
     x = x_min + dx * np.arange(n)
     psi = evaluate_initial(packet, params, x).astype(complex)
-    psi = psi / math.sqrt(float(np.sum(np.abs(psi) ** 2) * dx))
+    norm = math.sqrt(float(np.sum(np.abs(psi) ** 2) * dx))
+    if norm == 0.0:
+        raise ValueError(f"grid: every sample of the packet is 0 (sigma="
+                         f"{packet.sigma:g} against a spacing dx={dx:g})")
+    psi = psi / norm
     return GridState(x_min=x_min, x_max=x_max, n=n, dx=dx, psi=psi, t=0.0)
 
 
@@ -529,6 +533,19 @@ _W0 = 1.0 - 2.0 * _W1
 _DRIFTS = (_W1, _W0, _W1)
 _KICK_TIMES = np.array([0.0, _W1, _W1 + _W0, 1.0])
 _KICK_LENGTHS = 0.5 * np.array([_W1, _W1 + _W0, _W1 + _W0, _W1])
+
+
+def plane_wave(k: float, x_min: float, dx: float, n: int) -> np.ndarray:
+    """e^{ikx} at the n grid points x = x_min + dx i, from two phase vectors
+    of about sqrt(n) points: with c = isqrt(n) and i = r c + l, e^{ikx} is
+    e^{ik(x_min + dx r c)} e^{ik dx l}, an outer product raveled in row
+    order.  It agrees with a direct ``np.exp`` to a few ulp of the largest
+    phase |k x| on the grid."""
+    cols = math.isqrt(n)
+    rows = -(-n // cols)
+    outer = np.multiply.outer(np.exp(1j * k * (x_min + dx * cols * np.arange(rows))),
+                              np.exp(1j * k * dx * np.arange(cols)))
+    return outer.ravel()[:n]
 
 
 def schrodinger_grid_evolve(params: SystemParams, grid: GridState, force,
@@ -545,7 +562,11 @@ def schrodinger_grid_evolve(params: SystemParams, grid: GridState, force,
     knots of a tabulated force (``force_pieces``) and each piece into the
     fewest equal steps no longer than ``dt``; inside a piece a tabulated
     force is the piece's own line, extended past its ends, so its kinks do
-    not cost the order.  A kick under zero force reuses the barrier phase.
+    not cost the order.  Each kick's barrier phase e^{-ic V/hbar}, one per
+    distinct kick length c, is computed once and cached; a kick with a
+    nonzero impulse j multiplies it by the plane wave e^{ijx/hbar}, built by
+    ``plane_wave`` as the outer product of two phase vectors of about
+    sqrt(n) points, so no kick takes a complex exponential over the grid.
     Probability within five points of the boundary above 1e-6 after any
     step raises an error.
     """
@@ -577,8 +598,8 @@ def schrodinger_grid_evolve(params: SystemParams, grid: GridState, force,
         c, j = lengths[i], impulses[i]
         if c not in barrier:
             barrier[c] = np.exp(-1j / params.hbar * c * v_barrier)
-        return barrier[c] if j == 0.0 else np.exp(
-            -1j / params.hbar * (c * v_barrier - j * x))
+        return barrier[c] if j == 0.0 else barrier[c] * plane_wave(
+            j / params.hbar, grid.x_min, grid.dx, grid.n)
 
     psi = grid.psi * kick(0)
     for step, drifts in enumerate(steps):

@@ -433,10 +433,15 @@ class TestFloatRange:
         (["evolve", "--set", "packet.sigma=1e200"], ["sigma^2", "sigma=1e+200"]),
         (["kick", "--set", "packet.sigma=1e200"], ["sigma^2", "sigma=1e+200"]),
         (["open-evolve", "--set", "packet.sigma=1e200"], ["sigma^2", "sigma=1e+200"]),
-        (["verify", "--set", "packet.sigma=1e-200"], ["sigma^2", "sigma=1e-200"])],
+        (["verify", "--set", "packet.sigma=1e-200"], ["sigma^2", "sigma=1e-200"]),
+        (["evolve", "--set", "packet.sigma=1e-160"], ["sigma^2", "sigma=1e-160"]),
+        (["kick", "--set", "packet.sigma=1e-160"], ["sigma^2", "sigma=1e-160"]),
+        (["open-evolve", "--set", "packet.sigma=1e-160"], ["sigma^2", "sigma=1e-160"]),
+        (["verify", "--set", "packet.sigma=1e-154"], ["sigma^2", "sigma=1e-154"])],
         ids=["cubic-coefficients", "barrier-potential", "evolve-sigma", "open-sigma",
              "evolve-sigma-overflow", "kick-sigma-overflow", "open-sigma-overflow",
-             "verify-sigma-underflow"])
+             "verify-sigma-underflow", "evolve-sigma-subnormal", "kick-sigma-subnormal",
+             "open-sigma-subnormal", "verify-sigma-subnormal"])
     def test_exit_3_names_quantity_and_parameter(self, capsys, args, names):
         code, out, err = run_cli(args, capsys)
         assert (code, out) == (3, "")
@@ -956,15 +961,33 @@ class TestVerify:
         assert check["deviation"] < 1e-8
 
     def test_coarse_grid_negative_control(self, capsys):
-        # the fourth-order stepper still passes at dt = 0.2 (about 1e-4)
-        code, out, _ = run_cli(["verify", "--set", "grid.dt=0.5"], capsys)
+        # against the default tolerance 1e-7 the fourth-order stepper fails
+        # at dt = 0.05 (1.2e-7 to 9.2e-7) and passes at dt = 0.02 (2.4e-8)
+        for dt in ("0.5", "0.05"):
+            code, out, _ = run_cli(["verify", "--set", f"grid.dt={dt}"], capsys)
+            assert code == 4
+            payload = json.loads(out)
+            assert payload["all_pass"] is False
+            failed = [c for c in payload["checks"]
+                      if not c["passed"] and c["name"].startswith("grid")]
+            assert failed
+            assert failed[0]["deviation"] > failed[0]["tolerance"]
+
+    def test_green_negative_control(self, capsys, monkeypatch):
+        # a relative defect of 1e-9 t in G, 5e-9 at the horizon, fails both
+        # green checks
+        green_pair = cli.osys.green_pair
+
+        def perturbed(params, bath, t):
+            g, gd = green_pair(params, bath, t)
+            return g * (1.0 + 1e-9 * np.asarray(t)), gd
+
+        monkeypatch.setattr(cli.osys, "green_pair", perturbed)
+        code, out, _ = run_cli(["verify"], capsys)
         assert code == 4
-        payload = json.loads(out)
-        assert payload["all_pass"] is False
-        failed = [c for c in payload["checks"]
-                  if not c["passed"] and c["name"].startswith("grid")]
-        assert failed
-        assert failed[0]["deviation"] > failed[0]["tolerance"]
+        green = [c for c in json.loads(out)["checks"] if c["name"].startswith("green")]
+        assert len(green) == 2
+        assert not any(c["passed"] for c in green)
 
     def test_fft_budget(self, capsys, monkeypatch):
         # 150 steps of 1e-2 to t = 1.5, three FFT pairs each
@@ -979,6 +1002,54 @@ class TestVerify:
         code, _, _ = run_cli(["verify"], capsys)
         assert code == 0
         assert 0 < len(calls) <= 450
+
+    @pytest.mark.parametrize("x0,sigma,message", [
+        ("0", "1.5e-154", "domain too small"),
+        ("0.01", "1e-5", "every sample of the packet is 0")])
+    def test_packet_narrower_than_a_grid_cell(self, capsys, x0, sigma, message):
+        # sigma^2 is normal, but the initial samples underflow: at x0 = 0 to
+        # one grid point, at x0 = 0.01 between points to none
+        code, out, err = run_cli(["verify", "--set", f"packet.x0={x0}",
+                                  "--set", f"packet.sigma={sigma}"], capsys)
+        assert (code, out) == (3, "")
+        assert message in err and "Warning" not in err
+
+    def test_green_time_budget(self, capsys, monkeypatch):
+        # the green check takes about 100 of the 10,001 RK4 times per case
+        times = []
+        green_pair = cli.osys.green_pair
+
+        def counted(params, bath, t):
+            times.append(np.size(t))
+            return green_pair(params, bath, t)
+
+        monkeypatch.setattr(cli.osys, "green_pair", counted)
+        code, _, _ = run_cli(["verify"], capsys)
+        assert code == 0
+        assert 0 < sum(times) <= 1000
+
+    def test_kick_exp_budget(self, capsys, monkeypatch):
+        # a kick under a force takes no complex exponential over the grid
+        # beyond the cached barrier phases, as at zero force
+        exp = np.exp
+
+        def count(args):
+            calls = []
+
+            def counted(*a, **kw):
+                out = exp(*a, **kw)
+                if np.iscomplexobj(out) and np.size(out) >= 4096:
+                    calls.append(None)
+                return out
+
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "exp", counted)
+                code, _, _ = run_cli(["verify", *args], capsys)
+            assert code == 0
+            return len(calls)
+
+        harmonic = count(["--set", "force.kind=harmonic", "--set", "force.amplitude=0.5"])
+        assert harmonic == count([]) <= 30
 
     def test_tabulated_force_passes(self, capsys):
         code, out, _ = run_cli(["verify", "--set", "force.kind=tabulated",

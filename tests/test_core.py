@@ -30,6 +30,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             GaussianPacket(math.nan, 0.0, 1.0)
 
+    @pytest.mark.parametrize("sigma", [1e-160, 1e-154])
+    def test_packet_sigma_squared_below_the_normal_range(self, sigma):
+        # sigma = 1e-154 gives a subnormal sigma^2 = 1e-308
+        with pytest.raises(ArithmeticError, match=r"sigma\^2"):
+            GaussianPacket(0.0, 0.0, sigma)
+
     def test_tabulated_times_strictly_increasing(self):
         with pytest.raises(ValueError):
             TabulatedForce(times=(0.0, 1.0, 1.0), values=(0.0, 1.0, 2.0))
@@ -124,6 +130,14 @@ class TestForcePieces:
 
 
 class TestInitialPacket:
+    def test_exponent_past_the_float_range_is_zero(self):
+        # (x - x0)^2 / 4 sigma^2 overflows at x = 40: the sample is 0, with
+        # no overflow warning
+        packet = GaussianPacket(0.0, 0.0, 1e-153)
+        val = evaluate_initial(packet, SystemParams(1.0), np.array([0.0, 40.0]))
+        assert val[0] == (2 * math.pi * packet.sigma**2) ** -0.25
+        assert val[1] == 0.0
+
     def test_normalization_constant_at_center(self):
         packet = GaussianPacket(0.0, 0.0, 1.0)
         params = SystemParams(1.0)

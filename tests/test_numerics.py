@@ -474,6 +474,17 @@ class TestGridSolver:
         norm = np.sum(np.abs(grid.psi) ** 2) * grid.dx
         assert norm == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 8, 4096, 8192])
+    @pytest.mark.parametrize("k", [1e-3, 1e3])
+    def test_plane_wave_matches_direct_exp(self, n, k):
+        # within a few ulp of the largest phase on the grid
+        x_min = -41.3
+        dx = (39.9 - x_min) / n
+        x = x_min + dx * np.arange(n)
+        ulp = np.finfo(float).eps * max(1.0, np.max(np.abs(k * x)))
+        err = np.abs(numerics.plane_wave(k, x_min, dx, n) - np.exp(1j * k * x))
+        assert np.max(err) <= 4.0 * ulp
+
     def test_power_of_two_enforced(self):
         with pytest.raises(ValueError):
             grid_from_packet(GaussianPacket(0.0, 0.0, 1.0), SystemParams(1.0),
