@@ -145,9 +145,14 @@ def evaluate(ev: EvolvedGaussian, params: SystemParams,
     whose fields are column arrays, one row per state, against which x
     broadcasts: one row of positions per state.  A single state and a
     scalar x give a complex.  Past the float range (|Gamma|^2 overflows
-    near om t = 355 at sigma^2 = hbar / 2 om) it is NaN, without a warning."""
+    near om t = 355 at sigma^2 = hbar / 2 om) it is NaN, without a warning;
+    a packet so narrow that eps^2 = (hbar / 2 om sigma^2)^2 overflows, below
+    sigma ~ 1e-77 sqrt(hbar / om), raises OverflowError naming sigma."""
     om = params.omega
     eps = params.hbar / (2.0 * om * packet.sigma**2)
+    if math.isinf(eps * eps):
+        raise OverflowError(f"the packet width overflows: (hbar / (2 omega sigma^2))^2 "
+                            f"= {eps:g}^2 at sigma={packet.sigma:g}")
     with np.errstate(over="ignore", invalid="ignore"):
         ch, sh = np.cosh(om * ev.t), np.sinh(om * ev.t)
         # i Gamma'/(om Gamma) = (-eps + i (1 + eps^2) sinh cosh) / |Gamma|^2, split

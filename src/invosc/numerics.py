@@ -1,8 +1,8 @@
 """Shared numerical machinery.
 
 A row-vectorized trapezoid rule for analytic integrands; adaptive
-Gauss-Kronrod quadrature, which serves only ``integrate_halfline``, the
-zero-point noise term, ``verify``'s windowed check and the tests; a
+Gauss-Kronrod quadrature, which serves only ``integrate_halfline`` (the
+Bose part of the bath noise), ``verify``'s windowed check and the tests; a
 Cardano cubic solver with Newton refinement; the matrix exponential by
 scaling and squaring and, with it, the Gramian of a linear system driven
 by white noise; e^z K_{1/4}(z) by the trapezoid rule for every z > 0; a
@@ -371,6 +371,9 @@ def _polish_cubic_roots(roots, a2: float, a1: float, a0: float,
 # multiplies X^(6j + i)
 _TAYLOR_BLOCKS = np.array([0.0] + [1.0 / math.factorial(k)
                                    for k in range(1, 36)]).reshape(6, 6)
+# Entries of a stack that _taylor takes at once: 32 matrices of 14 x 14, so
+# that its seven powers and their six blocks stay under 1 MB
+_CHUNK_ENTRIES = 32 * 14 * 14
 
 
 def _taylor(x: np.ndarray) -> np.ndarray:
@@ -381,11 +384,35 @@ def _taylor(x: np.ndarray) -> np.ndarray:
     powers[1] = x
     for k in range(2, 7):
         np.matmul(powers[k - 1], powers[1], out=powers[k])
-    blocks = np.tensordot(_TAYLOR_BLOCKS, powers[:6], axes=1)
+    blocks = (_TAYLOR_BLOCKS @ powers[:6].reshape(6, -1)).reshape(powers[:6].shape)
     e = blocks[5]
     for block in blocks[4::-1]:
         e = block + powers[6] @ e
     return e
+
+
+def _doubling_order(squarings: np.ndarray):
+    """The order that sorts a flat stack by its squaring counts, and for each
+    doubling k the first sorted index whose count exceeds k: doubling k works
+    on the suffix from there, so each matrix is doubled only as often as its
+    own norm needs."""
+    order = np.argsort(squarings, kind="stable")
+    return order, np.searchsorted(squarings[order], np.arange(squarings.max(initial=0)),
+                                  side="right").tolist()
+
+
+def _chunks(order: np.ndarray, size: int):
+    """Consecutive runs of ``order``, each of at most _CHUNK_ENTRIES entries
+    of ``size`` x ``size`` matrices, with their slices of the sorted stack."""
+    step = _CHUNK_ENTRIES // size**2
+    return [(slice(i, i + step), order[i:i + step]) for i in range(0, len(order), step)]
+
+
+def _unsorted(x: np.ndarray, order: np.ndarray, shape) -> np.ndarray:
+    """The sorted stack x back in its original order and shape."""
+    out = np.empty_like(x)
+    out[order] = x
+    return out.reshape(shape)
 
 
 def expm(a) -> np.ndarray:
@@ -394,60 +421,69 @@ def expm(a) -> np.ndarray:
     Scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
     (2005)): each matrix is scaled by its own 2^-s to a 1-norm below 4,
     where the degree-35 Taylor polynomial is exact to rounding, and squared
-    s times; 256 at a time, to bound the temporaries.  As in
-    ``expm_gramian``, E = e^(A 2^-s) is carried as D = E - I and squared as
-    D <- D (D + 2 I) = 2 D + D^2, so that small entries do not lose a bit
-    to the rounding of I + D at every squaring.
+    s times; the stack is sorted by s, so that the k-th squaring takes only
+    the matrices with s > k, and its Taylor polynomials are taken in chunks
+    that bound the temporaries.  As in ``expm_gramian``, E = e^(A 2^-s) is
+    carried as D = E - I and squared as D <- D (D + 2 I) = 2 D + D^2, so
+    that small entries do not lose a bit to the rounding of I + D at every
+    squaring.
     """
     a = np.asarray(a, dtype=float)
-    if a.size > 256 * a.shape[-1] ** 2:
-        flat = a.reshape((-1,) + a.shape[-2:])
-        return np.concatenate([expm(flat[i:i + 256])
-                               for i in range(0, len(flat), 256)]).reshape(a.shape)
-    squarings = np.maximum(np.frexp(np.abs(a).sum(axis=-2).max(axis=-1))[1] - 2, 0)
-    d = _taylor(np.ldexp(a, -squarings[..., None, None]))
-    eye = np.eye(a.shape[-1])
+    n = a.shape[-1]
+    flat = a.reshape(-1, n, n)
+    squarings = np.maximum(np.frexp(np.abs(flat).sum(axis=-2).max(axis=-1))[1] - 2, 0)
+    order, starts = _doubling_order(squarings)
+    d = np.empty_like(flat)
+    for part, rows in _chunks(order, n):
+        d[part] = _taylor(np.ldexp(flat[rows], -squarings[rows, None, None]))
+    eye = np.eye(n)
     two = eye + eye
-    for k in range(int(squarings.max(initial=0))):
-        doubled = d @ (d + two)
-        d = doubled if squarings.ndim == 0 else np.where(
-            (squarings > k)[..., None, None], doubled, d)
-    return d + eye
+    for s in starts:
+        d[s:] = d[s:] @ (d[s:] + two)
+    return _unsorted(d + eye, order, a.shape)
 
 
 def expm_gramian(a, b) -> tuple[np.ndarray, np.ndarray]:
     """e^A and the Gramian P = int_0^1 e^(A s) B e^(A^T s) ds, for square A
-    and B or stacks of them (the last two axes); with A = M t and B = Q t
-    they are e^(Mt) and int_0^t e^(Ms) Q e^(M^T s) ds.
+    and B or stacks of them (the last two axes) that broadcast; with A = M t
+    and B = Q t they are e^(Mt) and int_0^t e^(Ms) Q e^(M^T s) ds.
 
     P is read off the Van Loan block exp([[-A, B], [0, A^T]] h) (Van Loan,
     IEEE TAC 23, 395 (1978)) only at a step h = 2^-s with ||A||_1 h and
     ||B||_1 h <= 1/2, where its -A block has not grown.  s doublings
-    P <- P + E P E^T, E <- E^2 with E = e^(Ah) then reach h = 1.  E is
-    carried as D = E - I, doubled as D <- 2 D + D^2, so that the entries of
-    a stiff A keep their relative accuracy instead of losing a bit to the
-    rounding of I + D at every doubling.
+    P <- P + E P E^T, E <- E^2 with E = e^(Ah) then reach h = 1, each
+    matrix its own s of them, and the blocks are built in chunks, as in
+    ``expm``.  E is carried as D = E - I, doubled as D <- 2 D + D^2, so
+    that the entries of a stiff A keep their relative accuracy instead of
+    losing a bit to the rounding of I + D at every doubling.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n = a.shape[-1]
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    shape, n = a.shape, a.shape[-1]
+    a, b = a.reshape(-1, n, n), b.reshape(-1, n, n)
     norm = np.maximum(np.abs(a).sum(axis=-2).max(axis=-1),
                       np.abs(b).sum(axis=-2).max(axis=-1))
     squarings = np.maximum(np.frexp(norm)[1] + 1, 0)   # norm 2^-s <= 1/2
-    scale = np.ldexp(1.0, -squarings)[..., None, None]
-    block = np.zeros(norm.shape + (2 * n, 2 * n))
-    block[..., :n, :n] = -a * scale
-    block[..., :n, n:] = b * scale
-    block[..., n:, n:] = np.swapaxes(a, -1, -2) * scale
-    step = _taylor(block)   # exp(block h) - 1
-    d = np.swapaxes(step[..., n:, n:], -1, -2)
-    p = step[..., :n, n:] + d @ step[..., :n, n:]
-    for k in range(int(squarings.max(initial=0))):
-        doubling = (squarings > k)[..., None, None]
-        ep = p + d @ p
-        p = np.where(doubling, p + ep + ep @ np.swapaxes(d, -1, -2), p)
-        d = np.where(doubling, 2.0 * d + d @ d, d)
-    return d + np.eye(n), p
+    order, starts = _doubling_order(squarings)
+    d, p = np.empty_like(a), np.empty_like(a)
+    for part, rows in _chunks(order, 2 * n):
+        scale = np.ldexp(1.0, -squarings[rows])[:, None, None]
+        block = np.zeros((len(rows), 2 * n, 2 * n))
+        block[:, :n, :n] = -a[rows] * scale
+        block[:, :n, n:] = b[rows] * scale
+        block[:, n:, n:] = np.swapaxes(a[rows], -1, -2) * scale
+        step = _taylor(block)   # exp(block h) - 1
+        d[part] = np.swapaxes(step[:, n:, n:], -1, -2)
+        p[part] = step[:, :n, n:] + d[part] @ step[:, :n, n:]
+    for s in starts:   # P += EP + EP D^T with EP = P + D P, then D += D + D^2
+        ds, ps = d[s:], p[s:]
+        ep = ds @ ps
+        ep += ps
+        ps += ep
+        ps += ep @ np.swapaxes(ds, -1, -2)
+        ep = ds @ ds
+        ds += ds
+        ds += ep
+    return _unsorted(d + np.eye(n), order, shape), _unsorted(p, order, shape)
 
 
 def scaled_bessel_k_quarter(z):

@@ -19,10 +19,13 @@ poles and residues of ``solve_poles`` serve only ``open-poles`` and tests.
 
 The bath noise is a force of Lorentzian spectrum, or a superposition of
 them: a force with correlation e^(-a |tau|) is an Ornstein-Uhlenbeck state
-of rate a, and the response to it is the Gramian of A augmented by that
-state (numerics.expm_gramian).  The classical term is one such Gramian, the
-zero-point term an integral over the rate of their excess over the white
-noise limit, and only the Bose part is integrated over the frequency.
+of rate a, and the response to it is the covariance of A augmented by that
+state, carried along the sorted times by one Van Loan step
+(numerics.expm_gramian) per gap between them.  The classical term is one
+such covariance, the zero-point term an integral over the rate of their
+excess over the white-noise limit, by one trapezoid rule in log rate that
+every time shares, and only the Bose part is integrated over the frequency,
+time by time.
 
 Noise enters through the spectral density of the bath force.  Three
 conventions are provided:
@@ -47,8 +50,8 @@ import numpy as np
 
 from .core import (ForceProfile, GaussianPacket, HarmonicForce, SystemParams,
                    force_pieces)
-from .numerics import (QuadratureError, _polish_cubic_roots, expm, expm_gramian,
-                       integrate_adaptive, integrate_halfline, solve_cubic)
+from .numerics import (QuadratureError, QuadratureResult, _polish_cubic_roots, expm,
+                       expm_gramian, integrate_halfline, solve_cubic)
 
 OCCUPATION = "occupation"
 SYMMETRIZED = "symmetrized"
@@ -310,8 +313,19 @@ def windowed_transform(params: SystemParams, bath: BathParams, omega, t: float):
     return complex(out) if out.ndim == 0 else out
 
 
+def _distinct_positive(x: np.ndarray):
+    """The distinct positive entries of the 1-D array x, sorted, and the
+    index of each entry of x among them, -1 where it is 0."""
+    values, at = np.unique(x[x > 0.0], return_inverse=True)
+    index = np.full(x.shape, -1)
+    index[x > 0.0] = at
+    return values, index
+
+
 def _ou_covariance(params: SystemParams, bath: BathParams, rates, t, tprime):
-    """(a V_a(t, t'), K_a(t, t')) for rates a and times t, t' that broadcast.
+    """(a V_a(t, t'), K_a(t, t')) for each rate a of a float or a 1-D array
+    and times t, t' that broadcast, on the axes of the rates, then of the
+    times.
 
     V_a = int int_0^(t, t') G(t - s) G(t' - s') e^(-a |s - s'|) is the
     covariance of x(t) and x(t') under a unit-variance Ornstein-Uhlenbeck
@@ -325,55 +339,161 @@ def _ou_covariance(params: SystemParams, bath: BathParams, rates, t, tprime):
     enters it, so K_a = 2 Cov(x, x2) - Cov(x2, x2) (symmetrized for t != t')
     never forms W, and K_b - K_a keeps its relative accuracy however large
     both rates are.  y = (x, v, w / d, x2, u2, w2 / d, phi) is Markov with the
-    generator M: Sigma(t) = e^(Mt) Sigma(0) e^(M^T t) + P(t), P the Gramian
-    of Q = 2 e_phi e_phi^T, and Cov(y(t), y(t')) = e^(M(t - t')) Sigma(t')
-    for t >= t'.
+    generator M, and Cov(y(t), y(t')) = e^(M(t - t')) Sigma(t') for t >= t'.
+
+    Sigma is carried along the sorted distinct min(t, t'): Sigma_k =
+    E Sigma_(k-1) E^T + P, with E = e^(M tau) and P the Gramian of
+    Q = 2 e_phi e_phi^T over the gap tau, one Van Loan step per rate and
+    distinct gap, all in one ``expm_gramian`` call.  Times within 4 ulp of multiples
+    of one unit, as linspace's are, take their gaps as those multiples: a
+    move no larger than the rounding of M t.  The stationary start is
+    carried apart, m_k = E m_(k-1) from u2 = phi = phi(0), and m m^T / a is
+    added where K is read: in Sigma its 1/a would swamp K at a small rate.
+    Pairs with t != t' then take e^(M |t - t'|), one ``expm`` call.
     """
-    rates, t, tprime = np.broadcast_arrays(rates, t, tprime)
+    rates = np.asarray(rates, dtype=float)
+    t, tprime = np.broadcast_arrays(np.asarray(t, dtype=float), tprime)
+    flat = rates.reshape(-1, 1, 1)
     a, _ = _generator(params, bath)
-    gen = np.zeros(rates.shape + (7, 7))
-    gen[..., :3, :3] = gen[..., 3:6, 3:6] = a
-    gen[..., 1, 6] = rates
-    gen[..., 3, 6], gen[..., 5, 6] = -1.0, -a[2, 1]
-    gen[..., 6, 6] = -rates
-    noise = np.zeros_like(gen)
-    noise[..., 6, 6] = 2.0
-    early = np.minimum(t, tprime)[..., None, None]
-    e, p = expm_gramian(gen * early, noise * early)
-    start = e[..., :, 4] + e[..., :, 6]   # from u2 = phi = phi(0), all else 0
-    sigma = p + start[..., :, None] * start[..., None, :] / rates[..., None, None]
-    cov = expm(gen * np.abs(t - tprime)[..., None, None]) @ sigma
-    return cov[..., 0, 0], cov[..., 0, 3] + cov[..., 3, 0] - cov[..., 3, 3]
+    gen = np.zeros((len(flat), 7, 7))
+    gen[:, :3, :3] = gen[:, 3:6, 3:6] = a
+    gen[:, 1:2, 6:] = flat
+    gen[:, 3, 6], gen[:, 5, 6] = -1.0, -a[2, 1]
+    gen[:, 6:, 6:] = -flat
+    noise = np.zeros((7, 7))
+    noise[6, 6] = 2.0
+    stops, at = np.unique(np.minimum(t, tprime), return_inverse=True)
+    gaps = np.diff(stops, prepend=0.0)
+    if np.any(stops > 0.0):
+        unit = stops[-1] / np.rint(stops[-1] / gaps[gaps > 0.0].min())
+        lattice = np.rint(stops / unit)
+        if np.all(np.abs(lattice * unit - stops) <= 4.0 * np.spacing(stops)):
+            gaps = np.diff(lattice, prepend=0.0) * unit
+    gaps, gap_at = _distinct_positive(gaps)
+    e, p = expm_gramian(gen * gaps[:, None, None, None], noise * gaps[:, None, None, None])
+    lags, lag_at = _distinct_positive(np.abs(t - tprime).ravel())
+    # rows x and x2 of e^(M lag), none at all where every t = t'
+    lagged = expm(gen * lags[:, None, None, None])[..., [0, 3], :] if lags.size else None
+    sigma = np.zeros_like(gen)
+    m = np.zeros(gen.shape[:2])
+    m[:, 4] = m[:, 6] = 1.0
+    out = np.empty((2, len(flat), lag_at.size))
+    pairs = np.argsort(at.ravel(), kind="stable")
+    bounds = np.searchsorted(at.ravel()[pairs], np.arange(len(stops) + 1))
+    for k, g in enumerate(gap_at.tolist()):
+        if g >= 0:
+            sigma = e[g] @ sigma @ np.swapaxes(e[g], -1, -2) + p[g]
+            m = (e[g] @ m[..., None])[..., 0]
+        # columns x and x2 of the covariance at this time
+        cols = sigma[..., [0, 3]] + m[:, :, None] * m[:, None, [0, 3]] / flat
+        for i in pairs[bounds[k]:bounds[k + 1]].tolist():
+            cov = cols[:, [0, 3]] if lag_at[i] < 0 else lagged[lag_at[i]] @ cols
+            out[:, :, i] = cov[:, 0, 0], cov[:, 0, 1] + cov[:, 1, 0] - cov[:, 1, 1]
+    return out.reshape((2,) + rates.shape + t.shape)
 
 
-def _zero_point_term(params: SystemParams, bath: BathParams, t: float,
-                     tprime: float, abs_tol: float) -> float:
-    """Zero-point term of the spectrum hbar J(|w|) / 2 pi as a rate integral.
+# The trapezoid rule of _zero_point_term: its first step in sigma, the ends
+# it starts from on the fast (nu > omega_d) and the slow side, and the most
+# rounds of new nodes it may take
+_ZERO_POINT_STEP = 1.0 / 3.0
+_ZERO_POINT_ENDS = (15.0, 16.0)
+_ZERO_POINT_ROUNDS = 6
+
+
+def _rule(rows, white, h: float, stride: int) -> np.ndarray:
+    """The trapezoid rule of step stride h, on the rows j = stride // 2 mod
+    stride (the nodes (j + 1/2) stride h) of the fast and the slow terms in
+    K, with the slow side continued past its last node by its limit K = -W,
+    a sum of white / (2 sinh sigma) out to e^-40."""
+    step = h * stride
+    fast, slow = (r[stride // 2::stride] for r in rows[:2])
+    beyond = (np.arange(len(slow), len(slow) + math.ceil(40.0 / step)) + 0.5) * step
+    return step * (fast.sum(axis=0) - slow.sum(axis=0)
+                   + white * np.sum(0.5 / np.sinh(beyond)))
+
+
+def _zero_point_term(params: SystemParams, bath: BathParams, t, tprime,
+                     abs_tol) -> np.ndarray:
+    """Zero-point term of the spectrum hbar J(|w|) / 2 pi as a rate integral,
+    at 1-D arrays of positive times t, t' and of tolerances.
 
     omega_d^2 |w| / (w^2 + omega_d^2) is a superposition of Lorentzians of
     rate nu, int_0^inf dnu omega_d^2 / (omega_d^2 - nu^2)
     [omega_d^2 / (w^2 + omega_d^2) - nu^2 / (w^2 + nu^2)] (2 / pi), so the
     term is (hbar gamma / pi) int_0^inf dnu omega_d^2 / (omega_d^2 - nu^2)
     [omega_d V_omega_d - nu V_nu], and the bracket is K_omega_d - K_nu.
-    With nu = omega_d u / (1 - u) it is (hbar gamma omega_d / pi)
-    int_0^1 [K_omega_d - K_nu] / (1 - 2u) du, and folding u onto 1 - u,
-    where nu becomes omega_d^2 / nu, gives
-    (hbar gamma omega_d / pi) int_0^(1/2) [K_(omega_d^2 / nu) - K_nu] / (1 - 2u) du:
-    smooth, finite at both ends, with the removable point u = 1/2 at an end,
-    and one stacked ``_ou_covariance`` of both rates per panel.  A difference
-    of a V_a in place of K_a would lose the digits of their common white-noise
-    limit, and the division by 1 - 2u would magnify that loss without bound.
+    With nu = omega_d e^(+-sigma), folded onto sigma > 0, it is
+    (hbar gamma omega_d / pi) int_0^inf [K_(omega_d e^sigma)
+    - K_(omega_d e^-sigma)] / (2 sinh sigma) dsigma.  The integrand is even
+    and analytic, bounded in the strip |Im sigma| < pi/2 that the map takes
+    onto Re nu > 0, with a removable point at sigma = 0, so the trapezoid
+    rule on the nodes (j + 1/2) h, none of them at 0, converges like
+    e^(-pi^2 / h) (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)).  A
+    difference of a V_a in place of K_a would lose the digits of their
+    common white-noise limit, and the division by sinh sigma would magnify
+    that loss without bound.
+
+    The rule of step 3h lies on the nodes j = 1 mod 3, so the error is
+    estimated as the difference of the two times e^(-pi^2 (1/h - 1/3h)), and
+    h is cut to a third until that is within max(abs_tol, 1e-11 |value|).
+    Past its last node the slow side's K is continued by its limit -W, with
+    W = a V_a - K_a at any rate, as a sum of W / (2 sinh sigma) that needs no
+    matrix, so what either side leaves out falls off like e^(-2 sigma): K ~
+    1 / nu on the fast side, a V_a ~ a on the slow one.  Each end moves out
+    by the distance its last term predicts, plus one, until that term times
+    the length of its tail is within 1e-11 |value| / 4, which ``abs_tol``
+    does not loosen.  Each round of new nodes is one ``_ou_covariance``
+    sweep over all times.
+    Raises QuadratureError, with the values and their error estimates, on a
+    value not finite or after ``_ZERO_POINT_ROUNDS`` rounds.
     """
     wd = bath.omega_d
     scale = params.hbar * bath.gamma * wd / math.pi
-
-    def integrand(u: np.ndarray) -> np.ndarray:
-        rates = wd * np.append(u, 1.0 - u) / np.append(1.0 - u, u)
-        low, high = _ou_covariance(params, bath, rates, t, tprime)[1].reshape(2, -1)
-        return (high - low) / (1.0 - 2.0 * u)
-
-    return scale * integrate_adaptive(integrand, 0.0, 0.5, abs_tol=abs_tol / scale,
-                                      rel_tol=1e-11).value
+    h, ends = _ZERO_POINT_STEP, list(_ZERO_POINT_ENDS)
+    # rows j of the nodes (j + 1/2) h up to each end, NaN where not yet
+    # evaluated: K / (2 sinh sigma) on the fast side, and K and a V_a
+    # (= K + W) over 2 sinh sigma on the slow side
+    rows = [np.full((math.floor(ends[side] / h + 0.5), len(t)), np.nan)
+            for side in (0, 1, 1)]
+    evaluations, error, white = 0, np.full(len(t), np.inf), None
+    for _ in range(_ZERO_POINT_ROUNDS):
+        todo = [np.flatnonzero(np.isnan(r[:, 0])) for r in rows[:2]]
+        sigma = np.concatenate([(todo[0] + 0.5) * h, -(todo[1] + 0.5) * h])
+        covariance, excess = _ou_covariance(params, bath, wd * np.exp(sigma), t, tprime)
+        if white is None:
+            white = covariance[0] - excess[0]
+        weight = 0.5 / np.sinh(np.abs(sigma))[:, None]
+        fast = len(todo[0])
+        rows[0][todo[0]] = excess[:fast] * weight[:fast]
+        rows[1][todo[1]] = excess[fast:] * weight[fast:]
+        rows[2][todo[1]] = covariance[fast:] * weight[fast:]
+        evaluations += len(sigma)
+        value = _rule(rows, white, h, 1)
+        if not np.all(np.isfinite(value)):
+            break
+        error = np.abs(value - _rule(rows, white, h, 3)) * math.exp(
+            -2.0 * math.pi**2 / (3.0 * h))
+        # what each side leaves out past its last node: about that term over 2
+        tails = [np.abs(rows[0][-1]) / 2.0, np.abs(rows[2][-1]) / 2.0]
+        floor = np.maximum(0.25e-11 * np.abs(value), np.finfo(float).tiny)
+        refine = bool(np.any(error > np.maximum(abs_tol / scale, 1e-11 * np.abs(value))))
+        if not refine and all(np.all(tail <= floor) for tail in tails):
+            return scale * value
+        if refine:
+            h /= 3.0
+        for side, tail in enumerate(tails):
+            excess = np.max(tail / floor)   # ln of it is the distance left
+            if excess > 1.0:
+                ends[side] += math.log(excess) / 2.0 + 1.0
+        for i, side in enumerate((0, 1, 1)):
+            old, rows[i] = rows[i], np.full((math.floor(ends[side] / h + 0.5), len(t)), np.nan)
+            if refine:
+                rows[i][1:3 * len(old):3] = old
+            else:
+                rows[i][:len(old)] = old
+        error = error + tails[0] + tails[1]
+    raise QuadratureError("zero-point rate rule did not converge", QuadratureResult(
+        scale * value, scale * error, evaluations))
 
 
 def spectral_noise_term(params: SystemParams, bath: BathParams, t: float,
@@ -414,33 +534,44 @@ def _noise_term(params: SystemParams, bath: BathParams, t, tprime,
     """Bath term int S(w) e^(i w (t - t')) W(w, t) conj(W(w, t')) dw at times
     and tolerances that broadcast.  The classical spectrum is the Lorentzian
     of the force correlation gamma kT omega_d e^(-omega_d |tau|): the term is
-    gamma kT omega_d V_omega_d(t, t'), one stack over all times.  The Bose
+    gamma kT omega_d V_omega_d(t, t'), one sweep over all times.  The Bose
     part hbar J n / pi, the occupation convention, is integrated over the
-    frequency; the symmetrized one adds ``_zero_point_term``.  A quadrature
-    that fails is re-raised with its best estimate, naming the time, the
-    convention and the bath."""
+    frequency time by time; the symmetrized one adds ``_zero_point_term``,
+    one rule for all times.  A quadrature that fails is re-raised with its
+    best estimate, naming the time, the convention and the bath."""
     if convention not in _CONVENTIONS:
         raise ValueError(f"unknown noise convention {convention!r}")
     t, tprime, abs_tol = np.broadcast_arrays(t, tprime, abs_tol)
+    shape = t.shape
+    t, tprime, abs_tol = t.ravel(), tprime.ravel(), abs_tol.ravel()
     out = np.zeros(t.shape)
     if bath.gamma > 0.0 and convention == CLASSICAL:
         out = bath.gamma * bath.kT * _ou_covariance(params, bath, bath.omega_d,
                                                     t, tprime)[0]
     elif bath.gamma > 0.0:
-        for i in np.ndindex(t.shape):
-            if not min(t[i], tprime[i]) > 0.0:
-                continue
+        def failed(exc, i):
+            at = f"t={t[i]:g}" + (f", t'={tprime[i]:g}" if t[i] != tprime[i] else "")
+            return QuadratureError(
+                f"variance_noise at {at} ({convention} convention, gamma="
+                f"{bath.gamma:g}, omega_d={bath.omega_d:g}, kT={bath.kT:g}): {exc}",
+                exc.best)
+
+        live = np.flatnonzero(np.minimum(t, tprime) > 0.0)
+        for i in live.tolist():
             try:
                 out[i] = spectral_noise_term(params, bath, t[i], tprime[i],
-                                             OCCUPATION, abs_tol[i]) + (
-                    _zero_point_term(params, bath, t[i], tprime[i], abs_tol[i])
-                    if convention == SYMMETRIZED else 0.0)
+                                             OCCUPATION, abs_tol[i])
             except QuadratureError as exc:
-                at = f"t={t[i]:g}" + (f", t'={tprime[i]:g}" if t[i] != tprime[i] else "")
-                raise QuadratureError(
-                    f"variance_noise at {at} ({convention} convention, gamma="
-                    f"{bath.gamma:g}, omega_d={bath.omega_d:g}, kT={bath.kT:g}): {exc}",
-                    exc.best) from exc
+                raise failed(exc, i) from exc
+        if convention == SYMMETRIZED and live.size:
+            try:
+                out[live] += _zero_point_term(params, bath, t[live], tprime[live],
+                                              abs_tol[live])
+            except QuadratureError as exc:   # name its first time out of tolerance
+                best = exc.best
+                tol = np.maximum(abs_tol[live], 1e-11 * np.abs(best.value))
+                raise failed(exc, live[np.argmax(best.error_estimate > tol)]) from exc
+    out = out.reshape(shape)
     return float(out) if out.ndim == 0 else out
 
 

@@ -437,11 +437,16 @@ class TestFloatRange:
         (["evolve", "--set", "packet.sigma=1e-160"], ["sigma^2", "sigma=1e-160"]),
         (["kick", "--set", "packet.sigma=1e-160"], ["sigma^2", "sigma=1e-160"]),
         (["open-evolve", "--set", "packet.sigma=1e-160"], ["sigma^2", "sigma=1e-160"]),
-        (["verify", "--set", "packet.sigma=1e-154"], ["sigma^2", "sigma=1e-154"])],
+        (["verify", "--set", "packet.sigma=1e-154"], ["sigma^2", "sigma=1e-154"]),
+        (["evolve", "--set", "packet.sigma=1e-80"], ["width overflows", "sigma=1e-80"]),
+        (["kick", "--set", "packet.sigma=1e-80"], ["width overflows", "sigma=1e-80"]),
+        (["evolve", "--set", "packet.sigma=1e-100"], ["width overflows", "sigma=1e-100"]),
+        (["kick", "--set", "packet.sigma=1e-100"], ["width overflows", "sigma=1e-100"])],
         ids=["cubic-coefficients", "barrier-potential", "evolve-sigma", "open-sigma",
              "evolve-sigma-overflow", "kick-sigma-overflow", "open-sigma-overflow",
              "verify-sigma-underflow", "evolve-sigma-subnormal", "kick-sigma-subnormal",
-             "open-sigma-subnormal", "verify-sigma-subnormal"])
+             "open-sigma-subnormal", "verify-sigma-subnormal", "evolve-narrow-width",
+             "kick-narrow-width", "evolve-narrower-width", "kick-narrower-width"])
     def test_exit_3_names_quantity_and_parameter(self, capsys, args, names):
         code, out, err = run_cli(args, capsys)
         assert (code, out) == (3, "")
@@ -854,6 +859,25 @@ class TestOpenEvolve:
             assert code == 0
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+    def test_zero_point_noise_takes_a_few_sweeps_and_no_adaptive_rule(self, capsys,
+                                                                       monkeypatch):
+        # one rate rule for all 31 times: each round of new rates is one
+        # stacked Van Loan call, where one adaptive rule per time made 35
+        calls = []
+        original = cli.osys.expm_gramian
+        monkeypatch.setattr(cli.osys, "expm_gramian",
+                            lambda *args: calls.append(1) or original(*args))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("integrate_adaptive called")
+
+        for module in (cli, invosc.numerics):
+            monkeypatch.setattr(module, "integrate_adaptive", forbidden)
+        code, _, _ = run_cli(["open-evolve", "--set", "bath.noise=symmetrized",
+                              "--set", "bath.kT=0", "--set", "open.samples=31"], capsys)
+        assert code == 0
+        assert 1 <= len(calls) <= 4
 
     def test_past_the_float_range_names_the_first_bad_cell(self, capsys):
         # G(800) is still finite, its square is not; the noise quadrature is

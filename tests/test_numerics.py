@@ -284,6 +284,15 @@ def _series_k_quarter(z):
         / math.sin(math.pi / 4.0)
 
 
+def _stable_stack(rng, shape, largest):
+    """Matrices with eigenvalues in the left half plane, so that e^A stays
+    bounded, and 1-norms spread evenly in log from 1e-3 to ``largest``."""
+    x = rng.normal(size=shape)
+    a = x - np.swapaxes(x, -1, -2) - 3.0 * np.eye(shape[-1])
+    scales = np.geomspace(1e-3, largest, int(np.prod(shape[:-2]))).reshape(shape[:-2])
+    return a * (scales / np.abs(a).sum(axis=-2).max(axis=-1))[..., None, None]
+
+
 class TestExpm:
     def test_zero_is_identity(self):
         np.testing.assert_array_equal(expm(np.zeros((4, 4))), np.eye(4))
@@ -304,17 +313,18 @@ class TestExpm:
                                              [0.0, 0.0, 1.0]], rtol=1e-15)
 
     def test_stack_matches_single_calls(self):
+        # norms from 1e-3 to 1e12: 0 to 40 squarings, each matrix only its own
         rng = np.random.default_rng(5)
         scales = np.array([1e-3, 1.0, 30.0])[:, None, None]
-        stack = rng.normal(size=(2, 3, 5, 5)) * scales
+        stack = np.concatenate([rng.normal(size=(2, 3, 5, 5)) * scales,
+                                _stable_stack(rng, (2, 3, 5, 5), 1e12)])
         out = expm(stack)
         assert out.shape == stack.shape
         for i in np.ndindex(stack.shape[:2]):
             np.testing.assert_array_equal(out[i], expm(stack[i]))
-        # a stack longer than one batch of 256
-        long = rng.normal(size=(600, 3, 3)) * 5.0
-        np.testing.assert_array_equal(expm(long)[[0, 255, 256, 599]],
-                                      [expm(long[i]) for i in (0, 255, 256, 599)])
+        # a stack longer than one chunk of _taylor
+        long = _stable_stack(rng, (1500, 3, 3), 1e12)
+        np.testing.assert_array_equal(expm(long), [expm(x) for x in long])
 
     def test_mpmath_oracle(self):
         mp = pytest.importorskip("mpmath")
@@ -360,13 +370,16 @@ class TestExpmGramian:
             assert p[0, 0] == pytest.approx(p_xx, rel=1e-13)
 
     def test_stack_matches_single_calls(self):
+        # norms from 1e-3 to 1e12 over more than one chunk of _taylor's
+        # 32 Van Loan blocks of 14 x 14
         rng = np.random.default_rng(7)
         scales = np.array([1e-3, 1.0, 30.0])[:, None, None]
-        a = rng.normal(size=(3, 4, 4)) * scales
-        c = rng.normal(size=(3, 4, 4))
+        a = np.concatenate([rng.normal(size=(3, 7, 7)) * scales,
+                            _stable_stack(rng, (150, 7, 7), 1e12)])
+        c = rng.normal(size=a.shape)
         b = c @ np.swapaxes(c, -1, -2)
         e, p = expm_gramian(a, b)
-        for i in range(3):
+        for i in range(len(a)):
             e_i, p_i = expm_gramian(a[i], b[i])
             np.testing.assert_array_equal(e[i], e_i)
             np.testing.assert_array_equal(p[i], p_i)

@@ -633,11 +633,13 @@ class TestArrayOfTimes:
         loop = np.array([variance_parts(PARAMS, bath, moments, t, convention)
                          for t in SAMPLE_TIMES.tolist()])
         assert np.array_equal(dynamic, loop[:, 0])
-        assert np.array_equal(noise, loop[:, 1])
-        assert np.array_equal(
+        # the bath noise sweeps every time at once, so a time's value depends
+        # on the set of times in its last bits
+        np.testing.assert_allclose(noise, loop[:, 1], rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(
             variance_noise_term(PARAMS, bath, SAMPLE_TIMES, convention),
             [variance_noise_term(PARAMS, bath, t, convention)
-             for t in SAMPLE_TIMES.tolist()])
+             for t in SAMPLE_TIMES.tolist()], rtol=1e-13, atol=0.0)
 
     def test_noise_is_skipped_past_the_float_range(self):
         moments = InitialMoments(0.0, 0.0, 1.0, 0.25, 0.0)
@@ -915,14 +917,47 @@ class TestNoiseWithoutFrequencyQuadrature:
     @pytest.mark.parametrize("t", [1.5, 3.0])
     def test_zero_point_term_of_a_fast_bath_matches_mpmath(self, omega_d, t):
         # nu V_nu and omega_d V_omega_d share their white-noise limit, so
-        # their difference over 1 - 2u near u = 1/2 was rounding noise, and
-        # a node rounded onto u = 1/2 gave NaN from omega_d = 2e4 at t = 3
+        # their difference over sinh sigma near sigma = 0 would be rounding
+        # noise, and a node at sigma = 0 would give NaN
         bath = BathParams(0.5, omega_d, 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = variance_noise_term(PARAMS, bath, t, SYMMETRIZED)
         assert got == pytest.approx(mp_zero_point_term(PARAMS, bath, t),
-                                    rel=1e-9, abs=0.0)
+                                    rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("gamma,omega_d", NOISE_BATHS + [(0.5, 1e4), (0.5, 1e6)])
+    def test_zero_point_rule_over_many_times_matches_mpmath(self, gamma, omega_d):
+        # one rate rule for all times: its ends and step must serve each of
+        # them, from omega t = 1e-3, where the fast side's terms fall off
+        # latest, to omega t = 20
+        params = SystemParams(1.3)
+        bath = BathParams(gamma, omega_d, 0.0)
+        ts = np.array([1e-3, 0.4, 2.5, 8.0, 20.0]) / params.omega
+        got = variance_noise_term(params, bath, ts, SYMMETRIZED)
+        ref = [mp_zero_point_term(params, bath, t) for t in ts.tolist()]
+        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("times", [np.linspace(0.0, 3.0, 31),
+                                       np.array([0.0, 0.03, 0.3, 0.31, 1.7, 2.9, 3.0])],
+                             ids=["lattice", "irregular"])
+    @pytest.mark.parametrize("gamma,omega_d", [(0.5, 10.0), (40.0, 0.05), (0.5, 1e6)])
+    def test_sweep_matches_one_time_covariance_down_to_small_rates(self, gamma, omega_d,
+                                                                   times):
+        # the stationary start carried as a vector: folded into Sigma, its
+        # 1/a would cost 1.4e-4 of K at a rate of omega_d e^-30
+        bath = BathParams(gamma, omega_d, 0.0)
+        rates = omega_d * np.exp(-np.array([0.0, 3.0, 10.0, 20.0, 30.0]))
+        sweep = osys._ou_covariance(PARAMS, bath, rates, times, times)
+        one = np.stack([osys._ou_covariance(PARAMS, bath, rates, t, t)
+                        for t in times.tolist()], axis=-1)
+        np.testing.assert_allclose(sweep, one, rtol=1e-13, atol=0.0)
+        later = times[::-1]   # pairs t != t' through e^(M |t - t'|)
+        np.testing.assert_allclose(
+            osys._ou_covariance(PARAMS, bath, rates, times, later),
+            np.stack([osys._ou_covariance(PARAMS, bath, rates, t, u)
+                      for t, u in zip(times.tolist(), later.tolist())], axis=-1),
+            rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("gamma,omega_d", [(40.0, 0.05), (0.6, 1.0)])
     def test_short_time_converges_without_warnings(self, gamma, omega_d):

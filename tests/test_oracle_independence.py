@@ -7,11 +7,13 @@ output does not come from them.  Each run here has every invosc binding of
 those oracles replaced by a stub that fails, and must write the bytes of a
 run without the stubs.
 
-``integrate_adaptive`` and ``spectral_noise_term`` are not on the list yet:
-the bath noise of ``open-evolve`` still takes its Bose part as a frequency
-quadrature (``spectral_noise_term`` through ``integrate_halfline``) and its
-zero-point part as a rate quadrature on ``integrate_adaptive``.  They join
-the list once both are computed without those quadratures.
+The frequency and adaptive quadratures (``integrate_adaptive``,
+``integrate_halfline`` and the integrand's ``_window``) are stubbed too
+where the bath noise needs no Bose part: at kT = 0 under the symmetrized
+convention, whose zero-point term is a trapezoid rule over the rate, and
+under the classical one.  The Bose part of the occupation and symmetrized
+conventions at kT > 0 is still a frequency quadrature
+(``spectral_noise_term`` through ``integrate_halfline``).
 """
 
 import sys
@@ -27,23 +29,28 @@ ORACLES = {name: getattr(module, name) for module, name in (
     (numerics, "langevin_ode_oracle"), (osys, "windowed_transform"))}
 
 
-def _stub_oracles(monkeypatch):
+QUADRATURES = {name: getattr(module, name) for module, name in (
+    (numerics, "integrate_adaptive"), (numerics, "integrate_halfline"),
+    (osys, "_window"))}
+
+
+def _stub_oracles(monkeypatch, oracles=ORACLES):
     """Replace each oracle in every invosc module namespace that binds it."""
     def stub(name):
         def oracle(*args, **kwargs):
             raise AssertionError(f"oracle {name} called")
         return oracle
 
-    by_id = {id(fn): name for name, fn in ORACLES.items()}
+    by_id = {id(fn): name for name, fn in oracles.items()}
     patched = set()
     for module in [m for key, m in list(sys.modules.items())
                    if key == "invosc" or key.startswith("invosc.")]:
         for attr, value in list(vars(module).items()):
             name = by_id.get(id(value))
-            if name is not None and ORACLES[name] is value:
+            if name is not None and oracles[name] is value:
                 monkeypatch.setattr(module, attr, stub(name))
                 patched.add(name)
-    assert patched == set(ORACLES)
+    assert patched == set(oracles)
 
 
 def _run(args, directory):
@@ -65,6 +72,16 @@ def _run(args, directory):
 def test_command_runs_no_oracle(tmp_path, monkeypatch, args):
     plain = _run(args, tmp_path / "plain")
     _stub_oracles(monkeypatch)
+    assert _run(args, tmp_path / "stubbed") == plain
+
+
+@pytest.mark.parametrize("args", [
+    ["open-evolve", "--set", "bath.noise=symmetrized", "--set", "bath.kT=0"],
+    ["open-evolve", "--set", "bath.noise=classical"]],
+    ids=["zero-point", "classical"])
+def test_noise_without_a_bose_part_runs_no_quadrature(tmp_path, monkeypatch, args):
+    plain = _run(args, tmp_path / "plain")
+    _stub_oracles(monkeypatch, {**ORACLES, **QUADRATURES})
     assert _run(args, tmp_path / "stubbed") == plain
 
 
