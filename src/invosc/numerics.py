@@ -2,7 +2,8 @@
 
 A row-vectorized trapezoid rule for analytic integrands; adaptive
 Gauss-Kronrod quadrature, which serves only ``integrate_halfline`` (the
-Bose part of the bath noise), ``verify``'s windowed check and the tests; a
+frequency quadrature of the bath noise, an oracle), ``verify``'s checks
+and the tests; a
 Cardano cubic solver with Newton refinement; the matrix exponential by
 scaling and squaring and, with it, the Gramian of a linear system driven
 by white noise; e^z K_{1/4}(z) by the trapezoid rule for every z > 0; a

@@ -24,8 +24,11 @@ state, carried along the sorted times by one Van Loan step
 (numerics.expm_gramian) per gap between them.  The classical term is one
 such covariance, the zero-point term an integral over the rate of their
 excess over the white-noise limit, by one trapezoid rule in log rate that
-every time shares, and only the Bose part is integrated over the frequency,
-time by time.
+every time shares, and the symmetrized term at kT > 0 the Matsubara sum,
+the trapezoid rule of step 2 pi kT / hbar for that integral; the Bose part
+is their difference, or on a dense lattice its Euler-Maclaurin series.  No
+term is integrated over the frequency; ``spectral_noise_term`` does that
+as their oracle.
 
 Noise enters through the spectral density of the bath force.  Three
 conventions are provided:
@@ -377,18 +380,20 @@ def _ou_covariance(params: SystemParams, bath: BathParams, rates, t, tprime):
     sigma = np.zeros_like(gen)
     m = np.zeros(gen.shape[:2])
     m[:, 4] = m[:, 6] = 1.0
-    out = np.empty((2, len(flat), lag_at.size))
-    pairs = np.argsort(at.ravel(), kind="stable")
-    bounds = np.searchsorted(at.ravel()[pairs], np.arange(len(stops) + 1))
+    # columns x and x2 of the covariance at each of the sorted times
+    cols = np.empty((len(stops),) + gen.shape[:2] + (2,))
     for k, g in enumerate(gap_at.tolist()):
         if g >= 0:
             sigma = e[g] @ sigma @ np.swapaxes(e[g], -1, -2) + p[g]
             m = (e[g] @ m[..., None])[..., 0]
-        # columns x and x2 of the covariance at this time
-        cols = sigma[..., [0, 3]] + m[:, :, None] * m[:, None, [0, 3]] / flat
-        for i in pairs[bounds[k]:bounds[k + 1]].tolist():
-            cov = cols[:, [0, 3]] if lag_at[i] < 0 else lagged[lag_at[i]] @ cols
-            out[:, :, i] = cov[:, 0, 0], cov[:, 0, 1] + cov[:, 1, 0] - cov[:, 1, 1]
+        cols[k] = sigma[..., [0, 3]] + m[:, :, None] * m[:, None, [0, 3]] / flat
+    at = at.ravel()
+    cov = cols[at][..., [0, 3], :]   # pairs, rates, rows and columns x and x2
+    apart = lag_at >= 0
+    if apart.any():
+        cov[apart] = lagged[lag_at[apart]] @ cols[at[apart]]
+    out = np.empty((2, len(flat), at.size))
+    out[0], out[1] = cov[..., 0, 0].T, (cov[..., 0, 1] + cov[..., 1, 0] - cov[..., 1, 1]).T
     return out.reshape((2,) + rates.shape + t.shape)
 
 
@@ -398,6 +403,9 @@ def _ou_covariance(params: SystemParams, bath: BathParams, rates, t, tprime):
 _ZERO_POINT_STEP = 1.0 / 3.0
 _ZERO_POINT_ENDS = (15.0, 16.0)
 _ZERO_POINT_ROUNDS = 6
+# _free_zero_point serves a time t where every rate of the motion times t is
+# at most _FREE_MOTION
+_FREE_MOTION = 1e-5
 
 
 def _rule(rows, white, h: float, stride: int) -> np.ndarray:
@@ -412,10 +420,12 @@ def _rule(rows, white, h: float, stride: int) -> np.ndarray:
                    + white * np.sum(0.5 / np.sinh(beyond)))
 
 
-def _zero_point_term(params: SystemParams, bath: BathParams, t, tprime,
-                     abs_tol) -> np.ndarray:
+def _zero_point_term(params: SystemParams, bath: BathParams, t, tprime, abs_tol,
+                     ride=()):
     """Zero-point term of the spectrum hbar J(|w|) / 2 pi as a rate integral,
-    at 1-D arrays of positive times t, t' and of tolerances.
+    at 1-D arrays of positive times t, t' and of tolerances, and the
+    ``_ou_covariance`` of the rates ``ride``, which its first sweep takes
+    along.
 
     omega_d^2 |w| / (w^2 + omega_d^2) is a superposition of Lorentzians of
     rate nu, int_0^inf dnu omega_d^2 / (omega_d^2 - nu^2)
@@ -459,9 +469,12 @@ def _zero_point_term(params: SystemParams, bath: BathParams, t, tprime,
     for _ in range(_ZERO_POINT_ROUNDS):
         todo = [np.flatnonzero(np.isnan(r[:, 0])) for r in rows[:2]]
         sigma = np.concatenate([(todo[0] + 0.5) * h, -(todo[1] + 0.5) * h])
-        covariance, excess = _ou_covariance(params, bath, wd * np.exp(sigma), t, tprime)
+        rates = np.concatenate([wd * np.exp(sigma), ride if white is None else []])
+        covariance, excess = _ou_covariance(params, bath, rates, t, tprime)
         if white is None:
             white = covariance[0] - excess[0]
+            ridden = covariance[len(sigma):], excess[len(sigma):]
+            covariance, excess = covariance[:len(sigma)], excess[:len(sigma)]
         weight = 0.5 / np.sinh(np.abs(sigma))[:, None]
         fast = len(todo[0])
         rows[0][todo[0]] = excess[:fast] * weight[:fast]
@@ -478,7 +491,7 @@ def _zero_point_term(params: SystemParams, bath: BathParams, t, tprime,
         floor = np.maximum(0.25e-11 * np.abs(value), np.finfo(float).tiny)
         refine = bool(np.any(error > np.maximum(abs_tol / scale, 1e-11 * np.abs(value))))
         if not refine and all(np.all(tail <= floor) for tail in tails):
-            return scale * value
+            return scale * value, ridden
         if refine:
             h /= 3.0
         for side, tail in enumerate(tails):
@@ -496,6 +509,18 @@ def _zero_point_term(params: SystemParams, bath: BathParams, t, tprime,
         scale * value, scale * error, evaluations))
 
 
+def _free_zero_point(params: SystemParams, bath: BathParams, t) -> np.ndarray:
+    """Zero-point term at times t so short that G(s) = s on [0, t], where the
+    folded differences of ``_zero_point_term`` would be rounding noise:
+    (hbar / pi) int_0^inf J |W|^2 dw with W = t^2 w(wt), w(u) = int_0^1 x
+    e^(-iux) dx, is (hbar gamma omega_d^2 t^4 / pi) int int_0^1 x y
+    [ln(1 / omega_d t |x - y|) - gamma_E] dx dy = (hbar gamma omega_d^2 t^4
+    / 4 pi) [ln(1 / omega_d t) + 7/4 - gamma_E], off by about 0.07 (omega_d
+    t)^2 and (omega^2 + gamma omega_d) t^2 relative."""
+    return (params.hbar * bath.gamma * bath.omega_d**2 * t**4 / (4.0 * math.pi)
+            * (np.log(1.0 / (bath.omega_d * t)) + 1.75 - np.euler_gamma))
+
+
 def spectral_noise_term(params: SystemParams, bath: BathParams, t: float,
                         tprime: float, convention: str = OCCUPATION,
                         abs_tol: float = 1e-14) -> float:
@@ -504,9 +529,10 @@ def spectral_noise_term(params: SystemParams, bath: BathParams, t: float,
     part on the half line, which is the non-negative 2 S |W|^2 on the
     diagonal and oscillates off it.
 
-    ``variance_noise_term`` and ``symmetrized_correlation`` take only the
-    Bose part hbar J n / pi of the spectrum this way; for the other parts
-    it serves as their oracle.
+    The oracle of ``variance_noise_term`` and ``symmetrized_correlation``
+    under every convention; no production path calls it.  Its first
+    interval is no longer than 10 kT / hbar, where the Bose factor still
+    weighs in, so a cold or a fast bath does not hide it in one panel.
     """
     if convention not in _CONVENTIONS:
         raise ValueError(f"unknown noise convention {convention!r}")
@@ -523,54 +549,353 @@ def spectral_noise_term(params: SystemParams, bath: BathParams, t: float,
             _window(params, bath, col_prime, w, tprime))
         return 2.0 * sw * z.real
 
-    return integrate_halfline(integrand, abs_tol,
-                              first_length=max(params.omega, bath.omega_d),
-                              rel_tol=1e-11,
+    first = max(params.omega, bath.omega_d)
+    if bath.kT > 0.0 and convention != CLASSICAL:
+        first = min(first, 10.0 * bath.kT / params.hbar)
+    return integrate_halfline(integrand, abs_tol, first_length=first, rel_tol=1e-11,
                               small_runs=1 if t == tprime else 2).value
+
+
+# The Matsubara sum of _matsubara_sum: the rate times the shortest time
+# scale past which f is smooth on the lattice, the most rates it sums one by
+# one, the most that rate times that scale may grow across one panel short
+# of it, the polynomial degrees of its panels and of its last panel, and the
+# widest panel summed term by term rather than by Euler-Maclaurin
+_TAIL_START = 30.0
+_TAIL_FIRST_MAX = 64
+_PANEL_REACH = 8.0
+_PANEL_DEGREE = 20
+_LAST_DEGREE = 16
+_PANEL_DIRECT = 2048
+# _dense_lattice_term serves a time t, or a pair, where the Matsubara step
+# times t is at most _DENSE_LATTICE, and sums the pole at -omega_d in
+# closed form where omega_d t is at most _POLE_IN_CLOSED_FORM
+_DENSE_LATTICE = 1.6
+_POLE_IN_CLOSED_FORM = 8.0
+
+
+def _lorentz_excess(bath: BathParams, rates: np.ndarray, t, tprime):
+    """The rates whose ``_ou_covariance`` at 1-D arrays of pairs of times
+    gives f(nu) = omega_d^2 (K_omega_d - K_nu) / (omega_d^2 - nu^2) at each
+    of the positive ``rates``, omega_d first, and the function that takes
+    their (a V_a, K_a) to f (rows rates, columns pairs), f(0) = omega_d
+    V_omega_d and K_omega_d.
+
+    f(nu) is the term of the spectrum omega_d^2 w^2 / (pi (w^2 + omega_d^2)
+    (w^2 + nu^2)), analytic in nu, its 0 / 0 at nu = omega_d removable.  A
+    rate closer to omega_d than half of h = 1e-3 min(omega_d, 1 / t), where
+    the difference quotient would lose its digits, takes the value of the
+    polynomial through the eight rates 1 h to 4 h from it on either side.
+    """
+    wd = bath.omega_d
+    width = 1e-3 * min(wd, 1.0 / max(np.max(t), np.max(tprime)))
+    near = np.flatnonzero(np.abs(rates - wd) < 0.5 * width)
+    offsets = np.array([-4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0])
+    nu = np.concatenate([rates, (rates[near, None] + width * offsets).ravel()])
+
+    def values(covariance, excess):
+        with np.errstate(invalid="ignore", divide="ignore"):   # 0 / 0 where nu = omega_d
+            f = (excess[0] - excess[1:]) * (wd / (wd - nu) * (wd / (wd + nu)))[:, None]
+        if near.size:
+            lagrange = np.array([np.prod(-np.delete(offsets, j) / (o - np.delete(offsets, j)))
+                                 for j, o in enumerate(offsets)])
+            f[near] = lagrange @ f[len(rates):].reshape(near.size, 8, -1)
+        return f[:len(rates)], covariance[0], excess[0]
+
+    return np.concatenate([[wd], nu]), values
+
+
+def _chebyshev(u, degree: int) -> np.ndarray:
+    """T_0(u) .. T_degree(u) on a new last axis, |u| <= 1."""
+    return np.cos(np.arccos(np.clip(u, -1.0, 1.0))[..., None] * np.arange(degree + 1))
+
+
+def _chebyshev_points(degree: int):
+    """The points -cos(pi j / degree) of [-1, 1], and in its columns the
+    Chebyshev coefficients of the Lagrange polynomial of each point, (2 /
+    degree) h_k h_j T_k(u_j) with h halved at both ends."""
+    u = -np.cos(math.pi * np.arange(degree + 1) / degree)
+    h = np.ones(degree + 1)
+    h[[0, -1]] = 0.5
+    return u, 2.0 / degree * h[:, None] * _chebyshev(u, degree).T * h
+
+
+def _chebyshev_integral(u: float, degree: int) -> np.ndarray:
+    """int_-1^u T_k for k = 0 .. degree: u + 1, (u^2 - 1) / 2, then the
+    differences of (T_(k+1) / (k+1) - T_(k-1) / (k-1)) / 2."""
+    ends = np.array([u, -1.0])
+    t = _chebyshev(ends, degree + 1)
+    k = np.arange(2, degree + 1)
+    anti = np.empty((2, degree + 1))
+    anti[:, 0], anti[:, 1] = ends, 0.5 * ends**2
+    anti[:, 2:] = 0.5 * (t[:, k + 1] / (k + 1) - t[:, k - 1] / (k - 1))
+    return anti[0] - anti[1]
+
+
+def _panel_rule(lo: int, hi: int):
+    """Nodes n_j in [lo, hi] and weights w_j with sum_j w_j p(n_j) the sum of
+    p over the integers of [lo, hi], half at lo and at hi, for every
+    polynomial p of degree ``_PANEL_DEGREE``: term by term up to
+    ``_PANEL_DIRECT`` steps, else by Euler-Maclaurin with the derivatives
+    T_k^(p)(+-1) = (+-1)^(k+p) prod_(i < p) (k^2 - i^2) / (2i + 1)."""
+    m = _PANEL_DEGREE
+    u, basis = _chebyshev_points(m)
+    half = 0.5 * (hi - lo)
+    if hi - lo <= _PANEL_DIRECT:
+        terms = _chebyshev(np.arange(hi - lo + 1) / half - 1.0, m) @ basis
+        weights = terms.sum(axis=0) - 0.5 * (terms[0] + terms[-1])
+    else:
+        k2 = np.arange(m + 1.0) ** 2
+        odd = np.arange(m + 1) % 2 == 1   # T_k^(p)(1) - T_k^(p)(-1) for odd p
+        derivative, ends = np.ones(m + 1), 0.0
+        for p, coefficient in enumerate((1 / 12, 0.0, -1 / 720, 0.0, 1 / 30240)):
+            derivative = derivative * (k2 - p * p) / (2 * p + 1)
+            ends = ends + coefficient * np.where(odd, 0.0, 2.0 * derivative) / half ** (p + 1)
+        weights = (half * _chebyshev_integral(1.0, m) + ends) @ basis
+    return lo + half * (u + 1.0), weights
+
+
+def _last_panel_rule(first: int, shift: float):
+    """The last panel of ``_tail_rule``, n >= first: with x = (first + shift)
+    / (n + shift) and f = x^2 Q(x) for a polynomial Q of degree
+    ``_LAST_DEGREE``, nodes n_j and weights w_j on f(n_j), and w_inf on
+    lim (n + shift)^2 f, of the sum of f over the integers n >= first; term
+    by term up to the stop where x^2 Q(x) varies slowly in n, past it by
+    Euler-Maclaurin, its integral being (first + shift) int_0^(x_stop) Q dx."""
+    m = _LAST_DEGREE
+    u, basis = _chebyshev_points(m)
+    x = 0.5 * (u + 1.0)
+    stop = max(first, math.ceil(4 * m * math.sqrt(first + shift) - shift)) + 2
+
+    def terms(n):
+        xn = (first + shift) / (np.asarray(n, dtype=float) + shift)
+        return xn[:, None] ** 2 * (_chebyshev(2.0 * xn - 1.0, m) @ basis)
+
+    near = terms(stop + np.arange(-2, 3))
+    slope = (near[0] - 8.0 * near[1] + 8.0 * near[3] - near[4]) / 12.0
+    curve = (-near[0] + 2.0 * near[1] - 2.0 * near[3] + near[4]) / 2.0
+    x_stop = (first + shift) / (stop + shift)
+    weights = (terms(np.arange(first, stop)).sum(axis=0) + 0.5 * near[2] - slope / 12.0
+               + curve / 720.0
+               + 0.5 * (first + shift) * (_chebyshev_integral(2.0 * x_stop - 1.0, m) @ basis))
+    return ((first + shift) / x[1:] - shift, weights[1:] / x[1:] ** 2,
+            weights[0] / (first + shift) ** 2)
+
+
+def _tail_rule(first: int, shift: float, smooth: float, width: float):
+    """Nodes n_j >= first and weights w_j, and a weight w_inf, with
+    sum_(n >= first) f(n) = sum_j w_j f(n_j) + w_inf lim (n + shift)^2 f(n)
+    for f of ``_lorentz_excess`` in units of the lattice step, shift =
+    omega_d / dnu.
+
+    Panels [n, n + min(n, width)] below ``smooth``, where f still has
+    e^(-nu t) parts, and [n, 2n] past it while n < shift take f as a
+    polynomial of n; the last panel takes x^-2 f as one of x = (n0
+    + shift) / (n + shift).  The pole of f at n = -shift lies at least
+    three half-widths from the centre of each panel, or at x = infinity."""
+    nodes, weights, lo = [], [], first
+    while lo < max(shift, smooth):
+        hi = lo + (min(lo, width) if lo < smooth else lo)
+        n, w = _panel_rule(lo, hi)
+        nodes.append(n)
+        weights.append(w)
+        lo = hi
+    n, w, w_inf = _last_panel_rule(lo, shift)
+    if nodes:   # n = first at full weight, n = lo half in each of its panels
+        weights[0][0] += 0.5
+        w[-1] -= 0.5
+    nodes, at = np.unique(np.concatenate(nodes + [n]), return_inverse=True)
+    return nodes, np.bincount(at, np.concatenate(weights + [w])), w_inf
+
+
+def _matsubara_sum(params: SystemParams, bath: BathParams, t, tprime):
+    """The symmetrized term at kT > 0 as a Matsubara sum over rates, at 1-D
+    arrays of positive times: the rates of its one ``_ou_covariance``
+    sweep, and the sum as a function of their (a V_a, K_a).
+
+    coth(hbar w / 2kT) / 2 = kT / hbar w + sum_(n >= 1) (2 kT / hbar) w
+    / (w^2 + nu_n^2), nu_n = n dnu, dnu = 2 pi kT / hbar (Grabert, Schramm &
+    Ingold, Phys. Rep. 168, 115 (1988)), so the spectrum hbar J (n + 1/2) / pi
+    is the classical one plus (2 gamma kT / pi) omega_d^2 w^2 / ((w^2
+    + omega_d^2) (w^2 + nu_n^2)) for each n, and the term is
+    (hbar gamma / pi) dnu [f(0) / 2 + sum_(n >= 1) f(nu_n)] with f of
+    ``_lorentz_excess``: the trapezoid rule of step dnu for the rate
+    integral of ``_zero_point_term``.
+
+    The rates below first dnu are summed one by one, where first dnu times
+    the shortest of t, t' and |t - t'| reaches ``_TAIL_START``, so that past
+    it f has shed its e^(-nu t) parts and is smooth on the lattice, but for
+    at most ``_TAIL_FIRST_MAX`` rates; ``_tail_rule`` sums the rest from f
+    at its nodes, with f (nu + omega_d)^2 -> -omega_d^2 K_omega_d at
+    infinity.  With omega_d below first dnu that is first - 1
+    + ``_LAST_DEGREE`` rates, as accurate as their terms.
+    """
+    step = 2.0 * math.pi * bath.kT / params.hbar
+    scale = np.minimum(np.minimum(t, tprime), np.where(t == tprime, np.inf, np.abs(t - tprime)))
+    smooth = _TAIL_START / (step * scale.min())
+    first = min(math.ceil(smooth), _TAIL_FIRST_MAX)
+    nodes, weights, at_infinity = _tail_rule(first, bath.omega_d / step, smooth,
+                                             max(1, math.floor(_PANEL_REACH / _TAIL_START
+                                                               * smooth)))
+    rates, lorentz = _lorentz_excess(
+        bath, step * np.concatenate([np.arange(1.0, first), nodes]), t, tprime)
+
+    def total(covariance, excess):
+        f, at_zero, k_wd = lorentz(covariance, excess)
+        return params.hbar * bath.gamma / math.pi * step * (
+            0.5 * at_zero + f[:first - 1].sum(axis=0) + weights @ f[first - 1:]
+            - at_infinity * (bath.omega_d / step) ** 2 * k_wd)
+
+    return rates, total
+
+
+def _moments(params: SystemParams, bath: BathParams, t: np.ndarray, order: int,
+             span: float) -> np.ndarray:
+    """rho_l(t) / (l! span^l), rho_l(t) = int_0^t G(t - s) s^l ds, for l = 0
+    .. order on a new last axis: the x entry of one exponential of A with a
+    chain c_0, c_1 = c_0 s / span, ..., c_order, whose last state forces v."""
+    gen, _ = _generator(params, bath, order + 4)
+    gen[1, -1] = 1.0
+    chain = np.arange(4, order + 4)
+    gen[chain, chain - 1] = 1.0 / span
+    return expm(gen * t[:, None, None])[:, 0, :2:-1]
+
+
+def _zeta_even(count: int) -> np.ndarray:
+    """zeta(2), zeta(4), ..., zeta(2 count): 31 terms and Euler-Maclaurin."""
+    s = 2.0 * np.arange(1, count + 1)
+    n = 32.0
+    head = (np.arange(1.0, n)[:, None] ** -s).sum(axis=0)
+    rising = s * (s + 1) * (s + 2)
+    return (head + n ** (1 - s) / (s - 1) + 0.5 * n**-s + s * n ** (-s - 1) / 12.0
+            - rising * n ** (-s - 3) / 720.0 + rising * (s + 3) * (s + 4) * n ** (-s - 5) / 30240.0)
+
+
+def _digamma_excess(x: float) -> float:
+    """ln x - psi(x) - 1/(2x) for x > 0: the excess of the trapezoid rule of
+    unit step, from u = 0, over the integral of 1 / (x + u)."""
+    total = 0.0
+    while x < 20.0:
+        total += math.log(x / (x + 1.0)) + 0.5 / x + 0.5 / (x + 1.0)
+        x += 1.0
+    y = 1.0 / (x * x)
+    return total + y * (1 / 12 - y * (1 / 120 - y * (1 / 252 - y * (1 / 240 - y / 132))))
+
+
+def _dense_lattice_term(params: SystemParams, bath: BathParams, t, tprime) -> np.ndarray:
+    """The occupation term at kT > 0 where the Matsubara lattice is dense, at
+    1-D arrays of positive times no longer than span = _DENSE_LATTICE / dnu.
+
+    It is the excess of the Matsubara sum of ``_matsubara_sum`` over the
+    rate integral of ``_zero_point_term``, and Abel-Plana turns it into
+    the Euler-Maclaurin series at nu = 0, sum_k 2 (-1)^k (2k - 1)! zeta(2k)
+    (kT / hbar)^(2k) times the nu^(2k-1) coefficient of f, which
+    converges like (kT span / hbar)^(2k) where f is entire.  f is entire
+    but for the pole C / (omega_d + nu), with C = sum_i mu_2i
+    omega_d^(2i+2) and the even moments mu_2i = int int G(t - s) G(t' - s')
+    (s - s')^(2i) / (2i)!: where omega_d span is at most
+    ``_POLE_IN_CLOSED_FORM`` the pole is summed in closed form, C (ln x
+    - psi(x) - 1/2x) with x = omega_d / dnu, and the rest has the odd
+    coefficients sum_(i >= k) mu_2i omega_d^(2i-2k+2); elsewhere x >= 5
+    and the pole costs no more than e^(-2 pi x) of the series, whose
+    coefficients are then -sum_(i < k) mu_2i omega_d^(2i-2k+2).  The
+    moments are products of rho_l of ``_moments``: one exponential per
+    distinct time.
+    """
+    span = max(np.max(t), np.max(tprime))
+    wd = bath.omega_d
+    z = wd * span
+    ratio = (bath.kT * span / params.hbar) ** 2
+    terms = max(1, math.ceil(-39.0 / math.log(ratio))) if ratio > 0.0 else 1
+    pole = z <= _POLE_IN_CLOSED_FORM
+    moments = terms
+    while pole and z ** (2 * moments) / math.factorial(2 * moments) > 1e-17:
+        moments += 1
+    times, at = np.unique(np.concatenate([t, tprime]), return_inverse=True)
+    rho = _moments(params, bath, times, 2 * moments, span)
+    left, right = rho[at[:len(t)]], rho[at[len(t):]]
+    sign = (-1.0) ** np.arange(2 * moments + 1)
+    # mu_2i / span^2i, rows i
+    mu = np.array([(sign[:2 * i + 1] * left[:, :2 * i + 1] * right[:, 2 * i::-1]).sum(axis=1)
+                   for i in range(moments + 1)])
+    k = np.arange(1, terms + 1)
+    factor = (2.0 * (-1.0) ** k * np.array([math.factorial(2 * j - 1) for j in k])
+              * _zeta_even(terms) * ratio**k)
+    i = np.arange(moments + 1)
+    with np.errstate(divide="ignore", over="ignore"):
+        power = z ** (2.0 * (i[None, :] - k[:, None]))   # (omega_d span)^(2i - 2k)
+    keep = (i[None, :] >= k[:, None]) if pole else (i[None, :] < k[:, None])
+    odd = np.where(keep, power, 0.0) @ mu * (wd**2 if pole else -wd**2)
+    total = factor @ odd
+    if pole:
+        total += wd**2 * (z ** (2.0 * i) @ mu) * _digamma_excess(wd * params.hbar
+                                                                 / (2.0 * math.pi * bath.kT))
+    return params.hbar * bath.gamma / math.pi * total
 
 
 def _noise_term(params: SystemParams, bath: BathParams, t, tprime,
                 convention: str, abs_tol):
     """Bath term int S(w) e^(i w (t - t')) W(w, t) conj(W(w, t')) dw at times
-    and tolerances that broadcast.  The classical spectrum is the Lorentzian
-    of the force correlation gamma kT omega_d e^(-omega_d |tau|): the term is
-    gamma kT omega_d V_omega_d(t, t'), one sweep over all times.  The Bose
-    part hbar J n / pi, the occupation convention, is integrated over the
-    frequency time by time; the symmetrized one adds ``_zero_point_term``,
-    one rule for all times.  A quadrature that fails is re-raised with its
-    best estimate, naming the time, the convention and the bath."""
+    and tolerances that broadcast, with no frequency quadrature.
+
+    The classical spectrum is the Lorentzian of the force correlation
+    gamma kT omega_d e^(-omega_d |tau|): the term is gamma kT omega_d
+    V_omega_d(t, t'), one sweep over all times.  The zero-point part is
+    ``_zero_point_term``, one rate rule for all times.  At kT > 0 the
+    symmetrized term is the Matsubara sum of ``_matsubara_sum`` and the
+    occupation term its excess over the zero-point part, which
+    ``_dense_lattice_term`` gives directly where the lattice is dense, so
+    that the two are never subtracted there.  A rule that fails is
+    re-raised with its best estimate, naming the time, the convention and
+    the bath."""
     if convention not in _CONVENTIONS:
         raise ValueError(f"unknown noise convention {convention!r}")
     t, tprime, abs_tol = np.broadcast_arrays(t, tprime, abs_tol)
     shape = t.shape
     t, tprime, abs_tol = t.ravel(), tprime.ravel(), abs_tol.ravel()
     out = np.zeros(t.shape)
-    if bath.gamma > 0.0 and convention == CLASSICAL:
-        out = bath.gamma * bath.kT * _ou_covariance(params, bath, bath.omega_d,
-                                                    t, tprime)[0]
-    elif bath.gamma > 0.0:
-        def failed(exc, i):
-            at = f"t={t[i]:g}" + (f", t'={tprime[i]:g}" if t[i] != tprime[i] else "")
-            return QuadratureError(
-                f"variance_noise at {at} ({convention} convention, gamma="
-                f"{bath.gamma:g}, omega_d={bath.omega_d:g}, kT={bath.kT:g}): {exc}",
-                exc.best)
+    live = (np.minimum(t, tprime) > 0.0) & (bath.gamma > 0.0)
+    step = 2.0 * math.pi * bath.kT / params.hbar
+    dense = live & (step * np.maximum(t, tprime) <= _DENSE_LATTICE) & (step > 0.0)
+    sparse = live & ~dense & (step > 0.0)
+    zero_point = live & (sparse if convention == OCCUPATION else ~sparse)
+    fastest = max(bath.omega_d, params.omega, math.sqrt(bath.gamma * bath.omega_d))
+    free = zero_point & (t == tprime) & (t * fastest <= _FREE_MOTION)
 
-        live = np.flatnonzero(np.minimum(t, tprime) > 0.0)
-        for i in live.tolist():
+    if convention == CLASSICAL:
+        if bath.gamma > 0.0:
+            out = bath.gamma * bath.kT * _ou_covariance(params, bath, bath.omega_d,
+                                                        t, tprime)[0]
+    else:
+        if dense.any():
+            out[dense] = _dense_lattice_term(params, bath, t[dense], tprime[dense])
+        matsubara, rates = np.flatnonzero(sparse), ()
+        if matsubara.size:
+            rates, total = _matsubara_sum(params, bath, t[matsubara], tprime[matsubara])
+        zero = np.zeros(t.shape)
+        zero[free] = _free_zero_point(params, bath, t[free])
+        rule = np.flatnonzero(zero_point & ~free)
+        # the Matsubara rates ride along in the rule's first sweep where
+        # both serve the same times, as under the occupation convention
+        ride = rates if np.array_equal(rule, matsubara) else ()
+        if rule.size:
             try:
-                out[i] = spectral_noise_term(params, bath, t[i], tprime[i],
-                                             OCCUPATION, abs_tol[i])
-            except QuadratureError as exc:
-                raise failed(exc, i) from exc
-        if convention == SYMMETRIZED and live.size:
-            try:
-                out[live] += _zero_point_term(params, bath, t[live], tprime[live],
-                                              abs_tol[live])
+                zero[rule], ridden = _zero_point_term(params, bath, t[rule], tprime[rule],
+                                                      abs_tol[rule], ride)
             except QuadratureError as exc:   # name its first time out of tolerance
                 best = exc.best
-                tol = np.maximum(abs_tol[live], 1e-11 * np.abs(best.value))
-                raise failed(exc, live[np.argmax(best.error_estimate > tol)]) from exc
+                tol = np.fmax(abs_tol[rule], 1e-11 * np.abs(best.value))
+                i = rule[np.argmax(~(best.error_estimate <= tol))]
+                where = f"t={t[i]:g}" + (f", t'={tprime[i]:g}" if t[i] != tprime[i] else "")
+                raise QuadratureError(
+                    f"variance_noise at {where} ({convention} convention, gamma="
+                    f"{bath.gamma:g}, omega_d={bath.omega_d:g}, kT={bath.kT:g}): {exc}",
+                    best) from exc
+        if matsubara.size:
+            if not len(ride):
+                ridden = _ou_covariance(params, bath, rates, t[matsubara], tprime[matsubara])
+            out[matsubara] = total(*ridden)
+        out += np.where(sparse, -zero, zero)
     out = out.reshape(shape)
     return float(out) if out.ndim == 0 else out
 
@@ -578,11 +903,11 @@ def _noise_term(params: SystemParams, bath: BathParams, t, tprime,
 def variance_noise_term(params: SystemParams, bath: BathParams, t,
                         convention: str = OCCUPATION, abs_tol=1e-14):
     """Bath contribution 2 int_0^inf S(w) |W(w, t)|^2 dw to the variance at a
-    float or an ndarray of times (and of tolerances): the classical term in
-    closed form, the zero-point term as an integral over a rate to
-    ``abs_tol`` or 1e-11 relative, and the Bose part, the occupation
-    convention, over the frequency on dyadically doubling intervals until
-    one contributes below max(abs_tol, 1e-12 of the sum)."""
+    float or an ndarray of times (and of tolerances), with no frequency
+    quadrature: the classical term in closed form, the zero-point term as
+    an integral over a rate to ``abs_tol`` or 1e-11 relative, and the Bose
+    part as a Matsubara sum over rates, or, where the lattice is dense, as
+    its Euler-Maclaurin series, each to about 1e-13 relative."""
     t = _times(t)
     return _noise_term(params, bath, t, t, convention, abs_tol)
 

@@ -1,6 +1,9 @@
 """Shared oracle helpers for the test suite."""
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import settings
 
 from invosc import evaluate, integrate_adaptive
@@ -62,3 +65,102 @@ def rk4_path(f, y0, t_final, dt, breakpoints=()):
         y = y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         ys[i] = y
     return ts, ys
+
+
+def _mp_green(mp, params, bath):
+    """The poles s_j of G and its residues R_j, G(t) = sum_j R_j e^(s_j t)."""
+    om2, wd, gam = mp.mpf(params.omega) ** 2, mp.mpf(bath.omega_d), mp.mpf(bath.gamma)
+    poles = mp.polyroots([1, wd, gam * wd - om2, -om2 * wd], extraprec=200)
+    return poles, [(s + wd) / (3 * s * s + 2 * wd * s + gam * wd - om2) for s in poles]
+
+
+def mp_zero_point_term(params, bath, t):
+    """The rate integral of the zero-point term, (hbar gamma / pi) int_0^inf
+    dnu omega_d^2 / (omega_d^2 - nu^2) [omega_d V_omega_d - nu V_nu], in
+    mpmath.  V_nu(t) is summed in closed form over the poles and residues of
+    G, as a Van Loan exponential would need omega_d t / ln 10 digits at a
+    fast bath.  Those sums cancel where t is short or two poles nearly
+    coincide, so the precision starts at 30 digits and grows by 20 until nu
+    V_nu at every power of 10 across the cuts of the integral agrees with 20
+    more digits to 1e-16, and the integral takes those 20 more digits."""
+    mp = pytest.importorskip("mpmath")
+    wd = bath.omega_d
+
+    def rate_v():   # nu -> 2 nu Re sum_jk R_j R_k [E(s_j + s_k) - E(s_j - nu)] / (s_k + nu)
+        poles, res = _mp_green(mp, params, bath)
+
+        def grow(c):   # int_0^t e^(c s) ds
+            return mp.expm1(c * t) / c
+
+        both = [[grow(s + p) for p in poles] for s in poles]
+
+        def value(nu):
+            w = [r / (p + nu) for r, p in zip(res, poles)]
+            return 2 * nu * mp.re(sum(r * (mp.fdot(w, row) - grow(s - nu) * sum(w))
+                                      for r, s, row in zip(res, poles, both)))
+        return value
+
+    # from nu = 1e-12 omega_d, below which f(0) = omega_d V_omega_d holds to
+    # 1e-24 and the residue sums would cancel without bound
+    cuts = sorted({1e-12 * wd, *(wd * 10.0**k for k in range(-8, 9, 4)),
+                   *(c for c in (10.0**k / t for k in range(-2, 3)) if abs(c / wd - 1) > 0.1)})
+    probes = [10.0**k for k in range(math.floor(math.log10(cuts[0])),
+                                     math.ceil(math.log10(cuts[-1])) + 1)]
+    cuts = sorted({*cuts, *(c for c in probes[::4] if abs(c / wd - 1) > 0.1)})
+    dps = 30
+    while True:
+        with mp.workdps(dps + 20):
+            fine = rate_v()
+            fine = [fine(mp.mpf(c)) for c in probes]
+        with mp.workdps(dps):
+            value = rate_v()
+            settled = all(abs(value(mp.mpf(c)) - f) <= 1e-16 * abs(f)
+                          for c, f in zip(probes, fine))
+        if settled:
+            break
+        dps += 20
+    with mp.workdps(dps + 20):
+        value = rate_v()
+        at_cutoff = value(mp.mpf(wd))
+        total = cuts[0] * at_cutoff + mp.quad(
+            lambda nu: wd**2 / (wd**2 - nu**2) * (at_cutoff - value(nu)),
+            [mp.mpf(c) for c in cuts] + [mp.inf])
+        return float(params.hbar * bath.gamma / mp.pi * total)
+
+
+def mp_occupation_term(params, bath, t):
+    """The occupation term 2 int_0^inf hbar J(w) n(w) |W(w, t)|^2 dw / pi as
+    a frequency integral in 30-digit mpmath.  W = e^(-iwt) P - Q with
+    P = sum_j R_j e^(s_j t) / (s_j - iw) and Q = sum_j R_j / (s_j - iw): the
+    part |P|^2 + |Q|^2 of |W|^2 by quad over decades out to 40 kT / hbar,
+    the part -2 Re(e^(-iwt) P conj(Q)) past 10 / t by quadosc."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        wd, gam = mp.mpf(bath.omega_d), mp.mpf(bath.gamma)
+        kT, hbar, t = mp.mpf(bath.kT), mp.mpf(params.hbar), mp.mpf(t)
+        poles, res = _mp_green(mp, params, bath)
+        grown = [r * mp.exp(s * t) for r, s in zip(res, poles)]
+
+        def spectrum(w):   # 2 hbar J n / pi
+            return 2 * hbar * gam * w * wd**2 / ((w * w + wd * wd) * mp.expm1(hbar * w / kT)
+                                                 * mp.pi)
+
+        def parts(w):
+            d = [s - 1j * w for s in poles]
+            return sum(g / x for g, x in zip(grown, d)), sum(r / x for r, x in zip(res, d))
+
+        def smooth(w):
+            p, q = parts(w)
+            return spectrum(w) * (abs(p) ** 2 + abs(q) ** 2)
+
+        def wave(w):
+            p, q = parts(w)
+            return -2 * spectrum(w) * mp.re(mp.exp(-1j * w * t) * p * mp.conj(q))
+
+        cut = 40 * kT / hbar
+        cuts = sorted({mp.mpf(0), wd, 1 / t, cut,
+                       *(mp.mpf(10) ** k for k in range(-3, 40) if mp.mpf(10) ** k < cut)})
+        total = mp.quad(smooth, cuts + [mp.inf])
+        total += mp.quad(wave, [c for c in cuts if c < 10 / t] + [10 / t])
+        total += mp.quadosc(wave, [10 / t, mp.inf], omega=t)
+        return float(total)

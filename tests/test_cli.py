@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import invosc
+from conftest import mp_occupation_term, mp_zero_point_term
 from invosc import cli
 from invosc.cli import main
 
@@ -879,6 +880,26 @@ class TestOpenEvolve:
         assert code == 0
         assert 1 <= len(calls) <= 4
 
+    def test_occupation_noise_takes_a_few_sweeps_and_no_adaptive_rule(self, capsys,
+                                                                       monkeypatch):
+        # the Matsubara rates ride along in the zero-point rule's first
+        # sweep: one stacked Van Loan call where one frequency quadrature
+        # per time made 180 adaptive ones
+        calls = []
+        original = cli.osys.expm_gramian
+        monkeypatch.setattr(cli.osys, "expm_gramian",
+                            lambda *args: calls.append(1) or original(*args))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("integrate_adaptive called")
+
+        for module in (cli, invosc.numerics):
+            monkeypatch.setattr(module, "integrate_adaptive", forbidden)
+        code, _, _ = run_cli(["open-evolve", "--set", "bath.noise=occupation",
+                              "--set", "bath.kT=1", "--set", "open.samples=31"], capsys)
+        assert code == 0
+        assert 1 <= len(calls) <= 3
+
     def test_past_the_float_range_names_the_first_bad_cell(self, capsys):
         # G(800) is still finite, its square is not; the noise quadrature is
         # not run there, and nothing but the error reaches stderr
@@ -889,25 +910,57 @@ class TestOpenEvolve:
         assert (code, out) == (3, "")
         assert err == "error: non-finite variance_dynamic at t=800\n"
 
-    @pytest.mark.parametrize("convention", ["occupation", "symmetrized"])
-    def test_noise_quadrature_failure_names_stage_and_bath(self, capsys, monkeypatch,
-                                                           convention):
+    @pytest.mark.parametrize("convention,t", [("occupation", 0.3), ("symmetrized", 0.1)])
+    def test_noise_rule_failure_names_stage_and_bath(self, capsys, monkeypatch,
+                                                     convention, t):
+        # at kT = 1 the zero-point rule serves the times past the dense
+        # Matsubara lattice (the occupation term is the sum less it) or
+        # those on it (the symmetrized term is it plus their series)
         best = invosc.QuadratureResult(0.25, 1e-3, 150)
 
         def failing(*args, **kwargs):
-            raise invosc.QuadratureError("stub quadrature failed", best)
+            raise invosc.QuadratureError("stub rule failed", best)
 
-        monkeypatch.setattr(invosc.open_system, "integrate_halfline", failing)
+        monkeypatch.setattr(invosc.open_system, "_zero_point_term", failing)
         code, out, err = run_cli(["open-evolve", "--set", f"bath.noise={convention}"],
                                  capsys)
         assert (code, out) == (3, "")
-        for name in ("variance_noise", "t=0.1", f"{convention} convention", "gamma=0.5",
-                     "omega_d=10", "kT=1", "stub quadrature failed"):
+        for name in ("variance_noise", f"t={t:g}", f"{convention} convention",
+                     "gamma=0.5", "omega_d=10", "kT=1", "stub rule failed"):
             assert name in err, err
         params, bath = invosc.SystemParams(1.0), invosc.BathParams(0.5, 10.0, 1.0)
         with pytest.raises(invosc.QuadratureError) as exc:
-            invosc.variance_noise_term(params, bath, 0.1, convention)
+            invosc.variance_noise_term(params, bath, t, convention)
         assert exc.value.best is best
+
+    @pytest.mark.parametrize("kT", ["1e8", "1e10"])
+    def test_hot_bath(self, capsys, kT):
+        # the frequency quadrature of the Bose part stalled here; the first
+        # Matsubara rate is already past every scale of the motion
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(["open-evolve", "--set", f"bath.kT={kT}",
+                                    "--set", "open.samples=3"], capsys)
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        params, bath = invosc.SystemParams(1.0), invosc.BathParams(0.5, 10.0, float(kT))
+        for row in rows[1:]:
+            t = float(row[0])
+            assert float(row[header.index("variance_noise")]) == pytest.approx(
+                mp_occupation_term(params, bath, t), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("t_max", ["1e-19", "1e-29"])
+    def test_zero_point_noise_at_tiny_times(self, capsys, t_max):
+        # the rate rule's folded differences were rounding noise here
+        code, out, _ = run_cli(["open-evolve", "--set", "bath.kT=0", "--set",
+                                "bath.noise=symmetrized", "--set", f"open.t_max={t_max}",
+                                "--set", "open.samples=3"], capsys)
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        params, bath = invosc.SystemParams(1.0), invosc.BathParams(0.5, 10.0, 0.0)
+        for row in rows[1:]:
+            assert float(row[header.index("variance_noise")]) == pytest.approx(
+                mp_zero_point_term(params, bath, float(row[0])), rel=1e-13, abs=0.0)
 
     def test_zero_point_noise_of_a_fast_bath(self, capsys):
         with warnings.catch_warnings():

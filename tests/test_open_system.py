@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import rk4_path
+from conftest import mp_occupation_term, mp_zero_point_term, rk4_path
 from invosc import (CLASSICAL, OCCUPATION, SYMMETRIZED, BathParams,
                     ConstantForce, DegeneratePolesError, GaussianPacket,
                     HarmonicForce, InitialMoments, RootClass, SystemParams,
@@ -818,34 +818,6 @@ def mp_ou_covariance(params, bath, rate, t):
         return float(gramian[0, 0] + e[7, 4] ** 2)
 
 
-def mp_zero_point_term(params, bath, t):
-    """The rate integral of ``_zero_point_term``, (hbar gamma / pi) int_0^inf
-    dnu omega_d^2 / (omega_d^2 - nu^2) [omega_d V_omega_d - nu V_nu], in
-    mpmath.  V_nu(t) is summed in closed form over the poles s_j and the
-    residues R_j of G(t) = sum_j R_j e^(s_j t), since ``mp_ou_covariance``
-    would need omega_d t / ln 10 digits at a fast bath."""
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(30):
-        om2, wd, gam = mp.mpf(params.omega) ** 2, mp.mpf(bath.omega_d), mp.mpf(bath.gamma)
-        poles = mp.polyroots([1, wd, gam * wd - om2, -om2 * wd], extraprec=200)
-        res = [(s + wd) / (3 * s * s + 2 * wd * s + gam * wd - om2) for s in poles]
-
-        def grow(c):   # int_0^t e^(c s) ds
-            return mp.expm1(c * t) / c
-
-        both = [[grow(s + p) for p in poles] for s in poles]
-
-        def rate_v(nu):   # 2 nu Re sum_jk R_j R_k [E(s_j + s_k) - E(s_j - nu)] / (s_k + nu)
-            w = [r / (p + nu) for r, p in zip(res, poles)]
-            return 2 * nu * mp.re(sum(r * (mp.fdot(w, row) - grow(s - nu) * sum(w))
-                                      for r, s, row in zip(res, poles, both)))
-
-        at_cutoff = rate_v(wd)
-        total = mp.quad(lambda nu: wd**2 / (wd**2 - nu**2) * (at_cutoff - rate_v(nu)),
-                        [0, *(wd * mp.mpf(10) ** k for k in range(-8, 9, 4)), mp.inf])
-        return float(params.hbar * gam / mp.pi * total)
-
-
 class TestNoiseWithoutFrequencyQuadrature:
     """The classical term in closed form and the zero-point term as a rate
     integral, against the frequency quadrature ``spectral_noise_term``."""
@@ -869,14 +841,18 @@ class TestNoiseWithoutFrequencyQuadrature:
             ref = spectral_noise_term(PARAMS, bath, t, t, SYMMETRIZED, 1e-13 * got)
             assert got == pytest.approx(ref, rel=1e-10, abs=0.0)
 
-    @pytest.mark.parametrize("convention", [CLASSICAL, SYMMETRIZED])
+    @pytest.mark.parametrize("convention", [OCCUPATION, CLASSICAL, SYMMETRIZED])
     @pytest.mark.parametrize("bath", [BATH, BathParams(5.0, 2.0, 0.4)])
     def test_two_time_term_matches_frequency_quadrature(self, convention, bath):
-        for t, tprime in ((1.0, 2.0), (2.5, 0.3)):
+        # the occupation term is the Matsubara sum less the zero-point term,
+        # which cancel to 1e-14 where it is small; at t' = t + 1e-4 the sum
+        # has e^(-nu |t - t'|) parts far out on its lattice
+        for t, tprime in ((1.0, 2.0), (2.5, 0.3), (0.1, 0.2), (1.0, 1.0001)):
             got = osys._noise_term(PARAMS, bath, t, tprime, convention, 1e-14)
             ref = spectral_noise_term(PARAMS, bath, t, tprime, convention,
-                                      1e-12 * abs(got))
-            assert got == pytest.approx(ref, rel=1e-10, abs=0.0)
+                                      1e-13 * max(abs(got), 1e-4))
+            assert got == pytest.approx(ref, rel=1e-10,
+                                        abs=1e-14 if convention == OCCUPATION else 0.0)
             assert osys._noise_term(PARAMS, bath, tprime, t, convention,
                                     1e-14) == pytest.approx(got, rel=1e-13)
 
@@ -926,14 +902,17 @@ class TestNoiseWithoutFrequencyQuadrature:
         assert got == pytest.approx(mp_zero_point_term(PARAMS, bath, t),
                                     rel=1e-10, abs=0.0)
 
-    @pytest.mark.parametrize("gamma,omega_d", NOISE_BATHS + [(0.5, 1e4), (0.5, 1e6)])
-    def test_zero_point_rule_over_many_times_matches_mpmath(self, gamma, omega_d):
+    @pytest.mark.parametrize("omega,gamma,omega_d",
+                             [(1.3, *bath) for bath in NOISE_BATHS + [(0.5, 1e4), (0.5, 1e6)]]
+                             + [(1.0, 0.7938713443812133, 4.0)])
+    def test_zero_point_rule_over_many_times_matches_mpmath(self, omega, gamma, omega_d):
         # one rate rule for all times: its ends and step must serve each of
         # them, from omega t = 1e-3, where the fast side's terms fall off
-        # latest, to omega t = 20
-        params = SystemParams(1.3)
+        # latest, to omega t = 20; at omega t = 1e-6 most baths take the
+        # closed form of G(s) = s; the last bath has a double pole
+        params = SystemParams(omega)
         bath = BathParams(gamma, omega_d, 0.0)
-        ts = np.array([1e-3, 0.4, 2.5, 8.0, 20.0]) / params.omega
+        ts = np.array([1e-6, 1e-3, 0.4, 2.5, 20.0]) / params.omega
         got = variance_noise_term(params, bath, ts, SYMMETRIZED)
         ref = [mp_zero_point_term(params, bath, t) for t in ts.tolist()]
         np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0.0)
@@ -977,20 +956,22 @@ class TestNoiseWithoutFrequencyQuadrature:
         assert classical == pytest.approx(gamma * 0.5 * omega_d * t**4 / 4.0,
                                           rel=2.0 * (omega_d + gamma) * t)
 
-    def test_no_frequency_quadrature_outside_the_bose_part(self, monkeypatch):
+    def test_no_frequency_quadrature_under_any_convention(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("frequency quadrature called")
 
         monkeypatch.setattr(osys, "integrate_halfline", forbidden)
         monkeypatch.setattr(osys, "_window", forbidden)
         moments = InitialMoments(0.0, 0.0, 1.0, 0.25, 0.0)
-        for bath, convention in ((BATH, CLASSICAL),
-                                 (BathParams(0.5, 10.0, 0.0), SYMMETRIZED)):
-            assert variance_noise_term(PARAMS, bath, 1.5, convention) > 0.0
-            symmetrized_correlation(PARAMS, bath, moments, ZeroForce(), 1.5, 0.7,
-                                    convention)
+        for kT in (0.0, 1e-3, 1.0, 1e8):
+            bath = BathParams(0.5, 10.0, kT)
+            for convention in (OCCUPATION, CLASSICAL, SYMMETRIZED):
+                noise = variance_noise_term(PARAMS, bath, [0.1, 1.5], convention)
+                assert np.all(noise > 0.0) or (kT == 0.0 and convention != SYMMETRIZED)
+                symmetrized_correlation(PARAMS, bath, moments, ZeroForce(), 1.5, 0.7,
+                                        convention)
         with pytest.raises(AssertionError, match="frequency quadrature"):
-            variance_noise_term(PARAMS, BATH, 1.5, SYMMETRIZED)
+            spectral_noise_term(PARAMS, BATH, 1.5, 1.5, SYMMETRIZED)
 
     @settings(max_examples=8, deadline=None)
     @given(gamma=st.floats(0.05, 20.0), omega_d=st.floats(0.05, 20.0),
@@ -1001,13 +982,89 @@ class TestNoiseWithoutFrequencyQuadrature:
         params = SystemParams(omega)
         bath = BathParams(gamma, omega_d, kT)
         t = omega_t / omega
-        for convention in (CLASSICAL, SYMMETRIZED):
+        for convention in (OCCUPATION, CLASSICAL, SYMMETRIZED):
             got = variance_noise_term(params, bath, t, convention)
             if got == 0.0:
-                assert convention == CLASSICAL and kT == 0.0
+                assert convention != SYMMETRIZED and kT == 0.0
                 continue
-            ref = spectral_noise_term(params, bath, t, t, convention, 1e-12 * got)
-            assert got == pytest.approx(ref, rel=1e-9, abs=0.0)
+            ref = spectral_noise_term(params, bath, t, t, convention, 1e-11 * got)
+            assert got == pytest.approx(
+                ref, rel=1e-10 if convention == OCCUPATION else 1e-9,
+                abs=1e-14 if convention == OCCUPATION else 0.0)
+
+
+class TestBosePartAsMatsubaraSum:
+    """The Bose part at kT > 0: the Matsubara sum of ``_matsubara_sum`` and,
+    where the lattice is dense, the series of ``_dense_lattice_term``,
+    against frequency integrals."""
+
+    @pytest.mark.parametrize("gamma,omega_d", NOISE_BATHS)
+    @pytest.mark.parametrize("kT", [1e-3, 0.01, 0.1, 0.8, 2.0, 1e4])
+    def test_matches_frequency_quadrature(self, gamma, omega_d, kT):
+        # within max(abs_tol, 1e-10 |ref|) of the quadrature run to 1e-3 of
+        # that bound: the occupation term is 1e-7 of the zero-point term at
+        # kT = 1e-3, and the dense lattice takes it without the difference
+        bath = BathParams(gamma, omega_d, kT)
+        ts = np.array([0.4, 2.5])
+        for convention in (OCCUPATION, SYMMETRIZED):
+            got = variance_noise_term(PARAMS, bath, ts, convention)
+            for t, value in zip(ts.tolist(), got.tolist()):
+                bound = max(1e-14, 1e-10 * abs(value))
+                ref = spectral_noise_term(PARAMS, bath, t, t, convention, 1e-3 * bound)
+                assert abs(value - ref) <= bound, (t, convention, value, ref)
+
+    @pytest.mark.parametrize("kT", [1e20, 1e300])
+    def test_hottest_bath_is_classical(self, kT):
+        # past kT ~ 1e20 the rest of the Bose part is below 1e-13 of the
+        # classical term gamma kT omega_d V_omega_d, and nothing overflows
+        bath = BathParams(0.5, 10.0, kT)
+        ts = np.array([0.5, 3.0])
+        classical = variance_noise_term(PARAMS, bath, ts, CLASSICAL)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for convention in (OCCUPATION, SYMMETRIZED):
+                np.testing.assert_allclose(variance_noise_term(PARAMS, bath, ts, convention),
+                                           classical, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("omega_d", [1e3, 1e6])
+    def test_fast_bath_matches_mpmath(self, omega_d):
+        # the lattice is summed in panels [n, 2n] up to omega_d / dnu; the
+        # frequency quadrature gives 0.0 for omega_d = 1e6
+        bath = BathParams(0.5, omega_d, 1.0)
+        got = variance_noise_term(PARAMS, bath, np.array([0.5, 2.5]), OCCUPATION)
+        ref = [mp_occupation_term(PARAMS, bath, t) for t in (0.5, 2.5)]
+        np.testing.assert_allclose(got, ref, rtol=1e-11, atol=0.0)
+
+    @pytest.mark.parametrize("rate", [1.0, 1.0 + 1e-9, 1.0 + 1e-5])
+    def test_matsubara_rate_on_the_cutoff(self, rate):
+        # nu_1 = omega_d makes f a 0 / 0, which the rates about it interpolate
+        bath = BathParams(0.5, 2.0 * math.pi * rate, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = variance_noise_term(PARAMS, bath, np.array([0.5, 2.5]), SYMMETRIZED)
+        for t, value in zip((0.5, 2.5), got.tolist()):
+            ref = spectral_noise_term(PARAMS, bath, t, t, SYMMETRIZED, 1e-13 * value)
+            assert value == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("gamma,omega_d", NOISE_BATHS)
+    def test_dense_and_sparse_lattice_agree(self, gamma, omega_d, monkeypatch):
+        # below its threshold the Euler-Maclaurin series and the Matsubara
+        # sum both hold; the sum takes more rates there
+        bath = BathParams(gamma, omega_d, 0.25)
+        ts = np.array([0.4, 0.7, 1.0])   # dnu t from 0.63 to 1.57
+        dense = variance_noise_term(PARAMS, bath, ts, SYMMETRIZED)
+        monkeypatch.setattr(osys, "_DENSE_LATTICE", 0.0)
+        np.testing.assert_allclose(variance_noise_term(PARAMS, bath, ts, SYMMETRIZED),
+                                   dense, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("omega_d_t", [1e-9, 1e-15, 1e-20])
+    def test_zero_point_term_of_free_motion_matches_mpmath(self, omega_d_t):
+        # where G(s) = s the rule's folded differences are rounding noise
+        # and the closed form holds to (omega_d t)^2
+        bath = BathParams(0.5, 10.0, 0.0)
+        t = omega_d_t / bath.omega_d
+        assert variance_noise_term(PARAMS, bath, t, SYMMETRIZED) == pytest.approx(
+            mp_zero_point_term(PARAMS, bath, t), rel=1e-13, abs=0.0)
 
 
 class TestGeneralVariance:

@@ -8,12 +8,11 @@ those oracles replaced by a stub that fails, and must write the bytes of a
 run without the stubs.
 
 The frequency and adaptive quadratures (``integrate_adaptive``,
-``integrate_halfline`` and the integrand's ``_window``) are stubbed too
-where the bath noise needs no Bose part: at kT = 0 under the symmetrized
-convention, whose zero-point term is a trapezoid rule over the rate, and
-under the classical one.  The Bose part of the occupation and symmetrized
-conventions at kT > 0 is still a frequency quadrature
-(``spectral_noise_term`` through ``integrate_halfline``).
+``integrate_halfline`` and the integrand's ``_window``) are stubbed too for
+the bath noise under every convention: the zero-point term is a trapezoid
+rule over the rate, the classical term one covariance, and the Bose part a
+Matsubara sum over rates or, on a dense lattice, its Euler-Maclaurin series;
+``spectral_noise_term``, the frequency quadrature, is ``verify``'s oracle.
 """
 
 import sys
@@ -77,9 +76,14 @@ def test_command_runs_no_oracle(tmp_path, monkeypatch, args):
 
 @pytest.mark.parametrize("args", [
     ["open-evolve", "--set", "bath.noise=symmetrized", "--set", "bath.kT=0"],
-    ["open-evolve", "--set", "bath.noise=classical"]],
-    ids=["zero-point", "classical"])
-def test_noise_without_a_bose_part_runs_no_quadrature(tmp_path, monkeypatch, args):
+    ["open-evolve", "--set", "bath.noise=classical"],
+    ["open-evolve", "--set", "bath.noise=occupation", "--set", "bath.kT=1e-3"],
+    ["open-evolve", "--set", "bath.noise=occupation", "--set", "bath.kT=1"],
+    ["open-evolve", "--set", "bath.noise=occupation", "--set", "bath.kT=1e8"],
+    ["open-evolve", "--set", "bath.noise=symmetrized", "--set", "bath.kT=1"]],
+    ids=["zero-point", "classical", "occupation-cold", "occupation", "occupation-hot",
+         "symmetrized"])
+def test_bath_noise_runs_no_quadrature(tmp_path, monkeypatch, args):
     plain = _run(args, tmp_path / "plain")
     _stub_oracles(monkeypatch, {**ORACLES, **QUADRATURES})
     assert _run(args, tmp_path / "stubbed") == plain
