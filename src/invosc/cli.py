@@ -571,10 +571,10 @@ def cmd_verify(config, out) -> int:
         0.0, t_probe, abs_tol=1e-13, rel_tol=1e-12).value
     add("windowed_transform_quadrature", abs(closed - quad), windowed_tolerance)
 
-    # symmetrized noise term, its zero-point part without a frequency
-    # quadrature, against the frequency quadrature run to half the tolerance;
-    # the term is computed again if its absolute tolerance was not below a
-    # twentieth of that
+    # symmetrized noise term, without a frequency quadrature, against the
+    # frequency quadrature run to half the tolerance; the term is computed
+    # again if its absolute tolerance, which only the zero-point rate rule
+    # heeds, was not below a twentieth of that
     closed_tol = 1e-14
     closed = osys.variance_noise_term(params, bath, t_probe, osys.SYMMETRIZED,
                                       closed_tol)

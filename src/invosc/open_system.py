@@ -420,12 +420,10 @@ def _rule(rows, white, h: float, stride: int) -> np.ndarray:
                    + white * np.sum(0.5 / np.sinh(beyond)))
 
 
-def _zero_point_term(params: SystemParams, bath: BathParams, t, tprime, abs_tol,
-                     ride=()):
+def _zero_point_term(params: SystemParams, bath: BathParams, t, tprime,
+                     abs_tol) -> np.ndarray:
     """Zero-point term of the spectrum hbar J(|w|) / 2 pi as a rate integral,
-    at 1-D arrays of positive times t, t' and of tolerances, and the
-    ``_ou_covariance`` of the rates ``ride``, which its first sweep takes
-    along.
+    at 1-D arrays of positive times t, t' and of tolerances.
 
     omega_d^2 |w| / (w^2 + omega_d^2) is a superposition of Lorentzians of
     rate nu, int_0^inf dnu omega_d^2 / (omega_d^2 - nu^2)
@@ -469,12 +467,9 @@ def _zero_point_term(params: SystemParams, bath: BathParams, t, tprime, abs_tol,
     for _ in range(_ZERO_POINT_ROUNDS):
         todo = [np.flatnonzero(np.isnan(r[:, 0])) for r in rows[:2]]
         sigma = np.concatenate([(todo[0] + 0.5) * h, -(todo[1] + 0.5) * h])
-        rates = np.concatenate([wd * np.exp(sigma), ride if white is None else []])
-        covariance, excess = _ou_covariance(params, bath, rates, t, tprime)
+        covariance, excess = _ou_covariance(params, bath, wd * np.exp(sigma), t, tprime)
         if white is None:
             white = covariance[0] - excess[0]
-            ridden = covariance[len(sigma):], excess[len(sigma):]
-            covariance, excess = covariance[:len(sigma)], excess[:len(sigma)]
         weight = 0.5 / np.sinh(np.abs(sigma))[:, None]
         fast = len(todo[0])
         rows[0][todo[0]] = excess[:fast] * weight[:fast]
@@ -491,7 +486,7 @@ def _zero_point_term(params: SystemParams, bath: BathParams, t, tprime, abs_tol,
         floor = np.maximum(0.25e-11 * np.abs(value), np.finfo(float).tiny)
         refine = bool(np.any(error > np.maximum(abs_tol / scale, 1e-11 * np.abs(value))))
         if not refine and all(np.all(tail <= floor) for tail in tails):
-            return scale * value, ridden
+            return scale * value
         if refine:
             h /= 3.0
         for side, tail in enumerate(tails):
@@ -567,6 +562,9 @@ _PANEL_REACH = 8.0
 _PANEL_DEGREE = 20
 _LAST_DEGREE = 16
 _PANEL_DIRECT = 2048
+# the Matsubara step past which the sum is its first term, in units of the
+# fastest rate
+_HOT = 1e10
 # _dense_lattice_term serves a time t, or a pair, where the Matsubara step
 # times t is at most _DENSE_LATTICE, and sums the pole at -omega_d in
 # closed form where omega_d t is at most _POLE_IN_CLOSED_FORM
@@ -729,20 +727,30 @@ def _matsubara_sum(params: SystemParams, bath: BathParams, t, tprime):
     at its nodes, with f (nu + omega_d)^2 -> -omega_d^2 K_omega_d at
     infinity.  With omega_d below first dnu that is first - 1
     + ``_LAST_DEGREE`` rates, as accurate as their terms.
+
+    Past f(0) / 2 the sum is about omega_d K_omega_d / (V_omega_d dnu^2)
+    of it, under (r / dnu)^2 with r the fastest rate of the motion, of the
+    bath or 1 / t: where dnu is more than ``_HOT`` r, it is f(0) / 2 alone,
+    and no rate nu_n can overflow.
     """
     step = 2.0 * math.pi * bath.kT / params.hbar
     scale = np.minimum(np.minimum(t, tprime), np.where(t == tprime, np.inf, np.abs(t - tprime)))
-    smooth = _TAIL_START / (step * scale.min())
-    first = min(math.ceil(smooth), _TAIL_FIRST_MAX)
-    nodes, weights, at_infinity = _tail_rule(first, bath.omega_d / step, smooth,
-                                             max(1, math.floor(_PANEL_REACH / _TAIL_START
-                                                               * smooth)))
+    fastest = max(bath.omega_d, params.omega, math.sqrt(bath.gamma * bath.omega_d),
+                  1.0 / scale.min())
+    if step > _HOT * fastest:
+        first, nodes, weights, at_infinity = 1, np.empty(0), np.empty(0), 0.0
+    else:
+        smooth = _TAIL_START / (step * scale.min())
+        first = min(math.ceil(smooth), _TAIL_FIRST_MAX)
+        nodes, weights, at_infinity = _tail_rule(first, bath.omega_d / step, smooth,
+                                                 max(1, math.floor(_PANEL_REACH / _TAIL_START
+                                                                   * smooth)))
     rates, lorentz = _lorentz_excess(
         bath, step * np.concatenate([np.arange(1.0, first), nodes]), t, tprime)
 
-    def total(covariance, excess):
+    def total(covariance, excess):   # hbar gamma dnu / pi = 2 gamma kT
         f, at_zero, k_wd = lorentz(covariance, excess)
-        return params.hbar * bath.gamma / math.pi * step * (
+        return 2.0 * bath.gamma * bath.kT * (
             0.5 * at_zero + f[:first - 1].sum(axis=0) + weights @ f[first - 1:]
             - at_infinity * (bath.omega_d / step) ** 2 * k_wd)
 
@@ -842,10 +850,12 @@ def _noise_term(params: SystemParams, bath: BathParams, t, tprime,
     gamma kT omega_d e^(-omega_d |tau|): the term is gamma kT omega_d
     V_omega_d(t, t'), one sweep over all times.  The zero-point part is
     ``_zero_point_term``, one rate rule for all times.  At kT > 0 the
-    symmetrized term is the Matsubara sum of ``_matsubara_sum`` and the
-    occupation term its excess over the zero-point part, which
-    ``_dense_lattice_term`` gives directly where the lattice is dense, so
-    that the two are never subtracted there.  A rule that fails is
+    symmetrized term is the Matsubara sum of ``_matsubara_sum``, one more
+    sweep, and the occupation term its excess over the zero-point part.
+    Where the lattice is dense ``_dense_lattice_term`` gives that excess
+    directly, so that the two are never subtracted there, and the
+    symmetrized term is it plus the zero-point part: a Matsubara sum there
+    would take more rates the colder the bath.  A rule that fails is
     re-raised with its best estimate, naming the time, the convention and
     the bath."""
     if convention not in _CONVENTIONS:
@@ -856,9 +866,10 @@ def _noise_term(params: SystemParams, bath: BathParams, t, tprime,
     out = np.zeros(t.shape)
     live = (np.minimum(t, tprime) > 0.0) & (bath.gamma > 0.0)
     step = 2.0 * math.pi * bath.kT / params.hbar
-    dense = live & (step * np.maximum(t, tprime) <= _DENSE_LATTICE) & (step > 0.0)
-    sparse = live & ~dense & (step > 0.0)
-    zero_point = live & (sparse if convention == OCCUPATION else ~sparse)
+    with np.errstate(over="ignore"):   # a step times t past 1e308 is sparse all the same
+        sparse = live & (step * np.maximum(t, tprime) > _DENSE_LATTICE)
+    dense = live & (step > 0.0) & ~sparse
+    zero_point = sparse if convention == OCCUPATION else live & ~sparse
     fastest = max(bath.omega_d, params.omega, math.sqrt(bath.gamma * bath.omega_d))
     free = zero_point & (t == tprime) & (t * fastest <= _FREE_MOTION)
 
@@ -869,19 +880,16 @@ def _noise_term(params: SystemParams, bath: BathParams, t, tprime,
     else:
         if dense.any():
             out[dense] = _dense_lattice_term(params, bath, t[dense], tprime[dense])
-        matsubara, rates = np.flatnonzero(sparse), ()
-        if matsubara.size:
-            rates, total = _matsubara_sum(params, bath, t[matsubara], tprime[matsubara])
+        if sparse.any():
+            rates, total = _matsubara_sum(params, bath, t[sparse], tprime[sparse])
+            out[sparse] = total(*_ou_covariance(params, bath, rates, t[sparse], tprime[sparse]))
         zero = np.zeros(t.shape)
         zero[free] = _free_zero_point(params, bath, t[free])
         rule = np.flatnonzero(zero_point & ~free)
-        # the Matsubara rates ride along in the rule's first sweep where
-        # both serve the same times, as under the occupation convention
-        ride = rates if np.array_equal(rule, matsubara) else ()
         if rule.size:
             try:
-                zero[rule], ridden = _zero_point_term(params, bath, t[rule], tprime[rule],
-                                                      abs_tol[rule], ride)
+                zero[rule] = _zero_point_term(params, bath, t[rule], tprime[rule],
+                                              abs_tol[rule])
             except QuadratureError as exc:   # name its first time out of tolerance
                 best = exc.best
                 tol = np.fmax(abs_tol[rule], 1e-11 * np.abs(best.value))
@@ -891,10 +899,6 @@ def _noise_term(params: SystemParams, bath: BathParams, t, tprime,
                     f"variance_noise at {where} ({convention} convention, gamma="
                     f"{bath.gamma:g}, omega_d={bath.omega_d:g}, kT={bath.kT:g}): {exc}",
                     best) from exc
-        if matsubara.size:
-            if not len(ride):
-                ridden = _ou_covariance(params, bath, rates, t[matsubara], tprime[matsubara])
-            out[matsubara] = total(*ridden)
         out += np.where(sparse, -zero, zero)
     out = out.reshape(shape)
     return float(out) if out.ndim == 0 else out

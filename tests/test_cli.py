@@ -882,9 +882,9 @@ class TestOpenEvolve:
 
     def test_occupation_noise_takes_a_few_sweeps_and_no_adaptive_rule(self, capsys,
                                                                        monkeypatch):
-        # the Matsubara rates ride along in the zero-point rule's first
-        # sweep: one stacked Van Loan call where one frequency quadrature
-        # per time made 180 adaptive ones
+        # the zero-point rule's sweep and the Matsubara sweep: two stacked
+        # Van Loan calls where one frequency quadrature per time made 180
+        # adaptive ones
         calls = []
         original = cli.osys.expm_gramian
         monkeypatch.setattr(cli.osys, "expm_gramian",

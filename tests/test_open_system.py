@@ -912,7 +912,7 @@ class TestNoiseWithoutFrequencyQuadrature:
         # closed form of G(s) = s; the last bath has a double pole
         params = SystemParams(omega)
         bath = BathParams(gamma, omega_d, 0.0)
-        ts = np.array([1e-6, 1e-3, 0.4, 2.5, 20.0]) / params.omega
+        ts = np.array([1e-6, 1e-3, 0.4, 2.5, 8.0, 20.0]) / params.omega
         got = variance_noise_term(params, bath, ts, SYMMETRIZED)
         ref = [mp_zero_point_term(params, bath, t) for t in ts.tolist()]
         np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0.0)
@@ -1013,10 +1013,11 @@ class TestBosePartAsMatsubaraSum:
                 ref = spectral_noise_term(PARAMS, bath, t, t, convention, 1e-3 * bound)
                 assert abs(value - ref) <= bound, (t, convention, value, ref)
 
-    @pytest.mark.parametrize("kT", [1e20, 1e300])
+    @pytest.mark.parametrize("kT", [1e20, 1e300, 1e306, 1e307])
     def test_hottest_bath_is_classical(self, kT):
         # past kT ~ 1e20 the rest of the Bose part is below 1e-13 of the
-        # classical term gamma kT omega_d V_omega_d, and nothing overflows
+        # classical term gamma kT omega_d V_omega_d, and nothing overflows:
+        # no Matsubara rate is taken where the first is that far out
         bath = BathParams(0.5, 10.0, kT)
         ts = np.array([0.5, 3.0])
         classical = variance_noise_term(PARAMS, bath, ts, CLASSICAL)
@@ -1025,6 +1026,18 @@ class TestBosePartAsMatsubaraSum:
             for convention in (OCCUPATION, SYMMETRIZED):
                 np.testing.assert_allclose(variance_noise_term(PARAMS, bath, ts, convention),
                                            classical, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("kT", [1e-30, 1e-100])
+    def test_coldest_bath_is_zero_point(self, kT):
+        # the lattice is dense at every time: the symmetrized term is the
+        # zero-point rule plus the series, no Matsubara rate is taken
+        bath = BathParams(0.5, 10.0, kT)
+        ts = np.linspace(0.0, 3.0, 31)
+        zero_point = variance_noise_term(PARAMS, BathParams(0.5, 10.0, 0.0), ts, SYMMETRIZED)
+        np.testing.assert_allclose(variance_noise_term(PARAMS, bath, ts, SYMMETRIZED),
+                                   zero_point, rtol=1e-15, atol=0.0)
+        assert np.all(np.abs(variance_noise_term(PARAMS, bath, ts, OCCUPATION))
+                      <= 1e-50 * zero_point)
 
     @pytest.mark.parametrize("omega_d", [1e3, 1e6])
     def test_fast_bath_matches_mpmath(self, omega_d):
