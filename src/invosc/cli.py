@@ -304,25 +304,27 @@ def _take(stack, index):
 def _packet_moments(stack, params, packet):
     """Quadrature norm, mean and central variance of the density at each state
     of ``stack``, a stack of states with 1-d fields, in one trapezoid call with
-    three rows per state on [lo, hi] = [xi -+ 12 sigma |Gamma|]: int rho,
-    int (x - lo) rho (about lo, since a value near 0 never meets a relative
-    tolerance) and int (x - xi)^2 rho."""
-    width = packet.sigma * np.abs(stack.gamma_factor)
-    xi, lo, hi = stack.xi, stack.xi - 12.0 * width, stack.xi + 12.0 * width
+    three rows per state over y = x - xi on [lo, hi] = [-+ 12 sigma |Gamma|]:
+    int rho, int (y - lo) rho (about lo, since a value near 0 never meets a
+    relative tolerance) and int y^2 rho.  The density is the modulus-only
+    ``ce.density``, so neither the phase nor the size of xi enters it."""
+    hi = 12.0 * packet.sigma * np.abs(stack.gamma_factor)
+    lo = -hi
 
-    def f(x, state, power, centre):
-        rho = np.abs(ce.evaluate(_take(stack, state.astype(int)), params, packet, x)) ** 2
-        return (x - centre) ** power * rho
+    def f(y, state, power, centre):
+        rho = ce.density(_take(stack, state.astype(int)), params, packet, y)
+        return (y - centre) ** power * rho
 
-    n = len(xi)
-    # render_csv names an inf or NaN; with a finite xi, a moment overflows only
-    # once sigma |Gamma| > 1e153
+    n = len(hi)
+    # render_csv names an inf or NaN; a moment overflows only once
+    # sigma |Gamma| > 1e153
     with np.errstate(over="ignore", invalid="ignore"):
         norm, first, second = integrate_trapezoid(
             f, np.tile(lo, 3), np.tile(hi, 3), 1e-13, np.tile(np.arange(n), 3),
-            np.repeat([0.0, 1.0, 2.0], n), np.concatenate([lo, lo, xi])).value.reshape(3, n)
-        mean = lo + first / norm
-        return norm, mean, second / norm - (mean - xi) ** 2
+            np.repeat([0.0, 1.0, 2.0], n), np.concatenate([lo, lo, np.zeros(n)])
+        ).value.reshape(3, n)
+        shift = lo + first / norm
+        return norm, stack.xi + shift, second / norm - shift * shift
 
 
 def _closed_columns(stack, params, packet):

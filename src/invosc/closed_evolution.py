@@ -139,6 +139,24 @@ def evolve_gaussian(params: SystemParams, packet: GaussianPacket,
         params, packet.x0, packet.p0, force, 0.0, s))
 
 
+def _width(ev: EvolvedGaussian, params: SystemParams, packet: GaussianPacket):
+    """i Gamma'/(om Gamma), the coefficient of (x - xi)^2 in the exponent of
+    psi, for a state or a stack of states; a packet so narrow that
+    eps^2 = (hbar / 2 om sigma^2)^2 overflows raises OverflowError."""
+    om = params.omega
+    eps = params.hbar / (2.0 * om * packet.sigma**2)
+    if math.isinf(eps * eps):
+        raise OverflowError(f"the packet width overflows: (hbar / (2 omega sigma^2))^2 "
+                            f"= {eps:g}^2 at sigma={packet.sigma:g}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        ch, sh = np.cosh(om * ev.t), np.sinh(om * ev.t)
+        # (-eps + i (1 + eps^2) sinh cosh) / |Gamma|^2, split by hand: formed as
+        # a quotient, its real part is the difference of two numbers close to
+        # one and cancels at long times.
+        return 0.5 * om / params.hbar / (ch * ch + eps * eps * sh * sh) * (
+            -eps + 1j * (1.0 + eps * eps) * sh * ch)
+
+
 def evaluate(ev: EvolvedGaussian, params: SystemParams,
              packet: GaussianPacket, x):
     """Wavefunction psi(x, t) of an evolved Gaussian, or of a stack of them
@@ -148,22 +166,22 @@ def evaluate(ev: EvolvedGaussian, params: SystemParams,
     near om t = 355 at sigma^2 = hbar / 2 om) it is NaN, without a warning;
     a packet so narrow that eps^2 = (hbar / 2 om sigma^2)^2 overflows, below
     sigma ~ 1e-77 sqrt(hbar / om), raises OverflowError naming sigma."""
-    om = params.omega
-    eps = params.hbar / (2.0 * om * packet.sigma**2)
-    if math.isinf(eps * eps):
-        raise OverflowError(f"the packet width overflows: (hbar / (2 omega sigma^2))^2 "
-                            f"= {eps:g}^2 at sigma={packet.sigma:g}")
+    width = _width(ev, params, packet)
     with np.errstate(over="ignore", invalid="ignore"):
-        ch, sh = np.cosh(om * ev.t), np.sinh(om * ev.t)
-        # i Gamma'/(om Gamma) = (-eps + i (1 + eps^2) sinh cosh) / |Gamma|^2, split
-        # by hand: formed as a quotient, its real part is the difference of two
-        # numbers close to one and cancels at long times.
-        width = 0.5 * om / params.hbar / (ch * ch + eps * eps * sh * sh) * (
-            -eps + 1j * (1.0 + eps * eps) * sh * ch)
         y = np.atleast_1d(x) - ev.xi   # a scalar x rounds as an array x does
         out = ev.norm_prefactor * np.exp(
             width * y * y + 1j * ((ev.xi_dot * y + ev.phase_action) / params.hbar))
     return complex(out[0]) if np.ndim(x) == 0 and np.ndim(ev.t) == 0 else out
+
+
+def density(ev: EvolvedGaussian, params: SystemParams, packet: GaussianPacket, y):
+    """|psi|^2 at y = x - xi, from the modulus alone, |N|^2 e^{2 Re(width) y^2}:
+    no phase, so a center or a momentum whose phase overflows, or whose
+    x - xi rounds away, leaves it finite.  Stacks broadcast as in
+    ``evaluate``, whose range it shares."""
+    curvature = 2.0 * _width(ev, params, packet).real
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(ev.norm_prefactor) ** 2 * np.exp(curvature * y * y)
 
 
 def delta_kick_at(params: SystemParams, packet: GaussianPacket,

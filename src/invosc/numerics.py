@@ -3,12 +3,13 @@
 A row-vectorized trapezoid rule for analytic integrands; adaptive
 Gauss-Kronrod quadrature, which serves only ``integrate_halfline`` (the
 frequency quadrature of the bath noise, an oracle), ``verify``'s checks
-and the tests; a
-Cardano cubic solver with Newton refinement; the matrix exponential by
-scaling and squaring and, with it, the Gramian of a linear system driven
-by white noise; e^z K_{1/4}(z) by the trapezoid rule for every z > 0; a
-fourth-order (Yoshida) split-step Fourier solver for the time-dependent
-Schrodinger equation on a periodic grid without an absorbing boundary;
+and the tests; a Cardano cubic solver with Newton refinement; the matrix
+exponential by scaling and squaring and, with it, the Gramian of a linear
+system driven by white noise; e^z K_{1/4}(z) by the trapezoid rule for
+every z > 0; a fourth-order split-step Fourier solver for the
+time-dependent Schrodinger equation on a periodic grid without an
+absorbing boundary, on Chin's force-gradient splitting 4A (Phys. Lett. A
+226, 344 (1997)): two FFT pairs per step, and every kick inside its step;
 and a fixed-step RK4 integrator for the memory-kernel (generalized
 Langevin) equation of motion, stepped as powers of its step matrix.
 
@@ -560,16 +561,14 @@ def grid_from_packet(packet: GaussianPacket, params: SystemParams,
     return GridState(x_min=x_min, x_max=x_max, n=n, dx=dx, psi=psi, t=0.0)
 
 
-# Yoshida's fourth-order composition S(w1 h) S(w0 h) S(w1 h) of Strang steps
-# (Phys. Lett. A 150, 262 (1990)).  Per step of length h, as fractions of h:
-# the three drifts, and the times and lengths of the four kicks.  The last
-# kick of a step and the first of the next fall at the same time and are
-# applied as one.
-_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-_W0 = 1.0 - 2.0 * _W1
-_DRIFTS = (_W1, _W0, _W1)
-_KICK_TIMES = np.array([0.0, _W1, _W1 + _W0, 1.0])
-_KICK_LENGTHS = 0.5 * np.array([_W1, _W1 + _W0, _W1 + _W0, _W1])
+# Chin's scheme 4A (Phys. Lett. A 226, 344 (1997)), per step of length h: the
+# times and lengths of the three kicks as fractions of h, and the share of the
+# gradient correction h^2/48 each carries (only the middle one).  Both drifts
+# are h/2.  The last kick of a step and the first of the next fall at the same
+# time and are applied as one.
+_KICK_TIMES = np.array([0.0, 0.5, 1.0])
+_KICK_LENGTHS = np.array([1.0, 4.0, 1.0]) / 6.0
+_GRADIENT = np.array([0.0, 1.0, 0.0]) / 48.0
 
 
 def plane_wave(k: float, x_min: float, dx: float, n: int) -> np.ndarray:
@@ -588,66 +587,77 @@ def plane_wave(k: float, x_min: float, dx: float, n: int) -> np.ndarray:
 def schrodinger_grid_evolve(params: SystemParams, grid: GridState, force,
                             t_final: float, dt: float) -> GridState:
     """Fourth-order split-step Fourier evolution under the inverted-oscillator
-    potential -omega^2 x^2 / 2 - F(t) x.
+    potential V = -omega^2 x^2 / 2 - F(t) x.
 
-    Each step is Yoshida's composition of three Strang steps, kick - drift -
-    kick, with weights w1 = 1/(2 - 2^(1/3)), w0 = 1 - 2 w1, w1: three exact
-    spectral drifts (three FFT pairs) and three kicks, the kick that ends a
-    step merged with the one that starts the next.  Time is advanced by the
-    drifts, so each kick samples the force at its own time; since w0 < 0,
-    those times leave [t, t + h].  The span to ``t_final`` is cut at the
-    knots of a tabulated force (``force_pieces``) and each piece into the
-    fewest equal steps no longer than ``dt``; inside a piece a tabulated
-    force is the piece's own line, extended past its ends, so its kinks do
-    not cost the order.  Each kick's barrier phase e^{-ic V/hbar}, one per
-    distinct kick length c, is computed once and cached; a kick with a
-    nonzero impulse j multiplies it by the plane wave e^{ijx/hbar}, built by
-    ``plane_wave`` as the outer product of two phase vectors of about
-    sqrt(n) points, so no kick takes a complex exponential over the grid.
-    Probability within five points of the boundary above 1e-6 after any
-    step raises an error.
+    Each step of length h is Chin's force-gradient scheme 4A (Phys. Lett. A
+    226, 344 (1997)): a kick by V(t) for h/6, an exact spectral drift for
+    h/2, a kick by V~(t + h/2) for 2h/3, a drift for h/2 and a kick by
+    V(t + h) for h/6, where V~ = V - (h^2/48)(dV/dx)^2 =
+    -(omega^2/2 + h^2 omega^4/48) x^2 - F (1 + h^2 omega^2/24) x - h^2 F^2/48
+    (mass 1, no hbar in the correction).  The kick that ends a step is merged
+    with the one that starts the next, so a step costs two FFT pairs; the
+    constant h^2 F^2/48 terms add up to one scalar phase.  No weight is
+    negative, so every kick samples the force at a time inside [t, t + h].
+    The span to ``t_final`` is cut at the knots of a tabulated force
+    (``force_pieces``) and each piece into the fewest equal steps no longer
+    than ``dt``; inside a piece a tabulated force is the piece's own line, so
+    its kinks do not cost the order.  Each kick's barrier phase
+    e^{i q x^2/hbar}, one per distinct quadratic coefficient q, is computed
+    once and cached; a kick with a nonzero impulse j multiplies it by the
+    plane wave e^{ijx/hbar}, built by ``plane_wave`` as the outer product of
+    two phase vectors of about sqrt(n) points, so no kick takes a complex
+    exponential over the grid.  The FFTs run in place through one buffer,
+    and ``grid.psi`` is not written.  Probability within five points of the
+    boundary above 1e-6 after any step raises an error.
     """
     if not 0.0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
     if not t_final > grid.t:
         raise ValueError("t_final must exceed the current grid time")
-    x = grid.x()
-    v_barrier = -0.5 * params.omega**2 * x**2
+    w2 = params.omega**2
+    x2 = grid.x() ** 2
     k2 = (2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)) ** 2
-    steps, lengths, impulses = [], [], []   # per step: drifts; kick lengths, F * length
+    drifts, quadratic, impulses = [], [], []   # per half step; per step, per kick
+    phase = 0.0
     for a, b, fa, fb in force_pieces(force, grid.t, t_final):
         n_steps = max(math.ceil((b - a) / dt - 1e-12), 1)
         h = (b - a) / n_steps
         times = a + h * (np.arange(n_steps)[:, None] + _KICK_TIMES)
         f = (fa + (fb - fa) / (b - a) * (times - a)
              if isinstance(force, TabulatedForce) else force_at(force, times))
-        steps += [[np.exp(-0.5j * params.hbar * w * h * k2) for w in _DRIFTS]] * n_steps
-        lengths.append(np.tile(h * _KICK_LENGTHS, (n_steps, 1)))
-        impulses.append(f * (h * _KICK_LENGTHS))
-    lengths, impulses = np.concatenate(lengths), np.concatenate(impulses)
-    for kicks in (lengths, impulses):   # merge each step's last kick into the next's first
-        kicks[1:, 0] += kicks[:-1, 3]
-    lengths = np.append(lengths[:, :3], lengths[-1, 3]).tolist()
-    impulses = np.append(impulses[:, :3], impulses[-1, 3]).tolist()
+        lengths, gradient = h * _KICK_LENGTHS, h * h * _GRADIENT
+        drifts += [np.exp(-0.25j * params.hbar * h * k2)] * (2 * n_steps)
+        quadratic.append(np.tile(lengths * (0.5 * w2 + gradient * w2 * w2), (n_steps, 1)))
+        impulses.append(f * (lengths * (1.0 + 2.0 * gradient * w2)))
+        phase += float(np.sum(f * f * (lengths * gradient)))
+    quadratic, impulses = np.concatenate(quadratic), np.concatenate(impulses)
+    for kicks in (quadratic, impulses):   # merge each step's last kick into the next's first
+        kicks[1:, 0] += kicks[:-1, 2]
+    quadratic = np.append(quadratic[:, :2], quadratic[-1, 2]).tolist()
+    impulses = np.append(impulses[:, :2], impulses[-1, 2]).tolist()
     barrier = {}
 
     def kick(i):
-        c, j = lengths[i], impulses[i]
-        if c not in barrier:
-            barrier[c] = np.exp(-1j / params.hbar * c * v_barrier)
-        return barrier[c] if j == 0.0 else barrier[c] * plane_wave(
+        q, j = quadratic[i], impulses[i]
+        if q not in barrier:
+            barrier[q] = np.exp(1j / params.hbar * q * x2)
+        return barrier[q] if j == 0.0 else barrier[q] * plane_wave(
             j / params.hbar, grid.x_min, grid.dx, grid.n)
 
     psi = grid.psi * kick(0)
-    for step, drifts in enumerate(steps):
-        for stage, drift in enumerate(drifts):
-            psi = np.fft.ifft(drift * np.fft.fft(psi))
-            psi *= kick(3 * step + stage + 1)
-        edge_prob = float((np.sum(np.abs(psi[:5]) ** 2)
-                           + np.sum(np.abs(psi[-5:]) ** 2)) * grid.dx)
-        if edge_prob > 1e-6:
-            raise RuntimeError("domain too small: probability reached the "
-                               "grid boundary (widen the box)")
+    buf = np.empty_like(psi)
+    for i, drift in enumerate(drifts, 1):
+        np.fft.fft(psi, out=buf)
+        buf *= drift
+        np.fft.ifft(buf, out=psi)
+        psi *= kick(i)
+        if i % 2 == 0:   # a whole step
+            edge_prob = float((np.sum(np.abs(psi[:5]) ** 2)
+                               + np.sum(np.abs(psi[-5:]) ** 2)) * grid.dx)
+            if edge_prob > 1e-6:
+                raise RuntimeError("domain too small: probability reached the "
+                                   "grid boundary (widen the box)")
+    psi *= np.exp(1j * phase / params.hbar)
     return GridState(x_min=grid.x_min, x_max=grid.x_max, n=grid.n,
                      dx=grid.dx, psi=psi, t=t_final)
 

@@ -1,8 +1,11 @@
+import importlib.util
 import json
 import math
 import subprocess
 import sys
 import warnings
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +16,9 @@ import invosc
 from conftest import mp_occupation_term, mp_zero_point_term
 from invosc import cli
 from invosc.cli import main
+
+
+CHECKS = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
 
 
 def run_cli(args, capsys):
@@ -397,7 +403,7 @@ class TestEvolve:
 _EXTREME_CONFIGS = [
     (["tunnel", "--set", "tunnel.epsilon=1e308"], 0),
     (["tunnel", "--set", "tunnel.beta_max=1e300", "--set", "tunnel.points=3"], 0),
-    (["evolve", "--set", "packet.x0=1e300"], 3),
+    (["evolve", "--set", "packet.x0=1e300"], 0),
     (["kick", "--set", "kick.momentum=1e308"], 3)]
 
 
@@ -407,6 +413,40 @@ class TestFloatRange:
         code, _, err = run_cli(args, capsys)
         assert code == expected
         assert "Warning" not in err
+
+    @pytest.mark.parametrize("args,column", [
+        (["evolve", "--set", "packet.x0=1e308"], "xi"),
+        (["kick", "--set", "kick.momentum=1e308"], "xi_dot")])
+    def test_overflowing_center_names_its_column(self, capsys, args, column):
+        # the moments are taken in the packet's own frame, so only the
+        # center itself can overflow: cosh and sinh of 1.2 pass 1.5
+        code, _, err = run_cli(args, capsys)
+        assert code == 3
+        assert err == f"error: non-finite {column} at t=1.2\n"
+
+    @pytest.mark.parametrize("command,x0,momentum", [
+        ("kick", -3.0, 1e100), ("kick", -3.0, 1e300), ("evolve", 1e300, 0.0)])
+    def test_huge_center_or_momentum_passes_the_benchmark_checks(
+            self, capsys, command, x0, momentum):
+        # the phase (xi_dot y + S)/hbar overflows, and at momentum 1e100
+        # xi -+ 12 sigma |Gamma| round to xi; the moments in y = x - xi see
+        # neither
+        if not CHECKS.exists():
+            pytest.skip("perfbench/checks.py is not in this checkout")
+        spec = importlib.util.spec_from_file_location("perfbench_checks", CHECKS)
+        checks = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(checks)
+        config = {"system": {"omega": 1.0, "hbar": 1.0},
+                  "packet": {"x0": x0, "p0": 1.0, "sigma": 1.0},
+                  "evolve": {"t_max": 1.5, "samples": 16},
+                  "force": {"kind": "zero"},
+                  "kick": {"momentum": momentum, "time": 0.5}}
+        args = [command] + [arg for section, values in config.items()
+                            for key, value in values.items()
+                            for arg in ("--set", f"{section}.{key}={json.dumps(value)}")]
+        code, out, _ = run_cli(args, capsys)
+        op = SimpleNamespace(command=command, config=config)
+        assert checks.check(op, code, out.encode()) == []
 
     def test_transmission_at_the_largest_epsilon(self, capsys):
         code, out, _ = run_cli(_EXTREME_CONFIGS[0][0], capsys)
@@ -493,7 +533,7 @@ class TestPacketMoments:
         packet = invosc.GaussianPacket(-3.0, 1.0, 1.0)
         force = invosc.HarmonicForce(0.5, 2.0)
         states = invosc.evolve_gaussian(params, packet, force, np.linspace(0.0, 1.5, 16))
-        calls = {"integrate_trapezoid": 0, "integrand": 0, "evaluate": 0}
+        calls = {"integrate_trapezoid": 0, "integrand": 0, "density": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -506,11 +546,11 @@ class TestPacketMoments:
             return invosc.numerics.integrate_trapezoid(counted("integrand", f), *args)
 
         monkeypatch.setattr(cli, "integrate_trapezoid", trapezoid)
-        monkeypatch.setattr(cli.ce, "evaluate", counted("evaluate", cli.ce.evaluate))
+        monkeypatch.setattr(cli.ce, "density", counted("density", cli.ce.density))
         norm, _, var = cli._packet_moments(states, params, packet)
         assert calls["integrate_trapezoid"] == 1
         # the ends, then one call per doubling up to the 2^15-interval cap
-        assert 1 <= calls["evaluate"] <= calls["integrand"] <= 16
+        assert 1 <= calls["density"] <= calls["integrand"] <= 16
         assert np.all(np.abs(norm - 1.0) <= 1e-12)
         assert len(var) == len(states.t)
 
@@ -1039,8 +1079,9 @@ class TestVerify:
 
     def test_coarse_grid_negative_control(self, capsys):
         # against the default tolerance 1e-7 the fourth-order stepper fails
-        # at dt = 0.05 (1.2e-7 to 9.2e-7) and passes at dt = 0.02 (2.4e-8)
-        for dt in ("0.5", "0.05"):
+        # at dt = 0.1 (5.1e-8, 1.9e-7 and 5.8e-7 at t = 0.5, 1 and 1.5) and
+        # passes at dt = 0.05 (3.6e-8 at t = 1.5)
+        for dt in ("0.5", "0.1"):
             code, out, _ = run_cli(["verify", "--set", f"grid.dt={dt}"], capsys)
             assert code == 4
             payload = json.loads(out)
@@ -1067,7 +1108,7 @@ class TestVerify:
         assert not any(c["passed"] for c in green)
 
     def test_fft_budget(self, capsys, monkeypatch):
-        # 150 steps of 1e-2 to t = 1.5, three FFT pairs each
+        # 150 steps of 1e-2 to t = 1.5, two FFT pairs each
         calls = []
         fft = np.fft.fft
 
@@ -1078,7 +1119,7 @@ class TestVerify:
         monkeypatch.setattr(np.fft, "fft", counted)
         code, _, _ = run_cli(["verify"], capsys)
         assert code == 0
-        assert 0 < len(calls) <= 450
+        assert 0 < len(calls) <= 300
 
     @pytest.mark.parametrize("x0,sigma,message", [
         ("0", "1.5e-154", "domain too small"),

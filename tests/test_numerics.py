@@ -530,14 +530,17 @@ class TestGridSolver:
         norm = np.sum(np.abs(out.psi) ** 2) * out.dx
         assert norm == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("omega,hbar", [(1.0, 1.0), (1.7, 0.6), (0.6, 2.5)])
     @pytest.mark.parametrize("force", [
         HarmonicForce(0.5, 2.0),
         # kinks at t = 0.5 and at the support start t = 0: a global force
         # sample at kick times outside a step would cut the ratio to ~4
         TabulatedForce((0.0, 0.5, 1.5), (0.0, 0.4, 0.0))], ids=["harmonic", "tabulated"])
-    def test_fourth_order_in_dt(self, force):
+    def test_fourth_order_in_dt(self, force, omega, hbar):
+        # away from omega = hbar = 1 a wrong omega^4 term in the gradient
+        # kick, or an hbar in it, would leave a third-order error
         from invosc import evaluate, evolve_gaussian
-        params = SystemParams(1.0)
+        params = SystemParams(omega, hbar=hbar)
         packet = GaussianPacket(0.0, 0.5, 1.0)
         ev = evolve_gaussian(params, packet, force, 1.0)
 
@@ -560,6 +563,16 @@ class TestGridSolver:
         coarse = schrodinger_grid_evolve(params, grid, force, 1.0, 0.3)
         exact = schrodinger_grid_evolve(params, grid, force, 1.0, 0.25)
         np.testing.assert_array_equal(coarse.psi, exact.psi)
+
+    def test_input_state_unchanged(self):
+        # the steps run in place through buffers of their own
+        params = SystemParams(1.0)
+        grid = grid_from_packet(GaussianPacket(0.0, 0.5, 1.0), params,
+                                -40.0, 40.0, 1024)
+        before = grid.psi.copy()
+        out = schrodinger_grid_evolve(params, grid, HarmonicForce(0.5, 2.0), 1.0, 0.1)
+        np.testing.assert_array_equal(grid.psi, before)
+        assert not np.shares_memory(out.psi, grid.psi)
 
     @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
     def test_rejects_bad_step(self, dt):
