@@ -606,8 +606,8 @@ def schrodinger_grid_evolve(params: SystemParams, grid: GridState, force,
     once and cached; a kick with a nonzero impulse j multiplies it by the
     plane wave e^{ijx/hbar}, built by ``plane_wave`` as the outer product of
     two phase vectors of about sqrt(n) points, so no kick takes a complex
-    exponential over the grid.  The FFTs run in place through one buffer,
-    and ``grid.psi`` is not written.  Probability within five points of the
+    exponential over the grid.  Every kick and drift multiplies a fresh
+    array in place, so ``grid.psi`` is not written.  Probability within five points of the
     boundary above 1e-6 after any step raises an error.
     """
     if not 0.0 < dt < math.inf:
@@ -645,11 +645,10 @@ def schrodinger_grid_evolve(params: SystemParams, grid: GridState, force,
             j / params.hbar, grid.x_min, grid.dx, grid.n)
 
     psi = grid.psi * kick(0)
-    buf = np.empty_like(psi)
     for i, drift in enumerate(drifts, 1):
-        np.fft.fft(psi, out=buf)
+        buf = np.fft.fft(psi)
         buf *= drift
-        np.fft.ifft(buf, out=psi)
+        psi = np.fft.ifft(buf)
         psi *= kick(i)
         if i % 2 == 0:   # a whole step
             edge_prob = float((np.sum(np.abs(psi[:5]) ** 2)
