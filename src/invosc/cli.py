@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 config error, 3 numerical or domain error,
 from __future__ import annotations
 
 import argparse
-import copy
 import functools
 import hashlib
 import json
@@ -29,7 +28,7 @@ from . import numerics
 from . import open_system as osys
 from .core import (ConstantForce, GaussianPacket, HarmonicForce, SystemParams,
                    TabulatedForce, ZeroForce)
-from .numerics import integrate_adaptive, integrate_trapezoid
+from .numerics import integrate_adaptive
 
 
 class ConfigError(ValueError):
@@ -84,9 +83,9 @@ def _merge(defaults, override, path=""):
         if key not in defaults:
             here = f"{path}.{key}" if path else key
             raise ConfigError(f"unknown config key '{here}'")
-    return {key: (_merge_value(default_value, override[key],
-                               f"{path}.{key}" if path else key)
-                  if key in override else copy.deepcopy(default_value))
+    # a key left out takes its default, merged into fresh containers
+    return {key: _merge_value(default_value, override.get(key, default_value),
+                              f"{path}.{key}" if path else key)
             for key, default_value in defaults.items()}
 
 
@@ -106,7 +105,7 @@ def _merge_value(default, value, path: str):
     if isinstance(value, bool) or (isinstance(value, float) and not math.isfinite(value)):
         raise ConfigError(f"config key '{path}' cannot be true, false, NaN or "
                           f"infinite, got {json.dumps(value)}")
-    return copy.deepcopy(value)
+    return value
 
 
 def _apply_override(config, assignment: str):
@@ -301,35 +300,9 @@ def _take(stack, index):
     return ce.EvolvedGaussian(*(field[index] for field in vars(stack).values()))
 
 
-def _packet_moments(stack, params, packet):
-    """Quadrature norm, mean and central variance of the density at each state
-    of ``stack``, a stack of states with 1-d fields, in one trapezoid call with
-    three rows per state over y = x - xi on [lo, hi] = [-+ 12 sigma |Gamma|]:
-    int rho, int (y - lo) rho (about lo, since a value near 0 never meets a
-    relative tolerance) and int y^2 rho.  The density is the modulus-only
-    ``ce.density``, so neither the phase nor the size of xi enters it."""
-    hi = 12.0 * packet.sigma * np.abs(stack.gamma_factor)
-    lo = -hi
-
-    def f(y, state, power, centre):
-        rho = ce.density(_take(stack, state.astype(int)), params, packet, y)
-        return (y - centre) ** power * rho
-
-    n = len(hi)
-    # render_csv names an inf or NaN; a moment overflows only once
-    # sigma |Gamma| > 1e153
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm, first, second = integrate_trapezoid(
-            f, np.tile(lo, 3), np.tile(hi, 3), 1e-13, np.tile(np.arange(n), 3),
-            np.repeat([0.0, 1.0, 2.0], n), np.concatenate([lo, lo, np.zeros(n)])
-        ).value.reshape(3, n)
-        shift = lo + first / norm
-        return norm, stack.xi + shift, second / norm - shift * shift
-
-
 def _closed_columns(stack, params, packet):
     """The columns of ``_CLOSED_HEADER`` for a stack of states."""
-    norm, _, var = _packet_moments(stack, params, packet)
+    norm, var = ce.norm_and_variance(stack, params, packet)
     return [stack.t, stack.xi, stack.xi_dot, stack.gamma_factor.real,
             stack.gamma_factor.imag, var, norm]
 

@@ -23,6 +23,7 @@ classical path in ``classical_dynamics``; nothing is integrated.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -174,14 +175,16 @@ def evaluate(ev: EvolvedGaussian, params: SystemParams,
     return complex(out[0]) if np.ndim(x) == 0 and np.ndim(ev.t) == 0 else out
 
 
-def density(ev: EvolvedGaussian, params: SystemParams, packet: GaussianPacket, y):
-    """|psi|^2 at y = x - xi, from the modulus alone, |N|^2 e^{2 Re(width) y^2}:
-    no phase, so a center or a momentum whose phase overflows, or whose
-    x - xi rounds away, leaves it finite.  Stacks broadcast as in
-    ``evaluate``, whose range it shares."""
-    curvature = 2.0 * _width(ev, params, packet).real
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.abs(ev.norm_prefactor) ** 2 * np.exp(curvature * y * y)
+def norm_and_variance(ev: EvolvedGaussian, params: SystemParams,
+                      packet: GaussianPacket):
+    """Norm and variance of |psi|^2 = |N|^2 e^{-c (x - xi)^2}, c = -2 Re(width),
+    in closed form: |N|^2 sqrt(pi / c) and 1 / 2c.  The norm checks that the
+    prefactor and the width, coded apart, agree.  Stacks broadcast as in
+    ``evaluate``; past the float range of |Gamma|^2 both are non-finite,
+    without a warning."""
+    c = -2.0 * _width(ev, params, packet).real
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return np.abs(ev.norm_prefactor) ** 2 * np.sqrt(math.pi / c), 0.5 / c
 
 
 def delta_kick_at(params: SystemParams, packet: GaussianPacket,
@@ -202,9 +205,12 @@ def delta_kick_at(params: SystemParams, packet: GaussianPacket,
     if p == 0.0:
         return evolve_gaussian(params, packet, ZeroForce(), t)
 
+    @functools.cache   # on the first sample, so an overflow names its time
+    def first_leg():
+        return _classical_path(params, packet.x0, packet.p0, ZeroForce(), 0.0, t1)
+
     def path(s):
-        xi1, v1, s1 = _classical_path(params, packet.x0, packet.p0, ZeroForce(),
-                                      0.0, t1)
+        xi1, v1, s1 = first_leg()
         xi, xi_dot, s2 = _classical_path(params, xi1, v1 + p, ZeroForce(), t1, s)
         return xi, xi_dot, s1 + p * xi1 + s2
 

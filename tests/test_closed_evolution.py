@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import density_moments
+from invosc import closed_evolution
 from invosc import (ConstantForce, EvolvedGaussian, GaussianPacket, HarmonicForce,
                     SystemParams, TabulatedForce, ZeroForce, action_S, delta_kick_at,
                     evaluate, evaluate_initial, evolve_gaussian, grid_from_packet,
                     integrate_adaptive, propagator, schrodinger_grid_evolve)
+from invosc.classical_dynamics import _classical_path
 
 PARAMS = SystemParams(1.0, hbar=1.0)
 
@@ -280,6 +282,18 @@ class TestArrayOfTimes:
             PARAMS, self.PACKET, 1.1, t1, t))
         with pytest.raises(ValueError):
             delta_kick_at(PARAMS, self.PACKET, 1.1, t1, self.TIMES)
+
+    def test_delta_kick_takes_its_first_leg_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _classical_path(*args)
+
+        monkeypatch.setattr(closed_evolution, "_classical_path", counted)
+        times = self.TIMES[self.TIMES >= 0.6]
+        delta_kick_at(PARAMS, self.PACKET, 1.1, 0.6, times)
+        assert len(calls) == len(times) + 1
 
     def test_overflow_names_the_time(self):
         with pytest.raises(OverflowError, match="evolve_gaussian overflowed at t=800"):

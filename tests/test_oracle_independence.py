@@ -13,6 +13,10 @@ the bath noise under every convention: the zero-point term is a trapezoid
 rule over the rate, the classical term one covariance, and the Bose part a
 Matsubara sum over rates or, on a dense lattice, its Euler-Maclaurin series;
 ``spectral_noise_term``, the frequency quadrature, is ``verify``'s oracle.
+
+``evolve`` and ``kick`` run with both quadratures (``integrate_adaptive``
+and ``integrate_trapezoid``) stubbed under every force kind: the packet's
+variance and norm are closed forms of its width and prefactor.
 """
 
 import sys
@@ -31,6 +35,10 @@ ORACLES = {name: getattr(module, name) for module, name in (
 QUADRATURES = {name: getattr(module, name) for module, name in (
     (numerics, "integrate_adaptive"), (numerics, "integrate_halfline"),
     (osys, "_window"))}
+
+
+CLOSED_QUADRATURES = {name: getattr(numerics, name) for name in (
+    "integrate_adaptive", "integrate_trapezoid")}
 
 
 def _stub_oracles(monkeypatch, oracles=ORACLES):
@@ -86,6 +94,21 @@ def test_command_runs_no_oracle(tmp_path, monkeypatch, args):
 def test_bath_noise_runs_no_quadrature(tmp_path, monkeypatch, args):
     plain = _run(args, tmp_path / "plain")
     _stub_oracles(monkeypatch, {**ORACLES, **QUADRATURES})
+    assert _run(args, tmp_path / "stubbed") == plain
+
+
+@pytest.mark.parametrize("args", [
+    ["evolve"], ["evolve", "--wavefunction", "{dir}/psi"],
+    ["evolve", "--set", "force.kind=constant", "--set", "force.amplitude=0.3"],
+    ["evolve", "--set", "force.kind=harmonic", "--set", "force.amplitude=0.5"],
+    ["evolve", "--set", "force.kind=tabulated", "--set", "force.times=[0, 0.5, 1.5]",
+     "--set", "force.values=[0.0, 0.4, 0.0]"],
+    ["kick"], ["kick", "--set", "kick.time=0.5"]],
+    ids=["zero", "wavefunction", "constant", "harmonic", "tabulated", "kick",
+         "delayed-kick"])
+def test_closed_evolution_runs_no_quadrature(tmp_path, monkeypatch, args):
+    plain = _run(args, tmp_path / "plain")
+    _stub_oracles(monkeypatch, {**ORACLES, **CLOSED_QUADRATURES})
     assert _run(args, tmp_path / "stubbed") == plain
 
 
