@@ -228,7 +228,10 @@ def _forced_response(params: SystemParams, bath: BathParams,
                      force: ForceProfile, t) -> np.ndarray:
     """(G * F)(t), x(t) from rest, at each entry of an ndarray of times: one
     exponential per time for a harmonic drive, else one sweep over the sorted
-    times that chains one exponential per linear piece of ``force_pieces``."""
+    times that chains one exponential per linear piece of ``force_pieces``;
+    zeros, with no exponential, for a force that is zero on every piece."""
+    if isinstance(force, HarmonicForce) and force.amplitude == 0.0:
+        return np.zeros(t.shape)
     gen, _ = _generator(params, bath, 5)
     gen[1, 3] = 1.0   # the fourth state is a force on v
     if isinstance(force, HarmonicForce):
@@ -239,6 +242,8 @@ def _forced_response(params: SystemParams, bath: BathParams,
     runs = [force_pieces(force, a, b)
             for a, b in zip([0.0, *stops.tolist()], stops.tolist())]
     pieces = [piece for run in runs for piece in run]
+    if not any(fa or fb for _, _, fa, fb in pieces):
+        return np.zeros(t.shape)
     # on [a, b], in the time (s - a) / (b - a), the force rises from F(a) at
     # the rate F(b) - F(a)
     steps = gen * np.array([b - a for a, b, _, _ in pieces]).reshape(-1, 1, 1)

@@ -840,6 +840,38 @@ class TestOpenEvolve:
         noise = [float(r[header.index("variance_noise")]) for r in rows]
         assert all(v == 0.0 for v in noise)
 
+    def test_zero_force_runs_no_force_sweep(self, capsys, monkeypatch):
+        # the sweep chains exponentials over a state that stays zero, so its
+        # x(t) is exactly 0: each spelling of a zero force skips it and
+        # writes mean_x = x0 G' + p0 G, the same bytes for all of them
+        def forbidden(*args):
+            raise AssertionError("expm called for a zero force")
+
+        forced = cli.osys._forced_response
+
+        def without_expm(*args):
+            with monkeypatch.context() as patch:
+                patch.setattr(cli.osys, "expm", forbidden)
+                return forced(*args)
+
+        monkeypatch.setattr(cli.osys, "_forced_response", without_expm)
+        packet = ["--set", "packet.x0=0.3", "--set", "packet.p0=-0.2", "--set",
+                  "open.samples=5"]
+        bodies = set()
+        for force in (["--set", "force.kind=zero"],
+                      ["--set", "force.kind=constant", "--set", "force.amplitude=0"],
+                      ["--set", "force.kind=harmonic", "--set", "force.amplitude=0"],
+                      ["--set", "force.kind=tabulated", "--set", "force.times=[0, 0.5, 1.5]",
+                       "--set", "force.values=[0, 0, 0]"]):
+            code, out, _ = run_cli(["open-evolve", *packet, *force], capsys)
+            assert code == 0
+            _, header, rows = parse_csv(out)
+            for row in rows:
+                g, gd = (float(row[header.index(name)]) for name in ("G", "G_dot"))
+                assert float(row[header.index("mean_x")]) == 0.3 * gd - 0.2 * g
+            bodies.add(out.split("\n", 1)[1])
+        assert len(bodies) == 1
+
     def test_harmonic_mean_matches_offline_convolution(self, capsys):
         code, out, _ = run_cli([
             "open-evolve", "--set", "force.kind=harmonic",
@@ -1114,17 +1146,52 @@ class TestVerify:
 
     def test_fft_budget(self, capsys, monkeypatch):
         # 150 steps of 1e-2 to t = 1.5, two FFT pairs each
-        calls = []
-        fft = np.fft.fft
+        calls = {"fft": [], "ifft": []}
 
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return fft(*args, **kwargs)
+        def counted(name, transform):
+            def call(*args, **kwargs):
+                calls[name].append(None)
+                return transform(*args, **kwargs)
+            return call
 
-        monkeypatch.setattr(np.fft, "fft", counted)
+        for name in calls:
+            monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
         code, _, _ = run_cli(["verify"], capsys)
         assert code == 0
-        assert 0 < len(calls) <= 300
+        assert 0 < len(calls["fft"]) <= 300
+        assert 0 < len(calls["ifft"]) <= 300
+
+    def test_noise_oracle_budget(self, capsys, monkeypatch):
+        # the frequency quadrature integrates its dyadic intervals as rows,
+        # a block of 8 a call, and bisects each round's panels in one call
+        calls = []
+        halfline = cli.osys.integrate_halfline
+
+        def counted(f, *args, **kwargs):
+            def integrand(w):
+                calls.append(None)
+                return f(w)
+            return halfline(integrand, *args, **kwargs)
+
+        monkeypatch.setattr(cli.osys, "integrate_halfline", counted)
+        code, _, _ = run_cli(["verify"], capsys)
+        assert code == 0
+        assert 0 < len(calls) <= 20
+
+    def test_noise_negative_control(self, capsys, monkeypatch):
+        # a relative defect of 1e-7 in the noise term, ten times the default
+        # tolerance, fails the noise check alone
+        variance_noise_term = cli.osys.variance_noise_term
+
+        def perturbed(*args, **kwargs):
+            return variance_noise_term(*args, **kwargs) * (1.0 + 1e-7)
+
+        monkeypatch.setattr(cli.osys, "variance_noise_term", perturbed)
+        code, out, _ = run_cli(["verify"], capsys)
+        assert code == 4
+        failed = [c for c in json.loads(out)["checks"] if not c["passed"]]
+        assert [c["name"] for c in failed] == ["noise_closed_form_vs_quadrature"]
+        assert failed[0]["deviation"] == pytest.approx(1e-7, rel=0.02)
 
     @pytest.mark.parametrize("x0,sigma,message", [
         ("0", "1.5e-154", "domain too small"),

@@ -85,6 +85,43 @@ class TestAdaptiveQuadrature:
         assert err.value.best.evaluations < 50_000
         assert err.value.best.value == pytest.approx(1.0, rel=1e-8)
 
+    def test_each_row_matches_a_one_row_call(self):
+        # rows that need from one round to many: a smooth one, a kink, an
+        # oscillation and a square-root end, real and complex
+        lo = np.array([0.0, -1.0, 0.5, 0.0])
+        hi = np.array([1.0, 3.0, 40.0, 2.0])
+        for f in (lambda x: np.sqrt(np.abs(x)) * np.cos(3.0 * x),
+                  lambda x: np.sqrt(np.abs(x)) * np.exp(3j * x)):
+            res = integrate_adaptive(f, lo, hi, abs_tol=1e-13, rel_tol=1e-12)
+            evaluations = 0
+            for i in range(len(lo)):
+                one = integrate_adaptive(f, lo[i], hi[i], abs_tol=1e-13, rel_tol=1e-12)
+                assert one.value == res.value[i]
+                assert one.error_estimate == res.error_estimate[i]
+                evaluations += one.evaluations
+            assert res.evaluations == evaluations
+
+    def test_rows_broadcast_and_a_scalar_call_gives_scalars(self):
+        res = integrate_adaptive(np.exp, 0.0, [1.0, 2.0])
+        assert res.value.shape == res.error_estimate.shape == (2,)
+        np.testing.assert_allclose(res.value, np.expm1([1.0, 2.0]), rtol=1e-14)
+        one = integrate_adaptive(np.exp, 0.0, 1.0)
+        assert type(one.value) is float and type(one.error_estimate) is float
+
+    def test_a_failed_row_leaves_the_others_converged(self):
+        # the noisy row stalls; the smooth row still converges, and the
+        # error carries both, the failed one over its tolerance
+        def f(x):
+            noise = 1e-9 * np.modf(np.sin(12989.8 * x) * 43758.5453)[0]
+            return np.where(x < 1.0, 1.0 + noise, np.exp(-x))
+
+        with pytest.raises(QuadratureError, match=r"stopped falling on \[0.0, 1.0\]") as err:
+            integrate_adaptive(f, [0.0, 1.0], [1.0, 3.0], abs_tol=1e-14, rel_tol=1e-13)
+        best = err.value.best
+        assert best.value[1] == pytest.approx(math.exp(-1.0) - math.exp(-3.0), rel=1e-13)
+        tolerance = np.maximum(1e-14, 1e-13 * np.abs(best.value))
+        assert list(best.error_estimate > tolerance) == [True, False]
+
 
 class TestTrapezoid:
     def test_periodic_rows_to_rounding(self):
@@ -170,26 +207,32 @@ class TestPanelContract:
         if len(coeffs) <= 14:
             assert res.error_estimate <= 1e-12 * scale
 
-    def test_one_array_call_per_panel_evaluation(self):
+    def test_one_array_call_per_round(self):
+        # two mirror-image rows, each with a square-root end at 0: the first
+        # call holds 15 nodes per row, each later one the 30 nodes of both
+        # halves of every panel bisected in that round, in both rows
         calls = []
 
         def f(x):
             calls.append(x)
-            return np.sqrt(x)
+            return np.sqrt(np.abs(x))
 
-        res = integrate_adaptive(f, 0.0, 1.0, abs_tol=1e-12, rel_tol=1e-12)
-        assert res.evaluations > 15
+        res = integrate_adaptive(f, [0.0, -1.0], [1.0, 0.0], abs_tol=1e-12, rel_tol=1e-12)
         for x in calls:
             assert isinstance(x, np.ndarray)
             assert x.ndim == 1 and x.dtype == np.float64
-        assert len(calls[0]) == 15
-        assert all(len(x) == 30 for x in calls[1:])
-        assert len(calls) == 1 + (res.evaluations - 15) // 30
-        first = calls[0]
-        assert np.all(np.diff(first) > 0.0)
-        assert 0.0 < first[0] and first[-1] < 1.0
-        assert first[7] == 0.5
-        np.testing.assert_allclose(first + first[::-1], 1.0, rtol=0, atol=1e-15)
+        first, *later = calls
+        assert len(first) == 2 * 15
+        assert np.all(np.diff(first[:15]) > 0.0)
+        assert 0.0 < first[0] and first[14] < 1.0
+        assert first[7] == 0.5 and first[22] == -0.5
+        np.testing.assert_allclose(first[:15] + first[:15][::-1], 1.0, rtol=0, atol=1e-15)
+        assert later
+        for x in later:
+            assert len(x) % 30 == 0
+            assert np.sum(x > 0.0) == np.sum(x < 0.0)
+        assert res.evaluations == sum(len(x) for x in calls)
+        assert res.value[0] == res.value[1] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_integrand_must_return_one_value_per_node(self):
         with pytest.raises(ValueError, match="shape"):
@@ -220,6 +263,49 @@ class TestHalfline:
     def test_requires_positive_tolerance(self):
         with pytest.raises(ValueError):
             integrate_halfline(lambda x: math.exp(-x), 0.0)
+
+    def test_sums_the_parts_in_order_up_to_the_stop(self):
+        # exp(-x) cos x stops on the 7th interval, [63, 127], inside the
+        # first block; all 8 intervals of the block are integrated
+        def f(x):
+            return np.exp(-x) * np.cos(x)
+
+        res = integrate_halfline(f, 1e-12)
+        lo, hi, total, small, evaluations, parts = 0.0, 1.0, 0.0, 0, 0, []
+        for _ in range(numerics._HALFLINE_BLOCK):
+            part = integrate_adaptive(f, lo, hi, abs_tol=1e-12 / 16.0, rel_tol=1e-13)
+            evaluations += part.evaluations
+            parts.append(part.value)
+            lo, hi = hi, hi + 2.0 * (hi - lo)
+        for n, part in enumerate(parts, 1):
+            total += part
+            small = small + 1 if abs(part) < max(1e-12, 1e-12 * abs(total)) else 0
+            if small == 2:
+                break
+        assert n == 7
+        assert res.value == total == pytest.approx(0.5, abs=1e-12)
+        assert res.evaluations == evaluations
+
+    def test_a_failure_past_the_stop_raises_nothing(self):
+        # exp(-x) stops on [63, 127]; the last interval of the block, [127,
+        # 255], is noise that stalls its row, and is left out of the sum
+        def f(x):
+            noise = 1e-9 * np.modf(np.sin(12989.8 * x) * 43758.5453)[0]
+            return np.where(x > 127.0, 1.0 + noise, np.exp(-x))
+
+        with pytest.raises(QuadratureError):
+            integrate_adaptive(f, 127.0, 255.0, abs_tol=1e-10 / 16.0, rel_tol=1e-13)
+        res = integrate_halfline(f, 1e-10)
+        assert res.value == pytest.approx(1.0, abs=1e-10)
+        assert res.evaluations > 10_000   # the stalled row counts
+
+    def test_a_failure_before_the_stop_raises(self):
+        def f(x):
+            return np.exp(-x) * (1.0 + 1e-9 * np.modf(np.sin(12989.8 * x) * 43758.5453)[0])
+
+        with pytest.raises(QuadratureError, match="half-line") as err:
+            integrate_halfline(f, 1e-14)
+        assert err.value.best.value == pytest.approx(1.0 - math.exp(-1.0), rel=1e-8)
 
 
 class TestCubic:
