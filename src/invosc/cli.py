@@ -19,16 +19,18 @@ import hashlib
 import json
 import math
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import barrier_transmission as bt
-from . import closed_evolution as ce
-from . import numerics
-from . import open_system as osys
+# Only .core is loaded with the CLI: each command imports the submodules
+# it runs, so evolve and kick never load numerics, open_system or
+# barrier_transmission.
 from .core import (ConstantForce, GaussianPacket, HarmonicForce, SystemParams,
                    TabulatedForce, ZeroForce)
-from .numerics import integrate_adaptive
+
+if TYPE_CHECKING:
+    from .open_system import BathParams
 
 
 class ConfigError(ValueError):
@@ -186,7 +188,9 @@ def _build_force(config):
     raise ConfigError(f"force.kind: unknown kind '{kind}'")
 
 
-def _build_bath(config) -> osys.BathParams:
+def _build_bath(config) -> BathParams:
+    from . import open_system as osys
+
     sec = config["bath"]
     if sec["noise"] not in (osys.OCCUPATION, osys.SYMMETRIZED, osys.CLASSICAL):
         raise ConfigError(f"bath.noise: unknown convention '{sec['noise']}'")
@@ -297,11 +301,15 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _take(stack, index):
     """The states of a stack of states at ``index``; an int gives one state."""
+    from . import closed_evolution as ce
+
     return ce.EvolvedGaussian(*(field[index] for field in vars(stack).values()))
 
 
 def _closed_columns(stack, params, packet):
     """The columns of ``_CLOSED_HEADER`` for a stack of states."""
+    from . import closed_evolution as ce
+
     norm, var = ce.norm_and_variance(stack, params, packet)
     return [stack.t, stack.xi, stack.xi_dot, stack.gamma_factor.real,
             stack.gamma_factor.imag, var, norm]
@@ -315,6 +323,8 @@ _CLOSED_HEADER = ["t", "xi", "xi_dot", "re_gamma", "im_gamma", "variance", "norm
 # ---------------------------------------------------------------------------
 
 def cmd_evolve(config, out, wavefunction_path=None) -> int:
+    from . import closed_evolution as ce
+
     params = _build_system(config)
     packet = _build_packet(config)
     force = _build_force(config)
@@ -338,6 +348,8 @@ def cmd_evolve(config, out, wavefunction_path=None) -> int:
 
 
 def cmd_kick(config, out) -> int:
+    from . import closed_evolution as ce
+
     params = _build_system(config)
     packet = _build_packet(config)
     if config["force"]["kind"] != "zero":
@@ -357,6 +369,8 @@ def cmd_kick(config, out) -> int:
 
 
 def cmd_tunnel(config, out, barrier_mode=False) -> int:
+    from . import barrier_transmission as bt
+
     cfg_hash = config_sha256(config)
     if barrier_mode:
         params = _build_system(config)
@@ -398,6 +412,8 @@ def _complex_pair(z: complex) -> dict:
 
 
 def cmd_open_poles(config, out, boundary=None) -> int:
+    from . import open_system as osys
+
     cfg_hash = config_sha256(config)
     if boundary is not None:
         a_min = _number(boundary[0], "--boundary A_MIN")
@@ -436,6 +452,8 @@ def cmd_open_poles(config, out, boundary=None) -> int:
 
 
 def cmd_open_evolve(config, out) -> int:
+    from . import open_system as osys
+
     params = _build_system(config)
     packet = _build_packet(config)
     bath = _build_bath(config)
@@ -455,6 +473,11 @@ def cmd_open_evolve(config, out) -> int:
 
 
 def cmd_verify(config, out) -> int:
+    from . import barrier_transmission as bt
+    from . import closed_evolution as ce
+    from . import numerics
+    from . import open_system as osys
+
     params = _build_system(config)
     packet = _build_packet(config)
     force = _build_force(config)
@@ -541,7 +564,7 @@ def cmd_verify(config, out) -> int:
 
     # windowed transform closed form against direct quadrature
     closed = osys.windowed_transform(params, bath, w_probe, t_probe)
-    quad = integrate_adaptive(
+    quad = numerics.integrate_adaptive(
         lambda t1: osys.green_pair(params, bath, t1)[0] * np.exp(-1j * w_probe * t1),
         0.0, t_probe, abs_tol=1e-13, rel_tol=1e-12).value
     add("windowed_transform_quadrature", abs(closed - quad), windowed_tolerance)

@@ -478,23 +478,41 @@ def _polish_cubic_roots(roots, a2: float, a1: float, a0: float,
 _TAYLOR_BLOCKS = np.array([0.0] + [1.0 / math.factorial(k)
                                    for k in range(1, 36)]).reshape(6, 6)
 # Entries of a stack that _taylor takes at once: 32 matrices of 14 x 14, so
-# that its seven powers and their six blocks stay under 1 MB
+# that its workspace of seven powers and six blocks stays under 1 MB
 _CHUNK_ENTRIES = 32 * 14 * 14
 
 
-def _taylor(x: np.ndarray) -> np.ndarray:
+def _taylor(x: np.ndarray, work: np.ndarray) -> np.ndarray:
     """e^X - I by the degree-35 Taylor polynomial, for each matrix in the
-    stack x, exact to rounding for a 1-norm below 4 (4^36 / 36! < 1e-20)."""
-    powers = np.empty((7,) + x.shape)   # I, X, X^2, ..., X^6
+    stack x, exact to rounding for a 1-norm below 4 (4^36 / 36! < 1e-20).
+
+    The powers, the blocks and the result are views of ``work`` (from
+    ``_workspace``), which every chunk of one ``expm`` call reuses, so the
+    kernel allocates nothing large and does not hand memory back to the
+    system, to fault it in again, between chunks."""
+    buf = work[:13 * x.size].reshape((13,) + x.shape)
+    powers, blocks = buf[:7], buf[7:]   # I, X, X^2, ..., X^6 and six blocks
     powers[0] = np.eye(x.shape[-1])
     powers[1] = x
     for k in range(2, 7):
         np.matmul(powers[k - 1], powers[1], out=powers[k])
-    blocks = (_TAYLOR_BLOCKS @ powers[:6].reshape(6, -1)).reshape(powers[:6].shape)
-    e = blocks[5]
-    for block in blocks[4::-1]:
-        e = block + powers[6] @ e
-    return e
+    np.matmul(_TAYLOR_BLOCKS, powers[:6].reshape(6, -1), out=blocks.reshape(6, -1))
+    # Horner in place, block j += X^6 block (j + 1), through the slot of I
+    for j in range(4, -1, -1):
+        blocks[j] += np.matmul(powers[6], blocks[j + 1], out=powers[0])
+    return blocks[0]
+
+
+def _chunk_length(size: int) -> int:
+    """Matrices of ``size`` x ``size`` per chunk of ``_taylor``: as many as
+    _CHUNK_ENTRIES holds, and at least one."""
+    return max(_CHUNK_ENTRIES // size**2, 1)
+
+
+def _workspace(count: int, size: int) -> np.ndarray:
+    """The workspace of ``_taylor`` for the chunks of a stack of ``count``
+    matrices of ``size`` x ``size``."""
+    return np.empty(13 * min(count, _chunk_length(size)) * size**2)
 
 
 def _doubling_order(squarings: np.ndarray):
@@ -508,9 +526,9 @@ def _doubling_order(squarings: np.ndarray):
 
 
 def _chunks(order: np.ndarray, size: int):
-    """Consecutive runs of ``order``, each of at most _CHUNK_ENTRIES entries
-    of ``size`` x ``size`` matrices, with their slices of the sorted stack."""
-    step = _CHUNK_ENTRIES // size**2
+    """Consecutive runs of ``order``, each of ``_chunk_length(size)``
+    matrices or fewer, with their slices of the sorted stack."""
+    step = _chunk_length(size)
     return [(slice(i, i + step), order[i:i + step]) for i in range(0, len(order), step)]
 
 
@@ -540,8 +558,9 @@ def expm(a) -> np.ndarray:
     squarings = np.maximum(np.frexp(np.abs(flat).sum(axis=-2).max(axis=-1))[1] - 2, 0)
     order, starts = _doubling_order(squarings)
     d = np.empty_like(flat)
+    work = _workspace(len(order), n)
     for part, rows in _chunks(order, n):
-        d[part] = _taylor(np.ldexp(flat[rows], -squarings[rows, None, None]))
+        d[part] = _taylor(np.ldexp(flat[rows], -squarings[rows, None, None]), work)
     eye = np.eye(n)
     two = eye + eye
     for s in starts:
@@ -571,13 +590,14 @@ def expm_gramian(a, b) -> tuple[np.ndarray, np.ndarray]:
     squarings = np.maximum(np.frexp(norm)[1] + 1, 0)   # norm 2^-s <= 1/2
     order, starts = _doubling_order(squarings)
     d, p = np.empty_like(a), np.empty_like(a)
+    work = _workspace(len(order), 2 * n)
     for part, rows in _chunks(order, 2 * n):
         scale = np.ldexp(1.0, -squarings[rows])[:, None, None]
         block = np.zeros((len(rows), 2 * n, 2 * n))
         block[:, :n, :n] = -a[rows] * scale
         block[:, :n, n:] = b[rows] * scale
         block[:, n:, n:] = np.swapaxes(a[rows], -1, -2) * scale
-        step = _taylor(block)   # exp(block h) - 1
+        step = _taylor(block, work)   # exp(block h) - 1
         d[part] = np.swapaxes(step[:, n:, n:], -1, -2)
         p[part] = step[:, :n, n:] + d[part] @ step[:, :n, n:]
     for s in starts:   # P += EP + EP D^T with EP = P + D P, then D += D + D^2

@@ -385,16 +385,20 @@ def _ou_covariance(params: SystemParams, bath: BathParams, rates, t, tprime):
     sigma = np.zeros_like(gen)
     m = np.zeros(gen.shape[:2])
     m[:, 4] = m[:, 6] = 1.0
-    # columns x and x2 of the covariance at each of the sorted times
-    cols = np.empty((len(stops),) + gen.shape[:2] + (2,))
+    # columns x and x2 of the covariance at each of the sorted times: all
+    # their rows where some pair has t != t', else rows x and x2 alone
+    apart = lag_at >= 0
+    rows = np.arange(7) if apart.any() else np.array([0, 3])
+    cols = np.empty((len(stops), len(flat), rows.size, 2))
     for k, g in enumerate(gap_at.tolist()):
         if g >= 0:
             sigma = e[g] @ sigma @ np.swapaxes(e[g], -1, -2) + p[g]
             m = (e[g] @ m[..., None])[..., 0]
-        cols[k] = sigma[..., [0, 3]] + m[:, :, None] * m[:, None, [0, 3]] / flat
+        cols[k] = (sigma[:, rows[:, None], [0, 3]]
+                   + m[:, rows, None] * m[:, None, [0, 3]] / flat)
     at = at.ravel()
-    cov = cols[at][..., [0, 3], :]   # pairs, rates, rows and columns x and x2
-    apart = lag_at >= 0
+    # pairs, rates, rows and columns x and x2
+    cov = cols[:, :, np.searchsorted(rows, (0, 3))][at]
     if apart.any():
         cov[apart] = lagged[lag_at[apart]] @ cols[at[apart]]
     out = np.empty((2, len(flat), at.size))

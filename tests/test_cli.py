@@ -671,8 +671,9 @@ class TestTunnel:
                 return fn(*args)
             return wrapper
 
+        bt = invosc.barrier_transmission
         for name in ("averaged_transmission", "asymptotic_prefactor"):
-            monkeypatch.setattr(cli.bt, name, counted(getattr(cli.bt, name)))
+            monkeypatch.setattr(bt, name, counted(getattr(bt, name)))
         code, out, _ = run_cli(["tunnel", "--set", "tunnel.beta_min=0.0",
                                 "--set", "tunnel.beta_max=1.5",
                                 "--set", "tunnel.points=16"], capsys)
@@ -794,7 +795,7 @@ class TestOpenPoles:
                 "degenerate", poles=(1.0 + 0j, 1.0 + 0j, -2.0 + 0j),
                 coefficients=coeffs)
 
-        monkeypatch.setattr(cli.osys, "solve_poles", fake_solve)
+        monkeypatch.setattr(invosc.open_system, "solve_poles", fake_solve)
         code, out, _ = run_cli(["open-poles"], capsys)
         assert code == 3
         payload = json.loads(out)
@@ -847,14 +848,14 @@ class TestOpenEvolve:
         def forbidden(*args):
             raise AssertionError("expm called for a zero force")
 
-        forced = cli.osys._forced_response
+        forced = invosc.open_system._forced_response
 
         def without_expm(*args):
             with monkeypatch.context() as patch:
-                patch.setattr(cli.osys, "expm", forbidden)
+                patch.setattr(invosc.open_system, "expm", forbidden)
                 return forced(*args)
 
-        monkeypatch.setattr(cli.osys, "_forced_response", without_expm)
+        monkeypatch.setattr(invosc.open_system, "_forced_response", without_expm)
         packet = ["--set", "packet.x0=0.3", "--set", "packet.p0=-0.2", "--set",
                   "open.samples=5"]
         bodies = set()
@@ -923,8 +924,8 @@ class TestOpenEvolve:
     def test_exponentials_do_not_grow_with_the_samples(self, capsys, monkeypatch):
         calls = []
         for name in ("expm", "expm_gramian"):
-            original = getattr(cli.osys, name)
-            monkeypatch.setattr(cli.osys, name,
+            original = getattr(invosc.open_system, name)
+            monkeypatch.setattr(invosc.open_system, name,
                                 lambda *args, f=original: calls.append(f) or f(*args))
         counts = []
         for samples in (4, 31):
@@ -943,15 +944,14 @@ class TestOpenEvolve:
         # one rate rule for all 31 times: each round of new rates is one
         # stacked Van Loan call, where one adaptive rule per time made 35
         calls = []
-        original = cli.osys.expm_gramian
-        monkeypatch.setattr(cli.osys, "expm_gramian",
+        original = invosc.open_system.expm_gramian
+        monkeypatch.setattr(invosc.open_system, "expm_gramian",
                             lambda *args: calls.append(1) or original(*args))
 
         def forbidden(*args, **kwargs):
             raise AssertionError("integrate_adaptive called")
 
-        for module in (cli, invosc.numerics):
-            monkeypatch.setattr(module, "integrate_adaptive", forbidden)
+        monkeypatch.setattr(invosc.numerics, "integrate_adaptive", forbidden)
         code, _, _ = run_cli(["open-evolve", "--set", "bath.noise=symmetrized",
                               "--set", "bath.kT=0", "--set", "open.samples=31"], capsys)
         assert code == 0
@@ -963,15 +963,14 @@ class TestOpenEvolve:
         # Van Loan calls where one frequency quadrature per time made 180
         # adaptive ones
         calls = []
-        original = cli.osys.expm_gramian
-        monkeypatch.setattr(cli.osys, "expm_gramian",
+        original = invosc.open_system.expm_gramian
+        monkeypatch.setattr(invosc.open_system, "expm_gramian",
                             lambda *args: calls.append(1) or original(*args))
 
         def forbidden(*args, **kwargs):
             raise AssertionError("integrate_adaptive called")
 
-        for module in (cli, invosc.numerics):
-            monkeypatch.setattr(module, "integrate_adaptive", forbidden)
+        monkeypatch.setattr(invosc.numerics, "integrate_adaptive", forbidden)
         code, _, _ = run_cli(["open-evolve", "--set", "bath.noise=occupation",
                               "--set", "bath.kT=1", "--set", "open.samples=31"], capsys)
         assert code == 0
@@ -1092,7 +1091,7 @@ class TestVerify:
         def first_oracle(*args):
             raise AssertionError("an oracle ran before the config was checked")
 
-        monkeypatch.setattr(cli.numerics, "grid_from_packet", first_oracle)
+        monkeypatch.setattr(invosc.numerics, "grid_from_packet", first_oracle)
         code, out, err = run_cli(["verify", "--set", assignment], capsys)
         assert code == 2
         assert key in err
@@ -1131,13 +1130,13 @@ class TestVerify:
     def test_green_negative_control(self, capsys, monkeypatch):
         # a relative defect of 1e-9 t in G, 5e-9 at the horizon, fails both
         # green checks
-        green_pair = cli.osys.green_pair
+        green_pair = invosc.open_system.green_pair
 
         def perturbed(params, bath, t):
             g, gd = green_pair(params, bath, t)
             return g * (1.0 + 1e-9 * np.asarray(t)), gd
 
-        monkeypatch.setattr(cli.osys, "green_pair", perturbed)
+        monkeypatch.setattr(invosc.open_system, "green_pair", perturbed)
         code, out, _ = run_cli(["verify"], capsys)
         assert code == 4
         green = [c for c in json.loads(out)["checks"] if c["name"].startswith("green")]
@@ -1165,7 +1164,7 @@ class TestVerify:
         # the frequency quadrature integrates its dyadic intervals as rows,
         # a block of 8 a call, and bisects each round's panels in one call
         calls = []
-        halfline = cli.osys.integrate_halfline
+        halfline = invosc.open_system.integrate_halfline
 
         def counted(f, *args, **kwargs):
             def integrand(w):
@@ -1173,7 +1172,7 @@ class TestVerify:
                 return f(w)
             return halfline(integrand, *args, **kwargs)
 
-        monkeypatch.setattr(cli.osys, "integrate_halfline", counted)
+        monkeypatch.setattr(invosc.open_system, "integrate_halfline", counted)
         code, _, _ = run_cli(["verify"], capsys)
         assert code == 0
         assert 0 < len(calls) <= 20
@@ -1181,12 +1180,12 @@ class TestVerify:
     def test_noise_negative_control(self, capsys, monkeypatch):
         # a relative defect of 1e-7 in the noise term, ten times the default
         # tolerance, fails the noise check alone
-        variance_noise_term = cli.osys.variance_noise_term
+        variance_noise_term = invosc.open_system.variance_noise_term
 
         def perturbed(*args, **kwargs):
             return variance_noise_term(*args, **kwargs) * (1.0 + 1e-7)
 
-        monkeypatch.setattr(cli.osys, "variance_noise_term", perturbed)
+        monkeypatch.setattr(invosc.open_system, "variance_noise_term", perturbed)
         code, out, _ = run_cli(["verify"], capsys)
         assert code == 4
         failed = [c for c in json.loads(out)["checks"] if not c["passed"]]
@@ -1207,13 +1206,13 @@ class TestVerify:
     def test_green_time_budget(self, capsys, monkeypatch):
         # the green check takes about 100 of the 10,001 RK4 times per case
         times = []
-        green_pair = cli.osys.green_pair
+        green_pair = invosc.open_system.green_pair
 
         def counted(params, bath, t):
             times.append(np.size(t))
             return green_pair(params, bath, t)
 
-        monkeypatch.setattr(cli.osys, "green_pair", counted)
+        monkeypatch.setattr(invosc.open_system, "green_pair", counted)
         code, _, _ = run_cli(["verify"], capsys)
         assert code == 0
         assert 0 < sum(times) <= 1000

@@ -412,6 +412,13 @@ class TestExpm:
         long = _stable_stack(rng, (1500, 3, 3), 1e12)
         np.testing.assert_array_equal(expm(long), [expm(x) for x in long])
 
+    def test_matrix_larger_than_a_chunk(self):
+        # 90 x 90 is more than _taylor's chunk of 6,272 entries: one matrix
+        # to a chunk
+        v = np.linspace(-3.0, 3.0, 90)
+        np.testing.assert_allclose(expm(np.diag(v)), np.diag(np.exp(v)),
+                                   rtol=1e-13, atol=0.0)
+
     def test_mpmath_oracle(self):
         mp = pytest.importorskip("mpmath")
         rng = np.random.default_rng(9)
@@ -469,6 +476,15 @@ class TestExpmGramian:
             e_i, p_i = expm_gramian(a[i], b[i])
             np.testing.assert_array_equal(e[i], e_i)
             np.testing.assert_array_equal(p[i], p_i)
+
+    def test_matrix_larger_than_a_chunk(self):
+        # a Van Loan block of 90 x 90: P = diag((e^(2v) - 1) / 2v) for A =
+        # diag(v) and B = I
+        v = np.linspace(-3.0, 3.0, 45) + 0.01
+        e, p = expm_gramian(np.diag(v), np.eye(45))
+        np.testing.assert_allclose(e, np.diag(np.exp(v)), rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(p, np.diag(np.expm1(2.0 * v) / (2.0 * v)),
+                                   rtol=1e-13, atol=0.0)
 
     def test_mpmath_van_loan(self):
         # the Van Loan block at t = 1 in enough digits that its -A block,
