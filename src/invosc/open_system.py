@@ -229,8 +229,13 @@ def _forced_response(params: SystemParams, bath: BathParams,
     """(G * F)(t), x(t) from rest, at each entry of an ndarray of times: one
     exponential per time for a harmonic drive, else one sweep over the sorted
     times that chains one exponential per linear piece of ``force_pieces``;
-    zeros, with no exponential, for a force that is zero on every piece."""
-    if isinstance(force, HarmonicForce) and force.amplitude == 0.0:
+    zeros, with no exponential, for a force that is zero on every piece of
+    [0, max t], which one ``force_pieces`` call tells."""
+    if isinstance(force, HarmonicForce):
+        zero = force.amplitude == 0.0
+    else:
+        zero = not any(fa or fb for _, _, fa, fb in force_pieces(force, 0.0, t.max(initial=0.0)))
+    if zero:
         return np.zeros(t.shape)
     gen, _ = _generator(params, bath, 5)
     gen[1, 3] = 1.0   # the fourth state is a force on v
@@ -242,8 +247,6 @@ def _forced_response(params: SystemParams, bath: BathParams,
     runs = [force_pieces(force, a, b)
             for a, b in zip([0.0, *stops.tolist()], stops.tolist())]
     pieces = [piece for run in runs for piece in run]
-    if not any(fa or fb for _, _, fa, fb in pieces):
-        return np.zeros(t.shape)
     # on [a, b], in the time (s - a) / (b - a), the force rises from F(a) at
     # the rate F(b) - F(a)
     steps = gen * np.array([b - a for a, b, _, _ in pieces]).reshape(-1, 1, 1)
@@ -330,6 +333,38 @@ def _distinct_positive(x: np.ndarray):
     return values, index
 
 
+def _forward_sweep(e, p, gap_at: list, rows: list):
+    """The rows ``rows``, x and x2 first, of columns x and x2 of Sigma(t_k)
+    and of e^(M t_k) m_0 at each of the sorted times t_k, on the axes of the
+    rates, then of the times, for ``_ou_covariance``: e = e^(M tau) and p
+    the Gramian over tau for each distinct gap tau on the first axis, and
+    gap_at the index of each t_k - t_(k-1) among them, -1 where it is 0.
+
+    Rows U of e^(Mt) take one product U <- U E per time; the increments
+    U P U_x^T of Sigma, one batched product for each run of times that
+    share a gap, are then summed.  U and the products are freed on return,
+    before ``_ou_covariance`` reads the columns out."""
+    u = np.empty((e.shape[1], len(gap_at) + 1, len(rows), 7))
+    u[:, 0] = np.eye(7)[rows]
+    for k, g in enumerate(gap_at):
+        if g >= 0:
+            np.matmul(u[:, k], e[g], out=u[:, k + 1])
+        else:
+            u[:, k + 1] = u[:, k]
+    cols = np.zeros((len(u), len(gap_at), len(rows), 2))
+    cuts = [k for k, g in enumerate(gap_at) if k == 0 or g != gap_at[k - 1]]
+    for lo, hi in zip(cuts, cuts[1:] + [len(gap_at)]):
+        if gap_at[lo] >= 0:
+            before = u[:, lo:hi]
+            # P U_x^T at all these times in one product per rate, then U times it
+            pu = p[gap_at[lo]] @ np.swapaxes(before[:, :, :2].reshape(len(u), -1, 7), -1, -2)
+            np.matmul(before, np.swapaxes(pu.reshape(len(u), 7, hi - lo, 2), 1, 2),
+                      out=cols[:, lo:hi])
+    # U m_0, m_0 = e_u2 + e_phi, as a sum over the two columns: adding them
+    # as strided operands would take ufunc buffers larger than m
+    return np.cumsum(cols, axis=1, out=cols), u[:, 1:, :, 4::2].sum(axis=-1)
+
+
 def _ou_covariance(params: SystemParams, bath: BathParams, rates, t, tprime):
     """(a V_a(t, t'), K_a(t, t')) for each rate a of a float or a 1-D array
     and times t, t' that broadcast, on the axes of the rates, then of the
@@ -349,13 +384,16 @@ def _ou_covariance(params: SystemParams, bath: BathParams, rates, t, tprime):
     both rates are.  y = (x, v, w / d, x2, u2, w2 / d, phi) is Markov with the
     generator M, and Cov(y(t), y(t')) = e^(M(t - t')) Sigma(t') for t >= t'.
 
-    Sigma is carried along the sorted distinct min(t, t'): Sigma_k =
-    E Sigma_(k-1) E^T + P, with E = e^(M tau) and P the Gramian of
-    Q = 2 e_phi e_phi^T over the gap tau, one Van Loan step per rate and
-    distinct gap, all in one ``expm_gramian`` call.  Times within 4 ulp of multiples
+    Sigma is swept forward along the sorted distinct min(t, t'): as M is
+    constant, Sigma(t_k) = Sigma(t_(k-1)) + U P U^T over any gap tau =
+    t_k - t_(k-1), with U = e^(M t_(k-1)) and P the Gramian of Q = 2 e_phi
+    e_phi^T over tau.  E = e^(M tau) and P take one Van Loan step per rate
+    and distinct gap, all in one ``expm_gramian`` call, and
+    ``_forward_sweep`` carries only the rows of U that are read, x and x2
+    (all seven where some t != t').  Times within 4 ulp of multiples
     of one unit, as linspace's are, take their gaps as those multiples: a
     move no larger than the rounding of M t.  The stationary start is
-    carried apart, m_k = E m_(k-1) from u2 = phi = phi(0), and m m^T / a is
+    carried apart, m = e^(Mt) m_0 from u2 = phi = phi(0), and m m^T / a is
     added where K is read: in Sigma its 1/a would swamp K at a small rate.
     Pairs with t != t' then take e^(M |t - t'|), one ``expm`` call.
     """
@@ -380,29 +418,23 @@ def _ou_covariance(params: SystemParams, bath: BathParams, rates, t, tprime):
     gaps, gap_at = _distinct_positive(gaps)
     e, p = expm_gramian(gen * gaps[:, None, None, None], noise * gaps[:, None, None, None])
     lags, lag_at = _distinct_positive(np.abs(t - tprime).ravel())
-    # rows x and x2 of e^(M lag), none at all where every t = t'
-    lagged = expm(gen * lags[:, None, None, None])[..., [0, 3], :] if lags.size else None
-    sigma = np.zeros_like(gen)
-    m = np.zeros(gen.shape[:2])
-    m[:, 4] = m[:, 6] = 1.0
-    # columns x and x2 of the covariance at each of the sorted times: all
-    # their rows where some pair has t != t', else rows x and x2 alone
     apart = lag_at >= 0
-    rows = np.arange(7) if apart.any() else np.array([0, 3])
-    cols = np.empty((len(stops), len(flat), rows.size, 2))
-    for k, g in enumerate(gap_at.tolist()):
-        if g >= 0:
-            sigma = e[g] @ sigma @ np.swapaxes(e[g], -1, -2) + p[g]
-            m = (e[g] @ m[..., None])[..., 0]
-        cols[k] = (sigma[:, rows[:, None], [0, 3]]
-                   + m[:, rows, None] * m[:, None, [0, 3]] / flat)
+    # the rows of e^(Mt) that are carried: x and x2 first, then the other
+    # five where some pair has t != t'
+    rows = [0, 3, 1, 2, 4, 5, 6] if apart.any() else [0, 3]
+    # rows x and x2 of e^(M lag) on those columns, none at all where every t = t'
+    lagged = (np.swapaxes(expm(gen * lags[:, None, None, None])[..., [0, 3], :][..., rows], 0, 1)
+              if lags.size else None)
+    # rates, sorted times, rows and columns x and x2 of the covariance
+    cols, m = _forward_sweep(e, p, gap_at.tolist(), rows)
+    cols += m[..., None] * m[:, :, None, :2] / flat[..., None]
     at = at.ravel()
-    # pairs, rates, rows and columns x and x2
-    cov = cols[:, :, np.searchsorted(rows, (0, 3))][at]
+    # rates, pairs, rows and columns x and x2
+    cov = cols[:, at, :2]
     if apart.any():
-        cov[apart] = lagged[lag_at[apart]] @ cols[at[apart]]
+        cov[:, apart] = lagged[:, lag_at[apart]] @ cols[:, at[apart]]
     out = np.empty((2, len(flat), at.size))
-    out[0], out[1] = cov[..., 0, 0].T, (cov[..., 0, 1] + cov[..., 1, 0] - cov[..., 1, 1]).T
+    out[0], out[1] = cov[..., 0, 0], cov[..., 0, 1] + cov[..., 1, 0] - cov[..., 1, 1]
     return out.reshape((2,) + rates.shape + t.shape)
 
 
@@ -953,7 +985,10 @@ def _centered_covariance(params: SystemParams, bath: BathParams,
     t, t' that broadcast; the moments must obey the uncertainty relation."""
     if moments.var_x * moments.var_p < (params.hbar / 2.0) ** 2 * (1.0 - 1e-9):
         raise ValueError("initial moments violate the uncertainty relation")
-    (g_t, g_tp), (gd_t, gd_tp) = green_pair(params, bath, np.broadcast_arrays(t, tprime))
+    if tprime is t:
+        g_t, gd_t = g_tp, gd_tp = green_pair(params, bath, t)
+    else:
+        (g_t, g_tp), (gd_t, gd_tp) = green_pair(params, bath, np.broadcast_arrays(t, tprime))
     return (moments.var_x * gd_t * gd_tp + moments.var_p * g_t * g_tp
             + moments.sym_xp * (gd_t * g_tp + gd_tp * g_t))
 

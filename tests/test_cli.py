@@ -843,17 +843,27 @@ class TestOpenEvolve:
 
     def test_zero_force_runs_no_force_sweep(self, capsys, monkeypatch):
         # the sweep chains exponentials over a state that stays zero, so its
-        # x(t) is exactly 0: each spelling of a zero force skips it and
-        # writes mean_x = x0 G' + p0 G, the same bytes for all of them
+        # x(t) is exactly 0: each spelling of a zero force skips it, after
+        # at most one force_pieces call over [0, max t], and writes
+        # mean_x = x0 G' + p0 G, the same bytes for all of them
         def forbidden(*args):
             raise AssertionError("expm called for a zero force")
 
-        forced = invosc.open_system._forced_response
+        forced, pieces = invosc.open_system._forced_response, invosc.open_system.force_pieces
 
         def without_expm(*args):
+            calls = []
+
+            def counted(*piece_args):
+                calls.append(piece_args)
+                return pieces(*piece_args)
+
             with monkeypatch.context() as patch:
                 patch.setattr(invosc.open_system, "expm", forbidden)
-                return forced(*args)
+                patch.setattr(invosc.open_system, "force_pieces", counted)
+                out = forced(*args)
+            assert len(calls) <= 1
+            return out
 
         monkeypatch.setattr(invosc.open_system, "_forced_response", without_expm)
         packet = ["--set", "packet.x0=0.3", "--set", "packet.p0=-0.2", "--set",

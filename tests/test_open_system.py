@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -918,8 +919,10 @@ class TestNoiseWithoutFrequencyQuadrature:
         np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0.0)
 
     @pytest.mark.parametrize("times", [np.linspace(0.0, 3.0, 31),
-                                       np.array([0.0, 0.03, 0.3, 0.31, 1.7, 2.9, 3.0])],
-                             ids=["lattice", "irregular"])
+                                       np.array([0.0, 0.03, 0.3, 0.31, 1.7, 2.9, 3.0]),
+                                       np.array([0.0, 0.3, 0.3, 0.6, 1.2]),
+                                       np.zeros(3)],
+                             ids=["lattice", "irregular", "repeats", "zeros"])
     @pytest.mark.parametrize("gamma,omega_d", [(0.5, 10.0), (40.0, 0.05), (0.5, 1e6)])
     def test_sweep_matches_one_time_covariance_down_to_small_rates(self, gamma, omega_d,
                                                                    times):
@@ -937,6 +940,37 @@ class TestNoiseWithoutFrequencyQuadrature:
             np.stack([osys._ou_covariance(PARAMS, bath, rates, t, u)
                       for t, u in zip(times.tolist(), later.tolist())], axis=-1),
             rtol=1e-13, atol=0.0)
+
+    def test_sweep_needs_no_more_memory_than_its_van_loan_call(self, monkeypatch):
+        # the first round of the zero-point rule: 93 rates at 30 lattice
+        # times.  The Van Loan call sets the peak, 928,100-928,600 bytes
+        # under numpy 2.4 as the context varies, as it did for the Sigma
+        # recursion that the forward sweep replaced; the rows of e^(Mt) and
+        # the increments stay below it.
+        bath = BathParams(0.5, 10.0, 0.0)
+        sigma = np.concatenate([np.arange(45) + 0.5, -(np.arange(48) + 0.5)]) / 3.0
+        rates, times = bath.omega_d * np.exp(sigma), np.linspace(0.0, 3.0, 31)[1:]
+        later = times.copy()
+
+        def peak():
+            osys._ou_covariance(PARAMS, bath, rates, times, later)
+            tracemalloc.start()
+            try:
+                osys._ou_covariance(PARAMS, bath, rates, times, later)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak() <= 930_000
+        gramian, peaks = osys.expm_gramian, []
+
+        def traced(*args):
+            out = gramian(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return out
+
+        monkeypatch.setattr(osys, "expm_gramian", traced)
+        assert peak() <= peaks[-1]
 
     @pytest.mark.parametrize("gamma,omega_d", [(40.0, 0.05), (0.6, 1.0)])
     def test_short_time_converges_without_warnings(self, gamma, omega_d):
