@@ -5,7 +5,8 @@ file and ``--set`` overrides, unknown keys rejected by path) and emits
 either CSV (sweeps, time series) or JSON (pole tables, reports).  Output
 is deterministic: floats are printed in scientific notation with 17
 significant digits, lines end with a bare newline, and each artifact
-carries the SHA-256 of the effective config that produced it.
+carries the SHA-256 of the sections of the effective config that its
+command reads, so a change to another section leaves its bytes alone.
 
 Exit codes: 0 success, 2 config error, 3 numerical or domain error,
 4 verification failure.
@@ -56,22 +57,19 @@ DEFAULT_CONFIG = {
     "barrier": {"xi0": -0.5, "forces": [-0.2, 0.0, 0.2],
                 "xi_min": -1.5, "xi_max": 1.5, "points": 121},
     "open": {"t_max": 3.0, "samples": 31},
-    "verify": {
-        "grid_times": [0.5, 1.0, 1.5],
-        "grid_tolerance": 1e-7,
-        "green_cases": [{"omega_d": 10.0, "gamma": 0.5},
-                        {"omega_d": 2.0, "gamma": 5.0}],
-        "green_horizon_factor": 5.0,
-        "green_dt": 5e-4,
-        "green_tolerance": 1e-10,
-        "tunnel_points": [{"epsilon": 10.0, "beta": 0.3, "tolerance": 0.15},
-                          {"epsilon": 30.0, "beta": 0.2, "tolerance": 0.08}],
-        "windowed_omega": 0.7,
-        "windowed_t": 2.0,
-        "windowed_tolerance": 1e-10,
-        "noise_tolerance": 1e-8,
-    },
 }
+
+# verify's fixed probes: the grid check's times and tolerance; the green
+# check's baths (gamma, omega_d), horizon in units of 1/omega, RK4 step and
+# tolerance; the tunneling points (epsilon, beta, tolerance); and the
+# windowed and noise checks' frequency in units of omega, time in units of
+# 1/omega and tolerances
+_GRID_TIMES, _GRID_TOLERANCE = (0.5, 1.0, 1.5), 1e-7
+_GREEN_BATHS = ((0.5, 10.0), (5.0, 2.0))
+_GREEN_HORIZON, _GREEN_DT, _GREEN_TOLERANCE = 5.0, 5e-4, 1e-10
+_TUNNEL_POINTS = ((10.0, 0.3, 0.15), (30.0, 0.2, 0.08))
+_WINDOWED_OMEGA, _WINDOWED_T, _WINDOWED_TOLERANCE = 0.7, 2.0, 1e-10
+_NOISE_TOLERANCE = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -93,20 +91,20 @@ def _merge(defaults, override, path=""):
 
 def _merge_value(default, value, path: str):
     """``value`` for the config key ``path`` whose default is ``default``: an
-    object is merged key by key, a list must be a list, and each entry of a
-    list is merged with the first default entry, if any.  No key takes true,
-    false, NaN or an infinity, which JSON (and so --print-config) cannot
-    carry."""
+    object is merged key by key, a list must be a list, and any other key or
+    list entry takes a scalar: neither true, false, NaN nor an infinity,
+    which JSON (and so --print-config) cannot carry, nor an object or a
+    list, which could hold them."""
     if isinstance(default, dict):
         return _merge(default, value, path)
     if isinstance(default, list):
         if not isinstance(value, list):
             raise ConfigError(f"config key '{path}' must be a list, got {value!r}")
-        return [_merge_value(default[0] if default else None, item, f"{path}[{i}]")
-                for i, item in enumerate(value)]
-    if isinstance(value, bool) or (isinstance(value, float) and not math.isfinite(value)):
-        raise ConfigError(f"config key '{path}' cannot be true, false, NaN or "
-                          f"infinite, got {json.dumps(value)}")
+        return [_merge_value(None, item, f"{path}[{i}]") for i, item in enumerate(value)]
+    if (isinstance(value, (bool, dict, list))
+            or (isinstance(value, float) and not math.isfinite(value))):
+        raise ConfigError(f"config key '{path}' cannot be true, false, NaN, "
+                          f"infinite, an object or a list, got {json.dumps(value)}")
     return value
 
 
@@ -147,8 +145,11 @@ def load_config(config_path: str | None, overrides) -> dict:
     return merged
 
 
-def config_sha256(config: dict) -> str:
-    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+def config_sha256(config: dict, *sections: str) -> str:
+    """The SHA-256 of the named sections of ``config``, the ones an output
+    depends on, so a change elsewhere leaves the output's bytes alone."""
+    canonical = json.dumps({name: config[name] for name in sections},
+                           sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -335,7 +336,7 @@ def cmd_evolve(config, out, wavefunction_path=None) -> int:
                          _number(wsec["x_max"], "wavefunction.x_max"),
                          _count(wsec["points"], "wavefunction.points"))
     stack = ce.evolve_gaussian(params, packet, force, times)
-    cfg_hash = config_sha256(config)
+    cfg_hash = config_sha256(config, "system", "packet", "force", "evolve", "wavefunction")
     # raises before any file is written
     text = render_csv(_CLOSED_HEADER, _closed_columns(stack, params, packet), cfg_hash)
     if wavefunction_path is not None:
@@ -364,14 +365,14 @@ def cmd_kick(config, out) -> int:
     stack = ce.EvolvedGaussian(*map(np.concatenate, zip(*(vars(s).values()
                                                            for s in stacks))))
     columns = _closed_columns(stack, params, packet) + [np.full(times.shape, packet.p0 + p)]
-    _emit(render_csv(_CLOSED_HEADER + ["P"], columns, config_sha256(config)), out)
+    cfg_hash = config_sha256(config, "system", "packet", "force", "kick", "evolve")
+    _emit(render_csv(_CLOSED_HEADER + ["P"], columns, cfg_hash), out)
     return 0
 
 
 def cmd_tunnel(config, out, barrier_mode=False) -> int:
     from . import barrier_transmission as bt
 
-    cfg_hash = config_sha256(config)
     if barrier_mode:
         params = _build_system(config)
         sec = config["barrier"]
@@ -382,8 +383,9 @@ def cmd_tunnel(config, out, barrier_mode=False) -> int:
         forces = np.array([_number(F, f"barrier.forces[{i}]")
                            for i, F in enumerate(sec["forces"])])
         F, xi = np.repeat(forces, len(xis)), np.tile(xis, len(forces))
-        _emit(render_csv(["F", "xi", "V"],
-                         [F, xi, bt.barrier_potential(params, xi0, F, xi)], cfg_hash), out)
+        columns = [F, xi, bt.barrier_potential(params, xi0, F, xi)]
+        cfg_hash = config_sha256(config, "system", "barrier")
+        _emit(render_csv(["F", "xi", "V"], columns, cfg_hash), out)
         return 0
 
     sec = config["tunnel"]
@@ -403,7 +405,7 @@ def cmd_tunnel(config, out, barrier_mode=False) -> int:
                np.where(below, a_pre * w_j, None)]
     header = ["beta", "w_jwkb", "w_exact", "w_avg_quadrature", "A_prefactor",
               "w_avg_asymptotic"]
-    _emit(render_csv(header, columns, cfg_hash), out)
+    _emit(render_csv(header, columns, config_sha256(config, "tunnel")), out)
     return 0
 
 
@@ -414,7 +416,6 @@ def _complex_pair(z: complex) -> dict:
 def cmd_open_poles(config, out, boundary=None) -> int:
     from . import open_system as osys
 
-    cfg_hash = config_sha256(config)
     if boundary is not None:
         a_min = _number(boundary[0], "--boundary A_MIN")
         a_max = _number(boundary[1], "--boundary A_MAX")
@@ -424,7 +425,8 @@ def cmd_open_poles(config, out, boundary=None) -> int:
         a = np.linspace(a_min, a_max, n)
         with np.errstate(over="ignore", invalid="ignore"):   # render_csv names inf, NaN
             columns = [a, osys.discriminant_boundary(a)]
-        _emit(render_csv(["a", "b_critical"], columns, cfg_hash), out)
+        # the curve reads no config section
+        _emit(render_csv(["a", "b_critical"], columns, config_sha256(config)), out)
         return 0
 
     params = _build_system(config)
@@ -436,7 +438,8 @@ def cmd_open_poles(config, out, boundary=None) -> int:
     except osys.DegeneratePolesError as exc:
         dec = exc
     c = dec.coefficients
-    payload = {"config_sha256": cfg_hash, "a": c.a, "b": c.b, "q": c.q, "p": c.p,
+    payload = {"config_sha256": config_sha256(config, "system", "bath"),
+               "a": c.a, "b": c.b, "q": c.q, "p": c.p,
                "D": c.D, "root_class": dec.root_class.value,
                "poles": [_complex_pair(pole) for pole in (dec.poles or ())]}
     if isinstance(dec, osys.DegeneratePolesError):
@@ -468,7 +471,8 @@ def cmd_open_evolve(config, out) -> int:
         columns = [times, g, gd, mean_x, dyn, noise, dyn + noise]
     header = ["t", "G", "G_dot", "mean_x", "variance_dynamic", "variance_noise",
               "variance_total"]
-    _emit(render_csv(header, columns, config_sha256(config)), out)
+    cfg_hash = config_sha256(config, "system", "packet", "bath", "force", "open")
+    _emit(render_csv(header, columns, cfg_hash), out)
     return 0
 
 
@@ -482,12 +486,8 @@ def cmd_verify(config, out) -> int:
     packet = _build_packet(config)
     force = _build_force(config)
     bath = _build_bath(config)
-    gsec, vsec = config["grid"], config["verify"]
-
-    def positive(key):
-        return _finite(vsec[key], f"verify.{key}", positive=True)
-
     # every entry is read and checked before the first oracle runs
+    gsec = config["grid"]
     x_min, x_max = (_number(gsec[key], f"grid.{key}") for key in ("x_min", "x_max"))
     if not x_min < x_max:
         raise ConfigError(f"grid.x_min: expected grid.x_min < grid.x_max, "
@@ -495,40 +495,17 @@ def cmd_verify(config, out) -> int:
     n = _count(gsec["n"], "grid.n")
     if n & (n - 1):
         raise ConfigError(f"grid.n: expected a power of two, got {n}")
+    dx = (x_max - x_min) / n
+    if not 0.0 < dx < math.inf:
+        raise ConfigError(f"grid.x_min, grid.x_max: the spacing (x_max - x_min)/n "
+                          f"is {dx!r} at {x_min!r} and {x_max!r}")
     dt = _finite(gsec["dt"], "grid.dt", positive=True)
-    grid_times = [_finite(t, f"verify.grid_times[{i}]", positive=True)
-                  for i, t in enumerate(vsec["grid_times"])]
-    if any(not b > a for a, b in zip(grid_times, grid_times[1:])):
-        raise ConfigError(f"verify.grid_times: expected strictly increasing "
-                          f"times, got {grid_times}")
-    grid_tolerance = positive("grid_tolerance")
-    horizon = positive("green_horizon_factor") / params.omega
-    green_dt = positive("green_dt")
-    green_tolerance = positive("green_tolerance")
-    green_baths = []
-    for i, case in enumerate(vsec["green_cases"]):
-        try:
-            green_baths.append(osys.BathParams(gamma=float(case["gamma"]),
-                                               omega_d=float(case["omega_d"])))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"verify.green_cases[{i}]: {exc}") from exc
-    tunnel_points = []
-    for i, point in enumerate(vsec["tunnel_points"]):
-        where = f"verify.tunnel_points[{i}]"
-        eps = _finite(point["epsilon"], f"{where}.epsilon", positive=True)
-        beta = _finite(point["beta"], f"{where}.beta", positive=True)
-        if not beta < 1.0:
-            raise ConfigError(f"{where}.beta: the asymptotic form needs "
-                              f"beta < 1, got {beta!r}")
-        tunnel_points.append((eps, beta, _finite(
-            point["tolerance"], f"{where}.tolerance", positive=True)))
-    w_probe = _finite(vsec["windowed_omega"], "verify.windowed_omega") * params.omega
-    t_probe = positive("windowed_t") / params.omega
-    windowed_tolerance = positive("windowed_tolerance")
-    noise_tolerance = positive("noise_tolerance")
     checks = []
 
     def add(name, deviation, tolerance):
+        if not math.isfinite(deviation):
+            raise ArithmeticError(f"verify: non-finite deviation {deviation} "
+                                  f"in check {name}")
         checks.append({"name": name, "deviation": float(deviation),
                        "tolerance": tolerance,
                        "passed": bool(deviation < tolerance)})
@@ -536,38 +513,42 @@ def cmd_verify(config, out) -> int:
     # closed form against the split-step grid solver
     grid = numerics.grid_from_packet(packet, params, x_min, x_max, n)
     xs = grid.x()
-    for t in grid_times:
-        grid = numerics.schrodinger_grid_evolve(params, grid, force, t, dt)
-        ev = ce.evolve_gaussian(params, packet, force, t)
-        ref = ce.evaluate(ev, params, packet, xs)
-        dev = float(np.sqrt(np.sum(np.abs(grid.psi - ref) ** 2)
-                            / np.sum(np.abs(ref) ** 2)))
-        add(f"grid_closed_form_t{t:g}", dev, grid_tolerance)
+    for t in _GRID_TIMES:
+        with np.errstate(over="ignore", invalid="ignore"):   # add names inf, NaN
+            grid = numerics.schrodinger_grid_evolve(params, grid, force, t, dt)
+            ev = ce.evolve_gaussian(params, packet, force, t)
+            ref = ce.evaluate(ev, params, packet, xs)
+            dev = float(np.sqrt(np.sum(np.abs(grid.psi - ref) ** 2)
+                                / np.sum(np.abs(ref) ** 2)))
+        add(f"grid_closed_form_t{t:g}", dev, _GRID_TOLERANCE)
 
     # impulse response from the matrix exponential against the RK4
     # memory-kernel integrator, at every k-th RK4 time back from the last,
     # where |G| is largest: about 100 times per case
-    for i, bath_case in enumerate(green_baths):
-        ts, g_ode = numerics.langevin_ode_oracle(params, bath_case, horizon, green_dt)
+    for i, (gamma, omega_d) in enumerate(_GREEN_BATHS):
+        bath_case = osys.BathParams(gamma=gamma, omega_d=omega_d)
+        ts, g_ode = numerics.langevin_ode_oracle(params, bath_case,
+                                                 _GREEN_HORIZON / params.omega, _GREEN_DT)
         stride = max((len(ts) - 1) // 100, 1)
         ts, g_ode = ts[::-stride], g_ode[::-stride]
         g_exp = osys.green_pair(params, bath_case, ts)[0]
         dev = float(np.max(np.abs(g_exp - g_ode)) / np.max(np.abs(g_exp)))
-        add(f"green_expm_vs_ode_case{i}", dev, green_tolerance)
+        add(f"green_expm_vs_ode_case{i}", dev, _GREEN_TOLERANCE)
 
     # quasistatic asymptotics against the period-average quadrature
-    for eps, beta, tolerance in tunnel_points:
+    for eps, beta, tolerance in _TUNNEL_POINTS:
         w_q = bt.averaged_transmission(eps, beta)
         w_a = bt.averaged_transmission_asymptotic(eps, beta)
         add(f"tunnel_asymptotic_eps{eps:g}_beta{beta:g}",
             abs(w_a - w_q) / w_q, tolerance)
 
     # windowed transform closed form against direct quadrature
+    w_probe, t_probe = _WINDOWED_OMEGA * params.omega, _WINDOWED_T / params.omega
     closed = osys.windowed_transform(params, bath, w_probe, t_probe)
     quad = numerics.integrate_adaptive(
         lambda t1: osys.green_pair(params, bath, t1)[0] * np.exp(-1j * w_probe * t1),
         0.0, t_probe, abs_tol=1e-13, rel_tol=1e-12).value
-    add("windowed_transform_quadrature", abs(closed - quad), windowed_tolerance)
+    add("windowed_transform_quadrature", abs(closed - quad), _WINDOWED_TOLERANCE)
 
     # symmetrized noise term, without a frequency quadrature, against the
     # frequency quadrature run to half the tolerance; the term is computed
@@ -576,17 +557,17 @@ def cmd_verify(config, out) -> int:
     closed_tol = 1e-14
     closed = osys.variance_noise_term(params, bath, t_probe, osys.SYMMETRIZED,
                                       closed_tol)
-    abs_tol = max(0.5 * noise_tolerance * closed, 1e-300)
+    abs_tol = max(0.5 * _NOISE_TOLERANCE * closed, 1e-300)
     if closed_tol > 0.05 * abs_tol:
         closed = osys.variance_noise_term(params, bath, t_probe, osys.SYMMETRIZED,
                                           0.05 * abs_tol)
     quad = osys.spectral_noise_term(params, bath, t_probe, t_probe, osys.SYMMETRIZED,
                                     abs_tol)
     add("noise_closed_form_vs_quadrature",
-        abs(closed - quad) / max(quad, 1e-300), noise_tolerance)
+        abs(closed - quad) / max(quad, 1e-300), _NOISE_TOLERANCE)
 
     payload = {
-        "config_sha256": config_sha256(config),
+        "config_sha256": config_sha256(config, "system", "packet", "force", "bath", "grid"),
         "checks": checks,
         "all_pass": all(c["passed"] for c in checks),
     }

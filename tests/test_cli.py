@@ -49,6 +49,39 @@ class _ReadRecorder(dict):
         return super().__getitem__(key)
 
 
+# Every command and mode; "{dir}" is the run's output directory
+_COMMANDS = [
+    ["evolve"], ["kick"], ["tunnel"], ["open-poles"], ["open-evolve"], ["verify"],
+    ["evolve", "--wavefunction", "{dir}/psi"], ["tunnel", "--barrier"],
+    ["open-poles", "--boundary", "0.5", "20", "40"]]
+
+
+def _command_id(args):
+    return "-".join(a.lstrip("-") for a in args if "{" not in a)
+
+
+# One changed key in each config section
+_SECTION_CHANGES = {
+    "system": "system.hbar=2", "packet": "packet.sigma=2",
+    "force": "force.amplitude=0.25", "bath": "bath.kT=2", "grid": "grid.dt=0.02",
+    "evolve": "evolve.samples=3", "wavefunction": "wavefunction.points=5",
+    "kick": "kick.momentum=2", "tunnel": "tunnel.points=3",
+    "barrier": "barrier.points=3", "open": "open.samples=3"}
+
+
+def _hashed_sections(monkeypatch):
+    """A set that collects every section named to ``cli.config_sha256``."""
+    hashed = set()
+    config_sha256 = cli.config_sha256
+
+    def recorded(config, *sections):
+        hashed.update(sections)
+        return config_sha256(config, *sections)
+
+    monkeypatch.setattr(cli, "config_sha256", recorded)
+    return hashed
+
+
 def _leaves(section, path=""):
     for key, value in section.items():
         if isinstance(value, dict):
@@ -58,13 +91,19 @@ def _leaves(section, path=""):
 
 
 class TestConfig:
-    def test_every_config_key_is_read(self, tmp_path):
+    def test_every_config_key_is_read(self, tmp_path, monkeypatch):
+        # and every key a command reads is in a section its output's hash covers
         seen = set()
         out = str(tmp_path / "out")
+        hashed = _hashed_sections(monkeypatch)
 
         def run(command, *args, sets=()):
-            config = _ReadRecorder(cli.load_config(None, sets), "", seen)
+            reads = set()
+            hashed.clear()
+            config = _ReadRecorder(cli.load_config(None, sets), "", reads)
             assert command(config, out, *args) == 0
+            assert {path.split(".")[0] for path in reads} <= hashed, command
+            seen.update(reads)
 
         psi = str(tmp_path / "psi")
         for kind in ("zero", "constant", "harmonic"):
@@ -80,13 +119,38 @@ class TestConfig:
         run(cli.cmd_verify)
         assert set(_leaves(cli.DEFAULT_CONFIG)) - seen == set()
 
+    @pytest.mark.parametrize("args", _COMMANDS, ids=_command_id)
+    def test_unread_sections_leave_output_unchanged(self, tmp_path, monkeypatch, args):
+        hashed = _hashed_sections(monkeypatch)
+        outputs = []
+        for run in ("defaults", "changed"):
+            sets = [arg for section, change in _SECTION_CHANGES.items()
+                    if run == "changed" and section not in hashed
+                    for arg in ("--set", change)]
+            (tmp_path / run).mkdir()
+            argv = [a.format(dir=tmp_path / run) for a in args]
+            assert main(argv + sets + ["--out", str(tmp_path / run / "out")]) == 0
+            outputs.append({p.name: p.read_bytes() for p in (tmp_path / run).iterdir()})
+        assert sets
+        assert outputs[0] == outputs[1]
+
+    def test_config_hash_covers_the_named_sections(self):
+        assert set(_SECTION_CHANGES) == set(cli.DEFAULT_CONFIG)
+        base = cli.load_config(None, [])
+        for section, change in _SECTION_CHANGES.items():
+            changed = cli.load_config(None, [change])
+            others = set(_SECTION_CHANGES) - {section}
+            assert cli.config_sha256(changed, section) != cli.config_sha256(base, section)
+            assert cli.config_sha256(changed, *others) == cli.config_sha256(base, *others)
+
     def test_print_config_is_complete_json(self, capsys):
         code, out, _ = run_cli(["evolve", "--print-config"], capsys)
         assert code == 0
         cfg = json.loads(out)
         for section in ("system", "packet", "force", "bath", "grid", "evolve",
-                        "tunnel", "open", "verify"):
+                        "tunnel", "open"):
             assert section in cfg
+        assert "verify" not in cfg
         assert cfg["system"]["omega"] == 1.0
 
     def test_set_override_applies(self, capsys):
@@ -101,9 +165,6 @@ class TestConfig:
         config["system"]["hbar"] = 7.0
         config["force"]["times"].append(1.0)
         config["barrier"]["forces"][0] = 9.0
-        config["verify"]["grid_times"].clear()
-        config["verify"]["green_cases"][0]["gamma"] = 9.0
-        config["verify"]["tunnel_points"].append({})
         assert json.dumps(cli.DEFAULT_CONFIG) == before
         assert json.dumps(cli.load_config(None, [])) == before
 
@@ -114,29 +175,9 @@ class TestConfig:
         assert code == 2
         assert "tunnel.beta_maxx" in err
 
-    def test_list_of_objects_override_merges_each_entry(self, tmp_path, capsys):
-        cases = [{"gamma": 1.0}, {"omega_d": 3.0}]
-        code, out, _ = run_cli(["verify", "--print-config", "--set",
-                                f"verify.green_cases={json.dumps(cases)}"], capsys)
-        assert code == 0
-        merged = json.loads(out)
-        assert merged["verify"]["green_cases"] == [
-            {"omega_d": 10.0, "gamma": 1.0}, {"omega_d": 3.0, "gamma": 0.5}]
-        cfg = tmp_path / "cases.json"
-        cfg.write_text(json.dumps({"verify": {"green_cases": cases}}))
-        code, out, _ = run_cli(["verify", "--print-config", "--config", str(cfg)],
-                               capsys)
-        assert code == 0
-        assert json.loads(out) == merged
-
     @pytest.mark.parametrize("path,value,key", [
-        ("verify.grid_times", 5, "verify.grid_times"),
-        ("verify.green_cases", {"gamma": 1}, "verify.green_cases"),
-        ("verify.tunnel_points", 3, "verify.tunnel_points"),
         ("force.times", 0.5, "force.times"),
-        ("barrier.forces", "abc", "barrier.forces"),
-        ("verify.green_cases", [1], "verify.green_cases[0]"),
-        ("verify.green_cases", [{"gamma": 1, "kT": 2}], "verify.green_cases[0].kT")])
+        ("barrier.forces", "abc", "barrier.forces")])
     def test_mistyped_list_is_config_error(self, tmp_path, capsys, path, value, key):
         section, entry = path.split(".")
         cfg = tmp_path / "bad.json"
@@ -154,7 +195,9 @@ class TestConfig:
         ("evolve.samples", True, "evolve.samples"),
         ("bath.noise", False, "bath.noise"),
         ("force.times", [0.0, -math.inf], "force.times[1]"),
-        ("verify.green_cases", [{"gamma": math.nan}], "verify.green_cases[0].gamma")])
+        ("system.omega", [math.nan], "system.omega"),
+        ("system.omega", {"re": math.nan}, "system.omega"),
+        ("barrier.forces", [0.1, [math.inf]], "barrier.forces[1]")])
     def test_boolean_or_non_finite_value_is_config_error(self, tmp_path, capsys, path,
                                                          value, key):
         # JSON has no NaN or infinity, so --print-config could not print them
@@ -416,7 +459,8 @@ _EXTREME_CONFIGS = [
     (["tunnel", "--set", "tunnel.epsilon=1e308"], 0),
     (["tunnel", "--set", "tunnel.beta_max=1e300", "--set", "tunnel.points=3"], 0),
     (["evolve", "--set", "packet.x0=1e300"], 0),
-    (["kick", "--set", "kick.momentum=1e308"], 3)]
+    (["kick", "--set", "kick.momentum=1e308"], 3),
+    (["verify", "--set", "grid.x_min=-1e308", "--set", "grid.x_max=1e308"], 2)]
 
 
 class TestFloatRange:
@@ -1066,10 +1110,14 @@ class TestVerify:
         assert code == 0
         payload = json.loads(out)
         assert payload["all_pass"] is True
-        assert {c["name"] for c in payload["checks"]} >= {
-            "grid_closed_form_t0.5", "green_expm_vs_ode_case0",
-            "tunnel_asymptotic_eps10_beta0.3", "windowed_transform_quadrature",
-            "noise_closed_form_vs_quadrature"}
+        assert [(c["name"], c["tolerance"]) for c in payload["checks"]] == [
+            ("grid_closed_form_t0.5", 1e-7), ("grid_closed_form_t1", 1e-7),
+            ("grid_closed_form_t1.5", 1e-7), ("green_expm_vs_ode_case0", 1e-10),
+            ("green_expm_vs_ode_case1", 1e-10),
+            ("tunnel_asymptotic_eps10_beta0.3", 0.15),
+            ("tunnel_asymptotic_eps30_beta0.2", 0.08),
+            ("windowed_transform_quadrature", 1e-10),
+            ("noise_closed_form_vs_quadrature", 1e-8)]
         for check in payload["checks"]:
             assert set(check) == {"name", "deviation", "tolerance", "passed"}
             assert check["passed"] is True
@@ -1078,47 +1126,63 @@ class TestVerify:
         ("grid.dt=0", "grid.dt"), ("grid.dt=NaN", "grid.dt"),
         ("grid.dt=1e999", "grid.dt"), ("grid.n=1000", "grid.n"),
         ("grid.x_min=50", "grid.x_min"),
-        ("verify.grid_times=[-1]", "verify.grid_times"),
-        ("verify.grid_times=[1.0, 0.5]", "verify.grid_times"),
-        ("verify.grid_tolerance=NaN", "verify.grid_tolerance"),
-        ("verify.green_dt=0", "verify.green_dt"),
-        ("verify.green_horizon_factor=-1", "verify.green_horizon_factor"),
-        ("verify.windowed_t=-1", "verify.windowed_t"),
-        ('verify.green_cases=[{"omega_d": 10.0, "gamma": -1}]',
-         "verify.green_cases[0]"),
-        ('verify.tunnel_points=[{"epsilon": -1, "beta": 0.3, "tolerance": 0.15}]',
-         "verify.tunnel_points[0].epsilon"),
-        ('verify.tunnel_points=[{"epsilon": 10, "beta": 1.2, "tolerance": 0.1}]',
-         "verify.tunnel_points[0].beta"),
-        ('verify.tunnel_points=[{"epsilon": 10, "beta": 0.3}, {"beta": 1}]',
-         "verify.tunnel_points[1].beta"),
-        ("verify.noise_tolerance=0", "verify.noise_tolerance"),
-        ('verify.green_cases=[{"gamma": 1}, {"omega_d": 0}]',
-         "verify.green_cases[1]"),
-        ("verify.grid_times=5", "verify.grid_times")])
+        ("grid.x_min=-1e308 grid.x_max=1e308", "grid.x_min, grid.x_max"),
+        ("grid.x_min=0 grid.x_max=5e-324", "grid.x_min, grid.x_max"),
+        ("verify.grid_tolerance=1e-9", "unknown config key 'verify.grid_tolerance'")])
     def test_config_mistake_is_config_error(self, capsys, monkeypatch, assignment,
                                             key):
         def first_oracle(*args):
             raise AssertionError("an oracle ran before the config was checked")
 
         monkeypatch.setattr(invosc.numerics, "grid_from_packet", first_oracle)
-        code, out, err = run_cli(["verify", "--set", assignment], capsys)
+        sets = [arg for item in assignment.split() for arg in ("--set", item)]
+        code, out, err = run_cli(["verify", *sets], capsys)
         assert code == 2
         assert key in err
         assert out == ""
 
+    def test_non_finite_grid_deviation_names_its_check(self, capsys):
+        # a spacing of 5e-304 puts the grid's k^2 past the float range
+        code, out, err = run_cli(["verify", "--set", "grid.x_min=-1e-300",
+                                  "--set", "grid.x_max=1e-300"], capsys)
+        assert (code, out) == (3, "")
+        assert "non-finite deviation" in err and "grid_closed_form_t0.5" in err
+        assert "Warning" not in err
+
+    def test_non_finite_green_deviation_names_its_check(self, capsys, monkeypatch):
+        oracle = invosc.numerics.langevin_ode_oracle
+
+        def broken(*args):
+            ts, g = oracle(*args)
+            return ts, np.full_like(g, math.nan)
+
+        monkeypatch.setattr(invosc.numerics, "langevin_ode_oracle", broken)
+        code, out, err = run_cli(["verify"], capsys)
+        assert (code, out) == (3, "")
+        assert "non-finite deviation nan in check green_expm_vs_ode_case0" in err
+
     @pytest.mark.parametrize("bath", [("0.6", "1.0", "0.0"), ("40.0", "0.05", "1.0"),
                                       ("0.0", "10.0", "1.0")])
-    def test_noise_check_at_a_tiny_term(self, capsys, bath):
+    def test_noise_check_at_a_tiny_term(self, capsys, monkeypatch, bath):
         # at omega t = 1e-3 the term is below 1e-12, under the default
-        # absolute tolerance of variance_noise_term
+        # absolute tolerance of variance_noise_term, so it is computed again
         sets = [f"{key}={value}" for key, value in zip(
             ("bath.gamma", "bath.omega_d", "bath.kT"), bath)]
-        sets += ["verify.windowed_t=0.001", "verify.grid_times=[0.1]",
-                 "verify.green_cases=[]", "verify.tunnel_points=[]"]
+        for name, value in [("_WINDOWED_T", 0.001), ("_GRID_TIMES", (0.1,)),
+                            ("_GREEN_BATHS", ()), ("_TUNNEL_POINTS", ())]:
+            monkeypatch.setattr(cli, name, value)
+        calls = []
+        variance_noise_term = invosc.open_system.variance_noise_term
+
+        def counted(*args):
+            calls.append(args[-1])
+            return variance_noise_term(*args)
+
+        monkeypatch.setattr(invosc.open_system, "variance_noise_term", counted)
         code, out, _ = run_cli(["verify"] + [arg for item in sets
                                              for arg in ("--set", item)], capsys)
         assert code == 0
+        assert len(calls) == 2 and calls[1] < calls[0]
         check = json.loads(out)["checks"][-1]
         assert check["name"] == "noise_closed_form_vs_quadrature"
         assert check["deviation"] < 1e-8
@@ -1267,11 +1331,7 @@ class TestVerify:
         assert proc.returncode == 0
         assert json.loads(out.read_text())["all_pass"] is True
 
-    @pytest.mark.parametrize("args", [
-        ["evolve"], ["kick"], ["tunnel"], ["open-poles"], ["open-evolve"], ["verify"],
-        ["evolve", "--wavefunction", "{dir}/psi"], ["tunnel", "--barrier"],
-        ["open-poles", "--boundary", "0.5", "20", "40"]],
-        ids=lambda args: "-".join(a.lstrip("-") for a in args if "{" not in a))
+    @pytest.mark.parametrize("args", _COMMANDS, ids=_command_id)
     def test_entry_point_matches_in_process_run(self, tmp_path, args):
         runs = {}
         for how in ("module", "main"):
