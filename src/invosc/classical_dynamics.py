@@ -2,10 +2,12 @@
 
 The equation of motion is xi'' - omega^2 xi = F(t) (unit mass).  Time is
 cut into pieces on which F is linear (split at the knots of a tabulated
-force) or A sin(omega0 s).  On each piece the path is the free hyperbolic
-motion plus the response from rest to F, both in closed form, and the
-Lagrangian integral, the phase of the exact quantum evolution, follows
-by parts in the same sweep.  Nothing is integrated numerically.
+force) or A sin(omega0 s), and at each delta kick p delta(s - t1), where
+xi_dot jumps by p and the action gains p xi(t1).  On each piece the path
+is the free hyperbolic motion plus the response from rest to F, both in
+closed form, and the Lagrangian integral, the phase of the exact quantum
+evolution, follows by parts in the same sweep.  Nothing is integrated
+numerically.
 """
 
 from __future__ import annotations
@@ -71,19 +73,28 @@ def _response(om: float, force: ForceProfile, a: float, b: float, fa: float,
 
 
 def _classical_path(params: SystemParams, x0, v0, force: ForceProfile,
-                    t0: float, t: float):
+                    t0: float, t: float, kicks=()):
     """(xi, xi_dot, int_t0^t L ds) at t on the path leaving (x0, v0) at t0,
-    with L = xi_dot^2/2 + omega^2 xi^2/2 + xi F; complex x0, v0 pass through."""
+    with L = xi_dot^2/2 + omega^2 xi^2/2 + xi F; complex x0, v0 pass through.
+    Each (t_k, p_k) of the sorted ``kicks`` with t0 <= t_k <= t adds the force
+    p_k delta(s - t_k): the sweep is cut there, xi_dot jumps by p_k and the
+    action gains p_k xi(t_k)."""
     om = params.omega
     xi, xi_dot, action = x0, v0, 0.0
-    for a, b, fa, fb in force_pieces(force, t0, t):
-        ch, sh = math.cosh(om * (b - a)), math.sinh(om * (b - a))
-        h, dh = xi * ch + xi_dot / om * sh, xi * om * sh + xi_dot * ch
-        r, dr, q = _response(om, force, a, b, fa, fb, ch, sh)
-        xi_b, xi_dot_b = h + r, dh + dr
-        # int L = [xi xi_dot]/2 + int xi F / 2, and int h F = h r' - h' r
-        action += 0.5 * (xi_b * xi_dot_b - xi * xi_dot + h * dr - dh * r + q)
-        xi, xi_dot = xi_b, xi_dot_b
+    cuts = [(t_k, p_k) for t_k, p_k in kicks if t0 <= t_k <= t]
+    for end, p in [*cuts, (t, 0.0)]:
+        for a, b, fa, fb in force_pieces(force, t0, end):
+            ch, sh = math.cosh(om * (b - a)), math.sinh(om * (b - a))
+            h, dh = xi * ch + xi_dot / om * sh, xi * om * sh + xi_dot * ch
+            r, dr, q = _response(om, force, a, b, fa, fb, ch, sh)
+            xi_b, xi_dot_b = h + r, dh + dr
+            # int L = [xi xi_dot]/2 + int xi F / 2, and int h F = h r' - h' r
+            action += 0.5 * (xi_b * xi_dot_b - xi * xi_dot + h * dr - dh * r + q)
+            xi, xi_dot = xi_b, xi_dot_b
+        if p:
+            action += p * xi
+            xi_dot += p
+        t0 = end
     return xi, xi_dot, action
 
 

@@ -246,29 +246,17 @@ def _sample_times(config, section: str) -> np.ndarray:
 _TINY = 2.2250738585072014e-308   # the smallest normal float
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    value = float(value)
-    if abs(value) < _TINY:   # subnormal: fewer than 17 digits
-        value = math.copysign(0.0, value)
-    return f"{value:.16e}"
-
-
 def _column(cells):
-    """The text of each cell of one CSV column, and whether each is finite.
-    A column of numbers is formatted in one expression; one holding None or
-    str cells goes cell by cell through ``_fmt``."""
-    if str in set(map(type, cells)) or None in cells:
-        return [_fmt(v) for v in cells], [
-            v is None or isinstance(v, str) or math.isfinite(v) for v in cells]
-    values = list(map(float, cells))
+    """The text of each cell of one CSV column, formatted in one expression,
+    and whether each is finite; a None cell is empty, a subnormal (fewer
+    than 17 digits) is 0."""
+    values = [0.0 if v is None else float(v) for v in cells]
     if min(map(abs, values), default=0.0) < _TINY:
         values = [math.copysign(0.0, v) if abs(v) < _TINY else v for v in values]
-    return (("%.16e," * len(values) % tuple(values)).split(",")[:-1],
-            list(map(math.isfinite, values)))
+    texts = ("%.16e," * len(values) % tuple(values)).split(",")[:-1]
+    if None in cells:
+        texts = ["" if v is None else text for v, text in zip(cells, texts)]
+    return texts, list(map(math.isfinite, values))
 
 
 def render_csv(header, columns, cfg_hash: str) -> str:
@@ -299,13 +287,6 @@ def _emit(text: str, out_path: str | None) -> None:
 # ---------------------------------------------------------------------------
 # Shared measurement helpers
 # ---------------------------------------------------------------------------
-
-def _take(stack, index):
-    """The states of a stack of states at ``index``; an int gives one state."""
-    from . import closed_evolution as ce
-
-    return ce.EvolvedGaussian(*(field[index] for field in vars(stack).values()))
-
 
 def _closed_columns(stack, params, packet):
     """The columns of ``_CLOSED_HEADER`` for a stack of states."""
@@ -340,7 +321,8 @@ def cmd_evolve(config, out, wavefunction_path=None) -> int:
     # raises before any file is written
     text = render_csv(_CLOSED_HEADER, _closed_columns(stack, params, packet), cfg_hash)
     if wavefunction_path is not None:
-        psi = ce.evaluate(_take(stack, -1), params, packet, xs)
+        psi = ce.evaluate(ce.evolve_gaussian(params, packet, force, times[-1]),
+                          params, packet, xs)
         columns = [xs, psi.real, psi.imag, np.hypot(psi.real, psi.imag) ** 2]
         _emit(render_csv(["x", "re_psi", "im_psi", "density"], columns, cfg_hash),
               wavefunction_path)
@@ -360,10 +342,7 @@ def cmd_kick(config, out) -> int:
     p = _number(sec["momentum"], "kick.momentum")
     t1 = _finite(sec["time"], "kick.time")
     times = _sample_times(config, "evolve")
-    stacks = (ce.evolve_gaussian(params, packet, ZeroForce(), times[times < t1]),
-              ce.delta_kick_at(params, packet, p, t1, times[times >= t1]))
-    stack = ce.EvolvedGaussian(*map(np.concatenate, zip(*(vars(s).values()
-                                                           for s in stacks))))
+    stack = ce.delta_kick_at(params, packet, p, t1, times)
     columns = _closed_columns(stack, params, packet) + [np.full(times.shape, packet.p0 + p)]
     cfg_hash = config_sha256(config, "system", "packet", "force", "kick", "evolve")
     _emit(render_csv(_CLOSED_HEADER + ["P"], columns, cfg_hash), out)
@@ -515,7 +494,11 @@ def cmd_verify(config, out) -> int:
     xs = grid.x()
     for t in _GRID_TIMES:
         with np.errstate(over="ignore", invalid="ignore"):   # add names inf, NaN
-            grid = numerics.schrodinger_grid_evolve(params, grid, force, t, dt)
+            try:
+                grid = numerics.schrodinger_grid_evolve(params, grid, force, t, dt)
+            except RuntimeError as exc:
+                raise RuntimeError(f"verify: grid.x_min, grid.x_max, grid.n = {x_min!r}, "
+                                   f"{x_max!r}, {n}: {exc}") from exc
             ev = ce.evolve_gaussian(params, packet, force, t)
             ref = ce.evaluate(ev, params, packet, xs)
             dev = float(np.sqrt(np.sum(np.abs(grid.psi - ref) ** 2)

@@ -18,12 +18,12 @@ sigma^2 |Gamma(t)|^2, and the norm is conserved identically.
 The propagator itself is the usual quadratic-action Gaussian kernel with
 hyperbolic rather than trigonometric coefficients.  The center, the
 phase and the kernel's action all come from the closed-form sweep of the
-classical path in ``classical_dynamics``; nothing is integrated.
+classical path in ``classical_dynamics``, whose pieces are cut at the
+force's knots and at delta kicks; nothing is integrated.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -59,11 +59,11 @@ class EvolvedGaussian:
 
 
 def _states(params: SystemParams, packet: GaussianPacket, t, name: str,
-            path) -> EvolvedGaussian:
-    """The state at t, a float or an ndarray of times, whose center and action
-    at each time s are path(s) = (xi, xi_dot, S).  Each time has its own sweep
-    and its own cosh and sinh, so a stack equals its states one time at a
-    time bit for bit; an overflow names its time."""
+            force: ForceProfile, kicks=()) -> EvolvedGaussian:
+    """The state at t, a float or an ndarray of times, under ``force`` and the
+    sorted delta ``kicks`` (t_k, p_k) up to each time.  Each time has its own
+    sweep and its own cosh and sinh, so a stack equals its states one time
+    at a time bit for bit; an overflow names its time."""
     ts = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(ts) & (ts >= 0.0)):
         raise ValueError("t must be finite and non-negative")
@@ -71,7 +71,8 @@ def _states(params: SystemParams, packet: GaussianPacket, t, name: str,
     eps, rows = params.hbar / (2.0 * om * sig2), []
     for s in ts.ravel().tolist():
         try:
-            xi, xi_dot, action = path(s)
+            xi, xi_dot, action = _classical_path(params, packet.x0, packet.p0,
+                                                 force, 0.0, s, kicks)
             rows.append((s, xi, xi_dot, complex(math.cosh(om * s), eps * math.sinh(om * s)),
                          action + packet.p0 * packet.x0))
         except OverflowError as exc:
@@ -136,8 +137,7 @@ def evolve_gaussian(params: SystemParams, packet: GaussianPacket,
                     force: ForceProfile, t) -> EvolvedGaussian:
     """Evolve the initial packet under a pointwise force profile to t, a float
     or an ndarray of times: the states' fields are then arrays of its shape."""
-    return _states(params, packet, t, "evolve_gaussian", lambda s: _classical_path(
-        params, packet.x0, packet.p0, force, 0.0, s))
+    return _states(params, packet, t, "evolve_gaussian", force)
 
 
 def _width(ev: EvolvedGaussian, params: SystemParams, packet: GaussianPacket):
@@ -189,29 +189,18 @@ def norm_and_variance(ev: EvolvedGaussian, params: SystemParams,
 
 def delta_kick_at(params: SystemParams, packet: GaussianPacket,
                   p: float, t1: float, t) -> EvolvedGaussian:
-    """Coast to t1, apply a momentum boost p, coast on to t, a float or an
-    ndarray of times, each at least t1.
+    """Evolve freely, with a momentum boost p at t1, to t, a float or an
+    ndarray of times; a time before t1 is the free state.
 
-    Gaussians compose exactly: the spreading factor depends only on the
-    total time, the center follows the piecewise classical trajectory
-    with a velocity jump at t1, and the boost adds p * xi(t1) to the
-    accumulated phase.  At t1 = 0 the kick multiplies the packet by
-    exp(i p x / hbar): it is the packet of momentum p0 + p, evolved freely.
+    The boost is the force p delta(s - t1): the spreading factor depends
+    only on the total time, the center's velocity jumps by p at t1, and
+    the phase gains p * xi(t1).  At t1 = 0 the kick multiplies the packet
+    by exp(i p x / hbar): it is the packet of momentum p0 + p, evolved
+    freely.  A zero p is no kick, so the states are the free ones bit for
+    bit.
     """
-    if not (0.0 <= t1 and np.all(np.asarray(t) >= t1)) or not np.all(np.isfinite(t)):
-        raise ValueError("need 0 <= t1 <= t")
+    if not 0.0 <= t1 < math.inf:
+        raise ValueError("kick time t1 must be finite and non-negative")
     if not math.isfinite(p):
         raise ValueError("kick momentum must be finite")
-    if p == 0.0:
-        return evolve_gaussian(params, packet, ZeroForce(), t)
-
-    @functools.cache   # on the first sample, so an overflow names its time
-    def first_leg():
-        return _classical_path(params, packet.x0, packet.p0, ZeroForce(), 0.0, t1)
-
-    def path(s):
-        xi1, v1, s1 = first_leg()
-        xi, xi_dot, s2 = _classical_path(params, xi1, v1 + p, ZeroForce(), t1, s)
-        return xi, xi_dot, s1 + p * xi1 + s2
-
-    return _states(params, packet, t, "delta_kick_at", path)
+    return _states(params, packet, t, "delta_kick_at", ZeroForce(), ((t1, p),) if p else ())

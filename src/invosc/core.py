@@ -3,7 +3,8 @@
 Units are natural: the particle mass is fixed to 1, the barrier curvature
 ``omega`` carries inverse time, and ``hbar`` is kept as a free parameter
 (default 1) so the classical limit can be probed numerically.  A momentum
-kick is no force profile: ``closed_evolution.delta_kick_at`` composes it.
+kick is no force profile: ``closed_evolution.delta_kick_at`` passes it to
+the classical sweep, which cuts there.
 """
 
 from __future__ import annotations

@@ -733,8 +733,8 @@ def schrodinger_grid_evolve(params: SystemParams, grid: GridState, force,
     exponential over the grid.  The inverse FFT's 1/n, exact for n a power
     of two, is folded into the drift.  Every kick and drift multiplies a
     fresh array in place, so ``grid.psi`` is not written.  Probability
-    within five points of the boundary above 1e-6 after any step raises an
-    error.
+    within five points of the boundary above 1e-6 after any step, or NaN
+    (a grid whose x^2 or k^2 overflows), raises RuntimeError naming it.
     """
     if not 0.0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
@@ -779,9 +779,9 @@ def schrodinger_grid_evolve(params: SystemParams, grid: GridState, force,
         if i % 2 == 0:   # a whole step
             edge_prob = float((np.sum(np.abs(psi[:5]) ** 2)
                                + np.sum(np.abs(psi[-5:]) ** 2)) * grid.dx)
-            if edge_prob > 1e-6:
-                raise RuntimeError("domain too small: probability reached the "
-                                   "grid boundary (widen the box)")
+            if not edge_prob <= 1e-6:   # NaN too: an unresolved grid
+                raise RuntimeError(f"domain too small: probability {edge_prob:g} "
+                                   f"reached the grid boundary (widen the box)")
     psi *= np.exp(1j * phase / params.hbar)
     return GridState(x_min=grid.x_min, x_max=grid.x_max, n=grid.n,
                      dx=grid.dx, psi=psi, t=t_final)

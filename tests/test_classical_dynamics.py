@@ -185,3 +185,35 @@ class TestSweepComposition:
         assert abs(xi_2 - xi) <= 1e-12 * size
         assert abs(xi_dot_2 - xi_dot) <= 1e-12 * omega * size
         assert abs(s1 + s2 - action) <= 1e-12 * omega * size**2
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), omega=st.floats(0.05, 20.0), x0=_SIGNED, p0=_SIGNED,
+           p=_SIGNED, u=st.floats(0.0, 1.0), v=st.floats(0.0, 1.0))
+    def test_kick_is_a_cut_with_a_velocity_jump(self, data, omega, x0, p0, p, u, v):
+        params = SystemParams(omega)
+        horizon = 20.0 / omega
+        force, f_max = data.draw(_force(horizon))
+        t = u * horizon
+        t1 = v * t
+        # a kick outside [t0, t] is no cut
+        kicks = ((-1.0, 3.0), (t1, p), (t + 1.0, 3.0))
+        xi, xi_dot, action = _classical_path(params, x0, p0, force, 0.0, t, kicks)
+        xi_1, xi_dot_1, s1 = _classical_path(params, x0, p0, force, 0.0, t1)
+        xi_2, xi_dot_2, s2 = _classical_path(params, xi_1, xi_dot_1 + p, force, t1, t)
+        # the same pieces, so the path is the same bit for bit; the action
+        # sums in another order
+        assert (xi, xi_dot) == (xi_2, xi_dot_2)
+        size = ((abs(x0) + (abs(p0) + abs(p)) / omega + f_max / omega**2)
+                * math.cosh(omega * t))
+        assert abs(s1 + p * xi_1 + s2 - action) <= 1e-12 * omega * size**2
+
+    def test_kick_on_free_legs_adds_its_phase_in_order(self):
+        # one piece on each side of the kick: the action is s1 + p xi(t1) + s2
+        # in that order, bit for bit
+        p = -1.3
+        for t1, t in ((0.0, 1.2), (0.45, 0.45), (0.45, 1.2), (0.7, 12.0)):
+            got = _classical_path(PARAMS, 0.3, -0.2, ZeroForce(), 0.0, t, ((t1, p),))
+            xi_1, xi_dot_1, s1 = _classical_path(PARAMS, 0.3, -0.2, ZeroForce(), 0.0, t1)
+            xi, xi_dot, s2 = _classical_path(PARAMS, xi_1, xi_dot_1 + p, ZeroForce(),
+                                             t1, t)
+            assert got == (xi, xi_dot, s1 + p * xi_1 + s2)

@@ -340,15 +340,21 @@ class TestRenderCsv:
              np.float64(0.1), 1.0 / 3.0]
 
     def test_columns_match_the_cell_by_cell_format(self):
-        rows = [[i, v, v if i % 3 else None, "label" if i % 4 else v]
-                for i, v in enumerate(self.EDGES)]
-        header = ["t", "value", "maybe", "mixed"]
-        text = cli.render_csv(header, list(zip(*rows)), "abc")
-        expected = ["# config-sha256: abc", "t,value,maybe,mixed"]
-        expected += [",".join(cli._fmt(v) for v in row) for row in rows]
+        rows = [[i, v, v if i % 3 else None] for i, v in enumerate(self.EDGES)]
+        text = cli.render_csv(["t", "value", "maybe"], list(zip(*rows)), "abc")
+
+        def cell(v):   # a subnormal has fewer than 17 digits: it is written 0
+            if v is None:
+                return ""
+            return "%.16e" % (math.copysign(0.0, v) if abs(v) < 2.2250738585072014e-308
+                              else v)
+
+        expected = ["# config-sha256: abc", "t,value,maybe"]
+        expected += [",".join(map(cell, row)) for row in rows]
         assert text == "\n".join(expected) + "\n"
-        assert text.splitlines()[2] == ("0.0000000000000000e+00,-0.0000000000000000e+00,"
-                                       ",-0.0000000000000000e+00")
+        assert text.splitlines()[2] == "0.0000000000000000e+00,-0.0000000000000000e+00,"
+        assert text.splitlines()[4] == ("2.0000000000000000e+00,0.0000000000000000e+00,"
+                                        "0.0000000000000000e+00")
 
     def test_no_rows(self):
         assert cli.render_csv(["a", "b"], [[], []], "abc") == "# config-sha256: abc\na,b\n"
@@ -657,6 +663,18 @@ class TestKick:
         _, header, rows = parse_csv(out)
         xi_final = float(rows[-1][header.index("xi")])
         assert xi_final == pytest.approx(math.sinh(1.0), rel=1e-12)
+
+    def test_rows_before_the_kick_are_evolve_rows(self, capsys):
+        _, evolved, _ = run_cli(["evolve"], capsys)
+        code, kicked, _ = run_cli(["kick", "--set", "kick.time=0.5",
+                                   "--set", "kick.momentum=1"], capsys)
+        assert code == 0
+        ev_rows, kk_rows = evolved.splitlines()[2:], kicked.splitlines()[2:]
+        before = [row for row in kk_rows if float(row.split(",")[0]) < 0.5]
+        assert len(before) == 5
+        assert [row.rsplit(",", 1)[0] for row in before] == ev_rows[:5]
+        # the sample at t = 0.5 is kicked
+        assert kk_rows[5].rsplit(",", 1)[0] != ev_rows[5]
 
     def test_kick_rejects_driving_force(self, capsys):
         code, _, err = run_cli(["kick", "--set", "force.kind=harmonic"],
@@ -1141,12 +1159,16 @@ class TestVerify:
         assert key in err
         assert out == ""
 
-    def test_non_finite_grid_deviation_names_its_check(self, capsys):
-        # a spacing of 5e-304 puts the grid's k^2 past the float range
-        code, out, err = run_cli(["verify", "--set", "grid.x_min=-1e-300",
-                                  "--set", "grid.x_max=1e-300"], capsys)
+    @pytest.mark.parametrize("edge", ["1e-300", "1e200"])
+    def test_unresolved_grid_names_the_grid_keys(self, capsys, edge):
+        # a spacing of 5e-304 puts the grid's k^2 past the float range, one
+        # of 5e196 its x^2: the wavefunction is NaN after the first step
+        code, out, err = run_cli(["verify", "--set", f"grid.x_min=-{edge}",
+                                  "--set", f"grid.x_max={edge}"], capsys)
         assert (code, out) == (3, "")
-        assert "non-finite deviation" in err and "grid_closed_form_t0.5" in err
+        assert err.startswith(f"error: verify: grid.x_min, grid.x_max, grid.n = "
+                              f"-{float(edge)!r}, {float(edge)!r}, 4096: ")
+        assert "probability nan reached the grid boundary" in err
         assert "Warning" not in err
 
     def test_non_finite_green_deviation_names_its_check(self, capsys, monkeypatch):

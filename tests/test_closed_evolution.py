@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import density_moments
-from invosc import closed_evolution
 from invosc import (ConstantForce, EvolvedGaussian, GaussianPacket, HarmonicForce,
                     SystemParams, TabulatedForce, ZeroForce, action_S, delta_kick_at,
                     evaluate, evaluate_initial, evolve_gaussian, grid_from_packet,
                     integrate_adaptive, propagator, schrodinger_grid_evolve)
-from invosc.classical_dynamics import _classical_path
+from invosc.numerics import plane_wave
 
 PARAMS = SystemParams(1.0, hbar=1.0)
 
@@ -233,10 +232,35 @@ class TestDelayedKick:
         assert var == pytest.approx(
             packet.sigma**2 * abs(ev.gamma_factor) ** 2, rel=1e-8)
 
-    def test_kick_after_horizon_rejected(self):
+    def test_times_before_the_kick_are_free(self):
+        packet = GaussianPacket(0.3, 0.8, 1.1)
+        for t in (0.0, 0.7, 1.0, np.linspace(0.0, 1.9, 5)):
+            kicked = delta_kick_at(PARAMS, packet, 1.0, 2.0, t)
+            free = evolve_gaussian(PARAMS, packet, ZeroForce(), t)
+            assert [np.asarray(v).tobytes() for v in dataclasses.astuple(kicked)] == [
+                np.asarray(v).tobytes() for v in dataclasses.astuple(free)]
+
+    @pytest.mark.parametrize("t1", [-0.5, -math.inf, math.inf, math.nan])
+    def test_negative_or_non_finite_kick_time_rejected(self, t1):
         packet = GaussianPacket(0.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            delta_kick_at(PARAMS, packet, 1.0, 2.0, 1.0)
+        with pytest.raises(ValueError, match="t1"):
+            delta_kick_at(PARAMS, packet, 1.0, t1, 1.0)
+
+    @pytest.mark.parametrize("t1,p", [(0.4, -0.8), (0.7, 1.3)])
+    def test_matches_grid_kicked_mid_flight(self, t1, p):
+        # the grid is kicked by multiplying it with e^(i p x / hbar) at t1:
+        # the phase p xi(t1) that the kick adds shows in the comparison, and
+        # an error of 1e-6 in it reads about 1e-6
+        packet = GaussianPacket(-0.5, 0.6, 0.9)
+        grid = grid_from_packet(packet, PARAMS, -40.0, 40.0, 4096)
+        grid = schrodinger_grid_evolve(PARAMS, grid, ZeroForce(), t1, 2e-3)
+        grid = dataclasses.replace(grid, psi=grid.psi * plane_wave(
+            p / PARAMS.hbar, grid.x_min, grid.dx, grid.n))
+        out = schrodinger_grid_evolve(PARAMS, grid, ZeroForce(), 1.5, 2e-3)
+        ref = evaluate(delta_kick_at(PARAMS, packet, p, t1, 1.5), PARAMS, packet, out.x())
+        rel_l2 = np.sqrt(np.sum(np.abs(out.psi - ref) ** 2)
+                         / np.sum(np.abs(ref) ** 2))
+        assert rel_l2 < 1e-10
 
     @pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan])
     def test_non_finite_momentum_rejected(self, p):
@@ -276,24 +300,9 @@ class TestArrayOfTimes:
 
     def test_delta_kick_between_samples(self):
         t1 = 0.6   # between the samples 0.5 and 0.75
-        times = self.TIMES[self.TIMES >= t1]
-        stack = delta_kick_at(PARAMS, self.PACKET, 1.1, t1, times)
-        self.assert_stack_equals_calls(stack, times, lambda t: delta_kick_at(
+        stack = delta_kick_at(PARAMS, self.PACKET, 1.1, t1, self.TIMES)
+        self.assert_stack_equals_calls(stack, self.TIMES, lambda t: delta_kick_at(
             PARAMS, self.PACKET, 1.1, t1, t))
-        with pytest.raises(ValueError):
-            delta_kick_at(PARAMS, self.PACKET, 1.1, t1, self.TIMES)
-
-    def test_delta_kick_takes_its_first_leg_once(self, monkeypatch):
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return _classical_path(*args)
-
-        monkeypatch.setattr(closed_evolution, "_classical_path", counted)
-        times = self.TIMES[self.TIMES >= 0.6]
-        delta_kick_at(PARAMS, self.PACKET, 1.1, 0.6, times)
-        assert len(calls) == len(times) + 1
 
     def test_overflow_names_the_time(self):
         with pytest.raises(OverflowError, match="evolve_gaussian overflowed at t=800"):
@@ -313,7 +322,7 @@ class TestStackedEvaluate:
         lambda p, t: evolve_gaussian(PARAMS, p, HarmonicForce(0.5, 2.0), t),
         lambda p, t: evolve_gaussian(PARAMS, p, TabulatedForce(
             (0.0, 0.5, 1.5), (0.0, 0.4, 0.0)), t),
-        lambda p, t: delta_kick_at(PARAMS, p, 1.1, min(t, 0.5), t)],
+        lambda p, t: delta_kick_at(PARAMS, p, 1.1, 0.5, t)],
         ids=["harmonic", "tabulated", "kick"])
     def test_stack_equals_per_state_calls(self, state_at):
         states = [state_at(self.PACKET, t) for t in np.linspace(0.0, 1.5, 7)]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 from fractions import Fraction
@@ -690,6 +691,18 @@ class TestGridSolver:
                                 -6.0, 6.0, 256)
         with pytest.raises(RuntimeError, match="domain too small"):
             schrodinger_grid_evolve(params, grid, ZeroForce(), 2.0, 1e-3)
+
+    def test_boundary_guard_trips_on_nan(self):
+        # one NaN sample spreads over the grid in the first step's FFT; the
+        # edge probability is then NaN, which is no number below 1e-6
+        params = SystemParams(1.0)
+        grid = grid_from_packet(GaussianPacket(0.0, 0.0, 1.0), params,
+                                -20.0, 20.0, 256)
+        psi = grid.psi.copy()
+        psi[128] = math.nan
+        with pytest.raises(RuntimeError, match="probability nan reached the grid boundary"):
+            schrodinger_grid_evolve(params, dataclasses.replace(grid, psi=psi),
+                                    ZeroForce(), 1.0, 0.1)
 
 
 class TestLangevinOracle:
