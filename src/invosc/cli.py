@@ -49,7 +49,7 @@ DEFAULT_CONFIG = {
         "values": [],
     },
     "bath": {"gamma": 0.5, "omega_d": 10.0, "kT": 1.0, "noise": "occupation"},
-    "grid": {"x_min": -40.0, "x_max": 40.0, "n": 4096, "dt": 0.01},
+    "grid": {"x_min": None, "x_max": None, "n": None, "dt": 0.01},
     "evolve": {"t_max": 1.5, "samples": 16},
     "wavefunction": {"x_min": -10.0, "x_max": 10.0, "points": 401},
     "kick": {"momentum": 1.0, "time": 0.0},
@@ -465,20 +465,33 @@ def cmd_verify(config, out) -> int:
     packet = _build_packet(config)
     force = _build_force(config)
     bath = _build_bath(config)
-    # every entry is read and checked before the first oracle runs
+    # every entry is read and checked before the first oracle runs; a null
+    # grid key is derived from the run
     gsec = config["grid"]
-    x_min, x_max = (_number(gsec[key], f"grid.{key}") for key in ("x_min", "x_max"))
-    if not x_min < x_max:
-        raise ConfigError(f"grid.x_min: expected grid.x_min < grid.x_max, "
-                          f"got {x_min!r} and {x_max!r}")
-    n = _count(gsec["n"], "grid.n")
-    if n & (n - 1):
+    x_min, x_max = (None if gsec[key] is None else _number(gsec[key], f"grid.{key}")
+                    for key in ("x_min", "x_max"))
+    n = None if gsec["n"] is None else _count(gsec["n"], "grid.n")
+    if n is not None and n & (n - 1):
         raise ConfigError(f"grid.n: expected a power of two, got {n}")
-    dx = (x_max - x_min) / n
-    if not 0.0 < dx < math.inf:
-        raise ConfigError(f"grid.x_min, grid.x_max: the spacing (x_max - x_min)/n "
-                          f"is {dx!r} at {x_min!r} and {x_max!r}")
     dt = _finite(gsec["dt"], "grid.dt", positive=True)
+
+    def check_box(x_min, x_max, n):
+        if not x_min < x_max:
+            raise ConfigError(f"grid.x_min: expected grid.x_min < grid.x_max, "
+                              f"got {x_min!r} and {x_max!r}")
+        dx = (x_max - x_min) / n
+        if not 0.0 < dx < math.inf:
+            raise ConfigError(f"grid.x_min, grid.x_max: the spacing (x_max - x_min)/n "
+                              f"is {dx!r} at {x_min!r} and {x_max!r}")
+
+    if x_min is not None and x_max is not None:   # before n is derived from the box
+        check_box(x_min, x_max, n or 1)
+    try:
+        x_min, x_max, n = numerics.size_grid(params, packet, force, _GRID_TIMES[-1],
+                                             x_min, x_max, n)
+    except ValueError as exc:
+        raise ValueError(f"verify: grid.n: {exc}") from exc
+    check_box(x_min, x_max, n)
     checks = []
 
     def add(name, deviation, tolerance):
@@ -496,9 +509,12 @@ def cmd_verify(config, out) -> int:
         with np.errstate(over="ignore", invalid="ignore"):   # add names inf, NaN
             try:
                 grid = numerics.schrodinger_grid_evolve(params, grid, force, t, dt)
-            except RuntimeError as exc:
-                raise RuntimeError(f"verify: grid.x_min, grid.x_max, grid.n = {x_min!r}, "
-                                   f"{x_max!r}, {n}: {exc}") from exc
+            except numerics.GridResolutionError as exc:   # the x band names the box, k n
+                keys = {key: value for key, value in
+                        (("grid.x_min", x_min), ("grid.x_max", x_max), ("grid.n", n))
+                        if ("k" if key == "grid.n" else "x") in exc.axes}
+                raise RuntimeError(f"verify: {', '.join(keys)} = "
+                                   f"{', '.join(map(repr, keys.values()))}: {exc}") from exc
             ev = ce.evolve_gaussian(params, packet, force, t)
             ref = ce.evaluate(ev, params, packet, xs)
             dev = float(np.sqrt(np.sum(np.abs(grid.psi - ref) ** 2)

@@ -11,7 +11,8 @@ system driven by white noise; e^z K_{1/4}(z) by the trapezoid rule for
 every z > 0; a fourth-order split-step Fourier solver for the
 time-dependent Schrodinger equation on a periodic grid without an
 absorbing boundary, on Chin's force-gradient splitting 4A (Phys. Lett. A
-226, 344 (1997)): two FFT pairs per step, and every kick inside its step;
+226, 344 (1997)): two FFT pairs per step, and every kick inside its step,
+with guard bands in x and k and a grid sized from the packet's free flow;
 and a fixed-step RK4 integrator for the memory-kernel (generalized
 Langevin) equation of motion, stepped as powers of its step matrix.
 
@@ -685,6 +686,93 @@ def grid_from_packet(packet: GaussianPacket, params: SystemParams,
     return GridState(x_min=x_min, x_max=x_max, n=n, dx=dx, psi=psi, t=0.0)
 
 
+# The grid that ``size_grid`` derives holds the packet's mean plus or minus
+# _TAIL_SIGMAS standard deviations (a two-sided Gaussian tail of 1.4e-20) in x
+# and in k inside its inner 7/8; the outer n/_BAND points a side, of x and of
+# k, are guard bands whose probability ``schrodinger_grid_evolve`` checks after
+# every step against _BAND_PROBABILITY, whose square root, 1e-7, is about the
+# relative L2 error that probability wrapped round the periodic grid can make.
+# A derived n has 2^6 to 2^16 points.
+_TAIL_SIGMAS = 9.3
+_BAND = 16
+_BAND_PROBABILITY = 1e-14
+_MIN_GRID_BITS, _MAX_GRID_BITS = 6, 16
+
+
+class GridResolutionError(RuntimeError):
+    """Probability in a guard band of the grid solver; ``axes`` names each
+    band over the threshold: "x" (the box is too small) and "k" (the spacing
+    is too coarse)."""
+
+    def __init__(self, axes: tuple, message: str):
+        super().__init__(message)
+        self.axes = axes
+
+
+def _force_bound(force, t: float) -> float:
+    """sup |F| on [0, t]: the amplitude, or a tabulated force's largest
+    value at the ends of its linear pieces."""
+    if isinstance(force, TabulatedForce):
+        return max(abs(f) for piece in force_pieces(force, 0.0, t) for f in piece[2:])
+    return abs(getattr(force, "amplitude", 0.0))
+
+
+def size_grid(params: SystemParams, packet: GaussianPacket, force, t_final: float,
+              x_min=None, x_max=None, n=None) -> tuple[float, float, int]:
+    """``(x_min, x_max, n)`` for a ``schrodinger_grid_evolve`` run of the packet
+    from t = 0 to ``t_final``; an argument given is kept, one left None is
+    derived.
+
+    The packet's mean and covariance in (x, p) are carried to ``t_final`` by
+    the free flow [[cosh wt, sinh(wt)/w], [w sinh wt, cosh wt]], not by the
+    closed form the grid checks.  The standard deviations grow with t, and
+    the free mean over [0, t_final] lies between 0 and its two ends in x
+    and inside its larger end in |p|.  The force moves the mean by at most
+    sup|F| (cosh wt - 1)/w^2 = 2 sup|F| (sinh(wt/2)/w)^2 in x and
+    sup|F| sinh(wt)/w in p, T^2/2 and T as w -> 0.  The box holds that range
+    of the mean plus or minus ``_TAIL_SIGMAS`` deviations in its inner 7/8,
+    and n is the least power of two whose k range pi/dx holds
+    (|<p>| + _TAIL_SIGMAS sd_p)/hbar in its inner 7/8.  A derived n above
+    2^16, or a box past the float range, raises ValueError, before anything
+    is allocated, naming the size and the term that sets each of the box
+    width and the k range.  For an empty box, n stays None.
+    """
+    w, m = params.omega, _TAIL_SIGMAS
+    with np.errstate(over="ignore", invalid="ignore"):   # past the float range: the cap
+        c, s = np.cosh(w * t_final), np.sinh(w * t_final) / w
+        half = np.sinh(0.5 * w * t_final) / w
+        sd_p0 = 0.5 * params.hbar / packet.sigma
+        x_t = c * packet.x0 + s * packet.p0
+        p_t = w * w * s * packet.x0 + c * packet.p0
+        f = _force_bound(force, t_final)
+        lo, hi = min(packet.x0, x_t, 0.0), max(packet.x0, x_t, 0.0)
+        # the terms of the box width and of the k range, by their cause
+        x_terms = {"packet.x0, packet.p0": hi - lo,
+                   "packet.sigma": 2.0 * m * np.hypot(c * packet.sigma, s * sd_p0),
+                   "force": 4.0 * f * half * half}
+        k_terms = {"packet.x0, packet.p0": max(abs(packet.p0), abs(p_t)),
+                   "packet.sigma": m * np.hypot(w * w * s * packet.sigma, c * sd_p0),
+                   "force": f * s}
+        pad = (0.5 * (x_terms["packet.sigma"] + x_terms["force"])
+               + sum(x_terms.values()) / (_BAND - 2))
+        x_min = float(lo - pad) if x_min is None else x_min
+        x_max = float(hi + pad) if x_max is None else x_max
+        k_max = sum(k_terms.values()) / params.hbar
+        bits = np.log2(x_max - x_min) + np.log2(k_max / (np.pi * (1.0 - 2.0 / _BAND)))
+    # an empty box is the caller's to refuse; one past the float range is not
+    if not abs(x_max - x_min) < math.inf or (n is None and not x_min >= x_max
+                                             and not bits <= _MAX_GRID_BITS):
+        needed = f"about 2^{bits:.1f}" if bits < math.inf else "more than 2^1024"
+        raise ValueError(
+            f"the grid needs {needed} points, above the cap 2^{_MAX_GRID_BITS}, for a "
+            f"box of width {x_max - x_min:.3g} and |k| up to {k_max:.3g}; the packet's "
+            f"extent is set mostly by {max(x_terms, key=x_terms.get)} in x and "
+            f"{max(k_terms, key=k_terms.get)} in k")
+    if n is None and x_min < x_max:
+        n = 2 ** max(math.ceil(bits), _MIN_GRID_BITS)
+    return x_min, x_max, n
+
+
 # Chin's scheme 4A (Phys. Lett. A 226, 344 (1997)), per step of length h: the
 # times and lengths of the three kicks as fractions of h, and the share of the
 # gradient correction h^2/48 each carries (only the middle one).  Both drifts
@@ -732,9 +820,11 @@ def schrodinger_grid_evolve(params: SystemParams, grid: GridState, force,
     two phase vectors of about sqrt(n) points, so no kick takes a complex
     exponential over the grid.  The inverse FFT's 1/n, exact for n a power
     of two, is folded into the drift.  Every kick and drift multiplies a
-    fresh array in place, so ``grid.psi`` is not written.  Probability
-    within five points of the boundary above 1e-6 after any step, or NaN
-    (a grid whose x^2 or k^2 overflows), raises RuntimeError naming it.
+    fresh array in place, so ``grid.psi`` is not written.  After every step
+    the probability in the outer n/16 points a side of x, and of k as read
+    from the step's last forward FFT, must be at most 1e-14; a band above it,
+    or NaN (a grid whose x^2 or k^2 overflows), raises GridResolutionError
+    naming the band and its probability.
     """
     if not 0.0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
@@ -770,18 +860,26 @@ def schrodinger_grid_evolve(params: SystemParams, grid: GridState, force,
         return barrier[q] if j == 0.0 else barrier[q] * plane_wave(
             j / params.hbar, grid.x_min, grid.dx, grid.n)
 
+    band = max(grid.n // _BAND, 1)
+    k_band = slice(grid.n // 2 - band, grid.n // 2 + band)   # the largest |k| in FFT order
     psi = grid.psi * kick(0)
     for i, drift in enumerate(drifts, 1):
         buf = np.fft.fft(psi)
+        if i % 2 == 0:   # the probability is sum |buf|^2 dx / n
+            k_prob = np.vdot(buf[k_band], buf[k_band]).real * grid.dx / grid.n
         buf *= drift
         psi = np.fft.ifft(buf, norm="forward")
         psi *= kick(i)
         if i % 2 == 0:   # a whole step
-            edge_prob = float((np.sum(np.abs(psi[:5]) ** 2)
-                               + np.sum(np.abs(psi[-5:]) ** 2)) * grid.dx)
-            if not edge_prob <= 1e-6:   # NaN too: an unresolved grid
-                raise RuntimeError(f"domain too small: probability {edge_prob:g} "
-                                   f"reached the grid boundary (widen the box)")
+            bands = {"x": (np.vdot(psi[:band], psi[:band]).real
+                           + np.vdot(psi[-band:], psi[-band:]).real) * grid.dx,
+                     "k": k_prob}
+            axes = tuple(axis for axis, p in bands.items()
+                         if not p <= _BAND_PROBABILITY)   # NaN too: an unresolved grid
+            if axes:
+                raise GridResolutionError(axes, (
+                    f"domain too small: probability {bands[axes[0]]:g} reached the grid "
+                    f"boundary in {' and '.join(axes)} (the outer n/{_BAND} points a side)"))
     psi *= np.exp(1j * phase / params.hbar)
     return GridState(x_min=grid.x_min, x_max=grid.x_max, n=grid.n,
                      dx=grid.dx, psi=psi, t=t_final)

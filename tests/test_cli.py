@@ -1,4 +1,6 @@
+import contextlib
 import importlib.util
+import io
 import json
 import math
 import subprocess
@@ -9,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import invosc
@@ -1162,14 +1164,87 @@ class TestVerify:
     @pytest.mark.parametrize("edge", ["1e-300", "1e200"])
     def test_unresolved_grid_names_the_grid_keys(self, capsys, edge):
         # a spacing of 5e-304 puts the grid's k^2 past the float range, one
-        # of 5e196 its x^2: the wavefunction is NaN after the first step
+        # of 5e196 its x^2: the wavefunction is NaN after the first step, in
+        # both guard bands
         code, out, err = run_cli(["verify", "--set", f"grid.x_min=-{edge}",
-                                  "--set", f"grid.x_max={edge}"], capsys)
+                                  "--set", f"grid.x_max={edge}", "--set", "grid.n=4096"],
+                                 capsys)
         assert (code, out) == (3, "")
         assert err.startswith(f"error: verify: grid.x_min, grid.x_max, grid.n = "
                               f"-{float(edge)!r}, {float(edge)!r}, 4096: ")
         assert "probability nan reached the grid boundary" in err
         assert "Warning" not in err
+
+    def test_derived_grid_holds_the_packet_the_fixed_box_lost(self, capsys):
+        # at (omega, hbar) = (1.7, 0.6) the packet is 6.5 wide at t = 1.5 and
+        # reaches x = 40, where the old default box ended (t = 1.5 deviation
+        # 3.1e-5, exit 4); the derived box holds it, and on [-40, 40] the x
+        # band names the box
+        sets = ["--set", "system.omega=1.7", "--set", "system.hbar=0.6"]
+        code, out, _ = run_cli(["verify", *sets], capsys)
+        assert code == 0
+        code, out, err = run_cli(["verify", *sets, "--set", "grid.x_min=-40",
+                                  "--set", "grid.x_max=40", "--set", "grid.n=4096"], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: verify: grid.x_min, grid.x_max = -40.0, 40.0: "
+                              "domain too small: probability ")
+        assert err.rstrip().endswith("in x (the outer n/16 points a side)")
+
+    def test_aliased_k_range_names_grid_n(self, capsys):
+        # at omega = 2 the packet's chirp, about omega x / hbar, passes the k
+        # range pi/dx = 80 of 4096 points on [-80, 80] (deviation 1.28e-2,
+        # exit 4, before the k band)
+        code, out, err = run_cli(["verify", "--set", "system.omega=2",
+                                  "--set", "grid.x_min=-80", "--set", "grid.x_max=80",
+                                  "--set", "grid.n=4096"], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: verify: grid.n = 4096: domain too small: probability ")
+        assert err.rstrip().endswith("in k (the outer n/16 points a side)")
+
+    @settings(max_examples=30, deadline=None)
+    @given(omega=st.floats(0.3, 2.0), hbar=st.floats(0.5, 2.0), sigma=st.floats(0.5, 2.0),
+           x0=st.floats(-2.0, 2.0), p0=st.floats(-2.0, 2.0),
+           kind=st.sampled_from(["zero", "constant", "harmonic", "tabulated"]),
+           amplitude=st.floats(-1.0, 1.0), omega0=st.floats(0.5, 3.0))
+    @example(omega=2.0, hbar=0.5, sigma=0.5, x0=2.0, p0=2.0, kind="constant",
+             amplitude=1.0, omega0=1.0)   # t = 1.5 deviation 4.3e-7, 2.7e-8 at dt/2
+    def test_derived_grid_resolves_every_run(self, omega, hbar, sigma, x0, p0, kind,
+                                             amplitude, omega0):
+        # On the derived grid no grid check fails for want of space: verify
+        # passes, exits 3 naming a grid key, or fails grid checks whose
+        # deviations fall at least 8-fold at half the step.  That last is the
+        # stepper's fourth-order time error, which verify does not estimate
+        # yet: at dt = 1e-2 it passes 1e-7 near omega = 2 once |x0| or |p0|
+        # reaches about 1.  The green and tunnel checks use no grid and are
+        # left out.  The 30 examples and the corner take about 6 s.
+        sets = {"system.omega": omega, "system.hbar": hbar, "packet.sigma": sigma,
+                "packet.x0": x0, "packet.p0": p0, "force.kind": kind,
+                "force.amplitude": amplitude, "force.omega0": omega0,
+                "force.times": [0.2, 0.7, 1.2],
+                "force.values": [amplitude, -0.5 * amplitude, amplitude]}
+
+        def grid_checks(dt):
+            argv = ["verify", "--set", f"grid.dt={dt}"]
+            for key, value in sets.items():
+                argv += ["--set", f"{key}={json.dumps(value)}"]
+            out, err = io.StringIO(), io.StringIO()
+            with pytest.MonkeyPatch.context() as patch, \
+                    contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                patch.setattr(cli, "_GREEN_BATHS", ())
+                patch.setattr(cli, "_TUNNEL_POINTS", ())
+                code = main(argv)
+            if code == 3:
+                assert "verify: grid." in err.getvalue()
+                return {}
+            assert code in (0, 4)
+            return {c["name"]: c["deviation"] for c in json.loads(out.getvalue())["checks"]
+                    if c["name"].startswith("grid")}
+
+        deviations = grid_checks(1e-2)
+        failed = {name: dev for name, dev in deviations.items() if not dev < 1e-7}
+        if failed:
+            finer = grid_checks(5e-3)
+            assert all(finer[name] < dev / 8.0 for name, dev in failed.items())
 
     def test_non_finite_green_deviation_names_its_check(self, capsys, monkeypatch):
         oracle = invosc.numerics.langevin_ode_oracle
@@ -1240,21 +1315,23 @@ class TestVerify:
         assert not any(c["passed"] for c in green)
 
     def test_fft_budget(self, capsys, monkeypatch):
-        # 150 steps of 1e-2 to t = 1.5, two FFT pairs each
+        # 150 steps of 1e-2 to t = 1.5, two FFT pairs each, on a derived
+        # grid of at most 1024 points
         calls = {"fft": [], "ifft": []}
 
         def counted(name, transform):
-            def call(*args, **kwargs):
-                calls[name].append(None)
-                return transform(*args, **kwargs)
+            def call(a, *args, **kwargs):
+                calls[name].append(len(a))
+                return transform(a, *args, **kwargs)
             return call
 
         for name in calls:
             monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
         code, _, _ = run_cli(["verify"], capsys)
         assert code == 0
-        assert 0 < len(calls["fft"]) <= 300
-        assert 0 < len(calls["ifft"]) <= 300
+        for lengths in calls.values():
+            assert 0 < len(lengths) <= 300
+            assert max(lengths) <= 1024
 
     def test_noise_oracle_budget(self, capsys, monkeypatch):
         # the frequency quadrature integrates its dyadic intervals as rows,
@@ -1292,12 +1369,29 @@ class TestVerify:
         ("0", "1.5e-154", "domain too small"),
         ("0.01", "1e-5", "every sample of the packet is 0")])
     def test_packet_narrower_than_a_grid_cell(self, capsys, x0, sigma, message):
-        # sigma^2 is normal, but the initial samples underflow: at x0 = 0 to
-        # one grid point, at x0 = 0.01 between points to none
+        # sigma^2 is normal, but on a grid of spacing 80/4096 the initial
+        # samples underflow: at x0 = 0 to one grid point, at x0 = 0.01
+        # between points to none
         code, out, err = run_cli(["verify", "--set", f"packet.x0={x0}",
-                                  "--set", f"packet.sigma={sigma}"], capsys)
+                                  "--set", f"packet.sigma={sigma}",
+                                  "--set", "grid.x_min=-40", "--set", "grid.x_max=40",
+                                  "--set", "grid.n=4096"], capsys)
         assert (code, out) == (3, "")
         assert message in err and "Warning" not in err
+
+    def test_derived_grid_past_the_cap_allocates_nothing(self, capsys, monkeypatch):
+        # the packet's momentum spread hbar/2 sigma = 3e153 asks for about
+        # 2^1028 points: exit 3 names grid.n and the cause before any grid
+        def grid_from_packet(*args):
+            raise AssertionError("a grid was allocated")
+
+        monkeypatch.setattr(invosc.numerics, "grid_from_packet", grid_from_packet)
+        code, out, err = run_cli(["verify", "--set", "packet.sigma=1.5e-154"], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: verify: grid.n: the grid needs about 2^")
+        assert "above the cap 2^16" in err
+        assert "set mostly by packet.sigma in x and packet.sigma in k" in err
+        assert "Warning" not in err
 
     def test_green_time_budget(self, capsys, monkeypatch):
         # the green check takes about 100 of the 10,001 RK4 times per case
@@ -1316,19 +1410,25 @@ class TestVerify:
     def test_kick_exp_budget(self, capsys, monkeypatch):
         # a kick under a force takes no complex exponential over the grid
         # beyond the cached barrier phases, as at zero force
-        exp = np.exp
+        exp, grid_from_packet = np.exp, invosc.numerics.grid_from_packet
 
         def count(args):
-            calls = []
+            calls, sizes = [], []
 
             def counted(*a, **kw):
                 out = exp(*a, **kw)
-                if np.iscomplexobj(out) and np.size(out) >= 4096:
+                if np.iscomplexobj(out) and sizes and np.size(out) >= sizes[0]:
                     calls.append(None)
                 return out
 
+            def sized(*a):
+                grid = grid_from_packet(*a)
+                sizes.append(grid.n)
+                return grid
+
             with monkeypatch.context() as patch:
                 patch.setattr(np, "exp", counted)
+                patch.setattr(invosc.numerics, "grid_from_packet", sized)
                 code, _, _ = run_cli(["verify", *args], capsys)
             assert code == 0
             return len(calls)

@@ -685,12 +685,33 @@ class TestGridSolver:
         with pytest.raises(ValueError, match="dt"):
             schrodinger_grid_evolve(params, grid, ZeroForce(), 1.0, dt)
 
-    def test_boundary_guard_raises(self):
+    @pytest.mark.parametrize("p0,box,n,axis", [
+        (3.0, 6.0, 256, "x"),    # the packet runs into the box's edge
+        (0.0, 40.0, 64, "k")])   # |k| > 2.2 holds 1e-5 of sd_k = 1/2
+    def test_boundary_guard_raises(self, p0, box, n, axis):
+        # the x band is named first; a packet cut at the box's edge also
+        # leaks into the k band
         params = SystemParams(1.0)
-        grid = grid_from_packet(GaussianPacket(0.0, 3.0, 1.0), params,
-                                -6.0, 6.0, 256)
-        with pytest.raises(RuntimeError, match="domain too small"):
+        grid = grid_from_packet(GaussianPacket(0.0, p0, 1.0), params, -box, box, n)
+        with pytest.raises(numerics.GridResolutionError, match="domain too small") as info:
             schrodinger_grid_evolve(params, grid, ZeroForce(), 2.0, 1e-3)
+        assert info.value.axes[0] == axis
+
+    def test_derived_grid_keeps_given_keys(self):
+        params, packet = SystemParams(1.0), GaussianPacket(0.0, 0.0, 1.0)
+        assert numerics.size_grid(params, packet, ZeroForce(), 1.5,
+                                  -40.0, 40.0, 4096) == (-40.0, 40.0, 4096)
+        x_min, x_max, n = numerics.size_grid(params, packet, ZeroForce(), 1.5, n=4096)
+        assert x_min == -x_max and n == 4096
+        assert numerics.size_grid(params, packet, ZeroForce(), 1.5, -40.0, 40.0)[2] == 1024
+
+    @pytest.mark.parametrize("force", [HarmonicForce(0.5, 2.0),
+                                       TabulatedForce((0.0, 0.5, 1.5), (0.0, 0.4, 0.0))])
+    def test_derived_grid_at_vanishing_omega(self, force):
+        # the force terms tend to sup|F| T^2/2 and sup|F| T, with no 0/0
+        small, tiny = (numerics.size_grid(SystemParams(omega), GaussianPacket(0.3, 0.5, 1.0),
+                                          force, 1.5) for omega in (1e-9, 1e-300))
+        assert small == pytest.approx(tiny, rel=1e-12)
 
     def test_boundary_guard_trips_on_nan(self):
         # one NaN sample spreads over the grid in the first step's FFT; the

@@ -1,8 +1,9 @@
 """No command except ``verify`` runs an oracle.
 
-The independent oracles (the split-step grid solver, the RK4 memory-kernel
-integrator and the windowed transform by its own closed form) share modules
-with the production code, so nothing but a run shows that a command's
+The independent oracles (the split-step grid solver and the sizing of its
+grid, the RK4 memory-kernel integrator and the windowed transform by its
+own closed form) share modules with the production code, so nothing but a
+run shows that a command's
 output does not come from them.  Each run here has every invosc binding of
 those oracles replaced by a stub that fails, and must write the bytes of a
 run without the stubs.
@@ -28,7 +29,8 @@ from invosc import open_system as osys
 from invosc.cli import main
 
 ORACLES = {name: getattr(module, name) for module, name in (
-    (numerics, "grid_from_packet"), (numerics, "schrodinger_grid_evolve"),
+    (numerics, "size_grid"), (numerics, "grid_from_packet"),
+    (numerics, "schrodinger_grid_evolve"),
     (numerics, "langevin_ode_oracle"), (osys, "windowed_transform"))}
 
 
