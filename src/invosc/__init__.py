@@ -32,7 +32,7 @@ _EXPORTS = {
         "DegeneratePolesError", "InitialMoments", "PoleDecomposition", "RootClass",
         "bath_spectral_density", "characteristic_coefficients",
         "discriminant_boundary", "drude_kernel", "green_pair", "mean_trajectory",
-        "noise_spectrum", "solve_poles", "spectral_noise_term",
+        "noise_spectrum", "open_evolution", "solve_poles", "spectral_noise_term",
         "symmetrized_correlation", "variance_noise_term", "variance_parts",
         "windowed_transform"),
 }

@@ -444,9 +444,8 @@ def cmd_open_evolve(config, out) -> int:
     times = _sample_times(config, "open")
     moments = osys.InitialMoments.from_packet(packet, params)
     with np.errstate(over="ignore", invalid="ignore"):   # render_csv names inf, NaN
-        g, gd = osys.green_pair(params, bath, times)
-        mean_x = osys.mean_trajectory(params, bath, packet.x0, packet.p0, force, times)
-        dyn, noise = osys.variance_parts(params, bath, moments, times, convention)
+        g, gd, mean_x, dyn, noise = osys.open_evolution(params, bath, moments, force, times,
+                                                        convention)
         columns = [times, g, gd, mean_x, dyn, noise, dyn + noise]
     header = ["t", "G", "G_dot", "mean_x", "variance_dynamic", "variance_noise",
               "variance_total"]

@@ -553,6 +553,13 @@ def expm(a) -> np.ndarray:
     that small entries do not lose a bit to the rounding of I + D at every
     squaring.
     """
+    d = _expm_minus_identity(a)
+    return d + np.eye(d.shape[-1])
+
+
+def _expm_minus_identity(a) -> np.ndarray:
+    """D = e^A - I of ``expm``, whose small entries keep their relative
+    accuracy where those of I + D would lose it to the rounding of 1 + D."""
     a = np.asarray(a, dtype=float)
     n = a.shape[-1]
     flat = a.reshape(-1, n, n)
@@ -566,7 +573,7 @@ def expm(a) -> np.ndarray:
     two = eye + eye
     for s in starts:
         d[s:] = d[s:] @ (d[s:] + two)
-    return _unsorted(d + eye, order, a.shape)
+    return _unsorted(d, order, a.shape)
 
 
 def expm_gramian(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -581,7 +588,10 @@ def expm_gramian(a, b) -> tuple[np.ndarray, np.ndarray]:
     matrix its own s of them, and the blocks are built in chunks, as in
     ``expm``.  E is carried as D = E - I, doubled as D <- 2 D + D^2, so
     that the entries of a stiff A keep their relative accuracy instead of
-    losing a bit to the rounding of I + D at every doubling.
+    losing a bit to the rounding of I + D at every doubling.  E is returned
+    as I + D: its entries off the diagonal are those of D, and only on the
+    diagonal does 1 + D round, which a caller that goes on composing steps
+    in D, as ``open_system._lattice_steps`` does, must restore.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     shape, n = a.shape, a.shape[-1]

@@ -21,10 +21,11 @@ The bath noise is a force of Lorentzian spectrum, or a superposition of
 them: a force with correlation e^(-a |tau|) is an Ornstein-Uhlenbeck state
 of rate a, and the response to it is the covariance of A augmented by that
 state, carried along the sorted times by one Van Loan step
-(numerics.expm_gramian) per gap between them.  The classical term is one
-such covariance, the zero-point term an integral over the rate of their
-excess over the white-noise limit, by one trapezoid rule in log rate that
-every time shares, and the symmetrized term at kT > 0 the Matsubara sum,
+(numerics.expm_gramian) at their lattice unit, composed for each gap, or
+per distinct gap off a lattice.  The classical term is one such
+covariance, the zero-point term an integral over the rate of their excess
+over the white-noise limit, by one trapezoid rule in log rate that every
+time shares, and the symmetrized term at kT > 0 the Matsubara sum,
 the trapezoid rule of step 2 pi kT / hbar for that integral; the Bose part
 is their difference, or on a dense lattice its Euler-Maclaurin series.  No
 term is integrated over the frequency; ``spectral_noise_term`` does that
@@ -54,7 +55,8 @@ import numpy as np
 from .core import (ForceProfile, GaussianPacket, HarmonicForce, SystemParams,
                    force_pieces)
 from .numerics import (QuadratureError, QuadratureResult, _polish_cubic_roots, expm,
-                       expm_gramian, integrate_halfline, solve_cubic)
+                       _expm_minus_identity, expm_gramian, integrate_halfline,
+                       solve_cubic)
 
 OCCUPATION = "occupation"
 SYMMETRIZED = "symmetrized"
@@ -265,9 +267,14 @@ def mean_trajectory(params: SystemParams, bath: BathParams, x0m: float,
     """Mean position <x(t)> = <x(0)> G'(t) + <p(0)> G(t) + (G * F)(t), bath
     fluctuations averaging to zero, at a float or an ndarray of times."""
     t = _times(t)
-    g, gd = green_pair(params, bath, t)
-    out = x0m * gd + p0m * g + _forced_response(params, bath, force, t)
+    out = _mean(params, bath, x0m, p0m, force, t, *green_pair(params, bath, t))
     return float(out) if out.ndim == 0 else out
+
+
+def _mean(params: SystemParams, bath: BathParams, x0m: float, p0m: float,
+          force: ForceProfile, t: np.ndarray, g: np.ndarray, gd: np.ndarray) -> np.ndarray:
+    """<x(t)> of ``mean_trajectory`` from G and G' at the times t."""
+    return x0m * gd + p0m * g + _forced_response(params, bath, force, t)
 
 
 def noise_spectrum(bath: BathParams, params: SystemParams, omega,
@@ -365,6 +372,45 @@ def _forward_sweep(e, p, gap_at: list, rows: list):
     return np.cumsum(cols, axis=1, out=cols), u[:, 1:, :, 4::2].sum(axis=-1)
 
 
+def _join(d_a, p_a, d_b, p_b):
+    """D = e^(M (a + b)) - I and the Gramian P over a + b from D and P over
+    a and over b: D_a + D_b + D_a D_b and P_a + E_a P_b E_a^T, with E_a P_b
+    = P_b + D_a P_b (b = a doubles the step as ``expm_gramian`` does)."""
+    ep = d_a @ p_b
+    ep += p_b
+    return d_a + d_b + d_a @ d_b, p_a + ep + ep @ np.swapaxes(d_a, -1, -2)
+
+
+def _lattice_steps(mu: np.ndarray, e: np.ndarray, p: np.ndarray, multiples: np.ndarray):
+    """E = e^(M m u) and the Gramian P over m u for each of the sorted
+    distinct ``multiples`` m of one unit u, on a new first axis, from E and
+    P over u that ``expm_gramian`` took of mu = M u (rates on the first
+    axis), for ``_ou_covariance``.
+
+    Binary composition in D = E - I, as ``expm_gramian`` carries it: the
+    step is doubled, and joined into each multiple that has its bit, by
+    ``_join``; at m = 1 the result is E itself.  E - I is D off the
+    diagonal.  On it, where 1 + D has rounded, D comes from the diagonal
+    blocks of M, A, A and -a: the diagonal of e^(Au) - I twice and
+    expm1(-a u).  Read off E, D would be off by ulp(1), an error that m
+    steps carry m-fold.
+    """
+    d = e - np.eye(7)
+    block = np.arange(6)
+    d[:, block, block] = np.tile(np.diagonal(_expm_minus_identity(mu[0, :3, :3])), 2)
+    d[:, 6, 6] = np.expm1(mu[:, 6, 6])
+    counts = multiples.tolist()
+    step, terms = (d, p), [None] * len(counts)   # step: D and P at 2^bit u
+    for bit in range(counts[-1].bit_length()):
+        if bit:
+            step = _join(*step, *step)
+        for i, m in enumerate(counts):
+            if m >> bit & 1:
+                terms[i] = step if terms[i] is None else _join(*terms[i], *step)
+    return (np.stack([e if m == 1 else d_m + np.eye(7) for m, (d_m, _) in zip(counts, terms)]),
+            np.stack([p_m for _, p_m in terms]))
+
+
 def _ou_covariance(params: SystemParams, bath: BathParams, rates, t, tprime):
     """(a V_a(t, t'), K_a(t, t')) for each rate a of a float or a 1-D array
     and times t, t' that broadcast, on the axes of the rates, then of the
@@ -387,15 +433,18 @@ def _ou_covariance(params: SystemParams, bath: BathParams, rates, t, tprime):
     Sigma is swept forward along the sorted distinct min(t, t'): as M is
     constant, Sigma(t_k) = Sigma(t_(k-1)) + U P U^T over any gap tau =
     t_k - t_(k-1), with U = e^(M t_(k-1)) and P the Gramian of Q = 2 e_phi
-    e_phi^T over tau.  E = e^(M tau) and P take one Van Loan step per rate
-    and distinct gap, all in one ``expm_gramian`` call, and
-    ``_forward_sweep`` carries only the rows of U that are read, x and x2
-    (all seven where some t != t').  Times within 4 ulp of multiples
-    of one unit, as linspace's are, take their gaps as those multiples: a
-    move no larger than the rounding of M t.  The stationary start is
-    carried apart, m = e^(Mt) m_0 from u2 = phi = phi(0), and m m^T / a is
-    added where K is read: in Sigma its 1/a would swamp K at a small rate.
-    Pairs with t != t' then take e^(M |t - t'|), one ``expm`` call.
+    e_phi^T over tau.  Times within 4 ulp of multiples of one unit u, as
+    linspace's are, take their gaps as those multiples, integers up to
+    2^53: a move no larger than the rounding of M t.  Then E = e^(M tau)
+    and P take one Van Loan step per rate, at u, in one ``expm_gramian``
+    call, and ``_lattice_steps`` composes from it each multiple of u that
+    is a gap; off a lattice each distinct gap is its own unit, of multiple
+    1, with its own step in that call.  ``_forward_sweep`` carries only
+    the rows of U that are read, x and x2 (all seven where some t != t').
+    The stationary start is carried apart, m = e^(Mt) m_0 from u2 = phi =
+    phi(0), and m m^T / a is added where K is read: in Sigma its 1/a would
+    swamp K at a small rate.  Pairs with t != t' then take
+    e^(M |t - t'|), one ``expm`` call.
     """
     rates = np.asarray(rates, dtype=float)
     t, tprime = np.broadcast_arrays(np.asarray(t, dtype=float), tprime)
@@ -409,14 +458,21 @@ def _ou_covariance(params: SystemParams, bath: BathParams, rates, t, tprime):
     noise = np.zeros((7, 7))
     noise[6, 6] = 2.0
     stops, at = np.unique(np.minimum(t, tprime), return_inverse=True)
-    gaps = np.diff(stops, prepend=0.0)
-    if np.any(stops > 0.0):
-        unit = stops[-1] / np.rint(stops[-1] / gaps[gaps > 0.0].min())
+    # each distinct gap its own unit, or on a lattice one unit and the
+    # multiples of it
+    units, gap_at = _distinct_positive(np.diff(stops, prepend=0.0))
+    multiples = np.ones(1, dtype=int)
+    if units.size:
+        unit = stops[-1] / np.rint(stops[-1] / units[0])
         lattice = np.rint(stops / unit)
-        if np.all(np.abs(lattice * unit - stops) <= 4.0 * np.spacing(stops)):
-            gaps = np.diff(lattice, prepend=0.0) * unit
-    gaps, gap_at = _distinct_positive(gaps)
-    e, p = expm_gramian(gen * gaps[:, None, None, None], noise * gaps[:, None, None, None])
+        if lattice[-1] <= 2.0**53 and np.all(np.abs(lattice * unit - stops)
+                                               <= 4.0 * np.spacing(stops)):
+            multiples, gap_at = _distinct_positive(np.diff(lattice, prepend=0.0))
+            units, multiples = np.array([unit]), multiples.astype(int)
+    steps = gen * units[:, None, None, None]
+    e, p = expm_gramian(steps, noise * units[:, None, None, None])
+    if multiples[-1] > 1:
+        e, p = _lattice_steps(steps[0], e[0], p[0], multiples)
     lags, lag_at = _distinct_positive(np.abs(t - tprime).ravel())
     apart = lag_at >= 0
     # the rows of e^(Mt) that are carried: x and x2 first, then the other
@@ -979,18 +1035,24 @@ class InitialMoments:
                    var_p=params.hbar**2 / (4.0 * sig2), sym_xp=0.0)
 
 
-def _centered_covariance(params: SystemParams, bath: BathParams,
-                         moments: InitialMoments, t, tprime) -> np.ndarray:
-    """var_x G'G' + var_p G G + sym_xp (G'(t) G(t') + G(t) G'(t')), for times
-    t, t' that broadcast; the moments must obey the uncertainty relation."""
+def _centered_covariance(params: SystemParams, moments: InitialMoments, g, gd,
+                         g_prime, gd_prime):
+    """var_x G'G' + var_p G G + sym_xp (G'(t) G(t') + G(t) G'(t')) from G and
+    G' at t and at t'; the moments must obey the uncertainty relation."""
     if moments.var_x * moments.var_p < (params.hbar / 2.0) ** 2 * (1.0 - 1e-9):
         raise ValueError("initial moments violate the uncertainty relation")
-    if tprime is t:
-        g_t, gd_t = g_tp, gd_tp = green_pair(params, bath, t)
-    else:
-        (g_t, g_tp), (gd_t, gd_tp) = green_pair(params, bath, np.broadcast_arrays(t, tprime))
-    return (moments.var_x * gd_t * gd_tp + moments.var_p * g_t * g_tp
-            + moments.sym_xp * (gd_t * g_tp + gd_tp * g_t))
+    return (moments.var_x * gd * gd_prime + moments.var_p * g * g_prime
+            + moments.sym_xp * (gd * g_prime + gd_prime * g))
+
+
+def _variance_parts(params: SystemParams, bath: BathParams, moments: InitialMoments,
+                    t: np.ndarray, g: np.ndarray, gd: np.ndarray, convention: str):
+    """The two parts of ``variance_parts`` from G and G' at the times t."""
+    dynamic = _centered_covariance(params, moments, g, gd, g, gd)
+    noise, finite = np.full(t.shape, np.nan), np.isfinite(dynamic)
+    noise[finite] = variance_noise_term(params, bath, t[finite], convention, 1e-10
+                                        * np.maximum(np.abs(dynamic[finite]), 1e-30))
+    return dynamic, noise
 
 
 def variance_parts(params: SystemParams, bath: BathParams,
@@ -1000,11 +1062,21 @@ def variance_parts(params: SystemParams, bath: BathParams,
     relative), at a float or an ndarray of times; the noise part is NaN,
     and not computed, where the dynamic part is not finite."""
     t = _times(t)
-    dynamic = _centered_covariance(params, bath, moments, t, t)
-    noise, finite = np.full(t.shape, np.nan), np.isfinite(dynamic)
-    noise[finite] = variance_noise_term(params, bath, t[finite], convention, 1e-10
-                                        * np.maximum(np.abs(dynamic[finite]), 1e-30))
+    dynamic, noise = _variance_parts(params, bath, moments, t, *green_pair(params, bath, t),
+                                     convention)
     return (float(dynamic), float(noise)) if t.ndim == 0 else (dynamic, noise)
+
+
+def open_evolution(params: SystemParams, bath: BathParams, moments: InitialMoments,
+                   force: ForceProfile, t, convention: str = OCCUPATION):
+    """G, G', the mean position and the dynamic and bath-noise parts of the
+    variance at an ndarray of times, as ``green_pair``, ``mean_trajectory``
+    (from moments.mean_x and moments.mean_p) and ``variance_parts`` give
+    them, from one exponential per time."""
+    t = _times(t)
+    g, gd = green_pair(params, bath, t)
+    return (g, gd, _mean(params, bath, moments.mean_x, moments.mean_p, force, t, g, gd),
+            *_variance_parts(params, bath, moments, t, g, gd, convention))
 
 
 def symmetrized_correlation(params: SystemParams, bath: BathParams,
@@ -1014,11 +1086,13 @@ def symmetrized_correlation(params: SystemParams, bath: BathParams,
     """Two-time symmetrized position correlator phi(t, t').
 
     The centered initial moments propagated by G and G', plus m(t) m(t')
-    for the mean trajectory m, plus the bath-noise cross spectrum.
+    for the mean trajectory m, plus the bath-noise cross spectrum; G and G'
+    at t and t' from one exponential each.
     """
-    m_t, m_tp = mean_trajectory(params, bath, moments.mean_x, moments.mean_p,
-                                force, [t, tprime])
-    val = float(_centered_covariance(params, bath, moments, t, tprime) + m_t * m_tp)
+    times = _times([t, tprime])
+    g, gd = green_pair(params, bath, times)
+    m = _mean(params, bath, moments.mean_x, moments.mean_p, force, times, g, gd)
+    val = float(_centered_covariance(params, moments, g[0], gd[0], g[1], gd[1]) + m[0] * m[1])
     return val + _noise_term(params, bath, t, tprime, convention,
                              1e-10 * max(abs(val), 1.0))
 

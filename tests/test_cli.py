@@ -3,6 +3,7 @@ import importlib.util
 import io
 import json
 import math
+import random
 import subprocess
 import sys
 import warnings
@@ -21,6 +22,7 @@ from invosc.cli import main
 
 
 CHECKS = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def run_cli(args, capsys):
@@ -1049,6 +1051,56 @@ class TestOpenEvolve:
                               "--set", "bath.kT=1", "--set", "open.samples=31"], capsys)
         assert code == 0
         assert 1 <= len(calls) <= 3
+
+    def test_one_impulse_response_and_one_van_loan_step_per_rate(self, capsys, monkeypatch):
+        # the mean and the dynamic variance share one exponential of the
+        # sample times, and on linspace times every noise sweep takes its
+        # Van Loan step at the lattice unit alone, composing the multiples
+        # (the sparse times 0.3 .. 3.0 of the occupation term have gaps of
+        # 3 units and 1)
+        stacks, steps = [], []
+        expm, gramian = invosc.open_system.expm, invosc.open_system.expm_gramian
+        monkeypatch.setattr(invosc.open_system, "expm",
+                            lambda *args: stacks.append(np.shape(args[0])) or expm(*args))
+        monkeypatch.setattr(invosc.open_system, "expm_gramian",
+                            lambda *args: steps.append(np.shape(args[0])) or gramian(*args))
+        for noise, kT in (("occupation", "1"), ("symmetrized", "0"), ("symmetrized", "1"),
+                          ("classical", "1")):
+            stacks.clear()
+            steps.clear()
+            code, _, _ = run_cli(["open-evolve", "--set", f"bath.noise={noise}", "--set",
+                                  f"bath.kT={kT}", "--set", "open.samples=31"], capsys)
+            assert code == 0
+            assert stacks.count((31, 3, 3)) == 1
+            # units, rates, 7, 7
+            assert steps and all(shape[0] == 1 for shape in steps), steps
+
+    def test_columns_are_their_library_calls(self, capsys, monkeypatch):
+        # open_evolution takes G and G' once for all columns; each column is
+        # still, bit for bit, what its own public function gives
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)   # for its dataclass
+        spec.loader.exec_module(workloads)
+        for seed in (1, 2, 3):
+            for op in workloads.open_noise(random.Random(seed)):
+                code, out, _ = run_cli(op.argv(), capsys)
+                assert code == 0
+                _, header, rows = parse_csv(out)
+                config = cli.load_config(None, op.argv()[2::2])
+                params, packet = cli._build_system(config), cli._build_packet(config)
+                bath, force = cli._build_bath(config), cli._build_force(config)
+                times = cli._sample_times(config, "open")
+                moments = invosc.InitialMoments.from_packet(packet, params)
+                g, gd = invosc.green_pair(params, bath, times)
+                mean = invosc.mean_trajectory(params, bath, packet.x0, packet.p0, force, times)
+                dynamic, noise = invosc.variance_parts(params, bath, moments, times,
+                                                       config["bath"]["noise"])
+                for name, column in (("t", times), ("G", g), ("G_dot", gd), ("mean_x", mean),
+                                     ("variance_dynamic", dynamic),
+                                     ("variance_noise", noise)):
+                    assert [float(row[header.index(name)]) for row in rows] == column.tolist(), \
+                        (op.name, seed, name)
 
     def test_past_the_float_range_names_the_first_bad_cell(self, capsys):
         # G(800) is still finite, its square is not; the noise quadrature is

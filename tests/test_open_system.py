@@ -921,13 +921,21 @@ class TestNoiseWithoutFrequencyQuadrature:
     @pytest.mark.parametrize("times", [np.linspace(0.0, 3.0, 31),
                                        np.array([0.0, 0.03, 0.3, 0.31, 1.7, 2.9, 3.0]),
                                        np.array([0.0, 0.3, 0.3, 0.6, 1.2]),
-                                       np.zeros(3)],
-                             ids=["lattice", "irregular", "repeats", "zeros"])
+                                       np.zeros(3),
+                                       np.array([0.0, 3.7, 3.8, 3.9]),
+                                       np.array([0.0, 2.0**20, 2.0**20 + 1.0, 2.0**20 + 3.0])
+                                       * 1e-6,
+                                       np.array([0.0, 1e-300, 1.0])],
+                             ids=["lattice", "irregular", "repeats", "zeros",
+                                  "far-start", "2^20-units-out", "past-2^53-units"])
     @pytest.mark.parametrize("gamma,omega_d", [(0.5, 10.0), (40.0, 0.05), (0.5, 1e6)])
     def test_sweep_matches_one_time_covariance_down_to_small_rates(self, gamma, omega_d,
                                                                    times):
         # the stationary start carried as a vector: folded into Sigma, its
-        # 1/a would cost 1.4e-4 of K at a rate of omega_d e^-30
+        # 1/a would cost 1.4e-4 of K at a rate of omega_d e^-30.  A lattice
+        # that starts far out takes its first gap, 37 or 2^20 units, by
+        # composing the one step at the unit; one time alone is one step,
+        # and so is each gap where a multiple would pass 2^53
         bath = BathParams(gamma, omega_d, 0.0)
         rates = omega_d * np.exp(-np.array([0.0, 3.0, 10.0, 20.0, 30.0]))
         sweep = osys._ou_covariance(PARAMS, bath, rates, times, times)
