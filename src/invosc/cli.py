@@ -49,7 +49,7 @@ DEFAULT_CONFIG = {
         "values": [],
     },
     "bath": {"gamma": 0.5, "omega_d": 10.0, "kT": 1.0, "noise": "occupation"},
-    "grid": {"x_min": None, "x_max": None, "n": None, "dt": 0.01},
+    "grid": {"dt": 0.01},
     "evolve": {"t_max": 1.5, "samples": 16},
     "wavefunction": {"x_min": -10.0, "x_max": 10.0, "points": 401},
     "kick": {"momentum": 1.0, "time": 0.0},
@@ -59,12 +59,14 @@ DEFAULT_CONFIG = {
     "open": {"t_max": 3.0, "samples": 31},
 }
 
-# verify's fixed probes: the grid check's times and tolerance; the green
+# verify's fixed probes: the grid check's times, tolerance and cap on its
+# steps (about 6.5 s on the default 512 points; the stepper's error goes
+# like dt^4, so below dt ~ 1e-4 it is already at rounding); the green
 # check's baths (gamma, omega_d), horizon in units of 1/omega, RK4 step and
 # tolerance; the tunneling points (epsilon, beta, tolerance); and the
 # windowed and noise checks' frequency in units of omega, time in units of
 # 1/omega and tolerances
-_GRID_TIMES, _GRID_TOLERANCE = (0.5, 1.0, 1.5), 1e-7
+_GRID_TIMES, _GRID_TOLERANCE, _MAX_GRID_STEPS = (0.5, 1.0, 1.5), 1e-7, 2**17
 _GREEN_BATHS = ((0.5, 10.0), (5.0, 2.0))
 _GREEN_HORIZON, _GREEN_DT, _GREEN_TOLERANCE = 5.0, 5e-4, 1e-10
 _TUNNEL_POINTS = ((10.0, 0.3, 0.15), (30.0, 0.2, 0.08))
@@ -464,33 +466,16 @@ def cmd_verify(config, out) -> int:
     packet = _build_packet(config)
     force = _build_force(config)
     bath = _build_bath(config)
-    # every entry is read and checked before the first oracle runs; a null
-    # grid key is derived from the run
-    gsec = config["grid"]
-    x_min, x_max = (None if gsec[key] is None else _number(gsec[key], f"grid.{key}")
-                    for key in ("x_min", "x_max"))
-    n = None if gsec["n"] is None else _count(gsec["n"], "grid.n")
-    if n is not None and n & (n - 1):
-        raise ConfigError(f"grid.n: expected a power of two, got {n}")
-    dt = _finite(gsec["dt"], "grid.dt", positive=True)
-
-    def check_box(x_min, x_max, n):
-        if not x_min < x_max:
-            raise ConfigError(f"grid.x_min: expected grid.x_min < grid.x_max, "
-                              f"got {x_min!r} and {x_max!r}")
-        dx = (x_max - x_min) / n
-        if not 0.0 < dx < math.inf:
-            raise ConfigError(f"grid.x_min, grid.x_max: the spacing (x_max - x_min)/n "
-                              f"is {dx!r} at {x_min!r} and {x_max!r}")
-
-    if x_min is not None and x_max is not None:   # before n is derived from the box
-        check_box(x_min, x_max, n or 1)
+    # every entry is read and checked before the first oracle runs
+    dt = _finite(config["grid"]["dt"], "grid.dt", positive=True)
+    steps = _GRID_TIMES[-1] / dt
+    if not steps <= _MAX_GRID_STEPS:
+        raise ConfigError(f"grid.dt: {dt!r} takes {steps:.3g} steps to t = "
+                          f"{_GRID_TIMES[-1]:g}, above the cap {_MAX_GRID_STEPS}")
     try:
-        x_min, x_max, n = numerics.size_grid(params, packet, force, _GRID_TIMES[-1],
-                                             x_min, x_max, n)
+        x_min, x_max, n = numerics.size_grid(params, packet, force, _GRID_TIMES[-1])
     except ValueError as exc:
-        raise ValueError(f"verify: grid.n: {exc}") from exc
-    check_box(x_min, x_max, n)
+        raise ValueError(f"verify: grid: {exc}") from exc
     checks = []
 
     def add(name, deviation, tolerance):
@@ -506,14 +491,7 @@ def cmd_verify(config, out) -> int:
     xs = grid.x()
     for t in _GRID_TIMES:
         with np.errstate(over="ignore", invalid="ignore"):   # add names inf, NaN
-            try:
-                grid = numerics.schrodinger_grid_evolve(params, grid, force, t, dt)
-            except numerics.GridResolutionError as exc:   # the x band names the box, k n
-                keys = {key: value for key, value in
-                        (("grid.x_min", x_min), ("grid.x_max", x_max), ("grid.n", n))
-                        if ("k" if key == "grid.n" else "x") in exc.axes}
-                raise RuntimeError(f"verify: {', '.join(keys)} = "
-                                   f"{', '.join(map(repr, keys.values()))}: {exc}") from exc
+            grid = numerics.schrodinger_grid_evolve(params, grid, force, t, dt)
             ev = ce.evolve_gaussian(params, packet, force, t)
             ref = ce.evaluate(ev, params, packet, xs)
             dev = float(np.sqrt(np.sum(np.abs(grid.psi - ref) ** 2)
@@ -640,6 +618,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 3
+    except MemoryError as exc:   # numpy's message names the array it could not allocate
+        sys.stderr.write(f"error: out of memory{f': {exc}' if str(exc) else ''}\n")
         return 3
 
 

@@ -709,16 +709,6 @@ _BAND_PROBABILITY = 1e-14
 _MIN_GRID_BITS, _MAX_GRID_BITS = 6, 16
 
 
-class GridResolutionError(RuntimeError):
-    """Probability in a guard band of the grid solver; ``axes`` names each
-    band over the threshold: "x" (the box is too small) and "k" (the spacing
-    is too coarse)."""
-
-    def __init__(self, axes: tuple, message: str):
-        super().__init__(message)
-        self.axes = axes
-
-
 def _force_bound(force, t: float) -> float:
     """sup |F| on [0, t]: the amplitude, or a tabulated force's largest
     value at the ends of its linear pieces."""
@@ -727,11 +717,10 @@ def _force_bound(force, t: float) -> float:
     return abs(getattr(force, "amplitude", 0.0))
 
 
-def size_grid(params: SystemParams, packet: GaussianPacket, force, t_final: float,
-              x_min=None, x_max=None, n=None) -> tuple[float, float, int]:
+def size_grid(params: SystemParams, packet: GaussianPacket, force,
+              t_final: float) -> tuple[float, float, int]:
     """``(x_min, x_max, n)`` for a ``schrodinger_grid_evolve`` run of the packet
-    from t = 0 to ``t_final``; an argument given is kept, one left None is
-    derived.
+    from t = 0 to ``t_final``.
 
     The packet's mean and covariance in (x, p) are carried to ``t_final`` by
     the free flow [[cosh wt, sinh(wt)/w], [w sinh wt, cosh wt]], not by the
@@ -742,10 +731,10 @@ def size_grid(params: SystemParams, packet: GaussianPacket, force, t_final: floa
     sup|F| sinh(wt)/w in p, T^2/2 and T as w -> 0.  The box holds that range
     of the mean plus or minus ``_TAIL_SIGMAS`` deviations in its inner 7/8,
     and n is the least power of two whose k range pi/dx holds
-    (|<p>| + _TAIL_SIGMAS sd_p)/hbar in its inner 7/8.  A derived n above
+    (|<p>| + _TAIL_SIGMAS sd_p)/hbar in its inner 7/8.  An n above
     2^16, or a box past the float range, raises ValueError, before anything
     is allocated, naming the size and the term that sets each of the box
-    width and the k range.  For an empty box, n stays None.
+    width and the k range.
     """
     w, m = params.omega, _TAIL_SIGMAS
     with np.errstate(over="ignore", invalid="ignore"):   # past the float range: the cap
@@ -765,22 +754,17 @@ def size_grid(params: SystemParams, packet: GaussianPacket, force, t_final: floa
                    "force": f * s}
         pad = (0.5 * (x_terms["packet.sigma"] + x_terms["force"])
                + sum(x_terms.values()) / (_BAND - 2))
-        x_min = float(lo - pad) if x_min is None else x_min
-        x_max = float(hi + pad) if x_max is None else x_max
+        x_min, x_max = float(lo - pad), float(hi + pad)
         k_max = sum(k_terms.values()) / params.hbar
         bits = np.log2(x_max - x_min) + np.log2(k_max / (np.pi * (1.0 - 2.0 / _BAND)))
-    # an empty box is the caller's to refuse; one past the float range is not
-    if not abs(x_max - x_min) < math.inf or (n is None and not x_min >= x_max
-                                             and not bits <= _MAX_GRID_BITS):
+    if not bits <= _MAX_GRID_BITS:   # inf and NaN too: a box past the float range
         needed = f"about 2^{bits:.1f}" if bits < math.inf else "more than 2^1024"
         raise ValueError(
             f"the grid needs {needed} points, above the cap 2^{_MAX_GRID_BITS}, for a "
             f"box of width {x_max - x_min:.3g} and |k| up to {k_max:.3g}; the packet's "
             f"extent is set mostly by {max(x_terms, key=x_terms.get)} in x and "
             f"{max(k_terms, key=k_terms.get)} in k")
-    if n is None and x_min < x_max:
-        n = 2 ** max(math.ceil(bits), _MIN_GRID_BITS)
-    return x_min, x_max, n
+    return x_min, x_max, 2 ** max(math.ceil(bits), _MIN_GRID_BITS)
 
 
 # Chin's scheme 4A (Phys. Lett. A 226, 344 (1997)), per step of length h: the
@@ -833,8 +817,8 @@ def schrodinger_grid_evolve(params: SystemParams, grid: GridState, force,
     fresh array in place, so ``grid.psi`` is not written.  After every step
     the probability in the outer n/16 points a side of x, and of k as read
     from the step's last forward FFT, must be at most 1e-14; a band above it,
-    or NaN (a grid whose x^2 or k^2 overflows), raises GridResolutionError
-    naming the band and its probability.
+    or NaN (a grid whose x^2 or k^2 overflows), raises RuntimeError naming
+    each such band, the first one's probability, and the grid's box and n.
     """
     if not 0.0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
@@ -887,9 +871,10 @@ def schrodinger_grid_evolve(params: SystemParams, grid: GridState, force,
             axes = tuple(axis for axis, p in bands.items()
                          if not p <= _BAND_PROBABILITY)   # NaN too: an unresolved grid
             if axes:
-                raise GridResolutionError(axes, (
+                raise RuntimeError(
                     f"domain too small: probability {bands[axes[0]]:g} reached the grid "
-                    f"boundary in {' and '.join(axes)} (the outer n/{_BAND} points a side)"))
+                    f"boundary in {' and '.join(axes)} (the outer n/{_BAND} points a side "
+                    f"of [{grid.x_min!r}, {grid.x_max!r}) at n = {grid.n})")
     psi *= np.exp(1j * phase / params.hbar)
     return GridState(x_min=grid.x_min, x_max=grid.x_max, n=grid.n,
                      dx=grid.dx, psi=psi, t=t_final)

@@ -156,6 +156,7 @@ class TestConfig:
             assert section in cfg
         assert "verify" not in cfg
         assert cfg["system"]["omega"] == 1.0
+        assert cfg["grid"] == {"dt": 0.01}   # the box and n are derived, never set
 
     def test_set_override_applies(self, capsys):
         code, out, _ = run_cli(["evolve", "--print-config",
@@ -268,8 +269,7 @@ class TestConfig:
         (["evolve", "--wavefunction", "psi.csv"], "wavefunction.points"),
         (["tunnel"], "tunnel.points"),
         (["tunnel", "--barrier"], "barrier.points"),
-        (["open-evolve"], "open.samples"),
-        (["verify"], "grid.n")])
+        (["open-evolve"], "open.samples")])
     @pytest.mark.parametrize("value", ["2.7", "-1", "0"])
     def test_bad_count_names_key(self, tmp_path, monkeypatch, capsys, args,
                                  key, value):
@@ -312,8 +312,6 @@ class TestConfig:
         (["tunnel", "--barrier"], "barrier.xi_max"),
         (["tunnel", "--barrier"], "barrier.forces[1]"),
         (["kick"], "kick.momentum"),
-        (["verify"], "grid.x_min"),
-        (["verify"], "grid.x_max"),
         (["open-poles", "--boundary"], "--boundary A_MIN"),
         (["open-poles", "--boundary"], "--boundary A_MAX")])
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
@@ -470,7 +468,7 @@ _EXTREME_CONFIGS = [
     (["tunnel", "--set", "tunnel.beta_max=1e300", "--set", "tunnel.points=3"], 0),
     (["evolve", "--set", "packet.x0=1e300"], 0),
     (["kick", "--set", "kick.momentum=1e308"], 3),
-    (["verify", "--set", "grid.x_min=-1e308", "--set", "grid.x_max=1e308"], 2)]
+    (["verify", "--set", "packet.x0=1e300"], 3)]
 
 
 class TestFloatRange:
@@ -479,6 +477,34 @@ class TestFloatRange:
         code, _, err = run_cli(args, capsys)
         assert code == expected
         assert "Warning" not in err
+
+    @pytest.mark.parametrize("command,key", [
+        ("evolve", "evolve.samples"), ("kick", "evolve.samples"),
+        ("open-evolve", "open.samples"), ("tunnel", "tunnel.points")])
+    def test_out_of_memory_is_an_error(self, capsys, monkeypatch, command, key):
+        # a trillion samples: the linspace raises as numpy does when the host
+        # refuses the 7.28 TiB, without asking the host for them
+        linspace = np.linspace
+
+        def refusing(start, stop, num=50, *args, **kwargs):
+            if num > 10**9:
+                raise MemoryError(f"Unable to allocate {8 * num / 2**40:.3g} TiB for "
+                                  f"an array with shape ({num},) and data type float64")
+            return linspace(start, stop, num, *args, **kwargs)
+
+        monkeypatch.setattr(np, "linspace", refusing)
+        code, out, err = run_cli([command, "--set", f"{key}=1e12"], capsys)
+        assert (code, out) == (3, "")
+        assert err == ("error: out of memory: Unable to allocate 7.28 TiB for an array "
+                       "with shape (1000000000000,) and data type float64\n")
+
+    def test_out_of_memory_without_a_message(self, capsys, monkeypatch):
+        def size_grid(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(invosc.numerics, "size_grid", size_grid)
+        code, out, err = run_cli(["verify"], capsys)
+        assert (code, out, err) == (3, "", "error: out of memory\n")
 
     @pytest.mark.parametrize("args,column", [
         (["evolve", "--set", "packet.x0=1e308"], "xi"),
@@ -1196,10 +1222,17 @@ class TestVerify:
 
     @pytest.mark.parametrize("assignment,key", [
         ("grid.dt=0", "grid.dt"), ("grid.dt=NaN", "grid.dt"),
-        ("grid.dt=1e999", "grid.dt"), ("grid.n=1000", "grid.n"),
-        ("grid.x_min=50", "grid.x_min"),
-        ("grid.x_min=-1e308 grid.x_max=1e308", "grid.x_min, grid.x_max"),
-        ("grid.x_min=0 grid.x_max=5e-324", "grid.x_min, grid.x_max"),
+        ("grid.dt=1e999", "grid.dt"),
+        # more steps than the cap 2^17: 1.5e7 steps would take minutes, 1.5e12
+        # would allocate terabytes, and 1.5e300 or inf overflow numpy's sizes
+        ("grid.dt=1e-7",
+         "grid.dt: 1e-07 takes 1.5e+07 steps to t = 1.5, above the cap 131072"),
+        ("grid.dt=1e-12", "grid.dt: 1e-12 takes 1.5e+12 steps"),
+        ("grid.dt=1e-300", "grid.dt: 1e-300 takes 1.5e+300 steps"),
+        ("grid.dt=5e-324", "grid.dt: 5e-324 takes inf steps"),
+        ("grid.n=1000", "unknown config key 'grid.n'"),
+        ("grid.x_min=50", "unknown config key 'grid.x_min'"),
+        ("grid.x_max=50", "unknown config key 'grid.x_max'"),
         ("verify.grid_tolerance=1e-9", "unknown config key 'verify.grid_tolerance'")])
     def test_config_mistake_is_config_error(self, capsys, monkeypatch, assignment,
                                             key):
@@ -1213,45 +1246,13 @@ class TestVerify:
         assert key in err
         assert out == ""
 
-    @pytest.mark.parametrize("edge", ["1e-300", "1e200"])
-    def test_unresolved_grid_names_the_grid_keys(self, capsys, edge):
-        # a spacing of 5e-304 puts the grid's k^2 past the float range, one
-        # of 5e196 its x^2: the wavefunction is NaN after the first step, in
-        # both guard bands
-        code, out, err = run_cli(["verify", "--set", f"grid.x_min=-{edge}",
-                                  "--set", f"grid.x_max={edge}", "--set", "grid.n=4096"],
-                                 capsys)
-        assert (code, out) == (3, "")
-        assert err.startswith(f"error: verify: grid.x_min, grid.x_max, grid.n = "
-                              f"-{float(edge)!r}, {float(edge)!r}, 4096: ")
-        assert "probability nan reached the grid boundary" in err
-        assert "Warning" not in err
-
     def test_derived_grid_holds_the_packet_the_fixed_box_lost(self, capsys):
         # at (omega, hbar) = (1.7, 0.6) the packet is 6.5 wide at t = 1.5 and
-        # reaches x = 40, where the old default box ended (t = 1.5 deviation
-        # 3.1e-5, exit 4); the derived box holds it, and on [-40, 40] the x
-        # band names the box
-        sets = ["--set", "system.omega=1.7", "--set", "system.hbar=0.6"]
-        code, out, _ = run_cli(["verify", *sets], capsys)
+        # reaches x = 40, where the old fixed box [-40, 40] ended (t = 1.5
+        # deviation 3.1e-5, exit 4); the derived box holds it
+        code, _, _ = run_cli(["verify", "--set", "system.omega=1.7",
+                              "--set", "system.hbar=0.6"], capsys)
         assert code == 0
-        code, out, err = run_cli(["verify", *sets, "--set", "grid.x_min=-40",
-                                  "--set", "grid.x_max=40", "--set", "grid.n=4096"], capsys)
-        assert (code, out) == (3, "")
-        assert err.startswith("error: verify: grid.x_min, grid.x_max = -40.0, 40.0: "
-                              "domain too small: probability ")
-        assert err.rstrip().endswith("in x (the outer n/16 points a side)")
-
-    def test_aliased_k_range_names_grid_n(self, capsys):
-        # at omega = 2 the packet's chirp, about omega x / hbar, passes the k
-        # range pi/dx = 80 of 4096 points on [-80, 80] (deviation 1.28e-2,
-        # exit 4, before the k band)
-        code, out, err = run_cli(["verify", "--set", "system.omega=2",
-                                  "--set", "grid.x_min=-80", "--set", "grid.x_max=80",
-                                  "--set", "grid.n=4096"], capsys)
-        assert (code, out) == (3, "")
-        assert err.startswith("error: verify: grid.n = 4096: domain too small: probability ")
-        assert err.rstrip().endswith("in k (the outer n/16 points a side)")
 
     @settings(max_examples=30, deadline=None)
     @given(omega=st.floats(0.3, 2.0), hbar=st.floats(0.5, 2.0), sigma=st.floats(0.5, 2.0),
@@ -1263,12 +1264,13 @@ class TestVerify:
     def test_derived_grid_resolves_every_run(self, omega, hbar, sigma, x0, p0, kind,
                                              amplitude, omega0):
         # On the derived grid no grid check fails for want of space: verify
-        # passes, exits 3 naming a grid key, or fails grid checks whose
-        # deviations fall at least 8-fold at half the step.  That last is the
-        # stepper's fourth-order time error, which verify does not estimate
-        # yet: at dt = 1e-2 it passes 1e-7 near omega = 2 once |x0| or |p0|
-        # reaches about 1.  The green and tunnel checks use no grid and are
-        # left out.  The 30 examples and the corner take about 6 s.
+        # passes, exits 3 at the cap on the grid's points, or fails grid
+        # checks whose deviations fall at least 8-fold at half the step.
+        # That last is the stepper's fourth-order time error, which verify
+        # does not estimate yet: at dt = 1e-2 it passes 1e-7 near omega = 2
+        # once |x0| or |p0| reaches about 1.  The green and tunnel checks use
+        # no grid and are left out.  The 30 examples and the corner take
+        # about 6 s.
         sets = {"system.omega": omega, "system.hbar": hbar, "packet.sigma": sigma,
                 "packet.x0": x0, "packet.p0": p0, "force.kind": kind,
                 "force.amplitude": amplitude, "force.omega0": omega0,
@@ -1286,7 +1288,7 @@ class TestVerify:
                 patch.setattr(cli, "_TUNNEL_POINTS", ())
                 code = main(argv)
             if code == 3:
-                assert "verify: grid." in err.getvalue()
+                assert err.getvalue().startswith("error: verify: grid: the grid needs ")
                 return {}
             assert code in (0, 4)
             return {c["name"]: c["deviation"] for c in json.loads(out.getvalue())["checks"]
@@ -1417,33 +1419,26 @@ class TestVerify:
         assert [c["name"] for c in failed] == ["noise_closed_form_vs_quadrature"]
         assert failed[0]["deviation"] == pytest.approx(1e-7, rel=0.02)
 
-    @pytest.mark.parametrize("x0,sigma,message", [
-        ("0", "1.5e-154", "domain too small"),
-        ("0.01", "1e-5", "every sample of the packet is 0")])
-    def test_packet_narrower_than_a_grid_cell(self, capsys, x0, sigma, message):
-        # sigma^2 is normal, but on a grid of spacing 80/4096 the initial
-        # samples underflow: at x0 = 0 to one grid point, at x0 = 0.01
-        # between points to none
-        code, out, err = run_cli(["verify", "--set", f"packet.x0={x0}",
-                                  "--set", f"packet.sigma={sigma}",
-                                  "--set", "grid.x_min=-40", "--set", "grid.x_max=40",
-                                  "--set", "grid.n=4096"], capsys)
-        assert (code, out) == (3, "")
-        assert message in err and "Warning" not in err
-
     def test_derived_grid_past_the_cap_allocates_nothing(self, capsys, monkeypatch):
         # the packet's momentum spread hbar/2 sigma = 3e153 asks for about
-        # 2^1028 points: exit 3 names grid.n and the cause before any grid
+        # 2^1028 points: exit 3 names the cause before any grid
         def grid_from_packet(*args):
             raise AssertionError("a grid was allocated")
 
         monkeypatch.setattr(invosc.numerics, "grid_from_packet", grid_from_packet)
         code, out, err = run_cli(["verify", "--set", "packet.sigma=1.5e-154"], capsys)
         assert (code, out) == (3, "")
-        assert err.startswith("error: verify: grid.n: the grid needs about 2^")
+        assert err.startswith("error: verify: grid: the grid needs about 2^")
         assert "above the cap 2^16" in err
         assert "set mostly by packet.sigma in x and packet.sigma in k" in err
         assert "Warning" not in err
+
+    def test_center_past_the_float_range_names_the_center(self, capsys):
+        # at x0 = 1e300 the box is 2.7e300 wide and |k| reaches 2.1e300
+        code, out, err = run_cli(["verify", "--set", "packet.x0=1e300"], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: verify: grid: the grid needs about 2^")
+        assert "set mostly by packet.x0, packet.p0 in x and packet.x0, packet.p0 in k" in err
 
     def test_green_time_budget(self, capsys, monkeypatch):
         # the green check takes about 100 of the 10,001 RK4 times per case

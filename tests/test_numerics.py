@@ -690,20 +690,41 @@ class TestGridSolver:
         (0.0, 40.0, 64, "k")])   # |k| > 2.2 holds 1e-5 of sd_k = 1/2
     def test_boundary_guard_raises(self, p0, box, n, axis):
         # the x band is named first; a packet cut at the box's edge also
-        # leaks into the k band
+        # leaks into the k band; the message names the grid
         params = SystemParams(1.0)
         grid = grid_from_packet(GaussianPacket(0.0, p0, 1.0), params, -box, box, n)
-        with pytest.raises(numerics.GridResolutionError, match="domain too small") as info:
+        with pytest.raises(RuntimeError, match="domain too small") as info:
             schrodinger_grid_evolve(params, grid, ZeroForce(), 2.0, 1e-3)
-        assert info.value.axes[0] == axis
+        assert f"reached the grid boundary in {axis}" in str(info.value)
+        assert str(info.value).endswith(f"of [{-box!r}, {box!r}) at n = {n})")
 
-    def test_derived_grid_keeps_given_keys(self):
-        params, packet = SystemParams(1.0), GaussianPacket(0.0, 0.0, 1.0)
-        assert numerics.size_grid(params, packet, ZeroForce(), 1.5,
-                                  -40.0, 40.0, 4096) == (-40.0, 40.0, 4096)
-        x_min, x_max, n = numerics.size_grid(params, packet, ZeroForce(), 1.5, n=4096)
-        assert x_min == -x_max and n == 4096
-        assert numerics.size_grid(params, packet, ZeroForce(), 1.5, -40.0, 40.0)[2] == 1024
+    @pytest.mark.parametrize("edge", [1e-300, 1e200])
+    def test_boundary_guard_trips_on_an_overflowing_grid(self, edge):
+        # a spacing of 5e-304 puts the grid's k^2 past the float range, one
+        # of 5e196 its x^2: the wavefunction is NaN after the first step, in
+        # both guard bands; verify steps under this errstate, so no warning
+        params = SystemParams(1.0)
+        grid = grid_from_packet(GaussianPacket(0.0, 0.0, 1.0), params, -edge, edge, 4096)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(RuntimeError) as info:
+            schrodinger_grid_evolve(params, grid, ZeroForce(), 0.5, 1e-2)
+        assert "probability nan reached the grid boundary in x and k" in str(info.value)
+
+    def test_packet_narrower_than_a_grid_cell(self):
+        # sigma^2 is normal, but on a grid of spacing 80/4096 the samples of
+        # a packet between two grid points all underflow
+        with pytest.raises(ValueError, match="every sample of the packet is 0"):
+            grid_from_packet(GaussianPacket(0.01, 0.0, 1e-5), SystemParams(1.0),
+                             -40.0, 40.0, 4096)
+
+    @pytest.mark.parametrize("t_final,half_width,n", [(1.5, 27.444, 512), (1e-3, 10.629, 64)])
+    def test_derived_grid_at_the_defaults(self, t_final, half_width, n):
+        # verify's defaults give [-27.4, 27.4] at 512 points; a packet that
+        # barely moves gets the least grid, 2^6 points
+        x_min, x_max, points = numerics.size_grid(
+            SystemParams(1.0), GaussianPacket(0.0, 0.0, 1.0), ZeroForce(), t_final)
+        assert -x_min == x_max == pytest.approx(half_width, abs=1e-3)
+        assert points == n
 
     @pytest.mark.parametrize("force", [HarmonicForce(0.5, 2.0),
                                        TabulatedForce((0.0, 0.5, 1.5), (0.0, 0.4, 0.0))])
