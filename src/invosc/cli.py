@@ -49,7 +49,6 @@ DEFAULT_CONFIG = {
         "values": [],
     },
     "bath": {"gamma": 0.5, "omega_d": 10.0, "kT": 1.0, "noise": "occupation"},
-    "grid": {"dt": 0.01},
     "evolve": {"t_max": 1.5, "samples": 16},
     "wavefunction": {"x_min": -10.0, "x_max": 10.0, "points": 401},
     "kick": {"momentum": 1.0, "time": 0.0},
@@ -59,9 +58,9 @@ DEFAULT_CONFIG = {
     "open": {"t_max": 3.0, "samples": 31},
 }
 
-# verify's fixed probes: the grid check's times, tolerance and cap on its
-# steps (about 6.5 s on the default 512 points; the stepper's error goes
-# like dt^4, so below dt ~ 1e-4 it is already at rounding); the green
+# verify's fixed probes: the grid check's times, tolerance and cap on the
+# steps of one grid run to the last time (dt down to about 1.1e-5; below
+# about 1e-4 the stepper's dt^4 error is already at rounding); the green
 # check's baths (gamma, omega_d), horizon in units of 1/omega, RK4 step and
 # tolerance; the tunneling points (epsilon, beta, tolerance); and the
 # windowed and noise checks' frequency in units of omega, time in units of
@@ -466,12 +465,6 @@ def cmd_verify(config, out) -> int:
     packet = _build_packet(config)
     force = _build_force(config)
     bath = _build_bath(config)
-    # every entry is read and checked before the first oracle runs
-    dt = _finite(config["grid"]["dt"], "grid.dt", positive=True)
-    steps = _GRID_TIMES[-1] / dt
-    if not steps <= _MAX_GRID_STEPS:
-        raise ConfigError(f"grid.dt: {dt!r} takes {steps:.3g} steps to t = "
-                          f"{_GRID_TIMES[-1]:g}, above the cap {_MAX_GRID_STEPS}")
     try:
         x_min, x_max, n = numerics.size_grid(params, packet, force, _GRID_TIMES[-1])
     except ValueError as exc:
@@ -486,17 +479,38 @@ def cmd_verify(config, out) -> int:
                        "tolerance": tolerance,
                        "passed": bool(deviation < tolerance)})
 
-    # closed form against the split-step grid solver
-    grid = numerics.grid_from_packet(packet, params, x_min, x_max, n)
-    xs = grid.x()
-    for t in _GRID_TIMES:
-        with np.errstate(over="ignore", invalid="ignore"):   # add names inf, NaN
-            grid = numerics.schrodinger_grid_evolve(params, grid, force, t, dt)
-            ev = ce.evolve_gaussian(params, packet, force, t)
-            ref = ce.evaluate(ev, params, packet, xs)
-            dev = float(np.sqrt(np.sum(np.abs(grid.psi - ref) ** 2)
-                                / np.sum(np.abs(ref) ** 2)))
-        add(f"grid_closed_form_t{t:g}", dev, _GRID_TOLERANCE)
+    # closed form against the split-step grid solver, run from one start at
+    # m = 1, 2, 4, ... steps per first grid time until the step-doubling
+    # estimate |psi_m - psi_m/2| / 15 |psi_m| of psi_m's error (Chin 4A is
+    # fourth order and even in dt) is at most a tenth of the tolerance at
+    # every time; the closed form is compared with the extrapolated
+    # psi_m + (psi_m - psi_m/2) / 15
+    start = numerics.grid_from_packet(packet, params, x_min, x_max, n)
+    xs, m, coarse, estimate = start.x(), 1, None, math.inf
+    with np.errstate(over="ignore", invalid="ignore"):   # add names inf, NaN
+        while True:
+            dt, grid, fine = _GRID_TIMES[0] / m, start, []
+            for t in _GRID_TIMES:
+                grid = numerics.schrodinger_grid_evolve(params, grid, force, t, dt)
+                fine.append(grid.psi)
+            if coarse is not None:
+                estimate = max(float(np.linalg.norm(f - c) / (15.0 * np.linalg.norm(f)))
+                               for f, c in zip(fine, coarse))
+            if estimate <= 0.1 * _GRID_TOLERANCE:
+                break
+            steps = round(_GRID_TIMES[-1] / dt)
+            if 2 * steps > _MAX_GRID_STEPS:
+                raise RuntimeError(
+                    f"verify: grid: the step-doubling error estimate {estimate:.3g} at "
+                    f"{steps} steps to t = {_GRID_TIMES[-1]:g} is above the target "
+                    f"{0.1 * _GRID_TOLERANCE:g}, and {2 * steps} steps pass the cap "
+                    f"{_MAX_GRID_STEPS}")
+            m, coarse = 2 * m, fine
+        for t, f, c in zip(_GRID_TIMES, fine, coarse):
+            psi = f + (f - c) / 15.0
+            ref = ce.evaluate(ce.evolve_gaussian(params, packet, force, t), params, packet, xs)
+            dev = float(np.sqrt(np.sum(np.abs(psi - ref) ** 2) / np.sum(np.abs(ref) ** 2)))
+            add(f"grid_closed_form_t{t:g}", dev, _GRID_TOLERANCE)
 
     # impulse response from the matrix exponential against the RK4
     # memory-kernel integrator, at every k-th RK4 time back from the last,
@@ -543,7 +557,9 @@ def cmd_verify(config, out) -> int:
         abs(closed - quad) / max(quad, 1e-300), _NOISE_TOLERANCE)
 
     payload = {
-        "config_sha256": config_sha256(config, "system", "packet", "force", "bath", "grid"),
+        "config_sha256": config_sha256(config, "system", "packet", "force", "bath"),
+        "grid": {"x_min": x_min, "x_max": x_max, "n": n, "dt": dt,
+                 "error_estimate": estimate},
         "checks": checks,
         "all_pass": all(c["passed"] for c in checks),
     }

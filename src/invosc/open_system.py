@@ -544,7 +544,10 @@ def _zero_point_term(params: SystemParams, bath: BathParams, t, tprime,
     Past its last node the slow side's K is continued by its limit -W, with
     W = a V_a - K_a at any rate, as a sum of W / (2 sinh sigma) that needs no
     matrix, so what either side leaves out falls off like e^(-2 sigma): K ~
-    1 / nu on the fast side, a V_a ~ a on the slow one.  Each end moves out
+    1 / nu on the fast side, a V_a ~ a on the slow one.  The fast end starts
+    ln(r / omega_d) further out on a bath slower than r = max(omega,
+    sqrt(gamma omega_d), 1 / min(t, t')), the rates of the motion and of
+    the times below which K does not yet fall.  Each end moves out
     by the distance its last term predicts, plus one, until that term times
     the length of its tail is within 1e-11 |value| / 4, which ``abs_tol``
     does not loosen.  Each round of new nodes is one ``_ou_covariance``
@@ -554,7 +557,11 @@ def _zero_point_term(params: SystemParams, bath: BathParams, t, tprime,
     """
     wd = bath.omega_d
     scale = params.hbar * bath.gamma * wd / math.pi
-    h, ends = _ZERO_POINT_STEP, list(_ZERO_POINT_ENDS)
+    # ln r, in logs since 1/t can overflow
+    ln_r = max(math.log(params.omega), 0.5 * (math.log(bath.gamma) + math.log(wd)),
+               -math.log(float(np.min(np.minimum(t, tprime)))))
+    h = _ZERO_POINT_STEP
+    ends = [_ZERO_POINT_ENDS[0] + max(0.0, ln_r - math.log(wd)), _ZERO_POINT_ENDS[1]]
     # rows j of the nodes (j + 1/2) h up to each end, NaN where not yet
     # evaluated: K / (2 sinh sigma) on the fast side, and K and a V_a
     # (= K + W) over 2 sinh sigma on the slow side
