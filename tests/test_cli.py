@@ -1236,6 +1236,50 @@ class TestVerify:
         assert (grid["n"], grid["dt"]) == (512, 1 / 32)
         assert 1e-9 < grid["error_estimate"] <= 1e-8
 
+    @pytest.mark.parametrize("force", [
+        ["--set", "force.kind=zero"],
+        ["--set", "force.kind=constant", "--set", "force.amplitude=0.5"],
+        ["--set", "force.kind=harmonic", "--set", "force.amplitude=0.5"],
+        ["--set", "force.kind=tabulated", "--set", "force.times=[0.2, 0.7, 1.2]",
+         "--set", "force.values=[0.5, -0.25, 0.5]"]],
+        ids=["zero", "constant", "harmonic", "tabulated"])
+    def test_grid_deviation_is_within_the_estimate(self, capsys, force):
+        # the estimate bounds psi_m's error; the extrapolated psi_m the
+        # closed form is compared with does better still, 1.5e-12 against
+        # 5.5e-9 at zero force and 6.4e-10 against 4.7e-9 on the tabulated one
+        code, out, _ = run_cli(["verify", *force], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        estimate = payload["grid"]["error_estimate"]
+        assert 0.0 < estimate <= 1e-8
+        grid = [c["deviation"] for c in payload["checks"] if c["name"].startswith("grid")]
+        assert len(grid) == 3
+        assert max(grid) < estimate
+
+    def test_tighter_target_halves_the_step(self, capsys, monkeypatch):
+        # the estimate falls about 16-fold per halving, so a target of 1e-9
+        # in place of 1e-8 takes one halving more: m = 32, not 16
+        monkeypatch.setattr(cli, "_GRID_TOLERANCE", 1e-8)
+        code, out, _ = run_cli(["verify"], capsys)
+        assert code == 0
+        grid = json.loads(out)["grid"]
+        assert grid["dt"] == 1 / 64
+        assert 1e-10 < grid["error_estimate"] <= 1e-9
+
+    def test_slow_corner_passes(self, capsys):
+        # near omega = 2 with |x0| = |p0| = 2 a step of 1e-2 left 4.3e-7 at
+        # t = 1.5; the loop halves the step down to 2^-8 on 2^15 points
+        code, out, _ = run_cli(["verify", "--set", "system.omega=2",
+                                "--set", "system.hbar=0.5", "--set", "packet.sigma=0.5",
+                                "--set", "packet.x0=2", "--set", "packet.p0=2",
+                                "--set", "force.kind=constant",
+                                "--set", "force.amplitude=1"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["all_pass"] is True
+        assert (payload["grid"]["n"], payload["grid"]["dt"]) == (2**15, 2**-8)
+        assert payload["grid"]["error_estimate"] <= 1e-8
+
     @pytest.mark.parametrize("assignment,key", [
         ("grid.dt=0.01", "unknown config key 'grid.dt'"),
         ("grid.n=1000", "unknown config key 'grid.n'"),
