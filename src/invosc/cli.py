@@ -28,7 +28,7 @@ import numpy as np
 # it runs, so evolve and kick never load numerics, open_system or
 # barrier_transmission.
 from .core import (ConstantForce, GaussianPacket, HarmonicForce, SystemParams,
-                   TabulatedForce, ZeroForce)
+                   TabulatedForce, ZeroForce, force_pieces)
 
 if TYPE_CHECKING:
     from .open_system import BathParams
@@ -480,25 +480,31 @@ def cmd_verify(config, out) -> int:
                        "passed": bool(deviation < tolerance)})
 
     # closed form against the split-step grid solver, run from one start at
-    # m = 1, 2, 4, ... steps per first grid time until the step-doubling
-    # estimate |psi_m - psi_m/2| / 15 |psi_m| of psi_m's error (Chin 4A is
-    # fourth order and even in dt) is at most a tenth of the tolerance at
-    # every time; the closed form is compared with the extrapolated
-    # psi_m + (psi_m - psi_m/2) / 15
+    # m = 1, 2, 4, ... until the step-doubling estimate |psi_m - psi_m/2| /
+    # 15 |psi_m| of psi_m's error (Chin 4A is fourth order and even in the
+    # step) is at most a tenth of the tolerance at every time; the closed form
+    # is compared with the extrapolated psi_m + (psi_m - psi_m/2) / 15.  The
+    # span is cut at the grid times and the force's knots, and a piece of
+    # length L takes m ceil(2L) equal steps, so each halving halves every step
+    pieces = [(a, b, max(math.ceil(2.0 * (b - a) - 1e-12), 1))
+              for t0, t1 in zip((0.0, *_GRID_TIMES), _GRID_TIMES)
+              for a, b, _, _ in force_pieces(force, t0, t1)]
     start = numerics.grid_from_packet(packet, params, x_min, x_max, n)
-    xs, m, coarse, estimate = start.x(), 1, None, math.inf
+    xs, m, coarse, estimate, phases = start.x(), 1, None, math.inf, {}
     with np.errstate(over="ignore", invalid="ignore"):   # add names inf, NaN
         while True:
-            dt, grid, fine = _GRID_TIMES[0] / m, start, []
-            for t in _GRID_TIMES:
-                grid = numerics.schrodinger_grid_evolve(params, grid, force, t, dt)
-                fine.append(grid.psi)
+            grid, fine, dt = start, [], 0.0
+            for a, b, k in pieces:
+                h = (b - a) / (m * k)
+                grid = numerics.schrodinger_grid_evolve(params, grid, force, b, h, phases)
+                fine += [grid.psi] if b in _GRID_TIMES else []
+                dt = max(dt, h)
             if coarse is not None:
                 estimate = max(float(np.linalg.norm(f - c) / (15.0 * np.linalg.norm(f)))
                                for f, c in zip(fine, coarse))
             if estimate <= 0.1 * _GRID_TOLERANCE:
                 break
-            steps = round(_GRID_TIMES[-1] / dt)
+            steps = m * sum(k for _, _, k in pieces)
             if 2 * steps > _MAX_GRID_STEPS:
                 raise RuntimeError(
                     f"verify: grid: the step-doubling error estimate {estimate:.3g} at "

@@ -791,7 +791,7 @@ def plane_wave(k: float, x_min: float, dx: float, n: int) -> np.ndarray:
 
 
 def schrodinger_grid_evolve(params: SystemParams, grid: GridState, force,
-                            t_final: float, dt: float) -> GridState:
+                            t_final: float, dt: float, phases=None) -> GridState:
     """Fourth-order split-step Fourier evolution under the inverted-oscillator
     potential V = -omega^2 x^2 / 2 - F(t) x.
 
@@ -807,9 +807,10 @@ def schrodinger_grid_evolve(params: SystemParams, grid: GridState, force,
     The span to ``t_final`` is cut at the knots of a tabulated force
     (``force_pieces``) and each piece into the fewest equal steps no longer
     than ``dt``; inside a piece a tabulated force is the piece's own line, so
-    its kinks do not cost the order.  Each kick's barrier phase
-    e^{i q x^2/hbar}, one per distinct quadratic coefficient q, is computed
-    once and cached; a kick with a nonzero impulse j multiplies it by the
+    its kinks do not cost the order.  Each half step's drift, one per step
+    length h, and each kick's barrier phase e^{i q x^2/hbar}, one per distinct
+    quadratic coefficient q, is computed once and cached in ``phases``, a dict
+    that calls on one grid and system may share; a kick with a nonzero impulse j multiplies it by the
     plane wave e^{ijx/hbar}, built by ``plane_wave`` as the outer product of
     two phase vectors of about sqrt(n) points, so no kick takes a complex
     exponential over the grid.  The inverse FFT's 1/n, exact for n a power
@@ -827,6 +828,7 @@ def schrodinger_grid_evolve(params: SystemParams, grid: GridState, force,
     w2 = params.omega**2
     x2 = grid.x() ** 2
     k2 = (2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)) ** 2
+    phases = {} if phases is None else phases
     drifts, quadratic, impulses = [], [], []   # per half step; per step, per kick
     phase = 0.0
     for a, b, fa, fb in force_pieces(force, grid.t, t_final):
@@ -836,7 +838,9 @@ def schrodinger_grid_evolve(params: SystemParams, grid: GridState, force,
         f = (fa + (fb - fa) / (b - a) * (times - a)
              if isinstance(force, TabulatedForce) else force_at(force, times))
         lengths, gradient = h * _KICK_LENGTHS, h * h * _GRADIENT
-        drifts += [np.exp(-0.25j * params.hbar * h * k2) * (1.0 / grid.n)] * (2 * n_steps)
+        if ("drift", h) not in phases:
+            phases["drift", h] = np.exp(-0.25j * params.hbar * h * k2) * (1.0 / grid.n)
+        drifts += [phases["drift", h]] * (2 * n_steps)
         quadratic.append(np.tile(lengths * (0.5 * w2 + gradient * w2 * w2), (n_steps, 1)))
         impulses.append(f * (lengths * (1.0 + 2.0 * gradient * w2)))
         phase += float(np.sum(f * f * (lengths * gradient)))
@@ -845,13 +849,12 @@ def schrodinger_grid_evolve(params: SystemParams, grid: GridState, force,
         kicks[1:, 0] += kicks[:-1, 2]
     quadratic = np.append(quadratic[:, :2], quadratic[-1, 2]).tolist()
     impulses = np.append(impulses[:, :2], impulses[-1, 2]).tolist()
-    barrier = {}
 
     def kick(i):
         q, j = quadratic[i], impulses[i]
-        if q not in barrier:
-            barrier[q] = np.exp(1j / params.hbar * q * x2)
-        return barrier[q] if j == 0.0 else barrier[q] * plane_wave(
+        if ("barrier", q) not in phases:
+            phases["barrier", q] = np.exp(1j / params.hbar * q * x2)
+        return phases["barrier", q] if j == 0.0 else phases["barrier", q] * plane_wave(
             j / params.hbar, grid.x_min, grid.dx, grid.n)
 
     band = max(grid.n // _BAND, 1)

@@ -1241,8 +1241,11 @@ class TestVerify:
         ["--set", "force.kind=constant", "--set", "force.amplitude=0.5"],
         ["--set", "force.kind=harmonic", "--set", "force.amplitude=0.5"],
         ["--set", "force.kind=tabulated", "--set", "force.times=[0.2, 0.7, 1.2]",
-         "--set", "force.values=[0.5, -0.25, 0.5]"]],
-        ids=["zero", "constant", "harmonic", "tabulated"])
+         "--set", "force.values=[0.5, -0.25, 0.5]"],
+        ["--set", "force.kind=tabulated",
+         "--set", f"force.times={[round(0.1 * i, 1) for i in range(1, 15)]}",
+         "--set", f"force.values={[0.5 * (-1) ** i for i in range(14)]}"]],
+        ids=["zero", "constant", "harmonic", "tabulated", "dense-knots"])
     def test_grid_deviation_is_within_the_estimate(self, capsys, force):
         # the estimate bounds psi_m's error; the extrapolated psi_m the
         # closed form is compared with does better still, 1.5e-12 against
@@ -1265,20 +1268,6 @@ class TestVerify:
         grid = json.loads(out)["grid"]
         assert grid["dt"] == 1 / 64
         assert 1e-10 < grid["error_estimate"] <= 1e-9
-
-    def test_slow_corner_passes(self, capsys):
-        # near omega = 2 with |x0| = |p0| = 2 a step of 1e-2 left 4.3e-7 at
-        # t = 1.5; the loop halves the step down to 2^-8 on 2^15 points
-        code, out, _ = run_cli(["verify", "--set", "system.omega=2",
-                                "--set", "system.hbar=0.5", "--set", "packet.sigma=0.5",
-                                "--set", "packet.x0=2", "--set", "packet.p0=2",
-                                "--set", "force.kind=constant",
-                                "--set", "force.amplitude=1"], capsys)
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["all_pass"] is True
-        assert (payload["grid"]["n"], payload["grid"]["dt"]) == (2**15, 2**-8)
-        assert payload["grid"]["error_estimate"] <= 1e-8
 
     @pytest.mark.parametrize("assignment,key", [
         ("grid.dt=0.01", "unknown config key 'grid.dt'"),
@@ -1511,8 +1500,8 @@ class TestVerify:
     def test_kick_exp_budget(self, capsys, monkeypatch):
         # a kick under a force takes no complex exponential over the grid
         # beyond the cached barrier phases, as at zero force: a drift and
-        # three barrier phases in each of the 15 grid calls (5 runs to 3
-        # times), and 4 closed-form packets
+        # three barrier phases per step length, shared by the grid calls of
+        # one verify, and 4 closed-form packets
         exp, grid_from_packet = np.exp, invosc.numerics.grid_from_packet
 
         def count(args):
@@ -1537,7 +1526,7 @@ class TestVerify:
             return len(calls)
 
         harmonic = count(["--set", "force.kind=harmonic", "--set", "force.amplitude=0.5"])
-        assert harmonic == count([]) <= 64
+        assert harmonic == count([]) <= 30
 
     def test_tabulated_force_passes(self, capsys):
         code, out, _ = run_cli(["verify", "--set", "force.kind=tabulated",

@@ -625,6 +625,21 @@ class TestGridSolver:
                          / np.sum(np.abs(ref) ** 2))
         assert rel_l2 < 1e-7
 
+    def test_shared_phases_change_no_bit(self):
+        # a dict shared by two runs on one grid hands the second run the
+        # first one's drift and barrier phases, and the second run is
+        # bit for bit the run without it
+        params = SystemParams(1.0)
+        force = HarmonicForce(0.5, 2.0)
+        grid = grid_from_packet(GaussianPacket(0.5, 0.3, 1.0), params, -20.0, 20.0, 512)
+        phases = {}
+        first = schrodinger_grid_evolve(params, grid, force, 0.5, 0.125, phases)
+        built = len(phases)
+        shared = schrodinger_grid_evolve(params, first, force, 1.0, 0.125, phases)
+        assert built == 4 and len(phases) == built
+        alone = schrodinger_grid_evolve(params, first, force, 1.0, 0.125)
+        assert np.array_equal(shared.psi, alone.psi)
+
     def test_norm_conserved_without_absorber(self):
         params = SystemParams(1.0)
         grid = grid_from_packet(GaussianPacket(0.0, 0.0, 1.0), params,
