@@ -61,13 +61,14 @@ DEFAULT_CONFIG = {
 # verify's fixed probes: the grid check's times, tolerance and cap on the
 # steps of one grid run to the last time (dt down to about 1.1e-5; below
 # about 1e-4 the stepper's dt^4 error is already at rounding); the green
-# check's baths (gamma, omega_d), horizon in units of 1/omega, RK4 step and
-# tolerance; the tunneling points (epsilon, beta, tolerance); and the
+# check's baths (gamma, omega_d), horizon in units of 1/omega, RK4 step,
+# tolerance and cap on the RK4 steps (omega down to about 6e-4); the
+# tunneling points (epsilon, beta, tolerance); and the
 # windowed and noise checks' frequency in units of omega, time in units of
 # 1/omega and tolerances
 _GRID_TIMES, _GRID_TOLERANCE, _MAX_GRID_STEPS = (0.5, 1.0, 1.5), 1e-7, 2**17
 _GREEN_BATHS = ((0.5, 10.0), (5.0, 2.0))
-_GREEN_HORIZON, _GREEN_DT, _GREEN_TOLERANCE = 5.0, 5e-4, 1e-10
+_GREEN_HORIZON, _GREEN_DT, _GREEN_TOLERANCE, _MAX_GREEN_STEPS = 5.0, 5e-4, 1e-10, 2**24
 _TUNNEL_POINTS = ((10.0, 0.3, 0.15), (30.0, 0.2, 0.08))
 _WINDOWED_OMEGA, _WINDOWED_T, _WINDOWED_TOLERANCE = 0.7, 2.0, 1e-10
 _NOISE_TOLERANCE = 1e-8
@@ -480,17 +481,26 @@ def cmd_verify(config, out) -> int:
                        "passed": bool(deviation < tolerance)})
 
     # closed form against the split-step grid solver, run from one start at
-    # m = 1, 2, 4, ... until the step-doubling estimate |psi_m - psi_m/2| /
-    # 15 |psi_m| of psi_m's error (Chin 4A is fourth order and even in the
-    # step) is at most a tenth of the tolerance at every time; the closed form
-    # is compared with the extrapolated psi_m + (psi_m - psi_m/2) / 15.  The
-    # span is cut at the grid times and the force's knots, and a piece of
+    # m = 1, 2, 4, ...  Chin 4A is fourth order and even in the step, so
+    # e_m = |psi_m - psi_m/2| / 15 |psi_m| estimates psi_m's error, the
+    # extrapolated R_m = psi_m + (psi_m - psi_m/2) / 15 is sixth order, and
+    # r_m = |R_m - R_m/2| / 63 |R_m| estimates R_m's.  The runs stop at the
+    # first m >= 4 where r_m is at most a hundredth of the tolerance at every
+    # time and e_m fell at least 8-fold from e_m/2 (the runs are fourth
+    # order) or is at rounding, and the closed form is compared with R_m.
+    # The span is cut at the grid times and the force's knots, and a piece of
     # length L takes m ceil(2L) equal steps, so each halving halves every step
     pieces = [(a, b, max(math.ceil(2.0 * (b - a) - 1e-12), 1))
               for t0, t1 in zip((0.0, *_GRID_TIMES), _GRID_TIMES)
               for a, b, _, _ in force_pieces(force, t0, t1)]
     start = numerics.grid_from_packet(packet, params, x_min, x_max, n)
-    xs, m, coarse, estimate, phases = start.x(), 1, None, math.inf, {}
+    m, coarse, rich, phases = 1, None, None, {}
+    target, e_coarse, e, estimate = 0.01 * _GRID_TOLERANCE, math.inf, math.inf, math.inf
+
+    def spread(fine, coarse, factor):
+        return max(float(np.linalg.norm(f - c) / (factor * np.linalg.norm(f)))
+                   for f, c in zip(fine, coarse))
+
     with np.errstate(over="ignore", invalid="ignore"):   # add names inf, NaN
         while True:
             grid, fine, dt = start, [], 0.0
@@ -500,31 +510,42 @@ def cmd_verify(config, out) -> int:
                 fine += [grid.psi] if b in _GRID_TIMES else []
                 dt = max(dt, h)
             if coarse is not None:
-                estimate = max(float(np.linalg.norm(f - c) / (15.0 * np.linalg.norm(f)))
-                               for f, c in zip(fine, coarse))
-            if estimate <= 0.1 * _GRID_TOLERANCE:
+                e_coarse, e = e, spread(fine, coarse, 15.0)
+                fine_rich = [f + (f - c) / 15.0 for f, c in zip(fine, coarse)]
+                estimate = math.inf if rich is None else spread(fine_rich, rich, 63.0)
+                rich = fine_rich
+            fourth = e <= e_coarse / 8.0 or e <= 64.0 * np.finfo(float).eps
+            if estimate <= target and fourth:
                 break
             steps = m * sum(k for _, _, k in pieces)
             if 2 * steps > _MAX_GRID_STEPS:
                 raise RuntimeError(
-                    f"verify: grid: the step-doubling error estimate {estimate:.3g} at "
-                    f"{steps} steps to t = {_GRID_TIMES[-1]:g} is above the target "
-                    f"{0.1 * _GRID_TOLERANCE:g}, and {2 * steps} steps pass the cap "
-                    f"{_MAX_GRID_STEPS}")
+                    f"verify: grid: the extrapolated error estimate {estimate:.3g} at "
+                    f"{steps} steps to t = {_GRID_TIMES[-1]:g} is "
+                    f"{'above' if estimate > target else 'within'} the target {target:g}"
+                    + ("" if fourth else f", the step-doubling ratio e_m/e_(m/2) = "
+                       f"{e / e_coarse:.3g} is above the 1/8 of fourth order")
+                    + f", and {2 * steps} steps pass the cap {_MAX_GRID_STEPS}")
             m, coarse = 2 * m, fine
-        for t, f, c in zip(_GRID_TIMES, fine, coarse):
-            psi = f + (f - c) / 15.0
-            ref = ce.evaluate(ce.evolve_gaussian(params, packet, force, t), params, packet, xs)
+        refs = ce.evaluate(ce.evolve_gaussian(params, packet, force,
+                                              np.array(_GRID_TIMES)[:, None]),
+                           params, packet, start.x())
+        for t, psi, ref in zip(_GRID_TIMES, rich, refs):
             dev = float(np.sqrt(np.sum(np.abs(psi - ref) ** 2) / np.sum(np.abs(ref) ** 2)))
             add(f"grid_closed_form_t{t:g}", dev, _GRID_TOLERANCE)
 
     # impulse response from the matrix exponential against the RK4
     # memory-kernel integrator, at every k-th RK4 time back from the last,
     # where |G| is largest: about 100 times per case
+    horizon = _GREEN_HORIZON / params.omega
     for i, (gamma, omega_d) in enumerate(_GREEN_BATHS):
+        if not horizon / _GREEN_DT <= _MAX_GREEN_STEPS:
+            raise RuntimeError(
+                f"verify: green_expm_vs_ode_case{i}: the RK4 oracle needs "
+                f"{horizon / _GREEN_DT:.3g} steps of {_GREEN_DT:g} to the horizon "
+                f"{_GREEN_HORIZON:g}/omega = {horizon:.3g}, above the cap {_MAX_GREEN_STEPS}")
         bath_case = osys.BathParams(gamma=gamma, omega_d=omega_d)
-        ts, g_ode = numerics.langevin_ode_oracle(params, bath_case,
-                                                 _GREEN_HORIZON / params.omega, _GREEN_DT)
+        ts, g_ode = numerics.langevin_ode_oracle(params, bath_case, horizon, _GREEN_DT)
         stride = max((len(ts) - 1) // 100, 1)
         ts, g_ode = ts[::-stride], g_ode[::-stride]
         g_exp = osys.green_pair(params, bath_case, ts)[0]
