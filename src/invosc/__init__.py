@@ -25,7 +25,8 @@ _EXPORTS = {
     "numerics": (
         "GridState", "QuadratureError", "QuadratureResult", "bessel_k_quarter",
         "expm", "expm_gramian", "grid_from_packet", "integrate_adaptive",
-        "integrate_halfline", "integrate_trapezoid", "langevin_ode_oracle",
+        "integrate_exp_sinh", "integrate_fourier", "integrate_tanh_sinh",
+        "integrate_trapezoid", "langevin_ode_oracle",
         "scaled_bessel_k_quarter", "schrodinger_grid_evolve", "solve_cubic"),
     "open_system": (
         "CLASSICAL", "OCCUPATION", "SYMMETRIZED", "BathParams", "CubicCoefficients",

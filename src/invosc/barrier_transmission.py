@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SystemParams
-from .numerics import integrate_trapezoid, scaled_bessel_k_quarter
+from .numerics import integrate_tanh_sinh, integrate_trapezoid, scaled_bessel_k_quarter
 
 # eta(1/2) = (1 - sqrt 2) zeta(1/2); over the real line int dy / (1 + e^(y^2))
 # is sqrt(pi) eta(1/2), and int y^2 dy / (1 + e^(y^2)) is sqrt(pi) eta(3/2) / 2
@@ -128,14 +128,15 @@ def averaged_transmission(epsilon: float, beta):
     agreement.  At the half-width w = (2 / peak)^(1/2), peak = beta
     (hypot(g, sqrt(eps)) + g), g = eps (1 - beta), eps y^2 exceeds its crest
     by 1; a row with w < 1e-2, which needs more nodes than that rule allows
-    from eps ~ 1e12 at beta = 1, goes to ``_double_exponential`` with delta
-    from 0 to 64 w, beyond which the integrand is below e^-1600 of its crest.
+    from eps ~ 1e12 at beta = 1, goes to the tanh-sinh rule
+    (``numerics.integrate_tanh_sinh``, to 1e-14 relative) with delta from 0
+    to 64 w, beyond which the integrand is below e^-1600 of its crest.
 
     Above suppression the peak is at z0 = atan(S), cos z0 = 1/beta, in a
     window of half-width ~ 1/(S sqrt(eps)) that uniform nodes in z may miss
     and that is narrower than the float spacing of z for beta >> 1: each
-    such beta is two rows of one ``_double_exponential`` call, delta from 0
-    to -z0 and to pi - z0, whose nodes crowd towards the peak.
+    such beta is two rows of one tanh-sinh call, delta from 0 to -z0 and to
+    pi - z0, whose nodes crowd towards the peak.
 
     For beta >> 1, with u = beta cos z the average is eta(1/2) / (beta
     sqrt(pi eps)) [1 + (1 + c' / eps) / (2 beta^2) + O(beta^-4)],
@@ -159,8 +160,9 @@ def averaged_transmission(epsilon: float, beta):
     with np.errstate(over="ignore"):   # an infinite peak is a narrow row
         peak = b * (np.hypot(g, math.sqrt(epsilon)) + g)
     narrow = peak > 2e4   # w < 1e-2
-    out[periodic[narrow]] = _double_exponential(
-        transmission, 64.0 * np.sqrt(2.0 / peak[narrow]), b[narrow], 0.0) / math.pi
+    out[periodic[narrow]] = integrate_tanh_sinh(
+        transmission, 0.0, 64.0 * np.sqrt(2.0 / peak[narrow]), 1e-14, b[narrow],
+        0.0).value / math.pi
     periodic, b = periodic[~narrow], b[~narrow]
     rel_tol = np.maximum(1e-14, 8.0 * math.ulp(1.0) * (
         epsilon * (1.0 - b) ** 2 + math.sqrt(epsilon)))
@@ -175,22 +177,10 @@ def averaged_transmission(epsilon: float, beta):
     b = b[~limit]
     s = np.sqrt(b - 1.0) * np.sqrt(b + 1.0)
     z0 = np.arctan(s)
-    sides = _double_exponential(transmission, np.concatenate([-z0, math.pi - z0]),
-                                1.0, np.tile(s, 2))
+    sides = integrate_tanh_sinh(transmission, 0.0, np.concatenate([-z0, math.pi - z0]),
+                                1e-14, 1.0, np.tile(s, 2)).value
     out[above[~limit]] = (sides[:b.size] + sides[b.size:]) / math.pi
     return _as_output(out, beta)
-
-
-def _double_exponential(f, length, *params) -> np.ndarray:
-    """Row-wise integral of f(delta, *params) for delta from 0 to L, to 1e-14:
-    the trapezoid rule in t on [-4, 4] (e^(-85) |L| left out at each end),
-    delta = L / (1 + e^(-pi sinh t)) (Takahasi & Mori, Publ. RIMS 9, 721 (1974))."""
-    def mapped(t, length, *params):
-        g = np.exp(-math.pi * np.sinh(t))
-        return f(length / (1.0 + g), *params) * (
-            np.abs(length) * math.pi * np.cosh(t) * g / (1.0 + g) ** 2)
-
-    return integrate_trapezoid(mapped, -4.0, 4.0, 1e-14, length, *params).value
 
 
 def asymptotic_prefactor(epsilon: float, beta):

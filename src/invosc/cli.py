@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 config error, 3 numerical or domain error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -323,8 +324,9 @@ def cmd_evolve(config, out, wavefunction_path=None) -> int:
     # raises before any file is written
     text = render_csv(_CLOSED_HEADER, _closed_columns(stack, params, packet), cfg_hash)
     if wavefunction_path is not None:
-        psi = ce.evaluate(ce.evolve_gaussian(params, packet, force, times[-1]),
-                          params, packet, xs)
+        # the stack's last state, that of times[-1] alone to the bit
+        last = ce.EvolvedGaussian(*(f[-1].item() for f in vars(stack).values()))
+        psi = ce.evaluate(last, params, packet, xs)
         columns = [xs, psi.real, psi.imag, np.hypot(psi.real, psi.imag) ** 2]
         _emit(render_csv(["x", "re_psi", "im_psi", "density"], columns, cfg_hash),
               wavefunction_path)
@@ -552,34 +554,46 @@ def cmd_verify(config, out) -> int:
         dev = float(np.max(np.abs(g_exp - g_ode)) / np.max(np.abs(g_exp)))
         add(f"green_expm_vs_ode_case{i}", dev, _GREEN_TOLERANCE)
 
+    @contextlib.contextmanager
+    def named(name):   # a numerical failure names its check and omega
+        try:
+            yield
+        except (ValueError, ArithmeticError, RuntimeError) as exc:
+            raise RuntimeError(f"verify: {name} at omega = {params.omega:g}: {exc}") from exc
+
     # quasistatic asymptotics against the period-average quadrature
     for eps, beta, tolerance in _TUNNEL_POINTS:
-        w_q = bt.averaged_transmission(eps, beta)
-        w_a = bt.averaged_transmission_asymptotic(eps, beta)
-        add(f"tunnel_asymptotic_eps{eps:g}_beta{beta:g}",
-            abs(w_a - w_q) / w_q, tolerance)
+        name = f"tunnel_asymptotic_eps{eps:g}_beta{beta:g}"
+        with named(name):
+            w_q = bt.averaged_transmission(eps, beta)
+            w_a = bt.averaged_transmission_asymptotic(eps, beta)
+        add(name, abs(w_a - w_q) / w_q, tolerance)
 
-    # windowed transform closed form against direct quadrature
+    # windowed transform closed form against direct quadrature, relative
+    # where |W| > 1: |W| grows like 1/omega^2 as omega falls
     w_probe, t_probe = _WINDOWED_OMEGA * params.omega, _WINDOWED_T / params.omega
-    closed = osys.windowed_transform(params, bath, w_probe, t_probe)
-    quad = numerics.integrate_adaptive(
-        lambda t1: osys.green_pair(params, bath, t1)[0] * np.exp(-1j * w_probe * t1),
-        0.0, t_probe, abs_tol=1e-13, rel_tol=1e-12).value
-    add("windowed_transform_quadrature", abs(closed - quad), _WINDOWED_TOLERANCE)
+    with named("windowed_transform_quadrature"):
+        closed = osys.windowed_transform(params, bath, w_probe, t_probe)
+        quad = numerics.integrate_adaptive(
+            lambda t1: osys.green_pair(params, bath, t1)[0] * np.exp(-1j * w_probe * t1),
+            0.0, t_probe, abs_tol=1e-13, rel_tol=1e-12).value
+    add("windowed_transform_quadrature", abs(closed - quad) / max(abs(quad), 1.0),
+        _WINDOWED_TOLERANCE)
 
     # symmetrized noise term, without a frequency quadrature, against the
     # frequency quadrature run to half the tolerance; the term is computed
     # again if its absolute tolerance, which only the zero-point rate rule
     # heeds, was not below a twentieth of that
-    closed_tol = 1e-14
-    closed = osys.variance_noise_term(params, bath, t_probe, osys.SYMMETRIZED,
-                                      closed_tol)
-    abs_tol = max(0.5 * _NOISE_TOLERANCE * closed, 1e-300)
-    if closed_tol > 0.05 * abs_tol:
+    with named("noise_closed_form_vs_quadrature"):
+        closed_tol = 1e-14
         closed = osys.variance_noise_term(params, bath, t_probe, osys.SYMMETRIZED,
-                                          0.05 * abs_tol)
-    quad = osys.spectral_noise_term(params, bath, t_probe, t_probe, osys.SYMMETRIZED,
-                                    abs_tol)
+                                          closed_tol)
+        abs_tol = max(0.5 * _NOISE_TOLERANCE * closed, 1e-300)
+        if closed_tol > 0.05 * abs_tol:
+            closed = osys.variance_noise_term(params, bath, t_probe, osys.SYMMETRIZED,
+                                              0.05 * abs_tol)
+        quad = osys.spectral_noise_term(params, bath, t_probe, t_probe, osys.SYMMETRIZED,
+                                        abs_tol)
     add("noise_closed_form_vs_quadrature",
         abs(closed - quad) / max(quad, 1e-300), _NOISE_TOLERANCE)
 

@@ -1,11 +1,10 @@
 """Shared numerical machinery.
 
-A row-vectorized trapezoid rule for analytic integrands; row-vectorized
-adaptive Gauss-Kronrod quadrature, bisecting in rounds, which serves only
-``integrate_halfline`` (the frequency quadrature of the bath noise, an
-oracle, whose doubling intervals are its rows, a block of them a call),
-``verify``'s checks and the tests; a Cardano cubic solver with Newton
-refinement; the matrix
+One quadrature engine: a row-vectorized trapezoid rule, and three changes
+of variable after which it serves other integrals (Takahasi & Mori, Publ.
+RIMS 9, 721 (1974)): tanh-sinh on a finite interval, exp-sinh on a half
+line and the Ooura-Mori rule for Fourier integrals on a half line.  Besides
+it: a Cardano cubic solver with Newton refinement; the matrix
 exponential by scaling and squaring and, with it, the Gramian of a linear
 system driven by white noise; e^z K_{1/4}(z) by the trapezoid rule for
 every z > 0; a fourth-order split-step Fourier solver for the
@@ -16,11 +15,9 @@ with guard bands in x and k and a grid sized from the packet's free flow;
 and a fixed-step RK4 integrator for the memory-kernel (generalized
 Langevin) equation of motion, stepped as powers of its step matrix.
 
-Integrands are vectorized: the adaptive quadratures call ``f`` on a 1-D
-float ndarray holding, once per round, every node of the panels that round
-evaluates across all rows; the trapezoid rule on a 2-D array with one row
-of nodes per open interval; and ``f`` returns an array of the same shape,
-real or complex.
+Integrands are vectorized: the rules call ``f`` on a 2-D float ndarray with
+one row of nodes per open interval, and ``f`` returns an array of the same
+shape, real or complex.
 
 Everything here is deterministic and allocation-per-call; no module
 state is mutated.
@@ -36,66 +33,13 @@ import numpy as np
 from .core import (GaussianPacket, SystemParams, TabulatedForce, evaluate_initial,
                    force_at, force_pieces)
 
-# 15-point Kronrod abscissae on [0, 1] (descending, ending at the centre)
-# with the Kronrod weights and the embedded 7-point Gauss weights (zero on
-# the Kronrod-only nodes).  Values from the QUADPACK dqk15 tables.
-_XGK = (
-    0.991455371120813,
-    0.949107912342759,
-    0.864864423359769,
-    0.741531185599394,
-    0.586087235467691,
-    0.405845151377397,
-    0.207784955007898,
-    0.000000000000000,
-)
-_WGK = (
-    0.022935322010529,
-    0.063092092629979,
-    0.104790010322250,
-    0.140653259715525,
-    0.169004726639267,
-    0.190350578064785,
-    0.204432940075298,
-    0.209482141084728,
-)
-_WG = (
-    0.0,
-    0.129484966168870,
-    0.0,
-    0.279705391489277,
-    0.0,
-    0.381830050505119,
-    0.0,
-    0.417959183673469,
-)
-
-
-def _full_rule(half, sign: float) -> np.ndarray:
-    """Mirror a half table onto [-1, 1]: sign * half[:-1], then half reversed."""
-    return np.concatenate([sign * np.array(half[:-1]), half[::-1]])
-
-
-# The 15 nodes ascend from -1 to 1, with the Kronrod and the Gauss weights
-# at those nodes.
-_NODES = _full_rule(_XGK, -1.0)
-_KRONROD = _full_rule(_WGK, 1.0)
-_GAUSS = _full_rule(_WG, 1.0)
-
-_MAX_DEPTH = 60
-_MAX_DOUBLINGS = 60
-# integrate_halfline's intervals per integrate_adaptive call
-_HALFLINE_BLOCK = 8
-# Bisections of resolved panels that integrate_adaptive allows a row after
-# the last round that set a new low of its summed error estimate.  The
-# longest such run in a call that converged, over the test suite and the
-# benchmark workloads, was 1,375 (the far tail of a two-time noise term's
-# half-line integral, at a rounding floor).
-_MAX_STALL = 1600
 # The trapezoid rule starts from 1 interval and doubles; a row may stop from
 # _TRAPEZOID_MIN intervals on and must have stopped by _TRAPEZOID_MAX.
 _TRAPEZOID_MIN = 16
 _TRAPEZOID_MAX = 2**15
+# integrate_fourier's first step, the most times it halves it, and the range
+# of u its sums run over
+_FOURIER_STEP, _FOURIER_HALVINGS, _FOURIER_RANGE = 0.1, 6, (-9.0, 6.0)
 
 
 class QuadratureError(RuntimeError):
@@ -112,174 +56,14 @@ class QuadratureError(RuntimeError):
 @dataclass(frozen=True)
 class QuadratureResult:
     """A value with its error estimate and integrand evaluations; arrays of
-    one entry per row from ``integrate_trapezoid``, and from
-    ``integrate_adaptive`` unless both its ends are scalars."""
+    one entry per row but from ``integrate_adaptive`` with scalar ends."""
 
     value: complex | float | np.ndarray
     error_estimate: float | np.ndarray
     evaluations: int
 
 
-def _gk15_panels(f, lo, hi):
-    """Gauss-Kronrod 15(7) on the panels [lo, hi], arrays of one shape.
-
-    All nodes go to f in one 1-D call, 15 per panel in the panels' raveled
-    order.  Returns the Kronrod value and the |Kronrod - Gauss| error
-    estimate of each panel in that order, as 1-D arrays; the values are
-    complex if f returned complex values.  Each panel's sums run along its
-    own row of 15 values, so they do not depend on the other panels.
-    """
-    mid, half = (0.5 * (hi + lo)).ravel(), (0.5 * (hi - lo)).ravel()
-    x = (mid[:, None] + half[:, None] * _NODES).ravel()
-    fx = np.asarray(f(x))
-    if fx.shape != x.shape:
-        raise ValueError(f"integrand returned shape {fx.shape} for nodes of "
-                         f"shape {x.shape}")
-    fx = fx.reshape(len(mid), len(_NODES))
-    kronrod, gauss = (fx * _KRONROD).sum(axis=1), (fx * _GAUSS).sum(axis=1)
-    return kronrod * half, np.abs((kronrod - gauss) * half)
-
-
-def _tolerance(value, abs_tol: float, rel_tol: float):
-    """max(abs_tol, rel_tol |value|), the error a row of integrate_adaptive may keep."""
-    return np.maximum(abs_tol, rel_tol * np.abs(value))
-
-
-def _grown(x: np.ndarray, columns: int) -> np.ndarray:
-    """``x`` with zero columns appended up to ``columns`` (``np.pad`` costs
-    ten times as much on these small arrays)."""
-    out = np.zeros((x.shape[0], columns), x.dtype)
-    out[:, :x.shape[1]] = x
-    return out
-
-
-def integrate_adaptive(f, lo, hi, abs_tol: float = 1e-12,
-                       rel_tol: float = 1e-10) -> QuadratureResult:
-    """Adaptively integrate ``f`` on [lo[i], hi[i]], one interval per row
-    i, by Gauss-Kronrod bisection in rounds.
-
-    ``lo`` and ``hi`` broadcast to one value per row.  With two scalars the
-    value is a float (or a complex) and the error estimate a float; else
-    both are arrays of one entry per row.  ``f`` is called on a 1-D float
-    ndarray of nodes and must return an array of the same length, real or
-    complex: first the 15 nodes of each row's one panel, then, once per
-    round, the 30 nodes of both halves of every panel bisected in that
-    round, across all rows.  A row is open while its summed error estimate
-    exceeds ``max(abs_tol, rel_tol * |I|)``.  Each round bisects, in every
-    open row, the fewest of its largest-error panels whose estimates cover
-    that excess: the globally adaptive bisection of QUADPACK (Piessens et
-    al., Springer 1983), several panels at a time.  No row's panels, sums
-    or choices depend on another row, so each row gets the value and the
-    estimate of a one-row call, bit for bit.
-
-    A row fails if a panel it would bisect has been bisected ``_MAX_DEPTH``
-    times, if it has more than 100,000 panels, or if its summed estimate
-    has stopped falling (an integrand whose error floors above the
-    tolerance, such as one with noise in it): more than ``_MAX_STALL``
-    bisections since the last round that set a new low of that estimate,
-    counting only bisections whose two halves agree with their panel to
-    1e-5.  That is QUADPACK's test for round-off (dqagse); a panel that does
-    not yet resolve ``f`` changes its value instead, as every panel of a
-    long oscillatory interval does while the rounds refine them all
-    together.  A round bisects at most half of what is left of a row's
-    stall budget, so rounds shrink towards one panel at a time as a row
-    nears it.  The other rows go on; then QuadratureError is raised,
-    carrying every row's best value and estimate, in which a failed row is
-    one still over its tolerance.
-    """
-    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
-    lo, hi = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float))
-                                   for v in (lo, hi)))
-    bad = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi) & (lo < hi)))
-    if bad.size:
-        raise ValueError(f"bad integration interval [{lo[bad[0]]}, {hi[bad[0]]}]")
-    n_rows = lo.size
-    value, error = _gk15_panels(f, lo, hi)
-    evals = 15 * n_rows
-    # one row per interval and one column per panel: row i holds its panels
-    # in its first count[i] columns, and zeros past them
-    a, b, value, error = lo[:, None], hi[:, None], value[:, None], error[:, None]
-    depth = np.zeros(a.shape, dtype=int)
-    count = np.ones(n_rows, dtype=int)
-    lowest = np.full(n_rows, np.inf)
-    stalled, settled = np.zeros(n_rows, dtype=int), np.zeros(n_rows, dtype=int)
-    failed, reasons = np.zeros(n_rows, dtype=bool), {}
-    while True:
-        # cumsum adds each row up in column order, so a row's total does not
-        # depend on how many columns the others take
-        total = np.cumsum(value, axis=1)[:, -1]
-        total_err = np.cumsum(error, axis=1)[:, -1]
-        low = total_err < lowest
-        lowest[low] = total_err[low]
-        stalled = np.where(low, 0, stalled + settled)
-        excess = total_err - _tolerance(total, abs_tol, rel_tol)
-        is_open = (excess > 0.0) & ~failed
-        stuck = is_open & ((stalled > _MAX_STALL) | (count > 100_000))
-        for row in np.flatnonzero(stuck):
-            failed[row], reasons[row] = True, ("error estimate stopped falling"
-                                               if stalled[row] > _MAX_STALL
-                                               else "subdivision limit exceeded")
-        rows = np.flatnonzero(is_open & ~stuck)
-        if not rows.size:
-            break
-        # each open row's panels by falling estimate, and how many of them
-        # cover its excess; a panel whose estimate is zero is never bisected
-        order = np.argsort(-error[rows], axis=1, kind="stable")
-        ranked = error[rows[:, None], order]
-        k = (np.cumsum(ranked, axis=1) < excess[rows, None]).sum(axis=1) + 1
-        k = np.minimum(np.minimum(k, (ranked > 0.0).sum(axis=1)),
-                       np.minimum((_MAX_STALL + 2 - stalled[rows]) // 2, 100_001 - count[rows]))
-        i, rank = np.nonzero(np.arange(order.shape[1]) < k[:, None])
-        r = rows[i]
-        depths = depth[r, order[i, rank]]
-        if np.any(depths >= _MAX_DEPTH):
-            for row in np.unique(r[depths >= _MAX_DEPTH]):
-                failed[row], reasons[row] = True, "subdivision limit exceeded"
-            keep = ~failed[r]
-            i, rank, r, depths = i[keep], rank[keep], r[keep], depths[keep]
-        if not r.size:   # no panel to bisect: nothing has changed since the totals
-            break
-        bisected = np.bincount(r, minlength=n_rows)
-        columns = int((count + bisected).max())
-        if columns > a.shape[1]:
-            columns = max(columns, 2 * a.shape[1])
-            a, b, value, error, depth = (_grown(x, columns)
-                                         for x in (a, b, value, error, depth))
-        # flat indices of each bisected panel, which keeps the left half, and
-        # of the column past its row's panels that takes the right half
-        old = r * a.shape[1] + order[i, rank]
-        new = r * a.shape[1] + count[r] + rank
-        left, right = a.take(old), b.take(old)
-        mid = 0.5 * (left + right)
-        v, e = _gk15_panels(f, np.array([left, mid]).T, np.array([mid, right]).T)
-        evals += 30 * r.size
-        # the bisections that count towards the stall: halves that agree with
-        # their panel to 1e-5 (dqagse's round-off test)
-        halves = v[0::2] + v[1::2]
-        settled = np.bincount(r[np.abs(halves - value.take(old)) <= 1e-5 * np.abs(halves)],
-                              minlength=n_rows)
-        if np.iscomplexobj(v) and not np.iscomplexobj(value):
-            value = value.astype(complex)
-        a.put(new, mid)
-        b.put(new, right)
-        b.put(old, mid)
-        for x, y in ((value, v), (error, e)):
-            x.put(old, y[0::2])
-            x.put(new, y[1::2])
-        depth.put(old, depths + 1)
-        depth.put(new, depths + 1)
-        count += bisected
-    if scalar:
-        total = complex(total[0]) if np.iscomplexobj(total) else float(total[0])
-        total_err = float(total_err[0])
-    result = QuadratureResult(total, total_err, evals)
-    if reasons:
-        i = min(reasons)
-        raise QuadratureError(f"quadrature {reasons[i]} on [{lo[i]}, {hi[i]}]", result)
-    return result
-
-
-def integrate_trapezoid(f, lo, hi, rel_tol, *params) -> QuadratureResult:
+def integrate_trapezoid(f, lo, hi, rel_tol, *params, abs_tol: float = 0.0) -> QuadratureResult:
     """The trapezoid rule on one interval [lo[i], hi[i]] per row i, by doubling.
 
     ``lo``, ``hi``, ``rel_tol`` and each of ``params`` broadcast to one
@@ -291,7 +75,7 @@ def integrate_trapezoid(f, lo, hi, rel_tol, *params) -> QuadratureResult:
     negligible at ``hi`` (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)).
     Each doubling keeps the nodes and adds the midpoints; a row stays open,
     from ``_TRAPEZOID_MIN`` intervals on, only while its last change exceeds
-    ``rel_tol`` times its value, so a row whose sum is not finite (no
+    ``max(abs_tol, rel_tol |value|)``, so a row whose sum is not finite (no
     doubling mends it) closes.  No row's value depends on another.
 
     Returns the values, the last change of each, and the number of
@@ -322,68 +106,141 @@ def integrate_trapezoid(f, lo, hi, rel_tol, *params) -> QuadratureResult:
         change[open_rows] = np.abs(new - value[open_rows])
         value[open_rows] = new
         if n >= _TRAPEZOID_MIN:
-            open_rows = open_rows[change[open_rows] > rel_tol[open_rows] * np.abs(new)]
+            open_rows = open_rows[change[open_rows]
+                                  > np.maximum(abs_tol, rel_tol[open_rows] * np.abs(new))]
     return QuadratureResult(value, change, evals)
 
 
-def integrate_halfline(f, abs_tol: float, first_length: float = 1.0,
-                       rel_tol: float = 1e-13, small_runs: int = 2) -> QuadratureResult:
-    """Integrate ``f`` on [0, inf) over dyadically doubling intervals.
+def integrate_tanh_sinh(f, lo, hi, rel_tol, *params, abs_tol: float = 0.0) -> QuadratureResult:
+    """``integrate_trapezoid`` of f(x, *params) over the interval between
+    lo[i] and hi[i], in either order (unsigned), in u on [-4, 4] after the
+    tanh-sinh map x = lo + (hi - lo) / (1 + e^(-pi sinh u)).  The nodes crowd
+    towards both ends, so f may be singular there but must be analytic
+    inside; e^(-85) |hi - lo| is left out at each end."""
+    def mapped(u, lo, hi, *params):
+        g = np.exp(-math.pi * np.sinh(u))
+        return f(lo + (hi - lo) / (1.0 + g), *params) * (
+            np.abs(hi - lo) * math.pi * np.cosh(u) * g / (1.0 + g) ** 2)
 
-    ``f`` follows the ``integrate_adaptive`` contract: an ndarray of
-    nodes in, an array of the same length out.  The intervals are
-    [0, L], [L, 3L], [3L, 7L], ... with L = ``first_length``; they go to
-    ``integrate_adaptive`` as rows, ``_HALFLINE_BLOCK`` intervals a call,
-    with ``abs_tol / 16`` and the panel ``rel_tol``.  The parts are summed
-    in interval order, and the sum stops once ``small_runs`` consecutive
-    intervals each contribute |part| < max(abs_tol, 1e-12 |total|), where
-    ``total`` includes the part.  One small interval suffices for a
-    non-negative integrand; an oscillatory one needs two, since a single
-    interval may cancel by accident.  The intervals of the last block past
-    the stop count in ``evaluations`` but not in the value, and one of them
-    that fails to converge raises nothing.
+    return integrate_trapezoid(mapped, -4.0, 4.0, rel_tol, lo, hi, *params, abs_tol=abs_tol)
 
-    Raises QuadratureError, carrying the best estimate, if an interval up
-    to the stop fails to converge, or if the sum has not stopped after
-    ``_MAX_DOUBLINGS`` intervals.
+
+def integrate_exp_sinh(f, lo, scale, rel_tol, *params, abs_tol: float = 0.0) -> QuadratureResult:
+    """``integrate_trapezoid`` of f(x, *params) over [lo[i], inf), in u on
+    [-4, 4] after the exp-sinh map x = lo + scale e^((pi/2) sinh u), whose
+    nodes reach from scale e^-43 past lo to scale e^43; f must be analytic
+    past lo and fall faster than 1/x."""
+    def mapped(u, lo, scale, *params):
+        e = scale * np.exp(0.5 * math.pi * np.sinh(u))
+        return f(lo + e, *params) * (e * (0.5 * math.pi) * np.cosh(u))
+
+    return integrate_trapezoid(mapped, -4.0, 4.0, rel_tol, lo, scale, *params, abs_tol=abs_tol)
+
+
+def _ooura_mori(h: float, u: np.ndarray):
+    """y = M phi(u), M = pi / h, and phi'(u), where phi(u) = u / (1 - e^-q),
+    q = 2u + alpha (1 - e^-u) + beta (e^u - 1), beta = 1/4 and alpha =
+    beta / sqrt(1 + M log(1 + M) / 4 pi); phi' = (1 - u q' / (e^q - 1)) /
+    (1 - e^-q) overflows nowhere, and at u = 0 takes its limit."""
+    m, beta = math.pi / h, 0.25
+    alpha = beta / math.sqrt(1.0 + m * math.log1p(m) / (4.0 * math.pi))
+    zero = u == 0.0
+    v = np.where(zero, 1.0, u)
+    q = 2.0 * v - alpha * np.expm1(-v) + beta * np.expm1(v)
+    d = -np.expm1(-q)
+    slope = 2.0 + alpha + beta   # q'(0)
+    phi = np.where(zero, 1.0 / slope, v / d)
+    dphi = np.where(zero, 0.5 - (beta - alpha) / (2.0 * slope**2),
+                    (1.0 - v * (2.0 + alpha * np.exp(-v) + beta * np.exp(v)) / np.expm1(q)) / d)
+    return m * phi, dphi
+
+
+def integrate_fourier(f, lo, tau, abs_tol: float, *params,
+                      rel_tol: float = 0.0) -> QuadratureResult:
+    """Row-wise integral of Re(f(x, *params) e^(i tau x)) over [lo[i], inf),
+    tau[i] > 0, by the rule of Ooura & Mori (J. Comput. Appl. Math. 112, 229
+    (1999)).  With x = lo + y / tau and F = f e^(i tau lo) it is (1/tau)
+    int_0^inf (Re F cos y - Im F sin y) dy: the trapezoid rule of step h in u
+    at u = (k - 1/2) h for the cosine and u = kh for the sine, y = M phi(u)
+    of ``_ooura_mori``, whose nodes near the zeros of cos y and sin y double
+    exponentially as u grows, so f may fall as slowly as 1/x with no
+    cut-off.  The sums run over u in ``_FOURIER_RANGE``; h starts at
+    ``_FOURIER_STEP`` and halves, every node afresh, while a row's last two
+    sums differ by more than max(abs_tol, rel_tol |value|).  The arguments
+    and the result follow ``integrate_trapezoid``, and f returns complex
+    values; QuadratureError is raised, with the result, if a row is still
+    open after ``_FOURIER_HALVINGS`` halvings.
     """
-    if abs_tol <= 0:
-        raise ValueError("abs_tol must be positive")
-    edges = [0.0, first_length]
-    while len(edges) <= _MAX_DOUBLINGS:
-        edges.append(edges[-1] + 2.0 * (edges[-1] - edges[-2]))
-    total = 0.0 + 0.0j
-    err = 0.0
-    evals = 0
-    is_complex = False
-    small_run = 0
+    lo, tau, *params = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (lo, tau, *params)))
+    phase = np.exp(1j * tau * lo)[:, None]
+    value, change = np.full(lo.shape, np.nan), np.full(lo.shape, np.inf)
+    open_rows, evals, h = np.arange(lo.size), 0, _FOURIER_STEP
+    for _ in range(_FOURIER_HALVINGS + 1):
+        # u = j h / 2: even j the sine nodes, odd j the cosine nodes
+        j = np.arange(math.ceil(2.0 * _FOURIER_RANGE[0] / h),
+                      math.floor(2.0 * _FOURIER_RANGE[1] / h) + 1)
+        y, dy = _ooura_mori(h, 0.5 * h * j)
+        rows = open_rows[:, None]
+        big = phase[open_rows] * f(lo[rows] + y / tau[rows], *(p[rows] for p in params))
+        evals += big.size
+        terms = np.where(j % 2 == 1, big.real * np.cos(y), -big.imag * np.sin(y)) * dy
+        new = math.pi * terms.sum(axis=1) / tau[open_rows]
+        change[open_rows] = np.abs(new - value[open_rows])   # NaN at the first step
+        value[open_rows] = new
+        open_rows = open_rows[~(change[open_rows]
+                                <= np.maximum(abs_tol, rel_tol * np.abs(new)))]
+        if not open_rows.size:
+            return QuadratureResult(value, change, evals)
+        h *= 0.5
+    raise QuadratureError(f"Fourier rule did not converge at step {2.0 * h:g}",
+                          QuadratureResult(value, change, evals))
 
-    def result() -> QuadratureResult:
-        return QuadratureResult(total if is_complex else total.real, err, evals)
 
-    for start in range(0, _MAX_DOUBLINGS, _HALFLINE_BLOCK):
-        stop = min(start + _HALFLINE_BLOCK, _MAX_DOUBLINGS)
-        lo, hi = edges[start:stop], edges[start + 1:stop + 1]
-        try:
-            res = integrate_adaptive(f, lo, hi, abs_tol=abs_tol / 16.0, rel_tol=rel_tol)
-            failed = np.zeros(len(lo), dtype=bool)
-        except QuadratureError as exc:
-            res = exc.best
-            failed = res.error_estimate > _tolerance(res.value, abs_tol / 16.0, rel_tol)
-        is_complex = is_complex or np.iscomplexobj(res.value)
-        evals += res.evaluations
-        for i, (part, part_err) in enumerate(zip(res.value.tolist(),
-                                                 res.error_estimate.tolist())):
-            total += part
-            err += part_err
-            if failed[i]:
-                raise QuadratureError(f"half-line quadrature did not converge on "
-                                      f"[{lo[i]}, {hi[i]}]", result())
-            small_run = small_run + 1 if abs(part) < max(abs_tol, 1e-12 * abs(total)) else 0
-            if small_run >= small_runs:
-                return result()
-    raise QuadratureError("half-line integral did not converge within the "
-                          "doubling budget", result())
+def integrate_adaptive(f, lo, hi, abs_tol: float = 1e-12,
+                       rel_tol: float = 1e-10) -> QuadratureResult:
+    """Integrate ``f`` on [lo[i], hi[i]], one interval per row i, by
+    ``integrate_tanh_sinh``: f must be analytic inside each row, and may be
+    singular at its ends.
+
+    ``lo`` and ``hi`` broadcast to one value per row; with two scalars the
+    value is a float (or a complex) and the error estimate a float.  ``f``
+    is called on a 1-D float ndarray, once per doubling, of the new nodes
+    of every row still open, row after row, and returns an array of the
+    same length, real or complex.  A row stays open while its last change,
+    the error estimate it returns, exceeds ``max(abs_tol, rel_tol * |I|)``;
+    as the rule converges double exponentially, the error left is far
+    below it.  Each row gets the value and the estimate of a one-row call,
+    bit for bit.  A row still open at ``_TRAPEZOID_MAX`` intervals fails
+    while the others go on; then QuadratureError is raised, carrying every
+    row's best value and estimate.
+    """
+    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
+    lo, hi = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float))
+                                   for v in (lo, hi)))
+    bad = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi) & (lo < hi)))
+    if bad.size:
+        raise ValueError(f"bad integration interval [{lo[bad[0]]}, {hi[bad[0]]}]")
+
+    def flat(x):
+        fx = np.asarray(f(x.ravel()))
+        if fx.shape != (x.size,):
+            raise ValueError(f"integrand returned shape {fx.shape} for {x.size} nodes")
+        return fx.reshape(x.shape)
+
+    try:
+        res, failed = integrate_tanh_sinh(flat, lo, hi, rel_tol, abs_tol=abs_tol), None
+    except QuadratureError as exc:
+        res = exc.best
+        failed = np.argmax(~(res.error_estimate
+                             <= np.maximum(abs_tol, rel_tol * np.abs(res.value))))
+    if scalar:
+        res = QuadratureResult(res.value[0].item(), float(res.error_estimate[0]),
+                               res.evaluations)
+    if failed is not None:
+        raise QuadratureError(f"quadrature did not converge in {_TRAPEZOID_MAX} "
+                              f"intervals on [{lo[failed]}, {hi[failed]}]", res)
+    return res
 
 
 def _cbrt(x: float) -> float:

@@ -55,8 +55,8 @@ import numpy as np
 from .core import (ForceProfile, GaussianPacket, HarmonicForce, SystemParams,
                    force_pieces)
 from .numerics import (QuadratureError, QuadratureResult, _polish_cubic_roots, expm,
-                       _expm_minus_identity, expm_gramian, integrate_halfline,
-                       solve_cubic)
+                       _expm_minus_identity, expm_gramian, integrate_exp_sinh,
+                       integrate_fourier, integrate_tanh_sinh, solve_cubic)
 
 OCCUPATION = "occupation"
 SYMMETRIZED = "symmetrized"
@@ -306,18 +306,17 @@ def noise_spectrum(bath: BathParams, params: SystemParams, omega,
     return float(out) if out.ndim == 0 else out
 
 
-def _window(params: SystemParams, bath: BathParams, col: np.ndarray, omega,
-            t: float):
-    """W(w, t) = e^(-zt) y(z).col - y_v(z), z = i w, for col = e^(At) e_v and
-    y(z) = (A^T - z)^-1 e_x, over the characteristic cubic p(z) = z^3
-    + omega_d z^2 + (gamma omega_d - omega^2) z - omega^2 omega_d; p never
-    vanishes on the axis, as Re p(i w) = -omega_d (w^2 + omega^2) < 0."""
+def _window(params: SystemParams, bath: BathParams, col: np.ndarray, omega):
+    """The two terms of W(w, t) = e^(-zt) a - y_v, z = i w: a = y(z).col for
+    col = e^(At) e_v and y(z) = (A^T - z)^-1 e_x, and y_v(z), over the
+    characteristic cubic p(z) = z^3 + omega_d z^2 + (gamma omega_d -
+    omega^2) z - omega^2 omega_d; p never vanishes on the axis, as
+    Re p(i w) = -omega_d (w^2 + omega^2) < 0."""
     z = 1j * np.asarray(omega, dtype=float)
     wd, gwd, om2 = bath.omega_d, bath.gamma * bath.omega_d, params.omega**2
     p = ((z + wd) * z + gwd - om2) * z - om2 * wd
     y_v = -(z + wd) / p
-    return np.exp(-z * t) * ((y_v * z - gwd / p) * col[0] + y_v * col[1]
-                             + col[2] / p) - y_v
+    return (y_v * z - gwd / p) * col[0] + y_v * col[1] + col[2] / p, y_v
 
 
 def windowed_transform(params: SystemParams, bath: BathParams, omega, t: float):
@@ -327,7 +326,8 @@ def windowed_transform(params: SystemParams, bath: BathParams, omega, t: float):
     a float or an ndarray, and a scalar gives a complex.
     """
     t = _times(t)
-    out = _window(params, bath, _columns(params, bath, t), omega, t)
+    a, y_v = _window(params, bath, _columns(params, bath, t), omega)
+    out = np.exp(-(1j * np.asarray(omega, dtype=float)) * t) * a - y_v
     return complex(out) if out.ndim == 0 else out
 
 
@@ -624,35 +624,52 @@ def spectral_noise_term(params: SystemParams, bath: BathParams, t: float,
                         tprime: float, convention: str = OCCUPATION,
                         abs_tol: float = 1e-14) -> float:
     """Bath term int S(w) e^(i w (t - t')) W(w, t) conj(W(w, t')) dw by
-    quadrature over the frequency, real on the whole line: twice its real
-    part on the half line, which is the non-negative 2 S |W|^2 on the
-    diagonal and oscillates off it.
-
+    quadrature over the frequency: twice its real part on the half line.
     The oracle of ``variance_noise_term`` and ``symmetrized_correlation``
-    under every convention; no production path calls it.  Its first
-    interval is no longer than 10 kT / hbar, where the Bose factor still
-    weighs in, so a cold or a fast bath does not hide it in one panel.
+    under every convention; no production path calls it.
+
+    On [0, H], H = 8 pi / min(t, t'), the integrand goes whole to the
+    tanh-sinh rule.  Past H, with W = e^(-iwt) a_t - y_v (``_window``), it is
+    a smooth part 2 S Re(a_t conj(a_t')), plus 2 S |y_v|^2 on the diagonal,
+    on the exp-sinh rule, and a part Re(c e^(i w tau)) for each distinct lag
+    tau among t, t' and |t - t'| on the Ooura-Mori rule, whose nodes follow
+    the oscillation; below H the terms would cancel, as W is O(t^2) where
+    each is O(1 / w^2).  Each part converges to its share of ``abs_tol``,
+    or to 1e-14 of itself.
     """
     if convention not in _CONVENTIONS:
         raise ValueError(f"unknown noise convention {convention!r}")
     if t == 0.0 or tprime == 0.0 or (convention == OCCUPATION and bath.kT == 0.0):
         return 0.0
     col, col_prime = _columns(params, bath, np.array([t, tprime]))
+    diagonal, gap = t == tprime, abs(t - tprime)
+    lags = np.array(sorted({t, tprime, gap} - {0.0}))
+    head = 8.0 * math.pi / min(t, tprime)
+    share = abs_tol / (2 + lags.size)
 
-    def integrand(w: np.ndarray) -> np.ndarray:
-        sw = noise_spectrum(bath, params, w, convention)
-        wt = _window(params, bath, col, w, t)
-        if t == tprime:
-            return 2.0 * sw * np.abs(wt) ** 2
-        z = np.exp(1j * w * (t - tprime)) * wt * np.conjugate(
-            _window(params, bath, col_prime, w, tprime))
-        return 2.0 * sw * z.real
+    def terms(w):
+        return (2.0 * noise_spectrum(bath, params, w, convention),
+                *_window(params, bath, col, w), _window(params, bath, col_prime, w)[0])
 
-    first = max(params.omega, bath.omega_d)
-    if bath.kT > 0.0 and convention != CLASSICAL:
-        first = min(first, 10.0 * bath.kT / params.hbar)
-    return integrate_halfline(integrand, abs_tol, first_length=first, rel_tol=1e-11,
-                              small_runs=1 if t == tprime else 2).value
+    def whole(w):
+        s2, a, y_v, a_prime = terms(w)
+        return s2 * (np.exp(1j * w * (t - tprime)) * (np.exp(-1j * w * t) * a - y_v)
+                     * np.conjugate(np.exp(-1j * w * tprime) * a_prime - y_v)).real
+
+    def smooth(w):
+        s2, a, y_v, a_prime = terms(w)
+        return s2 * ((a * np.conjugate(a_prime)).real + diagonal * np.abs(y_v) ** 2)
+
+    def lagged(w, on_t, on_tprime, on_gap):   # the lag t pairs y_v with a_t'
+        s2, a, y_v, a_prime = terms(w)
+        return s2 * (on_gap * np.abs(y_v) ** 2
+                     - y_v * (on_t * np.conjugate(a_prime) + on_tprime * np.conjugate(a)))
+
+    parts = [integrate_tanh_sinh(whole, 0.0, head, 1e-14, abs_tol=share),
+             integrate_exp_sinh(smooth, head, head, 1e-14, abs_tol=share),
+             integrate_fourier(lagged, head, lags, share, lags == t, lags == tprime,
+                               lags == gap, rel_tol=1e-14)]
+    return float(sum(part.value.sum() for part in parts))
 
 
 # The Matsubara sum of _matsubara_sum: the rate times the shortest time

@@ -1,12 +1,19 @@
 """Shared oracle helpers for the test suite."""
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from invosc import evaluate, integrate_adaptive
+
+# the interpreters that the tests start import invosc from this checkout too
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                  os.environ.get("PYTHONPATH")]))
 
 # The same examples on every run, and no replay of examples saved by
 # earlier runs; each test keeps its own max_examples.

@@ -242,12 +242,12 @@ class TestAveragedTransmission:
         # eps ~ 4e4 every 0 < beta <= 1 keeps the periodic rule (w >= 1e-2)
         rows = []
 
-        def recorded(f, length, *params):
-            rows.append(np.size(length))
-            return double_exponential(f, length, *params)
+        def recorded(f, lo, hi, *args, **kwargs):
+            rows.append(np.size(hi))
+            return tanh_sinh(f, lo, hi, *args, **kwargs)
 
-        double_exponential = barrier_transmission._double_exponential
-        monkeypatch.setattr(barrier_transmission, "_double_exponential", recorded)
+        tanh_sinh = barrier_transmission.integrate_tanh_sinh
+        monkeypatch.setattr(barrier_transmission, "integrate_tanh_sinh", recorded)
         for eps in (1e-3, 3.0, 31.0, 1e3, 3e4):
             averaged_transmission(eps, np.linspace(1e-3, 1.0, 200))
         assert rows and not any(rows)

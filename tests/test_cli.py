@@ -1476,21 +1476,73 @@ class TestVerify:
             assert max(lengths) <= 1024
 
     def test_noise_oracle_budget(self, capsys, monkeypatch):
-        # the frequency quadrature integrates its dyadic intervals as rows,
-        # a block of 8 a call, and bisects each round's panels in one call
-        calls = []
-        halfline = invosc.open_system.integrate_halfline
+        # the frequency quadrature's three rules take each doubling or halving
+        # of their step in one integrand call: 17 calls and 1,096 nodes at
+        # the defaults
+        calls, nodes = [], []
 
-        def counted(f, *args, **kwargs):
-            def integrand(w):
-                calls.append(None)
-                return f(w)
-            return halfline(integrand, *args, **kwargs)
+        def counted(rule):
+            def call(f, *args, **kwargs):
+                def integrand(w, *columns):
+                    calls.append(None)
+                    nodes.append(w.size)
+                    return f(w, *columns)
+                return rule(integrand, *args, **kwargs)
+            return call
 
-        monkeypatch.setattr(invosc.open_system, "integrate_halfline", counted)
-        code, _, _ = run_cli(["verify"], capsys)
+        for name in ("integrate_tanh_sinh", "integrate_exp_sinh", "integrate_fourier"):
+            monkeypatch.setattr(invosc.open_system, name,
+                                counted(getattr(invosc.open_system, name)))
+        code, out, _ = run_cli(["verify"], capsys)
         assert code == 0
         assert 0 < len(calls) <= 20
+        assert sum(nodes) <= 1500
+        assert json.loads(out)["checks"][-1]["deviation"] <= 1e-13
+
+    @pytest.mark.parametrize("omega,hbar", [(0.371408, 1.6237), (1.27912, 1.08681),
+                                            (1.08681, 1.27912), (0.9375, 1.25)])
+    def test_noise_oracle_meets_its_tolerance(self, capsys, omega, hbar):
+        # a Gauss-Kronrod panel over ~170 periods of the integrand's tail
+        # aliased and passed its own error test here, 7x off its tolerance,
+        # and the noise check failed on a correct closed form
+        code, out, _ = run_cli(["verify", "--set", f"system.omega={omega}",
+                                "--set", f"system.hbar={hbar}"], capsys)
+        assert code == 0
+        noise = json.loads(out)["checks"][-1]
+        assert noise["name"] == "noise_closed_form_vs_quadrature"
+        assert noise["deviation"] <= 1e-13
+
+    def test_no_check_fails_over_omega_and_hbar(self, capsys):
+        for omega in np.linspace(0.3, 2.0, 5).tolist():
+            for hbar in np.linspace(0.5, 2.0, 5).tolist():
+                code, out, _ = run_cli(["verify", "--set", f"system.omega={omega!r}",
+                                        "--set", f"system.hbar={hbar!r}"], capsys)
+                failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
+                assert (code, failed) == (0, []), (omega, hbar)
+
+    def test_checks_at_a_slow_oscillator(self, capsys, monkeypatch):
+        # at omega = 1e-6 the windowed and noise checks run at t = 2e6, where
+        # |W| is 3.7e6; the green check, whose RK4 oracle would need 1e10
+        # steps, is left out
+        monkeypatch.setattr(invosc.cli, "_GREEN_BATHS", ())
+        code, out, err = run_cli(["verify", "--set", "system.omega=1e-6"], capsys)
+        assert code == 0, err
+        assert all(c["passed"] for c in json.loads(out)["checks"])
+
+    @pytest.mark.parametrize("module,name,check", [
+        ("open_system", "spectral_noise_term", "noise_closed_form_vs_quadrature"),
+        ("numerics", "integrate_adaptive", "windowed_transform_quadrature"),
+        ("barrier_transmission", "averaged_transmission",
+         "tunnel_asymptotic_eps10_beta0.3")])
+    def test_a_numerical_failure_names_its_check(self, capsys, monkeypatch, module,
+                                                 name, check):
+        def failing(*args, **kwargs):
+            raise invosc.QuadratureError("the rule did not converge")
+
+        monkeypatch.setattr(getattr(invosc, module), name, failing)
+        code, out, err = run_cli(["verify", "--set", "system.omega=0.75"], capsys)
+        assert (code, out) == (3, "")
+        assert err == f"error: verify: {check} at omega = 0.75: the rule did not converge\n"
 
     def test_noise_negative_control(self, capsys, monkeypatch):
         # a relative defect of 1e-7 in the noise term, ten times the default

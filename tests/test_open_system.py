@@ -14,7 +14,8 @@ from invosc import (CLASSICAL, OCCUPATION, SYMMETRIZED, BathParams,
                     TabulatedForce, ZeroForce, bath_spectral_density,
                     characteristic_coefficients, discriminant_boundary,
                     drude_kernel, force_at, green_pair, integrate_adaptive,
-                    integrate_halfline, langevin_ode_oracle, mean_trajectory,
+                    integrate_exp_sinh, integrate_fourier, integrate_tanh_sinh,
+                    langevin_ode_oracle, mean_trajectory,
                     noise_spectrum, solve_cubic, solve_poles,
                     spectral_noise_term, symmetrized_correlation,
                     variance_noise_term, variance_parts, windowed_transform)
@@ -136,11 +137,9 @@ class TestKernelAndSpectrum:
     def test_cosine_transform_consistency(self, t_frac):
         bath = BathParams(0.8, 2.0, 0.0)
         t = t_frac / bath.omega_d
-        res = integrate_halfline(
-            lambda w: np.where(w > 0, bath_spectral_density(bath, w)
-                               / np.maximum(w, 1e-300) * np.cos(w * t),
-                               bath.gamma), 5e-9)
-        assert 2.0 / math.pi * res.value == pytest.approx(
+        res = integrate_fourier(
+            lambda w: bath_spectral_density(bath, w) / w + 0j, 0.0, t, 5e-9)
+        assert 2.0 / math.pi * res.value[0] == pytest.approx(
             drude_kernel(bath, t), abs=1e-6)
 
 
@@ -782,13 +781,37 @@ class TestDisplacementVariance:
         assert q == pytest.approx(c, rel=1e-3)
 
     def test_noise_term_of_the_residue_window(self):
-        # the noise integral over the residue-sum window, on the same sweep
+        # the noise integral over the residue-sum window W = e^(-iwt) a - y,
+        # a = sum_j R_j e^(s_j t) / d_j and y = sum_j R_j / d_j, d_j = s_j - iw:
+        # whole on [0, H], and past H its smooth part 2 S (|a|^2 + |y|^2)
+        # and its part -4 S Re(e^(iwt) conj(a) y) of lag t, each by its rule
         dec = solve_poles(PARAMS, BATH)
         t = 1.5
-        ref = integrate_halfline(
-            lambda w: 2.0 * noise_spectrum(BATH, PARAMS, w)
-            * np.abs(residue_window(dec, w, t)[0]) ** 2,
-            1e-14, first_length=BATH.omega_d, rel_tol=1e-11, small_runs=1).value
+        head = 8.0 * math.pi / t
+        poles, residues = (np.array(v)[:, None, None] for v in (dec.poles, dec.residues))
+
+        def terms(w):
+            d = poles - 1j * w
+            return (2.0 * noise_spectrum(BATH, PARAMS, w),
+                    (residues * np.exp(poles * t) / d).sum(axis=0), (residues / d).sum(axis=0))
+
+        def whole(w):
+            s2, a, y = terms(w)
+            assert np.allclose(np.exp(-1j * w * t) * a - y, residue_window(dec, w.ravel(), t)[0]
+                               .reshape(w.shape), rtol=1e-12, atol=0.0)
+            return s2 * np.abs(np.exp(-1j * w * t) * a - y) ** 2
+
+        def smooth(w):
+            s2, a, y = terms(w)
+            return s2 * (np.abs(a) ** 2 + np.abs(y) ** 2)
+
+        def lagged(w):
+            s2, a, y = terms(w)
+            return -2.0 * s2 * np.conjugate(a) * y
+
+        ref = (integrate_tanh_sinh(whole, 0.0, head, 1e-14).value
+               + integrate_exp_sinh(smooth, head, head, 1e-14).value
+               + integrate_fourier(lagged, head, t, 1e-15, rel_tol=1e-14).value)[0]
         assert variance_noise_term(PARAMS, BATH, t) == pytest.approx(ref, rel=1e-10)
 
 
@@ -1002,8 +1025,9 @@ class TestNoiseWithoutFrequencyQuadrature:
         def forbidden(*args, **kwargs):
             raise AssertionError("frequency quadrature called")
 
-        monkeypatch.setattr(osys, "integrate_halfline", forbidden)
-        monkeypatch.setattr(osys, "_window", forbidden)
+        for rule in ("integrate_tanh_sinh", "integrate_exp_sinh", "integrate_fourier",
+                     "_window"):
+            monkeypatch.setattr(osys, rule, forbidden)
         moments = InitialMoments(0.0, 0.0, 1.0, 0.25, 0.0)
         for kT in (0.0, 1e-3, 1.0, 1e8):
             bath = BathParams(0.5, 10.0, kT)

@@ -8,12 +8,14 @@ output does not come from them.  Each run here has every invosc binding of
 those oracles replaced by a stub that fails, and must write the bytes of a
 run without the stubs.
 
-The frequency and adaptive quadratures (``integrate_adaptive``,
-``integrate_halfline`` and the integrand's ``_window``) are stubbed too for
-the bath noise under every convention: the zero-point term is a trapezoid
-rule over the rate, the classical term one covariance, and the Bose part a
-Matsubara sum over rates or, on a dense lattice, its Euler-Maclaurin series;
-``spectral_noise_term``, the frequency quadrature, is ``verify``'s oracle.
+Every quadrature rule (``integrate_trapezoid``, under ``integrate_adaptive``
+and the tanh-sinh, exp-sinh and Fourier rules of the frequency quadrature)
+and the frequency integrand's ``_window`` are stubbed too for the bath noise
+under every convention: the zero-point term is the open system's own
+trapezoid rule over the rate, the classical term one covariance, and the
+Bose part a Matsubara sum over rates or, on a dense lattice, its
+Euler-Maclaurin series; ``spectral_noise_term``, the frequency quadrature,
+is ``verify``'s oracle.
 
 ``evolve`` and ``kick`` run with both quadratures (``integrate_adaptive``
 and ``integrate_trapezoid``) stubbed under every force kind: the packet's
@@ -35,8 +37,9 @@ ORACLES = {name: getattr(module, name) for module, name in (
 
 
 QUADRATURES = {name: getattr(module, name) for module, name in (
-    (numerics, "integrate_adaptive"), (numerics, "integrate_halfline"),
-    (osys, "_window"))}
+    (numerics, "integrate_trapezoid"), (numerics, "integrate_adaptive"),
+    (numerics, "integrate_tanh_sinh"), (numerics, "integrate_exp_sinh"),
+    (numerics, "integrate_fourier"), (osys, "_window"))}
 
 
 CLOSED_QUADRATURES = {name: getattr(numerics, name) for name in (
