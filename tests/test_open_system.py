@@ -796,10 +796,8 @@ class TestDisplacementVariance:
                     (residues * np.exp(poles * t) / d).sum(axis=0), (residues / d).sum(axis=0))
 
         def whole(w):
-            s2, a, y = terms(w)
-            assert np.allclose(np.exp(-1j * w * t) * a - y, residue_window(dec, w.ravel(), t)[0]
-                               .reshape(w.shape), rtol=1e-12, atol=0.0)
-            return s2 * np.abs(np.exp(-1j * w * t) * a - y) ** 2
+            return 2.0 * noise_spectrum(BATH, PARAMS, w) * np.abs(
+                residue_window(dec, w.ravel(), t)[0].reshape(w.shape)) ** 2
 
         def smooth(w):
             s2, a, y = terms(w)
