@@ -1219,20 +1219,23 @@ class TestVerify:
         assert code == 0
         payload = json.loads(out)
         assert payload["all_pass"] is True
+        # the grid checks' tolerance is four times the extrapolated psi's
+        # error estimate: 3.7e-10
+        grid = payload["grid"]
+        grid_tolerance = 4.0 * grid["error_estimate"]
         assert [(c["name"], c["tolerance"]) for c in payload["checks"]] == [
-            ("grid_closed_form_t0.5", 1e-7), ("grid_closed_form_t1", 1e-7),
-            ("grid_closed_form_t1.5", 1e-7), ("green_expm_vs_ode_case0", 1e-10),
+            ("grid_closed_form_t0.5", grid_tolerance),
+            ("grid_closed_form_t1", grid_tolerance),
+            ("grid_closed_form_t1.5", grid_tolerance), ("green_expm_vs_ode_case0", 1e-10),
             ("green_expm_vs_ode_case1", 1e-10),
             ("tunnel_asymptotic_eps10_beta0.3", 0.15),
             ("tunnel_asymptotic_eps30_beta0.2", 0.08),
-            ("windowed_transform_quadrature", 1e-10),
             ("noise_closed_form_vs_quadrature", 1e-8)]
         for check in payload["checks"]:
             assert set(check) == {"name", "deviation", "tolerance", "passed"}
             assert check["passed"] is True
         # the step is where the extrapolated psi's error estimate first meets
         # 1e-9: m = 8, r = 9.3e-11
-        grid = payload["grid"]
         assert (grid["x_min"], grid["x_max"]) == pytest.approx((-27.444, 27.444), abs=1e-3)
         assert (grid["n"], grid["dt"]) == (512, 1 / 16)
         assert 1e-11 < grid["error_estimate"] <= 1e-9
@@ -1348,10 +1351,11 @@ class TestVerify:
                                       ("0.0", "10.0", "1.0")])
     def test_noise_check_at_a_tiny_term(self, capsys, monkeypatch, bath):
         # at omega t = 1e-3 the term is below 1e-12, under the default
-        # absolute tolerance of variance_noise_term, so it is computed again
+        # absolute tolerance of variance_noise_term: the check's one call
+        # asks for none, and the rate rule stops at its 1e-11 relative target
         sets = [f"{key}={value}" for key, value in zip(
             ("bath.gamma", "bath.omega_d", "bath.kT"), bath)]
-        for name, value in [("_WINDOWED_T", 0.001), ("_GRID_TIMES", (0.1,)),
+        for name, value in [("_NOISE_T", 0.001), ("_GRID_TIMES", (0.1,)),
                             ("_GREEN_BATHS", ()), ("_TUNNEL_POINTS", ())]:
             monkeypatch.setattr(cli, name, value)
         calls = []
@@ -1365,18 +1369,23 @@ class TestVerify:
         code, out, _ = run_cli(["verify"] + [arg for item in sets
                                              for arg in ("--set", item)], capsys)
         assert code == 0
-        assert len(calls) == 2 and calls[1] < calls[0]
+        assert calls == [0.0]
         check = json.loads(out)["checks"][-1]
         assert check["name"] == "noise_closed_form_vs_quadrature"
         assert check["deviation"] < 1e-8
 
-    def test_grid_negative_control(self, capsys, monkeypatch):
-        # a relative defect of 2e-7 in the closed-form wavefunction, twice the
-        # tolerance, fails the three grid checks alone
+    @pytest.mark.parametrize("defect,deviations,rel", [
+        (lambda t: 2e-7, [2e-7] * 3, 1e-4),
+        (lambda t: 1e-9 * t, [5e-10, 1e-9, 1.5e-9], 0.1)], ids=["2e-7", "1e-9t"])
+    def test_grid_negative_control(self, capsys, monkeypatch, defect, deviations, rel):
+        # a relative defect in the closed-form wavefunction of 2e-7, twice
+        # the largest tolerance, or of 1e-9 t, above the default tolerance of
+        # four times the error estimate (3.7e-10), fails the three grid
+        # checks alone
         evaluate = invosc.closed_evolution.evaluate
 
-        def perturbed(*args, **kwargs):
-            return evaluate(*args, **kwargs) * (1.0 + 2e-7)
+        def perturbed(ev, *args, **kwargs):
+            return evaluate(ev, *args, **kwargs) * (1.0 + defect(np.asarray(ev.t)))
 
         monkeypatch.setattr(invosc.closed_evolution, "evaluate", perturbed)
         code, out, _ = run_cli(["verify"], capsys)
@@ -1384,7 +1393,7 @@ class TestVerify:
         failed = [c for c in json.loads(out)["checks"] if not c["passed"]]
         assert [c["name"] for c in failed] == [
             "grid_closed_form_t0.5", "grid_closed_form_t1", "grid_closed_form_t1.5"]
-        assert [c["deviation"] for c in failed] == pytest.approx([2e-7] * 3, rel=1e-4)
+        assert [c["deviation"] for c in failed] == pytest.approx(deviations, rel=rel)
 
     def test_step_past_the_cap_names_the_estimate(self, capsys, monkeypatch):
         # with a cap of 12 steps the runs of 3, 6 and 12 steps to t = 1.5
@@ -1415,30 +1424,39 @@ class TestVerify:
         assert float(match[1]) <= 1e-9
         assert float(match[2]) == pytest.approx(0.25, abs=0.01)
 
-    def test_near_free_motion_passes_at_rounding(self, capsys, monkeypatch):
+    def test_near_free_motion_passes_at_rounding(self, capsys):
         # at omega = 1e-3 the stepper is exact to rounding: e_m is about
         # 1e-16 and its ratios are noise, so the rounding exception of the
-        # order guard takes the run at m = 4
-        monkeypatch.setattr(cli, "_GREEN_BATHS", ())
+        # order guard takes the run at m = 4, and the grid checks' deviations
+        # of up to 2e-13 meet the tolerance's floor of 1e-11
         code, out, _ = run_cli(["verify", "--set", "system.omega=1e-3"], capsys)
         assert code == 0
         payload = json.loads(out)
         assert payload["grid"]["dt"] == 1 / 8
         assert payload["grid"]["error_estimate"] < 1e-15
         assert payload["all_pass"] is True
+        assert {c["tolerance"] for c in payload["checks"]
+                if c["name"].startswith("grid")} == {1e-11}
 
-    def test_green_oracle_past_the_cap_names_the_check(self, capsys, monkeypatch):
-        # at omega = 1e-6 the horizon 5/omega takes 1e10 RK4 steps of 5e-4:
-        # exit 3 names the check before the oracle allocates anything
-        def langevin_ode_oracle(*args):
-            raise AssertionError("the RK4 oracle ran")
+    @pytest.mark.parametrize("omega", [1e-6, 1.0, 2.0])
+    def test_green_cases_take_the_same_steps_at_every_omega(self, capsys, monkeypatch,
+                                                            omega):
+        # the baths, horizon and step scale with omega: each case takes the
+        # horizon 5/omega in 10^4 RK4 steps of 5e-4/omega, and passes
+        steps = []
+        oracle = invosc.numerics.langevin_ode_oracle
 
-        monkeypatch.setattr(invosc.numerics, "langevin_ode_oracle", langevin_ode_oracle)
-        code, out, err = run_cli(["verify", "--set", "system.omega=1e-6"], capsys)
-        assert (code, out) == (3, "")
-        assert err == ("error: verify: green_expm_vs_ode_case0: the RK4 oracle needs 1e+10 "
-                       "steps of 0.0005 to the horizon 5/omega = 5e+06, above the cap "
-                       "16777216\n")
+        def counted(params, bath, t_final, dt):
+            steps.append(round(t_final / dt))
+            return oracle(params, bath, t_final, dt)
+
+        monkeypatch.setattr(invosc.numerics, "langevin_ode_oracle", counted)
+        code, out, _ = run_cli(["verify", "--set", f"system.omega={omega!r}"], capsys)
+        assert code == 0
+        assert steps == [10**4, 10**4]
+        green = [c for c in json.loads(out)["checks"] if c["name"].startswith("green")]
+        assert len(green) == 2
+        assert all(c["passed"] for c in green)
 
     def test_green_negative_control(self, capsys, monkeypatch):
         # a relative defect of 1e-9 t in G, 5e-9 at the horizon, fails both
@@ -1520,18 +1538,35 @@ class TestVerify:
                 failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
                 assert (code, failed) == (0, []), (omega, hbar)
 
-    def test_checks_at_a_slow_oscillator(self, capsys, monkeypatch):
-        # at omega = 1e-6 the windowed and noise checks run at t = 2e6, where
-        # |W| is 3.7e6; the green check, whose RK4 oracle would need 1e10
-        # steps, is left out
-        monkeypatch.setattr(invosc.cli, "_GREEN_BATHS", ())
-        code, out, err = run_cli(["verify", "--set", "system.omega=1e-6"], capsys)
+    @pytest.mark.parametrize("omega", [1e-6, 1e-9, 1e-20])
+    def test_checks_at_a_slow_oscillator(self, capsys, omega):
+        # the noise check runs at t = 2/omega, and the green check's baths
+        # scale with omega
+        code, out, err = run_cli(["verify", "--set", f"system.omega={omega!r}"], capsys)
         assert code == 0, err
-        assert all(c["passed"] for c in json.loads(out)["checks"])
+        checks = json.loads(out)["checks"]
+        assert len(checks) == 8
+        assert all(c["passed"] for c in checks)
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
+    def test_slow_oscillator_runs_in_little_memory(self, tmp_path):
+        # the green check's RK4 oracle keeps every state, so its 10^4 steps
+        # must not grow as omega falls (at omega = 6e-4 an absolute step of
+        # 5e-4 took 1.7e7 steps and 689 MB).  A fresh interpreter reports the peak
+        # resident size of its own address space, VmHWM in kB: its ru_maxrss
+        # would also count the test runner's pages, mapped until its exec
+        probe = ("import sys; from invosc.cli import main; code = main(sys.argv[1:]); "
+                 "print(code, *[line.split()[1] for line in open('/proc/self/status') "
+                 "if line.startswith('VmHWM:')])")
+        proc = subprocess.run([sys.executable, "-c", probe, "verify", "--set",
+                               "system.omega=6e-4", "--out", str(tmp_path / "report.json")],
+                              capture_output=True, text=True, timeout=120)
+        code, peak_kb = map(int, proc.stdout.split())
+        assert (code, proc.stderr) == (0, "")
+        assert peak_kb < 100 * 1024
 
     @pytest.mark.parametrize("module,name,check", [
         ("open_system", "spectral_noise_term", "noise_closed_form_vs_quadrature"),
-        ("numerics", "integrate_adaptive", "windowed_transform_quadrature"),
         ("barrier_transmission", "averaged_transmission",
          "tunnel_asymptotic_eps10_beta0.3")])
     def test_a_numerical_failure_names_its_check(self, capsys, monkeypatch, module,
@@ -1558,6 +1593,23 @@ class TestVerify:
         failed = [c for c in json.loads(out)["checks"] if not c["passed"]]
         assert [c["name"] for c in failed] == ["noise_closed_form_vs_quadrature"]
         assert failed[0]["deviation"] == pytest.approx(1e-7, rel=0.02)
+
+    def test_window_negative_control(self, capsys, monkeypatch):
+        # the noise check's frequency quadrature is built on _window: a
+        # relative defect of 1e-8 in its first term moves the oracle by
+        # 2.1e-8 and fails the noise check alone
+        window = invosc.open_system._window
+
+        def perturbed(*args):
+            a, y_v = window(*args)
+            return a * (1.0 + 1e-8), y_v
+
+        monkeypatch.setattr(invosc.open_system, "_window", perturbed)
+        code, out, _ = run_cli(["verify"], capsys)
+        assert code == 4
+        failed = [c for c in json.loads(out)["checks"] if not c["passed"]]
+        assert [c["name"] for c in failed] == ["noise_closed_form_vs_quadrature"]
+        assert failed[0]["deviation"] == pytest.approx(2.1e-8, rel=0.05)
 
     def test_derived_grid_past_the_cap_allocates_nothing(self, capsys, monkeypatch):
         # the packet's momentum spread hbar/2 sigma = 3e153 asks for about

@@ -924,6 +924,26 @@ class TestNoiseWithoutFrequencyQuadrature:
         assert got == pytest.approx(mp_zero_point_term(PARAMS, bath, t),
                                     rel=1e-10, abs=0.0)
 
+    def test_zero_point_rule_refines_on_the_nodes_it_has(self, monkeypatch):
+        # from the first step of 1/3 the rule seldom refines; from a first
+        # step of 1 the error estimate asks for one cut to h = 1/3, whose
+        # second sweep takes only the nodes (j + 1/2) / 3 that are new, two for
+        # each old one, and gives the values of the rule that starts at 1/3
+        bath = BathParams(0.5, 10.0, 0.0)
+        ts = np.array([0.4, 1.5, 3.0])
+        expected = variance_noise_term(PARAMS, bath, ts, SYMMETRIZED)
+        rates, ou_covariance = [], osys._ou_covariance
+
+        def counted(params, bath, rate, t, tprime):
+            rates.append(np.size(rate))
+            return ou_covariance(params, bath, rate, t, tprime)
+
+        monkeypatch.setattr(osys, "_ou_covariance", counted)
+        monkeypatch.setattr(osys, "_ZERO_POINT_STEP", 1.0)
+        got = variance_noise_term(PARAMS, bath, ts, SYMMETRIZED)
+        assert rates == [31, 62]
+        assert np.array_equal(got, expected)
+
     @pytest.mark.parametrize("omega,gamma,omega_d",
                              [(1.3, *bath) for bath in NOISE_BATHS + [(0.5, 1e4), (0.5, 1e6)]]
                              + [(1.0, 0.7938713443812133, 4.0)])
