@@ -34,8 +34,7 @@ _EXPORTS = {
         "bath_spectral_density", "characteristic_coefficients",
         "discriminant_boundary", "drude_kernel", "green_pair", "mean_trajectory",
         "noise_spectrum", "open_evolution", "solve_poles", "spectral_noise_term",
-        "symmetrized_correlation", "variance_noise_term", "variance_parts",
-        "windowed_transform"),
+        "symmetrized_correlation", "variance_noise_term", "windowed_transform"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 

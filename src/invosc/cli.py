@@ -466,19 +466,25 @@ def cmd_verify(config, out) -> int:
     packet = _build_packet(config)
     force = _build_force(config)
     bath = _build_bath(config)
-    try:
-        x_min, x_max, n = numerics.size_grid(params, packet, force, _GRID_TIMES[-1])
-    except ValueError as exc:
-        raise ValueError(f"verify: grid: {exc}") from exc
     checks = []
 
     def add(name, deviation, tolerance):
         if not math.isfinite(deviation):
-            raise ArithmeticError(f"verify: non-finite deviation {deviation} "
-                                  f"in check {name}")
+            raise ArithmeticError(f"non-finite deviation {deviation} in check {name}")
         checks.append({"name": name, "deviation": float(deviation),
                        "tolerance": tolerance,
                        "passed": bool(deviation < tolerance)})
+
+    @contextlib.contextmanager
+    def named(name):   # a numerical failure names its check and omega
+        try:
+            yield
+        except (ValueError, ArithmeticError, RuntimeError) as exc:
+            raise RuntimeError(f"verify: {name} at omega = {params.omega:g}: {exc}") from exc
+
+    def spread(fine, coarse, factor):
+        return max(float(np.linalg.norm(f - c) / (factor * np.linalg.norm(f)))
+                   for f, c in zip(fine, coarse))
 
     # closed form against the split-step grid solver, run from one start at
     # m = 1, 2, 4, ...  Chin 4A is fourth order and even in the step, so
@@ -492,18 +498,14 @@ def cmd_verify(config, out) -> int:
     # below 1e-11, the rounding near free motion, nor above _GRID_TOLERANCE.
     # The span is cut at the grid times and the force's knots, and a piece of
     # length L takes m ceil(2L) equal steps, so each halving halves every step
-    pieces = [(a, b, max(math.ceil(2.0 * (b - a) - 1e-12), 1))
-              for t0, t1 in zip((0.0, *_GRID_TIMES), _GRID_TIMES)
-              for a, b, _, _ in force_pieces(force, t0, t1)]
-    start = numerics.grid_from_packet(packet, params, x_min, x_max, n)
-    m, coarse, rich, phases = 1, None, None, {}
-    target, e_coarse, e, estimate = 0.01 * _GRID_TOLERANCE, math.inf, math.inf, math.inf
-
-    def spread(fine, coarse, factor):
-        return max(float(np.linalg.norm(f - c) / (factor * np.linalg.norm(f)))
-                   for f, c in zip(fine, coarse))
-
-    with np.errstate(over="ignore", invalid="ignore"):   # add names inf, NaN
+    with named("grid"), np.errstate(over="ignore", invalid="ignore"):   # add names inf, NaN
+        x_min, x_max, n = numerics.size_grid(params, packet, force, _GRID_TIMES[-1])
+        pieces = [(a, b, max(math.ceil(2.0 * (b - a) - 1e-12), 1))
+                  for t0, t1 in zip((0.0, *_GRID_TIMES), _GRID_TIMES)
+                  for a, b, _, _ in force_pieces(force, t0, t1)]
+        start = numerics.grid_from_packet(packet, params, x_min, x_max, n)
+        m, coarse, rich, phases = 1, None, None, {}
+        target, e_coarse, e, estimate = 0.01 * _GRID_TOLERANCE, math.inf, math.inf, math.inf
         while True:
             grid, fine, dt = start, [], 0.0
             for a, b, k in pieces:
@@ -522,7 +524,7 @@ def cmd_verify(config, out) -> int:
             steps = m * sum(k for _, _, k in pieces)
             if 2 * steps > _MAX_GRID_STEPS:
                 raise RuntimeError(
-                    f"verify: grid: the extrapolated error estimate {estimate:.3g} at "
+                    f"the extrapolated error estimate {estimate:.3g} at "
                     f"{steps} steps to t = {_GRID_TIMES[-1]:g} is "
                     f"{'above' if estimate > target else 'within'} the target {target:g}"
                     + ("" if fourth else f", the step-doubling ratio e_m/e_(m/2) = "
@@ -544,21 +546,16 @@ def cmd_verify(config, out) -> int:
     # not depend on omega, so each case keeps its root class and takes
     # 10^4 RK4 steps at every omega
     for i, (gamma, omega_d) in enumerate(_GREEN_BATHS):
-        bath_case = osys.BathParams(gamma=gamma * params.omega, omega_d=omega_d * params.omega)
-        ts, g_ode = numerics.langevin_ode_oracle(
-            params, bath_case, _GREEN_HORIZON / params.omega, _GREEN_DT / params.omega)
-        stride = max((len(ts) - 1) // 100, 1)
-        ts, g_ode = ts[::-stride], g_ode[::-stride]
-        g_exp = osys.green_pair(params, bath_case, ts)[0]
-        dev = float(np.max(np.abs(g_exp - g_ode)) / np.max(np.abs(g_exp)))
-        add(f"green_expm_vs_ode_case{i}", dev, _GREEN_TOLERANCE)
-
-    @contextlib.contextmanager
-    def named(name):   # a numerical failure names its check and omega
-        try:
-            yield
-        except (ValueError, ArithmeticError, RuntimeError) as exc:
-            raise RuntimeError(f"verify: {name} at omega = {params.omega:g}: {exc}") from exc
+        name = f"green_expm_vs_ode_case{i}"
+        with named(name):
+            bath_case = osys.BathParams(gamma=gamma * params.omega, omega_d=omega_d * params.omega)
+            ts, g_ode = numerics.langevin_ode_oracle(
+                params, bath_case, _GREEN_HORIZON / params.omega, _GREEN_DT / params.omega)
+            stride = max((len(ts) - 1) // 100, 1)
+            ts, g_ode = ts[::-stride], g_ode[::-stride]
+            g_exp = osys.green_pair(params, bath_case, ts)[0]
+            dev = float(np.max(np.abs(g_exp - g_ode)) / np.max(np.abs(g_exp)))
+            add(name, dev, _GREEN_TOLERANCE)
 
     # quasistatic asymptotics against the period-average quadrature
     for eps, beta, tolerance in _TUNNEL_POINTS:
@@ -566,7 +563,7 @@ def cmd_verify(config, out) -> int:
         with named(name):
             w_q = bt.averaged_transmission(eps, beta)
             w_a = bt.averaged_transmission_asymptotic(eps, beta)
-        add(name, abs(w_a - w_q) / w_q, tolerance)
+            add(name, abs(w_a - w_q) / w_q, tolerance)
 
     # symmetrized noise term, without a frequency quadrature and to the rate
     # rule's own 1e-11 relative target, against the frequency quadrature run
@@ -576,8 +573,8 @@ def cmd_verify(config, out) -> int:
         closed = osys.variance_noise_term(params, bath, t_probe, osys.SYMMETRIZED, 0.0)
         quad = osys.spectral_noise_term(params, bath, t_probe, t_probe, osys.SYMMETRIZED,
                                         max(0.5 * _NOISE_TOLERANCE * closed, 1e-300))
-    add("noise_closed_form_vs_quadrature",
-        abs(closed - quad) / max(quad, 1e-300), _NOISE_TOLERANCE)
+        add("noise_closed_form_vs_quadrature",
+            abs(closed - quad) / max(quad, 1e-300), _NOISE_TOLERANCE)
 
     payload = {
         "config_sha256": config_sha256(config, "system", "packet", "force", "bath"),

@@ -265,7 +265,9 @@ def _forced_response(params: SystemParams, bath: BathParams,
 def mean_trajectory(params: SystemParams, bath: BathParams, x0m: float,
                     p0m: float, force: ForceProfile, t):
     """Mean position <x(t)> = <x(0)> G'(t) + <p(0)> G(t) + (G * F)(t), bath
-    fluctuations averaging to zero, at a float or an ndarray of times."""
+    fluctuations averaging to zero, at a float or an ndarray of times.  No
+    command calls it (``open_evolution`` gives this column); it stays as the
+    layer of the mean that perfbench's tracer times."""
     t = _times(t)
     out = _mean(params, bath, x0m, p0m, force, t, *green_pair(params, bath, t))
     return float(out) if out.ndim == 0 else out
@@ -693,12 +695,12 @@ _DENSE_LATTICE = 1.6
 _POLE_IN_CLOSED_FORM = 8.0
 
 
-def _lorentz_excess(bath: BathParams, rates: np.ndarray, t, tprime):
-    """The rates whose ``_ou_covariance`` at 1-D arrays of pairs of times
-    gives f(nu) = omega_d^2 (K_omega_d - K_nu) / (omega_d^2 - nu^2) at each
-    of the positive ``rates``, omega_d first, and the function that takes
-    their (a V_a, K_a) to f (rows rates, columns pairs), f(0) = omega_d
-    V_omega_d and K_omega_d.
+def _lorentz_excess(params: SystemParams, bath: BathParams, rates: np.ndarray, t, tprime):
+    """f(nu) = omega_d^2 (K_omega_d - K_nu) / (omega_d^2 - nu^2) at each of
+    the positive ``rates`` (rows rates, columns the pairs of times of 1-D
+    arrays t, t'), f(0) = omega_d V_omega_d and K_omega_d, from one
+    ``_ou_covariance`` sweep over omega_d, the rates and the rates that
+    stand in near omega_d.
 
     f(nu) is the term of the spectrum omega_d^2 w^2 / (pi (w^2 + omega_d^2)
     (w^2 + nu^2)), analytic in nu, its 0 / 0 at nu = omega_d removable.  A
@@ -711,17 +713,14 @@ def _lorentz_excess(bath: BathParams, rates: np.ndarray, t, tprime):
     near = np.flatnonzero(np.abs(rates - wd) < 0.5 * width)
     offsets = np.array([-4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0])
     nu = np.concatenate([rates, (rates[near, None] + width * offsets).ravel()])
-
-    def values(covariance, excess):
-        with np.errstate(invalid="ignore", divide="ignore"):   # 0 / 0 where nu = omega_d
-            f = (excess[0] - excess[1:]) * (wd / (wd - nu) * (wd / (wd + nu)))[:, None]
-        if near.size:
-            lagrange = np.array([np.prod(-np.delete(offsets, j) / (o - np.delete(offsets, j)))
-                                 for j, o in enumerate(offsets)])
-            f[near] = lagrange @ f[len(rates):].reshape(near.size, 8, -1)
-        return f[:len(rates)], covariance[0], excess[0]
-
-    return np.concatenate([[wd], nu]), values
+    covariance, excess = _ou_covariance(params, bath, np.concatenate([[wd], nu]), t, tprime)
+    with np.errstate(invalid="ignore", divide="ignore"):   # 0 / 0 where nu = omega_d
+        f = (excess[0] - excess[1:]) * (wd / (wd - nu) * (wd / (wd + nu)))[:, None]
+    if near.size:
+        lagrange = np.array([np.prod(-np.delete(offsets, j) / (o - np.delete(offsets, j)))
+                             for j, o in enumerate(offsets)])
+        f[near] = lagrange @ f[len(rates):].reshape(near.size, 8, -1)
+    return f[:len(rates)], covariance[0], excess[0]
 
 
 def _chebyshev(u, degree: int) -> np.ndarray:
@@ -827,10 +826,9 @@ def _tail_rule(first: int, shift: float, smooth: float, width: float):
     return nodes, np.bincount(at, np.concatenate(weights + [w])), w_inf
 
 
-def _matsubara_sum(params: SystemParams, bath: BathParams, t, tprime):
+def _matsubara_sum(params: SystemParams, bath: BathParams, t, tprime) -> np.ndarray:
     """The symmetrized term at kT > 0 as a Matsubara sum over rates, at 1-D
-    arrays of positive times: the rates of its one ``_ou_covariance``
-    sweep, and the sum as a function of their (a V_a, K_a).
+    arrays of positive times, from one ``_ou_covariance`` sweep.
 
     coth(hbar w / 2kT) / 2 = kT / hbar w + sum_(n >= 1) (2 kT / hbar) w
     / (w^2 + nu_n^2), nu_n = n dnu, dnu = 2 pi kT / hbar (Grabert, Schramm &
@@ -866,16 +864,12 @@ def _matsubara_sum(params: SystemParams, bath: BathParams, t, tprime):
         nodes, weights, at_infinity = _tail_rule(first, bath.omega_d / step, smooth,
                                                  max(1, math.floor(_PANEL_REACH / _TAIL_START
                                                                    * smooth)))
-    rates, lorentz = _lorentz_excess(
-        bath, step * np.concatenate([np.arange(1.0, first), nodes]), t, tprime)
-
-    def total(covariance, excess):   # hbar gamma dnu / pi = 2 gamma kT
-        f, at_zero, k_wd = lorentz(covariance, excess)
-        return 2.0 * bath.gamma * bath.kT * (
-            0.5 * at_zero + f[:first - 1].sum(axis=0) + weights @ f[first - 1:]
-            - at_infinity * (bath.omega_d / step) ** 2 * k_wd)
-
-    return rates, total
+    f, at_zero, k_wd = _lorentz_excess(
+        params, bath, step * np.concatenate([np.arange(1.0, first), nodes]), t, tprime)
+    # hbar gamma dnu / pi = 2 gamma kT
+    return 2.0 * bath.gamma * bath.kT * (
+        0.5 * at_zero + f[:first - 1].sum(axis=0) + weights @ f[first - 1:]
+        - at_infinity * (bath.omega_d / step) ** 2 * k_wd)
 
 
 def _moments(params: SystemParams, bath: BathParams, t: np.ndarray, order: int,
@@ -1002,8 +996,7 @@ def _noise_term(params: SystemParams, bath: BathParams, t, tprime,
         if dense.any():
             out[dense] = _dense_lattice_term(params, bath, t[dense], tprime[dense])
         if sparse.any():
-            rates, total = _matsubara_sum(params, bath, t[sparse], tprime[sparse])
-            out[sparse] = total(*_ou_covariance(params, bath, rates, t[sparse], tprime[sparse]))
+            out[sparse] = _matsubara_sum(params, bath, t[sparse], tprime[sparse])
         zero = np.zeros(t.shape)
         zero[free] = _free_zero_point(params, bath, t[free])
         rule = np.flatnonzero(zero_point & ~free)
@@ -1069,38 +1062,23 @@ def _centered_covariance(params: SystemParams, moments: InitialMoments, g, gd,
             + moments.sym_xp * (gd * g_prime + gd_prime * g))
 
 
-def _variance_parts(params: SystemParams, bath: BathParams, moments: InitialMoments,
-                    t: np.ndarray, g: np.ndarray, gd: np.ndarray, convention: str):
-    """The two parts of ``variance_parts`` from G and G' at the times t."""
+def open_evolution(params: SystemParams, bath: BathParams, moments: InitialMoments,
+                   force: ForceProfile, t, convention: str = OCCUPATION):
+    """G, G', the mean position of ``mean_trajectory`` (from moments.mean_x
+    and moments.mean_p), and the two parts of the variance at a float or an
+    ndarray of times, from one exponential per time: the dynamic part
+    var_x G'^2 + var_p G^2 + 2 sym_xp G' G, and the bath-noise part of
+    ``variance_noise_term``, its tolerance slaved to the first (1e-10
+    relative), NaN and not computed where the dynamic part is not finite.
+    A float time gives 0-d arrays."""
+    t = _times(t)
+    g, gd = green_pair(params, bath, t)
+    mean = _mean(params, bath, moments.mean_x, moments.mean_p, force, t, g, gd)
     dynamic = _centered_covariance(params, moments, g, gd, g, gd)
     noise, finite = np.full(t.shape, np.nan), np.isfinite(dynamic)
     noise[finite] = variance_noise_term(params, bath, t[finite], convention, 1e-10
                                         * np.maximum(np.abs(dynamic[finite]), 1e-30))
-    return dynamic, noise
-
-
-def variance_parts(params: SystemParams, bath: BathParams,
-                   moments: InitialMoments, t, convention: str = OCCUPATION):
-    """The dynamic part var_x G'^2 + var_p G^2 + 2 sym_xp G' G of the variance
-    and the bath-noise part, its tolerance slaved to the first (1e-10
-    relative), at a float or an ndarray of times; the noise part is NaN,
-    and not computed, where the dynamic part is not finite."""
-    t = _times(t)
-    dynamic, noise = _variance_parts(params, bath, moments, t, *green_pair(params, bath, t),
-                                     convention)
-    return (float(dynamic), float(noise)) if t.ndim == 0 else (dynamic, noise)
-
-
-def open_evolution(params: SystemParams, bath: BathParams, moments: InitialMoments,
-                   force: ForceProfile, t, convention: str = OCCUPATION):
-    """G, G', the mean position and the dynamic and bath-noise parts of the
-    variance at an ndarray of times, as ``green_pair``, ``mean_trajectory``
-    (from moments.mean_x and moments.mean_p) and ``variance_parts`` give
-    them, from one exponential per time."""
-    t = _times(t)
-    g, gd = green_pair(params, bath, t)
-    return (g, gd, _mean(params, bath, moments.mean_x, moments.mean_p, force, t, g, gd),
-            *_variance_parts(params, bath, moments, t, g, gd, convention))
+    return g, gd, mean, dynamic, noise
 
 
 def symmetrized_correlation(params: SystemParams, bath: BathParams,

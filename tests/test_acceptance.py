@@ -20,8 +20,8 @@ from invosc import (BathParams, CLASSICAL, ConstantForce, GaussianPacket,
                     delta_kick_at, evaluate, evolve_gaussian, green_pair,
                     grid_from_packet, integrate_adaptive, langevin_ode_oracle,
                     mean_trajectory, propagator, schrodinger_grid_evolve,
-                    solve_poles, transmission_exact, transmission_jwkb,
-                    variance_parts)
+                    open_evolution, solve_poles, transmission_exact,
+                    transmission_jwkb)
 from invosc.cli import main
 
 from conftest import density_moments
@@ -244,7 +244,7 @@ def test_criterion_10_variance_limits():
         moments = InitialMoments.from_packet(packet, ACC_PARAMS)
 
         bath = BathParams(0.5, 10.0, 1.0)
-        assert abs(sum(variance_parts(ACC_PARAMS, bath, moments, 0.0))
+        assert abs(sum(open_evolution(ACC_PARAMS, bath, moments, ZeroForce(), 0.0)[3:])
                    - packet.sigma**2) < 1e-12
 
         cold = BathParams(0.5, 10.0, 0.0)
@@ -252,26 +252,27 @@ def test_criterion_10_variance_limits():
         g, gd = green_pair(ACC_PARAMS, cold, t)
         dynamic = packet.sigma**2 * gd**2 \
             + ACC_PARAMS.hbar**2 / (4 * packet.sigma**2) * g**2
-        assert sum(variance_parts(ACC_PARAMS, cold, moments, t)) \
+        assert sum(open_evolution(ACC_PARAMS, cold, moments, ZeroForce(), t)[3:]) \
             == pytest.approx(dynamic, rel=1e-14)
 
         weak = BathParams(1e-6, 10.0, 0.0)
         eps = ACC_PARAMS.hbar / (2 * ACC_PARAMS.omega * packet.sigma**2)
         closed = packet.sigma**2 * (math.cosh(t) ** 2
                                     + eps**2 * math.sinh(t) ** 2)
-        got = sum(variance_parts(ACC_PARAMS, weak, moments, t))
+        got = sum(open_evolution(ACC_PARAMS, weak, moments, ZeroForce(), t)[3:])
         assert abs(got - closed) / closed < 1e-3
 
         small_h = SystemParams(1.0, hbar=1e-4)
         small_h_moments = InitialMoments.from_packet(packet, small_h)
-        quantum = sum(variance_parts(small_h, bath, small_h_moments, t))
-        classical = sum(variance_parts(small_h, bath, small_h_moments, t, CLASSICAL))
+        quantum = sum(open_evolution(small_h, bath, small_h_moments, ZeroForce(), t)[3:])
+        classical = sum(open_evolution(small_h, bath, small_h_moments, ZeroForce(), t,
+                                       CLASSICAL)[3:])
         assert abs(quantum - classical) / classical < 1e-3
 
         prev = -math.inf
         for kT in (0.0, 1.0, 2.0):
             bath_kt = BathParams(0.5, 10.0, kT)
-            val = sum(variance_parts(ACC_PARAMS, bath_kt, moments, t))
+            val = sum(open_evolution(ACC_PARAMS, bath_kt, moments, ZeroForce(), t)[3:])
             assert val >= prev
             prev = val
 

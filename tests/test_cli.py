@@ -1103,7 +1103,7 @@ class TestOpenEvolve:
 
     def test_columns_are_their_library_calls(self, capsys, monkeypatch):
         # open_evolution takes G and G' once for all columns; each column is
-        # still, bit for bit, what its own public function gives
+        # still, bit for bit, what its own public function or closed form gives
         spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
         workloads = importlib.util.module_from_spec(spec)
         monkeypatch.setitem(sys.modules, spec.name, workloads)   # for its dataclass
@@ -1117,11 +1117,12 @@ class TestOpenEvolve:
                 params, packet = cli._build_system(config), cli._build_packet(config)
                 bath, force = cli._build_bath(config), cli._build_force(config)
                 times = cli._sample_times(config, "open")
-                moments = invosc.InitialMoments.from_packet(packet, params)
                 g, gd = invosc.green_pair(params, bath, times)
                 mean = invosc.mean_trajectory(params, bath, packet.x0, packet.p0, force, times)
-                dynamic, noise = invosc.variance_parts(params, bath, moments, times,
-                                                       config["bath"]["noise"])
+                sigma2 = packet.sigma**2
+                dynamic = sigma2 * gd * gd + params.hbar**2 / (4.0 * sigma2) * g * g
+                noise = invosc.variance_noise_term(params, bath, times, config["bath"]["noise"],
+                                                   1e-10 * np.maximum(np.abs(dynamic), 1e-30))
                 for name, column in (("t", times), ("G", g), ("G_dot", gd), ("mean_x", mean),
                                      ("variance_dynamic", dynamic),
                                      ("variance_noise", noise)):
@@ -1328,7 +1329,7 @@ class TestVerify:
             patch.setattr(cli, "_TUNNEL_POINTS", ())
             code = main(argv)
         if code == 3:
-            assert err.getvalue().startswith("error: verify: grid: the grid needs ")
+            assert re.match(r"error: verify: grid at omega = \S+: the grid needs ", err.getvalue())
             return
         assert code in (0, 4)
         failed = [c["name"] for c in json.loads(out.getvalue())["checks"] if not c["passed"]]
@@ -1345,7 +1346,8 @@ class TestVerify:
         monkeypatch.setattr(invosc.numerics, "langevin_ode_oracle", broken)
         code, out, err = run_cli(["verify"], capsys)
         assert (code, out) == (3, "")
-        assert "non-finite deviation nan in check green_expm_vs_ode_case0" in err
+        assert err == ("error: verify: green_expm_vs_ode_case0 at omega = 1: non-finite "
+                       "deviation nan in check green_expm_vs_ode_case0\n")
 
     @pytest.mark.parametrize("bath", [("0.6", "1.0", "0.0"), ("40.0", "0.05", "1.0"),
                                       ("0.0", "10.0", "1.0")])
@@ -1402,7 +1404,8 @@ class TestVerify:
         code, out, err = run_cli(["verify"], capsys)
         assert (code, out) == (3, "")
         assert re.fullmatch(
-            r"error: verify: grid: the extrapolated error estimate \S+ at 12 steps to "
+            r"error: verify: grid at omega = 1: the extrapolated error estimate \S+ at 12 "
+            r"steps to "
             r"t = 1\.5 is above the target 1e-09, and 24 steps pass the cap 12\n", err)
 
     def test_second_order_stepper_is_refused(self, capsys, monkeypatch):
@@ -1416,7 +1419,8 @@ class TestVerify:
         code, out, err = run_cli(["verify"], capsys)
         assert (code, out) == (3, "")
         match = re.fullmatch(
-            r"error: verify: grid: the extrapolated error estimate (\S+) at 3072 steps to "
+            r"error: verify: grid at omega = 1: the extrapolated error estimate (\S+) at 3072 "
+            r"steps to "
             r"t = 1\.5 is within the target 1e-09, the step-doubling ratio e_m/e_\(m/2\) = "
             r"(\S+) is above the 1/8 of fourth order, and 6144 steps pass the cap 3072\n",
             err)
@@ -1620,7 +1624,7 @@ class TestVerify:
         monkeypatch.setattr(invosc.numerics, "grid_from_packet", grid_from_packet)
         code, out, err = run_cli(["verify", "--set", "packet.sigma=1.5e-154"], capsys)
         assert (code, out) == (3, "")
-        assert err.startswith("error: verify: grid: the grid needs about 2^")
+        assert err.startswith("error: verify: grid at omega = 1: the grid needs about 2^")
         assert "above the cap 2^16" in err
         assert "set mostly by packet.sigma in x and packet.sigma in k" in err
         assert "Warning" not in err
@@ -1629,7 +1633,7 @@ class TestVerify:
         # at x0 = 1e300 the box is 2.7e300 wide and |k| reaches 2.1e300
         code, out, err = run_cli(["verify", "--set", "packet.x0=1e300"], capsys)
         assert (code, out) == (3, "")
-        assert err.startswith("error: verify: grid: the grid needs about 2^")
+        assert err.startswith("error: verify: grid at omega = 1: the grid needs about 2^")
         assert "set mostly by packet.x0, packet.p0 in x and packet.x0, packet.p0 in k" in err
 
     def test_green_time_budget(self, capsys, monkeypatch):

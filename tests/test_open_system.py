@@ -16,9 +16,9 @@ from invosc import (CLASSICAL, OCCUPATION, SYMMETRIZED, BathParams,
                     drude_kernel, force_at, green_pair, integrate_adaptive,
                     integrate_exp_sinh, integrate_fourier, integrate_tanh_sinh,
                     langevin_ode_oracle, mean_trajectory,
-                    noise_spectrum, solve_cubic, solve_poles,
+                    noise_spectrum, open_evolution, solve_cubic, solve_poles,
                     spectral_noise_term, symmetrized_correlation,
-                    variance_noise_term, variance_parts, windowed_transform)
+                    variance_noise_term, windowed_transform)
 from invosc import open_system as osys
 from invosc.core import force_pieces
 
@@ -626,11 +626,11 @@ class TestArrayOfTimes:
 
     @pytest.mark.parametrize("convention", [OCCUPATION, SYMMETRIZED, CLASSICAL])
     @pytest.mark.parametrize("bath", [BATH, BathParams(5.0, 2.0, 0.4)])
-    def test_variance_parts(self, convention, bath):
+    def test_variance_columns(self, convention, bath):
         moments = InitialMoments(0.3, -0.2, 1.0, 0.3, 0.1)
-        dynamic, noise = variance_parts(PARAMS, bath, moments, SAMPLE_TIMES,
-                                        convention)
-        loop = np.array([variance_parts(PARAMS, bath, moments, t, convention)
+        dynamic, noise = open_evolution(PARAMS, bath, moments, ZeroForce(), SAMPLE_TIMES,
+                                        convention)[3:]
+        loop = np.array([open_evolution(PARAMS, bath, moments, ZeroForce(), t, convention)[3:]
                          for t in SAMPLE_TIMES.tolist()])
         assert np.array_equal(dynamic, loop[:, 0])
         # the bath noise sweeps every time at once, so a time's value depends
@@ -644,8 +644,8 @@ class TestArrayOfTimes:
     def test_noise_is_skipped_past_the_float_range(self):
         moments = InitialMoments(0.0, 0.0, 1.0, 0.25, 0.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            dynamic, noise = variance_parts(PARAMS, BATH, moments,
-                                            np.array([400.0, 800.0]))
+            dynamic, noise = open_evolution(PARAMS, BATH, moments, ZeroForce(),
+                                            np.array([400.0, 800.0]))[3:]
         assert np.isfinite(dynamic[0]) and np.isfinite(noise[0])
         assert not np.isfinite(dynamic[1]) and np.isnan(noise[1])
 
@@ -737,7 +737,7 @@ class TestDisplacementVariance:
     def test_initial_value_exact(self):
         packet = GaussianPacket(0.0, 0.0, 1.3)
         moments = InitialMoments.from_packet(packet, PARAMS)
-        assert sum(variance_parts(PARAMS, BATH, moments, 0.0)) == \
+        assert sum(open_evolution(PARAMS, BATH, moments, ZeroForce(), 0.0)[3:]) == \
             pytest.approx(packet.sigma**2, abs=1e-12)
 
     def test_zero_temperature_is_purely_dynamic(self):
@@ -748,7 +748,7 @@ class TestDisplacementVariance:
         expected = packet.sigma**2 * gd**2 \
             + PARAMS.hbar**2 / (4 * packet.sigma**2) * g**2
         moments = InitialMoments.from_packet(packet, PARAMS)
-        assert sum(variance_parts(PARAMS, bath, moments, t)) == \
+        assert sum(open_evolution(PARAMS, bath, moments, ZeroForce(), t)[3:]) == \
             pytest.approx(expected, rel=1e-14)
 
     def test_weak_damping_recovers_closed_width_law(self):
@@ -759,7 +759,7 @@ class TestDisplacementVariance:
         closed = packet.sigma**2 * (math.cosh(t) ** 2
                                     + eps**2 * math.sinh(t) ** 2)
         moments = InitialMoments.from_packet(packet, PARAMS)
-        got = sum(variance_parts(PARAMS, bath, moments, t))
+        got = sum(open_evolution(PARAMS, bath, moments, ZeroForce(), t)[3:])
         assert got == pytest.approx(closed, rel=1e-3)
 
     def test_monotone_in_temperature(self):
@@ -768,7 +768,7 @@ class TestDisplacementVariance:
         prev = -math.inf
         for kT in (0.0, 0.5, 1.0, 2.0):
             bath = BathParams(0.5, 10.0, kT)
-            val = sum(variance_parts(PARAMS, bath, moments, t))
+            val = sum(open_evolution(PARAMS, bath, moments, ZeroForce(), t)[3:])
             assert val >= prev
             prev = val
 
@@ -776,8 +776,8 @@ class TestDisplacementVariance:
         params = SystemParams(1.0, hbar=1e-4)
         moments = InitialMoments.from_packet(GaussianPacket(0.0, 0.0, 1.0), params)
         t = 1.5
-        q = sum(variance_parts(params, BATH, moments, t, OCCUPATION))
-        c = sum(variance_parts(params, BATH, moments, t, CLASSICAL))
+        q = sum(open_evolution(params, BATH, moments, ZeroForce(), t, OCCUPATION)[3:])
+        c = sum(open_evolution(params, BATH, moments, ZeroForce(), t, CLASSICAL)[3:])
         assert q == pytest.approx(c, rel=1e-3)
 
     def test_noise_term_of_the_residue_window(self):
@@ -1167,13 +1167,13 @@ class TestBosePartAsMatsubaraSum:
 class TestGeneralVariance:
     def test_parts_sum_to_the_variance(self):
         moments = InitialMoments(0.0, 0.0, 1.0, 0.25, 0.1)
-        dynamic, noise = variance_parts(PARAMS, BATH, moments, 1.2)
+        dynamic, noise = open_evolution(PARAMS, BATH, moments, ZeroForce(), 1.2)[3:]
         assert noise == variance_noise_term(PARAMS, BATH, 1.2,
                                             abs_tol=1e-10 * abs(dynamic))
 
     def test_initial_value(self):
         moments = InitialMoments(0.0, 0.0, 1.0, 0.25, 0.0)
-        assert sum(variance_parts(PARAMS, BATH, moments, 0.0)) == \
+        assert sum(open_evolution(PARAMS, BATH, moments, ZeroForce(), 0.0)[3:]) == \
             pytest.approx(1.0, abs=1e-12)
 
     def test_positive_over_random_scan(self):
@@ -1190,12 +1190,12 @@ class TestGeneralVariance:
             sym = float(rng.uniform(-0.9, 0.9)) * bound
             moments = InitialMoments(0.0, 0.0, var_x, var_p, sym)
             t = float(rng.uniform(0.0, 2.0))
-            assert sum(variance_parts(params, bath, moments, t)) > 0.0
+            assert sum(open_evolution(params, bath, moments, ZeroForce(), t)[3:]) > 0.0
 
     def test_uncertainty_violation_rejected(self):
         moments = InitialMoments(0.0, 0.0, 0.01, 0.01, 0.0)
         with pytest.raises(ValueError, match="uncertainty"):
-            variance_parts(PARAMS, BATH, moments, 1.0)
+            open_evolution(PARAMS, BATH, moments, ZeroForce(), 1.0)
 
     def test_moment_positivity_enforced(self):
         with pytest.raises(ValueError):
@@ -1213,7 +1213,7 @@ class TestSymmetrizedCorrelation:
                 (InitialMoments(0.3, -0.2, 1.0, 0.25, 0.0), ZeroForce()),
                 (InitialMoments(0.3, -0.2, 1.0, 0.25, 0.0), HarmonicForce(0.2, 0.5))):
             diag = symmetrized_correlation(PARAMS, BATH, moments, force, t, t)
-            var = sum(variance_parts(PARAMS, BATH, moments, t))
+            var = sum(open_evolution(PARAMS, BATH, moments, ZeroForce(), t)[3:])
             mean = mean_trajectory(PARAMS, BATH, moments.mean_x, moments.mean_p,
                                    force, t)
             assert diag == pytest.approx(var + mean**2,
